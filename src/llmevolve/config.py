@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -59,7 +59,6 @@ class RunConfig:
     backend: str = "replay"  # "replay" | "http"
     base_url: str = ""
     interpreter: list[str] = field(default_factory=lambda: ["python3"])
-    p2_squared: bool = True
     sandbox_workers: Optional[int] = None  # default: num_islands
 
     def __post_init__(self) -> None:
@@ -142,6 +141,3 @@ def config_from_dict(doc: dict) -> RunConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def with_overrides(config: RunConfig, **kwargs) -> RunConfig:
-    return replace(config, **{k: v for k, v in kwargs.items() if v is not None})

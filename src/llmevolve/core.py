@@ -82,8 +82,7 @@ class IslandState:
     """Live population, prompt pool and solution forest for one island.
 
     The live population never exceeds ``capacity``; displaced and rejected
-    individuals move to the archive, which ``ancestors`` and
-    ``prompt_fitness`` still see.
+    individuals move to the archive, which ``ancestors`` still sees.
     """
 
     def __init__(self, island_id: int, capacity: int):
@@ -155,15 +154,6 @@ class IslandState:
             seen.add(sol.id)
             chain.append(sol)
         return chain
-
-    def prompt_fitness(self, prompt_id: str) -> float:
-        """Max fitness over all offspring of a prompt; 0 if it has none."""
-        self.lookup_prompt(prompt_id)
-        best = 0.0
-        for sol in self.all_solutions():
-            if sol.parent_prompt_id == prompt_id:
-                best = max(best, sol.fitness)
-        return best
 
     # -- population control --
 

@@ -13,13 +13,13 @@ import json
 import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
-from . import diffengine, llm, operators, sandbox
+from . import llm, operators, sandbox
 from .config import RunConfig
 from .core import (
     STATUS_GENERATION_FAILED,
@@ -41,6 +41,16 @@ TRANSCRIPT_NAME = "transcripts.jsonl"
 CONFIG_SNAPSHOT_NAME = "config.yaml"
 FEEDBACK_TAIL_CHARS = 2000
 
+# Solution status after each sandbox outcome; a clean exit stays valid only
+# if its artifact parses and scores as valid.
+_EXECUTION_STATUS = {
+    sandbox.STATUS_OK: STATUS_VALID,
+    sandbox.STATUS_NONZERO_EXIT: STATUS_RUNTIME_ERROR,
+    sandbox.STATUS_SPAWN_ERROR: STATUS_RUNTIME_ERROR,
+    sandbox.STATUS_TIMEOUT: STATUS_TIMEOUT,
+    sandbox.STATUS_MEMORY_EXCEEDED: STATUS_MEMORY_EXCEEDED,
+}
+
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is missing, truncated, or fails its digest."""
@@ -59,7 +69,7 @@ class RunState:
     islands: list[IslandState]
     rngs: list[IslandRngs]
     epoch: int = 0
-    first_migration_done: bool = False
+    migration_events: int = 0
     event_log_pos: int = 0
     backend_state: object = None
     initial_prompt_ids: list[str] = field(default_factory=list)
@@ -103,6 +113,7 @@ class _Run:
         (run_dir / "solutions").mkdir(parents=True, exist_ok=True)
         (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
         self._event_fh = None
+        self._pool = ThreadPoolExecutor(max_workers=config.sandbox_workers or config.num_islands)
 
     # -- event log --
 
@@ -123,43 +134,33 @@ class _Run:
     def evaluate(self, sol: Solution) -> Solution:
         """Execute, parse and score one candidate, finalizing it in place."""
         if sol.status != STATUS_PENDING:
-            sol.fitness = 0.0
             return sol
         outcome = sandbox.run_candidate(
             sol.code, self.config.limits, interpreter=self.config.interpreter
         )
         self._store_logs(sol, outcome)
-        if outcome.status == sandbox.STATUS_TIMEOUT:
-            sol.status = STATUS_TIMEOUT
-        elif outcome.status == sandbox.STATUS_MEMORY_EXCEEDED:
-            sol.status = STATUS_MEMORY_EXCEEDED
-        elif outcome.status in (sandbox.STATUS_NONZERO_EXIT, sandbox.STATUS_SPAWN_ERROR):
-            sol.status = STATUS_RUNTIME_ERROR
-        elif outcome.artifact is None:
+        sol.status = _EXECUTION_STATUS[outcome.status]
+        if sol.status != STATUS_VALID:
+            return sol
+        if outcome.artifact is None:
             sol.status = STATUS_INVALID_ARTIFACT
             sol.feedback = (sol.feedback or "") + "\nno artifact file was written"
-        else:
-            try:
-                artifact = self.problem.parser(outcome.artifact)
-                report = self.problem.scorer(artifact)
-            except ArtifactError as exc:
-                sol.status = STATUS_INVALID_ARTIFACT
-                sol.feedback = f"invalid artifact: {exc}"
-                sol.fitness = 0.0
-                return sol
-            sol.metrics = dict(report.metrics)
-            if report.valid:
-                sol.status = STATUS_VALID
-                sol.fitness = report.fitness
-                self._store_artifact(sol, outcome.artifact)
-            else:
-                sol.status = STATUS_INVALID_ARTIFACT
-                sol.fitness = 0.0
-                sol.feedback = "constraint violations: " + ", ".join(
-                    f"{k}={v:.3g}" for k, v in sorted(report.violations.items())
-                )
             return sol
-        sol.fitness = 0.0
+        try:
+            report = self.problem.scorer(self.problem.parser(outcome.artifact))
+        except ArtifactError as exc:
+            sol.status = STATUS_INVALID_ARTIFACT
+            sol.feedback = f"invalid artifact: {exc}"
+            return sol
+        sol.metrics = dict(report.metrics)
+        if report.valid:
+            sol.fitness = report.fitness
+            (self.run_dir / f"{sol.log_ref}.artifact.json").write_bytes(outcome.artifact)
+        else:
+            sol.status = STATUS_INVALID_ARTIFACT
+            sol.feedback = "constraint violations: " + ", ".join(
+                f"{k}={v:.3g}" for k, v in sorted(report.violations.items())
+            )
         return sol
 
     def _store_logs(self, sol: Solution, outcome: sandbox.ExecutionOutcome) -> None:
@@ -174,18 +175,22 @@ class _Run:
         elif tail:
             sol.feedback = tail
 
-    def _store_artifact(self, sol: Solution, raw: bytes) -> None:
-        path = self.run_dir / "solutions" / f"{sol.id}.artifact.json"
-        path.write_bytes(raw)
-
     def _evaluate_batch(self, pending: list[Solution]) -> None:
-        workers = self.config.sandbox_workers or self.config.num_islands
-        if len(pending) <= 1 or workers <= 1:
-            for sol in pending:
-                self.evaluate(sol)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(self.evaluate, pending))
+        list(self._pool.map(self.evaluate, pending))
+
+    def _emit_solution(self, kind: str, sol: Solution, insert: str, **extra) -> None:
+        self._emit(
+            {
+                "type": kind,
+                "island": sol.island_id,
+                "solution": sol.id,
+                "status": sol.status,
+                "fitness": sol.fitness,
+                "objective": sol.metrics.get("objective"),
+                "insert": insert,
+                **extra,
+            }
+        )
 
     # -- lifecycle --
 
@@ -201,69 +206,13 @@ class _Run:
             )
             self.state.initial_prompt_ids.append(prompt.id)
             self._evaluate_batch(pending)
-            for sol in pending:
-                result = island.try_insert(sol)
-                self._emit(
-                    {
-                        "type": "init",
-                        "island": island.id,
-                        "solution": sol.id,
-                        "status": sol.status,
-                        "fitness": sol.fitness,
-                        "objective": sol.metrics.get("objective"),
-                        "insert": result.outcome,
-                    }
-                )
-            for sol in failures:
-                island.archive_solution(sol)
-                self._emit(
-                    {
-                        "type": "init",
-                        "island": island.id,
-                        "solution": sol.id,
-                        "status": sol.status,
-                        "fitness": 0.0,
-                        "objective": None,
-                        "insert": "not_attempted",
-                    }
-                )
-
-    def _no_evolution_step(
-        self, island: IslandState, rngs: IslandRngs, epoch: int
-    ) -> operators.OperatorOutcome:
-        # Table-style baseline: always regenerate from the initial pair.
-        prompt_id = self.state.initial_prompt_ids[island.id]
-        prompt = island.lookup_prompt(prompt_id)
-        request = llm.GenerationRequest(
-            prompt_text=prompt.text,
-            parent_code=self.state.trivial_code,
-            problem_brief=self.problem.brief,
-        )
-        try:
-            model, response = llm.generate(
-                self.config.ensemble, request, self.backend, rngs.model, island_id=island.id
-            )
-            code = operators._apply_response(self.state.trivial_code, response)
-            status, feedback = STATUS_PENDING, None
-        except (
-            llm.TransportError,
-            diffengine.DiffParseError,
-            diffengine.DiffApplyError,
-        ) as exc:
-            model, code = "", self.state.trivial_code
-            status, feedback = STATUS_GENERATION_FAILED, f"generation failed: {exc}"
-        sol = Solution(
-            id=island.next_solution_id(),
-            island_id=island.id,
-            code=code,
-            parent_id=None,
-            parent_prompt_id=prompt_id,
-            epoch_created=epoch,
-            status=status,
-            origin_island=island.id,
-            feedback=feedback,
-        )
-        return operators.OperatorOutcome(sol, None, "no_evolution", model_used=model)
+            for sol in pending + failures:
+                if sol.status == STATUS_GENERATION_FAILED:
+                    island.archive_solution(sol)
+                    insert = "not_attempted"
+                else:
+                    insert = island.try_insert(sol).outcome
+                self._emit_solution("init", sol, insert)
 
     def run_epochs(self, stop_after_epoch: Optional[int] = None) -> RunSummary:
         cfg = self.config
@@ -271,7 +220,7 @@ class _Run:
         while state.epoch < cfg.epochs:
             epoch = state.epoch + 1
             crossover = operators.gate_crossover(
-                state.first_migration_done, cfg.ablation.inspirations
+                state.migration_events > 0, cfg.ablation.inspirations
             )
             outcomes: list[operators.OperatorOutcome] = []
             for island, rngs in zip(state.islands, state.rngs):
@@ -280,27 +229,29 @@ class _Run:
                         island, cfg, self.backend, self.problem.brief, crossover, rngs, epoch
                     )
                 else:
-                    outcome = self._no_evolution_step(island, rngs, epoch)
+                    outcome = operators.no_evolution_step(
+                        island,
+                        cfg,
+                        self.backend,
+                        self.problem.brief,
+                        state.trivial_code,
+                        state.initial_prompt_ids[island.id],
+                        rngs,
+                        epoch,
+                    )
                 outcomes.append(outcome)
             self._evaluate_batch([o.new_solution for o in outcomes])
             for island, outcome in zip(state.islands, outcomes):
                 sol = outcome.new_solution
-                result = island.try_insert(sol)
-                self._emit(
-                    {
-                        "type": "step",
-                        "epoch": epoch,
-                        "island": island.id,
-                        "operator": outcome.operator,
-                        "model": outcome.model_used,
-                        "solution": sol.id,
-                        "parent": sol.parent_id,
-                        "status": sol.status,
-                        "fitness": sol.fitness,
-                        "objective": sol.metrics.get("objective"),
-                        "insert": result.outcome,
-                        "inspirations": len(outcome.inspiration_ids),
-                    }
+                self._emit_solution(
+                    "step",
+                    sol,
+                    island.try_insert(sol).outcome,
+                    epoch=epoch,
+                    operator=outcome.operator,
+                    model=outcome.model_used,
+                    parent=sol.parent_id,
+                    inspirations=len(outcome.inspiration_ids),
                 )
             state.epoch = epoch
             if (
@@ -309,6 +260,7 @@ class _Run:
                 and epoch % cfg.migration_every == 0
             ):
                 for event in self.migrate(epoch):
+                    state.migration_events += 1
                     self._emit(
                         {
                             "type": "migration",
@@ -387,7 +339,6 @@ class _Run:
                     migrated_ids=[s.id for s in migrants],
                 )
             )
-        state.first_migration_done = True
         return events
 
     # -- checkpointing --
@@ -422,7 +373,8 @@ class _Run:
         best_dir = self.run_dir / "best"
         best_dir.mkdir(exist_ok=True)
         (best_dir / "solution.py").write_text(best.code, encoding="utf-8")
-        artifact = self.run_dir / "solutions" / f"{best.id}.artifact.json"
+        # Migrant copies share the log_ref, and so the artifact, of their original.
+        artifact = self.run_dir / f"{best.log_ref}.artifact.json"
         if artifact.exists():
             (best_dir / "artifact.json").write_bytes(artifact.read_bytes())
         (best_dir / "summary.json").write_text(
@@ -446,11 +398,6 @@ class _Run:
         for island in self.state.islands:
             for sol in island.all_solutions():
                 counts[sol.status] = counts.get(sol.status, 0) + 1
-        migrations = sum(
-            1
-            for line in (self.run_dir / EVENT_LOG_NAME).read_text().splitlines()
-            if '"type": "migration"' in line
-        )
         return RunSummary(
             problem_id=self.config.problem_id,
             epochs_run=self.state.epoch,
@@ -458,12 +405,13 @@ class _Run:
             best_solution_id=best.id if best else None,
             best_fitness=best.fitness if best else 0.0,
             best_objective=best.metrics.get("objective") if best else None,
-            migration_events=migrations,
+            migration_events=self.state.migration_events,
             step_counts=counts,
             finished=finished,
         )
 
     def close(self) -> None:
+        self._pool.shutdown()
         if self._event_fh is not None:
             self._event_fh.close()
 
@@ -548,30 +496,7 @@ def load_checkpoint(path: Path) -> tuple[RunConfig, RunState]:
 
 
 def _write_config_snapshot(config: RunConfig, run_dir: Path) -> None:
-    doc = {
-        "problem_id": config.problem_id,
-        "num_islands": config.num_islands,
-        "topology": config.topology if isinstance(config.topology, str) else [list(e) for e in config.topology],
-        "migration_every": config.migration_every,
-        "migration_rate": config.migration_rate,
-        "p_explore": config.p_explore,
-        "max_population": config.max_population,
-        "init_population": config.init_population,
-        "num_inspirations": config.num_inspirations,
-        "max_ancestor_depth": config.max_ancestor_depth,
-        "epochs": config.epochs,
-        "master_seed": config.master_seed,
-        "backend": config.backend,
-        "ablation": {
-            "meta_prompting": config.ablation.meta_prompting,
-            "inspirations": config.ablation.inspirations,
-            "evolution": config.ablation.evolution,
-        },
-        "limits": {
-            "wall_seconds": config.limits.wall_seconds,
-            "memory_bytes": config.limits.memory_bytes,
-        },
-    }
+    """Write the complete config; ``load_config`` reads it back equal."""
     (run_dir / CONFIG_SNAPSHOT_NAME).write_text(
-        yaml.safe_dump(doc, sort_keys=True), encoding="utf-8"
+        yaml.safe_dump(asdict(config), sort_keys=True), encoding="utf-8"
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +46,10 @@ class MetaModel:
 class RetryPolicy:
     max_attempts: int = 3
     backoff_seconds: tuple[float, ...] = (0.5, 1.0, 2.0)
+
+    def __post_init__(self) -> None:
+        # YAML reads a sequence back as a list.
+        self.backoff_seconds = tuple(self.backoff_seconds)
 
 
 @dataclass
@@ -103,50 +106,23 @@ def sample_model(config: EnsembleConfig, rng: random.Random) -> str:
     return config.members[-1].name
 
 
-class TokenBucket:
-    """Simple shared rate limiter: ``rate`` requests per second, burst cap."""
-
-    def __init__(self, rate: float, burst: int):
-        self.rate = rate
-        self.capacity = burst
-        self._tokens = float(burst)
-        self._stamp = time.monotonic()
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self._tokens = min(
-                    self.capacity, self._tokens + (now - self._stamp) * self.rate
-                )
-                self._stamp = now
-                if self._tokens >= 1:
-                    self._tokens -= 1
-                    return
-                wait = (1 - self._tokens) / self.rate
-            time.sleep(wait)
-
-
 class HttpBackend:
     """OpenAI-compatible chat-completions client.
 
     The API key comes from the environment (``LLMEVOLVE_API_KEY`` by
-    default); the base URL and a shared token bucket are configuration.
+    default); the base URL is configuration.
     """
 
     def __init__(
         self,
         base_url: str,
         api_key_env: str = "LLMEVOLVE_API_KEY",
-        rate_limit: Optional[TokenBucket] = None,
         timeout: float = 120.0,
     ):
         import requests
 
         self.base_url = base_url.rstrip("/")
         self.api_key = os.environ.get(api_key_env, "")
-        self.rate_limit = rate_limit
         self.timeout = timeout
         self._session = requests.Session()
 
@@ -161,8 +137,6 @@ class HttpBackend:
     ) -> str:
         import requests
 
-        if self.rate_limit is not None:
-            self.rate_limit.acquire()
         payload: dict = {
             "model": model,
             "messages": messages,

@@ -1,4 +1,5 @@
-"""Variation operators: depth exploitation, meta-prompting exploration.
+"""Variation operators: depth exploitation, meta-prompting exploration and
+the no-evolution baseline.
 
 A step first flips the explore coin, then samples a parent, optional
 inspirations and the ancestor chain, asks the generation engine for an edit,
@@ -24,6 +25,10 @@ from .core import (
 
 OP_EXPLOIT = "exploit"
 OP_EXPLORE = "explore"
+OP_NO_EVOLUTION = "no_evolution"
+
+# What a failed generation call or edit raises.
+GENERATION_ERRORS = (llm.TransportError, diffengine.DiffParseError, diffengine.DiffApplyError)
 
 
 @dataclass
@@ -55,27 +60,56 @@ def _resolve_prompt(island: IslandState, sol: Solution) -> Prompt:
     return island.lookup_prompt(sol.parent_prompt_id)
 
 
-def _failed_solution(
+def _new_solution(
     island: IslandState,
     epoch: int,
-    parent: Solution,
+    code: str,
+    parent_id: Optional[str],
     prompt_id: Optional[str],
-    reason: str,
+    failure: Optional[str] = None,
 ) -> Solution:
-    # The failed record keeps the parent's code so it stays executable if it
-    # ever enters a below-capacity population.
+    """Allocate the island's next solution: pending, or failed with ``failure`` as feedback."""
     return Solution(
         id=island.next_solution_id(),
         island_id=island.id,
-        code=parent.code,
-        parent_id=parent.id,
+        code=code,
+        parent_id=parent_id,
         parent_prompt_id=prompt_id,
         epoch_created=epoch,
-        fitness=0.0,
-        status=STATUS_GENERATION_FAILED,
+        status=STATUS_PENDING if failure is None else STATUS_GENERATION_FAILED,
         origin_island=island.id,
-        feedback=reason,
+        feedback=failure,
     )
+
+
+def _offspring(
+    island: IslandState,
+    epoch: int,
+    config: RunConfig,
+    backend,
+    rngs: IslandRngs,
+    request: llm.GenerationRequest,
+    parent_id: Optional[str],
+    prompt_id: str,
+    failure_prefix: str = "generation failed: ",
+) -> tuple[Solution, str]:
+    """Ask the ensemble for an edit of ``request.parent_code`` and apply it.
+
+    Returns the new solution and the model that wrote it ("" on failure).
+    A failed generation keeps the code it was asked to edit, so it stays
+    executable if it ever enters a below-capacity population.
+    """
+    try:
+        model, response = llm.generate(
+            config.ensemble, request, backend, rngs.model, island_id=island.id
+        )
+        code = _apply_response(request.parent_code, response)
+    except GENERATION_ERRORS as exc:
+        failed = _new_solution(
+            island, epoch, request.parent_code, parent_id, prompt_id, f"{failure_prefix}{exc}"
+        )
+        return failed, ""
+    return _new_solution(island, epoch, code, parent_id, prompt_id), model
 
 
 def evolve_step(
@@ -94,18 +128,10 @@ def evolve_step(
 
     p = rngs.coin.random()
     explore = p >= 1.0 - config.p_explore and config.ablation.meta_prompting
-    ensemble = config.ensemble
 
     if not explore:
         parent = island.lookup(selection.rank_sample(population, rngs.select))
         prompt = _resolve_prompt(island, parent)
-        inspiration_ids = (
-            selection.sample_inspirations(
-                population, parent.id, config.num_inspirations, "rank", rngs.select
-            )
-            if crossover_enabled
-            else []
-        )
         ancestors = island.ancestors(parent.id, config.max_ancestor_depth)
         new_prompt = None
         operator = OP_EXPLOIT
@@ -114,7 +140,7 @@ def evolve_step(
         prompt_for_meta = _resolve_prompt(island, parent)
         try:
             new_text = llm.meta_prompt(
-                ensemble,
+                config.ensemble,
                 prompt_for_meta.text,
                 parent.code,
                 backend,
@@ -122,8 +148,9 @@ def evolve_step(
                 problem_brief=problem_brief,
             )
         except (llm.TransportError, llm.EmptyResponseError) as exc:
-            failed = _failed_solution(
-                island, epoch, parent, prompt_for_meta.id, f"meta-prompting failed: {exc}"
+            failed = _new_solution(
+                island, epoch, parent.code, parent.id, prompt_for_meta.id,
+                f"meta-prompting failed: {exc}",
             )
             return OperatorOutcome(failed, None, OP_EXPLORE, model_used="")
         new_prompt = Prompt(
@@ -134,18 +161,22 @@ def evolve_step(
             epoch_created=epoch,
         )
         # Inserted into the pool regardless of whether the offspring below
-        # succeeds, so its fitness starts at 0 per the empty-max convention.
+        # succeeds.
         island.add_prompt(new_prompt)
         prompt = new_prompt
-        inspiration_ids = (
-            selection.sample_inspirations(
-                population, parent.id, config.num_inspirations, "uniform", rngs.select
-            )
-            if crossover_enabled
-            else []
-        )
         ancestors = []  # lineage deliberately withheld on exploration
         operator = OP_EXPLORE
+    inspiration_ids = (
+        selection.sample_inspirations(
+            population,
+            parent.id,
+            config.num_inspirations,
+            "uniform" if explore else "rank",
+            rngs.select,
+        )
+        if crossover_enabled
+        else []
+    )
 
     request = llm.GenerationRequest(
         prompt_text=prompt.text,
@@ -155,30 +186,28 @@ def evolve_step(
         execution_feedback=parent.feedback,
         problem_brief=problem_brief,
     )
-    try:
-        model, response = llm.generate(
-            ensemble, request, backend, rngs.model, island_id=island.id
-        )
-        code = _apply_response(parent.code, response)
-    except (llm.TransportError, diffengine.DiffParseError, diffengine.DiffApplyError) as exc:
-        failed = _failed_solution(
-            island, epoch, parent, prompt.id, f"generation failed: {exc}"
-        )
-        return OperatorOutcome(failed, new_prompt, operator, model_used="", inspiration_ids=inspiration_ids)
+    sol, model = _offspring(island, epoch, config, backend, rngs, request, parent.id, prompt.id)
+    return OperatorOutcome(sol, new_prompt, operator, model, inspiration_ids)
 
-    new_solution = Solution(
-        id=island.next_solution_id(),
-        island_id=island.id,
-        code=code,
-        parent_id=parent.id,
-        parent_prompt_id=prompt.id,
-        epoch_created=epoch,
-        status=STATUS_PENDING,
-        origin_island=island.id,
+
+def no_evolution_step(
+    island: IslandState,
+    config: RunConfig,
+    backend,
+    problem_brief: str,
+    trivial_code: str,
+    prompt_id: str,
+    rngs: IslandRngs,
+    epoch: int,
+) -> OperatorOutcome:
+    """Table-style baseline: regenerate from the island's initial prompt and program."""
+    request = llm.GenerationRequest(
+        prompt_text=island.lookup_prompt(prompt_id).text,
+        parent_code=trivial_code,
+        problem_brief=problem_brief,
     )
-    return OperatorOutcome(
-        new_solution, new_prompt, operator, model_used=model, inspiration_ids=inspiration_ids
-    )
+    sol, model = _offspring(island, epoch, config, backend, rngs, request, None, prompt_id)
+    return OperatorOutcome(sol, None, OP_NO_EVOLUTION, model)
 
 
 def _apply_response(parent_code: str, response: str) -> str:
@@ -214,20 +243,7 @@ def initialize_island(
         epoch_created=0,
     )
     island.add_prompt(initial_prompt)
-
-    def _root(code: str) -> Solution:
-        return Solution(
-            id=island.next_solution_id(),
-            island_id=island.id,
-            code=code,
-            parent_id=None,
-            parent_prompt_id=initial_prompt.id,
-            epoch_created=0,
-            status=STATUS_PENDING,
-            origin_island=island.id,
-        )
-
-    pending = [_root(trivial_code)]
+    pending = [_new_solution(island, 0, trivial_code, None, initial_prompt.id)]
     failures: list[Solution] = []
     request = llm.GenerationRequest(
         prompt_text=initial_prompt.text,
@@ -235,24 +251,9 @@ def initialize_island(
         problem_brief=problem_brief,
     )
     for _ in range(config.init_population):
-        try:
-            _, response = llm.generate(
-                config.ensemble, request, backend, rngs.model, island_id=island.id
-            )
-            code = _apply_response(trivial_code, response)
-            pending.append(_root(code))
-        except (llm.TransportError, diffengine.DiffParseError, diffengine.DiffApplyError) as exc:
-            failed = Solution(
-                id=island.next_solution_id(),
-                island_id=island.id,
-                code="",
-                parent_id=None,
-                parent_prompt_id=initial_prompt.id,
-                epoch_created=0,
-                fitness=0.0,
-                status=STATUS_GENERATION_FAILED,
-                origin_island=island.id,
-                feedback=f"initialization generation failed: {exc}",
-            )
-            failures.append(failed)
+        sol, _ = _offspring(
+            island, 0, config, backend, rngs, request, None, initial_prompt.id,
+            "initialization generation failed: ",
+        )
+        (pending if sol.status == STATUS_PENDING else failures).append(sol)
     return initial_prompt, pending, failures

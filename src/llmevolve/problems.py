@@ -262,7 +262,6 @@ class ProblemSpec:
     """Everything the engine needs to run one benchmark instance."""
 
     id: str
-    direction: str  # "maximize" | "minimize" (direction of the objective)
     brief: str
     wall_seconds: float
     memory_bytes: int
@@ -358,7 +357,6 @@ def _make_registry() -> dict[str, ProblemSpec]:
 
     specs["p1"] = ProblemSpec(
         id="p1",
-        direction="maximize",
         brief=(
             "Write a program that outputs a nonnegative step function on [0,1] "
             "maximizing the ratio of the squared 2-norm of its autoconvolution "
@@ -376,7 +374,6 @@ def _make_registry() -> dict[str, ProblemSpec]:
     for pid, n, d in (("p2.a", 16, 2), ("p2.b", 14, 3)):
         specs[pid] = ProblemSpec(
             id=pid,
-            direction="minimize",
             brief=(
                 f"Write a program that places {n} distinct {d}-dimensional points "
                 "minimizing the ratio of their maximum to minimum pairwise "
@@ -393,7 +390,6 @@ def _make_registry() -> dict[str, ProblemSpec]:
     for pid, n in (("p3.a", 26), ("p3.b", 32)):
         specs[pid] = ProblemSpec(
             id=pid,
-            direction="maximize",
             brief=(
                 f"Write a program that packs exactly {n} non-overlapping circles "
                 "inside the unit square maximizing the sum of their radii. "
@@ -409,7 +405,6 @@ def _make_registry() -> dict[str, ProblemSpec]:
 
     specs["p4"] = ProblemSpec(
         id="p4",
-        direction="maximize",
         brief=(
             "Write a program that chooses a rectangle of perimeter 4 (width w, "
             "height 2-w) and packs exactly 21 non-overlapping circles inside it "

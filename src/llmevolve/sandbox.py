@@ -51,7 +51,6 @@ class ExecutionOutcome:
     stderr: str
     wall_time: float
     artifact: Optional[bytes] = None
-    enforcement: str = ""
 
 
 def _cap(data: bytes) -> str:
@@ -83,8 +82,8 @@ def run_candidate(
         env = dict(os.environ)
         env[ARTIFACT_PATH_ENV] = str(artifact_path)
 
+        preexec = None
         if _resource is not None:
-            enforcement = "rlimit_as"
 
             def _limit() -> None:
                 _resource.setrlimit(
@@ -93,9 +92,6 @@ def run_candidate(
                 os.setsid()
 
             preexec = _limit
-        else:
-            enforcement = "none"
-            preexec = None
 
         start = time.monotonic()
         try:
@@ -113,7 +109,6 @@ def run_candidate(
                 stdout="",
                 stderr=str(exc),
                 wall_time=0.0,
-                enforcement=enforcement,
             )
         try:
             out, err = proc.communicate(timeout=limits.wall_seconds)
@@ -144,7 +139,6 @@ def run_candidate(
             stderr=stderr,
             wall_time=wall,
             artifact=artifact,
-            enforcement=enforcement,
         )
 
 

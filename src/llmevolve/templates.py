@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from . import diffengine
 
-TEMPLATE_VERSION = "1"
-
 EDIT_FORMAT_INSTRUCTIONS = f"""\
 Modify the target program with one or more edit blocks in this exact format:
 

@@ -1,4 +1,4 @@
-"""Island state: lineage queries, prompt fitness, population control."""
+"""Island state: lineage queries, population control."""
 
 import pytest
 from hypothesis import given, settings
@@ -61,38 +61,6 @@ class TestAncestors:
         assert result.outcome == "inserted_with_eviction"
         assert result.evicted_id == "r"
         assert [s.id for s in island.ancestors("c", None)] == ["a", "r"]
-
-
-class TestPromptFitness:
-    def test_max_over_offspring(self):
-        island = make_island()
-        for sid, f in (("a", 0.2), ("b", 0.7), ("c", 0.5)):
-            island.try_insert(make_solution(sid, f))
-        assert island.prompt_fitness("i0-p00000") == 0.7
-
-    def test_no_offspring_is_zero(self):
-        island = make_island()
-        island.add_prompt(Prompt(id="i0-p00001", text="other", island_id=0))
-        assert island.prompt_fitness("i0-p00001") == 0.0
-
-    def test_only_failed_offspring_is_zero(self):
-        island = make_island()
-        island.try_insert(make_solution("a", 0.0))
-        assert island.prompt_fitness("i0-p00000") == 0.0
-
-    def test_unknown_prompt_raises(self):
-        island = make_island()
-        with pytest.raises(UnknownIdError):
-            island.prompt_fitness("missing")
-
-    def test_monotone_under_inserts(self):
-        island = make_island(capacity=3)
-        seen = 0.0
-        for i, f in enumerate([0.3, 0.1, 0.5, 0.2, 0.9, 0.4]):
-            island.try_insert(make_solution(f"s{i}", f))
-            now = island.prompt_fitness("i0-p00000")
-            assert now >= seen
-            seen = now
 
 
 class TestTryInsert:

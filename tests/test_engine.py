@@ -71,6 +71,30 @@ class TestRun:
         assert doc["problem_id"] == cfg.problem_id
         assert doc["epochs"] == cfg.epochs
 
+    def test_config_snapshot_reloads_equal(self, tmp_path):
+        from llmevolve.config import AblationToggles, load_config
+        from llmevolve.llm import EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy
+
+        cfg = standard_config(
+            num_islands=3,
+            topology=[(0, 1), (1, 2)],
+            epochs=1,
+            init_population=1,
+            max_ancestor_depth=2,
+            ablation=AblationToggles.from_name("mp"),
+            ensemble=EnsembleConfig(
+                members=[EnsembleMember(name="solo", weight=1.0, max_output_tokens=512)],
+                meta_model=MetaModel(name="meta", temperature=0.2),
+                retry=RetryPolicy(max_attempts=2, backoff_seconds=(0.0, 0.25)),
+            ),
+            base_url="http://localhost:8000/v1",
+            sandbox_workers=2,
+        )
+        run_dir = tmp_path / "run"
+        write_transcript(run_dir, num_islands=3, calls_per_island=4)
+        engine.run(cfg, run_dir)
+        assert load_config(run_dir / "config.yaml") == cfg
+
 
 class TestMigration:
     def test_migrant_copies_are_roots_with_provenance(self, tmp_path):
@@ -96,6 +120,30 @@ class TestMigration:
             per_source.setdefault(rec["source"], []).extend(rec["migrants"])
         for source, ids in per_source.items():
             assert len(ids) == len(set(ids)), "a solution migrated twice from its origin"
+
+    def test_best_migrant_copy_exports_original_artifact(self, tmp_path):
+        # Island 1 writes the better programs, so after the migration at the
+        # last epoch the best solution found first is island 0's copy.
+        from conftest import fenced, packing_program
+        from llmevolve.llm import ReplayBackend
+
+        radius = {0: 5e-4, 1: 0.01}
+        backend = ReplayBackend(
+            {
+                (i, n): fenced(packing_program(26, radius[i]))
+                for i in (0, 1)
+                for n in range(20)
+            }
+        )
+        cfg = standard_config(num_islands=2, epochs=3, migration_every=3, init_population=2)
+        run_dir = tmp_path / "run"
+        summary = engine.run(cfg, run_dir, backend=backend)
+        _, state = load_latest_checkpoint(run_dir)
+        best = state.islands[0].lookup(summary.best_solution_id)
+        original = best.provenance["original_id"]
+        assert original.startswith("i1-")
+        exported = (run_dir / "best" / "artifact.json").read_bytes()
+        assert exported == (run_dir / "solutions" / f"{original}.artifact.json").read_bytes()
 
     def test_ring_neighbors(self):
         cfg = standard_config(num_islands=5)
