@@ -4,15 +4,25 @@ The engine owns all state mutation. Every run lives in a run directory
 containing the config snapshot, a line-delimited JSON event log, per-solution
 code and logs, checkpoints, and the best artifact found. With the replay
 backend and a fixed master seed, two runs emit byte-identical event logs.
+
+Islands share nothing between migrations, so each island runs as one job on
+its own thread up to the next barrier: a migration epoch, a requested stop,
+or the end of the run. Jobs call the backend concurrently for distinct
+island ids and queue candidates on one FIFO pool of ``sandbox_workers``
+threads. At the barrier the engine writes the jobs' buffered events in
+canonical order (init events by island, then step events by epoch and
+island), then migrates and checkpoints.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
 import random
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -95,6 +105,19 @@ def _derive_rng(master_seed: int, island: int, stream: str) -> random.Random:
     return random.Random(seed)
 
 
+def _solution_event(kind: str, sol: Solution, insert: str, **extra) -> dict:
+    return {
+        "type": kind,
+        "island": sol.island_id,
+        "solution": sol.id,
+        "status": sol.status,
+        "fitness": sol.fitness,
+        "objective": sol.metrics.get("objective"),
+        "insert": insert,
+        **extra,
+    }
+
+
 def make_backend(config: RunConfig, run_dir: Path):
     if config.backend == "replay":
         return llm.ReplayBackend.from_file(run_dir / TRANSCRIPT_NAME)
@@ -113,7 +136,12 @@ class _Run:
         (run_dir / "solutions").mkdir(parents=True, exist_ok=True)
         (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
         self._event_fh = None
-        self._pool = ThreadPoolExecutor(max_workers=config.sandbox_workers or config.num_islands)
+        self._island_pool = ThreadPoolExecutor(max_workers=config.num_islands)
+        # Candidates wait in this pool's FIFO queue, so no island overtakes another.
+        self._sandbox_pool = ThreadPoolExecutor(
+            max_workers=config.sandbox_workers or config.num_islands
+        )
+        self._abort = threading.Event()
 
     # -- event log --
 
@@ -132,9 +160,7 @@ class _Run:
     # -- evaluation --
 
     def evaluate(self, sol: Solution) -> Solution:
-        """Execute, parse and score one candidate, finalizing it in place."""
-        if sol.status != STATUS_PENDING:
-            return sol
+        """Execute, parse and score one pending candidate, finalizing it in place."""
         outcome = sandbox.run_candidate(
             sol.code, self.config.limits, interpreter=self.config.interpreter
         )
@@ -151,6 +177,10 @@ class _Run:
         except ArtifactError as exc:
             sol.status = STATUS_INVALID_ARTIFACT
             sol.feedback = f"invalid artifact: {exc}"
+            return sol
+        except Exception as exc:  # a scorer fault fails this candidate, not the run
+            sol.status = STATUS_INVALID_ARTIFACT
+            sol.feedback = f"invalid artifact: scorer raised {type(exc).__name__}: {exc}"
             return sol
         sol.metrics = dict(report.metrics)
         if report.valid:
@@ -175,27 +205,30 @@ class _Run:
         elif tail:
             sol.feedback = tail
 
-    def _evaluate_batch(self, pending: list[Solution]) -> None:
-        list(self._pool.map(self.evaluate, pending))
+    def _island_jobs(self, job) -> list:
+        """Run ``job(island, rngs)`` for every island at once; results in island order.
 
-    def _emit_solution(self, kind: str, sol: Solution, insert: str, **extra) -> None:
-        self._emit(
-            {
-                "type": kind,
-                "island": sol.island_id,
-                "solution": sol.id,
-                "status": sol.status,
-                "fitness": sol.fitness,
-                "objective": sol.metrics.get("objective"),
-                "insert": insert,
-                **extra,
-            }
-        )
+        The first failure, or an interrupt, is raised as soon as it happens,
+        and the other islands' step loops stop before their next step.
+        """
+        futures = [
+            self._island_pool.submit(job, island, rngs)
+            for island, rngs in zip(self.state.islands, self.state.rngs)
+        ]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+            for f in futures:
+                if f.done():
+                    f.result()
+        except BaseException:
+            self._abort.set()
+            raise
+        return [f.result() for f in futures]
 
     # -- lifecycle --
 
     def initialize(self) -> None:
-        for island, rngs in zip(self.state.islands, self.state.rngs):
+        def job(island: IslandState, rngs: IslandRngs) -> tuple[str, list[dict]]:
             prompt, pending, failures = operators.initialize_island(
                 island,
                 self.config,
@@ -204,62 +237,85 @@ class _Run:
                 self.state.trivial_code,
                 rngs,
             )
-            self.state.initial_prompt_ids.append(prompt.id)
-            self._evaluate_batch(pending)
+            list(self._sandbox_pool.map(self.evaluate, pending))
+            events = []
             for sol in pending + failures:
                 if sol.status == STATUS_GENERATION_FAILED:
                     island.archive_solution(sol)
                     insert = "not_attempted"
                 else:
                     insert = island.try_insert(sol).outcome
-                self._emit_solution("init", sol, insert)
+                events.append(_solution_event("init", sol, insert))
+            return prompt.id, events
+
+        for prompt_id, events in self._island_jobs(job):
+            self.state.initial_prompt_ids.append(prompt_id)
+            for event in events:
+                self._emit(event)
+
+    def _step(self, island: IslandState, rngs: IslandRngs, epoch: int, crossover: bool) -> dict:
+        """One epoch on one island: vary, evaluate, insert; returns its event."""
+        cfg = self.config
+        if cfg.ablation.evolution:
+            outcome = operators.evolve_step(
+                island, cfg, self.backend, self.problem.brief, crossover, rngs, epoch
+            )
+        else:
+            outcome = operators.no_evolution_step(
+                island,
+                cfg,
+                self.backend,
+                self.problem.brief,
+                self.state.trivial_code,
+                self.state.initial_prompt_ids[island.id],
+                rngs,
+                epoch,
+            )
+        sol = outcome.new_solution
+        if sol.status == STATUS_PENDING:
+            self._sandbox_pool.submit(self.evaluate, sol).result()
+        return _solution_event(
+            "step",
+            sol,
+            island.try_insert(sol).outcome,
+            epoch=epoch,
+            operator=outcome.operator,
+            model=outcome.model_used,
+            parent=sol.parent_id,
+            inspirations=len(outcome.inspiration_ids),
+        )
 
     def run_epochs(self, stop_after_epoch: Optional[int] = None) -> RunSummary:
         cfg = self.config
         state = self.state
+        migrating = cfg.ablation.evolution and cfg.num_islands > 1
         while state.epoch < cfg.epochs:
-            epoch = state.epoch + 1
+            first = state.epoch + 1
+            last = cfg.epochs
+            if migrating:  # the first migration epoch at or after ``first``
+                last = min(last, -(-first // cfg.migration_every) * cfg.migration_every)
+            if stop_after_epoch is not None:
+                last = min(last, max(first, stop_after_epoch))
+            # Crossover gates on migrations, and none happens before ``last``.
             crossover = operators.gate_crossover(
                 state.migration_events > 0, cfg.ablation.inspirations
             )
-            outcomes: list[operators.OperatorOutcome] = []
-            for island, rngs in zip(state.islands, state.rngs):
-                if cfg.ablation.evolution:
-                    outcome = operators.evolve_step(
-                        island, cfg, self.backend, self.problem.brief, crossover, rngs, epoch
-                    )
-                else:
-                    outcome = operators.no_evolution_step(
-                        island,
-                        cfg,
-                        self.backend,
-                        self.problem.brief,
-                        state.trivial_code,
-                        state.initial_prompt_ids[island.id],
-                        rngs,
-                        epoch,
-                    )
-                outcomes.append(outcome)
-            self._evaluate_batch([o.new_solution for o in outcomes])
-            for island, outcome in zip(state.islands, outcomes):
-                sol = outcome.new_solution
-                self._emit_solution(
-                    "step",
-                    sol,
-                    island.try_insert(sol).outcome,
-                    epoch=epoch,
-                    operator=outcome.operator,
-                    model=outcome.model_used,
-                    parent=sol.parent_id,
-                    inspirations=len(outcome.inspiration_ids),
-                )
-            state.epoch = epoch
-            if (
-                cfg.ablation.evolution
-                and cfg.num_islands > 1
-                and epoch % cfg.migration_every == 0
-            ):
-                for event in self.migrate(epoch):
+
+            def job(island: IslandState, rngs: IslandRngs) -> list[dict]:
+                events = []
+                for epoch in range(first, last + 1):
+                    if self._abort.is_set():  # the run failed elsewhere
+                        break
+                    events.append(self._step(island, rngs, epoch, crossover))
+                return events
+
+            per_island = self._island_jobs(job)
+            for epoch_events in zip(*per_island):
+                for event in epoch_events:
+                    self._emit(event)
+            state.epoch = last
+            if migrating and last % cfg.migration_every == 0:
+                for event in self.migrate(last):
                     state.migration_events += 1
                     self._emit(
                         {
@@ -271,7 +327,7 @@ class _Run:
                         }
                     )
                 self.checkpoint()
-            if stop_after_epoch is not None and epoch >= stop_after_epoch:
+            if stop_after_epoch is not None and last >= stop_after_epoch:
                 self.checkpoint()
                 return self.summary(finished=False)
         self.checkpoint()
@@ -350,7 +406,17 @@ class _Run:
         payload = pickle.dumps({"config": self.config, "state": self.state})
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         path = self.run_dir / "checkpoints" / f"epoch_{self.state.epoch:05d}.ckpt"
-        path.write_bytes(digest + b"\n" + payload)
+        # Written whole under a name outside the ``epoch_*.ckpt`` glob, then
+        # renamed, so a crash never leaves a partial newest checkpoint.
+        tmp = path.with_suffix(".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(digest + b"\n" + payload)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return path
 
     # -- reporting --
@@ -411,7 +477,8 @@ class _Run:
         )
 
     def close(self) -> None:
-        self._pool.shutdown()
+        self._island_pool.shutdown()
+        self._sandbox_pool.shutdown()
         if self._event_fh is not None:
             self._event_fh.close()
 

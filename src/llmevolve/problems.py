@@ -141,6 +141,8 @@ def score_p1(artifact: StepFunctionArtifact) -> ScoreReport:
     if denom <= 0:
         return _invalid("zero_denominator")
     objective = l2_sq / denom
+    if not math.isfinite(objective):  # heights large enough to overflow
+        return _invalid("non_finite_objective")
     return ScoreReport(
         objective=objective,
         fitness=objective,
@@ -158,12 +160,22 @@ def score_p1(artifact: StepFunctionArtifact) -> ScoreReport:
 # -- P2: max/min distance ratio --
 
 
-def score_p2(artifact: PointSetArtifact, squared: bool = True) -> ScoreReport:
+def score_p2(
+    artifact: PointSetArtifact,
+    squared: bool = True,
+    expected_count: Optional[int] = None,
+    expected_dim: Optional[int] = None,
+) -> ScoreReport:
     """Ratio of the maximum to the minimum pairwise distance (minimize).
 
     The reported benchmark numbers correspond to the squared-distance ratio;
     ``squared=False`` selects the plain ratio.
     """
+    count, dim = len(artifact.points), len(artifact.points[0])
+    if expected_count is not None and count != expected_count:
+        return _invalid("wrong_point_count", magnitude=abs(count - expected_count))
+    if expected_dim is not None and dim != expected_dim:
+        return _invalid("wrong_dimension", magnitude=abs(dim - expected_dim))
     pts = np.asarray(artifact.points, dtype=float)
     diff = pts[:, None, :] - pts[None, :, :]
     d2 = np.sum(diff * diff, axis=-1)
@@ -174,6 +186,8 @@ def score_p2(artifact: PointSetArtifact, squared: bool = True) -> ScoreReport:
     if min_d2 <= 0:
         return _invalid("duplicate_points", magnitude=math.sqrt(max(max_d2, 0)))
     objective = max_d2 / min_d2 if squared else math.sqrt(max_d2 / min_d2)
+    if not math.isfinite(objective):  # coordinates large enough to overflow
+        return _invalid("non_finite_objective")
     return ScoreReport(
         objective=objective,
         fitness=minimization_fitness(objective),
@@ -383,7 +397,7 @@ def _make_registry() -> dict[str, ProblemSpec]:
             wall_seconds=360.0,
             memory_bytes=5 * GB,
             trivial_code=_trivial_p2(n, d),
-            scorer=lambda art: score_p2(art),
+            scorer=lambda art, n=n, d=d: score_p2(art, expected_count=n, expected_dim=d),
             parser=_parse_p2,
         )
 

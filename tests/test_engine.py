@@ -1,13 +1,19 @@
 """Orchestration: epoch loop, migration, checkpoint/resume, ablations."""
 
 import json
+import os
+import random
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import standard_config, write_transcript
+from conftest import fenced, standard_config, write_transcript
 from llmevolve import engine
 from llmevolve.engine import CheckpointError, load_latest_checkpoint
+from llmevolve.llm import ReplayBackend
 
 
 def read_events(run_dir: Path):
@@ -70,6 +76,24 @@ class TestRun:
         doc = yaml.safe_load((run_dir / "config.yaml").read_text())
         assert doc["problem_id"] == cfg.problem_id
         assert doc["epochs"] == cfg.epochs
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_artifact_fails_its_candidate_not_the_run(self, tmp_path):
+        run_dir = tmp_path / "p1"
+        run_dir.mkdir()
+        program = (
+            "import json, os\n"
+            'with open(os.environ["ARTIFACT_PATH"], "w") as fh:\n'
+            '    json.dump({"heights": [1e200, 1e200]}, fh)\n'
+        )
+        with open(run_dir / "transcripts.jsonl", "w", encoding="utf-8") as fh:
+            for index in range(8):
+                fh.write(json.dumps({"island": 0, "index": index, "response": fenced(program)}) + "\n")
+        cfg = standard_config(problem_id="p1", num_islands=1, epochs=3, init_population=1)
+        summary = engine.run(cfg, run_dir)
+        assert summary.finished
+        statuses = [r["status"] for r in read_events(run_dir) if r["type"] == "step"]
+        assert statuses == ["invalid_artifact"] * 3
 
     def test_config_snapshot_reloads_equal(self, tmp_path):
         from llmevolve.config import AblationToggles, load_config
@@ -194,6 +218,26 @@ class TestResume:
         with pytest.raises(CheckpointError):
             engine.resume(run_dir)
 
+    def test_failed_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "ckpt"
+        cfg = standard_config(num_islands=2, epochs=6, migration_every=3, init_population=2)
+        write_transcript(run_dir, num_islands=2, calls_per_island=40)
+        replace = os.replace
+        renames = []
+
+        def replace_failing_second(src, dst):
+            renames.append(dst)
+            if len(renames) == 2:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_second)
+        with pytest.raises(OSError, match="disk full"):
+            engine.run(cfg, run_dir)
+        assert [p.name for p in (run_dir / "checkpoints").iterdir()] == ["epoch_00003.ckpt"]
+        _, state = load_latest_checkpoint(run_dir)
+        assert state.epoch == 3
+
     def test_missing_checkpoint_raises(self, tmp_path):
         (tmp_path / "empty" / "checkpoints").mkdir(parents=True)
         with pytest.raises(CheckpointError):
@@ -210,6 +254,101 @@ class TestDeterminism:
             engine.run(cfg, run_dir)
             logs.append((run_dir / "events.jsonl").read_bytes())
         assert logs[0] == logs[1]
+
+
+class _FirstStepMeeting(ReplayBackend):
+    """Replay whose islands each wait at a barrier on their first step call."""
+
+    def __init__(self, responses, barrier: threading.Barrier, init_calls: int):
+        super().__init__(responses)
+        self.barrier = barrier
+        self.init_calls = init_calls
+
+    def complete(self, model, messages, island_id, **kwargs):
+        if self.counters.get(island_id, 0) == self.init_calls:
+            self.barrier.wait()
+        return super().complete(model, messages, island_id, **kwargs)
+
+
+class _JitterReplay(ReplayBackend):
+    """Replay that sleeps a seeded random 0-5 ms before each call."""
+
+    def __init__(self, responses, seed: int):
+        super().__init__(responses)
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
+
+    def complete(self, *args, **kwargs):
+        with self._lock:
+            delay = self._rng.uniform(0.0, 0.005)
+        time.sleep(delay)
+        return super().complete(*args, **kwargs)
+
+
+class _BrokenIsland(ReplayBackend):
+    """Replay whose island 1 raises on its first step call; others call slowly."""
+
+    def __init__(self, responses, init_calls: int):
+        super().__init__(responses)
+        self.init_calls = init_calls
+
+    def complete(self, model, messages, island_id, **kwargs):
+        if self.counters.get(island_id, 0) >= self.init_calls:
+            if island_id == 1:
+                raise RuntimeError("island 1 broke")
+            time.sleep(0.05)
+        return super().complete(model, messages, island_id, **kwargs)
+
+
+class TestConcurrency:
+    CONFIG = dict(num_islands=3, epochs=6, migration_every=2, init_population=2)
+
+    def _run(self, run_dir, backend=None, segments=(), **overrides):
+        cfg = standard_config(**{**self.CONFIG, **overrides})
+        write_transcript(run_dir, num_islands=cfg.num_islands, calls_per_island=40)
+        if backend is not None:
+            backend = backend(ReplayBackend.from_file(run_dir / "transcripts.jsonl").responses)
+        stops = list(segments) + [None]
+        engine.run(cfg, run_dir, backend=backend, stop_after_epoch=stops[0])
+        for stop in stops[1:]:
+            engine.resume(run_dir, backend=backend, stop_after_epoch=stop)
+        return (run_dir / "events.jsonl").read_bytes()
+
+    def test_islands_call_the_model_concurrently(self, tmp_path):
+        # Passes only if every island reaches its first step call while the
+        # others wait; a lock-step loop breaks the barrier after its timeout.
+        barrier = threading.Barrier(self.CONFIG["num_islands"], timeout=10)
+        init_calls = self.CONFIG["init_population"]
+        self._run(tmp_path / "meet", lambda r: _FirstStepMeeting(r, barrier, init_calls))
+        assert not barrier.broken
+
+    def test_jittered_backend_gives_the_same_event_log(self, tmp_path):
+        plain = self._run(tmp_path / "plain")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often to shake out races
+        try:
+            jittered = self._run(tmp_path / "jitter", lambda r: _JitterReplay(r, seed=5))
+            segmented = self._run(
+                tmp_path / "segments", lambda r: _JitterReplay(r, seed=6), segments=(1, 3, 5)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert jittered == plain
+        assert segmented == plain
+
+    def test_a_failing_island_stops_the_others(self, tmp_path):
+        run_dir = tmp_path / "broken"
+        cfg = standard_config(num_islands=2, epochs=20, migration_every=20, init_population=2)
+        write_transcript(run_dir, num_islands=2, calls_per_island=60)
+        backend = _BrokenIsland(ReplayBackend.from_file(run_dir / "transcripts.jsonl").responses, 2)
+        with pytest.raises(RuntimeError, match="island 1 broke"):
+            engine.run(cfg, run_dir, backend=backend)
+        # Island 0 stopped well before the end of its 20-epoch segment.
+        assert backend.counters[0] < 2 + 10
+
+    def test_one_sandbox_worker_gives_the_same_event_log(self, tmp_path):
+        plain = self._run(tmp_path / "plain")
+        assert self._run(tmp_path / "serial", sandbox_workers=1) == plain
 
 
 class TestAblations:
@@ -312,6 +451,19 @@ class TestEvaluateCandidate:
         assert sol.status == "invalid_artifact"
         assert sol.fitness == 0.0
         assert "overlap" in (sol.feedback or "")
+
+    def test_scorer_exception_is_an_invalid_artifact(self, tmp_path, monkeypatch):
+        from conftest import packing_program
+
+        def broken_scorer(artifact):
+            raise ZeroDivisionError("division by zero")
+
+        runner = self._runner(tmp_path)
+        monkeypatch.setattr(runner.problem, "scorer", broken_scorer)
+        sol = runner.evaluate(self._pending(packing_program(26, 0.01)))
+        assert sol.status == "invalid_artifact"
+        assert sol.fitness == 0.0
+        assert "ZeroDivisionError: division by zero" in sol.feedback
 
     def test_runtime_error_captured(self, tmp_path):
         runner = self._runner(tmp_path)

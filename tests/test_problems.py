@@ -89,6 +89,12 @@ class TestScoreP1:
             oracle = l2 / (l1 * sup)
             assert report.objective == pytest.approx(oracle, rel=1e-3)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_heights_are_invalid(self):
+        report = score_p1(StepFunctionArtifact([1e200, 1e200]))
+        assert not report.valid
+        assert report.violations == {"non_finite_objective": 1.0}
+
 
 class TestScoreP2:
     def test_two_points(self):
@@ -132,6 +138,28 @@ class TestScoreP2:
         near = score_p2(PointSetArtifact([[0, 0], [1, 0], [2, 0]])).fitness
         far = score_p2(PointSetArtifact([[0, 0], [1, 0], [9, 0]])).fitness
         assert near > far
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_coordinates_are_invalid(self):
+        report = score_p2(PointSetArtifact([[1e200, 0.0], [1.0, 0.0], [0.0, 0.0]]))
+        assert not report.valid
+        assert report.violations == {"non_finite_objective": 1.0}
+
+    @pytest.mark.parametrize("pid,count,dim", [("p2.a", 16, 2), ("p2.b", 14, 3)])
+    def test_registry_rejects_wrong_point_count(self, pid, count, dim):
+        scorer = get_problem(pid).scorer
+        report = scorer(PointSetArtifact([[float(i)] + [0.0] * (dim - 1) for i in range(2)]))
+        assert not report.valid
+        assert report.fitness == 0.0
+        assert report.violations == {"wrong_point_count": count - 2}
+
+    @pytest.mark.parametrize("pid,count,dim", [("p2.a", 16, 2), ("p2.b", 14, 3)])
+    def test_registry_rejects_wrong_dimension(self, pid, count, dim):
+        scorer = get_problem(pid).scorer
+        report = scorer(PointSetArtifact([[float(i)] + [0.0] * dim for i in range(count)]))
+        assert not report.valid
+        assert report.fitness == 0.0
+        assert report.violations == {"wrong_dimension": 1}
 
 
 class TestScoreP3:
