@@ -58,7 +58,7 @@ class RunConfig:
     ablation: AblationToggles = field(default_factory=AblationToggles)
     backend: str = "replay"  # "replay" | "http"
     base_url: str = ""
-    interpreter: list[str] = field(default_factory=lambda: ["python3"])
+    interpreter: list[str] = field(default_factory=lambda: ["python3"])  # runs the sandbox launchers
     sandbox_workers: Optional[int] = None  # default: num_islands
 
     def __post_init__(self) -> None:

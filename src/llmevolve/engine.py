@@ -9,9 +9,11 @@ Islands share nothing between migrations, so each island runs as one job on
 its own thread up to the next barrier: a migration epoch, a requested stop,
 or the end of the run. Jobs call the backend concurrently for distinct
 island ids and queue candidates on one FIFO pool of ``sandbox_workers``
-threads. At the barrier the engine writes the jobs' buffered events in
-canonical order (init events by island, then step events by epoch and
-island), then migrates and checkpoints.
+threads, each of which runs them on an idle warm launcher (see
+``sandbox.Launcher``); ``close`` reaps the launchers. At the barrier the
+engine writes the jobs' buffered events in canonical order (init events by
+island, then step events by epoch and island), then migrates and
+checkpoints.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import hashlib
 import json
 import os
 import pickle
+import queue
 import random
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -137,10 +140,14 @@ class _Run:
         (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
         self._event_fh = None
         self._island_pool = ThreadPoolExecutor(max_workers=config.num_islands)
+        workers = config.sandbox_workers or config.num_islands
         # Candidates wait in this pool's FIFO queue, so no island overtakes another.
-        self._sandbox_pool = ThreadPoolExecutor(
-            max_workers=config.sandbox_workers or config.num_islands
-        )
+        self._sandbox_pool = ThreadPoolExecutor(max_workers=workers)
+        # One warm launcher per sandbox worker; each starts on first use.
+        self._launchers = [sandbox.Launcher(config.interpreter) for _ in range(workers)]
+        self._idle_launchers: queue.SimpleQueue = queue.SimpleQueue()
+        for launcher in self._launchers:
+            self._idle_launchers.put(launcher)
         self._abort = threading.Event()
 
     # -- event log --
@@ -161,9 +168,11 @@ class _Run:
 
     def evaluate(self, sol: Solution) -> Solution:
         """Execute, parse and score one pending candidate, finalizing it in place."""
-        outcome = sandbox.run_candidate(
-            sol.code, self.config.limits, interpreter=self.config.interpreter
-        )
+        launcher = self._idle_launchers.get()
+        try:
+            outcome = sandbox.run_candidate(sol.code, self.config.limits, launcher)
+        finally:
+            self._idle_launchers.put(launcher)
         self._store_logs(sol, outcome)
         sol.status = _EXECUTION_STATUS[outcome.status]
         if sol.status != STATUS_VALID:
@@ -479,6 +488,8 @@ class _Run:
     def close(self) -> None:
         self._island_pool.shutdown()
         self._sandbox_pool.shutdown()
+        for launcher in self._launchers:  # reaped, so their CPU time is counted
+            launcher.close()
         if self._event_fh is not None:
             self._event_fh.close()
 

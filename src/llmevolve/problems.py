@@ -130,18 +130,20 @@ def score_p1(artifact: StepFunctionArtifact) -> ScoreReport:
     a = np.asarray(artifact.heights, dtype=float)
     n = len(a)
     h = 1.0 / n
-    c = np.convolve(a, a)  # c_m, m = 0..2n-2
-    v = np.zeros(2 * n + 1)
-    v[1:2 * n] = h * c
-    sup_norm = float(v.max())
-    one_norm = float((h * a.sum()) ** 2)
-    # Integral of the square of a piecewise-linear function, segment by segment.
-    l2_sq = float(np.sum(h * (v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2) / 3.0))
+    # Heights large enough to overflow end as a non-finite objective below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.convolve(a, a)  # c_m, m = 0..2n-2
+        v = np.zeros(2 * n + 1)
+        v[1:2 * n] = h * c
+        sup_norm = float(v.max())
+        one_norm = float((h * a.sum()) ** 2)
+        # Integral of the square of a piecewise-linear function, segment by segment.
+        l2_sq = float(np.sum(h * (v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2) / 3.0))
     denom = one_norm * sup_norm
     if denom <= 0:
         return _invalid("zero_denominator")
     objective = l2_sq / denom
-    if not math.isfinite(objective):  # heights large enough to overflow
+    if not math.isfinite(objective):
         return _invalid("non_finite_objective")
     return ScoreReport(
         objective=objective,
@@ -177,8 +179,10 @@ def score_p2(
     if expected_dim is not None and dim != expected_dim:
         return _invalid("wrong_dimension", magnitude=abs(dim - expected_dim))
     pts = np.asarray(artifact.points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
+    # Coordinates large enough to overflow end as a non-finite objective below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        d2 = np.sum(diff * diff, axis=-1)
     iu = np.triu_indices(len(pts), k=1)
     pair_d2 = d2[iu]
     min_d2 = float(pair_d2.min())
@@ -186,7 +190,7 @@ def score_p2(
     if min_d2 <= 0:
         return _invalid("duplicate_points", magnitude=math.sqrt(max(max_d2, 0)))
     objective = max_d2 / min_d2 if squared else math.sqrt(max_d2 / min_d2)
-    if not math.isfinite(objective):  # coordinates large enough to overflow
+    if not math.isfinite(objective):
         return _invalid("non_finite_objective")
     return ScoreReport(
         objective=objective,

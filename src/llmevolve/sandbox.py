@@ -1,15 +1,24 @@
 """Resource-limited execution of candidate programs.
 
-Each candidate runs in its own fresh temporary directory with a wall-clock
-kill and a best-effort memory ceiling (address-space rlimit where the
-platform supports it). This is a resource sandbox, not a security sandbox:
-network access is not blocked.
+Each sandbox worker owns one warm launcher: a long-lived interpreter,
+started from ``interpreter`` on first use, that forks a child per candidate
+(see ``_launcher.py``). The child runs the candidate as ``python
+candidate.py`` would, in its own fresh temporary directory and session,
+with stdin on ``/dev/null``, a best-effort memory ceiling (address-space
+rlimit) and the artifact output path in the environment. The engine keeps
+the wall-clock deadline and kills the candidate's whole process group when
+it passes. Candidates of one launcher see its preloaded modules (``json``,
+``os``, ``socket``, ``resource``, ``signal``) and share its string-hash
+seed. This is a resource sandbox, not a security sandbox: network access is
+not blocked. POSIX only; the interpreter must be Python 3.10 or later.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import socket
 import subprocess
 import tempfile
 import time
@@ -28,10 +37,7 @@ STATUS_TIMEOUT = "timeout"
 STATUS_MEMORY_EXCEEDED = "memory_exceeded"
 STATUS_SPAWN_ERROR = "spawn_error"
 
-try:
-    import resource as _resource
-except ImportError:  # non-POSIX platforms
-    _resource = None
+LAUNCHER_SCRIPT = str(Path(__file__).with_name("_launcher.py"))
 
 
 @dataclass
@@ -53,6 +59,105 @@ class ExecutionOutcome:
     artifact: Optional[bytes] = None
 
 
+class LauncherError(Exception):
+    """The launcher process could not be started."""
+
+
+class Launcher:
+    """One warm launcher process; serves one candidate at a time.
+
+    It starts on first use and again on the next use after it dies.
+    ``close`` ends it and reaps it, which adds its children's CPU time to
+    this process's ``RUSAGE_CHILDREN``.
+    """
+
+    def __init__(self, interpreter: list[str]):
+        self.interpreter = list(interpreter)
+        self.proc: Optional[subprocess.Popen] = None
+        self._sock: Optional[socket.socket] = None
+
+    def _start(self, timeout: float) -> None:
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        with tempfile.TemporaryFile() as errors:
+            try:
+                with theirs:  # then the launcher holds the only other end
+                    self.proc = subprocess.Popen(
+                        self.interpreter + [LAUNCHER_SCRIPT, str(theirs.fileno())],
+                        stdin=subprocess.DEVNULL,
+                        stdout=subprocess.DEVNULL,
+                        stderr=errors,
+                        pass_fds=[theirs.fileno()],
+                    )
+            except OSError as exc:
+                ours.close()
+                raise LauncherError(str(exc)) from exc
+            self._sock = ours
+            ours.settimeout(timeout)
+            try:
+                ready = ours.recv(16) == b"ready"
+            except OSError:  # includes the timeout
+                ready = False
+            if not ready:
+                code = self._discard()
+                errors.seek(0)
+                text = _cap(errors.read(LOG_CAP_BYTES + 1)).strip()
+                raise LauncherError(
+                    f"launcher exited with code {code} before it was ready" + (f": {text}" if text else "")
+                )
+
+    def run(self, request: dict, stdout, stderr, timeout: float) -> tuple[Optional[int], bool]:
+        """Run one candidate: its exit code (None if the launcher died) and whether it timed out."""
+        if self._sock is None:
+            self._start(timeout)
+        sock = self._sock
+        sock.settimeout(timeout)
+        pid, timed_out = None, False
+        try:
+            socket.send_fds(sock, [json.dumps(request).encode()], [stdout.fileno(), stderr.fileno()])
+            pid = _recv_int(sock)
+            while True:
+                try:
+                    return _recv_int(sock), timed_out
+                except TimeoutError:
+                    timed_out = True
+                    _kill_group(pid)
+        except OSError:  # the launcher died; nobody else will end its child
+            if pid is not None:
+                _kill_group(pid)
+            self._discard()
+            return None, timed_out
+
+    def _discard(self) -> int:
+        """Kill and reap the launcher; it restarts on next use. Returns its exit code."""
+        self.proc.kill()
+        code = self.proc.wait()
+        self.close()
+        return code
+
+    def close(self) -> None:
+        """End the launcher (it exits when its socket closes) and reap it."""
+        if self._sock is None:
+            return
+        self._sock.close()
+        self._sock = None
+        self.proc.wait()
+
+
+def _recv_int(sock: socket.socket) -> int:
+    reply = sock.recv(32)
+    if not reply:
+        raise ConnectionResetError("the launcher exited")
+    return int(reply)
+
+
+def _kill_group(pid: int) -> None:
+    """Kill the candidate's whole process group; it leads its own session."""
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        pass
+
+
 def _cap(data: bytes) -> str:
     text = data.decode("utf-8", errors="replace")
     if len(data) > LOG_CAP_BYTES:
@@ -60,70 +165,52 @@ def _cap(data: bytes) -> str:
     return text
 
 
-def run_candidate(
-    code: str,
-    limits: ResourceLimits,
-    interpreter: Optional[list[str]] = None,
-    workdir_root: Optional[str] = None,
-) -> ExecutionOutcome:
-    """Execute one candidate and collect its logs and artifact.
+def _read_log(fh) -> str:
+    fh.seek(0)
+    return _cap(fh.read(LOG_CAP_BYTES + 1))
 
-    The candidate is written to a fresh temporary directory and launched
-    there with the artifact output path supplied via the environment. On
-    timeout the whole process group is killed, not only the direct child.
+
+def run_candidate(code: str, limits: ResourceLimits, launcher: Launcher) -> ExecutionOutcome:
+    """Execute one candidate on ``launcher`` and collect its logs and artifact.
+
+    The candidate is written to a fresh temporary directory and run there
+    with the artifact output path supplied via the environment. On timeout
+    the whole process group is killed, not only the candidate.
     """
     if not code:
         raise ValueError("candidate code is empty")
-    interpreter = interpreter or ["python3"]
-    with tempfile.TemporaryDirectory(prefix="candidate-", dir=workdir_root) as workdir:
+    with (
+        tempfile.TemporaryDirectory(prefix="candidate-") as workdir,
+        tempfile.TemporaryFile() as out,
+        tempfile.TemporaryFile() as err,
+    ):
         script = Path(workdir) / "candidate.py"
         script.write_text(code, encoding="utf-8")
         artifact_path = Path(workdir) / "artifact.json"
-        env = dict(os.environ)
-        env[ARTIFACT_PATH_ENV] = str(artifact_path)
-
-        preexec = None
-        if _resource is not None:
-
-            def _limit() -> None:
-                _resource.setrlimit(
-                    _resource.RLIMIT_AS, (limits.memory_bytes, limits.memory_bytes)
-                )
-                os.setsid()
-
-            preexec = _limit
-
+        request = {
+            "script": str(script),
+            "env": {ARTIFACT_PATH_ENV: str(artifact_path)},
+            "memory_bytes": limits.memory_bytes,
+        }
         start = time.monotonic()
         try:
-            proc = subprocess.Popen(
-                interpreter + [str(script)],
-                cwd=workdir,
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                preexec_fn=preexec,
-            )
-        except OSError as exc:
+            returncode, timed_out = launcher.run(request, out, err, limits.wall_seconds)
+        except LauncherError as exc:
             return ExecutionOutcome(
                 status=STATUS_SPAWN_ERROR,
                 stdout="",
                 stderr=str(exc),
                 wall_time=0.0,
             )
-        try:
-            out, err = proc.communicate(timeout=limits.wall_seconds)
-            timed_out = False
-        except subprocess.TimeoutExpired:
-            _kill_tree(proc)
-            out, err = proc.communicate()
-            timed_out = True
         wall = time.monotonic() - start
 
-        stdout, stderr = _cap(out), _cap(err)
+        stdout, stderr = _read_log(out), _read_log(err)
         if timed_out:
             status = STATUS_TIMEOUT
-        elif proc.returncode != 0:
-            if "MemoryError" in stderr or proc.returncode == -signal.SIGKILL:
+        elif returncode is None:  # the launcher died under the candidate
+            status = STATUS_NONZERO_EXIT
+        elif returncode != 0:
+            if "MemoryError" in stderr or returncode == -signal.SIGKILL:
                 status = STATUS_MEMORY_EXCEEDED
             else:
                 status = STATUS_NONZERO_EXIT
@@ -140,11 +227,3 @@ def run_candidate(
             wall_time=wall,
             artifact=artifact,
         )
-
-
-def _kill_tree(proc: subprocess.Popen) -> None:
-    """Terminate the candidate's whole process group."""
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError, OSError):
-        proc.kill()

@@ -77,7 +77,6 @@ class TestRun:
         assert doc["problem_id"] == cfg.problem_id
         assert doc["epochs"] == cfg.epochs
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_artifact_fails_its_candidate_not_the_run(self, tmp_path):
         run_dir = tmp_path / "p1"
         run_dir.mkdir()
@@ -397,6 +396,13 @@ class TestAblations:
 
 
 class TestEvaluateCandidate:
+    @pytest.fixture(autouse=True)
+    def _close_runners(self):
+        self.runners = []
+        yield
+        for runner in self.runners:
+            runner.close()
+
     def _runner(self, tmp_path, **overrides):
         cfg = standard_config(num_islands=1, **overrides)
         run_dir = tmp_path / "eval"
@@ -411,7 +417,9 @@ class TestEvaluateCandidate:
             islands=[IslandState(0, capacity=cfg.max_population)],
             rngs=[IslandRngs(random.Random(0), random.Random(1), random.Random(2))],
         )
-        return _Run(cfg, run_dir, ReplayBackend({}), state)
+        runner = _Run(cfg, run_dir, ReplayBackend({}), state)
+        self.runners.append(runner)
+        return runner
 
     def _pending(self, code):
         from llmevolve.core import Solution, STATUS_PENDING
@@ -470,3 +478,64 @@ class TestEvaluateCandidate:
         sol = runner.evaluate(self._pending("raise RuntimeError('nope')\n"))
         assert sol.status == "runtime_error"
         assert "nope" in sol.feedback
+
+    def test_close_reaps_every_launcher(self, tmp_path):
+        from conftest import packing_program
+
+        runner = self._runner(tmp_path, sandbox_workers=2)
+        for _ in range(2):  # idle launchers are taken in turn, so both start
+            assert runner.evaluate(self._pending(packing_program(26, 0.01))).status == "valid"
+        runner.close()
+        assert len(runner._launchers) == 2
+        assert all(launcher.proc.returncode is not None for launcher in runner._launchers)
+
+
+class TestSandboxFailures:
+    def _transcript(self, run_dir, programs):
+        run_dir.mkdir()
+        with open(run_dir / "transcripts.jsonl", "w", encoding="utf-8") as fh:
+            for index, program in enumerate(programs):
+                fh.write(json.dumps({"island": 0, "index": index, "response": fenced(program)}) + "\n")
+
+    def _config(self, **overrides):
+        return standard_config(
+            num_islands=1, epochs=3, init_population=1, p_explore=0.0, sandbox_workers=1, **overrides
+        )
+
+    def test_a_candidate_that_kills_its_launcher_fails_alone(self, tmp_path):
+        from conftest import packing_program
+
+        run_dir = tmp_path / "run"
+        killer = "import os, signal\nos.kill(os.getppid(), signal.SIGKILL)\n"
+        self._transcript(
+            run_dir,
+            [packing_program(26, 1e-3), killer, packing_program(26, 2e-3), packing_program(26, 3e-3)],
+        )
+        summary = engine.run(self._config(), run_dir)
+        assert summary.finished
+        steps = [r["status"] for r in read_events(run_dir) if r["type"] == "step"]
+        assert steps == ["runtime_error", "valid", "valid"]
+
+    def test_a_missing_interpreter_is_a_spawn_error_for_every_candidate(self, tmp_path):
+        from conftest import packing_program
+
+        run_dir = tmp_path / "run"
+        self._transcript(run_dir, [packing_program(26, 1e-3)] * 4)
+        summary = engine.run(self._config(interpreter=["/nonexistent/python"]), run_dir)
+        assert summary.finished
+        events = [r for r in read_events(run_dir) if r["type"] in ("init", "step")]
+        assert [r["status"] for r in events] == ["runtime_error"] * 5
+        for r in events:
+            stderr = (run_dir / "solutions" / f"{r['solution']}.stderr").read_text()
+            assert "/nonexistent/python" in stderr
+
+    def test_resuming_a_finished_run_starts_no_launcher(self, tmp_path, monkeypatch):
+        from llmevolve import sandbox
+
+        run_dir, _, summary = small_run(tmp_path)
+
+        def no_start(launcher, timeout):
+            raise AssertionError("a launcher was started")
+
+        monkeypatch.setattr(sandbox.Launcher, "_start", no_start)
+        assert engine.resume(run_dir) == summary

@@ -89,7 +89,7 @@ class TestScoreP1:
             oracle = l2 / (l1 * sup)
             assert report.objective == pytest.approx(oracle, rel=1e-3)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # overflow is a result, not a warning
     def test_overflowing_heights_are_invalid(self):
         report = score_p1(StepFunctionArtifact([1e200, 1e200]))
         assert not report.valid
@@ -139,7 +139,7 @@ class TestScoreP2:
         far = score_p2(PointSetArtifact([[0, 0], [1, 0], [9, 0]])).fitness
         assert near > far
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # overflow is a result, not a warning
     def test_overflowing_coordinates_are_invalid(self):
         report = score_p2(PointSetArtifact([[1e200, 0.0], [1.0, 0.0], [0.0, 0.0]]))
         assert not report.valid
