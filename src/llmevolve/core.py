@@ -19,17 +19,6 @@ STATUS_INVALID_ARTIFACT = "invalid_artifact"
 STATUS_GENERATION_FAILED = "generation_failed"
 STATUS_PENDING = "pending"
 
-SOLUTION_STATUSES = frozenset(
-    {
-        STATUS_VALID,
-        STATUS_RUNTIME_ERROR,
-        STATUS_TIMEOUT,
-        STATUS_MEMORY_EXCEEDED,
-        STATUS_INVALID_ARTIFACT,
-        STATUS_GENERATION_FAILED,
-    }
-)
-
 
 class UnknownIdError(KeyError):
     """Raised when a solution or prompt id cannot be resolved."""
@@ -49,7 +38,6 @@ class Solution:
     fitness: float = 0.0
     status: str = STATUS_PENDING
     log_ref: Optional[str] = None
-    origin_island: int = 0
     has_migrated: bool = False
     # Truncated stdout/stderr tail carried along for prompt feedback.
     feedback: Optional[str] = None
@@ -181,8 +169,3 @@ class IslandState:
             return InsertResult("inserted_with_eviction", evicted_id=worst.id)
         self.archive[candidate.id] = candidate
         return InsertResult("rejected")
-
-    def check_forest(self) -> None:
-        """Assert acyclicity and that every chain ends at a root."""
-        for sol in self.all_solutions():
-            self.ancestors(sol.id, None)

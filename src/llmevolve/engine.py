@@ -12,8 +12,9 @@ island ids and queue candidates on one FIFO pool of ``sandbox_workers``
 threads, each of which runs them on an idle warm launcher (see
 ``sandbox.Launcher``); ``close`` reaps the launchers. At the barrier the
 engine writes the jobs' buffered events in canonical order (init events by
-island, then step events by epoch and island), then migrates and
-checkpoints.
+island, then step events by epoch and island), migrates if the epoch is a
+migration epoch, and writes one checkpoint per barrier. At the end of the
+run it exports ``best/``.
 """
 
 from __future__ import annotations
@@ -70,14 +71,6 @@ class CheckpointError(RuntimeError):
 
 
 @dataclass
-class MigrationEvent:
-    epoch: int
-    source_island: int
-    dest_islands: list[int]
-    migrated_ids: list[str]
-
-
-@dataclass
 class RunState:
     islands: list[IslandState]
     rngs: list[IslandRngs]
@@ -86,7 +79,6 @@ class RunState:
     event_log_pos: int = 0
     backend_state: object = None
     initial_prompt_ids: list[str] = field(default_factory=list)
-    trivial_code: str = ""
 
 
 @dataclass
@@ -191,8 +183,8 @@ class _Run:
             sol.status = STATUS_INVALID_ARTIFACT
             sol.feedback = f"invalid artifact: scorer raised {type(exc).__name__}: {exc}"
             return sol
-        sol.metrics = dict(report.metrics)
         if report.valid:
+            sol.metrics = dict(report.metrics)
             sol.fitness = report.fitness
             (self.run_dir / f"{sol.log_ref}.artifact.json").write_bytes(outcome.artifact)
         else:
@@ -243,7 +235,7 @@ class _Run:
                 self.config,
                 self.backend,
                 self.problem.brief,
-                self.state.trivial_code,
+                self.problem.trivial_code,
                 rngs,
             )
             list(self._sandbox_pool.map(self.evaluate, pending))
@@ -275,7 +267,7 @@ class _Run:
                 cfg,
                 self.backend,
                 self.problem.brief,
-                self.state.trivial_code,
+                self.problem.trivial_code,
                 self.state.initial_prompt_ids[island.id],
                 rngs,
                 epoch,
@@ -306,9 +298,7 @@ class _Run:
             if stop_after_epoch is not None:
                 last = min(last, max(first, stop_after_epoch))
             # Crossover gates on migrations, and none happens before ``last``.
-            crossover = operators.gate_crossover(
-                state.migration_events > 0, cfg.ablation.inspirations
-            )
+            crossover = state.migration_events > 0 and cfg.ablation.inspirations
 
             def job(island: IslandState, rngs: IslandRngs) -> list[dict]:
                 events = []
@@ -323,30 +313,23 @@ class _Run:
                 for event in epoch_events:
                     self._emit(event)
             state.epoch = last
-            if migrating and last % cfg.migration_every == 0:
+            migrated = migrating and last % cfg.migration_every == 0
+            if migrated:
                 for event in self.migrate(last):
                     state.migration_events += 1
-                    self._emit(
-                        {
-                            "type": "migration",
-                            "epoch": event.epoch,
-                            "source": event.source_island,
-                            "dest": event.dest_islands,
-                            "migrants": event.migrated_ids,
-                        }
-                    )
+                    self._emit(event)
+            stopping = stop_after_epoch is not None and last >= stop_after_epoch
+            if migrated or stopping or last == cfg.epochs:
                 self.checkpoint()
-            if stop_after_epoch is not None and last >= stop_after_epoch:
-                self.checkpoint()
+            if stopping and last < cfg.epochs:
                 return self.summary(finished=False)
-        self.checkpoint()
         self.export_best()
         return self.summary(finished=True)
 
     # -- migration --
 
-    def migrate(self, epoch: int) -> list[MigrationEvent]:
-        """Copy each island's top eligible solutions to its ring neighbors."""
+    def migrate(self, epoch: int) -> list[dict]:
+        """Copy each island's top eligible solutions to its ring neighbors; return the events."""
         cfg = self.config
         state = self.state
         neighbors = cfg.neighbors()
@@ -354,14 +337,10 @@ class _Run:
         for island in state.islands:
             pop = island.live()
             count = cfg.migrants_per_island(len(pop))
-            eligible = [
-                s
-                for s in pop
-                if not s.has_migrated and s.origin_island == island.id
-            ]
+            eligible = [s for s in pop if not s.has_migrated]
             eligible.sort(key=lambda s: (-s.fitness, s.epoch_created, s.id))
             plans.append((island.id, eligible[:count]))
-        events: list[MigrationEvent] = []
+        events: list[dict] = []
         for source_id, migrants in plans:
             dests = neighbors[source_id]
             for sol in migrants:
@@ -390,19 +369,19 @@ class _Run:
                         fitness=sol.fitness,
                         status=sol.status,
                         log_ref=sol.log_ref,
-                        origin_island=dest_id,
                         has_migrated=False,
                         feedback=sol.feedback,
                         provenance={"migrated_from": source_id, "original_id": sol.id},
                     )
                     dest.try_insert(copy)
             events.append(
-                MigrationEvent(
-                    epoch=epoch,
-                    source_island=source_id,
-                    dest_islands=list(dests),
-                    migrated_ids=[s.id for s in migrants],
-                )
+                {
+                    "type": "migration",
+                    "epoch": epoch,
+                    "source": source_id,
+                    "dest": list(dests),
+                    "migrants": [s.id for s in migrants],
+                }
             )
         return events
 
@@ -506,7 +485,6 @@ def run(
     _write_config_snapshot(config, run_dir)
     if backend is None:
         backend = make_backend(config, run_dir)
-    problem = get_problem(config.problem_id)
     islands = [
         IslandState(i, capacity=config.max_population) for i in range(config.num_islands)
     ]
@@ -518,7 +496,7 @@ def run(
         )
         for i in range(config.num_islands)
     ]
-    state = RunState(islands=islands, rngs=rngs, trivial_code=problem.trivial_code)
+    state = RunState(islands=islands, rngs=rngs)
     runner = _Run(config, run_dir, backend, state)
     try:
         runner._open_event_log()

@@ -43,15 +43,9 @@ class IslandRngs:
 @dataclass
 class OperatorOutcome:
     new_solution: Solution
-    new_prompt: Optional[Prompt]
     operator: str
     model_used: str
     inspiration_ids: list[str] = field(default_factory=list)
-
-
-def gate_crossover(first_migration_done: bool, inspirations_enabled: bool) -> bool:
-    """Inspiration-based crossover only runs once a migration has happened."""
-    return first_migration_done and inspirations_enabled
 
 
 def _resolve_prompt(island: IslandState, sol: Solution) -> Prompt:
@@ -77,7 +71,6 @@ def _new_solution(
         parent_prompt_id=prompt_id,
         epoch_created=epoch,
         status=STATUS_PENDING if failure is None else STATUS_GENERATION_FAILED,
-        origin_island=island.id,
         feedback=failure,
     )
 
@@ -152,7 +145,7 @@ def evolve_step(
                 island, epoch, parent.code, parent.id, prompt_for_meta.id,
                 f"meta-prompting failed: {exc}",
             )
-            return OperatorOutcome(failed, None, OP_EXPLORE, model_used="")
+            return OperatorOutcome(failed, OP_EXPLORE, model_used="")
         new_prompt = Prompt(
             id=island.next_prompt_id(),
             text=new_text,
@@ -187,7 +180,7 @@ def evolve_step(
         problem_brief=problem_brief,
     )
     sol, model = _offspring(island, epoch, config, backend, rngs, request, parent.id, prompt.id)
-    return OperatorOutcome(sol, new_prompt, operator, model, inspiration_ids)
+    return OperatorOutcome(sol, operator, model, inspiration_ids)
 
 
 def no_evolution_step(
@@ -207,7 +200,7 @@ def no_evolution_step(
         problem_brief=problem_brief,
     )
     sol, model = _offspring(island, epoch, config, backend, rngs, request, None, prompt_id)
-    return OperatorOutcome(sol, None, OP_NO_EVOLUTION, model)
+    return OperatorOutcome(sol, OP_NO_EVOLUTION, model)
 
 
 def _apply_response(parent_code: str, response: str) -> str:

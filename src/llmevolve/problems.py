@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -164,14 +164,12 @@ def score_p1(artifact: StepFunctionArtifact) -> ScoreReport:
 
 def score_p2(
     artifact: PointSetArtifact,
-    squared: bool = True,
     expected_count: Optional[int] = None,
     expected_dim: Optional[int] = None,
 ) -> ScoreReport:
-    """Ratio of the maximum to the minimum pairwise distance (minimize).
+    """Ratio of the maximum to the minimum squared pairwise distance (minimize).
 
-    The reported benchmark numbers correspond to the squared-distance ratio;
-    ``squared=False`` selects the plain ratio.
+    The reported benchmark numbers correspond to this squared-distance ratio.
     """
     count, dim = len(artifact.points), len(artifact.points[0])
     if expected_count is not None and count != expected_count:
@@ -189,7 +187,7 @@ def score_p2(
     max_d2 = float(pair_d2.max())
     if min_d2 <= 0:
         return _invalid("duplicate_points", magnitude=math.sqrt(max(max_d2, 0)))
-    objective = max_d2 / min_d2 if squared else math.sqrt(max_d2 / min_d2)
+    objective = max_d2 / min_d2
     if not math.isfinite(objective):
         return _invalid("non_finite_objective")
     return ScoreReport(
@@ -284,7 +282,8 @@ class ProblemSpec:
     wall_seconds: float
     memory_bytes: int
     trivial_code: str
-    scorer: Callable[[bytes], ScoreReport]
+    # ``scorer`` takes what ``parser`` returns.
+    scorer: Callable[[Any], ScoreReport]
     parser: Callable[[bytes], object]
 
 
@@ -385,7 +384,7 @@ def _make_registry() -> dict[str, ProblemSpec]:
         wall_seconds=360.0,
         memory_bytes=5 * GB,
         trivial_code=_TRIVIAL_P1,
-        scorer=lambda art: score_p1(art),
+        scorer=score_p1,
         parser=_parse_p1,
     )
 

@@ -59,10 +59,6 @@ def load_series(run_dir: str | Path) -> ReportSeries:
                 )
     if current_epoch > 0:
         flush(current_epoch)
-    # Pad islands that appeared late (shouldn't happen, but keep rows ragged-free).
-    for i, series in per_island.items():
-        while len(series) < len(epochs):
-            series.insert(0, series[0] if series else 0.0)
     return ReportSeries(epochs=epochs, per_island=per_island, global_best=global_best)
 
 

@@ -95,7 +95,6 @@ def make_solution(
         epoch_created=epoch,
         fitness=fitness,
         status=STATUS_VALID,
-        origin_island=island,
     )
 
 

@@ -135,4 +135,6 @@ def test_forest_acyclicity_check_passes_after_mutations():
     island.try_insert(make_solution("b", 0.5, parent="a"))
     island.try_insert(make_solution("c", 0.6, parent="b"))
     island.try_insert(make_solution("d", 0.7, parent="c"))
-    island.check_forest()
+    for sol in island.all_solutions():  # every chain is finite and ends at a root
+        chain = island.ancestors(sol.id)
+        assert (chain[-1] if chain else sol).parent_id is None

@@ -1,7 +1,9 @@
 """Orchestration: epoch loop, migration, checkpoint/resume, ablations."""
 
+import hashlib
 import json
 import os
+import pickle
 import random
 import sys
 import threading
@@ -132,7 +134,6 @@ class TestMigration:
         assert copies
         for copy in copies:
             assert copy.parent_id is None
-            assert copy.origin_island == copy.island_id
             assert copy.provenance["migrated_from"] != copy.island_id
 
     def test_originals_marked_migrated_once(self, tmp_path):
@@ -199,6 +200,63 @@ class TestResume:
         engine.run(cfg, dir_b, stop_after_epoch=4)
         engine.resume(dir_b)
         assert (dir_a / "events.jsonl").read_bytes() == (dir_b / "events.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("epochs", [5, 6])
+    def test_stop_at_the_last_epoch_finishes_the_run(self, tmp_path, epochs):
+        cfg = standard_config(num_islands=2, epochs=epochs, migration_every=3, init_population=2)
+        dir_a = tmp_path / "straight"
+        write_transcript(dir_a, num_islands=2, calls_per_island=40)
+        straight = engine.run(cfg, dir_a)
+        dir_b = tmp_path / "stopped"
+        write_transcript(dir_b, num_islands=2, calls_per_island=40)
+        stopped = engine.run(cfg, dir_b, stop_after_epoch=cfg.epochs)
+        assert stopped.finished
+        assert stopped == straight
+        for name in ("events.jsonl", "best/summary.json", "best/artifact.json"):
+            assert (dir_b / name).read_bytes() == (dir_a / name).read_bytes()
+        assert engine.resume(dir_b) == straight
+
+    @pytest.mark.parametrize("stop", [None, 2])
+    def test_one_checkpoint_write_per_barrier(self, tmp_path, monkeypatch, stop):
+        cfg = standard_config(num_islands=2, epochs=4, migration_every=2, init_population=2)
+        run_dir = tmp_path / "run"
+        write_transcript(run_dir, num_islands=2, calls_per_island=40)
+        written = []
+        checkpoint = engine._Run.checkpoint
+
+        def counting_checkpoint(self):
+            path = checkpoint(self)
+            written.append(path.name)
+            return path
+
+        monkeypatch.setattr(engine._Run, "checkpoint", counting_checkpoint)
+        engine.run(cfg, run_dir, stop_after_epoch=stop)
+        if stop is not None:
+            engine.resume(run_dir)
+        assert written == ["epoch_00002.ckpt", "epoch_00004.ckpt"]
+        assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) == written
+
+    def test_resumes_a_checkpoint_that_holds_removed_fields(self, tmp_path):
+        # Checkpoints once pickled ``RunState.trivial_code`` and ``Solution.origin_island``.
+        from llmevolve.problems import get_problem
+
+        cfg = standard_config(num_islands=2, epochs=6, migration_every=3, init_population=2)
+        dir_a = tmp_path / "straight"
+        write_transcript(dir_a, num_islands=2, calls_per_island=40)
+        engine.run(cfg, dir_a)
+        dir_b = tmp_path / "old"
+        write_transcript(dir_b, num_islands=2, calls_per_island=40)
+        engine.run(cfg, dir_b, stop_after_epoch=4)
+        ckpt = dir_b / "checkpoints" / "epoch_00004.ckpt"
+        config, state = engine.load_checkpoint(ckpt)
+        state.trivial_code = get_problem(config.problem_id).trivial_code
+        for island in state.islands:
+            for sol in island.all_solutions():
+                sol.origin_island = sol.island_id
+        payload = pickle.dumps({"config": config, "state": state})
+        ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
+        engine.resume(dir_b)
+        assert (dir_b / "events.jsonl").read_bytes() == (dir_a / "events.jsonl").read_bytes()
 
     def test_resume_finished_run_is_noop(self, tmp_path):
         run_dir, _, summary = small_run(tmp_path)
@@ -459,6 +517,9 @@ class TestEvaluateCandidate:
         assert sol.status == "invalid_artifact"
         assert sol.fitness == 0.0
         assert "overlap" in (sol.feedback or "")
+        # The overlapping radii sum far above the true optimum; none of it is kept.
+        assert sol.metrics == {}
+        assert engine._solution_event("step", sol, "rejected")["objective"] is None
 
     def test_scorer_exception_is_an_invalid_artifact(self, tmp_path, monkeypatch):
         from conftest import packing_program

@@ -17,7 +17,6 @@ from llmevolve.operators import (
     OP_EXPLORE,
     IslandRngs,
     evolve_step,
-    gate_crossover,
     initialize_island,
 )
 
@@ -48,17 +47,6 @@ def scripted_backend(*responses, island=0):
     return ReplayBackend({(island, i): r for i, r in enumerate(responses)})
 
 
-class TestGateCrossover:
-    def test_before_first_migration(self):
-        assert gate_crossover(False, True) is False
-
-    def test_after_first_migration(self):
-        assert gate_crossover(True, True) is True
-
-    def test_toggle_off_always_false(self):
-        assert gate_crossover(True, False) is False
-
-
 class TestEvolveStep:
     def test_p_explore_zero_always_exploits(self):
         config = standard_config(p_explore=0.0)
@@ -67,7 +55,7 @@ class TestEvolveStep:
             backend = scripted_backend(fenced("print('new')\n"))
             outcome = evolve_step(island, config, backend, BRIEF, False, rngs(seed), 1)
             assert outcome.operator == OP_EXPLOIT
-            assert outcome.new_prompt is None
+            assert list(island.prompts) == ["i0-p00000"]
 
     def test_p_explore_one_always_explores_with_prompt(self):
         config = standard_config(p_explore=1.0)
@@ -76,9 +64,9 @@ class TestEvolveStep:
             backend = scripted_backend("enriched prompt", fenced("print('new')\n"))
             outcome = evolve_step(island, config, backend, BRIEF, False, rngs(seed), 1)
             assert outcome.operator == OP_EXPLORE
-            assert outcome.new_prompt is not None
-            assert outcome.new_prompt.parent_solution_id == outcome.new_solution.parent_id
-            assert outcome.new_prompt.id in island.prompts
+            new_prompt = island.lookup_prompt(outcome.new_solution.parent_prompt_id)
+            assert new_prompt.id != "i0-p00000"
+            assert new_prompt.parent_solution_id == outcome.new_solution.parent_id
 
     def test_exploit_applies_scripted_block_edit(self):
         config = standard_config(p_explore=0.0)

@@ -115,12 +115,6 @@ class TestScoreP2:
         assert not report.valid
         assert report.fitness == 0.0
 
-    def test_unsquared_variant_is_square_root(self):
-        pts = [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]
-        squared = score_p2(PointSetArtifact(pts), squared=True).objective
-        plain = score_p2(PointSetArtifact(pts), squared=False).objective
-        assert plain == pytest.approx(math.sqrt(squared))
-
     def test_rigid_motion_and_scaling_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
