@@ -10,13 +10,22 @@ socket pair. One message per packet:
 * for each request the launcher replies with the child's pid, then, once the
   child has exited, its exit code (negative for a signal), both in ASCII.
 
-An empty read (the engine closed its end) ends the launcher. The child runs
-the script as ``python <script>`` would, in a session of its own, under the
-address-space limit, and inherits the modules imported here. None of them
+An empty read (the engine closed its end) ends the launcher. Before it
+serves, the launcher compiles its own source once, so each child inherits a
+parser and compiler that have already run. The child runs the script as
+``python <script>`` would, in a session of its own, under the address-space
+and file-size limits, and inherits the modules imported here. None of them
 holds random state (``random`` is not imported), so every child seeds its
-own generators. Stdlib only, and single-threaded, since it forks.
+own generators. Stdlib only, and single-threaded (``threading`` is not
+imported either), since it forks.
+
+The child exits through ``finish``, which follows CPython's shutdown up to
+the interpreter teardown and then calls ``os._exit``. The one difference
+from ``python <script>``: objects that a module other than ``__main__``
+still holds are not finalised at exit.
 """
 
+import atexit
 import gc
 import json  # also preloaded for candidates
 import os
@@ -24,6 +33,11 @@ import resource
 import signal
 import socket
 import sys
+
+# Largest file a candidate may write, in bytes: its artifact and both logs.
+# Writing past it raises SIGXFSZ, which the child does not ignore as Python
+# does, so the candidate ends there.
+FILE_SIZE_LIMIT = 32 << 20
 
 
 def serve(sock: socket.socket) -> str | None:
@@ -51,7 +65,7 @@ def serve(sock: socket.socket) -> str | None:
 
 
 def enter_child(request: dict, stdout: int, stderr: int) -> None:
-    """Give the forked child the candidate's logs, session, limit, directory and env."""
+    """Give the forked child the candidate's logs, session, limits, directory and env."""
     os.dup2(stdout, 1)
     os.dup2(stderr, 2)
     os.close(stdout)
@@ -59,6 +73,8 @@ def enter_child(request: dict, stdout: int, stderr: int) -> None:
     os.setsid()
     limit = request["memory_bytes"]
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_SIZE_LIMIT, FILE_SIZE_LIMIT))
+    signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
     os.chdir(os.path.dirname(request["script"]))
     os.environ.update(request["env"])
 
@@ -66,8 +82,10 @@ def enter_child(request: dict, stdout: int, stderr: int) -> None:
 def run_main(script: str) -> int:
     """Run ``script`` as the ``__main__`` module, as ``python <script>`` does.
 
-    Returns 0, or 1 after printing an uncaught exception without this file's
-    frame; ``SystemExit`` propagates unchanged.
+    Returns the exit status python would give: 1 after printing an uncaught
+    exception without this file's frame, and for ``SystemExit`` what CPython's
+    ``handle_system_exit`` gives: 0 for ``None``, an int's low byte (all that
+    an exit status keeps), and 1 after printing anything else to stderr.
     """
     main = type(sys)("__main__")
     main.__dict__.update(
@@ -84,8 +102,13 @@ def run_main(script: str) -> int:
         with open(script, "rb") as fh:
             code = compile(fh.read(), script, "exec", dont_inherit=True)
         exec(code, main.__dict__)
-    except SystemExit:
-        raise
+    except SystemExit as exc:
+        if exc.code is None:
+            return 0
+        if isinstance(exc.code, int):
+            return exc.code & 0xFF
+        print(exc.code, file=sys.stderr)
+        return 1
     except BaseException as exc:
         exc = exc.with_traceback(exc.__traceback__.tb_next)
         sys.excepthook(type(exc), exc, exc.__traceback__)
@@ -93,11 +116,41 @@ def run_main(script: str) -> int:
     return 0
 
 
+def finish(code: int) -> None:
+    """Exit with ``code`` as CPython's shutdown would, without the teardown.
+
+    Teardown would copy most of the inherited heap. Instead: join non-daemon
+    threads, run atexit callbacks, finalise what ``__main__`` holds (clearing
+    its dict in insertion order, as freeing the module does), collect cycles,
+    and flush the standard streams, originals included; a failed flush exits
+    120. Objects that other modules still hold are not finalised.
+    """
+    threading = sys.modules.get("threading")
+    if threading is not None:
+        threading._shutdown()
+    atexit._run_exitfuncs()
+    sys.modules["__main__"].__dict__.clear()
+    gc.collect()
+    for stream in (sys.stdout, sys.stderr, sys.__stdout__, sys.__stderr__):
+        try:
+            if stream is not None and not getattr(stream, "closed", False):
+                stream.flush()
+        except Exception as exc:
+            if stream is sys.stdout:  # CPython reports this one, not the others
+                print(f"Exception ignored in: {stream!r}", file=sys.stderr)
+                exc = exc.with_traceback(exc.__traceback__.tb_next)
+                sys.excepthook(type(exc), exc, exc.__traceback__)
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
+    # Each child inherits a parser and compiler that have already run once.
+    with open(__file__, "rb") as fh:
+        compile(fh.read(), __file__, "exec", dont_inherit=True)
     # Frozen objects stay out of each child's collections, including the one
     # at exit, which would otherwise copy most of the inherited heap.
     gc.freeze()
     script = serve(socket.socket(fileno=int(sys.argv[1])))
     if script is not None:
-        # Exit through normal shutdown: threads are joined, atexit runs, buffers flush.
-        sys.exit(run_main(script))
+        finish(run_main(script))

@@ -513,9 +513,10 @@ def resume(
 ) -> RunSummary:
     """Continue a checkpointed run to completion.
 
-    Restores the latest checkpoint exactly: the event log is truncated to the
-    checkpointed position and the remaining epochs are executed once each.
-    Resuming a finished run is a no-op that returns its summary.
+    Restores the latest intact checkpoint exactly: the event log is truncated
+    to the checkpointed position and the remaining epochs are executed once
+    each. Resuming a finished run only exports ``best/`` again and returns its
+    summary.
     """
     run_dir = Path(run_dir)
     config, state = load_latest_checkpoint(run_dir)
@@ -525,18 +526,20 @@ def resume(
     runner = _Run(config, run_dir, backend, state)
     try:
         runner._open_event_log()
-        if state.epoch >= config.epochs:
-            return runner.summary(finished=True)
         return runner.run_epochs(stop_after_epoch=stop_after_epoch)
     finally:
         runner.close()
 
 
 def load_latest_checkpoint(run_dir: Path) -> tuple[RunConfig, RunState]:
-    ckpts = sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"))
-    if not ckpts:
-        raise CheckpointError(f"no checkpoints in {run_dir}")
-    return load_checkpoint(ckpts[-1])
+    """Load the newest checkpoint that passes its integrity check."""
+    error = CheckpointError(f"no checkpoints in {run_dir}")
+    for path in sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"), reverse=True):
+        try:
+            return load_checkpoint(path)
+        except CheckpointError as exc:
+            error = exc
+    raise error
 
 
 def load_checkpoint(path: Path) -> tuple[RunConfig, RunState]:

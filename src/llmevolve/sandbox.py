@@ -5,12 +5,17 @@ started from ``interpreter`` on first use, that forks a child per candidate
 (see ``_launcher.py``). The child runs the candidate as ``python
 candidate.py`` would, in its own fresh temporary directory and session,
 with stdin on ``/dev/null``, a best-effort memory ceiling (address-space
-rlimit) and the artifact output path in the environment. The engine keeps
-the wall-clock deadline and kills the candidate's whole process group when
-it passes. Candidates of one launcher see its preloaded modules (``json``,
-``os``, ``socket``, ``resource``, ``signal``) and share its string-hash
-seed. This is a resource sandbox, not a security sandbox: network access is
-not blocked. POSIX only; the interpreter must be Python 3.10 or later.
+rlimit), a ceiling on the size of each file it writes
+(``_launcher.FILE_SIZE_LIMIT``, which bounds the artifact and both logs) and
+the artifact output path in the environment. It exits without interpreter teardown, after
+the steps of CPython's shutdown that a candidate can observe; objects that a
+module other than ``__main__`` still holds are not finalised. The engine
+keeps the wall-clock deadline and kills the candidate's whole process group
+when it passes. Candidates of one launcher see its preloaded modules
+(``atexit``, ``gc``, ``json``, ``os``, ``resource``, ``signal``, ``socket``)
+and share its string-hash seed. This is a resource sandbox, not a security
+sandbox: network access is not blocked. POSIX only; the interpreter must be
+Python 3.10 or later.
 """
 
 from __future__ import annotations
@@ -218,8 +223,11 @@ def run_candidate(code: str, limits: ResourceLimits, launcher: Launcher) -> Exec
             status = STATUS_OK
 
         artifact = None
-        if status == STATUS_OK and artifact_path.exists():
-            artifact = artifact_path.read_bytes()
+        if status == STATUS_OK:
+            try:
+                artifact = artifact_path.read_bytes()
+            except FileNotFoundError:
+                pass
         return ExecutionOutcome(
             status=status,
             stdout=stdout,

@@ -268,12 +268,50 @@ class TestResume:
 
     def test_corrupt_checkpoint_raises_integrity_error(self, tmp_path):
         run_dir, _, _ = small_run(tmp_path)
-        ckpt = sorted((run_dir / "checkpoints").glob("*.ckpt"))[-1]
-        blob = bytearray(ckpt.read_bytes())
-        blob[-1] ^= 0xFF
-        ckpt.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError):
+        ckpts = sorted((run_dir / "checkpoints").glob("*.ckpt"))
+        assert len(ckpts) == 2
+        for ckpt in ckpts:  # none is left intact to fall back to
+            blob = bytearray(ckpt.read_bytes())
+            blob[-1] ^= 0xFF
+            ckpt.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="integrity"):
             engine.resume(run_dir)
+
+    def test_resume_falls_back_past_a_truncated_checkpoint(self, tmp_path):
+        straight, _, summary = small_run(tmp_path, "straight")
+        run_dir, _, _ = small_run(tmp_path, "truncated")
+        newest = sorted((run_dir / "checkpoints").glob("*.ckpt"))[-1]
+        assert newest.name == "epoch_00006.ckpt"
+        newest.write_bytes(newest.read_bytes()[:1000])
+        _, state = load_latest_checkpoint(run_dir)
+        assert state.epoch == 3
+        assert engine.resume(run_dir) == summary
+        for name in ("events.jsonl", "best/summary.json", "best/artifact.json"):
+            assert (run_dir / name).read_bytes() == (straight / name).read_bytes()
+        assert load_latest_checkpoint(run_dir)[1].epoch == 6
+
+    def test_resume_exports_best_that_a_finished_run_lacks(self, tmp_path, monkeypatch):
+        straight, _, summary = small_run(tmp_path, "straight")
+        export_best = engine._Run.export_best
+        calls = []
+
+        def export_failing_once(self):
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError("crash during export")
+            export_best(self)
+
+        monkeypatch.setattr(engine._Run, "export_best", export_failing_once)
+        with pytest.raises(OSError, match="crash during export"):
+            small_run(tmp_path, "crashed")
+        run_dir = tmp_path / "crashed"
+        assert not (run_dir / "best").exists()
+        assert engine.resume(run_dir) == summary
+        assert sorted(p.name for p in (run_dir / "best").iterdir()) == sorted(
+            p.name for p in (straight / "best").iterdir()
+        )
+        for path in (straight / "best").iterdir():
+            assert (run_dir / "best" / path.name).read_bytes() == path.read_bytes()
 
     def test_failed_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
         run_dir = tmp_path / "ckpt"

@@ -1,5 +1,6 @@
 """Candidate execution under wall-clock and memory limits."""
 
+import ast
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FAST_INTERPRETER
+from llmevolve._launcher import FILE_SIZE_LIMIT
 from llmevolve.sandbox import (
     STATUS_MEMORY_EXCEEDED,
     STATUS_NONZERO_EXIT,
@@ -95,6 +97,19 @@ def test_no_artifact_means_none(run):
     assert outcome.artifact is None
 
 
+@pytest.mark.parametrize("target", ['open(os.environ["ARTIFACT_PATH"], "wb")', "sys.stdout.buffer"])
+def test_writing_past_the_file_size_limit_fails_only_that_candidate(run, target):
+    # SIGXFSZ ends the candidate even though it ignores the failed write.
+    code = (
+        f"import os, sys\nout = {target}\nout.write(b'x' * {FILE_SIZE_LIMIT})\n"
+        "try:\n    out.write(b'x')\n    out.flush()\nexcept OSError:\n    pass\n"
+    )
+    outcome = run(code)
+    assert outcome.status == STATUS_NONZERO_EXIT
+    assert outcome.artifact is None
+    assert run("print('next')\n").status == STATUS_OK
+
+
 def test_fresh_directory_per_candidate(run):
     code = (
         "import os, json\n"
@@ -173,6 +188,17 @@ def test_each_candidate_seeds_its_own_random_state(run):
     assert run(code).stdout != run(code).stdout
 
 
+def test_preloaded_modules_are_the_ones_the_readme_lists(run):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Candidates of one launcher see (.*?) already imported", readme, re.S)
+    listed = re.findall(r"`([\w.]+)`", sentence.group(1))
+    seen = ast.literal_eval(run("import sys\nprint(sorted(sys.modules))\n").stdout)
+    assert not {"random", "threading", "numpy"} & set(seen)
+    imports = f"import sys, {', '.join(listed)}\nprint(sorted(sys.modules))\n"
+    fresh = subprocess.run(FAST_INTERPRETER + ["-c", imports], capture_output=True, check=True)
+    assert seen == ast.literal_eval(fresh.stdout.decode())
+
+
 def test_killing_the_launcher_fails_only_its_candidate(run, launcher):
     start = time.monotonic()
     outcome = run("import os, signal, time\nos.kill(os.getppid(), signal.SIGKILL)\ntime.sleep(60)\n")
@@ -233,6 +259,71 @@ _FIDELITY = {
         "import sys\nprint(__name__, sys.argv, __file__, sys.path[0])\nprint(sorted(globals()))\n",
         STATUS_OK,
     ),
+    # The exit sequence: what teardown would have flushed, finalised or joined.
+    "unclosed_artifact": (
+        "import json, os\n"
+        'fh = open(os.environ["ARTIFACT_PATH"], "w")\n'
+        'json.dump({"heights": [1.0, 2.0]}, fh)\n',
+        STATUS_OK,
+    ),
+    "del_order": (
+        "class Noisy:\n"
+        "    def __init__(self, name):\n"
+        "        self.name = name\n"
+        "    def __del__(self):\n"
+        "        print('del', self.name)\n"
+        "b = Noisy('b')\n"
+        "_a = Noisy('_a')\n"
+        "c = Noisy('c')\n",
+        STATUS_OK,
+    ),
+    "del_in_cycle": (
+        "class Node:\n"
+        "    def __del__(self):\n"
+        "        print('del node')\n"
+        "node = Node()\n"
+        "node.me = node\n"
+        "print('main done')\n",
+        STATUS_OK,
+    ),
+    "atexit_raises": (
+        "import atexit\n"
+        "def boom():\n"
+        "    raise ValueError('in atexit')\n"
+        "atexit.register(print, 'registered first, runs last')\n"
+        "atexit.register(boom)\n"
+        "print('main')\n",
+        STATUS_OK,
+    ),
+    "exit_none": ("import sys\nprint('bye')\nsys.exit()\n", STATUS_OK),
+    "exit_message": (
+        "import atexit, sys\natexit.register(print, 'at exit', file=sys.stderr)\nsys.exit('bye')\n",
+        STATUS_NONZERO_EXIT,
+    ),
+    "exit_300": ("import sys\nprint('out')\nsys.exit(300)\n", STATUS_NONZERO_EXIT),
+    "stdout_swapped": (
+        "import os, sys\n"
+        'sys.stdout = open(os.environ["ARTIFACT_PATH"], "w")\n'
+        "print('{\"heights\": [1.0, 2.0]}')\n"
+        "sys.__stdout__.write('no newline')\n",
+        STATUS_OK,
+    ),
+    "failing_flush": (
+        "import sys\n"
+        "class Unflushable:\n"
+        "    def write(self, text):\n"
+        "        return len(text)\n"
+        "    def flush(self):\n"
+        "        raise OSError('cannot flush')\n"
+        "sys.stdout = Unflushable()\n",
+        STATUS_NONZERO_EXIT,
+    ),
+    "daemon_thread": (
+        "import threading, time\n"
+        "threading.Thread(target=time.sleep, args=(60,), daemon=True).start()\n"
+        "print('main done')\n",
+        STATUS_OK,
+    ),
 }
 _FIDELITY_LIMITS = ResourceLimits(wall_seconds=10.0, memory_bytes=256 << 20)
 
@@ -271,7 +362,8 @@ def _oracle(code, limits):
 
 
 def _same_dir(text):
-    return re.sub(r"candidate-[a-z0-9_]+", "candidate-X", text)
+    """``text`` with the temporary directory's name and object addresses normalised."""
+    return re.sub(r"0x[0-9a-f]+", "0xX", re.sub(r"candidate-[a-z0-9_]+", "candidate-X", text))
 
 
 @pytest.mark.parametrize("name", sorted(_FIDELITY))
@@ -283,3 +375,26 @@ def test_launcher_matches_a_fresh_interpreter(name, run):
     assert _same_dir(outcome.stdout) == _same_dir(stdout)
     assert _same_dir(outcome.stderr) == _same_dir(stderr)
     assert outcome.artifact == artifact
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "sys.exit()",
+        "sys.exit('bye')",
+        "sys.exit(300)",
+        "sys.exit(2**40 + 3)",
+        "sys.exit(-1)",
+        "sys.exit(True)",
+        "sys.stdout = None",
+        "sys.stdout = type('Unflushable', (), {'write': len, 'flush': lambda self: 1 / 0})()",
+    ],
+)
+def test_exit_status_matches_a_fresh_interpreter(code, launcher, tmp_path):
+    script = tmp_path / "candidate.py"
+    script.write_text(f"import sys\n{code}\n", encoding="utf-8")
+    request = {"script": str(script), "env": {}, "memory_bytes": LIMITS.memory_bytes}
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        returncode, timed_out = launcher.run(request, out, err, LIMITS.wall_seconds)
+    fresh = subprocess.run(FAST_INTERPRETER + [str(script)], capture_output=True, timeout=LIMITS.wall_seconds)
+    assert (returncode, timed_out) == (fresh.returncode, False)
