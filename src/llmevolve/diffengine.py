@@ -33,10 +33,6 @@ class DiffParseError(ValueError):
 class DiffApplyError(ValueError):
     """A block's search text was not found in the working source."""
 
-    def __init__(self, block_index: int, message: str):
-        super().__init__(message)
-        self.block_index = block_index
-
 
 @dataclass
 class EditBlock:
@@ -119,7 +115,7 @@ def apply_blocks(source: str, blocks: list[EditBlock]) -> str:
     for idx, block in enumerate(blocks):
         pos = text.find(block.search)
         if pos < 0:
-            raise DiffApplyError(idx, f"search text of block {idx} not found")
+            raise DiffApplyError(f"search text of block {idx} not found")
         text = text[:pos] + block.replace + text[pos + len(block.search):]
     return text
 

@@ -5,6 +5,10 @@ containing the config snapshot, a line-delimited JSON event log, per-solution
 code and logs, checkpoints, and the best artifact found. With the replay
 backend and a fixed master seed, two runs emit byte-identical event logs.
 
+``run`` builds a fresh ``RunState`` and ``resume`` loads the latest intact
+one; both hand it to ``_run_from``, which truncates the event log to the
+state's position and runs set-up (at epoch 0) and the remaining epochs.
+
 Islands share nothing between migrations, so each island runs as one job on
 its own thread up to the next barrier: a migration epoch, a requested stop,
 or the end of the run. Jobs call the backend concurrently for distinct
@@ -27,7 +31,7 @@ import queue
 import random
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -72,13 +76,13 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class RunState:
+    """What a checkpoint holds: only what a run cannot recompute."""
+
     islands: list[IslandState]
     rngs: list[IslandRngs]
     epoch: int = 0
-    migration_events: int = 0
     event_log_pos: int = 0
     backend_state: object = None
-    initial_prompt_ids: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -128,9 +132,12 @@ class _Run:
         self.backend = backend
         self.state = state
         self.problem: ProblemSpec = get_problem(config.problem_id)
+        self.migrating = config.ablation.evolution and config.num_islands > 1
         (run_dir / "solutions").mkdir(parents=True, exist_ok=True)
         (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-        self._event_fh = None
+        # Events past the checkpointed position belong to epochs run again.
+        self._event_fh = open(run_dir / EVENT_LOG_NAME, "a", encoding="utf-8")
+        self._event_fh.truncate(state.event_log_pos)
         self._island_pool = ThreadPoolExecutor(max_workers=config.num_islands)
         workers = config.sandbox_workers or config.num_islands
         # Candidates wait in this pool's FIFO queue, so no island overtakes another.
@@ -141,16 +148,6 @@ class _Run:
         for launcher in self._launchers:
             self._idle_launchers.put(launcher)
         self._abort = threading.Event()
-
-    # -- event log --
-
-    def _open_event_log(self) -> None:
-        path = self.run_dir / EVENT_LOG_NAME
-        if not path.exists():
-            path.touch()
-        with open(path, "r+b") as fh:
-            fh.truncate(self.state.event_log_pos)
-        self._event_fh = open(path, "a", encoding="utf-8")
 
     def _emit(self, record: dict) -> None:
         self._event_fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -229,8 +226,8 @@ class _Run:
     # -- lifecycle --
 
     def initialize(self) -> None:
-        def job(island: IslandState, rngs: IslandRngs) -> tuple[str, list[dict]]:
-            prompt, pending, failures = operators.initialize_island(
+        def job(island: IslandState, rngs: IslandRngs) -> list[dict]:
+            _, pending, failures = operators.initialize_island(
                 island,
                 self.config,
                 self.backend,
@@ -247,10 +244,10 @@ class _Run:
                 else:
                     insert = island.try_insert(sol).outcome
                 events.append(_solution_event("init", sol, insert))
-            return prompt.id, events
+            return events
 
-        for prompt_id, events in self._island_jobs(job):
-            self.state.initial_prompt_ids.append(prompt_id)
+        # Roots of all islands share the sandbox queue; epoch 1 waits for all.
+        for events in self._island_jobs(job):
             for event in events:
                 self._emit(event)
 
@@ -268,7 +265,6 @@ class _Run:
                 self.backend,
                 self.problem.brief,
                 self.problem.trivial_code,
-                self.state.initial_prompt_ids[island.id],
                 rngs,
                 epoch,
             )
@@ -286,19 +282,24 @@ class _Run:
             inspirations=len(outcome.inspiration_ids),
         )
 
+    def migrations_done(self) -> int:
+        """Migrations done by the end of ``state.epoch``; each logs one record per island."""
+        return self.state.epoch // self.config.migration_every if self.migrating else 0
+
     def run_epochs(self, stop_after_epoch: Optional[int] = None) -> RunSummary:
         cfg = self.config
         state = self.state
-        migrating = cfg.ablation.evolution and cfg.num_islands > 1
+        if state.epoch == 0:
+            self.initialize()
         while state.epoch < cfg.epochs:
             first = state.epoch + 1
             last = cfg.epochs
-            if migrating:  # the first migration epoch at or after ``first``
+            if self.migrating:  # the first migration epoch at or after ``first``
                 last = min(last, -(-first // cfg.migration_every) * cfg.migration_every)
             if stop_after_epoch is not None:
                 last = min(last, max(first, stop_after_epoch))
             # Crossover gates on migrations, and none happens before ``last``.
-            crossover = state.migration_events > 0 and cfg.ablation.inspirations
+            crossover = self.migrations_done() > 0 and cfg.ablation.inspirations
 
             def job(island: IslandState, rngs: IslandRngs) -> list[dict]:
                 events = []
@@ -313,10 +314,9 @@ class _Run:
                 for event in epoch_events:
                     self._emit(event)
             state.epoch = last
-            migrated = migrating and last % cfg.migration_every == 0
+            migrated = self.migrating and last % cfg.migration_every == 0
             if migrated:
                 for event in self.migrate(last):
-                    state.migration_events += 1
                     self._emit(event)
             stopping = stop_after_epoch is not None and last >= stop_after_epoch
             if migrated or stopping or last == cfg.epochs:
@@ -409,19 +409,14 @@ class _Run:
 
     # -- reporting --
 
-    def best_solution(self) -> tuple[Optional[Solution], int]:
-        best: Optional[Solution] = None
-        best_island = -1
-        for island in self.state.islands:
-            for sol in island.all_solutions():
-                if sol.status != STATUS_VALID:
-                    continue
-                if best is None or sol.fitness > best.fitness:
-                    best, best_island = sol, island.id
-        return best, best_island
+    def best_solution(self) -> Optional[Solution]:
+        """The fittest valid solution; the first found on a tie."""
+        islands = self.state.islands
+        valid = (s for i in islands for s in i.all_solutions() if s.status == STATUS_VALID)
+        return max(valid, key=lambda s: s.fitness, default=None)
 
     def export_best(self) -> None:
-        best, _ = self.best_solution()
+        best = self.best_solution()
         if best is None:
             return
         best_dir = self.run_dir / "best"
@@ -447,7 +442,7 @@ class _Run:
         )
 
     def summary(self, finished: bool) -> RunSummary:
-        best, best_island = self.best_solution()
+        best = self.best_solution()
         counts: dict[str, int] = {}
         for island in self.state.islands:
             for sol in island.all_solutions():
@@ -455,11 +450,11 @@ class _Run:
         return RunSummary(
             problem_id=self.config.problem_id,
             epochs_run=self.state.epoch,
-            best_island=best_island,
+            best_island=best.island_id if best else -1,
             best_solution_id=best.id if best else None,
             best_fitness=best.fitness if best else 0.0,
             best_objective=best.metrics.get("objective") if best else None,
-            migration_events=self.state.migration_events,
+            migration_events=self.config.num_islands * self.migrations_done(),
             step_counts=counts,
             finished=finished,
         )
@@ -469,8 +464,7 @@ class _Run:
         self._sandbox_pool.shutdown()
         for launcher in self._launchers:  # reaped, so their CPU time is counted
             launcher.close()
-        if self._event_fh is not None:
-            self._event_fh.close()
+        self._event_fh.close()
 
 
 def run(
@@ -483,8 +477,6 @@ def run(
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_config_snapshot(config, run_dir)
-    if backend is None:
-        backend = make_backend(config, run_dir)
     islands = [
         IslandState(i, capacity=config.max_population) for i in range(config.num_islands)
     ]
@@ -497,13 +489,7 @@ def run(
         for i in range(config.num_islands)
     ]
     state = RunState(islands=islands, rngs=rngs)
-    runner = _Run(config, run_dir, backend, state)
-    try:
-        runner._open_event_log()
-        runner.initialize()
-        return runner.run_epochs(stop_after_epoch=stop_after_epoch)
-    finally:
-        runner.close()
+    return _run_from(config, run_dir, state, backend, stop_after_epoch)
 
 
 def resume(
@@ -520,12 +506,18 @@ def resume(
     """
     run_dir = Path(run_dir)
     config, state = load_latest_checkpoint(run_dir)
+    return _run_from(config, run_dir, state, backend, stop_after_epoch)
+
+
+def _run_from(
+    config: RunConfig, run_dir: Path, state: RunState, backend, stop_after_epoch
+) -> RunSummary:
+    """Run ``state`` from its epoch: the one path behind ``run`` and ``resume``."""
     if backend is None:
         backend = make_backend(config, run_dir)
     backend.set_state(state.backend_state)
     runner = _Run(config, run_dir, backend, state)
     try:
-        runner._open_event_log()
         return runner.run_epochs(stop_after_epoch=stop_after_epoch)
     finally:
         runner.close()

@@ -22,6 +22,13 @@ class TransportError(RuntimeError):
     """All transport attempts for a generation call failed."""
 
 
+class ReplayError(TransportError):
+    """A replay transcript has no response, or a different digest, for a call.
+
+    Retrying cannot change the transcript, so it is raised at once.
+    """
+
+
 class EmptyResponseError(RuntimeError):
     """The backend returned an empty payload where text was required."""
 
@@ -210,12 +217,12 @@ class ReplayBackend:
         self.counters[island_id] = index + 1
         key = (island_id, index)
         if key not in self.responses:
-            raise TransportError(f"replay transcript exhausted at island {island_id} call {index}")
+            raise ReplayError(f"replay transcript exhausted at island {island_id} call {index}")
         expected = self.strict_digests.get(key)
         if expected is not None:
             actual = request_digest(messages)
             if actual != expected:
-                raise TransportError(
+                raise ReplayError(
                     f"replay digest mismatch at island {island_id} call {index}"
                 )
         return self.responses[key]
@@ -240,6 +247,8 @@ def _call_with_retries(config: EnsembleConfig, fn) -> str:
     for attempt in range(policy.max_attempts):
         try:
             return fn()
+        except ReplayError:
+            raise
         except TransportError as exc:
             last = exc
             if attempt + 1 < policy.max_attempts:
@@ -260,7 +269,8 @@ def generate(
     """Sample a model, assemble the instruction, call the backend.
 
     Returns (model_name, raw response text). Transport errors are retried
-    per the retry policy and surface as TransportError when exhausted.
+    per the retry policy and surface as TransportError when exhausted; a
+    ReplayError is raised at once.
     """
     model = sample_model(config, rng)
     member = next(m for m in config.members if m.name == model)

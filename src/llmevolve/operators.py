@@ -189,17 +189,17 @@ def no_evolution_step(
     backend,
     problem_brief: str,
     trivial_code: str,
-    prompt_id: str,
     rngs: IslandRngs,
     epoch: int,
 ) -> OperatorOutcome:
-    """Table-style baseline: regenerate from the island's initial prompt and program."""
+    """Table-style baseline: regenerate from the island's first (and only) prompt and program."""
+    prompt = next(iter(island.prompts.values()))
     request = llm.GenerationRequest(
-        prompt_text=island.lookup_prompt(prompt_id).text,
+        prompt_text=prompt.text,
         parent_code=trivial_code,
         problem_brief=problem_brief,
     )
-    sol, model = _offspring(island, epoch, config, backend, rngs, request, None, prompt_id)
+    sol, model = _offspring(island, epoch, config, backend, rngs, request, None, prompt.id)
     return OperatorOutcome(sol, OP_NO_EVOLUTION, model)
 
 

@@ -24,6 +24,7 @@ import json
 import os
 import signal
 import socket
+import stat
 import subprocess
 import tempfile
 import time
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from ._launcher import FILE_SIZE_LIMIT
 from .problems import ARTIFACT_PATH_ENV
 
 LOG_CAP_BYTES = 1 << 20  # per stream; truncation is marked in the text
@@ -175,6 +177,23 @@ def _read_log(fh) -> str:
     return _cap(fh.read(LOG_CAP_BYTES + 1))
 
 
+def _read_artifact(path: Path) -> Optional[bytes]:
+    """The artifact if the candidate left a regular file at ``path``, else None.
+
+    The candidate decides what is there: a symlink is not followed, a FIFO
+    is not waited on, and at most ``FILE_SIZE_LIMIT`` bytes are read.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
+    except OSError:  # missing, a symlink, or not ours to read
+        return None
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        return None
+    with open(fd, "rb") as fh:
+        return fh.read(FILE_SIZE_LIMIT)
+
+
 def run_candidate(code: str, limits: ResourceLimits, launcher: Launcher) -> ExecutionOutcome:
     """Execute one candidate on ``launcher`` and collect its logs and artifact.
 
@@ -222,16 +241,10 @@ def run_candidate(code: str, limits: ResourceLimits, launcher: Launcher) -> Exec
         else:
             status = STATUS_OK
 
-        artifact = None
-        if status == STATUS_OK:
-            try:
-                artifact = artifact_path.read_bytes()
-            except FileNotFoundError:
-                pass
         return ExecutionOutcome(
             status=status,
             stdout=stdout,
             stderr=stderr,
             wall_time=wall,
-            artifact=artifact,
+            artifact=_read_artifact(artifact_path) if status == STATUS_OK else None,
         )

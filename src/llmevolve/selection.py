@@ -3,48 +3,29 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Solution
 
 
-@dataclass
-class RankDistribution:
-    """Rank-inverse selection weights over a population.
+def rank_sample(population: Sequence[Solution], rng: random.Random) -> str:
+    """Draw one solution id with probability inversely proportional to rank.
 
     Solutions are ordered by fitness descending (ties broken oldest first),
     and rank r gets probability (1/r) / sum_{r'} (1/r').
     """
-
-    ordered_ids: list[str]
-    probabilities: list[float]
-
-    @classmethod
-    def from_population(cls, population: Sequence[Solution]) -> "RankDistribution":
-        if not population:
-            raise ValueError("population is empty")
-        ordered = sorted(
-            population, key=lambda s: (-s.fitness, s.epoch_created, s.id)
-        )
-        weights = [1.0 / (r + 1) for r in range(len(ordered))]
-        total = sum(weights)
-        return cls(
-            ordered_ids=[s.id for s in ordered],
-            probabilities=[w / total for w in weights],
-        )
-
-
-def rank_sample(population: Sequence[Solution], rng: random.Random) -> str:
-    """Draw one solution id with probability inversely proportional to rank."""
-    dist = RankDistribution.from_population(population)
+    if not population:
+        raise ValueError("population is empty")
+    ordered = sorted(population, key=lambda s: (-s.fitness, s.epoch_created, s.id))
+    weights = [1.0 / (r + 1) for r in range(len(ordered))]
+    total = sum(weights)
     u = rng.random()
     acc = 0.0
-    for sid, p in zip(dist.ordered_ids, dist.probabilities):
-        acc += p
+    for sol, w in zip(ordered, weights):
+        acc += w / total
         if u < acc:
-            return sid
-    return dist.ordered_ids[-1]
+            return sol.id
+    return ordered[-1].id
 
 
 def uniform_sample(population: Sequence[Solution], rng: random.Random) -> str:

@@ -65,6 +65,30 @@ class TestRun:
         epochs = [r["epoch"] for r in read_events(run_dir) if r["type"] == "migration"]
         assert sorted(set(epochs)) == [3, 6]
 
+    @pytest.mark.parametrize(
+        "preset, num_islands, stop, migrations",
+        [("full", 3, None, 3), ("full", 3, 4, 3), ("no-evolution", 3, None, 0), ("full", 1, None, 0)],
+        ids=["straight", "resumed", "no-evolution", "one-island"],
+    )
+    def test_summary_counts_the_logged_migrations(self, tmp_path, preset, num_islands, stop, migrations):
+        from llmevolve.config import AblationToggles
+
+        cfg = standard_config(
+            num_islands=num_islands,
+            epochs=7,
+            migration_every=2,
+            init_population=1,
+            ablation=AblationToggles.from_name(preset),
+        )
+        run_dir = tmp_path / "run"
+        write_transcript(run_dir, num_islands=num_islands, calls_per_island=40)
+        summary = engine.run(cfg, run_dir, stop_after_epoch=stop)
+        if stop is not None:
+            assert summary.migration_events == num_islands * 2  # at epochs 2 and 4
+            summary = engine.resume(run_dir)
+        logged = [r for r in read_events(run_dir) if r["type"] == "migration"]
+        assert summary.migration_events == len(logged) == num_islands * migrations
+
     def test_population_capped_after_migration(self, tmp_path):
         run_dir, cfg, _ = small_run(tmp_path, max_population=4)
         ckpt_config, state = load_latest_checkpoint(run_dir)
@@ -236,26 +260,37 @@ class TestResume:
         assert written == ["epoch_00002.ckpt", "epoch_00004.ckpt"]
         assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) == written
 
-    def test_resumes_a_checkpoint_that_holds_removed_fields(self, tmp_path):
-        # Checkpoints once pickled ``RunState.trivial_code`` and ``Solution.origin_island``.
+    @pytest.mark.parametrize("preset", ["full", "no-evolution"])
+    def test_resumes_a_checkpoint_that_holds_removed_fields(self, tmp_path, preset):
+        # Checkpoints once pickled ``RunState.trivial_code``, ``initial_prompt_ids``
+        # and ``migration_events``, and ``Solution.origin_island``.
+        from llmevolve.config import AblationToggles
         from llmevolve.problems import get_problem
 
-        cfg = standard_config(num_islands=2, epochs=6, migration_every=3, init_population=2)
+        cfg = standard_config(
+            num_islands=2,
+            epochs=6,
+            migration_every=3,
+            init_population=2,
+            ablation=AblationToggles.from_name(preset),
+        )
         dir_a = tmp_path / "straight"
         write_transcript(dir_a, num_islands=2, calls_per_island=40)
-        engine.run(cfg, dir_a)
+        straight = engine.run(cfg, dir_a)
         dir_b = tmp_path / "old"
         write_transcript(dir_b, num_islands=2, calls_per_island=40)
         engine.run(cfg, dir_b, stop_after_epoch=4)
         ckpt = dir_b / "checkpoints" / "epoch_00004.ckpt"
         config, state = engine.load_checkpoint(ckpt)
         state.trivial_code = get_problem(config.problem_id).trivial_code
+        state.initial_prompt_ids = [f"i{i}-p00000" for i in range(cfg.num_islands)]
+        state.migration_events = 2 if preset == "full" else 0
         for island in state.islands:
             for sol in island.all_solutions():
                 sol.origin_island = sol.island_id
         payload = pickle.dumps({"config": config, "state": state})
         ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
-        engine.resume(dir_b)
+        assert engine.resume(dir_b) == straight
         assert (dir_b / "events.jsonl").read_bytes() == (dir_a / "events.jsonl").read_bytes()
 
     def test_resume_finished_run_is_noop(self, tmp_path):

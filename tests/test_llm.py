@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -121,6 +122,25 @@ class TestGenerate:
         backend = FlakyBackend(failures=5)
         with pytest.raises(TransportError):
             generate(two_model_config(max_attempts=3), simple_request(), backend, random.Random(0))
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            lambda: ReplayBackend({}),
+            lambda: ReplayBackend({(0, 0): "scripted"}, strict_digests={(0, 0): "0" * 64}),
+        ],
+        ids=["missing_key", "digest_mismatch"],
+    )
+    def test_a_replay_miss_is_not_retried(self, backend):
+        from llmevolve import llm
+
+        backend = backend()
+        start = time.monotonic()
+        with pytest.raises(TransportError) as exc:  # under the default retry policy
+            generate(EnsembleConfig.default(), simple_request(), backend, random.Random(0))
+        assert time.monotonic() - start < 0.1
+        assert isinstance(exc.value, llm.ReplayError)
+        assert backend.get_state() == {0: 1}
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):

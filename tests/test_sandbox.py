@@ -97,6 +97,34 @@ def test_no_artifact_means_none(run):
     assert outcome.artifact is None
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        "os.mkdir(path)",
+        "os.mkfifo(path)",
+        "os.symlink({outside!r}, path)",
+    ],
+    ids=["directory", "fifo", "symlink_outside"],
+)
+def test_only_a_regular_artifact_file_is_read(run, make, tmp_path):
+    outside = tmp_path / "outside.json"
+    outside.write_text('{"circles": [[0.5, 0.5, 0.1]]}')
+    code = f"import os\npath = os.environ['ARTIFACT_PATH']\n{make.format(outside=str(outside))}\n"
+
+    def hung(signum, frame):
+        raise TimeoutError("reading the artifact blocked")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        outcome = run(code)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert outcome.status == STATUS_OK
+    assert outcome.artifact is None
+
+
 @pytest.mark.parametrize("target", ['open(os.environ["ARTIFACT_PATH"], "wb")', "sys.stdout.buffer"])
 def test_writing_past_the_file_size_limit_fails_only_that_candidate(run, target):
     # SIGXFSZ ends the candidate even though it ignores the failed write.

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import make_solution
 from llmevolve.selection import (
-    RankDistribution,
     rank_sample,
     sample_inspirations,
     uniform_sample,
@@ -18,26 +17,45 @@ def population(fitnesses):
     return [make_solution(f"s{i}", f, epoch=i) for i, f in enumerate(fitnesses)]
 
 
+class StubRng:
+    """Returns the given values from ``random()`` in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
 class TestRankDistribution:
+    """The weights ``rank_sample`` draws with, read through a stub RNG."""
+
     def test_three_member_probabilities(self):
-        dist = RankDistribution.from_population(population([0.9, 0.5, 0.1]))
-        assert dist.ordered_ids == ["s0", "s1", "s2"]
-        expected = [6 / 11, 3 / 11, 2 / 11]
-        for p, e in zip(dist.probabilities, expected):
-            assert p == pytest.approx(e, abs=1e-15)
-        assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
+        # Ranks 1..3 get 6/11, 3/11 and 2/11 of the unit interval, in that order.
+        pop = population([0.1, 0.9, 0.5])
+        eps = 1e-12
+        draws = {
+            0.0: "s1",
+            6 / 11 - eps: "s1",
+            6 / 11 + eps: "s2",
+            9 / 11 - eps: "s2",
+            9 / 11 + eps: "s0",
+            1 - eps: "s0",
+        }
+        for u, expected in draws.items():
+            assert rank_sample(pop, StubRng(u)) == expected
 
     def test_ties_ordered_oldest_first(self):
         pop = [
             make_solution("young", 0.5, epoch=9),
             make_solution("old", 0.5, epoch=1),
         ]
-        dist = RankDistribution.from_population(pop)
-        assert dist.ordered_ids == ["old", "young"]
+        assert rank_sample(pop, StubRng(2 / 3 - 1e-12)) == "old"
+        assert rank_sample(pop, StubRng(2 / 3 + 1e-12)) == "young"
 
     def test_empty_population_raises(self):
         with pytest.raises(ValueError):
-            RankDistribution.from_population([])
+            rank_sample([], StubRng(0.5))
 
 
 class TestRankSample:
