@@ -63,7 +63,6 @@ class Prompt:
 @dataclass
 class InsertResult:
     outcome: str  # "inserted" | "rejected" | "inserted_with_eviction"
-    evicted_id: Optional[str] = None
 
 
 class IslandState:
@@ -166,6 +165,6 @@ class IslandState:
             del self.solutions[worst.id]
             self.archive[worst.id] = worst
             self.solutions[candidate.id] = candidate
-            return InsertResult("inserted_with_eviction", evicted_id=worst.id)
+            return InsertResult("inserted_with_eviction")
         self.archive[candidate.id] = candidate
         return InsertResult("rejected")

@@ -1,4 +1,6 @@
-"""Generation engine: weighted model ensemble, meta model, backends.
+"""Model layer: weighted model ensemble, meta model, backends.
+
+It sends chat messages that the operators assemble with the templates.
 
 Two backends ship with the package: an OpenAI-compatible chat-completions
 client over HTTP, and a replay backend that serves scripted responses keyed
@@ -14,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
-
-from . import templates
 
 
 class TransportError(RuntimeError):
@@ -88,29 +88,15 @@ class EnsembleConfig:
         )
 
 
-@dataclass
-class GenerationRequest:
-    prompt_text: str
-    parent_code: str
-    ancestor_codes: list[str] = field(default_factory=list)
-    inspiration_codes: list[str] = field(default_factory=list)
-    execution_feedback: Optional[str] = None
-    problem_brief: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.prompt_text:
-            raise ValueError("prompt_text must be non-empty")
-
-
-def sample_model(config: EnsembleConfig, rng: random.Random) -> str:
-    """Pick an ensemble member name according to the configured weights."""
+def sample_model(config: EnsembleConfig, rng: random.Random) -> EnsembleMember:
+    """Pick an ensemble member according to the configured weights."""
     u = rng.random()
     acc = 0.0
     for member in config.members:
         acc += member.weight
         if u < acc:
-            return member.name
-    return config.members[-1].name
+            return member
+    return config.members[-1]
 
 
 class HttpBackend:
@@ -241,8 +227,7 @@ def request_digest(messages: list[dict[str, str]]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _call_with_retries(config: EnsembleConfig, fn) -> str:
-    policy = config.retry
+def _call_with_retries(policy: RetryPolicy, fn) -> str:
     last: Exception | None = None
     for attempt in range(policy.max_attempts):
         try:
@@ -261,31 +246,22 @@ def _call_with_retries(config: EnsembleConfig, fn) -> str:
 
 def generate(
     config: EnsembleConfig,
-    request: GenerationRequest,
+    messages: list[dict[str, str]],
     backend,
     rng: random.Random,
     island_id: int = 0,
 ) -> tuple[str, str]:
-    """Sample a model, assemble the instruction, call the backend.
+    """Sample an ensemble member and send it ``messages``.
 
     Returns (model_name, raw response text). Transport errors are retried
     per the retry policy and surface as TransportError when exhausted; a
     ReplayError is raised at once.
     """
-    model = sample_model(config, rng)
-    member = next(m for m in config.members if m.name == model)
-    messages = templates.build_generation_messages(
-        problem_brief=request.problem_brief,
-        prompt_text=request.prompt_text,
-        parent_code=request.parent_code,
-        ancestor_codes=request.ancestor_codes,
-        inspiration_codes=request.inspiration_codes,
-        execution_feedback=request.execution_feedback,
-    )
+    member = sample_model(config, rng)
     text = _call_with_retries(
-        config,
+        config.retry,
         lambda: backend.complete(
-            model,
+            member.name,
             messages,
             island_id,
             temperature=member.temperature,
@@ -293,28 +269,19 @@ def generate(
             max_output_tokens=member.max_output_tokens,
         ),
     )
-    return model, text
+    return member.name, text
 
 
 def meta_prompt(
     config: EnsembleConfig,
-    parent_prompt_text: str,
-    parent_code: str,
+    messages: list[dict[str, str]],
     backend,
     island_id: int = 0,
-    problem_brief: str = "",
 ) -> str:
-    """Ask the meta model to rewrite a prompt given the solution it produced."""
-    if not parent_prompt_text or not parent_code:
-        raise ValueError("meta-prompting needs a non-empty prompt and code")
-    messages = templates.build_meta_messages(
-        problem_brief=problem_brief,
-        parent_prompt_text=parent_prompt_text,
-        parent_code=parent_code,
-    )
+    """Send the meta model a prompt-rewriting request; return the new prompt."""
     meta = config.meta_model
     text = _call_with_retries(
-        config,
+        config.retry,
         lambda: backend.complete(
             meta.name,
             messages,

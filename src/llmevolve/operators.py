@@ -2,9 +2,10 @@
 the no-evolution baseline.
 
 A step first flips the explore coin, then samples a parent, optional
-inspirations and the ancestor chain, asks the generation engine for an edit,
-and applies it with the diff engine. All state mutation beyond id allocation
-and prompt-pool insertion is left to the engine.
+inspirations and the ancestor chain, builds the chat messages from them with
+the templates, sends them through the model layer and applies the reply with
+the diff engine. All state mutation beyond id allocation and prompt-pool
+insertion is left to the engine.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import diffengine, llm, selection
+from . import diffengine, llm, selection, templates
 from .config import RunConfig
 from .core import (
     STATUS_GENERATION_FAILED,
@@ -48,12 +49,6 @@ class OperatorOutcome:
     inspiration_ids: list[str] = field(default_factory=list)
 
 
-def _resolve_prompt(island: IslandState, sol: Solution) -> Prompt:
-    if sol.parent_prompt_id is None:
-        raise RuntimeError(f"solution {sol.id} has no parent prompt")
-    return island.lookup_prompt(sol.parent_prompt_id)
-
-
 def _new_solution(
     island: IslandState,
     epoch: int,
@@ -81,12 +76,13 @@ def _offspring(
     config: RunConfig,
     backend,
     rngs: IslandRngs,
-    request: llm.GenerationRequest,
+    messages: list[dict[str, str]],
+    parent_code: str,
     parent_id: Optional[str],
     prompt_id: str,
     failure_prefix: str = "generation failed: ",
 ) -> tuple[Solution, str]:
-    """Ask the ensemble for an edit of ``request.parent_code`` and apply it.
+    """Send ``messages`` to the ensemble and apply the edit to ``parent_code``.
 
     Returns the new solution and the model that wrote it ("" on failure).
     A failed generation keeps the code it was asked to edit, so it stays
@@ -94,12 +90,12 @@ def _offspring(
     """
     try:
         model, response = llm.generate(
-            config.ensemble, request, backend, rngs.model, island_id=island.id
+            config.ensemble, messages, backend, rngs.model, island_id=island.id
         )
-        code = _apply_response(request.parent_code, response)
+        code = _apply_response(parent_code, response)
     except GENERATION_ERRORS as exc:
         failed = _new_solution(
-            island, epoch, request.parent_code, parent_id, prompt_id, f"{failure_prefix}{exc}"
+            island, epoch, parent_code, parent_id, prompt_id, f"{failure_prefix}{exc}"
         )
         return failed, ""
     return _new_solution(island, epoch, code, parent_id, prompt_id), model
@@ -124,29 +120,22 @@ def evolve_step(
 
     if not explore:
         parent = island.lookup(selection.rank_sample(population, rngs.select))
-        prompt = _resolve_prompt(island, parent)
+        prompt = island.lookup_prompt(parent.parent_prompt_id)
         ancestors = island.ancestors(parent.id, config.max_ancestor_depth)
-        new_prompt = None
         operator = OP_EXPLOIT
     else:
         parent = island.lookup(selection.uniform_sample(population, rngs.select))
-        prompt_for_meta = _resolve_prompt(island, parent)
+        prompt_for_meta = island.lookup_prompt(parent.parent_prompt_id)
+        messages = templates.build_meta_messages(problem_brief, prompt_for_meta.text, parent.code)
         try:
-            new_text = llm.meta_prompt(
-                config.ensemble,
-                prompt_for_meta.text,
-                parent.code,
-                backend,
-                island_id=island.id,
-                problem_brief=problem_brief,
-            )
+            new_text = llm.meta_prompt(config.ensemble, messages, backend, island_id=island.id)
         except (llm.TransportError, llm.EmptyResponseError) as exc:
             failed = _new_solution(
                 island, epoch, parent.code, parent.id, prompt_for_meta.id,
                 f"meta-prompting failed: {exc}",
             )
             return OperatorOutcome(failed, OP_EXPLORE, model_used="")
-        new_prompt = Prompt(
+        prompt = Prompt(
             id=island.next_prompt_id(),
             text=new_text,
             island_id=island.id,
@@ -155,8 +144,7 @@ def evolve_step(
         )
         # Inserted into the pool regardless of whether the offspring below
         # succeeds.
-        island.add_prompt(new_prompt)
-        prompt = new_prompt
+        island.add_prompt(prompt)
         ancestors = []  # lineage deliberately withheld on exploration
         operator = OP_EXPLORE
     inspiration_ids = (
@@ -171,15 +159,17 @@ def evolve_step(
         else []
     )
 
-    request = llm.GenerationRequest(
-        prompt_text=prompt.text,
-        parent_code=parent.code,
-        ancestor_codes=[a.code for a in ancestors],
-        inspiration_codes=[island.lookup(i).code for i in inspiration_ids],
-        execution_feedback=parent.feedback,
-        problem_brief=problem_brief,
+    messages = templates.build_generation_messages(
+        problem_brief,
+        prompt.text,
+        parent.code,
+        [a.code for a in ancestors],
+        [island.lookup(i).code for i in inspiration_ids],
+        parent.feedback,
     )
-    sol, model = _offspring(island, epoch, config, backend, rngs, request, parent.id, prompt.id)
+    sol, model = _offspring(
+        island, epoch, config, backend, rngs, messages, parent.code, parent.id, prompt.id
+    )
     return OperatorOutcome(sol, operator, model, inspiration_ids)
 
 
@@ -194,22 +184,24 @@ def no_evolution_step(
 ) -> OperatorOutcome:
     """Table-style baseline: regenerate from the island's first (and only) prompt and program."""
     prompt = next(iter(island.prompts.values()))
-    request = llm.GenerationRequest(
-        prompt_text=prompt.text,
-        parent_code=trivial_code,
-        problem_brief=problem_brief,
+    messages = templates.build_generation_messages(problem_brief, prompt.text, trivial_code)
+    sol, model = _offspring(
+        island, epoch, config, backend, rngs, messages, trivial_code, None, prompt.id
     )
-    sol, model = _offspring(island, epoch, config, backend, rngs, request, None, prompt.id)
     return OperatorOutcome(sol, OP_NO_EVOLUTION, model)
 
 
 def _apply_response(parent_code: str, response: str) -> str:
     parsed = diffengine.parse_response(response)
     if parsed.kind == "blocks":
-        return diffengine.apply_blocks(parent_code, parsed.blocks)
-    if parsed.kind == "full":
-        return parsed.full_replacement or ""
-    raise diffengine.DiffParseError("response contains no edit blocks or code block")
+        code = diffengine.apply_blocks(parent_code, parsed.blocks)
+    elif parsed.kind == "full":
+        code = parsed.full_replacement
+    else:
+        raise diffengine.DiffParseError("response contains no edit blocks or code block")
+    if not code:
+        raise diffengine.DiffApplyError("the edit leaves an empty program")
+    return code
 
 
 def initialize_island(
@@ -238,14 +230,10 @@ def initialize_island(
     island.add_prompt(initial_prompt)
     pending = [_new_solution(island, 0, trivial_code, None, initial_prompt.id)]
     failures: list[Solution] = []
-    request = llm.GenerationRequest(
-        prompt_text=initial_prompt.text,
-        parent_code=trivial_code,
-        problem_brief=problem_brief,
-    )
+    messages = templates.build_generation_messages(problem_brief, initial_prompt.text, trivial_code)
     for _ in range(config.init_population):
         sol, _ = _offspring(
-            island, 0, config, backend, rngs, request, None, initial_prompt.id,
+            island, 0, config, backend, rngs, messages, trivial_code, None, initial_prompt.id,
             "initialization generation failed: ",
         )
         (pending if sol.status == STATUS_PENDING else failures).append(sol)

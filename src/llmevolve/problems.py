@@ -117,6 +117,10 @@ def minimization_fitness(objective: float) -> float:
 
 # -- P1: autoconvolution ratio --
 
+# Scoring is quadratic in the height count: 0.7 s at this ceiling on one
+# Xeon core (numpy 2.4), 2.7 s at twice it.
+P1_MAX_HEIGHTS = 2**16
+
 
 def score_p1(artifact: StepFunctionArtifact) -> ScoreReport:
     """Ratio of the squared 2-norm of f*f to the product of its 1- and sup-norms.
@@ -125,10 +129,13 @@ def score_p1(artifact: StepFunctionArtifact) -> ScoreReport:
     continuous piecewise linear with knots at multiples of h: with the
     discrete autoconvolution c_m = sum_{i+j=m} a_i a_j, the knot values are
     v_0 = v_{2n} = 0 and v_k = h * c_{k-1}. The norms follow exactly from
-    the piecewise-linear form.
+    the piecewise-linear form. More than ``P1_MAX_HEIGHTS`` heights is
+    invalid, and is rejected before the quadratic work.
     """
+    n = len(artifact.heights)
+    if n > P1_MAX_HEIGHTS:
+        return _invalid("too_many_heights", magnitude=n - P1_MAX_HEIGHTS)
     a = np.asarray(artifact.heights, dtype=float)
-    n = len(a)
     h = 1.0 / n
     # Heights large enough to overflow end as a non-finite objective below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -291,7 +298,7 @@ def _parse_p1(raw: bytes) -> StepFunctionArtifact:
     doc = _load_json(raw)
     try:
         heights = [float(x) for x in doc["heights"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"bad step-function payload: {exc}") from exc
     return StepFunctionArtifact(heights=heights)
 
@@ -300,7 +307,7 @@ def _parse_p2(raw: bytes) -> PointSetArtifact:
     doc = _load_json(raw)
     try:
         points = [[float(x) for x in row] for row in doc["points"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"bad point-set payload: {exc}") from exc
     return PointSetArtifact(points=points)
 
@@ -309,7 +316,7 @@ def _parse_p3(raw: bytes) -> CirclePackingArtifact:
     doc = _load_json(raw)
     try:
         circles = [tuple(float(v) for v in c) for c in doc["circles"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"bad circle payload: {exc}") from exc
     return CirclePackingArtifact(circles=circles, rect_width=1.0)
 
@@ -319,15 +326,17 @@ def _parse_p4(raw: bytes) -> CirclePackingArtifact:
     try:
         circles = [tuple(float(v) for v in c) for c in doc["circles"]]
         width = float(doc["rect_width"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"bad circle payload: {exc}") from exc
     return CirclePackingArtifact(circles=circles, rect_width=width)
 
 
 def _load_json(raw: bytes) -> dict:
+    # ValueError covers UnicodeDecodeError, JSONDecodeError and the digit
+    # limit on integer literals; RecursionError covers deep nesting.
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ArtifactError(f"artifact is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ArtifactError("artifact root must be a JSON object")
@@ -378,8 +387,8 @@ def _make_registry() -> dict[str, ProblemSpec]:
             "Write a program that outputs a nonnegative step function on [0,1] "
             "maximizing the ratio of the squared 2-norm of its autoconvolution "
             "to the product of the autoconvolution's 1-norm and sup-norm. "
-            f'Write JSON {{"heights": [a0, a1, ...]}} to the file named by the '
-            f"{ARTIFACT_PATH_ENV} environment variable."
+            f'Write JSON {{"heights": [a0, a1, ...]}} with at most {P1_MAX_HEIGHTS} '
+            f"heights to the file named by the {ARTIFACT_PATH_ENV} environment variable."
         ),
         wall_seconds=360.0,
         memory_bytes=5 * GB,

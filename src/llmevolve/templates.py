@@ -7,6 +7,8 @@ must stay bit-identical to the markers in diffengine.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from . import diffengine
 
 EDIT_FORMAT_INSTRUCTIONS = f"""\
@@ -27,9 +29,9 @@ def build_generation_messages(
     problem_brief: str,
     prompt_text: str,
     parent_code: str,
-    ancestor_codes: list[str],
-    inspiration_codes: list[str],
-    execution_feedback: str | None,
+    ancestor_codes: Sequence[str] = (),
+    inspiration_codes: Sequence[str] = (),
+    execution_feedback: str | None = None,
 ) -> list[dict[str, str]]:
     """Assemble the chat messages for one solution-generation call.
 

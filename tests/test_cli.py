@@ -111,6 +111,13 @@ class TestCmdScore:
         result = runner.invoke(main, ["score", "p1", str(path)])
         assert result.exit_code == 1
 
+    def test_integer_beyond_float_range_is_invalid(self, runner, tmp_path):
+        path = tmp_path / "artifact.json"
+        path.write_text('{"heights": [1' + "0" * 400 + "]}")
+        result = runner.invoke(main, ["score", "p1", str(path)])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["valid"] is False
+
     def test_score_reproduces_run_objective(self, runner, tmp_path):
         """Scoring the exported best artifact matches the recorded objective."""
         from llmevolve import engine

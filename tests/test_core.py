@@ -21,6 +21,12 @@ def make_island(capacity=40):
     return island
 
 
+class TestPrompt:
+    def test_empty_prompt_rejected(self):
+        with pytest.raises(ValueError):
+            Prompt(id="i0-p00001", text="", island_id=0)
+
+
 class TestAncestors:
     def _chain(self, island):
         root = make_solution("r", 0.1)
@@ -59,7 +65,7 @@ class TestAncestors:
         # Evicts the root, which must stay reachable through the archive.
         result = island.try_insert(make_solution("c", 0.9, parent="a"))
         assert result.outcome == "inserted_with_eviction"
-        assert result.evicted_id == "r"
+        assert "r" in island.archive and "r" not in island.solutions
         assert [s.id for s in island.ancestors("c", None)] == ["a", "r"]
 
 
@@ -76,7 +82,7 @@ class TestTryInsert:
             island.try_insert(make_solution(f"s{i}", f))
         result = island.try_insert(make_solution("new", 0.31))
         assert result.outcome == "inserted_with_eviction"
-        assert result.evicted_id == "s0"
+        assert "s0" in island.archive and "s0" not in island.solutions
 
     def test_equal_fitness_is_rejected(self):
         island = make_island(capacity=3)
@@ -91,7 +97,7 @@ class TestTryInsert:
         island.try_insert(make_solution("young", 0.3, epoch=5))
         island.try_insert(make_solution("old", 0.3, epoch=1))
         result = island.try_insert(make_solution("new", 0.4))
-        assert result.evicted_id == "old"
+        assert "old" in island.archive and "old" not in island.solutions
 
     def test_pending_candidate_rejected(self):
         island = make_island()

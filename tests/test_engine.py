@@ -120,6 +120,38 @@ class TestRun:
         statuses = [r["status"] for r in read_events(run_dir) if r["type"] == "step"]
         assert statuses == ["invalid_artifact"] * 3
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            "```python\n```\n",
+            "<<<<<<< SEARCH\n{code}\n=======\n>>>>>>> REPLACE\n",
+        ],
+        ids=["empty_fence", "delete_everything"],
+    )
+    def test_a_reply_that_empties_the_program_fails_its_step_not_the_run(self, tmp_path, reply):
+        from llmevolve.problems import get_problem
+
+        run_dir = tmp_path / "empty"
+        run_dir.mkdir()
+        # The one generated root repeats the trivial program byte for byte,
+        # so whichever root is the parent, the second reply leaves nothing.
+        trivial = get_problem("p3.a").trivial_code
+        no_op = "<<<<<<< SEARCH\nimport json, os\n=======\nimport json, os\n>>>>>>> REPLACE\n"
+        responses = [no_op, reply.format(code=trivial), fenced(trivial)]
+        with open(run_dir / "transcripts.jsonl", "w", encoding="utf-8") as fh:
+            for index, response in enumerate(responses):
+                fh.write(json.dumps({"island": 0, "index": index, "response": response}) + "\n")
+        cfg = standard_config(num_islands=1, epochs=2, init_population=1, p_explore=0.0)
+        summary = engine.run(cfg, run_dir)
+        assert summary.finished
+        steps = [r for r in read_events(run_dir) if r["type"] == "step"]
+        assert [r["status"] for r in steps] == ["generation_failed", "valid"]
+        _, state = load_latest_checkpoint(run_dir)
+        failed = state.islands[0].lookup(steps[0]["solution"])
+        assert failed.feedback.startswith("generation failed: ")
+        assert "empty program" in failed.feedback
+        assert failed.code == trivial
+
     def test_config_snapshot_reloads_equal(self, tmp_path):
         from llmevolve.config import AblationToggles, load_config
         from llmevolve.llm import EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy

@@ -11,7 +11,6 @@ from llmevolve import templates
 from llmevolve.llm import (
     EnsembleConfig,
     EnsembleMember,
-    GenerationRequest,
     MetaModel,
     ReplayBackend,
     RetryPolicy,
@@ -60,7 +59,7 @@ class TestSampleModel:
     def test_weighted_frequencies(self):
         cfg = two_model_config()
         rng = random.Random(31)
-        counts = Counter(sample_model(cfg, rng) for _ in range(100_000))
+        counts = Counter(sample_model(cfg, rng).name for _ in range(100_000))
         assert counts["flash"] / 100_000 == pytest.approx(0.8, abs=0.01)
 
     def test_single_member_always_chosen(self):
@@ -68,12 +67,12 @@ class TestSampleModel:
             members=[EnsembleMember(name="only", weight=1.0)],
             meta_model=MetaModel(name="only"),
         )
-        assert all(sample_model(cfg, random.Random(i)) == "only" for i in range(20))
+        assert all(sample_model(cfg, random.Random(i)) is cfg.members[0] for i in range(20))
 
     def test_seeded_sequence_reproducible(self):
         cfg = two_model_config()
-        seq1 = [sample_model(cfg, random.Random(9)) for _ in range(1)]
-        seq2 = [sample_model(cfg, random.Random(9)) for _ in range(1)]
+        seq1 = [sample_model(cfg, random.Random(9)).name for _ in range(1)]
+        seq2 = [sample_model(cfg, random.Random(9)).name for _ in range(1)]
         assert seq1 == seq2
 
 
@@ -98,22 +97,19 @@ class FlakyBackend:
         pass
 
 
-def simple_request(**kwargs):
-    defaults = dict(prompt_text="improve it", parent_code="print(1)", problem_brief="task")
-    defaults.update(kwargs)
-    return GenerationRequest(**defaults)
+MESSAGES = templates.build_generation_messages("task", "improve it", "print(1)")
 
 
 class TestGenerate:
     def test_replay_returns_scripted_response_verbatim(self):
         backend = ReplayBackend({(0, 0): "scripted"})
-        _, text = generate(two_model_config(), simple_request(), backend, random.Random(0))
+        _, text = generate(two_model_config(), MESSAGES, backend, random.Random(0))
         assert text == "scripted"
 
     def test_retries_then_succeeds(self):
         backend = FlakyBackend(failures=2)
         _, text = generate(
-            two_model_config(max_attempts=3), simple_request(), backend, random.Random(0)
+            two_model_config(max_attempts=3), MESSAGES, backend, random.Random(0)
         )
         assert text == "ok"
         assert backend.calls == 3
@@ -121,7 +117,7 @@ class TestGenerate:
     def test_exhausted_retries_raise_transport_error(self):
         backend = FlakyBackend(failures=5)
         with pytest.raises(TransportError):
-            generate(two_model_config(max_attempts=3), simple_request(), backend, random.Random(0))
+            generate(two_model_config(max_attempts=3), MESSAGES, backend, random.Random(0))
 
     @pytest.mark.parametrize(
         "backend",
@@ -137,20 +133,19 @@ class TestGenerate:
         backend = backend()
         start = time.monotonic()
         with pytest.raises(TransportError) as exc:  # under the default retry policy
-            generate(EnsembleConfig.default(), simple_request(), backend, random.Random(0))
+            generate(EnsembleConfig.default(), MESSAGES, backend, random.Random(0))
         assert time.monotonic() - start < 0.1
         assert isinstance(exc.value, llm.ReplayError)
         assert backend.get_state() == {0: 1}
 
-    def test_empty_prompt_rejected(self):
-        with pytest.raises(ValueError):
-            simple_request(prompt_text="")
+
+META_MESSAGES = templates.build_meta_messages("task", "old prompt", "code")
 
 
 class TestMetaPrompt:
     def test_replay_scripted_prompt(self):
         backend = ReplayBackend({(0, 0): "richer prompt"})
-        out = meta_prompt(two_model_config(), "old prompt", "code", backend)
+        out = meta_prompt(two_model_config(), META_MESSAGES, backend)
         assert out == "richer prompt"
 
     def test_empty_response_is_an_error(self):
@@ -158,7 +153,7 @@ class TestMetaPrompt:
         from llmevolve.llm import EmptyResponseError
 
         with pytest.raises(EmptyResponseError):
-            meta_prompt(two_model_config(), "old prompt", "code", backend)
+            meta_prompt(two_model_config(), META_MESSAGES, backend)
 
 
 class TestReplayBackend:
@@ -192,18 +187,13 @@ class TestReplayBackend:
 
 class TestTemplateAssembly:
     def test_ancestors_nearest_first_and_inspirations_labeled(self):
-        request = simple_request(
+        messages = templates.build_generation_messages(
+            "task",
+            "improve it",
+            "print(1)",
             ancestor_codes=["nearest", "middle", "root"],
             inspiration_codes=["insp1", "insp2"],
             execution_feedback="it crashed",
-        )
-        messages = templates.build_generation_messages(
-            problem_brief=request.problem_brief,
-            prompt_text=request.prompt_text,
-            parent_code=request.parent_code,
-            ancestor_codes=request.ancestor_codes,
-            inspiration_codes=request.inspiration_codes,
-            execution_feedback=request.execution_feedback,
         )
         user = messages[1]["content"]
         assert user.index("nearest") < user.index("middle") < user.index("root")
@@ -213,14 +203,7 @@ class TestTemplateAssembly:
         assert "it crashed" in user
 
     def test_system_message_carries_grammar_and_brief(self):
-        messages = templates.build_generation_messages(
-            problem_brief="pack circles",
-            prompt_text="p",
-            parent_code="c",
-            ancestor_codes=[],
-            inspiration_codes=[],
-            execution_feedback=None,
-        )
+        messages = templates.build_generation_messages("pack circles", "p", "c")
         system = messages[0]["content"]
         assert "pack circles" in system
         assert "<<<<<<< SEARCH" in system

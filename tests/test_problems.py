@@ -2,11 +2,16 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llmevolve.problems import (
+    P1_MAX_HEIGHTS,
+    REGISTRY,
     ArtifactError,
     CirclePackingArtifact,
     PointSetArtifact,
@@ -94,6 +99,18 @@ class TestScoreP1:
         report = score_p1(StepFunctionArtifact([1e200, 1e200]))
         assert not report.valid
         assert report.violations == {"non_finite_objective": 1.0}
+
+    def test_heights_over_the_ceiling_are_rejected_before_scoring(self):
+        scorer = get_problem("p1").scorer
+        over = StepFunctionArtifact([1.0] * (P1_MAX_HEIGHTS + 1))
+        start = time.perf_counter()
+        report = scorer(over)
+        assert time.perf_counter() - start < 0.1  # scoring it would take about 0.7 s
+        assert not report.valid
+        assert report.violations == {"too_many_heights": 1}
+        at_ceiling = scorer(StepFunctionArtifact([1.0] * P1_MAX_HEIGHTS))
+        assert at_ceiling.valid
+        assert at_ceiling.objective == pytest.approx(2 / 3, rel=1e-9)
 
 
 class TestScoreP2:
@@ -262,6 +279,77 @@ class TestParseArtifact:
         value = 0.1234567890123456789
         raw = json.dumps({"heights": [value]}).encode()
         assert parse_artifact("p1", raw).heights[0] == float(f"{value!r}")
+
+    @pytest.mark.parametrize("pid", sorted(REGISTRY))
+    @pytest.mark.parametrize(
+        "number", ["1" + "0" * 400, "1" * 5000], ids=["beyond_float", "beyond_digit_limit"]
+    )
+    def test_huge_integer_is_an_artifact_error(self, pid, number):
+        raw = (
+            f'{{"heights": [{number}], "points": [[{number}, 0], [0, 0]], '
+            f'"circles": [[{number}, 0, 0]], "rect_width": {number}}}'
+        ).encode()
+        with pytest.raises(ArtifactError):
+            parse_artifact(pid, raw)
+
+    def test_deep_nesting_is_an_artifact_error(self):
+        with pytest.raises(ArtifactError):
+            parse_artifact("p1", b'{"heights": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+
+
+# What a valid report promises about its artifact, per registered problem.
+_REGISTERED_SHAPE = {
+    "p1": lambda a: 1 <= len(a.heights) <= P1_MAX_HEIGHTS,
+    "p2.a": lambda a: len(a.points) == 16 and all(len(p) == 2 for p in a.points),
+    "p2.b": lambda a: len(a.points) == 14 and all(len(p) == 3 for p in a.points),
+    "p3.a": lambda a: len(a.circles) == 26,
+    "p3.b": lambda a: len(a.circles) == 32,
+    "p4": lambda a: len(a.circles) == 21,
+}
+
+# Integers beyond float range, non-finite floats (written as NaN/Infinity,
+# which json reads back) and strings where numbers belong.
+_numbers = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(),
+    st.text(max_size=3),
+)
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+_documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "heights": st.lists(_numbers, max_size=6) | _json,
+        "points": st.lists(st.lists(_numbers, min_size=2, max_size=3), max_size=16) | _json,
+        "circles": st.lists(st.lists(_numbers, min_size=3, max_size=3), max_size=32) | _json,
+        "rect_width": _numbers,
+    },
+)
+_raw_artifacts = st.one_of(
+    (_documents | _json).map(lambda doc: json.dumps(doc).encode()),
+    st.binary(max_size=32),
+)
+
+
+@pytest.mark.parametrize("pid", sorted(REGISTRY))
+@settings(max_examples=150, deadline=None)
+@given(raw=_raw_artifacts)
+def test_parser_and_scorer_hold_on_arbitrary_json(pid, raw):
+    """Only ArtifactError escapes; fitness is finite and nonnegative; valid means well-shaped."""
+    problem = get_problem(pid)
+    try:
+        artifact = problem.parser(raw)
+    except ArtifactError:
+        return
+    report = problem.scorer(artifact)
+    assert math.isfinite(report.fitness) and report.fitness >= 0
+    if report.valid:
+        assert _REGISTERED_SHAPE[pid](artifact)
 
 
 class TestReferenceBest:
