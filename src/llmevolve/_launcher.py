@@ -137,7 +137,9 @@ def finish(code: int) -> None:
                 stream.flush()
         except Exception as exc:
             if stream is sys.stdout:  # CPython reports this one, not the others
-                print(f"Exception ignored in: {stream!r}", file=sys.stderr)
+                # CPython 3.13 names the stream; earlier versions show the object.
+                where = "on flushing sys.stdout:" if sys.version_info >= (3, 13) else f"in: {stream!r}"
+                print(f"Exception ignored {where}", file=sys.stderr)
                 exc = exc.with_traceback(exc.__traceback__.tb_next)
                 sys.excepthook(type(exc), exc, exc.__traceback__)
             code = 120

@@ -7,13 +7,14 @@ backend and a fixed master seed, two runs emit byte-identical event logs.
 
 ``run`` builds a fresh ``RunState`` and ``resume`` loads the latest intact
 one; both hand it to ``_run_from``, which truncates the event log to the
-state's position and runs set-up (at epoch 0) and the remaining epochs.
+state's position and runs the remaining epochs.
 
 Islands share nothing between migrations, so each island runs as one job on
 its own thread up to the next barrier: a migration epoch, a requested stop,
-or the end of the run. Jobs call the backend concurrently for distinct
-island ids and queue candidates on one FIFO pool of ``sandbox_workers``
-threads, each of which runs them on an idle warm launcher (see
+or the end of the run; its first job sets it up before its first step. Jobs
+call the backend concurrently for distinct island ids and queue candidates,
+one at a time per island, on one FIFO pool of ``sandbox_workers`` threads,
+each of which runs them on an idle warm launcher (see
 ``sandbox.Launcher``); ``close`` reaps the launchers. At the barrier the
 engine writes the jobs' buffered events in canonical order (init events by
 island, then step events by epoch and island), migrates if the epoch is a
@@ -225,31 +226,27 @@ class _Run:
 
     # -- lifecycle --
 
-    def initialize(self) -> None:
-        def job(island: IslandState, rngs: IslandRngs) -> list[dict]:
-            _, pending, failures = operators.initialize_island(
-                island,
-                self.config,
-                self.backend,
-                self.problem.brief,
-                self.problem.trivial_code,
-                rngs,
-            )
-            list(self._sandbox_pool.map(self.evaluate, pending))
-            events = []
-            for sol in pending + failures:
-                if sol.status == STATUS_GENERATION_FAILED:
-                    island.archive_solution(sol)
-                    insert = "not_attempted"
-                else:
-                    insert = island.try_insert(sol).outcome
-                events.append(_solution_event("init", sol, insert))
-            return events
-
-        # Roots of all islands share the sandbox queue; epoch 1 waits for all.
-        for events in self._island_jobs(job):
-            for event in events:
-                self._emit(event)
+    def _set_up(self, island: IslandState, rngs: IslandRngs) -> list[dict]:
+        """Set up an empty island: generate and evaluate its roots; returns their events."""
+        _, pending, failures = operators.initialize_island(
+            island,
+            self.config,
+            self.backend,
+            self.problem.brief,
+            self.problem.trivial_code,
+            rngs,
+        )
+        for sol in pending:
+            self._sandbox_pool.submit(self.evaluate, sol).result()
+        events = []
+        for sol in pending + failures:
+            if sol.status == STATUS_GENERATION_FAILED:
+                island.archive_solution(sol)
+                insert = "not_attempted"
+            else:
+                insert = island.try_insert(sol).outcome
+            events.append(_solution_event("init", sol, insert))
+        return events
 
     def _step(self, island: IslandState, rngs: IslandRngs, epoch: int, crossover: bool) -> dict:
         """One epoch on one island: vary, evaluate, insert; returns its event."""
@@ -289,8 +286,6 @@ class _Run:
     def run_epochs(self, stop_after_epoch: Optional[int] = None) -> RunSummary:
         cfg = self.config
         state = self.state
-        if state.epoch == 0:
-            self.initialize()
         while state.epoch < cfg.epochs:
             first = state.epoch + 1
             last = cfg.epochs
@@ -301,18 +296,19 @@ class _Run:
             # Crossover gates on migrations, and none happens before ``last``.
             crossover = self.migrations_done() > 0 and cfg.ablation.inspirations
 
-            def job(island: IslandState, rngs: IslandRngs) -> list[dict]:
-                events = []
+            def job(island: IslandState, rngs: IslandRngs) -> list[list[dict]]:
+                rows = [self._set_up(island, rngs) if first == 1 else []]
                 for epoch in range(first, last + 1):
                     if self._abort.is_set():  # the run failed elsewhere
                         break
-                    events.append(self._step(island, rngs, epoch, crossover))
-                return events
+                    rows.append([self._step(island, rngs, epoch, crossover)])
+                return rows
 
-            per_island = self._island_jobs(job)
-            for epoch_events in zip(*per_island):
-                for event in epoch_events:
-                    self._emit(event)
+            # Init events by island, then step events by epoch and island.
+            for row in zip(*self._island_jobs(job)):
+                for events in row:
+                    for event in events:
+                        self._emit(event)
             state.epoch = last
             migrated = self.migrating and last % cfg.migration_every == 0
             if migrated:

@@ -294,37 +294,53 @@ class ProblemSpec:
     parser: Callable[[bytes], object]
 
 
+def _at_most(items, limit: int, what: str) -> list:
+    """``items`` as a list, if it holds at most ``limit`` of them.
+
+    The registered parsers check each list with it before converting any
+    element, so an over-long list costs no more than its JSON decoding.
+    """
+    if not isinstance(items, list):  # JSON's lists are not copied
+        items = list(items)
+    if len(items) > limit:
+        raise ArtifactError(f"{len(items)} {what}, more than the {limit} allowed")
+    return items
+
+
 def _parse_p1(raw: bytes) -> StepFunctionArtifact:
     doc = _load_json(raw)
     try:
-        heights = [float(x) for x in doc["heights"]]
+        heights = [float(x) for x in _at_most(doc["heights"], P1_MAX_HEIGHTS, "heights")]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"bad step-function payload: {exc}") from exc
     return StepFunctionArtifact(heights=heights)
 
 
-def _parse_p2(raw: bytes) -> PointSetArtifact:
+def _parse_p2(raw: bytes, count: int, dim: int) -> PointSetArtifact:
     doc = _load_json(raw)
     try:
-        points = [[float(x) for x in row] for row in doc["points"]]
+        points = [
+            [float(x) for x in _at_most(row, dim, "coordinates")]
+            for row in _at_most(doc["points"], count, "points")
+        ]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"bad point-set payload: {exc}") from exc
     return PointSetArtifact(points=points)
 
 
-def _parse_p3(raw: bytes) -> CirclePackingArtifact:
+def _parse_p3(raw: bytes, count: int) -> CirclePackingArtifact:
     doc = _load_json(raw)
     try:
-        circles = [tuple(float(v) for v in c) for c in doc["circles"]]
+        circles = [tuple(float(v) for v in c) for c in _at_most(doc["circles"], count, "circles")]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"bad circle payload: {exc}") from exc
     return CirclePackingArtifact(circles=circles, rect_width=1.0)
 
 
-def _parse_p4(raw: bytes) -> CirclePackingArtifact:
+def _parse_p4(raw: bytes, count: int) -> CirclePackingArtifact:
     doc = _load_json(raw)
     try:
-        circles = [tuple(float(v) for v in c) for c in doc["circles"]]
+        circles = [tuple(float(v) for v in c) for c in _at_most(doc["circles"], count, "circles")]
         width = float(doc["rect_width"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"bad circle payload: {exc}") from exc
@@ -410,7 +426,7 @@ def _make_registry() -> dict[str, ProblemSpec]:
             memory_bytes=5 * GB,
             trivial_code=_trivial_p2(n, d),
             scorer=lambda art, n=n, d=d: score_p2(art, expected_count=n, expected_dim=d),
-            parser=_parse_p2,
+            parser=lambda raw, n=n, d=d: _parse_p2(raw, n, d),
         )
 
     for pid, n in (("p3.a", 26), ("p3.b", 32)):
@@ -426,7 +442,7 @@ def _make_registry() -> dict[str, ProblemSpec]:
             memory_bytes=1 * GB,
             trivial_code=_trivial_packing(n, 1.0, include_width=False),
             scorer=lambda art, n=n: score_p3(art, expected_count=n),
-            parser=_parse_p3,
+            parser=lambda raw, n=n: _parse_p3(raw, n),
         )
 
     specs["p4"] = ProblemSpec(
@@ -442,7 +458,7 @@ def _make_registry() -> dict[str, ProblemSpec]:
         memory_bytes=1 * GB,
         trivial_code=_trivial_packing(21, 1.0, include_width=True),
         scorer=lambda art: score_p4(art, expected_count=21),
-        parser=_parse_p4,
+        parser=lambda raw: _parse_p4(raw, 21),
     )
     return specs
 

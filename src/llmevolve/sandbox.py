@@ -35,8 +35,11 @@ from typing import Optional
 from ._launcher import FILE_SIZE_LIMIT
 from .problems import ARTIFACT_PATH_ENV
 
-LOG_CAP_BYTES = 1 << 20  # per stream; truncation is marked in the text
-TRUNCATION_MARK = "\n...[truncated]"
+LOG_CAP_BYTES = 1 << 20  # per stream; the tail is kept and truncation marked in front
+TRUNCATION_MARK = "...[truncated]\n"
+# How long a launcher may take to report a killed candidate's exit, and to
+# exit when closed, before it is killed: a stopped launcher does neither.
+KILL_GRACE_SECONDS = 1.0
 
 STATUS_OK = "ok"
 STATUS_NONZERO_EXIT = "nonzero_exit"
@@ -73,7 +76,8 @@ class LauncherError(Exception):
 class Launcher:
     """One warm launcher process; serves one candidate at a time.
 
-    It starts on first use and again on the next use after it dies.
+    It starts on first use and again on the next use after it dies, or after
+    it is discarded for not reporting a killed candidate's exit in time.
     ``close`` ends it and reaps it, which adds its children's CPU time to
     this process's ``RUSAGE_CHILDREN``.
     """
@@ -106,14 +110,13 @@ class Launcher:
                 ready = False
             if not ready:
                 code = self._discard()
-                errors.seek(0)
-                text = _cap(errors.read(LOG_CAP_BYTES + 1)).strip()
+                text = _read_log(errors).strip()
                 raise LauncherError(
                     f"launcher exited with code {code} before it was ready" + (f": {text}" if text else "")
                 )
 
     def run(self, request: dict, stdout, stderr, timeout: float) -> tuple[Optional[int], bool]:
-        """Run one candidate: its exit code (None if the launcher died) and whether it timed out."""
+        """Run one candidate: its exit code (None if the launcher was lost) and whether it timed out."""
         if self._sock is None:
             self._start(timeout)
         sock = self._sock
@@ -122,13 +125,14 @@ class Launcher:
         try:
             socket.send_fds(sock, [json.dumps(request).encode()], [stdout.fileno(), stderr.fileno()])
             pid = _recv_int(sock)
-            while True:
-                try:
-                    return _recv_int(sock), timed_out
-                except TimeoutError:
-                    timed_out = True
-                    _kill_group(pid)
-        except OSError:  # the launcher died; nobody else will end its child
+            try:
+                return _recv_int(sock), False
+            except TimeoutError:
+                timed_out = True
+                _kill_group(pid)
+            sock.settimeout(KILL_GRACE_SECONDS)
+            return _recv_int(sock), True
+        except OSError:  # the launcher died or stopped answering; nobody else will end its child
             if pid is not None:
                 _kill_group(pid)
             self._discard()
@@ -142,12 +146,16 @@ class Launcher:
         return code
 
     def close(self) -> None:
-        """End the launcher (it exits when its socket closes) and reap it."""
+        """End the launcher (it exits when its socket closes, or is killed) and reap it."""
         if self._sock is None:
             return
         self._sock.close()
         self._sock = None
-        self.proc.wait()
+        try:
+            self.proc.wait(KILL_GRACE_SECONDS)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
 
 
 def _recv_int(sock: socket.socket) -> int:
@@ -165,16 +173,12 @@ def _kill_group(pid: int) -> None:
         pass
 
 
-def _cap(data: bytes) -> str:
-    text = data.decode("utf-8", errors="replace")
-    if len(data) > LOG_CAP_BYTES:
-        text = text[: LOG_CAP_BYTES] + TRUNCATION_MARK
-    return text
-
-
 def _read_log(fh) -> str:
-    fh.seek(0)
-    return _cap(fh.read(LOG_CAP_BYTES + 1))
+    """The log's text, or its last ``LOG_CAP_BYTES`` after ``TRUNCATION_MARK``."""
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(max(0, size - LOG_CAP_BYTES))
+    text = fh.read(LOG_CAP_BYTES).decode("utf-8", errors="replace")
+    return TRUNCATION_MARK + text if size > LOG_CAP_BYTES else text
 
 
 def _read_artifact(path: Path) -> Optional[bytes]:

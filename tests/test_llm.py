@@ -1,7 +1,9 @@
 """Ensemble sampling, retries, replay backend, template assembly."""
 
+import http.server
 import json
 import random
+import threading
 import time
 from collections import Counter
 
@@ -11,6 +13,7 @@ from llmevolve import templates
 from llmevolve.llm import (
     EnsembleConfig,
     EnsembleMember,
+    HttpBackend,
     MetaModel,
     ReplayBackend,
     RetryPolicy,
@@ -213,3 +216,81 @@ class TestTemplateAssembly:
         messages = templates.build_meta_messages("brief", "old instruction", "the code")
         assert "old instruction" in messages[1]["content"]
         assert "the code" in messages[1]["content"]
+
+
+class ChatStub:
+    """A chat-completions server on 127.0.0.1 that records requests and plays scripted replies."""
+
+    def __init__(self):
+        self.requests: list[tuple[str, dict, dict]] = []  # (path, headers, JSON body)
+        self.replies: list[tuple[int, dict]] = []  # (status, JSON body), in order
+        stub = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                stub.requests.append((self.path, dict(self.headers), body))
+                status, reply = stub.replies.pop(0)
+                data = json.dumps(reply).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_port}/v1"
+        serve = threading.Thread(target=self.server.serve_forever, args=(0.05,), daemon=True)
+        serve.start()
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+
+
+def _chat_reply(content):
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+class TestHttpBackend:
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        monkeypatch.setenv("LLMEVOLVE_API_KEY", "test-key")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        stub = ChatStub()
+        yield stub
+        stub.close()
+
+    def test_request_carries_the_sampling_settings_and_the_key(self, stub):
+        stub.replies += [(200, _chat_reply("first")), (200, _chat_reply("second"))]
+        backend = HttpBackend(stub.url + "/")
+        assert backend.complete("m1", MESSAGES, 0, temperature=0.3, top_p=0.9) == "first"
+        assert backend.complete("m2", MESSAGES, 1, max_output_tokens=64) == "second"
+        (path, headers, body), (_, _, capped) = stub.requests
+        assert path == "/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer test-key"
+        assert body == {"model": "m1", "messages": MESSAGES, "temperature": 0.3, "top_p": 0.9}
+        assert capped == {
+            "model": "m2", "messages": MESSAGES, "temperature": 0.7, "top_p": 0.95, "max_tokens": 64
+        }
+
+    @pytest.mark.parametrize(
+        "reply", [(500, {"error": "overloaded"}), (200, {"id": "no choices"})], ids=["status_500", "no_choices"]
+    )
+    def test_a_failed_reply_is_a_transport_error(self, stub, reply):
+        stub.replies.append(reply)
+        with pytest.raises(TransportError):
+            HttpBackend(stub.url).complete("m", MESSAGES, 0)
+
+    def test_generate_retries_a_500(self, stub):
+        stub.replies += [(500, {"error": "overloaded"}), (200, _chat_reply("recovered"))]
+        cfg = EnsembleConfig(
+            members=[EnsembleMember(name="only", weight=1.0)],
+            meta_model=MetaModel(name="only"),
+            retry=RetryPolicy(max_attempts=2, backoff_seconds=(0.0,)),
+        )
+        assert generate(cfg, MESSAGES, HttpBackend(stub.url), random.Random(0)) == ("only", "recovered")
+        assert len(stub.requests) == 2

@@ -296,6 +296,47 @@ class TestParseArtifact:
         with pytest.raises(ArtifactError):
             parse_artifact("p1", b'{"heights": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
 
+    @pytest.mark.parametrize(
+        "pid, doc, counts",
+        [
+            ("p1", {"heights": [1.0] * (P1_MAX_HEIGHTS + 1)}, (P1_MAX_HEIGHTS + 1, P1_MAX_HEIGHTS)),
+            ("p2.a", {"points": [[float(i), 0.0] for i in range(17)]}, (17, 16)),
+            ("p2.b", {"points": [[0.0, 0.0, 0.0, 0.0]] * 14}, (4, 3)),
+            ("p3.a", {"circles": [[0.5, 0.5, 0.01]] * 27}, (27, 26)),
+            ("p3.b", {"circles": [[0.5, 0.5, 0.01]] * 33}, (33, 32)),
+            ("p4", {"rect_width": 1.0, "circles": [[0.5, 0.5, 0.01]] * 22}, (22, 21)),
+        ],
+        ids=["p1", "p2.a", "p2.b_row", "p3.a", "p3.b", "p4"],
+    )
+    def test_over_long_list_is_rejected_by_the_parser(self, pid, doc, counts):
+        with pytest.raises(ArtifactError, match=r"\b{} \w+, more than the {} allowed".format(*counts)):
+            get_problem(pid).parser(json.dumps(doc).encode())
+
+    def test_short_list_still_gets_the_scorers_count_violation(self):
+        problem = get_problem("p3.a")
+        report = problem.scorer(problem.parser(json.dumps({"circles": [[0.5, 0.5, 0.01]] * 25}).encode()))
+        assert report.violations == {"wrong_circle_count": 1}
+
+    def test_over_long_list_costs_about_its_json_decoding(self):
+        # Converting 200,000 circles before the count check took 2.9x the
+        # decoding alone; checking first takes about 1.0x (best of 3 each).
+        raw = json.dumps({"circles": [[0.5, 0.5, 0.01]] * 200_000}).encode()
+        problem = get_problem("p3.a")
+
+        def best_of_3(call):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                try:
+                    call()
+                except ArtifactError:
+                    pass
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        decoding = best_of_3(lambda: json.loads(raw))
+        assert best_of_3(lambda: problem.scorer(problem.parser(raw))) < 1.5 * decoding + 0.05
+
 
 # What a valid report promises about its artifact, per registered problem.
 _REGISTERED_SHAPE = {

@@ -1,6 +1,7 @@
 """Candidate execution under wall-clock and memory limits."""
 
 import ast
+import functools
 import json
 import os
 import re
@@ -8,13 +9,16 @@ import resource
 import shutil
 import signal
 import subprocess
+import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from conftest import FAST_INTERPRETER
+from llmevolve import sandbox
 from llmevolve._launcher import FILE_SIZE_LIMIT
 from llmevolve.sandbox import (
     STATUS_MEMORY_EXCEEDED,
@@ -32,8 +36,10 @@ LIMITS = ResourceLimits(wall_seconds=10.0, memory_bytes=1 << 30)
 
 
 @pytest.fixture
-def launcher():
-    launcher = Launcher(FAST_INTERPRETER)
+def launcher(request):
+    """A launcher on ``FAST_INTERPRETER``, or on the ``python3.X`` that a test names indirectly."""
+    name = getattr(request, "param", None)
+    launcher = Launcher(FAST_INTERPRETER if name is None else _other_python(name))
     yield launcher
     launcher.close()
 
@@ -165,10 +171,26 @@ def test_writes_confined_to_workdir(run, tmp_path):
 
 
 def test_log_truncation_marked(run):
-    outcome = run("import sys\nsys.stdout.write('x' * (2 << 20))\n")
+    outcome = run("import sys\nsys.stdout.write('x' * (2 << 20))\nprint('the last line')\n")
     assert outcome.status == STATUS_OK
-    assert outcome.stdout.endswith("...[truncated]")
-    assert len(outcome.stdout) < (2 << 20)
+    assert outcome.stdout.startswith("...[truncated]\n")
+    assert len(outcome.stdout) <= sandbox.LOG_CAP_BYTES + len("...[truncated]\n")
+    assert outcome.stdout.endswith("x" * 100 + "the last line\n")
+
+
+def test_a_long_log_keeps_its_traceback(run):
+    code = (
+        "import sys\n"
+        "for i in range(40000):\n"
+        "    print(f'warning {i}: something looks odd', file=sys.stderr)\n"
+        "raise ValueError('the real failure')\n"
+    )
+    outcome = run(code)
+    assert outcome.status == STATUS_NONZERO_EXIT
+    assert outcome.stderr.startswith("...[truncated]\n")
+    tail = outcome.stderr[-2000:]  # what the model sees as feedback
+    assert "Traceback (most recent call last)" in tail
+    assert tail.endswith("ValueError: the real failure\n")
 
 
 def test_empty_code_rejected(run):
@@ -252,6 +274,41 @@ def test_close_reaps_the_launcher(run, launcher):
     run("print(1)\n")
     launcher.close()
     assert launcher.proc.returncode == 0
+
+
+def _bounded(call, seconds):
+    """``call()``'s result, or a failed test if it has not returned within ``seconds``."""
+    result = {}
+    worker = threading.Thread(target=lambda: result.update(value=call()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"still blocked after {seconds} s"
+    return result["value"]
+
+
+def test_a_candidate_that_stops_its_launcher_times_out():
+    launcher = Launcher(FAST_INTERPRETER)
+    limits = ResourceLimits(wall_seconds=1.0, memory_bytes=1 << 30)
+    code = "import os, signal\nos.kill(os.getppid(), signal.SIGSTOP)\n"
+    bound = limits.wall_seconds + sandbox.KILL_GRACE_SECONDS + 3.0
+    try:
+        outcome = _bounded(lambda: run_candidate(code, limits, launcher), bound)
+        assert outcome.status == STATUS_TIMEOUT
+        assert run_candidate("print('next')\n", limits, launcher).status == STATUS_OK
+    finally:
+        launcher.proc.kill()  # SIGKILL ends even a stopped launcher
+        launcher.close()
+
+
+def test_close_kills_a_launcher_that_does_not_exit():
+    launcher = Launcher(FAST_INTERPRETER)
+    try:
+        run_candidate("print(1)\n", LIMITS, launcher)
+        os.kill(launcher.proc.pid, signal.SIGSTOP)
+        _bounded(launcher.close, sandbox.KILL_GRACE_SECONDS + 3.0)
+        assert launcher.proc.returncode == -signal.SIGKILL
+    finally:
+        launcher.proc.kill()
 
 
 # -- fidelity: a forked candidate behaves as ``python candidate.py`` --
@@ -356,7 +413,40 @@ _FIDELITY = {
 _FIDELITY_LIMITS = ResourceLimits(wall_seconds=10.0, memory_bytes=256 << 20)
 
 
-def _oracle(code, limits):
+_PYTHONS = [f"python3.{minor}" for minor in range(10, 14)]  # every supported version
+
+
+@functools.cache
+def _executable(name):
+    """The real executable behind ``name`` on PATH, or None if it is absent or does not run."""
+    try:
+        probe = subprocess.run(
+            [name, "-S", "-c", "import sys; print(sys.executable)"], capture_output=True, text=True, timeout=30
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return os.path.realpath(probe.stdout.strip()) if probe.returncode == 0 else None
+
+
+def _other_python(name):
+    """``[executable, "-S"]`` for ``name``; skips the test if that is absent or runs the tests."""
+    exe = _executable(name)
+    if exe is None:
+        pytest.skip(f"{name} is absent or does not run")
+    if exe == os.path.realpath(sys.executable):
+        pytest.skip(f"{name} runs the tests; the cases without a prefix cover it")
+    return [exe, "-S"]
+
+
+def _on_each_interpreter(cases):
+    """``(launcher, case)`` params: each case under its own id on the tests' interpreter,
+    then prefixed with each supported ``python3.X``, which the launcher fixture looks up."""
+    return [pytest.param(None, case, id=case) for case in cases] + [
+        pytest.param(name, case, id=f"{name}-{case}") for name in _PYTHONS for case in cases
+    ]
+
+
+def _oracle(code, limits, interpreter):
     """``python candidate.py`` in a fresh directory: the behaviour launchers must keep."""
     workdir = Path(tempfile.mkdtemp(prefix="candidate-"))
     try:
@@ -368,7 +458,7 @@ def _oracle(code, limits):
             resource.setrlimit(resource.RLIMIT_AS, (limits.memory_bytes, limits.memory_bytes))
 
         proc = subprocess.run(
-            FAST_INTERPRETER + [str(script)],
+            interpreter + [str(script)],
             cwd=workdir,
             env={**os.environ, "ARTIFACT_PATH": str(artifact)},
             stdin=subprocess.DEVNULL,
@@ -394,11 +484,11 @@ def _same_dir(text):
     return re.sub(r"0x[0-9a-f]+", "0xX", re.sub(r"candidate-[a-z0-9_]+", "candidate-X", text))
 
 
-@pytest.mark.parametrize("name", sorted(_FIDELITY))
-def test_launcher_matches_a_fresh_interpreter(name, run):
+@pytest.mark.parametrize("launcher, name", _on_each_interpreter(sorted(_FIDELITY)), indirect=["launcher"])
+def test_launcher_matches_a_fresh_interpreter(name, launcher, run):
     code, expected = _FIDELITY[name]
     outcome = run(code, _FIDELITY_LIMITS)
-    status, stdout, stderr, artifact = _oracle(code, _FIDELITY_LIMITS)
+    status, stdout, stderr, artifact = _oracle(code, _FIDELITY_LIMITS, launcher.interpreter)
     assert (outcome.status, status) == (expected, expected)
     assert _same_dir(outcome.stdout) == _same_dir(stdout)
     assert _same_dir(outcome.stderr) == _same_dir(stderr)
@@ -406,17 +496,20 @@ def test_launcher_matches_a_fresh_interpreter(name, run):
 
 
 @pytest.mark.parametrize(
-    "code",
-    [
-        "sys.exit()",
-        "sys.exit('bye')",
-        "sys.exit(300)",
-        "sys.exit(2**40 + 3)",
-        "sys.exit(-1)",
-        "sys.exit(True)",
-        "sys.stdout = None",
-        "sys.stdout = type('Unflushable', (), {'write': len, 'flush': lambda self: 1 / 0})()",
-    ],
+    "launcher, code",
+    _on_each_interpreter(
+        [
+            "sys.exit()",
+            "sys.exit('bye')",
+            "sys.exit(300)",
+            "sys.exit(2**40 + 3)",
+            "sys.exit(-1)",
+            "sys.exit(True)",
+            "sys.stdout = None",
+            "sys.stdout = type('Unflushable', (), {'write': len, 'flush': lambda self: 1 / 0})()",
+        ]
+    ),
+    indirect=["launcher"],
 )
 def test_exit_status_matches_a_fresh_interpreter(code, launcher, tmp_path):
     script = tmp_path / "candidate.py"
@@ -424,5 +517,5 @@ def test_exit_status_matches_a_fresh_interpreter(code, launcher, tmp_path):
     request = {"script": str(script), "env": {}, "memory_bytes": LIMITS.memory_bytes}
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         returncode, timed_out = launcher.run(request, out, err, LIMITS.wall_seconds)
-    fresh = subprocess.run(FAST_INTERPRETER + [str(script)], capture_output=True, timeout=LIMITS.wall_seconds)
+    fresh = subprocess.run(launcher.interpreter + [str(script)], capture_output=True, timeout=LIMITS.wall_seconds)
     assert (returncode, timed_out) == (fresh.returncode, False)
