@@ -82,6 +82,7 @@ class IslandState:
         self.prompts: dict[str, Prompt] = {}
         self._solution_counter = 0
         self._prompt_counter = 0
+        self._call_counter = 0
 
     # -- id allocation (deterministic, human readable) --
 
@@ -94,6 +95,12 @@ class IslandState:
         pid = f"i{self.id}-p{self._prompt_counter:05d}"
         self._prompt_counter += 1
         return pid
+
+    def next_call_index(self) -> int:
+        """Key of the island's next model call; a retry keeps its call's key."""
+        index = self._call_counter
+        self._call_counter += 1
+        return index
 
     # -- lookups --
 

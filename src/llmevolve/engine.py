@@ -11,8 +11,10 @@ state's position and runs the remaining epochs.
 
 Islands share nothing between migrations, so each island runs as one job on
 its own thread up to the next barrier: a migration epoch, a requested stop,
-or the end of the run; its first job sets it up before its first step. Jobs
-call the backend concurrently for distinct island ids and queue candidates,
+or the end of the run; its first job sets it up before its first step, and
+sends the set-up's ``init_population`` model calls at once. Every model call
+carries the key ``(island, index)`` that the island assigned it, so replay
+does not depend on the order in which calls arrive. Jobs queue candidates,
 one at a time per island, on one FIFO pool of ``sandbox_workers`` threads,
 each of which runs them on an idle warm launcher (see
 ``sandbox.Launcher``); ``close`` reaps the launchers. At the barrier the
@@ -83,7 +85,6 @@ class RunState:
     rngs: list[IslandRngs]
     epoch: int = 0
     event_log_pos: int = 0
-    backend_state: object = None
 
 
 @dataclass
@@ -171,7 +172,10 @@ class _Run:
             sol.status = STATUS_INVALID_ARTIFACT
             sol.feedback = (sol.feedback or "") + "\nno artifact file was written"
             return sol
+        limit = self.problem.max_artifact_bytes
         try:
+            if len(outcome.artifact) > limit:
+                raise ArtifactError(f"{len(outcome.artifact)} bytes, more than the {limit} allowed")
             report = self.problem.scorer(self.problem.parser(outcome.artifact))
         except ArtifactError as exc:
             sol.status = STATUS_INVALID_ARTIFACT
@@ -386,7 +390,6 @@ class _Run:
     def checkpoint(self) -> Path:
         self._event_fh.flush()
         self.state.event_log_pos = (self.run_dir / EVENT_LOG_NAME).stat().st_size
-        self.state.backend_state = self.backend.get_state()
         payload = pickle.dumps({"config": self.config, "state": self.state})
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         path = self.run_dir / "checkpoints" / f"epoch_{self.state.epoch:05d}.ckpt"
@@ -511,7 +514,6 @@ def _run_from(
     """Run ``state`` from its epoch: the one path behind ``run`` and ``resume``."""
     if backend is None:
         backend = make_backend(config, run_dir)
-    backend.set_state(state.backend_state)
     runner = _Run(config, run_dir, backend, state)
     try:
         return runner.run_epochs(stop_after_epoch=stop_after_epoch)
@@ -539,7 +541,38 @@ def load_checkpoint(path: Path) -> tuple[RunConfig, RunState]:
     if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
         raise CheckpointError(f"checkpoint {path} failed its integrity check")
     doc = pickle.loads(payload)
-    return doc["config"], doc["state"]
+    return doc["config"], _declared_state(doc["state"])
+
+
+def _declared(cls, old, **init):
+    """A fresh ``cls(**init)`` that takes ``old``'s value of each other field it declares."""
+    new = cls(**init)
+    held = vars(old)
+    for name in vars(new).keys() - init.keys():
+        if name in held:
+            setattr(new, name, held[name])
+    return new
+
+
+def _declared_state(old: RunState) -> RunState:
+    """``old`` rebuilt from the fields that ``RunState``, ``IslandState`` and
+    ``Solution`` declare today, so that a field an older checkpoint held is
+    not pickled again into every later one.
+
+    An older checkpoint kept each island's next model-call index in the
+    replay backend's counters (``backend_state``); those become the islands'.
+    """
+    counters = vars(old).get("backend_state") or {}
+    islands = []
+    for island in old.islands:
+        new = _declared(IslandState, island, island_id=island.id, capacity=island.capacity)
+        if "_call_counter" not in vars(island):
+            new._call_counter = counters.get(island.id, 0)
+        for pool in (new.solutions, new.archive):
+            for sid, sol in pool.items():
+                pool[sid] = _declared(Solution, sol, id=sol.id, island_id=sol.island_id, code=sol.code)
+        islands.append(new)
+    return _declared(RunState, old, islands=islands, rngs=old.rngs)
 
 
 def _write_config_snapshot(config: RunConfig, run_dir: Path) -> None:

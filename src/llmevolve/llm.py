@@ -2,9 +2,14 @@
 
 It sends chat messages that the operators assemble with the templates.
 
+Every call carries the key ``(island_id, index)`` that the caller assigned
+(see ``core.IslandState.next_call_index``); a retry reuses its call's key.
+A backend's ``complete`` may be called concurrently, for one island as for
+several, under distinct keys.
+
 Two backends ship with the package: an OpenAI-compatible chat-completions
-client over HTTP, and a replay backend that serves scripted responses keyed
-by per-island call index for fully deterministic offline runs.
+client over HTTP, and a replay backend that serves the scripted response
+under each key, for fully deterministic offline runs.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,11 +28,12 @@ class TransportError(RuntimeError):
     """All transport attempts for a generation call failed."""
 
 
-class ReplayError(TransportError):
-    """A replay transcript has no response, or a different digest, for a call.
+class RejectedError(TransportError):
+    """The backend refused the call; retrying cannot change that, so it is raised at once."""
 
-    Retrying cannot change the transcript, so it is raised at once.
-    """
+
+class ReplayError(RejectedError):
+    """A replay transcript has no response, or a different digest, for a call."""
 
 
 class EmptyResponseError(RuntimeError):
@@ -99,11 +106,16 @@ def sample_model(config: EnsembleConfig, rng: random.Random) -> EnsembleMember:
     return config.members[-1]
 
 
+# Statuses that a retry cannot change: a bad request, key, model or URL.
+_HTTP_REJECTED = frozenset({400, 401, 403, 404})
+
+
 class HttpBackend:
     """OpenAI-compatible chat-completions client.
 
     The API key comes from the environment (``LLMEVOLVE_API_KEY`` by
-    default); the base URL is configuration.
+    default); the base URL is configuration. Each calling thread has its own
+    ``requests.Session``, since a session is not promised to be thread-safe.
     """
 
     def __init__(
@@ -112,22 +124,33 @@ class HttpBackend:
         api_key_env: str = "LLMEVOLVE_API_KEY",
         timeout: float = 120.0,
     ):
-        import requests
+        import requests  # noqa: F401  (a missing package fails here, not at the first call)
 
         self.base_url = base_url.rstrip("/")
         self.api_key = os.environ.get(api_key_env, "")
         self.timeout = timeout
-        self._session = requests.Session()
+        self._local = threading.local()
+
+    def _session(self):
+        """This thread's session, made on its first call."""
+        import requests
+
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def complete(
         self,
         model: str,
         messages: list[dict[str, str]],
         island_id: int,
+        index: Optional[int] = None,
         temperature: float = 0.7,
         top_p: float = 0.95,
         max_output_tokens: Optional[int] = None,
     ) -> str:
+        """Send one chat-completions request; ``index`` is not needed over HTTP."""
         import requests
 
         payload: dict = {
@@ -140,39 +163,40 @@ class HttpBackend:
             payload["max_tokens"] = max_output_tokens
         headers = {"Authorization": f"Bearer {self.api_key}"}
         try:
-            resp = self._session.post(
+            resp = self._session().post(
                 f"{self.base_url}/chat/completions",
                 json=payload,
                 headers=headers,
                 timeout=self.timeout,
             )
+            if resp.status_code in _HTTP_REJECTED:
+                raise RejectedError(f"{resp.status_code} {resp.reason} for {resp.url}")
             resp.raise_for_status()
             body = resp.json()
             return body["choices"][0]["message"]["content"]
         except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
             raise TransportError(str(exc)) from exc
 
-    def get_state(self) -> None:
-        return None
-
-    def set_state(self, state) -> None:
-        pass
-
 
 class ReplayBackend:
     """Deterministic stand-in serving scripted responses.
 
-    Responses are keyed by (island, per-island call index); every call on an
-    island consumes the next index. Transcripts are line-delimited JSON
-    records ``{"island": i, "index": j, "response": text}`` (records without
-    an island apply to island 0). ``strict_digests`` optionally pins a call
-    to a digest of its messages.
+    Responses are keyed by (island, call index), the key the caller passes.
+    Transcripts are line-delimited JSON records ``{"island": i, "index": j,
+    "response": text}`` (records without an island apply to island 0).
+    ``strict_digests`` optionally pins a call to a digest of its messages.
+
+    ``counters`` holds each island's next index: one past the highest served.
+    A call without an index takes it. The counters and ``get_state`` /
+    ``set_state`` remain only for the benchmark's probes, which read them;
+    they go once the benchmark counts calls itself.
     """
 
     def __init__(self, responses: dict[tuple[int, int], str], strict_digests: Optional[dict[tuple[int, int], str]] = None):
         self.responses = responses
         self.strict_digests = strict_digests or {}
         self.counters: dict[int, int] = {}
+        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayBackend":
@@ -195,12 +219,16 @@ class ReplayBackend:
         model: str,
         messages: list[dict[str, str]],
         island_id: int,
+        index: Optional[int] = None,
         temperature: float = 0.7,
         top_p: float = 0.95,
         max_output_tokens: Optional[int] = None,
     ) -> str:
-        index = self.counters.get(island_id, 0)
-        self.counters[island_id] = index + 1
+        with self._lock:
+            after = self.counters.get(island_id, 0)
+            if index is None:
+                index = after
+            self.counters[island_id] = max(after, index + 1)
         key = (island_id, index)
         if key not in self.responses:
             raise ReplayError(f"replay transcript exhausted at island {island_id} call {index}")
@@ -232,7 +260,7 @@ def _call_with_retries(policy: RetryPolicy, fn) -> str:
     for attempt in range(policy.max_attempts):
         try:
             return fn()
-        except ReplayError:
+        except RejectedError:
             raise
         except TransportError as exc:
             last = exc
@@ -248,37 +276,38 @@ def generate(
     config: EnsembleConfig,
     messages: list[dict[str, str]],
     backend,
-    rng: random.Random,
-    island_id: int = 0,
-) -> tuple[str, str]:
-    """Sample an ensemble member and send it ``messages``.
+    member: EnsembleMember,
+    island_id: int,
+    index: int,
+) -> str:
+    """Send ``messages`` to ``member`` (see ``sample_model``) as call ``index``.
 
-    Returns (model_name, raw response text). Transport errors are retried
-    per the retry policy and surface as TransportError when exhausted; a
-    ReplayError is raised at once.
+    Returns the raw response text. Transport errors are retried per the
+    retry policy and surface as TransportError when exhausted; a
+    RejectedError is raised at once.
     """
-    member = sample_model(config, rng)
-    text = _call_with_retries(
+    return _call_with_retries(
         config.retry,
         lambda: backend.complete(
             member.name,
             messages,
             island_id,
+            index=index,
             temperature=member.temperature,
             top_p=member.top_p,
             max_output_tokens=member.max_output_tokens,
         ),
     )
-    return member.name, text
 
 
 def meta_prompt(
     config: EnsembleConfig,
     messages: list[dict[str, str]],
     backend,
-    island_id: int = 0,
+    island_id: int,
+    index: int,
 ) -> str:
-    """Send the meta model a prompt-rewriting request; return the new prompt."""
+    """Send the meta model a prompt-rewriting request as call ``index``; return the new prompt."""
     meta = config.meta_model
     text = _call_with_retries(
         config.retry,
@@ -286,6 +315,7 @@ def meta_prompt(
             meta.name,
             messages,
             island_id,
+            index=index,
             temperature=meta.temperature,
             top_p=meta.top_p,
         ),

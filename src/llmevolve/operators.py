@@ -4,15 +4,17 @@ the no-evolution baseline.
 A step first flips the explore coin, then samples a parent, optional
 inspirations and the ancestor chain, builds the chat messages from them with
 the templates, sends them through the model layer and applies the reply with
-the diff engine. All state mutation beyond id allocation and prompt-pool
-insertion is left to the engine.
+the diff engine. All state mutation other than allocating ids and
+model-call indices, and inserting prompts into the pool, is left to the
+engine.
 """
 
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import diffengine, llm, selection, templates
 from .config import RunConfig
@@ -70,35 +72,49 @@ def _new_solution(
     )
 
 
-def _offspring(
+def _generation(
     island: IslandState,
-    epoch: int,
     config: RunConfig,
     backend,
     rngs: IslandRngs,
     messages: list[dict[str, str]],
+) -> tuple[llm.EnsembleMember, Callable[[], str]]:
+    """Draw the member of the island's next generation call and take its index.
+
+    Returns the member and a function that sends the call, so that a caller
+    may draw several calls in order and then send them at once.
+    """
+    member = llm.sample_model(config.ensemble, rngs.model)
+    index = island.next_call_index()
+    return member, lambda: llm.generate(
+        config.ensemble, messages, backend, member, island.id, index
+    )
+
+
+def _offspring(
+    island: IslandState,
+    epoch: int,
+    member: llm.EnsembleMember,
+    reply: Callable[[], str],
     parent_code: str,
     parent_id: Optional[str],
     prompt_id: str,
     failure_prefix: str = "generation failed: ",
 ) -> tuple[Solution, str]:
-    """Send ``messages`` to the ensemble and apply the edit to ``parent_code``.
+    """Apply the edit that ``reply()``, ``member``'s response, makes to ``parent_code``.
 
     Returns the new solution and the model that wrote it ("" on failure).
     A failed generation keeps the code it was asked to edit, so it stays
     executable if it ever enters a below-capacity population.
     """
     try:
-        model, response = llm.generate(
-            config.ensemble, messages, backend, rngs.model, island_id=island.id
-        )
-        code = _apply_response(parent_code, response)
+        code = _apply_response(parent_code, reply())
     except GENERATION_ERRORS as exc:
         failed = _new_solution(
             island, epoch, parent_code, parent_id, prompt_id, f"{failure_prefix}{exc}"
         )
         return failed, ""
-    return _new_solution(island, epoch, code, parent_id, prompt_id), model
+    return _new_solution(island, epoch, code, parent_id, prompt_id), member.name
 
 
 def evolve_step(
@@ -128,7 +144,9 @@ def evolve_step(
         prompt_for_meta = island.lookup_prompt(parent.parent_prompt_id)
         messages = templates.build_meta_messages(problem_brief, prompt_for_meta.text, parent.code)
         try:
-            new_text = llm.meta_prompt(config.ensemble, messages, backend, island_id=island.id)
+            new_text = llm.meta_prompt(
+                config.ensemble, messages, backend, island.id, island.next_call_index()
+            )
         except (llm.TransportError, llm.EmptyResponseError) as exc:
             failed = _new_solution(
                 island, epoch, parent.code, parent.id, prompt_for_meta.id,
@@ -168,7 +186,8 @@ def evolve_step(
         parent.feedback,
     )
     sol, model = _offspring(
-        island, epoch, config, backend, rngs, messages, parent.code, parent.id, prompt.id
+        island, epoch, *_generation(island, config, backend, rngs, messages),
+        parent.code, parent.id, prompt.id,
     )
     return OperatorOutcome(sol, operator, model, inspiration_ids)
 
@@ -186,7 +205,8 @@ def no_evolution_step(
     prompt = next(iter(island.prompts.values()))
     messages = templates.build_generation_messages(problem_brief, prompt.text, trivial_code)
     sol, model = _offspring(
-        island, epoch, config, backend, rngs, messages, trivial_code, None, prompt.id
+        island, epoch, *_generation(island, config, backend, rngs, messages),
+        trivial_code, None, prompt.id,
     )
     return OperatorOutcome(sol, OP_NO_EVOLUTION, model)
 
@@ -218,6 +238,10 @@ def initialize_island(
     The trivial program is always the first pending root; each successful
     independent generation adds another root. Failures carry fitness 0 and
     are recorded but never become roots.
+
+    The ``init_population`` generation calls are drawn and keyed in order,
+    sent at once on a pool of their own, and applied in order, so the
+    result is the same as if they had been sent one after another.
     """
     if island.solutions:
         raise RuntimeError(f"island {island.id} is already initialized")
@@ -231,9 +255,15 @@ def initialize_island(
     pending = [_new_solution(island, 0, trivial_code, None, initial_prompt.id)]
     failures: list[Solution] = []
     messages = templates.build_generation_messages(problem_brief, initial_prompt.text, trivial_code)
-    for _ in range(config.init_population):
+    calls = [
+        _generation(island, config, backend, rngs, messages)
+        for _ in range(config.init_population)
+    ]
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        replies = [pool.submit(send) for _, send in calls]
+    for (member, _), reply in zip(calls, replies):
         sol, _ = _offspring(
-            island, 0, config, backend, rngs, messages, trivial_code, None, initial_prompt.id,
+            island, 0, member, reply.result, trivial_code, None, initial_prompt.id,
             "initialization generation failed: ",
         )
         (pending if sol.status == STATUS_PENDING else failures).append(sol)

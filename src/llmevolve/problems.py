@@ -292,6 +292,8 @@ class ProblemSpec:
     # ``scorer`` takes what ``parser`` returns.
     scorer: Callable[[Any], ScoreReport]
     parser: Callable[[bytes], object]
+    # A longer artifact is invalid; the engine checks before ``parser`` decodes it.
+    max_artifact_bytes: int = 64 * 1024
 
 
 def _at_most(items, limit: int, what: str) -> list:
@@ -411,6 +413,7 @@ def _make_registry() -> dict[str, ProblemSpec]:
         trivial_code=_TRIVIAL_P1,
         scorer=score_p1,
         parser=_parse_p1,
+        max_artifact_bytes=4 * 1024**2,  # room for P1_MAX_HEIGHTS heights at full precision
     )
 
     for pid, n, d in (("p2.a", 16, 2), ("p2.b", 14, 3)):

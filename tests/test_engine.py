@@ -294,8 +294,9 @@ class TestResume:
 
     @pytest.mark.parametrize("preset", ["full", "no-evolution"])
     def test_resumes_a_checkpoint_that_holds_removed_fields(self, tmp_path, preset):
-        # Checkpoints once pickled ``RunState.trivial_code``, ``initial_prompt_ids``
-        # and ``migration_events``, and ``Solution.origin_island``.
+        # Checkpoints once pickled ``RunState.trivial_code``, ``initial_prompt_ids``,
+        # ``migration_events`` and ``backend_state`` (the replay backend's call
+        # counters), and ``Solution.origin_island``, and no call counter per island.
         from llmevolve.config import AblationToggles
         from llmevolve.problems import get_problem
 
@@ -317,13 +318,35 @@ class TestResume:
         state.trivial_code = get_problem(config.problem_id).trivial_code
         state.initial_prompt_ids = [f"i{i}-p00000" for i in range(cfg.num_islands)]
         state.migration_events = 2 if preset == "full" else 0
+        state.backend_state = {island.id: island.next_call_index() for island in state.islands}
         for island in state.islands:
+            del island._call_counter
             for sol in island.all_solutions():
                 sol.origin_island = sol.island_id
         payload = pickle.dumps({"config": config, "state": state})
         ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
         assert engine.resume(dir_b) == straight
         assert (dir_b / "events.jsonl").read_bytes() == (dir_a / "events.jsonl").read_bytes()
+        # The final checkpoint, read without the rebuild on load, holds none of them.
+        final = (dir_b / "checkpoints" / "epoch_00006.ckpt").read_bytes()
+        resumed = pickle.loads(final[final.index(b"\n") + 1:])["state"]
+        removed = {"trivial_code", "initial_prompt_ids", "migration_events", "backend_state"}
+        assert not removed & vars(resumed).keys()
+        for island in resumed.islands:
+            assert "_call_counter" in vars(island)
+            assert not any("origin_island" in vars(sol) for sol in island.all_solutions())
+
+    def test_a_checkpoint_without_call_counters_starts_them_at_zero(self, tmp_path):
+        run_dir, _, _ = small_run(tmp_path)
+        ckpt = run_dir / "checkpoints" / "epoch_00006.ckpt"
+        config, state = engine.load_checkpoint(ckpt)
+        assert [island.next_call_index() for island in state.islands] != [0, 0]
+        for island in state.islands:
+            del island._call_counter
+        payload = pickle.dumps({"config": config, "state": state})
+        ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
+        _, state = engine.load_checkpoint(ckpt)
+        assert [island.next_call_index() for island in state.islands] == [0, 0]
 
     def test_resume_finished_run_is_noop(self, tmp_path):
         run_dir, _, summary = small_run(tmp_path)
@@ -427,8 +450,22 @@ class _FirstStepMeeting(ReplayBackend):
         self.init_calls = init_calls
 
     def complete(self, model, messages, island_id, **kwargs):
-        if self.counters.get(island_id, 0) == self.init_calls:
+        if kwargs["index"] == self.init_calls:
             self.barrier.wait()
+        return super().complete(model, messages, island_id, **kwargs)
+
+
+class _SetUpMeeting(ReplayBackend):
+    """Replay whose set-up calls on each island wait at that island's barrier."""
+
+    def __init__(self, responses, barriers: list[threading.Barrier]):
+        super().__init__(responses)
+        self.barriers = barriers
+
+    def complete(self, model, messages, island_id, **kwargs):
+        barrier = self.barriers[island_id]
+        if kwargs["index"] < barrier.parties:
+            barrier.wait()
         return super().complete(model, messages, island_id, **kwargs)
 
 
@@ -455,7 +492,7 @@ class _BrokenIsland(ReplayBackend):
         self.init_calls = init_calls
 
     def complete(self, model, messages, island_id, **kwargs):
-        if self.counters.get(island_id, 0) >= self.init_calls:
+        if kwargs["index"] >= self.init_calls:
             if island_id == 1:
                 raise RuntimeError("island 1 broke")
             time.sleep(0.05)
@@ -483,6 +520,44 @@ class TestConcurrency:
         init_calls = self.CONFIG["init_population"]
         self._run(tmp_path / "meet", lambda r: _FirstStepMeeting(r, barrier, init_calls))
         assert not barrier.broken
+
+    def test_an_island_sends_its_set_up_calls_at_once(self, tmp_path):
+        # Passes only if all of an island's set-up calls wait at once; calls
+        # sent one after another break the barrier after its timeout.
+        barriers = [threading.Barrier(4, timeout=5) for _ in range(self.CONFIG["num_islands"])]
+        self._run(tmp_path / "meet", lambda r: _SetUpMeeting(r, barriers), init_population=4, epochs=2)
+        assert not any(barrier.broken for barrier in barriers)
+
+    def test_jittered_set_up_gives_the_same_event_log(self, tmp_path):
+        setup = dict(init_population=6, epochs=2)
+        plain = self._run(tmp_path / "plain", **setup)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jittered = self._run(tmp_path / "jitter", lambda r: _JitterReplay(r, seed=7), **setup)
+        finally:
+            sys.setswitchinterval(interval)
+        assert jittered == plain
+
+    def test_a_set_up_miss_fails_at_its_own_position(self, tmp_path):
+        # The transcript lacks set-up call 1 of island 0: that call's solution
+        # is a generation failure, and every other id keeps its place.
+        def missing(responses):
+            del responses[(0, 1)]
+            return ReplayBackend(responses)
+
+        run_dir = tmp_path / "miss"
+        self._run(run_dir, missing, num_islands=1, init_population=3, epochs=1)
+        init = [(r["solution"], r["status"], r["insert"]) for r in read_events(run_dir) if r["type"] == "init"]
+        assert init == [
+            ("i0-s00000", "valid", "inserted"),
+            ("i0-s00001", "valid", "inserted"),
+            ("i0-s00003", "valid", "inserted"),
+            ("i0-s00002", "generation_failed", "not_attempted"),
+        ]
+        _, state = load_latest_checkpoint(run_dir)
+        failed = state.islands[0].lookup("i0-s00002")
+        assert failed.feedback == "initialization generation failed: replay transcript exhausted at island 0 call 1"
 
     def test_jittered_backend_gives_the_same_event_log(self, tmp_path):
         plain = self._run(tmp_path / "plain")
@@ -638,6 +713,27 @@ class TestEvaluateCandidate:
         assert sol.status == "invalid_artifact"
         assert sol.fitness == 0.0
         assert "ZeroDivisionError: division by zero" in sol.feedback
+
+    def test_an_artifact_over_the_problem_limit_is_invalid_before_parsing(self, tmp_path, monkeypatch):
+        from conftest import packing_program
+
+        def no_parse(raw):
+            raise AssertionError("the parser was called")
+
+        limit = 64 * 1024
+        # Trailing whitespace keeps the artifact valid JSON at any size.
+        code = packing_program(26, 0.01) + (
+            'with open(os.environ["ARTIFACT_PATH"], "a") as fh:\n'
+            f"    fh.write(' ' * {limit})\n"
+        )
+        circles = [[(i % 6) / 6 + 0.08, (i // 6) / 6 + 0.08, 0.01] for i in range(26)]
+        size = len(json.dumps({"circles": circles})) + limit
+        runner = self._runner(tmp_path)
+        assert runner.problem.max_artifact_bytes == limit
+        monkeypatch.setattr(runner.problem, "parser", no_parse)
+        sol = runner.evaluate(self._pending(code))
+        assert sol.status == "invalid_artifact"
+        assert sol.feedback == f"invalid artifact: {size} bytes, more than the {limit} allowed"
 
     def test_runtime_error_captured(self, tmp_path):
         runner = self._runner(tmp_path)

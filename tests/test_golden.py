@@ -10,8 +10,8 @@ ones stored under ``tests/golden/``:
 - ``<preset>.events.jsonl``: the run's ``events.jsonl``;
 - ``<preset>.calls.jsonl``: one line per backend call with the sha256 of its
   chat messages, which pins every prompt byte, execution feedback included.
-  Islands call the backend concurrently, so only each island's own calls
-  have a fixed order: both sides are compared grouped by island.
+  Calls arrive concurrently, so both sides are compared sorted by the key
+  ``(island, index)`` that the engine gave each call.
 
 A change that is meant to alter either file regenerates the fixtures with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and says why in its
@@ -67,7 +67,7 @@ def _response(island: int, index: int) -> str:
 
 
 class RecordingReplay(llm.ReplayBackend):
-    """Replay backend that keeps a digest of every request it is sent."""
+    """Replay backend that keeps a digest of every request it is sent, with its key."""
 
     def __init__(self, responses):
         super().__init__(responses)
@@ -77,7 +77,7 @@ class RecordingReplay(llm.ReplayBackend):
         self.calls.append(
             {
                 "island": island_id,
-                "index": self.counters.get(island_id, 0),
+                "index": kwargs["index"],
                 "model": model,
                 "digest": llm.request_digest(messages),
             }
@@ -115,20 +115,23 @@ def golden_run(preset: str, run_dir: Path) -> tuple[bytes, bytes]:
     )
     engine.run(cfg, run_dir, backend=backend)
     calls = "".join(json.dumps(c, sort_keys=True) + "\n" for c in backend.calls)
-    return (run_dir / engine.EVENT_LOG_NAME).read_bytes(), by_island(calls.encode("utf-8"))
+    return (run_dir / engine.EVENT_LOG_NAME).read_bytes(), by_key(calls.encode("utf-8"))
 
 
-def by_island(calls: bytes) -> bytes:
-    """Call lines stably sorted by island: each island's calls in call order."""
-    lines = calls.splitlines(keepends=True)
-    return b"".join(sorted(lines, key=lambda line: json.loads(line)["island"]))
+def by_key(calls: bytes) -> bytes:
+    """Call lines sorted by their key ``(island, index)``."""
+    def key(line: bytes) -> tuple[int, int]:
+        call = json.loads(line)
+        return call["island"], call["index"]
+
+    return b"".join(sorted(calls.splitlines(keepends=True), key=key))
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_event_log_and_prompts_match_golden(preset, tmp_path):
     events, calls = golden_run(preset, tmp_path / preset)
     assert events == (GOLDEN_DIR / f"{preset}.events.jsonl").read_bytes()
-    assert calls == by_island((GOLDEN_DIR / f"{preset}.calls.jsonl").read_bytes())
+    assert calls == by_key((GOLDEN_DIR / f"{preset}.calls.jsonl").read_bytes())
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 import http.server
 import json
 import random
+import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -93,34 +95,28 @@ class FlakyBackend:
             raise TransportError("flaky")
         return self.payload
 
-    def get_state(self):
-        return None
-
-    def set_state(self, state):
-        pass
-
 
 MESSAGES = templates.build_generation_messages("task", "improve it", "print(1)")
 
 
 class TestGenerate:
     def test_replay_returns_scripted_response_verbatim(self):
-        backend = ReplayBackend({(0, 0): "scripted"})
-        _, text = generate(two_model_config(), MESSAGES, backend, random.Random(0))
-        assert text == "scripted"
+        backend = ReplayBackend({(0, 0): "scripted", (0, 1): "other"})
+        cfg = two_model_config()
+        assert generate(cfg, MESSAGES, backend, cfg.members[1], 0, 1) == "other"
+        assert generate(cfg, MESSAGES, backend, cfg.members[0], 0, 0) == "scripted"
 
     def test_retries_then_succeeds(self):
         backend = FlakyBackend(failures=2)
-        _, text = generate(
-            two_model_config(max_attempts=3), MESSAGES, backend, random.Random(0)
-        )
-        assert text == "ok"
+        cfg = two_model_config(max_attempts=3)
+        assert generate(cfg, MESSAGES, backend, cfg.members[0], 0, 0) == "ok"
         assert backend.calls == 3
 
     def test_exhausted_retries_raise_transport_error(self):
         backend = FlakyBackend(failures=5)
+        cfg = two_model_config(max_attempts=3)
         with pytest.raises(TransportError):
-            generate(two_model_config(max_attempts=3), MESSAGES, backend, random.Random(0))
+            generate(cfg, MESSAGES, backend, cfg.members[0], 0, 0)
 
     @pytest.mark.parametrize(
         "backend",
@@ -134,12 +130,16 @@ class TestGenerate:
         from llmevolve import llm
 
         backend = backend()
+        indices = []
+        complete = backend.complete
+        backend.complete = lambda *args, **kwargs: indices.append(kwargs["index"]) or complete(*args, **kwargs)
+        cfg = EnsembleConfig.default()
         start = time.monotonic()
         with pytest.raises(TransportError) as exc:  # under the default retry policy
-            generate(EnsembleConfig.default(), MESSAGES, backend, random.Random(0))
+            generate(cfg, MESSAGES, backend, cfg.members[0], 0, 0)
         assert time.monotonic() - start < 0.1
         assert isinstance(exc.value, llm.ReplayError)
-        assert backend.get_state() == {0: 1}
+        assert indices == [0]
 
 
 META_MESSAGES = templates.build_meta_messages("task", "old prompt", "code")
@@ -148,7 +148,7 @@ META_MESSAGES = templates.build_meta_messages("task", "old prompt", "code")
 class TestMetaPrompt:
     def test_replay_scripted_prompt(self):
         backend = ReplayBackend({(0, 0): "richer prompt"})
-        out = meta_prompt(two_model_config(), META_MESSAGES, backend)
+        out = meta_prompt(two_model_config(), META_MESSAGES, backend, 0, 0)
         assert out == "richer prompt"
 
     def test_empty_response_is_an_error(self):
@@ -156,7 +156,7 @@ class TestMetaPrompt:
         from llmevolve.llm import EmptyResponseError
 
         with pytest.raises(EmptyResponseError):
-            meta_prompt(two_model_config(), META_MESSAGES, backend)
+            meta_prompt(two_model_config(), META_MESSAGES, backend, 0, 0)
 
 
 class TestReplayBackend:
@@ -165,6 +165,29 @@ class TestReplayBackend:
         assert backend.complete("m", [], 0) == "a"
         assert backend.complete("m", [], 1) == "b"
         assert backend.complete("m", [], 0) == "c"
+
+    def test_serves_the_key_it_is_given(self):
+        backend = ReplayBackend({(0, 0): "a", (0, 1): "b", (1, 0): "c"})
+        assert backend.complete("m", [], 0, index=1) == "b"
+        assert backend.complete("m", [], 0, index=0) == "a"
+        assert backend.complete("m", [], 1, index=0) == "c"
+        # Each island's counter is one past the highest index it served.
+        assert backend.get_state() == {0: 2, 1: 1}
+
+    def test_concurrent_calls_leave_the_counter_past_the_highest_key(self):
+        n = 64
+        responses = {(0, i): str(i) for i in range(n)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to shake out a lost update
+        try:
+            for _ in range(20):
+                backend = ReplayBackend(responses)
+                with ThreadPoolExecutor(max_workers=16) as pool:
+                    replies = list(pool.map(lambda i: backend.complete("m", [], 0, index=i), range(n)))
+                assert replies == [str(i) for i in range(n)]
+                assert backend.get_state() == {0: n}
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_exhausted_transcript_raises(self):
         backend = ReplayBackend({})
@@ -292,5 +315,38 @@ class TestHttpBackend:
             meta_model=MetaModel(name="only"),
             retry=RetryPolicy(max_attempts=2, backoff_seconds=(0.0,)),
         )
-        assert generate(cfg, MESSAGES, HttpBackend(stub.url), random.Random(0)) == ("only", "recovered")
+        assert generate(cfg, MESSAGES, HttpBackend(stub.url), cfg.members[0], 0, 0) == "recovered"
         assert len(stub.requests) == 2
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_a_rejected_request_is_not_retried(self, stub, status):
+        from llmevolve.llm import RejectedError
+
+        stub.replies.append((status, {"error": "rejected"}))
+        cfg = EnsembleConfig.default()
+        start = time.monotonic()
+        with pytest.raises(RejectedError, match=str(status)):  # under the default retry policy
+            generate(cfg, MESSAGES, HttpBackend(stub.url), cfg.members[0], 0, 0)
+        assert time.monotonic() - start < 0.4  # the first back-off is 0.5 s
+        assert len(stub.requests) == 1
+
+    def test_each_thread_has_its_own_session(self, stub):
+        stub.replies += [(200, _chat_reply("one")), (200, _chat_reply("two"))]
+        backend = HttpBackend(stub.url)
+        meet = threading.Barrier(2, timeout=5)
+        seen = {}
+
+        def call(name):
+            meet.wait()  # both threads are alive at once
+            session = backend._session()
+            seen[name] = (session, backend.complete("m", MESSAGES, 0, index=0), backend._session())
+
+        threads = [threading.Thread(target=call, args=(name,)) for name in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert all(first is again for first, _, again in seen.values())
+        assert seen["a"][0] is not seen["b"][0]
+        assert sorted(reply for _, reply, _ in seen.values()) == ["one", "two"]

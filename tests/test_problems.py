@@ -25,6 +25,9 @@ from llmevolve.problems import (
     score_p4,
 )
 
+# A float whose JSON form is as long as any: 24 characters.
+FULL = -1.2345678901234567e-300
+
 
 class TestScoreP1:
     def test_single_step_is_two_thirds(self):
@@ -311,6 +314,20 @@ class TestParseArtifact:
     def test_over_long_list_is_rejected_by_the_parser(self, pid, doc, counts):
         with pytest.raises(ArtifactError, match=r"\b{} \w+, more than the {} allowed".format(*counts)):
             get_problem(pid).parser(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "pid, doc",
+        [
+            ("p1", {"heights": [FULL] * P1_MAX_HEIGHTS}),
+            ("p2.a", {"points": [[FULL] * 2] * 16}),
+            ("p2.b", {"points": [[FULL] * 3] * 14}),
+            ("p3.a", {"circles": [[FULL] * 3] * 26}),
+            ("p3.b", {"circles": [[FULL] * 3] * 32}),
+            ("p4", {"rect_width": FULL, "circles": [[FULL] * 3] * 21}),
+        ],
+    )
+    def test_the_byte_limit_admits_the_largest_artifact_at_full_precision(self, pid, doc):
+        assert len(json.dumps(doc, indent=4)) <= get_problem(pid).max_artifact_bytes
 
     def test_short_list_still_gets_the_scorers_count_violation(self):
         problem = get_problem("p3.a")
