@@ -2,8 +2,9 @@
 
 The engine owns all state mutation. Every run lives in a run directory
 containing the config snapshot, a line-delimited JSON event log, per-solution
-code and logs, checkpoints, and the best artifact found. With the replay
-backend and a fixed master seed, two runs emit byte-identical event logs.
+code (with its logs and artifact when they hold something), checkpoints, and
+the best artifact found. With the replay backend and a fixed master seed,
+two runs emit byte-identical event logs.
 
 ``run`` builds a fresh ``RunState`` and ``resume`` loads the latest intact
 one; both hand it to ``_run_from``, which truncates the event log to the
@@ -161,21 +162,23 @@ class _Run:
         """Execute, parse and score one pending candidate, finalizing it in place."""
         launcher = self._idle_launchers.get()
         try:
-            outcome = sandbox.run_candidate(sol.code, self.config.limits, launcher)
+            outcome = sandbox.run_candidate(
+                sol.code, self.config.limits, launcher, self.problem.max_artifact_bytes
+            )
         finally:
             self._idle_launchers.put(launcher)
         self._store_logs(sol, outcome)
         sol.status = _EXECUTION_STATUS[outcome.status]
         if sol.status != STATUS_VALID:
             return sol
-        if outcome.artifact is None:
+        if outcome.artifact_size is None:
             sol.status = STATUS_INVALID_ARTIFACT
             sol.feedback = (sol.feedback or "") + "\nno artifact file was written"
             return sol
         limit = self.problem.max_artifact_bytes
         try:
-            if len(outcome.artifact) > limit:
-                raise ArtifactError(f"{len(outcome.artifact)} bytes, more than the {limit} allowed")
+            if outcome.artifact is None:  # too long for the sandbox to read
+                raise ArtifactError(f"{outcome.artifact_size} bytes, more than the {limit} allowed")
             report = self.problem.scorer(self.problem.parser(outcome.artifact))
         except ArtifactError as exc:
             sol.status = STATUS_INVALID_ARTIFACT
@@ -199,8 +202,15 @@ class _Run:
     def _store_logs(self, sol: Solution, outcome: sandbox.ExecutionOutcome) -> None:
         base = self.run_dir / "solutions" / sol.id
         base.with_suffix(".py").write_text(sol.code, encoding="utf-8")
-        base.with_suffix(".stdout").write_text(outcome.stdout, encoding="utf-8")
-        base.with_suffix(".stderr").write_text(outcome.stderr, encoding="utf-8")
+        # Only a log that holds something is stored, and ``evaluate`` stores
+        # only a valid artifact. A file that an earlier, killed evaluation of
+        # this candidate left goes: unseeded code may print something else.
+        for suffix, text in ((".stdout", outcome.stdout), (".stderr", outcome.stderr)):
+            if text:
+                base.with_suffix(suffix).write_text(text, encoding="utf-8")
+            else:
+                base.with_suffix(suffix).unlink(missing_ok=True)
+        base.with_suffix(".artifact.json").unlink(missing_ok=True)
         sol.log_ref = f"solutions/{sol.id}"
         tail = (outcome.stderr or outcome.stdout)[-FEEDBACK_TAIL_CHARS:]
         if outcome.status != sandbox.STATUS_OK:

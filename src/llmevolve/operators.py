@@ -240,8 +240,9 @@ def initialize_island(
     are recorded but never become roots.
 
     The ``init_population`` generation calls are drawn and keyed in order,
-    sent at once on a pool of their own, and applied in order, so the
-    result is the same as if they had been sent one after another.
+    sent at once (the first on this thread, the others on a pool of their
+    own), and applied in order, so the result is the same as if they had
+    been sent one after another.
     """
     if island.solutions:
         raise RuntimeError(f"island {island.id} is already initialized")
@@ -259,12 +260,18 @@ def initialize_island(
         _generation(island, config, backend, rngs, messages)
         for _ in range(config.init_population)
     ]
-    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
-        replies = [pool.submit(send) for _, send in calls]
-    for (member, _), reply in zip(calls, replies):
-        sol, _ = _offspring(
-            island, 0, member, reply.result, trivial_code, None, initial_prompt.id,
-            "initialization generation failed: ",
-        )
-        (pending if sol.status == STATUS_PENDING else failures).append(sol)
+    # Calls 1.. go to a pool of their own; call 0 goes out on this thread as
+    # it is applied, so a single call starts no thread.
+    pool = ThreadPoolExecutor(max_workers=len(calls) - 1) if len(calls) > 1 else None
+    try:
+        replies = [calls[0][1]] + [pool.submit(send).result for _, send in calls[1:]]
+        for (member, _), reply in zip(calls, replies):
+            sol, _ = _offspring(
+                island, 0, member, reply, trivial_code, None, initial_prompt.id,
+                "initialization generation failed: ",
+            )
+            (pending if sol.status == STATUS_PENDING else failures).append(sol)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return initial_prompt, pending, failures

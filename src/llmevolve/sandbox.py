@@ -7,9 +7,14 @@ candidate.py`` would, in its own fresh temporary directory and session,
 with stdin on ``/dev/null``, a best-effort memory ceiling (address-space
 rlimit), a ceiling on the size of each file it writes
 (``_launcher.FILE_SIZE_LIMIT``, which bounds the artifact and both logs) and
-the artifact output path in the environment. It exits without interpreter teardown, after
-the steps of CPython's shutdown that a candidate can observe; objects that a
-module other than ``__main__`` still holds are not finalised. The engine
+the artifact output path in the environment. It exits without interpreter
+teardown, after the steps of CPython's shutdown that a candidate can
+observe; objects that a module other than ``__main__`` still holds are not
+finalised. Its stdout and stderr are memfds where ``os`` has
+``memfd_create`` and unnamed temporary files elsewhere, so on Linux its logs
+create no file on disk; a running candidate's logs hold at most 2 ×
+``FILE_SIZE_LIMIT`` bytes of memory, freed when ``run_candidate`` returns.
+An artifact longer than the caller's limit is never read. The engine
 keeps the wall-clock deadline and kills the candidate's whole process group
 when it passes. Candidates of one launcher see its preloaded modules
 (``atexit``, ``gc``, ``json``, ``os``, ``resource``, ``signal``, ``socket``)
@@ -66,7 +71,8 @@ class ExecutionOutcome:
     stdout: str
     stderr: str
     wall_time: float
-    artifact: Optional[bytes] = None
+    artifact: Optional[bytes] = None  # None if there is none, or it is over the limit
+    artifact_size: Optional[int] = None  # None if the candidate left no regular file
 
 
 class LauncherError(Exception):
@@ -89,7 +95,7 @@ class Launcher:
 
     def _start(self, timeout: float) -> None:
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-        with tempfile.TemporaryFile() as errors:
+        with _log_file("launcher-errors") as errors:
             try:
                 with theirs:  # then the launcher holds the only other end
                     self.proc = subprocess.Popen(
@@ -173,6 +179,16 @@ def _kill_group(pid: int) -> None:
         pass
 
 
+def _log_file(name: str):
+    """An unnamed read-write file for a log: a memfd where ``os`` has one.
+
+    A memfd creates no inode on disk; its pages are freed when it closes.
+    """
+    if hasattr(os, "memfd_create"):
+        return open(os.memfd_create(name), "w+b")
+    return tempfile.TemporaryFile()
+
+
 def _read_log(fh) -> str:
     """The log's text, or its last ``LOG_CAP_BYTES`` after ``TRUNCATION_MARK``."""
     size = fh.seek(0, os.SEEK_END)
@@ -181,36 +197,42 @@ def _read_log(fh) -> str:
     return TRUNCATION_MARK + text if size > LOG_CAP_BYTES else text
 
 
-def _read_artifact(path: Path) -> Optional[bytes]:
-    """The artifact if the candidate left a regular file at ``path``, else None.
+def _read_artifact(path: Path, max_bytes: int) -> tuple[Optional[bytes], Optional[int]]:
+    """The artifact and its size if the candidate left a regular file at ``path``.
 
     The candidate decides what is there: a symlink is not followed, a FIFO
-    is not waited on, and at most ``FILE_SIZE_LIMIT`` bytes are read.
+    is not waited on, and a file over ``max_bytes`` is not read (its bytes
+    are None). Without a regular file, both are None.
     """
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
     except OSError:  # missing, a symlink, or not ours to read
-        return None
-    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        return None, None
+    info = os.fstat(fd)
+    size = info.st_size if stat.S_ISREG(info.st_mode) else None
+    if size is None or size > max_bytes:
         os.close(fd)
-        return None
-    with open(fd, "rb") as fh:
-        return fh.read(FILE_SIZE_LIMIT)
+        return None, size
+    with open(fd, "rb") as fh:  # what it held at the fstat, should it still grow
+        return fh.read(size), size
 
 
-def run_candidate(code: str, limits: ResourceLimits, launcher: Launcher) -> ExecutionOutcome:
+def run_candidate(
+    code: str, limits: ResourceLimits, launcher: Launcher, max_artifact_bytes: int = FILE_SIZE_LIMIT
+) -> ExecutionOutcome:
     """Execute one candidate on ``launcher`` and collect its logs and artifact.
 
     The candidate is written to a fresh temporary directory and run there
     with the artifact output path supplied via the environment. On timeout
-    the whole process group is killed, not only the candidate.
+    the whole process group is killed, not only the candidate. An artifact
+    over ``max_artifact_bytes`` is not read, only its size taken.
     """
     if not code:
         raise ValueError("candidate code is empty")
     with (
         tempfile.TemporaryDirectory(prefix="candidate-") as workdir,
-        tempfile.TemporaryFile() as out,
-        tempfile.TemporaryFile() as err,
+        _log_file("stdout") as out,
+        _log_file("stderr") as err,
     ):
         script = Path(workdir) / "candidate.py"
         script.write_text(code, encoding="utf-8")
@@ -245,10 +267,14 @@ def run_candidate(code: str, limits: ResourceLimits, launcher: Launcher) -> Exec
         else:
             status = STATUS_OK
 
+        artifact, size = None, None
+        if status == STATUS_OK:
+            artifact, size = _read_artifact(artifact_path, max_artifact_bytes)
         return ExecutionOutcome(
             status=status,
             stdout=stdout,
             stderr=stderr,
             wall_time=wall,
-            artifact=_read_artifact(artifact_path) if status == STATUS_OK else None,
+            artifact=artifact,
+            artifact_size=size,
         )

@@ -735,11 +735,33 @@ class TestEvaluateCandidate:
         assert sol.status == "invalid_artifact"
         assert sol.feedback == f"invalid artifact: {size} bytes, more than the {limit} allowed"
 
+    def test_a_clean_candidate_stores_only_its_code_and_artifact(self, tmp_path):
+        from conftest import packing_program
+
+        runner = self._runner(tmp_path)
+        assert runner.evaluate(self._pending(packing_program(26, 0.01))).status == "valid"
+        stored = sorted(p.name for p in (runner.run_dir / "solutions").iterdir())
+        assert stored == ["i0-s00000.artifact.json", "i0-s00000.py"]
+
+    def test_evaluating_again_leaves_no_file_of_the_first_evaluation(self, tmp_path):
+        # As after a resume: the killed run stored logs and an artifact that
+        # this evaluation of the same candidate does not produce.
+        runner = self._runner(tmp_path)
+        solutions = runner.run_dir / "solutions"
+        for suffix in (".stdout", ".stderr", ".artifact.json"):
+            (solutions / f"i0-s00000{suffix}").write_text("from the killed run")
+        sol = runner.evaluate(self._pending("import sys\nsys.exit(0)\n"))
+        assert sol.status == "invalid_artifact"
+        assert sorted(p.name for p in solutions.iterdir()) == ["i0-s00000.py"]
+
     def test_runtime_error_captured(self, tmp_path):
         runner = self._runner(tmp_path)
         sol = runner.evaluate(self._pending("raise RuntimeError('nope')\n"))
         assert sol.status == "runtime_error"
         assert "nope" in sol.feedback
+        solutions = runner.run_dir / "solutions"
+        assert sorted(p.name for p in solutions.iterdir()) == ["i0-s00000.py", "i0-s00000.stderr"]
+        assert "RuntimeError: nope" in (solutions / "i0-s00000.stderr").read_text()
 
     def test_close_reaps_every_launcher(self, tmp_path):
         from conftest import packing_program

@@ -1,6 +1,7 @@
 """Exploit/explore steps, crossover gating, island initialization."""
 
 import random
+import threading
 
 import pytest
 
@@ -169,6 +170,33 @@ class TestInitializeIsland:
         assert pending[0].code == "print('trivial')\n"
         assert len(failures) == 6
         assert all(f.status == STATUS_GENERATION_FAILED for f in failures)
+
+    @pytest.mark.parametrize("calls", [1, 4])
+    def test_the_first_set_up_call_goes_out_on_the_islands_thread(self, calls, monkeypatch):
+        from llmevolve import operators
+
+        pools = []
+
+        class CountingPool(operators.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        threads = {}
+
+        class ThreadRecording(ReplayBackend):
+            def complete(self, *args, **kwargs):
+                threads[kwargs["index"]] = threading.current_thread()
+                return super().complete(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "ThreadPoolExecutor", CountingPool)
+        backend = ThreadRecording({(0, i): fenced(f"print({i})\n") for i in range(calls)})
+        config = standard_config(init_population=calls)
+        _, pending, _ = initialize_island(IslandState(0, capacity=40), config, backend, BRIEF, "x", rngs())
+        assert len(pending) == calls + 1
+        assert pools == ([calls - 1] if calls > 1 else [])
+        assert threads[0] is threading.current_thread()
+        assert all(threads[i] is not threading.current_thread() for i in range(1, calls))
 
     def test_already_populated_island_rejected(self):
         config = standard_config()

@@ -45,7 +45,12 @@ def launcher(request):
 
 
 @pytest.fixture
-def run(launcher):
+def run(launcher, request, monkeypatch):
+    """Runs code on ``launcher``; with the indirect parameter ``"without_memfd"``,
+    logs take the path of a POSIX system that has no ``os.memfd_create``."""
+    if getattr(request, "param", None) == "without_memfd":
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+
     def run(code, limits=LIMITS):
         return run_candidate(code, limits, launcher)
 
@@ -144,6 +149,16 @@ def test_writing_past_the_file_size_limit_fails_only_that_candidate(run, target)
     assert run("print('next')\n").status == STATUS_OK
 
 
+def test_an_artifact_over_its_limit_is_not_read(launcher):
+    code = "import os\nwith open(os.environ['ARTIFACT_PATH'], 'wb') as fh:\n    fh.write(b'x' * 101)\n"
+    over = run_candidate(code, LIMITS, launcher, 100)
+    assert (over.status, over.artifact, over.artifact_size) == (STATUS_OK, None, 101)
+    at = run_candidate(code, LIMITS, launcher, 101)
+    assert (at.status, at.artifact, at.artifact_size) == (STATUS_OK, b"x" * 101, 101)
+    none = run_candidate("print('no artifact')\n", LIMITS, launcher, 100)
+    assert (none.status, none.artifact, none.artifact_size) == (STATUS_OK, None, None)
+
+
 def test_fresh_directory_per_candidate(run):
     code = (
         "import os, json\n"
@@ -191,6 +206,39 @@ def test_a_long_log_keeps_its_traceback(run):
     tail = outcome.stderr[-2000:]  # what the model sees as feedback
     assert "Traceback (most recent call last)" in tail
     assert tail.endswith("ValueError: the real failure\n")
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or not hasattr(os, "memfd_create"), reason="needs os.memfd_create and /proc"
+)
+@pytest.mark.parametrize(
+    "run, in_memory",
+    [pytest.param(None, True, id="memfd"), pytest.param("without_memfd", False, id="without_memfd")],
+    indirect=["run"],
+)
+def test_the_logs_are_memfds_where_os_has_them(run, in_memory):
+    outcome = run("import os\nprint(os.readlink('/proc/self/fd/1'))\nprint(os.readlink('/proc/self/fd/2'))\n")
+    assert outcome.status == STATUS_OK
+    targets = outcome.stdout.splitlines()
+    assert len(targets) == 2
+    assert [t.startswith("/memfd:") for t in targets] == [in_memory, in_memory]
+
+
+@pytest.mark.parametrize("run", ["without_memfd"], indirect=True)
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_nonzero_exit_captured_with_logs,
+        test_log_truncation_marked,
+        functools.partial(
+            test_writing_past_the_file_size_limit_fails_only_that_candidate, target="sys.stdout.buffer"
+        ),
+        lambda run: test_a_launcher_that_exits_at_start_is_a_spawn_error(),
+    ],
+    ids=["logs", "truncation", "file_size_limit", "launcher_start_error"],
+)
+def test_logs_without_memfd(run, check):
+    check(run)
 
 
 def test_empty_code_rejected(run):
