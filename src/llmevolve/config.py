@@ -121,23 +121,23 @@ def config_from_dict(doc: dict) -> RunConfig:
     doc = dict(doc)
     if "problem_id" not in doc:
         raise ConfigError("config must name a problem_id")
-    if "ablation" in doc and isinstance(doc["ablation"], str):
-        doc["ablation"] = AblationToggles.from_name(doc["ablation"])
-    elif isinstance(doc.get("ablation"), dict):
-        doc["ablation"] = AblationToggles(**doc["ablation"])
-    if isinstance(doc.get("limits"), dict):
-        doc["limits"] = ResourceLimits(**doc["limits"])
-    if isinstance(doc.get("ensemble"), dict):
-        ens = doc["ensemble"]
-        doc["ensemble"] = EnsembleConfig(
-            members=[EnsembleMember(**m) for m in ens.get("members", [])],
-            meta_model=MetaModel(**ens.get("meta_model", {"name": "flash"})),
-            retry=RetryPolicy(**ens.get("retry", {})),
-        )
-    if isinstance(doc.get("topology"), list):
-        doc["topology"] = [tuple(e) for e in doc["topology"]]
     try:
+        if "ablation" in doc and isinstance(doc["ablation"], str):
+            doc["ablation"] = AblationToggles.from_name(doc["ablation"])
+        elif isinstance(doc.get("ablation"), dict):
+            doc["ablation"] = AblationToggles(**doc["ablation"])
+        if isinstance(doc.get("limits"), dict):
+            doc["limits"] = ResourceLimits(**doc["limits"])
+        if isinstance(doc.get("ensemble"), dict):
+            ens = doc["ensemble"]
+            doc["ensemble"] = EnsembleConfig(
+                members=[EnsembleMember(**m) for m in ens.get("members", [])],
+                meta_model=MetaModel(**ens.get("meta_model", {"name": "flash"})),
+                retry=RetryPolicy(**ens.get("retry", {})),
+            )
+        if isinstance(doc.get("topology"), list):
+            doc["topology"] = [tuple(e) for e in doc["topology"]]
         return RunConfig(**doc)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -119,14 +119,3 @@ def apply_blocks(source: str, blocks: list[EditBlock]) -> str:
         text = text[:pos] + block.replace + text[pos + len(block.search):]
     return text
 
-
-def render_blocks(blocks: list[EditBlock]) -> str:
-    """Serialize blocks back to the marker grammar (parse round-trips)."""
-    parts = []
-    for block in blocks:
-        parts.append(
-            "\n".join(
-                [SEARCH_MARKER, block.search, DIVIDER_MARKER, block.replace, REPLACE_MARKER]
-            )
-        )
-    return "\n\n".join(parts)

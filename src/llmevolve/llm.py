@@ -8,13 +8,15 @@ A backend's ``complete`` may be called concurrently, for one island as for
 several, under distinct keys.
 
 Two backends ship with the package: an OpenAI-compatible chat-completions
-client over HTTP, and a replay backend that serves the scripted response
-under each key, for fully deterministic offline runs.
+client on ``urllib.request``, and a replay backend that serves the scripted
+response under each key, for fully deterministic offline runs. Either one
+returns text: a reply or transcript record without text is an error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import threading
@@ -64,6 +66,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         # YAML reads a sequence back as a list.
         self.backoff_seconds = tuple(self.backoff_seconds)
+        if self.max_attempts < 1:
+            raise ValueError("retry max_attempts must be >= 1")
+        if not all(math.isfinite(d) and d >= 0 for d in self.backoff_seconds):
+            raise ValueError("retry backoff_seconds must be finite and >= 0")
 
 
 @dataclass
@@ -106,39 +112,25 @@ def sample_model(config: EnsembleConfig, rng: random.Random) -> EnsembleMember:
     return config.members[-1]
 
 
+API_KEY_ENV = "LLMEVOLVE_API_KEY"
+HTTP_TIMEOUT_SECONDS = 120.0
+
 # Statuses that a retry cannot change: a bad request, key, model or URL.
 _HTTP_REJECTED = frozenset({400, 401, 403, 404})
 
 
 class HttpBackend:
-    """OpenAI-compatible chat-completions client.
+    """OpenAI-compatible chat-completions client on ``urllib.request``.
 
-    The API key comes from the environment (``LLMEVOLVE_API_KEY`` by
-    default); the base URL is configuration. Each calling thread has its own
-    ``requests.Session``, since a session is not promised to be thread-safe.
+    The API key comes from ``LLMEVOLVE_API_KEY``; the base URL is
+    configuration. Each call builds its own request and opens its own
+    connection, so calls share no state and may run on any thread. Proxies
+    come from ``http_proxy``, ``https_proxy`` and ``no_proxy``.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key_env: str = "LLMEVOLVE_API_KEY",
-        timeout: float = 120.0,
-    ):
-        import requests  # noqa: F401  (a missing package fails here, not at the first call)
-
+    def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
-        self.api_key = os.environ.get(api_key_env, "")
-        self.timeout = timeout
-        self._local = threading.local()
-
-    def _session(self):
-        """This thread's session, made on its first call."""
-        import requests
-
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
+        self.api_key = os.environ.get(API_KEY_ENV, "")
 
     def complete(
         self,
@@ -151,7 +143,10 @@ class HttpBackend:
         max_output_tokens: Optional[int] = None,
     ) -> str:
         """Send one chat-completions request; ``index`` is not needed over HTTP."""
-        import requests
+        # Not at module load: these load ssl, which adds ~3 MB to a replay run's peak RSS.
+        import http.client
+        import urllib.error
+        import urllib.request
 
         payload: dict = {
             "model": model,
@@ -161,21 +156,22 @@ class HttpBackend:
         }
         if max_output_tokens is not None:
             payload["max_tokens"] = max_output_tokens
-        headers = {"Authorization": f"Bearer {self.api_key}"}
+        headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
+        url = f"{self.base_url}/chat/completions"
         try:
-            resp = self._session().post(
-                f"{self.base_url}/chat/completions",
-                json=payload,
-                headers=headers,
-                timeout=self.timeout,
-            )
-            if resp.status_code in _HTTP_REJECTED:
-                raise RejectedError(f"{resp.status_code} {resp.reason} for {resp.url}")
-            resp.raise_for_status()
-            body = resp.json()
-            return body["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            data = json.dumps(payload, allow_nan=False).encode("utf-8")
+            request = urllib.request.Request(url, data=data, headers=headers)
+            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_SECONDS) as resp:
+                content = json.load(resp)["choices"][0]["message"]["content"]
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            error = RejectedError if exc.code in _HTTP_REJECTED else TransportError
+            raise error(f"{exc.code} {exc.reason} for {url}") from None
+        except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
             raise TransportError(str(exc)) from exc
+        if not isinstance(content, str):
+            raise TransportError(f"reply content is {type(content).__name__}, not text")
+        return content
 
 
 class ReplayBackend:
@@ -203,12 +199,14 @@ class ReplayBackend:
         responses: dict[tuple[int, int], str] = {}
         digests: dict[tuple[int, int], str] = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 rec = json.loads(line)
                 key = (int(rec.get("island", 0)), int(rec["index"]))
+                if not isinstance(rec["response"], str):
+                    raise ValueError(f"{path} line {lineno}: the response is not text")
                 responses[key] = rec["response"]
                 if "digest" in rec:
                     digests[key] = rec["digest"]

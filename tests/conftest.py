@@ -10,6 +10,7 @@ import pytest
 
 from llmevolve.config import RunConfig
 from llmevolve.core import STATUS_VALID, Solution
+from llmevolve.diffengine import DIVIDER_MARKER, REPLACE_MARKER, SEARCH_MARKER, EditBlock
 from llmevolve.sandbox import ResourceLimits
 
 FAST_INTERPRETER = [sys.executable, "-S"]
@@ -55,6 +56,14 @@ def write_transcript(
                 }
                 fh.write(json.dumps(rec) + "\n")
     return path
+
+
+def render_blocks(blocks: list[EditBlock]) -> str:
+    """Serialize blocks back to the marker grammar (parse round-trips)."""
+    return "\n\n".join(
+        "\n".join([SEARCH_MARKER, b.search, DIVIDER_MARKER, b.replace, REPLACE_MARKER])
+        for b in blocks
+    )
 
 
 def standard_config(**overrides) -> RunConfig:

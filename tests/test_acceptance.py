@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_solution, standard_config, write_transcript
+from conftest import make_solution, render_blocks, standard_config, write_transcript
 from llmevolve import engine
 from llmevolve.core import IslandState
 from llmevolve.problems import (
@@ -212,7 +212,6 @@ def test_criterion_8_diff_corpus():
         EditBlock,
         apply_blocks,
         parse_response,
-        render_blocks,
     )
 
     def blk(search, replace):

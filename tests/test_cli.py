@@ -45,9 +45,22 @@ class TestCmdRun:
         assert "best fitness" in result.output
         assert "reference objectives" in result.output
 
-    def test_missing_problem_id_is_config_error(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"epochs": 5},
+            {"problem_id": "p3.a", "ensemble": {"members": [{"name": "a", "weight": 0.5}]}},
+            {"problem_id": "p3.a", "limits": {"wall_seconds": -1, "memory_bytes": 1 << 30}},
+            {
+                "problem_id": "p3.a",
+                "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"max_attempts": 0}},
+            },
+        ],
+        ids=["missing_problem_id", "ensemble_weights", "negative_wall_seconds", "no_attempts"],
+    )
+    def test_invalid_config_is_config_error(self, runner, tmp_path, doc):
         path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump({"epochs": 5}))
+        path.write_text(yaml.safe_dump(doc))
         result = runner.invoke(
             main, ["run", "--config", str(path), "--run-dir", str(tmp_path / "r")]
         )

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import render_blocks
 from llmevolve.diffengine import (
     DiffApplyError,
     DiffParseError,
     EditBlock,
     apply_blocks,
     parse_response,
-    render_blocks,
 )
 
 

@@ -11,7 +11,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from conftest import standard_config
 from llmevolve import templates
+from llmevolve.core import STATUS_GENERATION_FAILED, IslandState
 from llmevolve.llm import (
     EnsembleConfig,
     EnsembleMember,
@@ -24,6 +26,7 @@ from llmevolve.llm import (
     meta_prompt,
     sample_model,
 )
+from llmevolve.operators import IslandRngs, initialize_island
 
 
 def two_model_config(**retry):
@@ -58,6 +61,17 @@ class TestEnsembleConfig:
             (0.8, 0.7, 0.95),
             (0.2, 0.7, 0.95),
         ]
+
+
+class TestRetryPolicy:
+    def test_at_least_one_attempt(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            RetryPolicy(max_attempts=0)
+
+    @pytest.mark.parametrize("backoff", [(0.5, -1.0), (float("nan"),), (float("inf"),)])
+    def test_back_off_is_finite_and_nonnegative(self, backoff):
+        with pytest.raises(ValueError, match="backoff_seconds"):
+            RetryPolicy(backoff_seconds=backoff)
 
 
 class TestSampleModel:
@@ -202,6 +216,14 @@ class TestReplayBackend:
         backend = ReplayBackend.from_file(path)
         assert backend.complete("m", [], 2) == "hello"
 
+    @pytest.mark.parametrize("response", [None, 42, ["text"]])
+    def test_from_file_rejects_a_response_that_is_not_text(self, tmp_path, response):
+        path = tmp_path / "t.jsonl"
+        records = [{"index": 0, "response": "ok"}, {"index": 1, "response": response}]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        with pytest.raises(ValueError, match="line 2"):
+            ReplayBackend.from_file(path)
+
     def test_state_round_trip(self):
         backend = ReplayBackend({(0, 0): "a", (0, 1): "b"})
         backend.complete("m", [], 0)
@@ -246,7 +268,7 @@ class ChatStub:
 
     def __init__(self):
         self.requests: list[tuple[str, dict, dict]] = []  # (path, headers, JSON body)
-        self.replies: list[tuple[int, dict]] = []  # (status, JSON body), in order
+        self.replies: list[tuple[int, object]] = []  # (status, JSON body or body -> JSON body), in order
         stub = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
@@ -254,6 +276,8 @@ class ChatStub:
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 stub.requests.append((self.path, dict(self.headers), body))
                 status, reply = stub.replies.pop(0)
+                if callable(reply):  # a reply made from the request body
+                    reply = reply(body)
                 data = json.dumps(reply).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -283,6 +307,7 @@ class TestHttpBackend:
     def stub(self, monkeypatch):
         monkeypatch.setenv("LLMEVOLVE_API_KEY", "test-key")
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        monkeypatch.setitem(sys.modules, "requests", None)  # the client needs no requests package
         stub = ChatStub()
         yield stub
         stub.close()
@@ -330,23 +355,30 @@ class TestHttpBackend:
         assert time.monotonic() - start < 0.4  # the first back-off is 0.5 s
         assert len(stub.requests) == 1
 
-    def test_each_thread_has_its_own_session(self, stub):
-        stub.replies += [(200, _chat_reply("one")), (200, _chat_reply("two"))]
+    @pytest.mark.parametrize(
+        "body", [_chat_reply(None), ["not", "an", "object"]], ids=["null_content", "not_an_object"]
+    )
+    def test_a_reply_without_text_fails_its_step(self, stub, body):
+        stub.replies += [(200, body)] * 2
+        config = standard_config(init_population=1, ensemble=two_model_config(max_attempts=2))
+        rngs = IslandRngs(*(random.Random(seed) for seed in range(3)))
+        _, pending, failures = initialize_island(
+            IslandState(0, capacity=40), config, HttpBackend(stub.url), "brief", "print(1)\n", rngs
+        )
+        assert [sol.code for sol in pending] == ["print(1)\n"]
+        assert [sol.status for sol in failures] == [STATUS_GENERATION_FAILED]
+        assert len(stub.requests) == 2  # retried, as a 500 is
+
+    def test_concurrent_calls_each_get_their_own_reply(self, stub):
+        n = 8
+        in_flight = threading.Barrier(n, timeout=5)
+
+        def echo_model(body):
+            in_flight.wait()  # no reply until all n requests have reached the server
+            return _chat_reply(body["model"])
+
+        stub.replies += [(200, echo_model)] * n
         backend = HttpBackend(stub.url)
-        meet = threading.Barrier(2, timeout=5)
-        seen = {}
-
-        def call(name):
-            meet.wait()  # both threads are alive at once
-            session = backend._session()
-            seen[name] = (session, backend.complete("m", MESSAGES, 0, index=0), backend._session())
-
-        threads = [threading.Thread(target=call, args=(name,)) for name in "ab"]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)
-        assert all(first is again for first, _, again in seen.values())
-        assert seen["a"][0] is not seen["b"][0]
-        assert sorted(reply for _, reply, _ in seen.values()) == ["one", "two"]
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            replies = list(pool.map(lambda i: backend.complete(f"m{i}", MESSAGES, i, index=0), range(n)))
+        assert replies == [f"m{i}" for i in range(n)]
