@@ -64,7 +64,10 @@ def cmd_run(config_path, run_dir, epochs, seed, backend, problem_id, ablation) -
         )
     except (ConfigError, KeyError, OSError) as exc:
         raise click.ClickException(f"invalid config: {exc}") from exc
-    summary = engine.run(cfg, run_dir)
+    try:
+        summary = engine.run(cfg, run_dir)
+    except ConfigError as exc:
+        raise click.ClickException(str(exc)) from exc
     _print_summary(summary)
 
 
@@ -74,14 +77,14 @@ def cmd_resume(run_dir) -> None:
     """Continue a checkpointed run to completion."""
     try:
         summary = engine.resume(run_dir)
-    except engine.CheckpointError as exc:
+    except (engine.CheckpointError, ConfigError) as exc:
         raise click.ClickException(str(exc)) from exc
     _print_summary(summary)
 
 
 @main.command("score")
 @click.argument("problem_id")
-@click.argument("artifact_path", type=click.Path(exists=True))
+@click.argument("artifact_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_score(problem_id, artifact_path) -> None:
     """Score an artifact file; exit 0 iff the construction is valid."""
     raw = Path(artifact_path).read_bytes()

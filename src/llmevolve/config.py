@@ -65,20 +65,30 @@ class RunConfig:
         problem = get_problem(self.problem_id)  # raises on unknown id
         if self.limits is None:
             self.limits = ResourceLimits(problem.wall_seconds, problem.memory_bytes)
-        for name in ("num_islands", "migration_every", "max_population",
-                     "init_population", "epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.num_inspirations < 0:
-            raise ConfigError("num_inspirations must be nonnegative")
+        for name, cls in (
+            ("ensemble", EnsembleConfig), ("limits", ResourceLimits), ("ablation", AblationToggles)
+        ):
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"{name} must be a mapping")
+        # Each count's least value; None leaves an optional count unset.
+        optional = {"max_ancestor_depth": 0, "sandbox_workers": 1}
+        for name, least in {"num_islands": 1, "migration_every": 1, "max_population": 1,
+                            "init_population": 1, "epochs": 1, "num_inspirations": 0,
+                            **optional}.items():
+            value = getattr(self, name)
+            if not (type(value) is int and value >= least or value is None and name in optional):
+                raise ConfigError(f"{name} must be an integer >= {least}")
+        if type(self.master_seed) is not int:
+            raise ConfigError("master_seed must be an integer")
         if not (0 < self.migration_rate <= 1):
             raise ConfigError("migration_rate must be in (0, 1]")
         if not (0 <= self.p_explore <= 1):
             raise ConfigError("p_explore must be in [0, 1]")
-        if self.max_ancestor_depth is not None and self.max_ancestor_depth < 0:
-            raise ConfigError("max_ancestor_depth must be nonnegative or unlimited")
         if self.backend not in ("replay", "http"):
             raise ConfigError(f"unknown backend: {self.backend!r}")
+        if not (isinstance(self.interpreter, list) and self.interpreter
+                and all(isinstance(arg, str) for arg in self.interpreter)):
+            raise ConfigError("interpreter must be a non-empty list of strings")
         self.neighbors()  # validates topology indices
 
     def neighbors(self) -> dict[int, list[int]]:
@@ -103,6 +113,13 @@ class RunConfig:
         else:
             raise ConfigError(f"unknown topology: {self.topology!r}")
         return {i: sorted(v) for i, v in adj.items()}
+
+    def migrates(self) -> bool:
+        return self.ablation.evolution and self.num_islands > 1
+
+    def migrations_before(self, epoch: int) -> int:
+        """Migrations done before ``epoch``; each ends an epoch that ``migration_every`` divides."""
+        return (epoch - 1) // self.migration_every if self.migrates() else 0
 
     def migrants_per_island(self, population_size: int) -> int:
         return math.ceil(self.migration_rate * population_size)

@@ -7,8 +7,13 @@ the best artifact found. With the replay backend and a fixed master seed,
 two runs emit byte-identical event logs.
 
 ``run`` builds a fresh ``RunState`` and ``resume`` loads the latest intact
-one; both hand it to ``_run_from``, which truncates the event log to the
-state's position and runs the remaining epochs.
+one; both build the backend first, so a missing or malformed replay
+transcript is a ``ConfigError`` before anything is written, and hand the
+state to ``_run_from``, which truncates the event log to the state's position
+and runs the remaining epochs. Each island step is one operator call, to
+``operators.evolve_step`` or, under the no-evolution ablation,
+``operators.no_evolution_step``; the operator decides the variation, and the
+engine evaluates and inserts its offspring.
 
 Islands share nothing between migrations, so each island runs as one job on
 its own thread up to the next barrier: a migration epoch, a requested stop,
@@ -35,14 +40,14 @@ import queue
 import random
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
 from . import llm, operators, sandbox
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .core import (
     STATUS_GENERATION_FAILED,
     STATUS_INVALID_ARTIFACT,
@@ -52,7 +57,6 @@ from .core import (
     STATUS_TIMEOUT,
     STATUS_VALID,
     IslandState,
-    Prompt,
     Solution,
 )
 from .operators import IslandRngs
@@ -121,9 +125,13 @@ def _solution_event(kind: str, sol: Solution, insert: str, **extra) -> dict:
 
 
 def make_backend(config: RunConfig, run_dir: Path):
-    if config.backend == "replay":
+    """The configured backend; a missing or malformed transcript is a ``ConfigError``."""
+    if config.backend != "replay":
+        return llm.HttpBackend(config.base_url)
+    try:
         return llm.ReplayBackend.from_file(run_dir / TRANSCRIPT_NAME)
-    return llm.HttpBackend(config.base_url)
+    except (OSError, ValueError) as exc:  # each names the transcript's path
+        raise ConfigError(f"cannot load the replay transcript: {exc}") from exc
 
 
 class _Run:
@@ -135,7 +143,7 @@ class _Run:
         self.backend = backend
         self.state = state
         self.problem: ProblemSpec = get_problem(config.problem_id)
-        self.migrating = config.ablation.evolution and config.num_islands > 1
+        self.migrating = config.migrates()
         (run_dir / "solutions").mkdir(parents=True, exist_ok=True)
         (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
         # Events past the checkpointed position belong to epochs run again.
@@ -242,14 +250,7 @@ class _Run:
 
     def _set_up(self, island: IslandState, rngs: IslandRngs) -> list[dict]:
         """Set up an empty island: generate and evaluate its roots; returns their events."""
-        _, pending, failures = operators.initialize_island(
-            island,
-            self.config,
-            self.backend,
-            self.problem.brief,
-            self.problem.trivial_code,
-            rngs,
-        )
+        _, pending, failures = operators.initialize_island(island, self.config, self.backend, rngs)
         for sol in pending:
             self._sandbox_pool.submit(self.evaluate, sol).result()
         events = []
@@ -262,23 +263,11 @@ class _Run:
             events.append(_solution_event("init", sol, insert))
         return events
 
-    def _step(self, island: IslandState, rngs: IslandRngs, epoch: int, crossover: bool) -> dict:
+    def _step(self, island: IslandState, rngs: IslandRngs, epoch: int) -> dict:
         """One epoch on one island: vary, evaluate, insert; returns its event."""
         cfg = self.config
-        if cfg.ablation.evolution:
-            outcome = operators.evolve_step(
-                island, cfg, self.backend, self.problem.brief, crossover, rngs, epoch
-            )
-        else:
-            outcome = operators.no_evolution_step(
-                island,
-                cfg,
-                self.backend,
-                self.problem.brief,
-                self.problem.trivial_code,
-                rngs,
-                epoch,
-            )
+        vary = operators.evolve_step if cfg.ablation.evolution else operators.no_evolution_step
+        outcome = vary(island, cfg, self.backend, rngs, epoch)
         sol = outcome.new_solution
         if sol.status == STATUS_PENDING:
             self._sandbox_pool.submit(self.evaluate, sol).result()
@@ -293,10 +282,6 @@ class _Run:
             inspirations=len(outcome.inspiration_ids),
         )
 
-    def migrations_done(self) -> int:
-        """Migrations done by the end of ``state.epoch``; each logs one record per island."""
-        return self.state.epoch // self.config.migration_every if self.migrating else 0
-
     def run_epochs(self, stop_after_epoch: Optional[int] = None) -> RunSummary:
         cfg = self.config
         state = self.state
@@ -307,15 +292,13 @@ class _Run:
                 last = min(last, -(-first // cfg.migration_every) * cfg.migration_every)
             if stop_after_epoch is not None:
                 last = min(last, max(first, stop_after_epoch))
-            # Crossover gates on migrations, and none happens before ``last``.
-            crossover = self.migrations_done() > 0 and cfg.ablation.inspirations
 
             def job(island: IslandState, rngs: IslandRngs) -> list[list[dict]]:
                 rows = [self._set_up(island, rngs) if first == 1 else []]
                 for epoch in range(first, last + 1):
                     if self._abort.is_set():  # the run failed elsewhere
                         break
-                    rows.append([self._step(island, rngs, epoch, crossover)])
+                    rows.append([self._step(island, rngs, epoch)])
                 return rows
 
             # Init events by island, then step events by epoch and island.
@@ -339,7 +322,7 @@ class _Run:
     # -- migration --
 
     def migrate(self, epoch: int) -> list[dict]:
-        """Copy each island's top eligible solutions to its ring neighbors; return the events."""
+        """Copy each island's top eligible solutions to its topology neighbors; return the events."""
         cfg = self.config
         state = self.state
         neighbors = cfg.neighbors()
@@ -358,29 +341,23 @@ class _Run:
             for dest_id in dests:
                 dest = state.islands[dest_id]
                 for sol in migrants:
-                    src_prompt = state.islands[source_id].lookup_prompt(
-                        sol.parent_prompt_id
-                    )
-                    prompt_copy = Prompt(
+                    prompt_copy = replace(
+                        state.islands[source_id].lookup_prompt(sol.parent_prompt_id),
                         id=dest.next_prompt_id(),
-                        text=src_prompt.text,
                         island_id=dest_id,
+                        parent_solution_id=None,
                         epoch_created=epoch,
                     )
                     dest.add_prompt(prompt_copy)
-                    copy = Solution(
+                    copy = replace(
+                        sol,
                         id=dest.next_solution_id(),
                         island_id=dest_id,
-                        code=sol.code,
                         parent_id=None,  # migrants root a fresh tree
                         parent_prompt_id=prompt_copy.id,
                         epoch_created=epoch,
                         metrics=dict(sol.metrics),
-                        fitness=sol.fitness,
-                        status=sol.status,
-                        log_ref=sol.log_ref,
                         has_migrated=False,
-                        feedback=sol.feedback,
                         provenance={"migrated_from": source_id, "original_id": sol.id},
                     )
                     dest.try_insert(copy)
@@ -452,6 +429,8 @@ class _Run:
 
     def summary(self, finished: bool) -> RunSummary:
         best = self.best_solution()
+        # Migrations done by the end of ``state.epoch``; each logs one record per island.
+        migrations = self.config.migrations_before(self.state.epoch + 1)
         counts: dict[str, int] = {}
         for island in self.state.islands:
             for sol in island.all_solutions():
@@ -463,7 +442,7 @@ class _Run:
             best_solution_id=best.id if best else None,
             best_fitness=best.fitness if best else 0.0,
             best_objective=best.metrics.get("objective") if best else None,
-            migration_events=self.config.num_islands * self.migrations_done(),
+            migration_events=self.config.num_islands * migrations,
             step_counts=counts,
             finished=finished,
         )
@@ -485,6 +464,8 @@ def run(
     """Execute a fresh run from epoch 1 to config.epochs in ``run_dir``."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    if backend is None:  # before the snapshot, so a bad transcript leaves no config behind
+        backend = make_backend(config, run_dir)
     _write_config_snapshot(config, run_dir)
     islands = [
         IslandState(i, capacity=config.max_population) for i in range(config.num_islands)
@@ -515,6 +496,8 @@ def resume(
     """
     run_dir = Path(run_dir)
     config, state = load_latest_checkpoint(run_dir)
+    if backend is None:
+        backend = make_backend(config, run_dir)
     return _run_from(config, run_dir, state, backend, stop_after_epoch)
 
 
@@ -522,8 +505,6 @@ def _run_from(
     config: RunConfig, run_dir: Path, state: RunState, backend, stop_after_epoch
 ) -> RunSummary:
     """Run ``state`` from its epoch: the one path behind ``run`` and ``resume``."""
-    if backend is None:
-        backend = make_backend(config, run_dir)
     runner = _Run(config, run_dir, backend, state)
     try:
         return runner.run_epochs(stop_after_epoch=stop_after_epoch)

@@ -42,6 +42,13 @@ class EmptyResponseError(RuntimeError):
     """The backend returned an empty payload where text was required."""
 
 
+def _check_sampling(temperature: float, top_p: float) -> None:
+    if not temperature >= 0:
+        raise ValueError("temperature must be >= 0")
+    if not (0 < top_p <= 1):
+        raise ValueError("top_p must be in (0, 1]")
+
+
 @dataclass
 class EnsembleMember:
     name: str
@@ -50,12 +57,23 @@ class EnsembleMember:
     top_p: float = 0.95
     max_output_tokens: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        _check_sampling(self.temperature, self.top_p)
+        if not self.weight >= 0:
+            raise ValueError(f"member {self.name!r} has a negative weight")
+        tokens = self.max_output_tokens
+        if tokens is not None and not (type(tokens) is int and tokens >= 1):
+            raise ValueError("max_output_tokens must be a positive integer or unset")
+
 
 @dataclass
 class MetaModel:
     name: str
     temperature: float = 0.7
     top_p: float = 0.95
+
+    def __post_init__(self) -> None:
+        _check_sampling(self.temperature, self.top_p)
 
 
 @dataclass
@@ -84,11 +102,6 @@ class EnsembleConfig:
         total = sum(m.weight for m in self.members)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"ensemble weights sum to {total}, expected 1")
-        for m in self.members:
-            if m.temperature < 0:
-                raise ValueError("temperature must be >= 0")
-            if not (0 < m.top_p <= 1):
-                raise ValueError("top_p must be in (0, 1]")
 
     @classmethod
     def default(cls) -> "EnsembleConfig":
@@ -196,17 +209,24 @@ class ReplayBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayBackend":
+        """Load a transcript; a malformed record is a ``ValueError`` that names its line."""
         responses: dict[tuple[int, int], str] = {}
         digests: dict[tuple[int, int], str] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
-                rec = json.loads(line)
-                key = (int(rec.get("island", 0)), int(rec["index"]))
-                if not isinstance(rec["response"], str):
-                    raise ValueError(f"{path} line {lineno}: the response is not text")
+                try:
+                    rec = json.loads(line)
+                    if not isinstance(rec, dict):
+                        raise ValueError("the record is not a JSON object")
+                    key = (rec.get("island", 0), rec.get("index"))
+                    if not all(type(i) is int for i in key):
+                        raise ValueError("the island and index are not both integers")
+                    if not isinstance(rec.get("response"), str):
+                        raise ValueError("the response is missing or not text")
+                except ValueError as exc:  # a JSONDecodeError too
+                    raise ValueError(f"{path} line {lineno}: {exc}") from None
                 responses[key] = rec["response"]
                 if "digest" in rec:
                     digests[key] = rec["digest"]

@@ -1,5 +1,11 @@
-"""Variation operators: depth exploitation, meta-prompting exploration and
-the no-evolution baseline.
+"""Variation operators: island initialization, depth exploitation,
+meta-prompting exploration and the no-evolution baseline.
+
+Each operator takes ``(island, config, backend, rngs)``, and a step also its
+epoch. The rest follows from the config: the problem's brief and trivial
+program, and whether inspirations join the prompt, which they do once the
+islands have exchanged migrants (``RunConfig.migrations_before``) unless the
+ablation turns them off.
 
 A step first flips the explore coin, then samples a parent, optional
 inspirations and the ancestor chain, builds the chat messages from them with
@@ -25,6 +31,7 @@ from .core import (
     Prompt,
     Solution,
 )
+from .problems import get_problem
 
 OP_EXPLOIT = "exploit"
 OP_EXPLORE = "explore"
@@ -118,15 +125,13 @@ def _offspring(
 
 
 def evolve_step(
-    island: IslandState,
-    config: RunConfig,
-    backend,
-    problem_brief: str,
-    crossover_enabled: bool,
-    rngs: IslandRngs,
-    epoch: int,
+    island: IslandState, config: RunConfig, backend, rngs: IslandRngs, epoch: int
 ) -> OperatorOutcome:
-    """Run one exploitation or exploration step on one island."""
+    """Run one exploitation or exploration step on one island.
+
+    Inspirations join the prompt once the islands have exchanged migrants.
+    """
+    brief = get_problem(config.problem_id).brief
     population = island.live()
     if not population:
         raise RuntimeError(f"island {island.id} has an empty population")
@@ -142,7 +147,7 @@ def evolve_step(
     else:
         parent = island.lookup(selection.uniform_sample(population, rngs.select))
         prompt_for_meta = island.lookup_prompt(parent.parent_prompt_id)
-        messages = templates.build_meta_messages(problem_brief, prompt_for_meta.text, parent.code)
+        messages = templates.build_meta_messages(brief, prompt_for_meta.text, parent.code)
         try:
             new_text = llm.meta_prompt(
                 config.ensemble, messages, backend, island.id, island.next_call_index()
@@ -173,12 +178,12 @@ def evolve_step(
             "uniform" if explore else "rank",
             rngs.select,
         )
-        if crossover_enabled
+        if config.ablation.inspirations and config.migrations_before(epoch) > 0
         else []
     )
 
     messages = templates.build_generation_messages(
-        problem_brief,
+        brief,
         prompt.text,
         parent.code,
         [a.code for a in ancestors],
@@ -193,20 +198,15 @@ def evolve_step(
 
 
 def no_evolution_step(
-    island: IslandState,
-    config: RunConfig,
-    backend,
-    problem_brief: str,
-    trivial_code: str,
-    rngs: IslandRngs,
-    epoch: int,
+    island: IslandState, config: RunConfig, backend, rngs: IslandRngs, epoch: int
 ) -> OperatorOutcome:
     """Table-style baseline: regenerate from the island's first (and only) prompt and program."""
+    problem = get_problem(config.problem_id)
     prompt = next(iter(island.prompts.values()))
-    messages = templates.build_generation_messages(problem_brief, prompt.text, trivial_code)
+    messages = templates.build_generation_messages(problem.brief, prompt.text, problem.trivial_code)
     sol, model = _offspring(
         island, epoch, *_generation(island, config, backend, rngs, messages),
-        trivial_code, None, prompt.id,
+        problem.trivial_code, None, prompt.id,
     )
     return OperatorOutcome(sol, OP_NO_EVOLUTION, model)
 
@@ -225,14 +225,9 @@ def _apply_response(parent_code: str, response: str) -> str:
 
 
 def initialize_island(
-    island: IslandState,
-    config: RunConfig,
-    backend,
-    problem_brief: str,
-    trivial_code: str,
-    rngs: IslandRngs,
+    island: IslandState, config: RunConfig, backend, rngs: IslandRngs
 ) -> tuple[Prompt, list[Solution], list[Solution]]:
-    """Seed an empty island from the initial prompt/solution pair.
+    """Seed an empty island from its problem's brief and trivial program.
 
     Returns (initial prompt, pending root solutions, failed generations).
     The trivial program is always the first pending root; each successful
@@ -246,16 +241,19 @@ def initialize_island(
     """
     if island.solutions:
         raise RuntimeError(f"island {island.id} is already initialized")
+    problem = get_problem(config.problem_id)
     initial_prompt = Prompt(
         id=island.next_prompt_id(),
-        text=problem_brief,
+        text=problem.brief,
         island_id=island.id,
         epoch_created=0,
     )
     island.add_prompt(initial_prompt)
-    pending = [_new_solution(island, 0, trivial_code, None, initial_prompt.id)]
+    pending = [_new_solution(island, 0, problem.trivial_code, None, initial_prompt.id)]
     failures: list[Solution] = []
-    messages = templates.build_generation_messages(problem_brief, initial_prompt.text, trivial_code)
+    messages = templates.build_generation_messages(
+        problem.brief, initial_prompt.text, problem.trivial_code
+    )
     calls = [
         _generation(island, config, backend, rngs, messages)
         for _ in range(config.init_population)
@@ -267,7 +265,7 @@ def initialize_island(
         replies = [calls[0][1]] + [pool.submit(send).result for _, send in calls[1:]]
         for (member, _), reply in zip(calls, replies):
             sol, _ = _offspring(
-                island, 0, member, reply, trivial_code, None, initial_prompt.id,
+                island, 0, member, reply, problem.trivial_code, None, initial_prompt.id,
                 "initialization generation failed: ",
             )
             (pending if sol.status == STATUS_PENDING else failures).append(sol)

@@ -55,8 +55,36 @@ class TestCmdRun:
                 "problem_id": "p3.a",
                 "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"max_attempts": 0}},
             },
+            {"problem_id": "p3.a", "ensemble": "flash"},
+            {"problem_id": "p3.a", "limits": [20, 1 << 30]},
+            {"problem_id": "p3.a", "ablation": 3},
+            {"problem_id": "p3.a", "epochs": 2.5},
+            {"problem_id": "p3.a", "sandbox_workers": -2},
+            {"problem_id": "p3.a", "sandbox_workers": 0},
+            {"problem_id": "p3.a", "interpreter": "python3"},
+            {"problem_id": "p3.a", "interpreter": []},
+            {
+                "problem_id": "p3.a",
+                "ensemble": {
+                    "members": [{"name": "a", "weight": 1.0}],
+                    "meta_model": {"name": "m", "temperature": -3, "top_p": 7},
+                },
+            },
+            {
+                "problem_id": "p3.a",
+                "ensemble": {"members": [{"name": "a", "weight": -0.5}, {"name": "b", "weight": 1.5}]},
+            },
+            {
+                "problem_id": "p3.a",
+                "ensemble": {"members": [{"name": "a", "weight": 1.0, "max_output_tokens": -5}]},
+            },
         ],
-        ids=["missing_problem_id", "ensemble_weights", "negative_wall_seconds", "no_attempts"],
+        ids=[
+            "missing_problem_id", "ensemble_weights", "negative_wall_seconds", "no_attempts",
+            "ensemble_name", "limits_list", "ablation_number", "fractional_epochs",
+            "negative_sandbox_workers", "zero_sandbox_workers", "interpreter_string",
+            "no_interpreter", "meta_sampling", "negative_weight", "negative_max_output_tokens",
+        ],
     )
     def test_invalid_config_is_config_error(self, runner, tmp_path, doc):
         path = tmp_path / "bad.yaml"
@@ -66,6 +94,22 @@ class TestCmdRun:
         )
         assert result.exit_code != 0
         assert "invalid config" in result.output
+
+    @pytest.mark.parametrize(
+        "transcript", [None, '{"index": 0}\n'], ids=["missing", "record_without_response"]
+    )
+    def test_a_bad_transcript_is_an_error_message(self, runner, tmp_path, transcript):
+        cfg = write_config(tmp_path / "config.yaml")
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        if transcript is not None:
+            (run_dir / "transcripts.jsonl").write_text(transcript)
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.startswith("Error: cannot load the replay transcript")
+        assert "transcripts.jsonl" in result.output
+        assert not (run_dir / "config.yaml").exists()
 
     def test_epochs_override(self, runner, tmp_path):
         cfg = write_config(tmp_path / "config.yaml")
@@ -90,8 +134,29 @@ class TestCmdRun:
         assert result.exit_code == 0, result.output
         assert "epochs run: 4" in result.output
 
+    def test_resume_with_a_bad_transcript_is_an_error_message(self, runner, tmp_path):
+        from llmevolve import engine
+        from llmevolve.config import load_config
+
+        cfg_path = write_config(tmp_path / "config.yaml")
+        run_dir = tmp_path / "run"
+        write_transcript(run_dir, num_islands=2, calls_per_island=30)
+        engine.run(load_config(cfg_path), run_dir, stop_after_epoch=2)
+        with open(run_dir / "transcripts.jsonl", "a") as fh:
+            fh.write('{"island": 0, "index": 99}\n')
+        result = runner.invoke(main, ["resume", "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "line 61: the response is missing or not text" in result.output
+
 
 class TestCmdScore:
+    def test_a_directory_is_a_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["score", "p3.a", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "is a directory" in result.output
+
     def test_valid_circle_file(self, runner, tmp_path):
         path = tmp_path / "artifact.json"
         path.write_text(json.dumps({"circles": [[0.5, 0.5, 0.5]]}))

@@ -225,10 +225,64 @@ class TestMigration:
         exported = (run_dir / "best" / "artifact.json").read_bytes()
         assert exported == (run_dir / "solutions" / f"{original}.artifact.json").read_bytes()
 
+    def test_a_migrant_copy_keeps_every_field_it_does_not_reset(self, tmp_path):
+        import dataclasses
+
+        from llmevolve.core import STATUS_VALID, IslandState, Prompt, Solution
+        from llmevolve.engine import RunState, _Run
+
+        @dataclasses.dataclass
+        class NotedSolution(Solution):  # a field that ``migrate`` does not name
+            note: str = ""
+
+        islands = [IslandState(i, capacity=40) for i in range(2)]
+        islands[0].add_prompt(Prompt("i0-p00000", "explored", 0, parent_solution_id="i0-s00009"))
+        original = NotedSolution(
+            "i0-s00000", 0, "print(1)\n", parent_id="i0-s00009", parent_prompt_id="i0-p00000",
+            epoch_created=2, metrics={"objective": 1.5}, fitness=1.5, status=STATUS_VALID,
+            log_ref="solutions/i0-s00000", feedback="tail", note="kept",
+        )
+        islands[0].try_insert(original)
+        runner = _Run(standard_config(num_islands=2), tmp_path, ReplayBackend({}), RunState(islands, []))
+        try:
+            runner.migrate(3)
+        finally:
+            runner.close()
+        [copy] = islands[1].solutions.values()
+        [prompt] = islands[1].prompts.values()
+        assert original.has_migrated
+        assert prompt == Prompt("i1-p00000", "explored", 1, epoch_created=3)
+        assert copy == NotedSolution(
+            "i1-s00000", 1, "print(1)\n", parent_prompt_id="i1-p00000", epoch_created=3,
+            metrics={"objective": 1.5}, fitness=1.5, status=STATUS_VALID,
+            log_ref="solutions/i0-s00000", feedback="tail", note="kept",
+            provenance={"migrated_from": 0, "original_id": "i0-s00000"},
+        )
+        assert copy.metrics is not original.metrics
+
     def test_ring_neighbors(self):
         cfg = standard_config(num_islands=5)
         neighbors = cfg.neighbors()
         assert neighbors == {0: [1, 4], 1: [0, 2], 2: [1, 3], 3: [2, 4], 4: [0, 3]}
+
+    @pytest.mark.parametrize(
+        "evolution, islands, every, counts",
+        [
+            (True, 5, 40, {1: 0, 39: 0, 40: 0, 41: 1, 80: 1, 81: 2, 100: 2}),
+            (True, 1, 40, {1: 0, 40: 0, 41: 0, 81: 0}),
+            (False, 5, 40, {1: 0, 40: 0, 41: 0, 81: 0}),
+            (False, 1, 40, {41: 0}),
+            (True, 5, 1, {1: 0, 2: 1, 3: 2}),
+        ],
+        ids=["evolution", "one_island", "no_evolution", "no_evolution_one_island", "every_epoch"],
+    )
+    def test_migrations_before(self, evolution, islands, every, counts):
+        from llmevolve.config import AblationToggles
+
+        cfg = standard_config(
+            num_islands=islands, migration_every=every, ablation=AblationToggles(evolution=evolution)
+        )
+        assert {epoch: cfg.migrations_before(epoch) for epoch in counts} == counts
 
 
 class TestResume:

@@ -27,6 +27,7 @@ from llmevolve.llm import (
     sample_model,
 )
 from llmevolve.operators import IslandRngs, initialize_island
+from llmevolve.problems import get_problem
 
 
 def two_model_config(**retry):
@@ -224,6 +225,29 @@ class TestReplayBackend:
         with pytest.raises(ValueError, match="line 2"):
             ReplayBackend.from_file(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "{not json",
+            '["a", "list"]',
+            '{"response": "ok"}',
+            '{"index": "1", "response": "ok"}',
+            '{"index": 1.5, "response": "ok"}',
+            '{"index": null, "response": "ok"}',
+            '{"island": true, "index": 1, "response": "ok"}',
+            '{"index": 1}',
+        ],
+        ids=[
+            "not_json", "not_an_object", "no_index", "string_index", "fractional_index",
+            "null_index", "boolean_island", "no_response",
+        ],
+    )
+    def test_from_file_names_the_line_of_a_malformed_record(self, tmp_path, line):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"index": 0, "response": "ok"}) + "\n\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"^{path} line 3: "):
+            ReplayBackend.from_file(path)
+
     def test_state_round_trip(self):
         backend = ReplayBackend({(0, 0): "a", (0, 1): "b"})
         backend.complete("m", [], 0)
@@ -362,10 +386,9 @@ class TestHttpBackend:
         stub.replies += [(200, body)] * 2
         config = standard_config(init_population=1, ensemble=two_model_config(max_attempts=2))
         rngs = IslandRngs(*(random.Random(seed) for seed in range(3)))
-        _, pending, failures = initialize_island(
-            IslandState(0, capacity=40), config, HttpBackend(stub.url), "brief", "print(1)\n", rngs
-        )
-        assert [sol.code for sol in pending] == ["print(1)\n"]
+        backend = HttpBackend(stub.url)
+        _, pending, failures = initialize_island(IslandState(0, capacity=40), config, backend, rngs)
+        assert [sol.code for sol in pending] == [get_problem(config.problem_id).trivial_code]
         assert [sol.status for sol in failures] == [STATUS_GENERATION_FAILED]
         assert len(stub.requests) == 2  # retried, as a 500 is
 

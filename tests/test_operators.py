@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from conftest import fenced, make_solution, standard_config
+from llmevolve.config import AblationToggles
 from llmevolve.core import (
     STATUS_GENERATION_FAILED,
     STATUS_PENDING,
@@ -20,8 +21,7 @@ from llmevolve.operators import (
     evolve_step,
     initialize_island,
 )
-
-BRIEF = "write a program"
+from llmevolve.problems import get_problem
 
 
 def rngs(seed=0):
@@ -54,7 +54,7 @@ class TestEvolveStep:
         for seed in range(10):
             island = seeded_island()
             backend = scripted_backend(fenced("print('new')\n"))
-            outcome = evolve_step(island, config, backend, BRIEF, False, rngs(seed), 1)
+            outcome = evolve_step(island, config, backend, rngs(seed), 1)
             assert outcome.operator == OP_EXPLOIT
             assert list(island.prompts) == ["i0-p00000"]
 
@@ -63,7 +63,7 @@ class TestEvolveStep:
         for seed in range(10):
             island = seeded_island()
             backend = scripted_backend("enriched prompt", fenced("print('new')\n"))
-            outcome = evolve_step(island, config, backend, BRIEF, False, rngs(seed), 1)
+            outcome = evolve_step(island, config, backend, rngs(seed), 1)
             assert outcome.operator == OP_EXPLORE
             new_prompt = island.lookup_prompt(outcome.new_solution.parent_prompt_id)
             assert new_prompt.id != "i0-p00000"
@@ -74,7 +74,7 @@ class TestEvolveStep:
         island = seeded_island(fitnesses=(0.9,))
         response = "<<<<<<< SEARCH\nprint(0)\n=======\nprint(42)\n>>>>>>> REPLACE"
         backend = scripted_backend(response)
-        outcome = evolve_step(island, config, backend, BRIEF, False, rngs(), 1)
+        outcome = evolve_step(island, config, backend, rngs(), 1)
         assert outcome.new_solution.code == "print(42)\n"
         assert outcome.new_solution.status == STATUS_PENDING
         assert outcome.new_solution.parent_id == "i0-s00000"
@@ -84,7 +84,7 @@ class TestEvolveStep:
         island = seeded_island(fitnesses=(0.9,))
         response = "<<<<<<< SEARCH\nnot in the code\n=======\nx\n>>>>>>> REPLACE"
         backend = scripted_backend(response)
-        outcome = evolve_step(island, config, backend, BRIEF, False, rngs(), 1)
+        outcome = evolve_step(island, config, backend, rngs(), 1)
         assert outcome.new_solution.status == STATUS_GENERATION_FAILED
         assert "generation failed" in outcome.new_solution.feedback
 
@@ -92,26 +92,36 @@ class TestEvolveStep:
         config = standard_config(p_explore=0.0)
         island = seeded_island()
         backend = scripted_backend(fenced("print('x')\n"))
-        outcome = evolve_step(island, config, backend, BRIEF, False, rngs(), 1)
+        outcome = evolve_step(island, config, backend, rngs(), config.migration_every)
         assert outcome.inspiration_ids == []
 
     def test_inspirations_present_when_gated_on(self):
         config = standard_config(p_explore=0.0, num_inspirations=3)
         island = seeded_island(fitnesses=(0.1, 0.3, 0.5, 0.7, 0.9))
         backend = scripted_backend(fenced("print('x')\n"))
-        outcome = evolve_step(island, config, backend, BRIEF, True, rngs(), 1)
+        outcome = evolve_step(island, config, backend, rngs(), config.migration_every + 1)
         assert len(outcome.inspiration_ids) == 3
         assert outcome.new_solution.parent_id not in outcome.inspiration_ids
 
-    def test_meta_prompting_off_never_explores(self):
-        from llmevolve.config import AblationToggles
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"num_islands": 1}, {"ablation": AblationToggles(inspirations=False)}],
+        ids=["one_island", "inspirations_off"],
+    )
+    def test_no_inspirations_where_the_config_rules_them_out(self, overrides):
+        config = standard_config(p_explore=0.0, num_inspirations=3, **overrides)
+        island = seeded_island(fitnesses=(0.1, 0.3, 0.5, 0.7, 0.9))
+        backend = scripted_backend(fenced("print('x')\n"))
+        outcome = evolve_step(island, config, backend, rngs(), config.migration_every + 1)
+        assert outcome.inspiration_ids == []
 
+    def test_meta_prompting_off_never_explores(self):
         config = standard_config(
             p_explore=1.0, ablation=AblationToggles(meta_prompting=False)
         )
         island = seeded_island()
         backend = scripted_backend(fenced("print('x')\n"))
-        outcome = evolve_step(island, config, backend, BRIEF, False, rngs(), 1)
+        outcome = evolve_step(island, config, backend, rngs(), 1)
         assert outcome.operator == OP_EXPLOIT
 
     def test_explore_fraction_matches_p_explore(self):
@@ -133,7 +143,7 @@ class TestEvolveStep:
             backend = ReplayBackend(
                 {(0, 0): "a prompt", (0, 1): fenced("print('x')\n")}
             )
-            outcome = evolve_step(island, config, backend, BRIEF, False, r, 1)
+            outcome = evolve_step(island, config, backend, r, 1)
             if outcome.operator == OP_EXPLORE:
                 explored += 1
             # Keep the island from growing unboundedly with explore prompts.
@@ -148,10 +158,8 @@ class TestInitializeIsland:
         backend = scripted_backend(
             *[fenced(f"print({i})\n") for i in range(6)]
         )
-        prompt, pending, failures = initialize_island(
-            island, config, backend, BRIEF, "print('trivial')\n", rngs()
-        )
-        assert prompt.text == BRIEF
+        prompt, pending, failures = initialize_island(island, config, backend, rngs())
+        assert prompt.text == get_problem(config.problem_id).brief
         assert len(pending) == 7  # trivial + 6 generated
         assert failures == []
         assert all(p.parent_id is None for p in pending)
@@ -163,11 +171,9 @@ class TestInitializeIsland:
         config = standard_config(init_population=6)
         island = IslandState(0, capacity=40)
         backend = scripted_backend(*["no code here at all"] * 6)
-        _, pending, failures = initialize_island(
-            island, config, backend, BRIEF, "print('trivial')\n", rngs()
-        )
+        _, pending, failures = initialize_island(island, config, backend, rngs())
         assert len(pending) == 1
-        assert pending[0].code == "print('trivial')\n"
+        assert pending[0].code == get_problem(config.problem_id).trivial_code
         assert len(failures) == 6
         assert all(f.status == STATUS_GENERATION_FAILED for f in failures)
 
@@ -192,7 +198,7 @@ class TestInitializeIsland:
         monkeypatch.setattr(operators, "ThreadPoolExecutor", CountingPool)
         backend = ThreadRecording({(0, i): fenced(f"print({i})\n") for i in range(calls)})
         config = standard_config(init_population=calls)
-        _, pending, _ = initialize_island(IslandState(0, capacity=40), config, backend, BRIEF, "x", rngs())
+        _, pending, _ = initialize_island(IslandState(0, capacity=40), config, backend, rngs())
         assert len(pending) == calls + 1
         assert pools == ([calls - 1] if calls > 1 else [])
         assert threads[0] is threading.current_thread()
@@ -202,4 +208,4 @@ class TestInitializeIsland:
         config = standard_config()
         island = seeded_island()
         with pytest.raises(RuntimeError):
-            initialize_island(island, config, scripted_backend(), BRIEF, "x", rngs())
+            initialize_island(island, config, scripted_backend(), rngs())
