@@ -2,22 +2,28 @@
 
 ``sandbox.Launcher`` starts this file as ``<interpreter> _launcher.py <fd>``,
 where ``<fd>`` is this process's end of an ``AF_UNIX`` ``SOCK_SEQPACKET``
-socket pair. One message per packet:
+socket pair, with the launcher's work directory as its working directory and
+the artifact path in its environment. One message per packet:
 
 * the launcher sends ``ready`` once its imports are done;
-* a request is a JSON object ``{"script", "env", "memory_bytes"}`` sent with
-  two file descriptors, the candidate's stdout and stderr;
-* for each request the launcher replies with the child's pid, then, once the
-  child has exited, its exit code (negative for a signal), both in ASCII.
+* a request is a JSON object ``{"script", "memory_bytes"}`` sent with two
+  file descriptors, the candidate's stdout and stderr;
+* for each request the child sends its own pid before it runs any of the
+  candidate's code, and the launcher sends the child's exit code (negative
+  for a signal) once the child has exited, both in ASCII.
 
-An empty read (the engine closed its end) ends the launcher. Before it
-serves, the launcher compiles its own source once, so each child inherits a
-parser and compiler that have already run. The child runs the script as
-``python <script>`` would, in a session of its own, under the address-space
-and file-size limits, and inherits the modules imported here. None of them
-holds random state (``random`` is not imported), so every child seeds its
-own generators. Stdlib only, and single-threaded (``threading`` is not
-imported either), since it forks.
+An empty read (the engine closed its end, or died) ends the launcher, which
+then removes its working directory, wherever a candidate may have moved it.
+Before it
+serves, the launcher compiles its own source once and sets ``SIGXFSZ`` back
+to its default, so each child inherits a parser and compiler that have
+already run, the work directory, the environment and that signal
+disposition. The child runs the script as ``python <script>`` would, in a
+session of its own, under the address-space and file-size limits, and
+inherits the modules imported here. None of them holds random state
+(``random`` is not imported), so every child seeds its own generators.
+Stdlib only, and single-threaded (``threading`` is not imported either),
+since it forks.
 
 The child exits through ``finish``, which follows CPython's shutdown up to
 the interpreter teardown and then calls ``os._exit``. The one difference
@@ -35,8 +41,8 @@ import socket
 import sys
 
 # Largest file a candidate may write, in bytes: its artifact and both logs.
-# Writing past it raises SIGXFSZ, which the child does not ignore as Python
-# does, so the candidate ends there.
+# Writing past it raises SIGXFSZ, which the launcher sets back to its default
+# for its children (Python ignores it), so the candidate ends there.
 FILE_SIZE_LIMIT = 32 << 20
 
 
@@ -50,12 +56,17 @@ def serve(sock: socket.socket) -> str | None:
         request = json.loads(msg)
         pid = os.fork()
         if pid == 0:
+            # The pid leads its own group before it is reported, and is
+            # reported before anything that can fail and before any
+            # candidate code runs, so the engine can always end the group,
+            # even if the candidate stops the launcher.
+            os.setsid()
+            sock.send(b"%d" % os.getpid())
             sock.close()
             enter_child(request, *fds)
             return request["script"]
         for fd in fds:
             os.close(fd)
-        sock.send(b"%d" % pid)
         _, status = os.waitpid(pid, 0)
         try:  # whatever the candidate left running in its group
             os.killpg(pid, signal.SIGKILL)
@@ -65,18 +76,14 @@ def serve(sock: socket.socket) -> str | None:
 
 
 def enter_child(request: dict, stdout: int, stderr: int) -> None:
-    """Give the forked child the candidate's logs, session, limits, directory and env."""
+    """Give the forked child the candidate's logs and limits."""
     os.dup2(stdout, 1)
     os.dup2(stderr, 2)
     os.close(stdout)
     os.close(stderr)
-    os.setsid()
     limit = request["memory_bytes"]
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_SIZE_LIMIT, FILE_SIZE_LIMIT))
-    signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
-    os.chdir(os.path.dirname(request["script"]))
-    os.environ.update(request["env"])
 
 
 def run_main(script: str) -> int:
@@ -153,6 +160,16 @@ if __name__ == "__main__":
     # Frozen objects stay out of each child's collections, including the one
     # at exit, which would otherwise copy most of the inherited heap.
     gc.freeze()
-    script = serve(socket.socket(fileno=int(sys.argv[1])))
+    signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
+    try:
+        script = serve(socket.socket(fileno=int(sys.argv[1])))
+    except ConnectionError:  # the engine died while a child ran
+        script = None
     if script is not None:
         finish(run_main(script))
+    import shutil  # after the last fork, so no candidate sees it
+
+    try:
+        shutil.rmtree(os.getcwd(), ignore_errors=True)
+    except FileNotFoundError:  # a candidate removed it
+        pass

@@ -37,6 +37,7 @@ class Solution:
     metrics: dict[str, float] = field(default_factory=dict)
     fitness: float = 0.0
     status: str = STATUS_PENDING
+    # Id of the solutions-log record that holds its code, logs and artifact.
     log_ref: Optional[str] = None
     has_migrated: bool = False
     # Truncated stdout/stderr tail carried along for prompt feedback.

@@ -1,19 +1,21 @@
 """Run orchestration: epoch loop, evaluation pipeline, migration, lifecycle.
 
 The engine owns all state mutation. Every run lives in a run directory
-containing the config snapshot, a line-delimited JSON event log, per-solution
-code (with its logs and artifact when they hold something), checkpoints, and
+containing the config snapshot, a line-delimited JSON event log, a
+line-delimited solutions log (one record per evaluation: the candidate's
+code, and its logs and artifact when they hold something), checkpoints, and
 the best artifact found. With the replay backend and a fixed master seed,
-two runs emit byte-identical event logs.
+two runs emit byte-identical event logs; the solutions log holds the same
+records in an order that depends on thread timing.
 
 ``run`` builds a fresh ``RunState`` and ``resume`` loads the latest intact
 one; both build the backend first, so a missing or malformed replay
 transcript is a ``ConfigError`` before anything is written, and hand the
-state to ``_run_from``, which truncates the event log to the state's position
-and runs the remaining epochs. Each island step is one operator call, to
-``operators.evolve_step`` or, under the no-evolution ablation,
-``operators.no_evolution_step``; the operator decides the variation, and the
-engine evaluates and inserts its offspring.
+state to ``_run_from``, which truncates the event and solutions logs to the
+state's positions and runs the remaining epochs. Each island step is one
+operator call, to ``operators.evolve_step`` or, under the no-evolution
+ablation, ``operators.no_evolution_step``; the operator decides the
+variation, and the engine evaluates and inserts its offspring.
 
 Islands share nothing between migrations, so each island runs as one job on
 its own thread up to the next barrier: a migration epoch, a requested stop,
@@ -22,12 +24,14 @@ sends the set-up's ``init_population`` model calls at once. Every model call
 carries the key ``(island, index)`` that the island assigned it, so replay
 does not depend on the order in which calls arrive. Jobs queue candidates,
 one at a time per island, on one FIFO pool of ``sandbox_workers`` threads,
-each of which runs them on an idle warm launcher (see
-``sandbox.Launcher``); ``close`` reaps the launchers. At the barrier the
-engine writes the jobs' buffered events in canonical order (init events by
-island, then step events by epoch and island), migrates if the epoch is a
-migration epoch, and writes one checkpoint per barrier. At the end of the
-run it exports ``best/``.
+each of which only runs them on an idle warm launcher (see
+``sandbox.Launcher``); the island's own thread then parses and scores the
+artifact and appends the candidate's record to the solutions log, under a
+lock. ``close`` reaps the launchers. At the barrier the engine writes the
+jobs' buffered events in canonical order (init events by island, then step
+events by epoch and island), migrates if the epoch is a migration epoch, and
+writes one checkpoint per barrier. At the end of the run it exports
+``best/``, taking the artifact from the best solution's record.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .operators import IslandRngs
 from .problems import ArtifactError, ProblemSpec, get_problem
 
 EVENT_LOG_NAME = "events.jsonl"
+SOLUTIONS_LOG_NAME = "solutions.jsonl"
 TRANSCRIPT_NAME = "transcripts.jsonl"
 CONFIG_SNAPSHOT_NAME = "config.yaml"
 FEEDBACK_TAIL_CHARS = 2000
@@ -90,6 +95,7 @@ class RunState:
     rngs: list[IslandRngs]
     epoch: int = 0
     event_log_pos: int = 0
+    solutions_log_pos: int = 0
 
 
 @dataclass
@@ -144,11 +150,14 @@ class _Run:
         self.state = state
         self.problem: ProblemSpec = get_problem(config.problem_id)
         self.migrating = config.migrates()
-        (run_dir / "solutions").mkdir(parents=True, exist_ok=True)
         (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-        # Events past the checkpointed position belong to epochs run again.
+        # Events and solution records past the checkpointed positions belong
+        # to epochs run again.
         self._event_fh = open(run_dir / EVENT_LOG_NAME, "a", encoding="utf-8")
         self._event_fh.truncate(state.event_log_pos)
+        self._solutions_fh = open(run_dir / SOLUTIONS_LOG_NAME, "ab")
+        self._solutions_fh.truncate(state.solutions_log_pos)
+        self._solutions_lock = threading.Lock()
         self._island_pool = ThreadPoolExecutor(max_workers=config.num_islands)
         workers = config.sandbox_workers or config.num_islands
         # Candidates wait in this pool's FIFO queue, so no island overtakes another.
@@ -166,23 +175,52 @@ class _Run:
 
     # -- evaluation --
 
-    def evaluate(self, sol: Solution) -> Solution:
-        """Execute, parse and score one pending candidate, finalizing it in place."""
+    def _execute(self, code: str) -> sandbox.ExecutionOutcome:
+        """Run ``code`` on an idle launcher: the sandbox pool's whole job."""
         launcher = self._idle_launchers.get()
         try:
-            outcome = sandbox.run_candidate(
-                sol.code, self.config.limits, launcher, self.problem.max_artifact_bytes
-            )
+            return sandbox.run_candidate(code, self.config.limits, launcher, self.problem.max_artifact_bytes)
         finally:
             self._idle_launchers.put(launcher)
-        self._store_logs(sol, outcome)
+
+    def evaluate(self, sol: Solution) -> Solution:
+        """Execute, parse and score one pending candidate, finalizing it in place.
+
+        Only the execution waits for a sandbox worker; the rest runs on the
+        caller's thread.
+        """
+        outcome = self._sandbox_pool.submit(self._execute, sol.code).result()
+        artifact = self._finalize(sol, outcome)
+        record = {"solution": sol.id, "code": sol.code}
+        for key, text in (("stdout", outcome.stdout), ("stderr", outcome.stderr), ("artifact", artifact)):
+            if text:
+                record[key] = text
+        line = (json.dumps(record) + "\n").encode("utf-8")
+        with self._solutions_lock:
+            self._solutions_fh.write(line)
+            self._solutions_fh.flush()
+        sol.log_ref = sol.id
+        return sol
+
+    def _finalize(self, sol: Solution, outcome: sandbox.ExecutionOutcome) -> Optional[str]:
+        """Set ``sol``'s status, feedback and score from ``outcome``; returns the
+        artifact as text if it is valid.
+
+        A valid artifact parses, so it is UTF-8; ``surrogateescape`` keeps
+        any other parser's bytes too, so the text round-trips byte for byte.
+        """
+        tail = (outcome.stderr or outcome.stdout)[-FEEDBACK_TAIL_CHARS:]
+        if outcome.status != sandbox.STATUS_OK:
+            sol.feedback = f"execution {outcome.status}:\n{tail}" if tail else f"execution {outcome.status}"
+        elif tail:
+            sol.feedback = tail
         sol.status = _EXECUTION_STATUS[outcome.status]
         if sol.status != STATUS_VALID:
-            return sol
+            return None
         if outcome.artifact_size is None:
             sol.status = STATUS_INVALID_ARTIFACT
             sol.feedback = (sol.feedback or "") + "\nno artifact file was written"
-            return sol
+            return None
         limit = self.problem.max_artifact_bytes
         try:
             if outcome.artifact is None:  # too long for the sandbox to read
@@ -191,40 +229,20 @@ class _Run:
         except ArtifactError as exc:
             sol.status = STATUS_INVALID_ARTIFACT
             sol.feedback = f"invalid artifact: {exc}"
-            return sol
+            return None
         except Exception as exc:  # a scorer fault fails this candidate, not the run
             sol.status = STATUS_INVALID_ARTIFACT
             sol.feedback = f"invalid artifact: scorer raised {type(exc).__name__}: {exc}"
-            return sol
-        if report.valid:
-            sol.metrics = dict(report.metrics)
-            sol.fitness = report.fitness
-            (self.run_dir / f"{sol.log_ref}.artifact.json").write_bytes(outcome.artifact)
-        else:
+            return None
+        if not report.valid:
             sol.status = STATUS_INVALID_ARTIFACT
             sol.feedback = "constraint violations: " + ", ".join(
                 f"{k}={v:.3g}" for k, v in sorted(report.violations.items())
             )
-        return sol
-
-    def _store_logs(self, sol: Solution, outcome: sandbox.ExecutionOutcome) -> None:
-        base = self.run_dir / "solutions" / sol.id
-        base.with_suffix(".py").write_text(sol.code, encoding="utf-8")
-        # Only a log that holds something is stored, and ``evaluate`` stores
-        # only a valid artifact. A file that an earlier, killed evaluation of
-        # this candidate left goes: unseeded code may print something else.
-        for suffix, text in ((".stdout", outcome.stdout), (".stderr", outcome.stderr)):
-            if text:
-                base.with_suffix(suffix).write_text(text, encoding="utf-8")
-            else:
-                base.with_suffix(suffix).unlink(missing_ok=True)
-        base.with_suffix(".artifact.json").unlink(missing_ok=True)
-        sol.log_ref = f"solutions/{sol.id}"
-        tail = (outcome.stderr or outcome.stdout)[-FEEDBACK_TAIL_CHARS:]
-        if outcome.status != sandbox.STATUS_OK:
-            sol.feedback = f"execution {outcome.status}:\n{tail}" if tail else f"execution {outcome.status}"
-        elif tail:
-            sol.feedback = tail
+            return None
+        sol.metrics = dict(report.metrics)
+        sol.fitness = report.fitness
+        return outcome.artifact.decode("utf-8", "surrogateescape")
 
     def _island_jobs(self, job) -> list:
         """Run ``job(island, rngs)`` for every island at once; results in island order.
@@ -252,7 +270,7 @@ class _Run:
         """Set up an empty island: generate and evaluate its roots; returns their events."""
         _, pending, failures = operators.initialize_island(island, self.config, self.backend, rngs)
         for sol in pending:
-            self._sandbox_pool.submit(self.evaluate, sol).result()
+            self.evaluate(sol)
         events = []
         for sol in pending + failures:
             if sol.status == STATUS_GENERATION_FAILED:
@@ -270,7 +288,7 @@ class _Run:
         outcome = vary(island, cfg, self.backend, rngs, epoch)
         sol = outcome.new_solution
         if sol.status == STATUS_PENDING:
-            self._sandbox_pool.submit(self.evaluate, sol).result()
+            self.evaluate(sol)
         return _solution_event(
             "step",
             sol,
@@ -377,6 +395,7 @@ class _Run:
     def checkpoint(self) -> Path:
         self._event_fh.flush()
         self.state.event_log_pos = (self.run_dir / EVENT_LOG_NAME).stat().st_size
+        self.state.solutions_log_pos = (self.run_dir / SOLUTIONS_LOG_NAME).stat().st_size
         payload = pickle.dumps({"config": self.config, "state": self.state})
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         path = self.run_dir / "checkpoints" / f"epoch_{self.state.epoch:05d}.ckpt"
@@ -408,10 +427,10 @@ class _Run:
         best_dir = self.run_dir / "best"
         best_dir.mkdir(exist_ok=True)
         (best_dir / "solution.py").write_text(best.code, encoding="utf-8")
-        # Migrant copies share the log_ref, and so the artifact, of their original.
-        artifact = self.run_dir / f"{best.log_ref}.artifact.json"
-        if artifact.exists():
-            (best_dir / "artifact.json").write_bytes(artifact.read_bytes())
+        # Migrant copies share the log_ref, and so the record, of their original.
+        artifact = self._record(best.log_ref).get("artifact")
+        if artifact is not None:
+            (best_dir / "artifact.json").write_bytes(artifact.encode("utf-8", "surrogateescape"))
         (best_dir / "summary.json").write_text(
             json.dumps(
                 {
@@ -426,6 +445,15 @@ class _Run:
             ),
             encoding="utf-8",
         )
+
+    def _record(self, solution_id: str) -> dict:
+        """The solutions-log record of ``solution_id``; empty if it has none."""
+        with open(self.run_dir / SOLUTIONS_LOG_NAME, "rb") as fh:
+            for line in fh:
+                record = json.loads(line)
+                if record["solution"] == solution_id:
+                    return record
+        return {}
 
     def summary(self, finished: bool) -> RunSummary:
         best = self.best_solution()
@@ -453,6 +481,7 @@ class _Run:
         for launcher in self._launchers:  # reaped, so their CPU time is counted
             launcher.close()
         self._event_fh.close()
+        self._solutions_fh.close()
 
 
 def run(

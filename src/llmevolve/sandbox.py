@@ -2,21 +2,33 @@
 
 Each sandbox worker owns one warm launcher: a long-lived interpreter,
 started from ``interpreter`` on first use, that forks a child per candidate
-(see ``_launcher.py``). The child runs the candidate as ``python
-candidate.py`` would, in its own fresh temporary directory and session,
-with stdin on ``/dev/null``, a best-effort memory ceiling (address-space
-rlimit), a ceiling on the size of each file it writes
-(``_launcher.FILE_SIZE_LIMIT``, which bounds the artifact and both logs) and
-the artifact output path in the environment. It exits without interpreter
-teardown, after the steps of CPython's shutdown that a candidate can
-observe; objects that a module other than ``__main__`` still holds are not
-finalised. Its stdout and stderr are memfds where ``os`` has
-``memfd_create`` and unnamed temporary files elsewhere, so on Linux its logs
-create no file on disk; a running candidate's logs hold at most 2 ×
-``FILE_SIZE_LIMIT`` bytes of memory, freed when ``run_candidate`` returns.
-An artifact longer than the caller's limit is never read. The engine
-keeps the wall-clock deadline and kills the candidate's whole process group
-when it passes. Candidates of one launcher see its preloaded modules
+(see ``_launcher.py``). Each launcher start makes one temporary work
+directory, the working directory of the launcher and of every child it
+forks; the artifact output path in it is in the launcher's environment, so
+the children inherit both. Before a candidate runs, its code overwrites the
+directory's ``candidate.py`` in place; after it, the directory is emptied
+but for that script, so every candidate of a launcher sees the same path
+and only its own script there, and the evaluation itself creates no file.
+A directory that cannot be emptied or prepared (the candidate removed or
+renamed it, swapped it for a symlink, or linked its script elsewhere)
+closes the launcher, which starts afresh in a new directory. A launcher
+removes its directory, wherever it now is, when the engine closes it or
+dies, and the engine removes what is left at its path.
+
+The child runs the candidate as ``python candidate.py`` would, in its own
+session, with stdin on ``/dev/null``, a best-effort memory ceiling
+(address-space rlimit) and a ceiling on the size of each file it writes
+(``_launcher.FILE_SIZE_LIMIT``, which bounds the artifact and both logs). It
+exits without interpreter teardown, after the steps of CPython's shutdown
+that a candidate can observe; objects that a module other than ``__main__``
+still holds are not finalised. Its stdout and stderr are memfds where
+``os`` has ``memfd_create`` and unnamed temporary files elsewhere, so on
+Linux its logs create no file on disk; a running candidate's logs hold at
+most 2 × ``FILE_SIZE_LIMIT`` bytes of memory, freed when ``run_candidate``
+returns. An artifact longer than the caller's limit is never read. The
+child reports its pid before any candidate code runs, and the engine keeps
+the wall-clock deadline and kills the candidate's whole process group when
+it passes. Candidates of one launcher see its preloaded modules
 (``atexit``, ``gc``, ``json``, ``os``, ``resource``, ``signal``, ``socket``)
 and share its string-hash seed. This is a resource sandbox, not a security
 sandbox: network access is not blocked. POSIX only; the interpreter must be
@@ -27,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import socket
 import stat
@@ -45,6 +58,11 @@ TRUNCATION_MARK = "...[truncated]\n"
 # How long a launcher may take to report a killed candidate's exit, and to
 # exit when closed, before it is killed: a stopped launcher does neither.
 KILL_GRACE_SECONDS = 1.0
+# How long a launcher may take to start, whatever the candidate's wall limit:
+# a start slowed by a loaded host does not fail the candidate that waits on it.
+START_TIMEOUT_SECONDS = 10.0
+SCRIPT_NAME = "candidate.py"
+ARTIFACT_NAME = "artifact.json"
 
 STATUS_OK = "ok"
 STATUS_NONZERO_EXIT = "nonzero_exit"
@@ -80,20 +98,37 @@ class LauncherError(Exception):
 
 
 class Launcher:
-    """One warm launcher process; serves one candidate at a time.
+    """One warm launcher process and its work directory; serves one candidate at a time.
 
-    It starts on first use and again on the next use after it dies, or after
-    it is discarded for not reporting a killed candidate's exit in time.
-    ``close`` ends it and reaps it, which adds its children's CPU time to
-    this process's ``RUSAGE_CHILDREN``.
+    It starts on first use and again on the next use after it dies, after it
+    is discarded for not reporting a killed candidate's exit in time, or after
+    it is closed because its work directory could not be prepared or emptied. Each start
+    makes a fresh work directory, which the launcher and its children use as
+    their working directory and which holds the script and the artifact
+    (``artifact_path``). ``close`` ends the launcher, reaps it, which adds its
+    children's CPU time to this process's ``RUSAGE_CHILDREN``, and removes
+    its work directory.
     """
 
     def __init__(self, interpreter: list[str]):
         self.interpreter = list(interpreter)
         self.proc: Optional[subprocess.Popen] = None
+        self.workdir: Optional[str] = None
+        self._workdir_id: Optional[tuple[int, int]] = None
         self._sock: Optional[socket.socket] = None
 
-    def _start(self, timeout: float) -> None:
+    @property
+    def script_path(self) -> str:
+        return os.path.join(self.workdir, SCRIPT_NAME)
+
+    @property
+    def artifact_path(self) -> str:
+        return os.path.join(self.workdir, ARTIFACT_NAME)
+
+    def _start(self) -> None:
+        self.workdir = tempfile.mkdtemp(prefix="candidate-")
+        info = os.stat(self.workdir)
+        self._workdir_id = (info.st_dev, info.st_ino)
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         with _log_file("launcher-errors") as errors:
             try:
@@ -104,12 +139,15 @@ class Launcher:
                         stdout=subprocess.DEVNULL,
                         stderr=errors,
                         pass_fds=[theirs.fileno()],
+                        cwd=self.workdir,
+                        env={**os.environ, ARTIFACT_PATH_ENV: self.artifact_path},
                     )
             except OSError as exc:
                 ours.close()
+                self.close()
                 raise LauncherError(str(exc)) from exc
             self._sock = ours
-            ours.settimeout(timeout)
+            ours.settimeout(START_TIMEOUT_SECONDS)
             try:
                 ready = ours.recv(16) == b"ready"
             except OSError:  # includes the timeout
@@ -121,10 +159,53 @@ class Launcher:
                     f"launcher exited with code {code} before it was ready" + (f": {text}" if text else "")
                 )
 
+    def prepare(self, code: bytes) -> None:
+        """Start the launcher if it is not running, and put ``code`` in its script.
+
+        The script is overwritten in place, never truncated to zero first,
+        and only while it is a regular file with no other link: a launcher
+        whose directory cannot take it is closed and tried once afresh.
+        """
+        for _ in range(2):
+            if self._sock is None:
+                self._start()
+            try:
+                return _overwrite(self.script_path, code)
+            except OSError as exc:
+                self.close()
+                error = exc
+        raise LauncherError(f"cannot write the candidate's script: {error}") from error
+
+    def clear(self) -> None:
+        """Empty the work directory but for its script, or close the launcher.
+
+        The directory must still be the one the launcher started in (the
+        candidate may have removed it, renamed it or swapped it for a
+        symlink) and every entry must go; otherwise the launcher is closed,
+        which removes its directory wherever it now is, and starts afresh on
+        next use.
+        """
+        if self._sock is None:  # lost under the candidate
+            return
+        try:
+            info = os.lstat(self.workdir)
+            if (info.st_dev, info.st_ino) != self._workdir_id:
+                raise FileNotFoundError(self.workdir)
+            with os.scandir(self.workdir) as entries:
+                for entry in entries:
+                    if entry.name == SCRIPT_NAME and entry.is_file(follow_symlinks=False):
+                        continue
+                    if entry.is_dir(follow_symlinks=False):
+                        shutil.rmtree(entry.path)
+                    else:
+                        os.unlink(entry.path)
+        except OSError:
+            self.close()
+
     def run(self, request: dict, stdout, stderr, timeout: float) -> tuple[Optional[int], bool]:
         """Run one candidate: its exit code (None if the launcher was lost) and whether it timed out."""
         if self._sock is None:
-            self._start(timeout)
+            self._start()
         sock = self._sock
         sock.settimeout(timeout)
         pid, timed_out = None, False
@@ -152,16 +233,20 @@ class Launcher:
         return code
 
     def close(self) -> None:
-        """End the launcher (it exits when its socket closes, or is killed) and reap it."""
-        if self._sock is None:
-            return
-        self._sock.close()
-        self._sock = None
-        try:
-            self.proc.wait(KILL_GRACE_SECONDS)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
+        """End the launcher (it exits when its socket closes, or is killed), reap it
+        and remove its work directory: the launcher removes it on its way out,
+        and this removes what is left at its path."""
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+            try:
+                self.proc.wait(KILL_GRACE_SECONDS)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait()
+        if self.workdir is not None:
+            _remove(self.workdir)
+            self.workdir = None
 
 
 def _recv_int(sock: socket.socket) -> int:
@@ -197,7 +282,35 @@ def _read_log(fh) -> str:
     return TRUNCATION_MARK + text if size > LOG_CAP_BYTES else text
 
 
-def _read_artifact(path: Path, max_bytes: int) -> tuple[Optional[bytes], Optional[int]]:
+def _overwrite(path: str, data: bytes) -> None:
+    """Write ``data`` over the file at ``path``, which must be absent or a
+    regular file with no other link; a symlink is not followed and a FIFO
+    is not waited on.
+
+    The file keeps its inode and is cut to length after the write, not
+    before: on ext4, truncating a file to zero makes its close flush it.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC, 0o644)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode) or info.st_nlink != 1:
+            raise OSError(f"{path} is not a regular file of its own")
+        if os.pwrite(fd, data, 0) != len(data):
+            raise OSError(f"short write to {path}")
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _remove(path: str) -> None:
+    """Remove a work directory, or the symlink a candidate left in its place."""
+    if os.path.islink(path):
+        os.unlink(path)
+    else:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+def _read_artifact(path: str, max_bytes: int) -> tuple[Optional[bytes], Optional[int]]:
     """The artifact and its size if the candidate left a regular file at ``path``.
 
     The candidate decides what is there: a symlink is not followed, a FIFO
@@ -222,28 +335,19 @@ def run_candidate(
 ) -> ExecutionOutcome:
     """Execute one candidate on ``launcher`` and collect its logs and artifact.
 
-    The candidate is written to a fresh temporary directory and run there
-    with the artifact output path supplied via the environment. On timeout
-    the whole process group is killed, not only the candidate. An artifact
-    over ``max_artifact_bytes`` is not read, only its size taken.
+    The candidate is written to the launcher's work directory and run there,
+    with the artifact output path supplied via the environment; afterwards
+    the directory is emptied but for the script. On timeout the whole
+    process group is killed, not only the candidate. An artifact over
+    ``max_artifact_bytes`` is not read, only its size taken.
     """
     if not code:
         raise ValueError("candidate code is empty")
-    with (
-        tempfile.TemporaryDirectory(prefix="candidate-") as workdir,
-        _log_file("stdout") as out,
-        _log_file("stderr") as err,
-    ):
-        script = Path(workdir) / "candidate.py"
-        script.write_text(code, encoding="utf-8")
-        artifact_path = Path(workdir) / "artifact.json"
-        request = {
-            "script": str(script),
-            "env": {ARTIFACT_PATH_ENV: str(artifact_path)},
-            "memory_bytes": limits.memory_bytes,
-        }
-        start = time.monotonic()
+    with _log_file("stdout") as out, _log_file("stderr") as err:
         try:
+            launcher.prepare(code.encode("utf-8"))
+            request = {"script": launcher.script_path, "memory_bytes": limits.memory_bytes}
+            start = time.monotonic()
             returncode, timed_out = launcher.run(request, out, err, limits.wall_seconds)
         except LauncherError as exc:
             return ExecutionOutcome(
@@ -269,7 +373,8 @@ def run_candidate(
 
         artifact, size = None, None
         if status == STATUS_OK:
-            artifact, size = _read_artifact(artifact_path, max_artifact_bytes)
+            artifact, size = _read_artifact(launcher.artifact_path, max_artifact_bytes)
+        launcher.clear()
         return ExecutionOutcome(
             status=status,
             stdout=stdout,

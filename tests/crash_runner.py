@@ -4,11 +4,12 @@
 
 For N = 1, 2, ... it prepares ``ROOT/kill-N`` (transcript only) and forks a
 child that runs ``engine.run`` there with ``CONFIG``. The child counts its
-durable writes (an event-log flush, a checkpoint ``fsync`` or ``os.replace``,
-a file under ``best/``), prints ``N <kind>`` after the N-th one and sends
-itself ``SIGKILL``. The first child that finishes without reaching its N-th
-write ends the loop; its directory is an uninterrupted run. The patches are
-applied only inside the children; nothing under ``src/`` knows about them.
+durable writes (an event-log flush, a solutions-log append, a checkpoint
+``fsync`` or ``os.replace``, a file under ``best/``), prints ``N <kind>``
+after the N-th one and sends itself ``SIGKILL``. The first child that
+finishes without reaching its N-th write ends the loop; its directory is an
+uninterrupted run. The patches are applied only inside the children; nothing
+under ``src/`` knows about them.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ def die_at_write(n: int) -> None:
         return path.parent.name == "best"
 
     patch(engine._Run, "_emit", "event")
+    patch(engine._Run, "evaluate", "solution")  # it returns once its record is appended
     patch(os, "fsync", "fsync")
     patch(os, "replace", "replace")
     patch(pathlib.Path, "write_text", "best", in_best)

@@ -4,11 +4,14 @@
 in the spirit of ALICE (Pillai et al., OSDI 2014): it enumerates the crash
 points between writes rather than sampling them. Each killed directory is
 then resumed, or run afresh where no checkpoint was written yet, and must
-give the uninterrupted run's ``events.jsonl``, ``best/`` and summary.
+give the uninterrupted run's ``events.jsonl``, ``best/`` and summary, and
+its ``solutions.jsonl`` once the records are sorted by solution id (their
+order depends on thread timing).
 """
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from collections import Counter
@@ -18,6 +21,12 @@ import crash_runner
 from llmevolve import engine
 
 RUNNER = Path(__file__).with_name("crash_runner.py")
+
+
+def sorted_records(run_dir: Path) -> list:
+    """The solutions log's records, sorted by solution id."""
+    lines = (run_dir / "solutions.jsonl").read_text(encoding="utf-8").splitlines()
+    return sorted((json.loads(line) for line in lines), key=lambda r: r["solution"])
 
 
 def test_a_run_killed_at_any_durable_write_resumes_to_the_uninterrupted_run(tmp_path):
@@ -30,9 +39,12 @@ def test_a_run_killed_at_any_durable_write_resumes_to_the_uninterrupted_run(tmp_
     )
     assert out.returncode == 0, out.stderr
     kills = [line.split() for line in out.stdout.splitlines()]
-    # 2 islands: 4 init, 8 step and 4 migration events; checkpoints at
-    # epochs 2 and 4; best/ holds solution.py, artifact.json and summary.json.
-    assert Counter(kind for _, kind in kills) == {"event": 16, "fsync": 2, "replace": 2, "best": 3}
+    # 2 islands: 4 init, 8 step and 4 migration events; 12 evaluated
+    # candidates; checkpoints at epochs 2 and 4; best/ holds solution.py,
+    # artifact.json and summary.json.
+    assert Counter(kind for _, kind in kills) == {
+        "event": 16, "solution": 12, "fsync": 2, "replace": 2, "best": 3
+    }
     assert [int(n) for n, _ in kills] == list(range(1, len(kills) + 1))
 
     straight_dir = tmp_path / "straight"
@@ -40,6 +52,7 @@ def test_a_run_killed_at_any_durable_write_resumes_to_the_uninterrupted_run(tmp_
     straight = engine.run(config, straight_dir)
     best = {p.name: p.read_bytes() for p in (straight_dir / "best").iterdir()}
     events = (straight_dir / "events.jsonl").read_bytes()
+    records = sorted_records(straight_dir)
     for n, kind in kills:
         run_dir = root / f"kill-{n}"
         if any((run_dir / "checkpoints").glob("epoch_*.ckpt")):
@@ -49,4 +62,5 @@ def test_a_run_killed_at_any_durable_write_resumes_to_the_uninterrupted_run(tmp_
         where = f"killed after write {n} ({kind})"
         assert summary == straight, where
         assert (run_dir / "events.jsonl").read_bytes() == events, where
+        assert sorted_records(run_dir) == records, where
         assert {p.name: p.read_bytes() for p in (run_dir / "best").iterdir()} == best, where

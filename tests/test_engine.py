@@ -23,6 +23,15 @@ def read_events(run_dir: Path):
         return [json.loads(line) for line in fh]
 
 
+def solution_records(run_dir: Path) -> dict:
+    """The solutions log's records by solution id; no id has two."""
+    with open(run_dir / "solutions.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    by_id = {r["solution"]: r for r in records}
+    assert len(by_id) == len(records)
+    return by_id
+
+
 def small_run(tmp_path, name="run", **overrides):
     run_dir = tmp_path / name
     cfg = standard_config(
@@ -152,6 +161,34 @@ class TestRun:
         assert "empty program" in failed.feedback
         assert failed.code == trivial
 
+    def test_a_run_logs_each_evaluated_candidate_once_and_makes_no_solutions_directory(self, tmp_path):
+        run_dir, _, _ = small_run(tmp_path)
+        assert not (run_dir / "solutions").exists()
+        _, state = load_latest_checkpoint(run_dir)
+        evaluated = {
+            s.id: s
+            for island in state.islands
+            for s in island.all_solutions()
+            if s.status != "generation_failed" and "original_id" not in s.provenance
+        }
+        records = solution_records(run_dir)
+        assert set(records) == set(evaluated)
+        for sid, record in records.items():
+            assert record["code"] == evaluated[sid].code
+            assert evaluated[sid].log_ref == sid
+
+    def test_best_artifact_is_the_bytes_the_candidate_wrote(self, tmp_path):
+        circles = [[(i % 6) / 6 + 0.08, (i // 6) / 6 + 0.08, 0.01] for i in range(26)]
+        raw = json.dumps({"note": "caf\u00e9 \u2713", "circles": circles}, indent=3, ensure_ascii=False)
+        raw = raw.encode("utf-8") + b"\r\n\t"
+        program = f"import os\nwith open(os.environ['ARTIFACT_PATH'], 'wb') as fh:\n    fh.write({raw!r})\n"
+        backend = ReplayBackend({(i, n): fenced(program) for i in (0, 1) for n in range(20)})
+        cfg = standard_config(num_islands=2, epochs=2, migration_every=2, init_population=2)
+        run_dir = tmp_path / "run"
+        summary = engine.run(cfg, run_dir, backend=backend)
+        assert summary.best_fitness == pytest.approx(0.26)
+        assert (run_dir / "best" / "artifact.json").read_bytes() == raw
+
     def test_config_snapshot_reloads_equal(self, tmp_path):
         from llmevolve.config import AblationToggles, load_config
         from llmevolve.llm import EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy
@@ -223,7 +260,7 @@ class TestMigration:
         original = best.provenance["original_id"]
         assert original.startswith("i1-")
         exported = (run_dir / "best" / "artifact.json").read_bytes()
-        assert exported == (run_dir / "solutions" / f"{original}.artifact.json").read_bytes()
+        assert exported == solution_records(run_dir)[original]["artifact"].encode("utf-8")
 
     def test_a_migrant_copy_keeps_every_field_it_does_not_reset(self, tmp_path):
         import dataclasses
@@ -695,10 +732,10 @@ class TestEvaluateCandidate:
         for runner in self.runners:
             runner.close()
 
-    def _runner(self, tmp_path, **overrides):
+    def _runner(self, tmp_path, solutions_log_pos=0, **overrides):
         cfg = standard_config(num_islands=1, **overrides)
         run_dir = tmp_path / "eval"
-        run_dir.mkdir()
+        run_dir.mkdir(exist_ok=True)
         from llmevolve.core import IslandState
         from llmevolve.llm import ReplayBackend
         from llmevolve.engine import _Run, RunState
@@ -708,6 +745,7 @@ class TestEvaluateCandidate:
         state = RunState(
             islands=[IslandState(0, capacity=cfg.max_population)],
             rngs=[IslandRngs(random.Random(0), random.Random(1), random.Random(2))],
+            solutions_log_pos=solutions_log_pos,
         )
         runner = _Run(cfg, run_dir, ReplayBackend({}), state)
         self.runners.append(runner)
@@ -794,28 +832,54 @@ class TestEvaluateCandidate:
 
         runner = self._runner(tmp_path)
         assert runner.evaluate(self._pending(packing_program(26, 0.01))).status == "valid"
-        stored = sorted(p.name for p in (runner.run_dir / "solutions").iterdir())
-        assert stored == ["i0-s00000.artifact.json", "i0-s00000.py"]
+        [stored] = solution_records(runner.run_dir).values()
+        assert sorted(stored) == ["artifact", "code", "solution"]
 
     def test_evaluating_again_leaves_no_file_of_the_first_evaluation(self, tmp_path):
-        # As after a resume: the killed run stored logs and an artifact that
-        # this evaluation of the same candidate does not produce.
-        runner = self._runner(tmp_path)
-        solutions = runner.run_dir / "solutions"
-        for suffix in (".stdout", ".stderr", ".artifact.json"):
-            (solutions / f"i0-s00000{suffix}").write_text("from the killed run")
+        # As after a resume: past the checkpointed position, the killed run
+        # logged this candidate with logs and an artifact that this
+        # evaluation of it does not produce.
+        kept = {"solution": "i0-s00009", "code": "print(9)\n", "stdout": "9\n"}
+        killed = {"solution": "i0-s00000", "code": "print(0)\n", "stdout": "from the killed run",
+                  "stderr": "from the killed run", "artifact": "from the killed run"}
+        checkpointed = (json.dumps(kept) + "\n").encode()
+        (tmp_path / "eval").mkdir()
+        (tmp_path / "eval" / "solutions.jsonl").write_bytes(checkpointed + (json.dumps(killed) + "\n").encode())
+        runner = self._runner(tmp_path, solutions_log_pos=len(checkpointed))
         sol = runner.evaluate(self._pending("import sys\nsys.exit(0)\n"))
         assert sol.status == "invalid_artifact"
-        assert sorted(p.name for p in solutions.iterdir()) == ["i0-s00000.py"]
+        assert solution_records(runner.run_dir) == {
+            "i0-s00009": kept,
+            "i0-s00000": {"solution": "i0-s00000", "code": "import sys\nsys.exit(0)\n"},
+        }
+
+    def test_a_valid_artifact_that_is_not_utf8_is_logged_byte_for_byte(self, tmp_path, monkeypatch):
+        from conftest import packing_program
+
+        runner = self._runner(tmp_path)
+        parser = runner.problem.parser
+        monkeypatch.setattr(runner.problem, "parser", lambda raw: parser(raw.rstrip(b"\xff")))
+        code = packing_program(26, 0.01) + (
+            'with open(os.environ["ARTIFACT_PATH"], "ab") as fh:\n    fh.write(b"\\xff")\n'
+        )
+        sol = runner.evaluate(self._pending(code))
+        assert sol.status == "valid"
+        [stored] = solution_records(runner.run_dir).values()
+        raw = stored["artifact"].encode("utf-8", "surrogateescape")
+        assert raw.endswith(b"}\xff")
+        assert json.loads(raw[:-1])["circles"][0] == [0.08, 0.08, 0.01]
+        runner.state.islands[0].try_insert(sol)
+        runner.export_best()
+        assert (runner.run_dir / "best" / "artifact.json").read_bytes() == raw
 
     def test_runtime_error_captured(self, tmp_path):
         runner = self._runner(tmp_path)
         sol = runner.evaluate(self._pending("raise RuntimeError('nope')\n"))
         assert sol.status == "runtime_error"
         assert "nope" in sol.feedback
-        solutions = runner.run_dir / "solutions"
-        assert sorted(p.name for p in solutions.iterdir()) == ["i0-s00000.py", "i0-s00000.stderr"]
-        assert "RuntimeError: nope" in (solutions / "i0-s00000.stderr").read_text()
+        [stored] = solution_records(runner.run_dir).values()
+        assert sorted(stored) == ["code", "solution", "stderr"]
+        assert "RuntimeError: nope" in stored["stderr"]
 
     def test_close_reaps_every_launcher(self, tmp_path):
         from conftest import packing_program
@@ -863,8 +927,9 @@ class TestSandboxFailures:
         assert summary.finished
         events = [r for r in read_events(run_dir) if r["type"] in ("init", "step")]
         assert [r["status"] for r in events] == ["runtime_error"] * 5
+        records = solution_records(run_dir)
         for r in events:
-            stderr = (run_dir / "solutions" / f"{r['solution']}.stderr").read_text()
+            stderr = records[r["solution"]]["stderr"]
             assert "/nonexistent/python" in stderr
 
     def test_resuming_a_finished_run_starts_no_launcher(self, tmp_path, monkeypatch):

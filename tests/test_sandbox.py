@@ -348,6 +348,147 @@ def test_a_candidate_that_stops_its_launcher_times_out():
         launcher.close()
 
 
+def test_a_candidate_that_stops_its_launcher_first_never_outlives_its_limit(tmp_path):
+    # The candidate's first statement stops its launcher; its pid has
+    # already reached the engine, so the group kill always ends it.
+    launcher = Launcher(FAST_INTERPRETER)
+    limits = ResourceLimits(wall_seconds=0.2, memory_bytes=1 << 30)
+    bound = limits.wall_seconds + sandbox.KILL_GRACE_SECONDS + 3.0
+    markers = [tmp_path / f"marker-{i}" for i in range(6)]
+    try:
+        for marker in markers:
+            code = (
+                "import os, signal, time\nos.kill(os.getppid(), signal.SIGSTOP)\n"
+                f"time.sleep(1.0)\nopen({str(marker)!r}, 'w').close()\n"
+            )
+            outcome = _bounded(lambda: run_candidate(code, limits, launcher), bound)
+            assert outcome.status == STATUS_TIMEOUT
+    finally:
+        if launcher.proc is not None:
+            launcher.proc.kill()
+        launcher.close()
+    time.sleep(1.2)
+    assert not any(marker.exists() for marker in markers)
+
+
+def test_a_child_whose_limits_cannot_be_set_fails_at_once(monkeypatch):
+    # Its exit code must not be taken for its pid, which would be killed.
+    kills = []
+    monkeypatch.setattr(sandbox, "_kill_group", kills.append)
+    launcher = Launcher(FAST_INTERPRETER)
+    try:
+        outcome = run_candidate("print('never')\n", ResourceLimits(1.0, 1 << 70), launcher)
+    finally:
+        launcher.close()
+    assert (outcome.status, kills) == (STATUS_NONZERO_EXIT, [])
+    assert "OverflowError" in outcome.stderr
+
+
+def test_a_slow_launcher_start_does_not_count_against_the_wall_limit():
+    sleepy = "import os, sys, time; time.sleep(1.0); os.execv(sys.executable, [sys.executable, '-S'] + sys.argv[1:])"
+    launcher = Launcher([sys.executable, "-S", "-c", sleepy])
+    try:
+        outcome = run_candidate("print('started')\n", ResourceLimits(0.5, 1 << 30), launcher)
+    finally:
+        launcher.close()
+    assert (outcome.status, outcome.stdout) == (STATUS_OK, "started\n")
+
+
+def test_one_work_directory_per_launcher_start(launcher, monkeypatch):
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def counted(*args, **kwargs):
+        made.append(mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", counted)
+    code = "import os\nprint(os.getcwd(), os.environ['ARTIFACT_PATH'])\n"
+    seen = {run_candidate(code, LIMITS, launcher).stdout for _ in range(3)}
+    assert len(made) == 1
+    assert seen == {f"{made[0]} {os.path.join(made[0], 'artifact.json')}\n"}
+    launcher.proc.kill()  # the launcher dies: the next candidate starts a new one
+    launcher.proc.wait()
+    assert run_candidate(code, LIMITS, launcher).status == STATUS_NONZERO_EXIT
+    assert run_candidate(code, LIMITS, launcher).status == STATUS_OK
+    assert len(made) == 2
+    assert not os.path.exists(made[0])
+    launcher.close()
+    assert not os.path.exists(made[1])
+
+
+def test_a_launcher_removes_its_directory_when_the_engine_dies(tmp_path):
+    engine = (
+        "import os, signal, sys\n"
+        "from llmevolve.sandbox import Launcher, ResourceLimits, run_candidate\n"
+        "launcher = Launcher([sys.executable, '-S'])\n"
+        "code = 'import os\\nprint(os.getcwd())\\nos.rename(os.getcwd(), os.getcwd() + \"-moved\")\\n'\n"
+        "moved = run_candidate(code, ResourceLimits(10.0, 1 << 30), launcher).stdout.strip() + '-moved'\n"
+        "run_candidate('print(1)\\n', ResourceLimits(10.0, 1 << 30), launcher)\n"
+        "print(moved, launcher.workdir, flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    src = str(Path(sandbox.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", engine], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30
+    )
+    assert out.returncode == -signal.SIGKILL, out.stderr
+    moved, workdir = out.stdout.split()
+    deadline = time.monotonic() + 5.0
+    while (os.path.exists(moved) or os.path.exists(workdir)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    # The renamed directory went with the launcher that it cost; the second
+    # launcher's went when the engine died.
+    assert not os.path.exists(moved)
+    assert not os.path.exists(workdir)
+
+
+_LISTING = (
+    "import json, os\n"
+    "names = sorted(os.listdir('.'))\n"
+    'with open(os.environ["ARTIFACT_PATH"], "w") as fh:\n'
+    "    json.dump(names, fh)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "mess",
+    [
+        "open('left.txt', 'w').write('x')\nos.makedirs('sub/deeper')\nopen('sub/deeper/f', 'w').write('y')\n"
+        "os.symlink('sub', 'link')\nopen(os.environ['ARTIFACT_PATH'], 'w').write('{}')\n",
+        "os.unlink('candidate.py')\nos.rmdir(os.getcwd())\n",
+        "os.unlink('candidate.py')\nos.symlink(os.path.join(OUTSIDE, 'outside.py'), 'candidate.py')\n",
+        "here = os.getcwd()\nos.unlink('candidate.py')\nos.rmdir(here)\nos.symlink(OUTSIDE, here)\n",
+        "os.link('candidate.py', os.path.join(OUTSIDE, str(os.getpid())))\n",
+    ],
+    ids=[
+        "files_and_subdirectory",
+        "removes_its_directory",
+        "script_swapped_for_symlink",
+        "directory_swapped_for_symlink",
+        "script_linked_outside",
+    ],
+)
+def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(launcher, mess, tmp_path):
+    (tmp_path / "outside").mkdir()
+    outside = tmp_path / "outside" / "outside.py"
+    outside.write_text("print('outside')\n")
+    code = "import os\n" + mess.replace("OUTSIDE", repr(str(outside.parent)))
+    fresh = Launcher(FAST_INTERPRETER)
+    try:
+        on_fresh = run_candidate(code, LIMITS, fresh).status
+    finally:
+        fresh.close()
+    assert on_fresh == STATUS_OK
+    assert run_candidate(code, LIMITS, launcher).status == on_fresh
+    probe = run_candidate(_LISTING, LIMITS, launcher)
+    assert probe.status == STATUS_OK
+    assert json.loads(probe.artifact) == ["candidate.py"]
+    assert outside.read_text() == "print('outside')\n"
+    for linked in set(outside.parent.iterdir()) - {outside}:
+        assert linked.read_text() == code
+
+
 def test_close_kills_a_launcher_that_does_not_exit():
     launcher = Launcher(FAST_INTERPRETER)
     try:
