@@ -6,24 +6,25 @@ socket pair, with the launcher's work directory as its working directory and
 the artifact path in its environment. One message per packet:
 
 * the launcher sends ``ready`` once its imports are done;
-* a request is a JSON object ``{"script", "memory_bytes"}`` sent with two
-  file descriptors, the candidate's stdout and stderr;
+* a request is a JSON object ``{"script", "memory_bytes", "cpu_seconds"}``
+  sent with two file descriptors, the candidate's stdout and stderr;
 * for each request the child sends its own pid before it runs any of the
   candidate's code, and the launcher sends the child's exit code (negative
   for a signal) once the child has exited, both in ASCII.
 
 An empty read (the engine closed its end, or died) ends the launcher, which
 then removes its working directory, wherever a candidate may have moved it.
-Before it
-serves, the launcher compiles its own source once and sets ``SIGXFSZ`` back
-to its default, so each child inherits a parser and compiler that have
-already run, the work directory, the environment and that signal
-disposition. The child runs the script as ``python <script>`` would, in a
-session of its own, under the address-space and file-size limits, and
-inherits the modules imported here. None of them holds random state
-(``random`` is not imported), so every child seeds its own generators.
-Stdlib only, and single-threaded (``threading`` is not imported either),
-since it forks.
+Before it serves, the launcher compiles its own source once and sets
+``SIGXFSZ`` back to its default, so each child inherits a parser and
+compiler that have already run, the work directory, the environment and
+that signal disposition. The child runs the script as ``python <script>``
+would, in a session of its own, under the address-space, CPU-time and
+file-size limits, and inherits the modules imported here. The CPU-time
+limit is the engine's backstop: only a candidate that outlives the engine's
+wall-clock deadline, because the engine died, can reach it. None of the
+imported modules holds random state (``random`` is not imported), so every
+child seeds its own generators. Stdlib only, and single-threaded
+(``threading`` is not imported either), since it forks.
 
 The child exits through ``finish``, which follows CPython's shutdown up to
 the interpreter teardown and then calls ``os._exit``. The one difference
@@ -83,6 +84,8 @@ def enter_child(request: dict, stdout: int, stderr: int) -> None:
     os.close(stderr)
     limit = request["memory_bytes"]
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    cpu = request["cpu_seconds"]
+    resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu))
     resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_SIZE_LIMIT, FILE_SIZE_LIMIT))
 
 

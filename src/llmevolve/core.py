@@ -1,12 +1,13 @@
 """Domain types for the evolutionary search: solutions, prompts, islands.
 
-An island owns a live population of solutions plus an append-only archive of
-everything that was ever evaluated there, so lineage queries keep working
-after an individual is evicted by population control.
+An island owns a live population of solutions, an archive of the evicted and
+rejected ones, pruned to the live solutions' ancestors so that lineage
+queries outlive eviction, and a count by status of every solution it took in.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -81,6 +82,7 @@ class IslandState:
         self.solutions: dict[str, Solution] = {}
         self.archive: dict[str, Solution] = {}
         self.prompts: dict[str, Prompt] = {}
+        self.status_counts: Counter[str] = Counter()
         self._solution_counter = 0
         self._prompt_counter = 0
         self._call_counter = 0
@@ -121,7 +123,8 @@ class IslandState:
         self.prompts[prompt.id] = prompt
 
     def archive_solution(self, solution: Solution) -> None:
-        """Record a solution that never enters (or leaves) the live set."""
+        """Record a solution that never enters the live set."""
+        self.status_counts[solution.status] += 1
         self.archive[solution.id] = solution
 
     def live(self) -> list[Solution]:
@@ -150,6 +153,19 @@ class IslandState:
             chain.append(sol)
         return chain
 
+    def prune(self) -> None:
+        """Keep only what a later step can read: the live solutions' archived
+        ancestors (only live solutions become parents), the first prompt and
+        the live solutions' prompts."""
+        reached = set(self.solutions)
+        for sol in self.live():
+            while sol.parent_id is not None and sol.parent_id not in reached:
+                reached.add(sol.parent_id)
+                sol = self.lookup(sol.parent_id)
+        self.archive = {sid: sol for sid, sol in self.archive.items() if sid in reached}
+        used = {next(iter(self.prompts), None)} | {sol.parent_prompt_id for sol in self.live()}
+        self.prompts = {pid: prompt for pid, prompt in self.prompts.items() if pid in used}
+
     # -- population control --
 
     def try_insert(self, candidate: Solution) -> InsertResult:
@@ -162,6 +178,7 @@ class IslandState:
         """
         if candidate.status == STATUS_PENDING:
             raise ValueError("candidate must be evaluated before insertion")
+        self.status_counts[candidate.status] += 1
         if len(self.solutions) < self.capacity:
             self.solutions[candidate.id] = candidate
             return InsertResult("inserted")

@@ -2,11 +2,11 @@
 
 The engine owns all state mutation. Every run lives in a run directory
 containing the config snapshot, a line-delimited JSON event log, a
-line-delimited solutions log (one record per evaluation: the candidate's
-code, and its logs and artifact when they hold something), checkpoints, and
-the best artifact found. With the replay backend and a fixed master seed,
-two runs emit byte-identical event logs; the solutions log holds the same
-records in an order that depends on thread timing.
+line-delimited solutions log (one record per generated candidate: its code,
+and its feedback, logs and artifact when they hold something), the newest
+two checkpoints, and the best artifact found. With the replay backend and a
+fixed master seed, two runs emit byte-identical event logs; the solutions
+log holds the same records in an order that depends on thread timing.
 
 ``run`` builds a fresh ``RunState`` and ``resume`` loads the latest intact
 one; both build the backend first, so a missing or malformed replay
@@ -29,9 +29,9 @@ each of which only runs them on an idle warm launcher (see
 artifact and appends the candidate's record to the solutions log, under a
 lock. ``close`` reaps the launchers. At the barrier the engine writes the
 jobs' buffered events in canonical order (init events by island, then step
-events by epoch and island), migrates if the epoch is a migration epoch, and
-writes one checkpoint per barrier. At the end of the run it exports
-``best/``, taking the artifact from the best solution's record.
+events by epoch and island), migrates if the epoch is a migration epoch,
+prunes each island and writes one checkpoint per barrier. At the end of the
+run it exports ``best/``, taking the artifact from the best solution's record.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import pickle
 import queue
 import random
 import threading
+from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -71,6 +72,8 @@ SOLUTIONS_LOG_NAME = "solutions.jsonl"
 TRANSCRIPT_NAME = "transcripts.jsonl"
 CONFIG_SNAPSHOT_NAME = "config.yaml"
 FEEDBACK_TAIL_CHARS = 2000
+CHECKPOINT_VERSION = 1
+KEPT_CHECKPOINTS = 2
 
 # Solution status after each sandbox outcome; a clean exit stays valid only
 # if its artifact parses and scores as valid.
@@ -84,7 +87,7 @@ _EXECUTION_STATUS = {
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint file is missing, truncated, or fails its digest."""
+    """A checkpoint file is missing, truncated, fails its digest, or predates version 1."""
 
 
 @dataclass
@@ -191,8 +194,13 @@ class _Run:
         """
         outcome = self._sandbox_pool.submit(self._execute, sol.code).result()
         artifact = self._finalize(sol, outcome)
+        self._log(sol, outcome.stdout, outcome.stderr, artifact)
+        return sol
+
+    def _log(self, sol: Solution, stdout: str = "", stderr: str = "", artifact: Optional[str] = None) -> None:
+        """Append ``sol``'s record: its code, and its feedback, logs and artifact if not empty."""
         record = {"solution": sol.id, "code": sol.code}
-        for key, text in (("stdout", outcome.stdout), ("stderr", outcome.stderr), ("artifact", artifact)):
+        for key, text in (("feedback", sol.feedback), ("stdout", stdout), ("stderr", stderr), ("artifact", artifact)):
             if text:
                 record[key] = text
         line = (json.dumps(record) + "\n").encode("utf-8")
@@ -200,7 +208,6 @@ class _Run:
             self._solutions_fh.write(line)
             self._solutions_fh.flush()
         sol.log_ref = sol.id
-        return sol
 
     def _finalize(self, sol: Solution, outcome: sandbox.ExecutionOutcome) -> Optional[str]:
         """Set ``sol``'s status, feedback and score from ``outcome``; returns the
@@ -274,6 +281,7 @@ class _Run:
         events = []
         for sol in pending + failures:
             if sol.status == STATUS_GENERATION_FAILED:
+                self._log(sol)
                 island.archive_solution(sol)
                 insert = "not_attempted"
             else:
@@ -289,6 +297,8 @@ class _Run:
         sol = outcome.new_solution
         if sol.status == STATUS_PENDING:
             self.evaluate(sol)
+        else:
+            self._log(sol)
         return _solution_event(
             "step",
             sol,
@@ -393,12 +403,16 @@ class _Run:
     # -- checkpointing --
 
     def checkpoint(self) -> Path:
+        """Write the pruned state, a digest line and a pickle; keep the newest ``KEPT_CHECKPOINTS``."""
+        for island in self.state.islands:
+            island.prune()
         self._event_fh.flush()
         self.state.event_log_pos = (self.run_dir / EVENT_LOG_NAME).stat().st_size
         self.state.solutions_log_pos = (self.run_dir / SOLUTIONS_LOG_NAME).stat().st_size
-        payload = pickle.dumps({"config": self.config, "state": self.state})
+        payload = pickle.dumps({"version": CHECKPOINT_VERSION, "config": self.config, "state": self.state})
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        path = self.run_dir / "checkpoints" / f"epoch_{self.state.epoch:05d}.ckpt"
+        checkpoints = self.run_dir / "checkpoints"
+        path = checkpoints / f"epoch_{self.state.epoch:05d}.ckpt"
         # Written whole under a name outside the ``epoch_*.ckpt`` glob, then
         # renamed, so a crash never leaves a partial newest checkpoint.
         tmp = path.with_suffix(".tmp")
@@ -410,14 +424,16 @@ class _Run:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
+        for old in sorted(checkpoints.glob("epoch_*.ckpt"))[:-KEPT_CHECKPOINTS]:
+            old.unlink()
         return path
 
     # -- reporting --
 
     def best_solution(self) -> Optional[Solution]:
-        """The fittest valid solution; the first found on a tie."""
+        """The fittest valid live solution (none archived is fitter); the first found on a tie."""
         islands = self.state.islands
-        valid = (s for i in islands for s in i.all_solutions() if s.status == STATUS_VALID)
+        valid = (s for i in islands for s in i.solutions.values() if s.status == STATUS_VALID)
         return max(valid, key=lambda s: s.fitness, default=None)
 
     def export_best(self) -> None:
@@ -459,10 +475,9 @@ class _Run:
         best = self.best_solution()
         # Migrations done by the end of ``state.epoch``; each logs one record per island.
         migrations = self.config.migrations_before(self.state.epoch + 1)
-        counts: dict[str, int] = {}
+        counts: Counter[str] = Counter()
         for island in self.state.islands:
-            for sol in island.all_solutions():
-                counts[sol.status] = counts.get(sol.status, 0) + 1
+            counts.update(island.status_counts)
         return RunSummary(
             problem_id=self.config.problem_id,
             epochs_run=self.state.epoch,
@@ -471,7 +486,7 @@ class _Run:
             best_fitness=best.fitness if best else 0.0,
             best_objective=best.metrics.get("objective") if best else None,
             migration_events=self.config.num_islands * migrations,
-            step_counts=counts,
+            step_counts=dict(counts),
             finished=finished,
         )
 
@@ -561,38 +576,9 @@ def load_checkpoint(path: Path) -> tuple[RunConfig, RunState]:
     if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
         raise CheckpointError(f"checkpoint {path} failed its integrity check")
     doc = pickle.loads(payload)
-    return doc["config"], _declared_state(doc["state"])
-
-
-def _declared(cls, old, **init):
-    """A fresh ``cls(**init)`` that takes ``old``'s value of each other field it declares."""
-    new = cls(**init)
-    held = vars(old)
-    for name in vars(new).keys() - init.keys():
-        if name in held:
-            setattr(new, name, held[name])
-    return new
-
-
-def _declared_state(old: RunState) -> RunState:
-    """``old`` rebuilt from the fields that ``RunState``, ``IslandState`` and
-    ``Solution`` declare today, so that a field an older checkpoint held is
-    not pickled again into every later one.
-
-    An older checkpoint kept each island's next model-call index in the
-    replay backend's counters (``backend_state``); those become the islands'.
-    """
-    counters = vars(old).get("backend_state") or {}
-    islands = []
-    for island in old.islands:
-        new = _declared(IslandState, island, island_id=island.id, capacity=island.capacity)
-        if "_call_counter" not in vars(island):
-            new._call_counter = counters.get(island.id, 0)
-        for pool in (new.solutions, new.archive):
-            for sid, sol in pool.items():
-                pool[sid] = _declared(Solution, sol, id=sol.id, island_id=sol.island_id, code=sol.code)
-        islands.append(new)
-    return _declared(RunState, old, islands=islands, rngs=old.rngs)
+    if doc.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint {path} predates version {CHECKPOINT_VERSION} and cannot be resumed")
+    return doc["config"], doc["state"]
 
 
 def _write_config_snapshot(config: RunConfig, run_dir: Path) -> None:

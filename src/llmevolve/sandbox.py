@@ -28,9 +28,11 @@ most 2 × ``FILE_SIZE_LIMIT`` bytes of memory, freed when ``run_candidate``
 returns. An artifact longer than the caller's limit is never read. The
 child reports its pid before any candidate code runs, and the engine keeps
 the wall-clock deadline and kills the candidate's whole process group when
-it passes. Candidates of one launcher see its preloaded modules
-(``atexit``, ``gc``, ``json``, ``os``, ``resource``, ``signal``, ``socket``)
-and share its string-hash seed. This is a resource sandbox, not a security
+it passes. Should the engine die first, a CPU-time rlimit (``cpu_seconds``)
+ends a busy candidate; a sleeping one lives until its sleep ends.
+Candidates of one launcher see its preloaded modules (``atexit``, ``gc``,
+``json``, ``os``, ``resource``, ``signal``, ``socket``) and share its
+string-hash seed. This is a resource sandbox, not a security
 sandbox: network access is not blocked. POSIX only; the interpreter must be
 Python 3.10 or later.
 """
@@ -38,6 +40,7 @@ Python 3.10 or later.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import signal
@@ -100,14 +103,14 @@ class LauncherError(Exception):
 class Launcher:
     """One warm launcher process and its work directory; serves one candidate at a time.
 
-    It starts on first use and again on the next use after it dies, after it
-    is discarded for not reporting a killed candidate's exit in time, or after
-    it is closed because its work directory could not be prepared or emptied. Each start
-    makes a fresh work directory, which the launcher and its children use as
-    their working directory and which holds the script and the artifact
-    (``artifact_path``). ``close`` ends the launcher, reaps it, which adds its
-    children's CPU time to this process's ``RUSAGE_CHILDREN``, and removes
-    its work directory.
+    It starts on first use and again on the next use after it dies (under a
+    candidate or while idle), after it is discarded for not reporting a
+    killed candidate's exit in time, or after it is closed because its work
+    directory could not be prepared or emptied. Each start makes a fresh work
+    directory, which the launcher and its children use as their working
+    directory and which holds the script and the artifact (``artifact_path``).
+    ``close`` ends the launcher, reaps it, which adds its children's CPU time
+    to this process's ``RUSAGE_CHILDREN``, and removes its work directory.
     """
 
     def __init__(self, interpreter: list[str]):
@@ -166,6 +169,8 @@ class Launcher:
         and only while it is a regular file with no other link: a launcher
         whose directory cannot take it is closed and tried once afresh.
         """
+        if self.proc is not None and self.proc.poll() is not None:  # died while idle
+            self.close()
         for _ in range(2):
             if self._sock is None:
                 self._start()
@@ -330,6 +335,12 @@ def _read_artifact(path: str, max_bytes: int) -> tuple[Optional[bytes], Optional
         return fh.read(size), size
 
 
+def cpu_seconds(limits: ResourceLimits) -> int:
+    """The candidate's CPU-time ceiling: more than all cores can use before
+    its wall deadline, so it only ends a candidate that outlives the engine."""
+    return math.ceil(limits.wall_seconds * (os.cpu_count() or 1)) + 1
+
+
 def run_candidate(
     code: str, limits: ResourceLimits, launcher: Launcher, max_artifact_bytes: int = FILE_SIZE_LIMIT
 ) -> ExecutionOutcome:
@@ -346,7 +357,11 @@ def run_candidate(
     with _log_file("stdout") as out, _log_file("stderr") as err:
         try:
             launcher.prepare(code.encode("utf-8"))
-            request = {"script": launcher.script_path, "memory_bytes": limits.memory_bytes}
+            request = {
+                "script": launcher.script_path,
+                "memory_bytes": limits.memory_bytes,
+                "cpu_seconds": cpu_seconds(limits),
+            }
             start = time.monotonic()
             returncode, timed_out = launcher.run(request, out, err, limits.wall_seconds)
         except LauncherError as exc:

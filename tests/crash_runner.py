@@ -60,7 +60,7 @@ def die_at_write(n: int) -> None:
         return path.parent.name == "best"
 
     patch(engine._Run, "_emit", "event")
-    patch(engine._Run, "evaluate", "solution")  # it returns once its record is appended
+    patch(engine._Run, "_log", "solution")  # it returns once its record is appended
     patch(os, "fsync", "fsync")
     patch(os, "replace", "replace")
     patch(pathlib.Path, "write_text", "best", in_best)

@@ -144,3 +144,34 @@ def test_forest_acyclicity_check_passes_after_mutations():
     for sol in island.all_solutions():  # every chain is finite and ends at a root
         chain = island.ancestors(sol.id)
         assert (chain[-1] if chain else sol).parent_id is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0, 1, allow_nan=False), st.integers(0, 5), st.booleans()),
+        max_size=60,
+    ),
+    st.integers(1, 6),
+)
+def test_prune_keeps_exactly_the_live_lineage_and_prompts(entries, capacity):
+    """After random inserts, ``prune`` changes no live solution's ancestors and
+    keeps only the archived ancestors, the first prompt and the live ones."""
+    island = make_island(capacity=capacity)
+    for n, (fitness, pick, explored) in enumerate(entries):
+        live = sorted(island.solutions)
+        parent = live[pick % len(live)] if live else None
+        prompt = island.lookup(parent).parent_prompt_id if parent else "i0-p00000"
+        if explored:  # a new prompt, as an explore step adds
+            prompt = f"i0-p{n + 1:05d}"
+            island.add_prompt(Prompt(id=prompt, text="explored", island_id=0))
+        island.try_insert(make_solution(f"s{n:03d}", fitness, parent=parent, prompt=prompt))
+    before = {sid: [s.id for s in island.ancestors(sid)] for sid in island.solutions}
+    counts = dict(island.status_counts)
+    island.prune()
+    assert {sid: [s.id for s in island.ancestors(sid)] for sid in island.solutions} == before
+    assert set(island.archive) == {a for chain in before.values() for a in chain} - set(island.solutions)
+    live_prompts = {s.parent_prompt_id for s in island.solutions.values()}
+    assert set(island.prompts) == {"i0-p00000"} | live_prompts
+    assert next(iter(island.prompts)) == "i0-p00000"
+    assert island.status_counts == counts == ({"valid": len(entries)} if entries else {})

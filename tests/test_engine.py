@@ -164,18 +164,13 @@ class TestRun:
     def test_a_run_logs_each_evaluated_candidate_once_and_makes_no_solutions_directory(self, tmp_path):
         run_dir, _, _ = small_run(tmp_path)
         assert not (run_dir / "solutions").exists()
-        _, state = load_latest_checkpoint(run_dir)
-        evaluated = {
-            s.id: s
-            for island in state.islands
-            for s in island.all_solutions()
-            if s.status != "generation_failed" and "original_id" not in s.provenance
-        }
+        generated = {r["solution"] for r in read_events(run_dir) if r["type"] in ("init", "step")}
         records = solution_records(run_dir)
-        assert set(records) == set(evaluated)
-        for sid, record in records.items():
-            assert record["code"] == evaluated[sid].code
-            assert evaluated[sid].log_ref == sid
+        assert set(records) == generated
+        _, state = load_latest_checkpoint(run_dir)
+        for island in state.islands:
+            for sol in island.all_solutions():  # migrant copies share their original's record
+                assert records[sol.log_ref]["code"] == sol.code
 
     def test_best_artifact_is_the_bytes_the_candidate_wrote(self, tmp_path):
         circles = [[(i % 6) / 6 + 0.08, (i // 6) / 6 + 0.08, 0.01] for i in range(26)]
@@ -383,61 +378,74 @@ class TestResume:
         assert written == ["epoch_00002.ckpt", "epoch_00004.ckpt"]
         assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) == written
 
-    @pytest.mark.parametrize("preset", ["full", "no-evolution"])
-    def test_resumes_a_checkpoint_that_holds_removed_fields(self, tmp_path, preset):
-        # Checkpoints once pickled ``RunState.trivial_code``, ``initial_prompt_ids``,
-        # ``migration_events`` and ``backend_state`` (the replay backend's call
-        # counters), and ``Solution.origin_island``, and no call counter per island.
-        from llmevolve.config import AblationToggles
-        from llmevolve.problems import get_problem
+    def test_a_checkpoint_without_a_version_is_refused(self, tmp_path):
+        from click.testing import CliRunner
 
-        cfg = standard_config(
-            num_islands=2,
-            epochs=6,
-            migration_every=3,
-            init_population=2,
-            ablation=AblationToggles.from_name(preset),
-        )
-        dir_a = tmp_path / "straight"
-        write_transcript(dir_a, num_islands=2, calls_per_island=40)
-        straight = engine.run(cfg, dir_a)
-        dir_b = tmp_path / "old"
-        write_transcript(dir_b, num_islands=2, calls_per_island=40)
-        engine.run(cfg, dir_b, stop_after_epoch=4)
-        ckpt = dir_b / "checkpoints" / "epoch_00004.ckpt"
-        config, state = engine.load_checkpoint(ckpt)
-        state.trivial_code = get_problem(config.problem_id).trivial_code
-        state.initial_prompt_ids = [f"i{i}-p00000" for i in range(cfg.num_islands)]
-        state.migration_events = 2 if preset == "full" else 0
-        state.backend_state = {island.id: island.next_call_index() for island in state.islands}
-        for island in state.islands:
-            del island._call_counter
-            for sol in island.all_solutions():
-                sol.origin_island = sol.island_id
-        payload = pickle.dumps({"config": config, "state": state})
-        ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
-        assert engine.resume(dir_b) == straight
-        assert (dir_b / "events.jsonl").read_bytes() == (dir_a / "events.jsonl").read_bytes()
-        # The final checkpoint, read without the rebuild on load, holds none of them.
-        final = (dir_b / "checkpoints" / "epoch_00006.ckpt").read_bytes()
-        resumed = pickle.loads(final[final.index(b"\n") + 1:])["state"]
-        removed = {"trivial_code", "initial_prompt_ids", "migration_events", "backend_state"}
-        assert not removed & vars(resumed).keys()
-        for island in resumed.islands:
-            assert "_call_counter" in vars(island)
-            assert not any("origin_island" in vars(sol) for sol in island.all_solutions())
+        from llmevolve.cli import main
 
-    def test_a_checkpoint_without_call_counters_starts_them_at_zero(self, tmp_path):
         run_dir, _, _ = small_run(tmp_path)
-        ckpt = run_dir / "checkpoints" / "epoch_00006.ckpt"
-        config, state = engine.load_checkpoint(ckpt)
-        assert [island.next_call_index() for island in state.islands] != [0, 0]
-        for island in state.islands:
-            del island._call_counter
-        payload = pickle.dumps({"config": config, "state": state})
-        ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
-        _, state = engine.load_checkpoint(ckpt)
-        assert [island.next_call_index() for island in state.islands] == [0, 0]
+        for ckpt in (run_dir / "checkpoints").glob("epoch_*.ckpt"):
+            config, state = engine.load_checkpoint(ckpt)
+            payload = pickle.dumps({"config": config, "state": state})
+            ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
+        with pytest.raises(CheckpointError, match="predates version 1"):
+            engine.resume(run_dir)
+        result = CliRunner().invoke(main, ["resume", "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert "Error:" in result.output and "predates version 1" in result.output
+
+    def test_a_run_keeps_the_newest_two_checkpoints(self, tmp_path):
+        cfg = standard_config(num_islands=2, epochs=8, migration_every=2, init_population=2)
+        straight, run_dir = tmp_path / "straight", tmp_path / "corrupted"
+        for path in (straight, run_dir):
+            write_transcript(path, num_islands=2, calls_per_island=40)
+        summary = engine.run(cfg, straight)
+        engine.run(cfg, run_dir)
+        kept = sorted(p.name for p in (run_dir / "checkpoints").iterdir())
+        assert kept == ["epoch_00006.ckpt", "epoch_00008.ckpt"]
+        newest = run_dir / "checkpoints" / "epoch_00008.ckpt"
+        newest.write_bytes(newest.read_bytes()[:-1])
+        assert load_latest_checkpoint(run_dir)[1].epoch == 6
+        assert engine.resume(run_dir) == summary
+        for name in ("events.jsonl", "best/solution.py", "best/summary.json", "best/artifact.json"):
+            assert (run_dir / name).read_bytes() == (straight / name).read_bytes()
+
+    def test_pruning_changes_no_output(self, tmp_path, monkeypatch):
+        from collections import Counter
+
+        from conftest import packing_program
+        from llmevolve.core import IslandState
+
+        cfg = standard_config(num_islands=2, epochs=12, migration_every=3, init_population=2, max_population=4)
+
+        def outputs(name):
+            # Every reply beats the trivial program and the ones before it, so
+            # lineages grow through evicted ancestors. A set-up miss and a
+            # transcript that runs out give generation failures at set-up and
+            # in steps.
+            responses = {
+                (i, n): fenced(packing_program(26, 0.002 + (16 * i + n) * 1e-5)) for i in (0, 1) for n in range(16)
+            }
+            del responses[(0, 1)]
+            run_dir = tmp_path / name
+            summary = engine.run(cfg, run_dir, backend=ReplayBackend(responses))
+            best = {p.name: p.read_bytes() for p in (run_dir / "best").iterdir()}
+            records = sorted(solution_records(run_dir).items())
+            return summary, (run_dir / "events.jsonl").read_bytes(), best, records
+
+        pruned = outputs("pruned")
+        assert pruned[0].step_counts["generation_failed"] > 1
+        generated = [r["solution"] for r in read_events(tmp_path / "pruned") if r["type"] in ("init", "step")]
+        assert [sid for sid, _ in pruned[3]] == sorted(generated)  # failures have records too
+        _, state = load_latest_checkpoint(tmp_path / "pruned")
+        held = sum(len(island.solutions) + len(island.archive) for island in state.islands)
+        assert held < sum(pruned[0].step_counts.values())  # something was pruned
+        assert any(island.archive for island in state.islands)  # and something kept
+        monkeypatch.setattr(IslandState, "prune", lambda island: None)
+        assert outputs("unpruned") == pruned
+        # Unpruned, the checkpoint still holds every solution the counts cover.
+        _, state = load_latest_checkpoint(tmp_path / "unpruned")
+        assert Counter(s.status for island in state.islands for s in island.all_solutions()) == pruned[0].step_counts
 
     def test_resume_finished_run_is_noop(self, tmp_path):
         run_dir, _, summary = small_run(tmp_path)
@@ -631,6 +639,8 @@ class TestConcurrency:
         assert jittered == plain
 
     def test_a_set_up_miss_fails_at_its_own_position(self, tmp_path):
+        from llmevolve.problems import get_problem
+
         # The transcript lacks set-up call 1 of island 0: that call's solution
         # is a generation failure, and every other id keeps its place.
         def missing(responses):
@@ -646,9 +656,12 @@ class TestConcurrency:
             ("i0-s00003", "valid", "inserted"),
             ("i0-s00002", "generation_failed", "not_attempted"),
         ]
-        _, state = load_latest_checkpoint(run_dir)
-        failed = state.islands[0].lookup("i0-s00002")
-        assert failed.feedback == "initialization generation failed: replay transcript exhausted at island 0 call 1"
+        trivial = get_problem("p3.a").trivial_code
+        assert solution_records(run_dir)["i0-s00002"] == {
+            "solution": "i0-s00002",
+            "code": trivial,
+            "feedback": "initialization generation failed: replay transcript exhausted at island 0 call 1",
+        }
 
     def test_jittered_backend_gives_the_same_event_log(self, tmp_path):
         plain = self._run(tmp_path / "plain")
@@ -850,7 +863,11 @@ class TestEvaluateCandidate:
         assert sol.status == "invalid_artifact"
         assert solution_records(runner.run_dir) == {
             "i0-s00009": kept,
-            "i0-s00000": {"solution": "i0-s00000", "code": "import sys\nsys.exit(0)\n"},
+            "i0-s00000": {
+                "solution": "i0-s00000",
+                "code": "import sys\nsys.exit(0)\n",
+                "feedback": sol.feedback,
+            },
         }
 
     def test_a_valid_artifact_that_is_not_utf8_is_logged_byte_for_byte(self, tmp_path, monkeypatch):
@@ -878,8 +895,9 @@ class TestEvaluateCandidate:
         assert sol.status == "runtime_error"
         assert "nope" in sol.feedback
         [stored] = solution_records(runner.run_dir).values()
-        assert sorted(stored) == ["code", "solution", "stderr"]
+        assert sorted(stored) == ["code", "feedback", "solution", "stderr"]
         assert "RuntimeError: nope" in stored["stderr"]
+        assert stored["feedback"] == sol.feedback
 
     def test_close_reaps_every_launcher(self, tmp_path):
         from conftest import packing_program

@@ -407,9 +407,9 @@ def test_one_work_directory_per_launcher_start(launcher, monkeypatch):
     seen = {run_candidate(code, LIMITS, launcher).stdout for _ in range(3)}
     assert len(made) == 1
     assert seen == {f"{made[0]} {os.path.join(made[0], 'artifact.json')}\n"}
-    launcher.proc.kill()  # the launcher dies: the next candidate starts a new one
+    launcher.proc.kill()  # the launcher dies while idle: the next candidate starts a new one
     launcher.proc.wait()
-    assert run_candidate(code, LIMITS, launcher).status == STATUS_NONZERO_EXIT
+    assert run_candidate(code, LIMITS, launcher).status == STATUS_OK
     assert run_candidate(code, LIMITS, launcher).status == STATUS_OK
     assert len(made) == 2
     assert not os.path.exists(made[0])
@@ -441,6 +441,52 @@ def test_a_launcher_removes_its_directory_when_the_engine_dies(tmp_path):
     # launcher's went when the engine died.
     assert not os.path.exists(moved)
     assert not os.path.exists(workdir)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_busy_candidate_does_not_outlive_a_dead_engine(tmp_path):
+    # The engine dies while the candidate spins, so nothing keeps its wall
+    # deadline; the CPU-time limit ends it.
+    limits = ResourceLimits(wall_seconds=1.0, memory_bytes=1 << 30)
+    pid_file = tmp_path / "pid"
+    candidate = f"import os\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\nwhile True:\n    pass\n"
+    engine = (
+        "import os, signal, sys, threading, time\n"
+        "from llmevolve.sandbox import Launcher, ResourceLimits, run_candidate\n"
+        "launcher = Launcher([sys.executable, '-S'])\n"
+        f"limits = ResourceLimits({limits.wall_seconds!r}, {limits.memory_bytes!r})\n"
+        f"runner = threading.Thread(target=run_candidate, args=({candidate!r}, limits, launcher))\n"
+        "runner.start()\n"
+        f"while not os.path.exists({str(pid_file)!r}) or not open({str(pid_file)!r}).read():\n"
+        "    time.sleep(0.01)\n"
+        "print('early' if runner.is_alive() else 'late', flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    src = str(Path(sandbox.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", engine], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30
+    )
+    assert out.returncode == -signal.SIGKILL, out.stderr
+    pid = int(pid_file.read_text())
+    try:
+        assert out.stdout == "early\n"  # the engine died before the wall deadline
+        # CPU time accrues no faster than wall time on one core.
+        deadline = time.monotonic() + 3 * sandbox.cpu_seconds(limits) + 5.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _running(pid)
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 _LISTING = (
@@ -703,7 +749,12 @@ def test_launcher_matches_a_fresh_interpreter(name, launcher, run):
 def test_exit_status_matches_a_fresh_interpreter(code, launcher, tmp_path):
     script = tmp_path / "candidate.py"
     script.write_text(f"import sys\n{code}\n", encoding="utf-8")
-    request = {"script": str(script), "env": {}, "memory_bytes": LIMITS.memory_bytes}
+    request = {
+        "script": str(script),
+        "env": {},
+        "memory_bytes": LIMITS.memory_bytes,
+        "cpu_seconds": sandbox.cpu_seconds(LIMITS),
+    }
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         returncode, timed_out = launcher.run(request, out, err, LIMITS.wall_seconds)
     fresh = subprocess.run(launcher.interpreter + [str(script)], capture_output=True, timeout=LIMITS.wall_seconds)
