@@ -59,7 +59,7 @@ class RunConfig:
     backend: str = "replay"  # "replay" | "http"
     base_url: str = ""
     interpreter: list[str] = field(default_factory=lambda: ["python3"])  # runs the sandbox launchers
-    sandbox_workers: Optional[int] = None  # default: num_islands
+    sandbox_workers: Optional[int] = None  # default and maximum: num_islands
 
     def __post_init__(self) -> None:
         problem = get_problem(self.problem_id)  # raises on unknown id

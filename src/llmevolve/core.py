@@ -1,13 +1,13 @@
 """Domain types for the evolutionary search: solutions, prompts, islands.
 
-An island owns a live population of solutions, an archive of the evicted and
-rejected ones, pruned to the live solutions' ancestors so that lineage
-queries outlive eviction, and a count by status of every solution it took in.
+An island owns a live population of solutions and an archive of the evicted
+ones, pruned to the live solutions' ancestors so that lineage queries outlive
+eviction. A rejected candidate is not kept: it is never a parent, an
+inspiration or a migrant. The run's counts by status come from its event log.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -53,9 +53,6 @@ class Prompt:
 
     id: str
     text: str
-    island_id: int
-    parent_solution_id: Optional[str] = None
-    epoch_created: int = 0
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -70,8 +67,8 @@ class InsertResult:
 class IslandState:
     """Live population, prompt pool and solution forest for one island.
 
-    The live population never exceeds ``capacity``; displaced and rejected
-    individuals move to the archive, which ``ancestors`` still sees.
+    The live population never exceeds ``capacity``; displaced individuals
+    move to the archive, which ``ancestors`` still sees.
     """
 
     def __init__(self, island_id: int, capacity: int):
@@ -82,7 +79,6 @@ class IslandState:
         self.solutions: dict[str, Solution] = {}
         self.archive: dict[str, Solution] = {}
         self.prompts: dict[str, Prompt] = {}
-        self.status_counts: Counter[str] = Counter()
         self._solution_counter = 0
         self._prompt_counter = 0
         self._call_counter = 0
@@ -121,11 +117,6 @@ class IslandState:
 
     def add_prompt(self, prompt: Prompt) -> None:
         self.prompts[prompt.id] = prompt
-
-    def archive_solution(self, solution: Solution) -> None:
-        """Record a solution that never enters the live set."""
-        self.status_counts[solution.status] += 1
-        self.archive[solution.id] = solution
 
     def live(self) -> list[Solution]:
         return list(self.solutions.values())
@@ -173,12 +164,12 @@ class IslandState:
 
         Below capacity the candidate always enters. At capacity it enters
         only with strictly higher fitness than the current worst, which is
-        then evicted to the archive. Ties on minimum fitness evict the
-        oldest individual (smallest epoch_created, then smallest id).
+        then evicted to the archive; a rejected candidate is dropped. Ties
+        on minimum fitness evict the oldest individual (smallest
+        epoch_created, then smallest id).
         """
         if candidate.status == STATUS_PENDING:
             raise ValueError("candidate must be evaluated before insertion")
-        self.status_counts[candidate.status] += 1
         if len(self.solutions) < self.capacity:
             self.solutions[candidate.id] = candidate
             return InsertResult("inserted")
@@ -191,5 +182,4 @@ class IslandState:
             self.archive[worst.id] = worst
             self.solutions[candidate.id] = candidate
             return InsertResult("inserted_with_eviction")
-        self.archive[candidate.id] = candidate
         return InsertResult("rejected")

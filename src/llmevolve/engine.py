@@ -12,7 +12,8 @@ log holds the same records in an order that depends on thread timing.
 one; both build the backend first, so a missing or malformed replay
 transcript is a ``ConfigError`` before anything is written, and hand the
 state to ``_run_from``, which truncates the event and solutions logs to the
-state's positions and runs the remaining epochs. Each island step is one
+state's positions and runs the remaining epochs; a log shorter than its
+position is refused with a ``CheckpointError``. Each island step is one
 operator call, to ``operators.evolve_step`` or, under the no-evolution
 ablation, ``operators.no_evolution_step``; the operator decides the
 variation, and the engine evaluates and inserts its offspring.
@@ -23,15 +24,18 @@ or the end of the run; its first job sets it up before its first step, and
 sends the set-up's ``init_population`` model calls at once. Every model call
 carries the key ``(island, index)`` that the island assigned it, so replay
 does not depend on the order in which calls arrive. Jobs queue candidates,
-one at a time per island, on one FIFO pool of ``sandbox_workers`` threads,
-each of which only runs them on an idle warm launcher (see
-``sandbox.Launcher``); the island's own thread then parses and scores the
-artifact and appends the candidate's record to the solutions log, under a
-lock. ``close`` reaps the launchers. At the barrier the engine writes the
-jobs' buffered events in canonical order (init events by island, then step
-events by epoch and island), migrates if the epoch is a migration epoch,
-prunes each island and writes one checkpoint per barrier. At the end of the
-run it exports ``best/``, taking the artifact from the best solution's record.
+one at a time per island, on one FIFO pool of ``sandbox_workers`` threads
+(at most one per island), each of which only runs them on an idle warm
+launcher (see ``sandbox.Launcher``); the island's own thread then writes
+``.`` for the launcher's work directory in the candidate's logs, parses and
+scores the artifact and appends the candidate's record to the solutions
+log, under a lock. ``close`` reaps the launchers. At the barrier the engine
+writes the jobs' buffered events in canonical order (init events by island,
+then step events by epoch and island), migrates if the epoch is a migration
+epoch, prunes each island and writes one checkpoint per barrier. At the end
+of the run it exports ``best/``, taking the artifact from the best
+solution's record. A summary counts statuses from the event log's init and
+step events.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import yaml
 
@@ -62,6 +66,7 @@ from .core import (
     STATUS_TIMEOUT,
     STATUS_VALID,
     IslandState,
+    Prompt,
     Solution,
 )
 from .operators import IslandRngs
@@ -87,7 +92,8 @@ _EXECUTION_STATUS = {
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint file is missing, truncated, fails its digest, or predates version 1."""
+    """A checkpoint file is missing, truncated, fails its digest, or predates
+    version 1; or a log is shorter than its checkpoint records."""
 
 
 @dataclass
@@ -133,6 +139,13 @@ def _solution_event(kind: str, sol: Solution, insert: str, **extra) -> dict:
     }
 
 
+def read_events(run_dir: str | Path) -> Iterator[dict]:
+    """The records of ``run_dir``'s event log, in order."""
+    with open(Path(run_dir) / EVENT_LOG_NAME, encoding="utf-8") as fh:
+        for line in fh:
+            yield json.loads(line)
+
+
 def make_backend(config: RunConfig, run_dir: Path):
     """The configured backend; a missing or malformed transcript is a ``ConfigError``."""
     if config.backend != "replay":
@@ -153,6 +166,11 @@ class _Run:
         self.state = state
         self.problem: ProblemSpec = get_problem(config.problem_id)
         self.migrating = config.migrates()
+        for name, pos in ((EVENT_LOG_NAME, state.event_log_pos), (SOLUTIONS_LOG_NAME, state.solutions_log_pos)):
+            path = run_dir / name
+            size = path.stat().st_size if path.exists() else 0
+            if size < pos:  # truncating would pad it with NUL bytes
+                raise CheckpointError(f"{path} holds {size} bytes, fewer than the {pos} its checkpoint records")
         (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
         # Events and solution records past the checkpointed positions belong
         # to epochs run again.
@@ -162,7 +180,8 @@ class _Run:
         self._solutions_fh.truncate(state.solutions_log_pos)
         self._solutions_lock = threading.Lock()
         self._island_pool = ThreadPoolExecutor(max_workers=config.num_islands)
-        workers = config.sandbox_workers or config.num_islands
+        # Each island has at most one candidate in flight.
+        workers = min(config.sandbox_workers or config.num_islands, config.num_islands)
         # Candidates wait in this pool's FIFO queue, so no island overtakes another.
         self._sandbox_pool = ThreadPoolExecutor(max_workers=workers)
         # One warm launcher per sandbox worker; each starts on first use.
@@ -190,9 +209,13 @@ class _Run:
         """Execute, parse and score one pending candidate, finalizing it in place.
 
         Only the execution waits for a sandbox worker; the rest runs on the
-        caller's thread.
+        caller's thread. The launcher's work directory reads ``.`` in the
+        logs, so they do not depend on its random name.
         """
         outcome = self._sandbox_pool.submit(self._execute, sol.code).result()
+        if outcome.workdir is not None:
+            outcome.stdout = outcome.stdout.replace(outcome.workdir, ".")
+            outcome.stderr = outcome.stderr.replace(outcome.workdir, ".")
         artifact = self._finalize(sol, outcome)
         self._log(sol, outcome.stdout, outcome.stderr, artifact)
         return sol
@@ -226,7 +249,7 @@ class _Run:
             return None
         if outcome.artifact_size is None:
             sol.status = STATUS_INVALID_ARTIFACT
-            sol.feedback = (sol.feedback or "") + "\nno artifact file was written"
+            sol.feedback = "\n".join(filter(None, [sol.feedback, "no artifact file was written"]))
             return None
         limit = self.problem.max_artifact_bytes
         try:
@@ -282,7 +305,6 @@ class _Run:
         for sol in pending + failures:
             if sol.status == STATUS_GENERATION_FAILED:
                 self._log(sol)
-                island.archive_solution(sol)
                 insert = "not_attempted"
             else:
                 insert = island.try_insert(sol).outcome
@@ -369,13 +391,8 @@ class _Run:
             for dest_id in dests:
                 dest = state.islands[dest_id]
                 for sol in migrants:
-                    prompt_copy = replace(
-                        state.islands[source_id].lookup_prompt(sol.parent_prompt_id),
-                        id=dest.next_prompt_id(),
-                        island_id=dest_id,
-                        parent_solution_id=None,
-                        epoch_created=epoch,
-                    )
+                    text = state.islands[source_id].lookup_prompt(sol.parent_prompt_id).text
+                    prompt_copy = Prompt(dest.next_prompt_id(), text)
                     dest.add_prompt(prompt_copy)
                     copy = replace(
                         sol,
@@ -475,9 +492,7 @@ class _Run:
         best = self.best_solution()
         # Migrations done by the end of ``state.epoch``; each logs one record per island.
         migrations = self.config.migrations_before(self.state.epoch + 1)
-        counts: Counter[str] = Counter()
-        for island in self.state.islands:
-            counts.update(island.status_counts)
+        counts = Counter(e["status"] for e in read_events(self.run_dir) if e["type"] in ("init", "step"))
         return RunSummary(
             problem_id=self.config.problem_id,
             epochs_run=self.state.epoch,

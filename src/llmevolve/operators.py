@@ -158,13 +158,7 @@ def evolve_step(
                 f"meta-prompting failed: {exc}",
             )
             return OperatorOutcome(failed, OP_EXPLORE, model_used="")
-        prompt = Prompt(
-            id=island.next_prompt_id(),
-            text=new_text,
-            island_id=island.id,
-            parent_solution_id=parent.id,
-            epoch_created=epoch,
-        )
+        prompt = Prompt(island.next_prompt_id(), new_text)
         # Inserted into the pool regardless of whether the offspring below
         # succeeds.
         island.add_prompt(prompt)
@@ -242,12 +236,7 @@ def initialize_island(
     if island.solutions:
         raise RuntimeError(f"island {island.id} is already initialized")
     problem = get_problem(config.problem_id)
-    initial_prompt = Prompt(
-        id=island.next_prompt_id(),
-        text=problem.brief,
-        island_id=island.id,
-        epoch_created=0,
-    )
+    initial_prompt = Prompt(island.next_prompt_id(), problem.brief)
     island.add_prompt(initial_prompt)
     pending = [_new_solution(island, 0, problem.trivial_code, None, initial_prompt.id)]
     failures: list[Solution] = []

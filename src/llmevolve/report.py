@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import EVENT_LOG_NAME
+from .engine import read_events
 
 
 @dataclass
@@ -29,7 +28,6 @@ class ReportSeries:
 
 def load_series(run_dir: str | Path) -> ReportSeries:
     """Fold the event log into best-so-far fitness trajectories."""
-    path = Path(run_dir) / EVENT_LOG_NAME
     best: dict[int, float] = {}
     epochs: list[int] = []
     per_island: dict[int, list[float]] = {}
@@ -42,21 +40,13 @@ def load_series(run_dir: str | Path) -> ReportSeries:
             per_island.setdefault(i, []).append(b)
         global_best.append(max(best.values(), default=0.0))
 
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec["type"] == "init":
-                best[rec["island"]] = max(
-                    best.get(rec["island"], 0.0), rec["fitness"]
-                )
-            elif rec["type"] == "step":
-                if rec["epoch"] != current_epoch:
-                    if current_epoch > 0:
-                        flush(current_epoch)
-                    current_epoch = rec["epoch"]
-                best[rec["island"]] = max(
-                    best.get(rec["island"], 0.0), rec["fitness"]
-                )
+    for rec in read_events(run_dir):
+        if rec["type"] == "step" and rec["epoch"] != current_epoch:
+            if current_epoch > 0:
+                flush(current_epoch)
+            current_epoch = rec["epoch"]
+        if rec["type"] in ("init", "step"):
+            best[rec["island"]] = max(best.get(rec["island"], 0.0), rec["fitness"])
     if current_epoch > 0:
         flush(current_epoch)
     return ReportSeries(epochs=epochs, per_island=per_island, global_best=global_best)

@@ -94,6 +94,7 @@ class ExecutionOutcome:
     wall_time: float
     artifact: Optional[bytes] = None  # None if there is none, or it is over the limit
     artifact_size: Optional[int] = None  # None if the candidate left no regular file
+    workdir: Optional[str] = None  # the directory the candidate ran in; None if it never ran
 
 
 class LauncherError(Exception):
@@ -357,6 +358,7 @@ def run_candidate(
     with _log_file("stdout") as out, _log_file("stderr") as err:
         try:
             launcher.prepare(code.encode("utf-8"))
+            workdir = launcher.workdir  # a launcher lost under the candidate forgets it
             request = {
                 "script": launcher.script_path,
                 "memory_bytes": limits.memory_bytes,
@@ -397,4 +399,5 @@ def run_candidate(
             wall_time=wall,
             artifact=artifact,
             artifact_size=size,
+            workdir=workdir,
         )

@@ -17,14 +17,14 @@ from llmevolve.core import (
 
 def make_island(capacity=40):
     island = IslandState(0, capacity=capacity)
-    island.add_prompt(Prompt(id="i0-p00000", text="solve it", island_id=0))
+    island.add_prompt(Prompt(id="i0-p00000", text="solve it"))
     return island
 
 
 class TestPrompt:
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
-            Prompt(id="i0-p00001", text="", island_id=0)
+            Prompt(id="i0-p00001", text="")
 
 
 class TestAncestors:
@@ -86,11 +86,15 @@ class TestTryInsert:
 
     def test_equal_fitness_is_rejected(self):
         island = make_island(capacity=3)
-        for i, f in enumerate([0.3, 0.5, 0.7]):
+        for i, f in enumerate([0.3, 0.5, 0.7, 0.6]):  # the fourth evicts s0
             island.try_insert(make_solution(f"s{i}", f))
-        result = island.try_insert(make_solution("new", 0.3))
+        archive = dict(island.archive)
+        result = island.try_insert(make_solution("new", 0.5))
         assert result.outcome == "rejected"
-        assert "new" in island.archive
+        # A rejected candidate is not kept: the archive is unchanged.
+        assert island.archive == archive == {"s0": island.lookup("s0")}
+        with pytest.raises(UnknownIdError):
+            island.lookup("new")
 
     def test_eviction_tie_breaks_to_oldest(self):
         island = make_island(capacity=2)
@@ -156,22 +160,24 @@ def test_forest_acyclicity_check_passes_after_mutations():
 )
 def test_prune_keeps_exactly_the_live_lineage_and_prompts(entries, capacity):
     """After random inserts, ``prune`` changes no live solution's ancestors and
-    keeps only the archived ancestors, the first prompt and the live ones."""
+    keeps only the archived ancestors, the first prompt and the live ones.
+    Before it, the island holds exactly the candidates that were not rejected."""
     island = make_island(capacity=capacity)
+    taken = set()
     for n, (fitness, pick, explored) in enumerate(entries):
         live = sorted(island.solutions)
         parent = live[pick % len(live)] if live else None
         prompt = island.lookup(parent).parent_prompt_id if parent else "i0-p00000"
         if explored:  # a new prompt, as an explore step adds
             prompt = f"i0-p{n + 1:05d}"
-            island.add_prompt(Prompt(id=prompt, text="explored", island_id=0))
-        island.try_insert(make_solution(f"s{n:03d}", fitness, parent=parent, prompt=prompt))
+            island.add_prompt(Prompt(id=prompt, text="explored"))
+        if island.try_insert(make_solution(f"s{n:03d}", fitness, parent=parent, prompt=prompt)).outcome != "rejected":
+            taken.add(f"s{n:03d}")
+    assert set(island.solutions) | set(island.archive) == taken
     before = {sid: [s.id for s in island.ancestors(sid)] for sid in island.solutions}
-    counts = dict(island.status_counts)
     island.prune()
     assert {sid: [s.id for s in island.ancestors(sid)] for sid in island.solutions} == before
     assert set(island.archive) == {a for chain in before.values() for a in chain} - set(island.solutions)
     live_prompts = {s.parent_prompt_id for s in island.solutions.values()}
     assert set(island.prompts) == {"i0-p00000"} | live_prompts
     assert next(iter(island.prompts)) == "i0-p00000"
-    assert island.status_counts == counts == ({"valid": len(entries)} if entries else {})

@@ -172,6 +172,31 @@ class TestRun:
             for sol in island.all_solutions():  # migrant copies share their original's record
                 assert records[sol.log_ref]["code"] == sol.code
 
+    def test_step_counts_are_the_statuses_of_the_init_and_step_events(self, reference_run):
+        from collections import Counter
+
+        run_dir, summary = reference_run
+        events = [r for r in read_events(run_dir) if r["type"] in ("init", "step")]
+        assert len(events) == 5 * (1 + 6 + 100)  # migrant copies are not counted
+        assert summary.step_counts == Counter(r["status"] for r in events)
+
+    def test_prompts_and_records_do_not_name_the_launchers_work_directory(self, tmp_path):
+        # Every reply raises, so each candidate's traceback names its script,
+        # and a step's prompt carries its parent's traceback as feedback.
+        cfg = standard_config(num_islands=1, epochs=12, init_population=1, p_explore=0.0)
+        responses = {(0, n): fenced(f"raise RuntimeError('reply {n}')\n") for n in range(13)}
+        sent, records = [], []
+        for name in ("a", "b"):
+            backend = _Recording(responses)
+            engine.run(cfg, tmp_path / name, backend=backend)
+            sent.append(backend.sent)
+            records.append(sorted(solution_records(tmp_path / name).items()))
+        assert len(sent[0]) == 13
+        assert sent[0] == sent[1]
+        assert records[0] == records[1]
+        assert 'File "./candidate.py", line 1' in records[0][1][1]["stderr"]
+        assert any('File "./candidate.py"' in m["content"] for messages in sent[0].values() for m in messages)
+
     def test_best_artifact_is_the_bytes_the_candidate_wrote(self, tmp_path):
         circles = [[(i % 6) / 6 + 0.08, (i // 6) / 6 + 0.08, 0.01] for i in range(26)]
         raw = json.dumps({"note": "caf\u00e9 \u2713", "circles": circles}, indent=3, ensure_ascii=False)
@@ -268,7 +293,7 @@ class TestMigration:
             note: str = ""
 
         islands = [IslandState(i, capacity=40) for i in range(2)]
-        islands[0].add_prompt(Prompt("i0-p00000", "explored", 0, parent_solution_id="i0-s00009"))
+        islands[0].add_prompt(Prompt("i0-p00000", "explored"))
         original = NotedSolution(
             "i0-s00000", 0, "print(1)\n", parent_id="i0-s00009", parent_prompt_id="i0-p00000",
             epoch_created=2, metrics={"objective": 1.5}, fitness=1.5, status=STATUS_VALID,
@@ -283,7 +308,7 @@ class TestMigration:
         [copy] = islands[1].solutions.values()
         [prompt] = islands[1].prompts.values()
         assert original.has_migrated
-        assert prompt == Prompt("i1-p00000", "explored", 1, epoch_created=3)
+        assert prompt == Prompt("i1-p00000", "explored")
         assert copy == NotedSolution(
             "i1-s00000", 1, "print(1)\n", parent_prompt_id="i1-p00000", epoch_created=3,
             metrics={"objective": 1.5}, fitness=1.5, status=STATUS_VALID,
@@ -443,9 +468,32 @@ class TestResume:
         assert any(island.archive for island in state.islands)  # and something kept
         monkeypatch.setattr(IslandState, "prune", lambda island: None)
         assert outputs("unpruned") == pruned
-        # Unpruned, the checkpoint still holds every solution the counts cover.
-        _, state = load_latest_checkpoint(tmp_path / "unpruned")
-        assert Counter(s.status for island in state.islands for s in island.all_solutions()) == pruned[0].step_counts
+        statuses = Counter(r["status"] for r in read_events(tmp_path / "unpruned") if r["type"] in ("init", "step"))
+        assert pruned[0].step_counts == statuses
+
+    @pytest.mark.parametrize("log", ["events.jsonl", "solutions.jsonl"])
+    @pytest.mark.parametrize("cut", ["deleted", "shortened"])
+    def test_resume_refuses_a_log_shorter_than_its_checkpoint(self, tmp_path, log, cut):
+        from click.testing import CliRunner
+
+        from llmevolve.cli import main
+
+        cfg = standard_config(num_islands=2, epochs=6, migration_every=3, init_population=2)
+        run_dir = tmp_path / "run"
+        write_transcript(run_dir, num_islands=2, calls_per_island=40)
+        engine.run(cfg, run_dir, stop_after_epoch=2)
+        path = run_dir / log
+        if cut == "deleted":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes()[:-1])
+        files = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        with pytest.raises(CheckpointError, match=log):
+            engine.resume(run_dir)
+        result = CliRunner().invoke(main, ["resume", "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert "Error:" in result.output and log in result.output
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == files
 
     def test_resume_finished_run_is_noop(self, tmp_path):
         run_dir, _, summary = small_run(tmp_path)
@@ -565,6 +613,18 @@ class _SetUpMeeting(ReplayBackend):
         barrier = self.barriers[island_id]
         if kwargs["index"] < barrier.parties:
             barrier.wait()
+        return super().complete(model, messages, island_id, **kwargs)
+
+
+class _Recording(ReplayBackend):
+    """Replay that keeps the messages of each call by its key."""
+
+    def __init__(self, responses):
+        super().__init__(responses)
+        self.sent = {}
+
+    def complete(self, model, messages, island_id, **kwargs):
+        self.sent[island_id, kwargs["index"]] = messages
         return super().complete(model, messages, island_id, **kwargs)
 
 
@@ -746,7 +806,7 @@ class TestEvaluateCandidate:
             runner.close()
 
     def _runner(self, tmp_path, solutions_log_pos=0, **overrides):
-        cfg = standard_config(num_islands=1, **overrides)
+        cfg = standard_config(**{"num_islands": 1, **overrides})
         run_dir = tmp_path / "eval"
         run_dir.mkdir(exist_ok=True)
         from llmevolve.core import IslandState
@@ -756,8 +816,8 @@ class TestEvaluateCandidate:
         import random
 
         state = RunState(
-            islands=[IslandState(0, capacity=cfg.max_population)],
-            rngs=[IslandRngs(random.Random(0), random.Random(1), random.Random(2))],
+            islands=[IslandState(i, capacity=cfg.max_population) for i in range(cfg.num_islands)],
+            rngs=[IslandRngs(random.Random(0), random.Random(1), random.Random(2))] * cfg.num_islands,
             solutions_log_pos=solutions_log_pos,
         )
         runner = _Run(cfg, run_dir, ReplayBackend({}), state)
@@ -889,6 +949,18 @@ class TestEvaluateCandidate:
         runner.export_best()
         assert (runner.run_dir / "best" / "artifact.json").read_bytes() == raw
 
+    @pytest.mark.parametrize(
+        "code, feedback",
+        [
+            ("import sys\nsys.exit(0)\n", "no artifact file was written"),
+            ("print('hi')\n", "hi\n\nno artifact file was written"),
+        ],
+    )
+    def test_a_clean_exit_without_an_artifact_says_so(self, tmp_path, code, feedback):
+        sol = self._runner(tmp_path).evaluate(self._pending(code))
+        assert sol.status == "invalid_artifact"
+        assert sol.feedback == feedback
+
     def test_runtime_error_captured(self, tmp_path):
         runner = self._runner(tmp_path)
         sol = runner.evaluate(self._pending("raise RuntimeError('nope')\n"))
@@ -902,12 +974,17 @@ class TestEvaluateCandidate:
     def test_close_reaps_every_launcher(self, tmp_path):
         from conftest import packing_program
 
-        runner = self._runner(tmp_path, sandbox_workers=2)
+        runner = self._runner(tmp_path, sandbox_workers=2, num_islands=2)
         for _ in range(2):  # idle launchers are taken in turn, so both start
             assert runner.evaluate(self._pending(packing_program(26, 0.01))).status == "valid"
         runner.close()
         assert len(runner._launchers) == 2
         assert all(launcher.proc.returncode is not None for launcher in runner._launchers)
+
+    def test_no_more_launchers_than_islands(self, tmp_path):
+        runner = self._runner(tmp_path, sandbox_workers=4)
+        assert len(runner._launchers) == 1
+        assert runner._sandbox_pool._max_workers == 1
 
 
 class TestSandboxFailures:
