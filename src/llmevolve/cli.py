@@ -9,7 +9,7 @@ from pathlib import Path
 import click
 
 from . import engine, report
-from .config import AblationToggles, ConfigError, load_config
+from .config import ABLATION_PRESETS, ConfigError, load_config
 from .problems import ArtifactError, parse_artifact, reference_best, score_artifact
 
 
@@ -46,11 +46,7 @@ def _print_summary(summary: engine.RunSummary) -> None:
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
 @click.option("--backend", type=click.Choice(["http", "replay"]), default=None)
 @click.option("--problem", "problem_id", default=None, help="Override the problem id.")
-@click.option(
-    "--ablation",
-    type=click.Choice(["full", "mp", "insp", "none", "no-evolution"]),
-    default=None,
-)
+@click.option("--ablation", type=click.Choice(list(ABLATION_PRESETS)), default=None)
 def cmd_run(config_path, run_dir, epochs, seed, backend, problem_id, ablation) -> None:
     """Launch a fresh run from a config file."""
     try:
@@ -60,7 +56,7 @@ def cmd_run(config_path, run_dir, epochs, seed, backend, problem_id, ablation) -
             master_seed=seed,
             backend=backend,
             problem_id=problem_id,
-            ablation=AblationToggles.from_name(ablation) if ablation else None,
+            ablation=ablation,
         )
     except (ConfigError, KeyError, OSError) as exc:
         raise click.ClickException(f"invalid config: {exc}") from exc
@@ -120,7 +116,10 @@ def cmd_score(problem_id, artifact_path) -> None:
 @click.option("--epsilon", type=float, default=1e-4)
 def cmd_report(run_dir, ceiling, epsilon) -> None:
     """Emit per-epoch best-fitness tables as tab-delimited text."""
-    series = report.load_series(run_dir)
+    try:
+        series = report.load_series(run_dir)
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"cannot read the event log of {run_dir}: {exc}") from exc
     if not series.epochs:
         raise click.ClickException("event log contains no epochs")
     if ceiling is None:

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -18,6 +19,16 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+# Ablation presets by name: (meta_prompting, inspirations, evolution).
+ABLATION_PRESETS = {
+    "full": (True, True, True),
+    "mp": (True, False, True),
+    "insp": (False, True, True),
+    "none": (False, False, True),
+    "no-evolution": (False, False, False),
+}
+
+
 @dataclass
 class AblationToggles:
     meta_prompting: bool = True
@@ -26,15 +37,8 @@ class AblationToggles:
 
     @classmethod
     def from_name(cls, name: str) -> "AblationToggles":
-        presets = {
-            "full": cls(True, True, True),
-            "mp": cls(True, False, True),
-            "insp": cls(False, True, True),
-            "none": cls(False, False, True),
-            "no-evolution": cls(False, False, False),
-        }
         try:
-            return presets[name]
+            return cls(*ABLATION_PRESETS[name])
         except KeyError:
             raise ConfigError(f"unknown ablation preset: {name!r}") from None
 
@@ -86,6 +90,10 @@ class RunConfig:
             raise ConfigError("p_explore must be in [0, 1]")
         if self.backend not in ("replay", "http"):
             raise ConfigError(f"unknown backend: {self.backend!r}")
+        if self.backend == "http":
+            url = urlsplit(str(self.base_url))
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ConfigError(f"backend http needs an http(s) base_url with a host, not {self.base_url!r}")
         if not (isinstance(self.interpreter, list) and self.interpreter
                 and all(isinstance(arg, str) for arg in self.interpreter)):
             raise ConfigError("interpreter must be a non-empty list of strings")

@@ -1,9 +1,10 @@
-"""Domain types for the evolutionary search: solutions, prompts, islands.
+"""Domain types for the evolutionary search: solutions and islands.
 
 An island owns a live population of solutions and an archive of the evicted
 ones, pruned to the live solutions' ancestors so that lineage queries outlive
 eviction. A rejected candidate is not kept: it is never a parent, an
-inspiration or a migrant. The run's counts by status come from its event log.
+inspiration or a migrant. A solution carries the instruction it was
+generated from. The run's counts by status come from its event log.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ STATUS_PENDING = "pending"
 
 
 class UnknownIdError(KeyError):
-    """Raised when a solution or prompt id cannot be resolved."""
+    """Raised when a solution id cannot be resolved."""
 
 
 @dataclass
@@ -32,8 +33,8 @@ class Solution:
     id: str
     island_id: int
     code: str
+    prompt: str  # the instruction it was generated from: the brief or a meta-prompting rewrite
     parent_id: Optional[str] = None
-    parent_prompt_id: Optional[str] = None
     epoch_created: int = 0
     metrics: dict[str, float] = field(default_factory=dict)
     fitness: float = 0.0
@@ -48,24 +49,12 @@ class Solution:
 
 
 @dataclass
-class Prompt:
-    """A textual generation instruction living in an island's prompt pool."""
-
-    id: str
-    text: str
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("prompt text must be non-empty")
-
-
-@dataclass
 class InsertResult:
     outcome: str  # "inserted" | "rejected" | "inserted_with_eviction"
 
 
 class IslandState:
-    """Live population, prompt pool and solution forest for one island.
+    """Live population and solution forest for one island.
 
     The live population never exceeds ``capacity``; displaced individuals
     move to the archive, which ``ancestors`` still sees.
@@ -78,9 +67,7 @@ class IslandState:
         self.capacity = capacity
         self.solutions: dict[str, Solution] = {}
         self.archive: dict[str, Solution] = {}
-        self.prompts: dict[str, Prompt] = {}
         self._solution_counter = 0
-        self._prompt_counter = 0
         self._call_counter = 0
 
     # -- id allocation (deterministic, human readable) --
@@ -89,11 +76,6 @@ class IslandState:
         sid = f"i{self.id}-s{self._solution_counter:05d}"
         self._solution_counter += 1
         return sid
-
-    def next_prompt_id(self) -> str:
-        pid = f"i{self.id}-p{self._prompt_counter:05d}"
-        self._prompt_counter += 1
-        return pid
 
     def next_call_index(self) -> int:
         """Key of the island's next model call; a retry keeps its call's key."""
@@ -108,15 +90,6 @@ class IslandState:
         if sol is None:
             raise UnknownIdError(solution_id)
         return sol
-
-    def lookup_prompt(self, prompt_id: str) -> Prompt:
-        try:
-            return self.prompts[prompt_id]
-        except KeyError:
-            raise UnknownIdError(prompt_id) from None
-
-    def add_prompt(self, prompt: Prompt) -> None:
-        self.prompts[prompt.id] = prompt
 
     def live(self) -> list[Solution]:
         return list(self.solutions.values())
@@ -145,17 +118,14 @@ class IslandState:
         return chain
 
     def prune(self) -> None:
-        """Keep only what a later step can read: the live solutions' archived
-        ancestors (only live solutions become parents), the first prompt and
-        the live solutions' prompts."""
+        """Keep only the archived solutions a later step can read: the live
+        solutions' ancestors (only live solutions become parents)."""
         reached = set(self.solutions)
         for sol in self.live():
             while sol.parent_id is not None and sol.parent_id not in reached:
                 reached.add(sol.parent_id)
                 sol = self.lookup(sol.parent_id)
         self.archive = {sid: sol for sid, sol in self.archive.items() if sid in reached}
-        used = {next(iter(self.prompts), None)} | {sol.parent_prompt_id for sol in self.live()}
-        self.prompts = {pid: prompt for pid, prompt in self.prompts.items() if pid in used}
 
     # -- population control --
 

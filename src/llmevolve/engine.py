@@ -66,7 +66,6 @@ from .core import (
     STATUS_TIMEOUT,
     STATUS_VALID,
     IslandState,
-    Prompt,
     Solution,
 )
 from .operators import IslandRngs
@@ -77,7 +76,7 @@ SOLUTIONS_LOG_NAME = "solutions.jsonl"
 TRANSCRIPT_NAME = "transcripts.jsonl"
 CONFIG_SNAPSHOT_NAME = "config.yaml"
 FEEDBACK_TAIL_CHARS = 2000
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 KEPT_CHECKPOINTS = 2
 
 # Solution status after each sandbox outcome; a clean exit stays valid only
@@ -92,8 +91,9 @@ _EXECUTION_STATUS = {
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint file is missing, truncated, fails its digest, or predates
-    version 1; or a log is shorter than its checkpoint records."""
+    """A checkpoint file is missing, truncated, fails its digest, cannot be
+    unpickled, or predates version 2; or a log is shorter than its checkpoint
+    records."""
 
 
 @dataclass
@@ -391,15 +391,11 @@ class _Run:
             for dest_id in dests:
                 dest = state.islands[dest_id]
                 for sol in migrants:
-                    text = state.islands[source_id].lookup_prompt(sol.parent_prompt_id).text
-                    prompt_copy = Prompt(dest.next_prompt_id(), text)
-                    dest.add_prompt(prompt_copy)
                     copy = replace(
                         sol,
                         id=dest.next_solution_id(),
                         island_id=dest_id,
                         parent_id=None,  # migrants root a fresh tree
-                        parent_prompt_id=prompt_copy.id,
                         epoch_created=epoch,
                         metrics=dict(sol.metrics),
                         has_migrated=False,
@@ -590,7 +586,10 @@ def load_checkpoint(path: Path) -> tuple[RunConfig, RunState]:
     digest, payload = blob[:sep], blob[sep + 1:]
     if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
         raise CheckpointError(f"checkpoint {path} failed its integrity check")
-    doc = pickle.loads(payload)
+    try:
+        doc = pickle.loads(payload)
+    except (AttributeError, ImportError, pickle.UnpicklingError) as exc:
+        raise CheckpointError(f"checkpoint {path} cannot be unpickled; another version wrote it: {exc}") from None
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint {path} predates version {CHECKPOINT_VERSION} and cannot be resumed")
     return doc["config"], doc["state"]

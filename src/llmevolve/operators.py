@@ -10,9 +10,10 @@ ablation turns them off.
 A step first flips the explore coin, then samples a parent, optional
 inspirations and the ancestor chain, builds the chat messages from them with
 the templates, sends them through the model layer and applies the reply with
-the diff engine. All state mutation other than allocating ids and
-model-call indices, and inserting prompts into the pool, is left to the
-engine.
+the diff engine. Each offspring carries the instruction text it was
+generated from: its parent's, or the meta model's rewrite of it on
+exploration. All state mutation other than allocating ids and model-call
+indices is left to the engine.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
     STATUS_GENERATION_FAILED,
     STATUS_PENDING,
     IslandState,
-    Prompt,
     Solution,
 )
 from .problems import get_problem
@@ -62,8 +62,8 @@ def _new_solution(
     island: IslandState,
     epoch: int,
     code: str,
+    prompt: str,
     parent_id: Optional[str],
-    prompt_id: Optional[str],
     failure: Optional[str] = None,
 ) -> Solution:
     """Allocate the island's next solution: pending, or failed with ``failure`` as feedback."""
@@ -71,8 +71,8 @@ def _new_solution(
         id=island.next_solution_id(),
         island_id=island.id,
         code=code,
+        prompt=prompt,
         parent_id=parent_id,
-        parent_prompt_id=prompt_id,
         epoch_created=epoch,
         status=STATUS_PENDING if failure is None else STATUS_GENERATION_FAILED,
         feedback=failure,
@@ -104,8 +104,8 @@ def _offspring(
     member: llm.EnsembleMember,
     reply: Callable[[], str],
     parent_code: str,
+    prompt: str,
     parent_id: Optional[str],
-    prompt_id: str,
     failure_prefix: str = "generation failed: ",
 ) -> tuple[Solution, str]:
     """Apply the edit that ``reply()``, ``member``'s response, makes to ``parent_code``.
@@ -118,10 +118,10 @@ def _offspring(
         code = _apply_response(parent_code, reply())
     except GENERATION_ERRORS as exc:
         failed = _new_solution(
-            island, epoch, parent_code, parent_id, prompt_id, f"{failure_prefix}{exc}"
+            island, epoch, parent_code, prompt, parent_id, f"{failure_prefix}{exc}"
         )
         return failed, ""
-    return _new_solution(island, epoch, code, parent_id, prompt_id), member.name
+    return _new_solution(island, epoch, code, prompt, parent_id), member.name
 
 
 def evolve_step(
@@ -141,27 +141,22 @@ def evolve_step(
 
     if not explore:
         parent = island.lookup(selection.rank_sample(population, rngs.select))
-        prompt = island.lookup_prompt(parent.parent_prompt_id)
+        prompt = parent.prompt
         ancestors = island.ancestors(parent.id, config.max_ancestor_depth)
         operator = OP_EXPLOIT
     else:
         parent = island.lookup(selection.uniform_sample(population, rngs.select))
-        prompt_for_meta = island.lookup_prompt(parent.parent_prompt_id)
-        messages = templates.build_meta_messages(brief, prompt_for_meta.text, parent.code)
+        messages = templates.build_meta_messages(brief, parent.prompt, parent.code)
         try:
-            new_text = llm.meta_prompt(
+            prompt = llm.meta_prompt(
                 config.ensemble, messages, backend, island.id, island.next_call_index()
             )
         except (llm.TransportError, llm.EmptyResponseError) as exc:
             failed = _new_solution(
-                island, epoch, parent.code, parent.id, prompt_for_meta.id,
+                island, epoch, parent.code, parent.prompt, parent.id,
                 f"meta-prompting failed: {exc}",
             )
             return OperatorOutcome(failed, OP_EXPLORE, model_used="")
-        prompt = Prompt(island.next_prompt_id(), new_text)
-        # Inserted into the pool regardless of whether the offspring below
-        # succeeds.
-        island.add_prompt(prompt)
         ancestors = []  # lineage deliberately withheld on exploration
         operator = OP_EXPLORE
     inspiration_ids = (
@@ -178,7 +173,7 @@ def evolve_step(
 
     messages = templates.build_generation_messages(
         brief,
-        prompt.text,
+        prompt,
         parent.code,
         [a.code for a in ancestors],
         [island.lookup(i).code for i in inspiration_ids],
@@ -186,7 +181,7 @@ def evolve_step(
     )
     sol, model = _offspring(
         island, epoch, *_generation(island, config, backend, rngs, messages),
-        parent.code, parent.id, prompt.id,
+        parent.code, prompt, parent.id,
     )
     return OperatorOutcome(sol, operator, model, inspiration_ids)
 
@@ -194,13 +189,12 @@ def evolve_step(
 def no_evolution_step(
     island: IslandState, config: RunConfig, backend, rngs: IslandRngs, epoch: int
 ) -> OperatorOutcome:
-    """Table-style baseline: regenerate from the island's first (and only) prompt and program."""
+    """Table-style baseline: regenerate from the problem's brief and trivial program."""
     problem = get_problem(config.problem_id)
-    prompt = next(iter(island.prompts.values()))
-    messages = templates.build_generation_messages(problem.brief, prompt.text, problem.trivial_code)
+    messages = templates.build_generation_messages(problem.brief, problem.brief, problem.trivial_code)
     sol, model = _offspring(
         island, epoch, *_generation(island, config, backend, rngs, messages),
-        problem.trivial_code, None, prompt.id,
+        problem.trivial_code, problem.brief, None,
     )
     return OperatorOutcome(sol, OP_NO_EVOLUTION, model)
 
@@ -220,10 +214,10 @@ def _apply_response(parent_code: str, response: str) -> str:
 
 def initialize_island(
     island: IslandState, config: RunConfig, backend, rngs: IslandRngs
-) -> tuple[Prompt, list[Solution], list[Solution]]:
+) -> tuple[str, list[Solution], list[Solution]]:
     """Seed an empty island from its problem's brief and trivial program.
 
-    Returns (initial prompt, pending root solutions, failed generations).
+    Returns (the initial prompt, i.e. the brief, pending roots, failed generations).
     The trivial program is always the first pending root; each successful
     independent generation adds another root. Failures carry fitness 0 and
     are recorded but never become roots.
@@ -236,13 +230,10 @@ def initialize_island(
     if island.solutions:
         raise RuntimeError(f"island {island.id} is already initialized")
     problem = get_problem(config.problem_id)
-    initial_prompt = Prompt(island.next_prompt_id(), problem.brief)
-    island.add_prompt(initial_prompt)
-    pending = [_new_solution(island, 0, problem.trivial_code, None, initial_prompt.id)]
+    brief = problem.brief
+    pending = [_new_solution(island, 0, problem.trivial_code, brief, None)]
     failures: list[Solution] = []
-    messages = templates.build_generation_messages(
-        problem.brief, initial_prompt.text, problem.trivial_code
-    )
+    messages = templates.build_generation_messages(brief, brief, problem.trivial_code)
     calls = [
         _generation(island, config, backend, rngs, messages)
         for _ in range(config.init_population)
@@ -254,11 +245,11 @@ def initialize_island(
         replies = [calls[0][1]] + [pool.submit(send).result for _, send in calls[1:]]
         for (member, _), reply in zip(calls, replies):
             sol, _ = _offspring(
-                island, 0, member, reply, problem.trivial_code, None, initial_prompt.id,
+                island, 0, member, reply, problem.trivial_code, brief, None,
                 "initialization generation failed: ",
             )
             (pending if sol.status == STATUS_PENDING else failures).append(sol)
     finally:
         if pool is not None:
             pool.shutdown()
-    return initial_prompt, pending, failures
+    return brief, pending, failures

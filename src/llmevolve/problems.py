@@ -330,20 +330,12 @@ def _parse_p2(raw: bytes, count: int, dim: int) -> PointSetArtifact:
     return PointSetArtifact(points=points)
 
 
-def _parse_p3(raw: bytes, count: int) -> CirclePackingArtifact:
+def _parse_packing(raw: bytes, count: int, with_width: bool) -> CirclePackingArtifact:
+    """Circles in the unit square (p3), or in a rectangle whose width the artifact names (p4)."""
     doc = _load_json(raw)
     try:
         circles = [tuple(float(v) for v in c) for c in _at_most(doc["circles"], count, "circles")]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ArtifactError(f"bad circle payload: {exc}") from exc
-    return CirclePackingArtifact(circles=circles, rect_width=1.0)
-
-
-def _parse_p4(raw: bytes, count: int) -> CirclePackingArtifact:
-    doc = _load_json(raw)
-    try:
-        circles = [tuple(float(v) for v in c) for c in _at_most(doc["circles"], count, "circles")]
-        width = float(doc["rect_width"])
+        width = float(doc["rect_width"]) if with_width else 1.0
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"bad circle payload: {exc}") from exc
     return CirclePackingArtifact(circles=circles, rect_width=width)
@@ -375,18 +367,18 @@ with open(os.environ["{ARTIFACT_PATH_ENV}"], "w") as fh:
     json.dump({{"points": points}}, fh)
 """
 
-def _trivial_packing(n: int, width: float, include_width: bool) -> str:
-    height = 2.0 - width if include_width else 1.0
-    cols = max(1, int(math.ceil(math.sqrt(n * width / height))))
-    rows = int(math.ceil(n / cols))
-    doc_extra = f'"rect_width": {width}, ' if include_width else ""
+def _trivial_packing(n: int, include_width: bool) -> str:
+    """A grid of ``n`` tiny circles in the unit square, which is p4's width-1 rectangle."""
+    cols = math.ceil(math.sqrt(n))
+    rows = math.ceil(n / cols)
+    doc_extra = '"rect_width": 1.0, ' if include_width else ""
     return f"""\
 import json, os
 circles = []
 n, cols, rows = {n}, {cols}, {rows}
 for i in range(n):
-    cx = ({width} / cols) * (i % cols + 0.5)
-    cy = ({height} / rows) * (i // cols + 0.5)
+    cx = (1.0 / cols) * (i % cols + 0.5)
+    cy = (1.0 / rows) * (i // cols + 0.5)
     circles.append([cx, cy, 1e-3])
 with open(os.environ["{ARTIFACT_PATH_ENV}"], "w") as fh:
     json.dump({{{doc_extra}"circles": circles}}, fh)
@@ -443,9 +435,9 @@ def _make_registry() -> dict[str, ProblemSpec]:
             ),
             wall_seconds=180.0,
             memory_bytes=1 * GB,
-            trivial_code=_trivial_packing(n, 1.0, include_width=False),
+            trivial_code=_trivial_packing(n, include_width=False),
             scorer=lambda art, n=n: score_p3(art, expected_count=n),
-            parser=lambda raw, n=n: _parse_p3(raw, n),
+            parser=lambda raw, n=n: _parse_packing(raw, n, with_width=False),
         )
 
     specs["p4"] = ProblemSpec(
@@ -459,9 +451,9 @@ def _make_registry() -> dict[str, ProblemSpec]:
         ),
         wall_seconds=360.0,
         memory_bytes=1 * GB,
-        trivial_code=_trivial_packing(21, 1.0, include_width=True),
+        trivial_code=_trivial_packing(21, include_width=True),
         scorer=lambda art: score_p4(art, expected_count=21),
-        parser=lambda raw: _parse_p4(raw, 21),
+        parser=lambda raw: _parse_packing(raw, 21, with_width=True),
     )
     return specs
 

@@ -93,14 +93,14 @@ def make_solution(
     island: int = 0,
     epoch: int = 0,
     parent: str | None = None,
-    prompt: str | None = "i0-p00000",
+    prompt: str = "initial prompt",
 ) -> Solution:
     return Solution(
         id=sid,
         island_id=island,
         code=f"# {sid}",
+        prompt=prompt,
         parent_id=parent,
-        parent_prompt_id=prompt,
         epoch_created=epoch,
         fitness=fitness,
         status=STATUS_VALID,

@@ -143,7 +143,7 @@ def test_criterion_4_population_control():
         fitness = round(rng.random(), 2)  # coarse values force fitness ties
         epoch = rng.randrange(20)
         sid = f"s{n:05d}"
-        island.try_insert(make_solution(sid, fitness, epoch=epoch, prompt=None))
+        island.try_insert(make_solution(sid, fitness, epoch=epoch))
         if len(reference) < 7:
             reference.append((sid, fitness, epoch))
         else:

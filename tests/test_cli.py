@@ -96,6 +96,44 @@ class TestCmdRun:
         assert "invalid config" in result.output
 
     @pytest.mark.parametrize(
+        "base_url, valid",
+        [("", False), ("localhost:8000/v1", False), ("http://localhost:8000/v1", True)],
+    )
+    def test_the_http_backend_needs_a_base_url_with_a_scheme_and_a_host(self, base_url, valid):
+        from llmevolve.config import ConfigError, config_from_dict
+
+        doc = {"problem_id": "p3.a", "backend": "http", "base_url": base_url}
+        if valid:
+            assert config_from_dict(doc).base_url == base_url
+        else:
+            with pytest.raises(ConfigError, match="base_url"):
+                config_from_dict(doc)
+
+    def test_the_http_backend_override_without_a_base_url_is_refused(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "config.yaml")
+        run_dir = tmp_path / "run"
+        result = runner.invoke(
+            main, ["run", "--config", str(cfg), "--run-dir", str(run_dir), "--backend", "http"]
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: invalid config")
+        assert not run_dir.exists()
+
+    def test_an_ablation_preset_sets_the_snapshotted_toggles(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "config.yaml")
+        run_dir = tmp_path / "run"
+        write_transcript(run_dir, num_islands=2, calls_per_island=30)
+        result = runner.invoke(
+            main,
+            ["run", "--config", str(cfg), "--run-dir", str(run_dir), "--ablation", "no-evolution"],
+        )
+        assert result.exit_code == 0, result.output
+        snapshot = yaml.safe_load((run_dir / "config.yaml").read_text())
+        assert snapshot["ablation"] == {
+            "meta_prompting": False, "inspirations": False, "evolution": False,
+        }
+
+    @pytest.mark.parametrize(
         "transcript", [None, '{"index": 0}\n'], ids=["missing", "record_without_response"]
     )
     def test_a_bad_transcript_is_an_error_message(self, runner, tmp_path, transcript):
@@ -239,6 +277,17 @@ class TestCmdReport:
         )
         assert result.exit_code == 0
         assert "undefined" in result.output
+
+    @pytest.mark.parametrize("events", [None, "not json\n"], ids=["missing", "malformed"])
+    def test_a_run_dir_without_a_readable_event_log_is_an_error_message(
+        self, runner, tmp_path, events
+    ):
+        if events is not None:
+            (tmp_path / "events.jsonl").write_text(events)
+        result = runner.invoke(main, ["report", "--run-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.startswith("Error: cannot read the event log")
 
     def test_finite_series_with_positive_epsilon(self, runner, tmp_path):
         run_dir = self._completed_run(tmp_path)

@@ -9,22 +9,13 @@ from llmevolve.core import (
     STATUS_PENDING,
     STATUS_VALID,
     IslandState,
-    Prompt,
     Solution,
     UnknownIdError,
 )
 
 
 def make_island(capacity=40):
-    island = IslandState(0, capacity=capacity)
-    island.add_prompt(Prompt(id="i0-p00000", text="solve it"))
-    return island
-
-
-class TestPrompt:
-    def test_empty_prompt_rejected(self):
-        with pytest.raises(ValueError):
-            Prompt(id="i0-p00001", text="")
+    return IslandState(0, capacity=capacity)
 
 
 class TestAncestors:
@@ -125,7 +116,7 @@ def test_insert_sequences_match_brute_force(entries, capacity):
     reference: list[tuple[str, float, int]] = []
     for n, (fitness, epoch) in enumerate(entries):
         sid = f"s{n:03d}"
-        island.try_insert(make_solution(sid, fitness, epoch=epoch, prompt=None))
+        island.try_insert(make_solution(sid, fitness, epoch=epoch))
         # Brute-force restatement of the rule.
         if len(reference) < capacity:
             reference.append((sid, fitness, epoch))
@@ -153,31 +144,24 @@ def test_forest_acyclicity_check_passes_after_mutations():
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.floats(0, 1, allow_nan=False), st.integers(0, 5), st.booleans()),
+        st.tuples(st.floats(0, 1, allow_nan=False), st.integers(0, 5)),
         max_size=60,
     ),
     st.integers(1, 6),
 )
-def test_prune_keeps_exactly_the_live_lineage_and_prompts(entries, capacity):
+def test_prune_keeps_exactly_the_live_lineage(entries, capacity):
     """After random inserts, ``prune`` changes no live solution's ancestors and
-    keeps only the archived ancestors, the first prompt and the live ones.
-    Before it, the island holds exactly the candidates that were not rejected."""
+    keeps only their archived ancestors. Before it, the island holds exactly
+    the candidates that were not rejected."""
     island = make_island(capacity=capacity)
     taken = set()
-    for n, (fitness, pick, explored) in enumerate(entries):
+    for n, (fitness, pick) in enumerate(entries):
         live = sorted(island.solutions)
         parent = live[pick % len(live)] if live else None
-        prompt = island.lookup(parent).parent_prompt_id if parent else "i0-p00000"
-        if explored:  # a new prompt, as an explore step adds
-            prompt = f"i0-p{n + 1:05d}"
-            island.add_prompt(Prompt(id=prompt, text="explored"))
-        if island.try_insert(make_solution(f"s{n:03d}", fitness, parent=parent, prompt=prompt)).outcome != "rejected":
+        if island.try_insert(make_solution(f"s{n:03d}", fitness, parent=parent)).outcome != "rejected":
             taken.add(f"s{n:03d}")
     assert set(island.solutions) | set(island.archive) == taken
     before = {sid: [s.id for s in island.ancestors(sid)] for sid in island.solutions}
     island.prune()
     assert {sid: [s.id for s in island.ancestors(sid)] for sid in island.solutions} == before
     assert set(island.archive) == {a for chain in before.values() for a in chain} - set(island.solutions)
-    live_prompts = {s.parent_prompt_id for s in island.solutions.values()}
-    assert set(island.prompts) == {"i0-p00000"} | live_prompts
-    assert next(iter(island.prompts)) == "i0-p00000"

@@ -285,7 +285,7 @@ class TestMigration:
     def test_a_migrant_copy_keeps_every_field_it_does_not_reset(self, tmp_path):
         import dataclasses
 
-        from llmevolve.core import STATUS_VALID, IslandState, Prompt, Solution
+        from llmevolve.core import STATUS_VALID, IslandState, Solution
         from llmevolve.engine import RunState, _Run
 
         @dataclasses.dataclass
@@ -293,9 +293,8 @@ class TestMigration:
             note: str = ""
 
         islands = [IslandState(i, capacity=40) for i in range(2)]
-        islands[0].add_prompt(Prompt("i0-p00000", "explored"))
         original = NotedSolution(
-            "i0-s00000", 0, "print(1)\n", parent_id="i0-s00009", parent_prompt_id="i0-p00000",
+            "i0-s00000", 0, "print(1)\n", "explored", parent_id="i0-s00009",
             epoch_created=2, metrics={"objective": 1.5}, fitness=1.5, status=STATUS_VALID,
             log_ref="solutions/i0-s00000", feedback="tail", note="kept",
         )
@@ -306,11 +305,9 @@ class TestMigration:
         finally:
             runner.close()
         [copy] = islands[1].solutions.values()
-        [prompt] = islands[1].prompts.values()
         assert original.has_migrated
-        assert prompt == Prompt("i1-p00000", "explored")
         assert copy == NotedSolution(
-            "i1-s00000", 1, "print(1)\n", parent_prompt_id="i1-p00000", epoch_created=3,
+            "i1-s00000", 1, "print(1)\n", "explored", epoch_created=3,
             metrics={"objective": 1.5}, fitness=1.5, status=STATUS_VALID,
             log_ref="solutions/i0-s00000", feedback="tail", note="kept",
             provenance={"migrated_from": 0, "original_id": "i0-s00000"},
@@ -413,11 +410,38 @@ class TestResume:
             config, state = engine.load_checkpoint(ckpt)
             payload = pickle.dumps({"config": config, "state": state})
             ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
-        with pytest.raises(CheckpointError, match="predates version 1"):
+        with pytest.raises(CheckpointError, match="predates version 2"):
             engine.resume(run_dir)
         result = CliRunner().invoke(main, ["resume", "--run-dir", str(run_dir)])
         assert result.exit_code == 1
-        assert "Error:" in result.output and "predates version 1" in result.output
+        assert "Error:" in result.output and "predates version 2" in result.output
+
+    def test_a_checkpoint_naming_a_class_core_lacks_is_refused(self, tmp_path, monkeypatch):
+        from click.testing import CliRunner
+
+        from llmevolve import core
+        from llmevolve.cli import main
+
+        run_dir, _, _ = small_run(tmp_path)
+        # A class of ``core`` that exists only while the checkpoints are
+        # pickled, as one that another version of llmevolve kept there.
+        stale = type("Prompt", (), {"__module__": core.__name__})
+        monkeypatch.setattr(core, "Prompt", stale, raising=False)
+        for ckpt in (run_dir / "checkpoints").glob("epoch_*.ckpt"):
+            config, state = engine.load_checkpoint(ckpt)
+            payload = pickle.dumps(
+                {"version": engine.CHECKPOINT_VERSION, "config": config, "state": state, "pool": [stale()]}
+            )
+            ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
+        monkeypatch.delattr(core, "Prompt")
+        files = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        with pytest.raises(CheckpointError, match="cannot be unpickled; another version wrote it"):
+            engine.resume(run_dir)
+        result = CliRunner().invoke(main, ["resume", "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: checkpoint ")
+        assert "epoch_00003.ckpt cannot be unpickled" in result.output
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == files
 
     def test_a_run_keeps_the_newest_two_checkpoints(self, tmp_path):
         cfg = standard_config(num_islands=2, epochs=8, migration_every=2, init_population=2)
@@ -828,7 +852,7 @@ class TestEvaluateCandidate:
         from llmevolve.core import Solution, STATUS_PENDING
 
         return Solution(
-            id="i0-s00000", island_id=0, code=code, status=STATUS_PENDING
+            id="i0-s00000", island_id=0, code=code, prompt="initial prompt", status=STATUS_PENDING
         )
 
     def test_valid_packing_scores_passthrough(self, tmp_path):

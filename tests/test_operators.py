@@ -11,7 +11,6 @@ from llmevolve.core import (
     STATUS_GENERATION_FAILED,
     STATUS_PENDING,
     IslandState,
-    Prompt,
 )
 from llmevolve.llm import ReplayBackend
 from llmevolve.operators import (
@@ -34,8 +33,6 @@ def rngs(seed=0):
 
 def seeded_island(fitnesses=(0.1, 0.5, 0.9), capacity=40):
     island = IslandState(0, capacity=capacity)
-    island.add_prompt(Prompt(id="i0-p00000", text="initial prompt"))
-    island._prompt_counter = 1
     for i, f in enumerate(fitnesses):
         sol = make_solution(f"i0-s{i:05d}", f, epoch=0)
         sol.code = f"print({i})\n"
@@ -56,7 +53,7 @@ class TestEvolveStep:
             backend = scripted_backend(fenced("print('new')\n"))
             outcome = evolve_step(island, config, backend, rngs(seed), 1)
             assert outcome.operator == OP_EXPLOIT
-            assert list(island.prompts) == ["i0-p00000"]
+            assert outcome.new_solution.prompt == "initial prompt"
 
     def test_p_explore_one_always_explores_with_prompt(self):
         config = standard_config(p_explore=1.0)
@@ -65,8 +62,7 @@ class TestEvolveStep:
             backend = scripted_backend("enriched prompt", fenced("print('new')\n"))
             outcome = evolve_step(island, config, backend, rngs(seed), 1)
             assert outcome.operator == OP_EXPLORE
-            new_prompt = island.lookup_prompt(outcome.new_solution.parent_prompt_id)
-            assert new_prompt.id != "i0-p00000"
+            assert outcome.new_solution.prompt == "enriched prompt"
 
     def test_exploit_applies_scripted_block_edit(self):
         config = standard_config(p_explore=0.0)
@@ -145,8 +141,6 @@ class TestEvolveStep:
             outcome = evolve_step(island, config, backend, r, 1)
             if outcome.operator == OP_EXPLORE:
                 explored += 1
-            # Keep the island from growing unboundedly with explore prompts.
-            island.prompts = {"i0-p00000": island.prompts["i0-p00000"]}
         assert explored / trials == pytest.approx(0.3, abs=0.025)
 
 
@@ -158,11 +152,11 @@ class TestInitializeIsland:
             *[fenced(f"print({i})\n") for i in range(6)]
         )
         prompt, pending, failures = initialize_island(island, config, backend, rngs())
-        assert prompt.text == get_problem(config.problem_id).brief
+        assert prompt == get_problem(config.problem_id).brief
         assert len(pending) == 7  # trivial + 6 generated
         assert failures == []
         assert all(p.parent_id is None for p in pending)
-        assert all(p.parent_prompt_id == prompt.id for p in pending)
+        assert all(p.prompt == prompt for p in pending)
         codes = {p.code for p in pending}
         assert len(codes) == 7
 
