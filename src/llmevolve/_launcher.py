@@ -2,8 +2,9 @@
 
 ``sandbox.Launcher`` starts this file as ``<interpreter> _launcher.py <fd>``,
 where ``<fd>`` is this process's end of an ``AF_UNIX`` ``SOCK_SEQPACKET``
-socket pair, with the launcher's work directory as its working directory and
-the artifact path in its environment. One message per packet:
+socket pair, with the launcher's work directory as its working directory,
+the artifact path in its environment, stdout on ``/dev/null`` and stderr on
+a file the engine reads if the launcher is not ready. One message per packet:
 
 * the launcher sends ``ready`` once its imports are done;
 * a request is a JSON object ``{"script", "memory_bytes", "cpu_seconds"}``
@@ -13,7 +14,8 @@ the artifact path in its environment. One message per packet:
   for a signal) once the child has exited, both in ASCII.
 
 An empty read (the engine closed its end, or died) ends the launcher, which
-then removes its working directory, wherever a candidate may have moved it.
+then removes its working directory, wherever a candidate may have moved it,
+and exits through ``os._exit`` without interpreter teardown.
 Before it serves, the launcher compiles its own source once and sets
 ``SIGXFSZ`` back to its default, so each child inherits a parser and
 compiler that have already run, the work directory, the environment and
@@ -156,6 +158,28 @@ def finish(code: int) -> None:
     os._exit(code)
 
 
+def remove_workdir() -> None:
+    """Remove the working directory, wherever a candidate may have moved it.
+
+    It holds at most the script once the engine has emptied it; anything
+    else a candidate left there takes ``shutil.rmtree``.
+    """
+    try:
+        workdir = os.getcwd()
+    except FileNotFoundError:  # a candidate removed it
+        return
+    try:
+        os.unlink("candidate.py")
+    except OSError:  # never written, or no longer a file
+        pass
+    try:
+        os.rmdir(workdir)
+    except OSError:
+        import shutil  # only here, after the last fork, so no candidate sees it
+
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
 if __name__ == "__main__":
     # Each child inherits a parser and compiler that have already run once.
     with open(__file__, "rb") as fh:
@@ -170,9 +194,7 @@ if __name__ == "__main__":
         script = None
     if script is not None:
         finish(run_main(script))
-    import shutil  # after the last fork, so no candidate sees it
-
-    try:
-        shutil.rmtree(os.getcwd(), ignore_errors=True)
-    except FileNotFoundError:  # a candidate removed it
-        pass
+    remove_workdir()
+    # Stdout is /dev/null, stderr is the engine's and every child is reaped:
+    # nothing is left for the interpreter's teardown to flush or wait for.
+    os._exit(0)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import click
 
-from . import engine, report
+from . import engine, llm, report
 from .config import ABLATION_PRESETS, ConfigError, load_config
 from .problems import ArtifactError, parse_artifact, reference_best, score_artifact
 
@@ -62,7 +62,7 @@ def cmd_run(config_path, run_dir, epochs, seed, backend, problem_id, ablation) -
         raise click.ClickException(f"invalid config: {exc}") from exc
     try:
         summary = engine.run(cfg, run_dir)
-    except ConfigError as exc:
+    except (ConfigError, llm.KeyRefusedError) as exc:
         raise click.ClickException(str(exc)) from exc
     _print_summary(summary)
 
@@ -73,7 +73,7 @@ def cmd_resume(run_dir) -> None:
     """Continue a checkpointed run to completion."""
     try:
         summary = engine.resume(run_dir)
-    except (engine.CheckpointError, ConfigError) as exc:
+    except (engine.CheckpointError, ConfigError, llm.KeyRefusedError) as exc:
         raise click.ClickException(str(exc)) from exc
     _print_summary(summary)
 

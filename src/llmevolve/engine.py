@@ -11,12 +11,18 @@ log holds the same records in an order that depends on thread timing.
 ``run`` builds a fresh ``RunState`` and ``resume`` loads the latest intact
 one; both build the backend first, so a missing or malformed replay
 transcript is a ``ConfigError`` before anything is written, and hand the
-state to ``_run_from``, which truncates the event and solutions logs to the
-state's positions and runs the remaining epochs; a log shorter than its
-position is refused with a ``CheckpointError``. Each island step is one
-operator call, to ``operators.evolve_step`` or, under the no-evolution
-ablation, ``operators.no_evolution_step``; the operator decides the
-variation, and the engine evaluates and inserts its offspring.
+state to ``_run_from``. That starts every launcher of the run at once and
+waits until each is ready, so an interpreter that cannot start one is a
+``ConfigError`` before anything is written or any model is called (a run
+with no epoch left starts none); then it writes a fresh run's config
+snapshot, truncates the event and solutions logs to the state's positions
+and runs the remaining epochs. A log shorter than its position is refused
+with a ``CheckpointError``; an endpoint that refuses the API key
+(``llm.KeyRefusedError``) ends the run, which resumes from its last
+checkpoint. Each island step is one operator call, to
+``operators.evolve_step`` or, under the no-evolution ablation,
+``operators.no_evolution_step``; the operator decides the variation, and
+the engine evaluates and inserts its offspring.
 
 Islands share nothing between migrations, so each island runs as one job on
 its own thread up to the next barrier: a migration epoch, a requested stop,
@@ -29,13 +35,14 @@ one at a time per island, on one FIFO pool of ``sandbox_workers`` threads
 launcher (see ``sandbox.Launcher``); the island's own thread then writes
 ``.`` for the launcher's work directory in the candidate's logs, parses and
 scores the artifact and appends the candidate's record to the solutions
-log, under a lock. ``close`` reaps the launchers. At the barrier the engine
-writes the jobs' buffered events in canonical order (init events by island,
-then step events by epoch and island), migrates if the epoch is a migration
-epoch, prunes each island and writes one checkpoint per barrier. At the end
-of the run it exports ``best/``, taking the artifact from the best
-solution's record. A summary counts statuses from the event log's init and
-step events.
+log, under a lock. A launcher that dies mid-run restarts on its next use.
+``close`` hangs up on every launcher before it reaps any, so they exit
+together. At the barrier the engine writes the jobs' buffered events in
+canonical order (init events by island, then step events by epoch and
+island), migrates if the epoch is a migration epoch, prunes each island and
+writes one checkpoint per barrier. At the end of the run it exports
+``best/``, taking the artifact from the best solution's record. A summary
+counts statuses from the event log's init and step events.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import os
 import pickle
 import queue
 import random
+import shlex
 import threading
 from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -139,11 +147,50 @@ def _solution_event(kind: str, sol: Solution, insert: str, **extra) -> dict:
     }
 
 
+# The keys of each event type that the summary and ``report`` read.
+_EVENT_KEYS = {"init": ("island", "status", "fitness"), "step": ("island", "status", "fitness", "epoch")}
+
+
 def read_events(run_dir: str | Path) -> Iterator[dict]:
-    """The records of ``run_dir``'s event log, in order."""
-    with open(Path(run_dir) / EVENT_LOG_NAME, encoding="utf-8") as fh:
-        for line in fh:
-            yield json.loads(line)
+    """The records of ``run_dir``'s event log, in order.
+
+    A line that is not a JSON object with a string ``type``, or an ``init``
+    or ``step`` record without a key that its readers need, is a
+    ``ValueError`` that names the line.
+    """
+    path = Path(run_dir) / EVENT_LOG_NAME
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                record = json.loads(line)
+                if not (isinstance(record, dict) and isinstance(record.get("type"), str)):
+                    raise ValueError("not a JSON object with a string type")
+                missing = [key for key in _EVENT_KEYS.get(record["type"], ()) if key not in record]
+                if missing:
+                    raise ValueError(f"a {record['type']} event without {', '.join(missing)}")
+            except ValueError as exc:  # a JSONDecodeError too
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+            yield record
+
+
+def _sandbox_workers(config: RunConfig) -> int:
+    """How many candidates run at once: each island has at most one in flight."""
+    return min(config.sandbox_workers or config.num_islands, config.num_islands)
+
+
+def start_launchers(config: RunConfig) -> list[sandbox.Launcher]:
+    """One launcher per sandbox worker, started at once and each ready.
+
+    A launcher that cannot start is a ``ConfigError`` that names the
+    interpreter and quotes the launcher's error, with every one reaped.
+    """
+    launchers = [sandbox.Launcher(config.interpreter) for _ in range(_sandbox_workers(config))]
+    try:
+        sandbox.start_all(launchers)
+    except sandbox.LauncherError as exc:
+        interpreter = shlex.join(config.interpreter)
+        raise ConfigError(f"cannot start a launcher on the interpreter {interpreter}: {exc}") from None
+    return launchers
 
 
 def make_backend(config: RunConfig, run_dir: Path):
@@ -159,7 +206,9 @@ def make_backend(config: RunConfig, run_dir: Path):
 class _Run:
     """One in-progress run bound to its directory, config and backend."""
 
-    def __init__(self, config: RunConfig, run_dir: Path, backend, state: RunState):
+    def __init__(
+        self, config: RunConfig, run_dir: Path, backend, state: RunState, launchers: list[sandbox.Launcher]
+    ):
         self.config = config
         self.run_dir = run_dir
         self.backend = backend
@@ -180,12 +229,10 @@ class _Run:
         self._solutions_fh.truncate(state.solutions_log_pos)
         self._solutions_lock = threading.Lock()
         self._island_pool = ThreadPoolExecutor(max_workers=config.num_islands)
-        # Each island has at most one candidate in flight.
-        workers = min(config.sandbox_workers or config.num_islands, config.num_islands)
         # Candidates wait in this pool's FIFO queue, so no island overtakes another.
-        self._sandbox_pool = ThreadPoolExecutor(max_workers=workers)
-        # One warm launcher per sandbox worker; each starts on first use.
-        self._launchers = [sandbox.Launcher(config.interpreter) for _ in range(workers)]
+        self._sandbox_pool = ThreadPoolExecutor(max_workers=_sandbox_workers(config))
+        # One warm launcher per sandbox worker; none when no epoch is left.
+        self._launchers = launchers
         self._idle_launchers: queue.SimpleQueue = queue.SimpleQueue()
         for launcher in self._launchers:
             self._idle_launchers.put(launcher)
@@ -504,8 +551,8 @@ class _Run:
     def close(self) -> None:
         self._island_pool.shutdown()
         self._sandbox_pool.shutdown()
-        for launcher in self._launchers:  # reaped, so their CPU time is counted
-            launcher.close()
+        # Reaped, so their CPU time is counted; hung up on together, so they exit together.
+        sandbox.close_all(self._launchers)
         self._event_fh.close()
         self._solutions_fh.close()
 
@@ -518,10 +565,8 @@ def run(
 ) -> RunSummary:
     """Execute a fresh run from epoch 1 to config.epochs in ``run_dir``."""
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     if backend is None:  # before the snapshot, so a bad transcript leaves no config behind
         backend = make_backend(config, run_dir)
-    _write_config_snapshot(config, run_dir)
     islands = [
         IslandState(i, capacity=config.max_population) for i in range(config.num_islands)
     ]
@@ -534,7 +579,7 @@ def run(
         for i in range(config.num_islands)
     ]
     state = RunState(islands=islands, rngs=rngs)
-    return _run_from(config, run_dir, state, backend, stop_after_epoch)
+    return _run_from(config, run_dir, state, backend, stop_after_epoch, fresh=True)
 
 
 def resume(
@@ -557,10 +602,23 @@ def resume(
 
 
 def _run_from(
-    config: RunConfig, run_dir: Path, state: RunState, backend, stop_after_epoch
+    config: RunConfig, run_dir: Path, state: RunState, backend, stop_after_epoch, fresh: bool = False
 ) -> RunSummary:
-    """Run ``state`` from its epoch: the one path behind ``run`` and ``resume``."""
-    runner = _Run(config, run_dir, backend, state)
+    """Run ``state`` from its epoch: the one path behind ``run`` and ``resume``.
+
+    The launchers start first, so an interpreter that cannot start one is a
+    ``ConfigError`` before anything is written: a ``fresh`` run's directory
+    and config snapshot, the logs. A run with no epoch left starts none.
+    """
+    launchers = start_launchers(config) if state.epoch < config.epochs else []
+    try:
+        if fresh:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            _write_config_snapshot(config, run_dir)
+        runner = _Run(config, run_dir, backend, state, launchers)
+    except BaseException:
+        sandbox.close_all(launchers)
+        raise
     try:
         return runner.run_epochs(stop_after_epoch=stop_after_epoch)
     finally:

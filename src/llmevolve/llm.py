@@ -38,6 +38,14 @@ class ReplayError(RejectedError):
     """A replay transcript has no response, or a different digest, for a call."""
 
 
+class KeyRefusedError(RuntimeError):
+    """The endpoint refused the API key (HTTP 401 or 403).
+
+    No later call can succeed, so it is not retried and fails no step: it
+    ends the run, which can resume from its last checkpoint with a good key.
+    """
+
+
 class EmptyResponseError(RuntimeError):
     """The backend returned an empty payload where text was required."""
 
@@ -128,8 +136,10 @@ def sample_model(config: EnsembleConfig, rng: random.Random) -> EnsembleMember:
 API_KEY_ENV = "LLMEVOLVE_API_KEY"
 HTTP_TIMEOUT_SECONDS = 120.0
 
-# Statuses that a retry cannot change: a bad request, key, model or URL.
-_HTTP_REJECTED = frozenset({400, 401, 403, 404})
+# Statuses that a retry cannot change: a bad request, model or URL fails its
+# step, and a bad key the run.
+_HTTP_REJECTED = frozenset({400, 404})
+_HTTP_KEY_REFUSED = frozenset({401, 403})
 
 
 class HttpBackend:
@@ -178,6 +188,8 @@ class HttpBackend:
                 content = json.load(resp)["choices"][0]["message"]["content"]
         except urllib.error.HTTPError as exc:
             exc.close()
+            if exc.code in _HTTP_KEY_REFUSED:
+                raise KeyRefusedError(f"{exc.code} {exc.reason} for {url}: check {API_KEY_ENV}") from None
             error = RejectedError if exc.code in _HTTP_REJECTED else TransportError
             raise error(f"{exc.code} {exc.reason} for {url}") from None
         except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:

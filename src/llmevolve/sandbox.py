@@ -1,19 +1,24 @@
 """Resource-limited execution of candidate programs.
 
 Each sandbox worker owns one warm launcher: a long-lived interpreter,
-started from ``interpreter`` on first use, that forks a child per candidate
-(see ``_launcher.py``). Each launcher start makes one temporary work
+started from ``interpreter``, that forks a child per candidate (see
+``_launcher.py``). ``start_all`` starts a run's launchers at once and waits
+until each is ready; ``close_all`` hangs up on all of them before it reaps
+any, so they exit together. Each launcher start makes one temporary work
 directory, the working directory of the launcher and of every child it
-forks; the artifact output path in it is in the launcher's environment, so
-the children inherit both. Before a candidate runs, its code overwrites the
-directory's ``candidate.py`` in place; after it, the directory is emptied
-but for that script, so every candidate of a launcher sees the same path
-and only its own script there, and the evaluation itself creates no file.
+forks; the artifact output path in it is in the launcher's environment,
+which is this process's without the API key (``llm.API_KEY_ENV``), so the
+children inherit both and never the key. Before a candidate runs, its code
+overwrites the directory's ``candidate.py`` in place; after it, the
+directory is emptied but for that script, so every candidate of a launcher
+sees the same path and only its own script there, and the evaluation
+itself creates no file.
 A directory that cannot be emptied or prepared (the candidate removed or
 renamed it, swapped it for a symlink, or linked its script elsewhere)
-closes the launcher, which starts afresh in a new directory. A launcher
-removes its directory, wherever it now is, when the engine closes it or
-dies, and the engine removes what is left at its path.
+closes the launcher, which starts afresh in a new directory on next use,
+as does a launcher that died. A launcher removes its directory, wherever it
+now is, when the engine closes it or dies, and the engine removes what is
+left at its path.
 
 The child runs the candidate as ``python candidate.py`` would, in its own
 session, with stdin on ``/dev/null``, a best-effort memory ceiling
@@ -54,6 +59,7 @@ from pathlib import Path
 from typing import Optional
 
 from ._launcher import FILE_SIZE_LIMIT
+from .llm import API_KEY_ENV
 from .problems import ARTIFACT_PATH_ENV
 
 LOG_CAP_BYTES = 1 << 20  # per stream; the tail is kept and truncation marked in front
@@ -104,12 +110,13 @@ class LauncherError(Exception):
 class Launcher:
     """One warm launcher process and its work directory; serves one candidate at a time.
 
-    It starts on first use and again on the next use after it dies (under a
-    candidate or while idle), after it is discarded for not reporting a
-    killed candidate's exit in time, or after it is closed because its work
-    directory could not be prepared or emptied. Each start makes a fresh work
-    directory, which the launcher and its children use as their working
-    directory and which holds the script and the artifact (``artifact_path``).
+    ``spawn`` starts it and ``wait_ready`` waits for it. One that is not
+    running starts on next use: after it dies (under a candidate or while
+    idle), after it is discarded for not reporting a killed candidate's exit
+    in time, or after it is closed because its work directory could not be
+    prepared or emptied. Each start makes a fresh work directory, which the
+    launcher and its children use as their working directory and which holds
+    the script and the artifact (``artifact_path``).
     ``close`` ends the launcher, reaps it, which adds its children's CPU time
     to this process's ``RUSAGE_CHILDREN``, and removes its work directory.
     """
@@ -120,6 +127,7 @@ class Launcher:
         self.workdir: Optional[str] = None
         self._workdir_id: Optional[tuple[int, int]] = None
         self._sock: Optional[socket.socket] = None
+        self._errors = None  # the launcher's stderr, until it is ready
 
     @property
     def script_path(self) -> str:
@@ -129,39 +137,57 @@ class Launcher:
     def artifact_path(self) -> str:
         return os.path.join(self.workdir, ARTIFACT_NAME)
 
-    def _start(self) -> None:
+    def spawn(self) -> None:
+        """Start the launcher process in a fresh work directory, without waiting for it.
+
+        Its environment is this process's without the API key, plus the
+        artifact path. ``wait_ready`` waits for its ``ready``.
+        """
         self.workdir = tempfile.mkdtemp(prefix="candidate-")
         info = os.stat(self.workdir)
         self._workdir_id = (info.st_dev, info.st_ino)
+        env = {name: value for name, value in os.environ.items() if name != API_KEY_ENV}
+        env[ARTIFACT_PATH_ENV] = self.artifact_path
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-        with _log_file("launcher-errors") as errors:
-            try:
-                with theirs:  # then the launcher holds the only other end
-                    self.proc = subprocess.Popen(
-                        self.interpreter + [LAUNCHER_SCRIPT, str(theirs.fileno())],
-                        stdin=subprocess.DEVNULL,
-                        stdout=subprocess.DEVNULL,
-                        stderr=errors,
-                        pass_fds=[theirs.fileno()],
-                        cwd=self.workdir,
-                        env={**os.environ, ARTIFACT_PATH_ENV: self.artifact_path},
-                    )
-            except OSError as exc:
-                ours.close()
-                self.close()
-                raise LauncherError(str(exc)) from exc
-            self._sock = ours
-            ours.settimeout(START_TIMEOUT_SECONDS)
-            try:
-                ready = ours.recv(16) == b"ready"
-            except OSError:  # includes the timeout
-                ready = False
+        self._errors = _log_file("launcher-errors")
+        try:
+            with theirs:  # then the launcher holds the only other end
+                self.proc = subprocess.Popen(
+                    self.interpreter + [LAUNCHER_SCRIPT, str(theirs.fileno())],
+                    stdin=subprocess.DEVNULL,
+                    stdout=subprocess.DEVNULL,
+                    stderr=self._errors,
+                    pass_fds=[theirs.fileno()],
+                    cwd=self.workdir,
+                    env=env,
+                )
+        except OSError as exc:
+            ours.close()
+            self.close()
+            raise LauncherError(str(exc)) from exc
+        self._sock = ours
+
+    def wait_ready(self) -> None:
+        """Wait for the spawned launcher's ``ready``; a launcher that exits or
+        stays silent for ``START_TIMEOUT_SECONDS`` is killed, and the
+        ``LauncherError`` quotes its stderr."""
+        self._sock.settimeout(START_TIMEOUT_SECONDS)
+        try:
+            ready = self._sock.recv(16) == b"ready"
+        except OSError:  # includes the timeout
+            ready = False
+        errors, self._errors = self._errors, None
+        with errors:
             if not ready:
                 code = self._discard()
                 text = _read_log(errors).strip()
                 raise LauncherError(
                     f"launcher exited with code {code} before it was ready" + (f": {text}" if text else "")
                 )
+
+    def _start(self) -> None:
+        self.spawn()
+        self.wait_ready()
 
     def prepare(self, code: bytes) -> None:
         """Start the launcher if it is not running, and put ``code`` in its script.
@@ -238,21 +264,53 @@ class Launcher:
         self.close()
         return code
 
+    def hang_up(self) -> None:
+        """Close the engine's end of the socket, which tells the launcher to exit."""
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
     def close(self) -> None:
         """End the launcher (it exits when its socket closes, or is killed), reap it
         and remove its work directory: the launcher removes it on its way out,
         and this removes what is left at its path."""
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
+        self.hang_up()
+        if self.proc is not None:
             try:
                 self.proc.wait(KILL_GRACE_SECONDS)
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait()
+        if self._errors is not None:
+            self._errors.close()
+            self._errors = None
         if self.workdir is not None:
             _remove(self.workdir)
             self.workdir = None
+
+
+def start_all(launchers: list[Launcher]) -> None:
+    """Start every launcher at once and wait until each is ready.
+
+    A ``LauncherError`` if any cannot start, with every launcher closed.
+    """
+    try:
+        for launcher in launchers:
+            launcher.spawn()
+        for launcher in launchers:
+            launcher.wait_ready()
+    except BaseException:
+        close_all(launchers)
+        raise
+
+
+def close_all(launchers: list[Launcher]) -> None:
+    """Close every launcher, hanging up on all of them before reaping any, so
+    that they exit together."""
+    for launcher in launchers:
+        launcher.hang_up()
+    for launcher in launchers:
+        launcher.close()
 
 
 def _recv_int(sock: socket.socket) -> int:

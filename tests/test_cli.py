@@ -149,6 +149,34 @@ class TestCmdRun:
         assert "transcripts.jsonl" in result.output
         assert not (run_dir / "config.yaml").exists()
 
+    def test_an_interpreter_that_cannot_start_is_an_error_message(self, runner, tmp_path):
+        cfg = write_config(
+            tmp_path / "config.yaml", interpreter=["/nonexistent/python"], backend="http", base_url="http://127.0.0.1:9"
+        )
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.startswith("Error: cannot start a launcher on the interpreter /nonexistent/python")
+        assert not run_dir.exists()
+
+    def test_a_refused_key_is_an_error_message(self, runner, tmp_path, monkeypatch):
+        from test_llm import ChatStub
+
+        monkeypatch.setenv("LLMEVOLVE_API_KEY", "bad-key")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        stub = ChatStub()
+        try:
+            stub.replies += [(403, {"error": "forbidden"})] * 4  # the set-up's calls go out at once
+            cfg = write_config(tmp_path / "config.yaml", backend="http", base_url=stub.url)
+            result = runner.invoke(main, ["run", "--config", str(cfg), "--run-dir", str(tmp_path / "run")])
+        finally:
+            stub.close()
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: 403 Forbidden for ")
+        assert "LLMEVOLVE_API_KEY" in result.output
+
     def test_epochs_override(self, runner, tmp_path):
         cfg = write_config(tmp_path / "config.yaml")
         run_dir = tmp_path / "run"
@@ -278,7 +306,10 @@ class TestCmdReport:
         assert result.exit_code == 0
         assert "undefined" in result.output
 
-    @pytest.mark.parametrize("events", [None, "not json\n"], ids=["missing", "malformed"])
+    @pytest.mark.parametrize(
+        "events", [None, "not json\n", "{}\n", "[1]\n", '{"type": "step", "island": 0}\n'],
+        ids=["missing", "malformed", "no_type", "not_an_object", "step_without_keys"],
+    )
     def test_a_run_dir_without_a_readable_event_log_is_an_error_message(
         self, runner, tmp_path, events
     ):
@@ -288,6 +319,7 @@ class TestCmdReport:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert result.output.startswith("Error: cannot read the event log")
+        assert events is None or "events.jsonl line 1: " in result.output
 
     def test_finite_series_with_positive_epsilon(self, runner, tmp_path):
         run_dir = self._completed_run(tmp_path)

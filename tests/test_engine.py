@@ -299,7 +299,7 @@ class TestMigration:
             log_ref="solutions/i0-s00000", feedback="tail", note="kept",
         )
         islands[0].try_insert(original)
-        runner = _Run(standard_config(num_islands=2), tmp_path, ReplayBackend({}), RunState(islands, []))
+        runner = _Run(standard_config(num_islands=2), tmp_path, ReplayBackend({}), RunState(islands, []), [])
         try:
             runner.migrate(3)
         finally:
@@ -844,7 +844,7 @@ class TestEvaluateCandidate:
             rngs=[IslandRngs(random.Random(0), random.Random(1), random.Random(2))] * cfg.num_islands,
             solutions_log_pos=solutions_log_pos,
         )
-        runner = _Run(cfg, run_dir, ReplayBackend({}), state)
+        runner = _Run(cfg, run_dir, ReplayBackend({}), state, engine.start_launchers(cfg))
         self.runners.append(runner)
         return runner
 
@@ -999,11 +999,13 @@ class TestEvaluateCandidate:
         from conftest import packing_program
 
         runner = self._runner(tmp_path, sandbox_workers=2, num_islands=2)
-        for _ in range(2):  # idle launchers are taken in turn, so both start
+        for _ in range(2):  # idle launchers are taken in turn, so both run one
             assert runner.evaluate(self._pending(packing_program(26, 0.01))).status == "valid"
+        workdirs = [launcher.workdir for launcher in runner._launchers]
+        assert len(workdirs) == 2 and all(os.path.isdir(workdir) for workdir in workdirs)
         runner.close()
-        assert len(runner._launchers) == 2
-        assert all(launcher.proc.returncode is not None for launcher in runner._launchers)
+        assert [launcher.proc.returncode for launcher in runner._launchers] == [0, 0]
+        assert not any(os.path.exists(workdir) for workdir in workdirs)
 
     def test_no_more_launchers_than_islands(self, tmp_path):
         runner = self._runner(tmp_path, sandbox_workers=4)
@@ -1037,27 +1039,85 @@ class TestSandboxFailures:
         steps = [r["status"] for r in read_events(run_dir) if r["type"] == "step"]
         assert steps == ["runtime_error", "valid", "valid"]
 
-    def test_a_missing_interpreter_is_a_spawn_error_for_every_candidate(self, tmp_path):
+    @staticmethod
+    def _files(run_dir):
+        """Every path under ``run_dir``, with its bytes if it is a file."""
+        return {path: path.read_bytes() if path.is_file() else None for path in run_dir.rglob("*")}
+
+    @pytest.mark.parametrize(
+        "interpreter, error",
+        [
+            (["/nonexistent/python"], "No such file or directory"),
+            ([sys.executable, "-S", "-c", "import sys; sys.exit('no launcher here')"], "no launcher here"),
+        ],
+        ids=["missing", "exits_before_ready"],
+    )
+    def test_a_run_whose_launcher_cannot_start_writes_nothing_and_calls_no_model(
+        self, tmp_path, interpreter, error
+    ):
         from conftest import packing_program
+        from llmevolve.config import ConfigError
 
         run_dir = tmp_path / "run"
         self._transcript(run_dir, [packing_program(26, 1e-3)] * 4)
-        summary = engine.run(self._config(interpreter=["/nonexistent/python"]), run_dir)
-        assert summary.finished
-        events = [r for r in read_events(run_dir) if r["type"] in ("init", "step")]
-        assert [r["status"] for r in events] == ["runtime_error"] * 5
-        records = solution_records(run_dir)
-        for r in events:
-            stderr = records[r["solution"]]["stderr"]
-            assert "/nonexistent/python" in stderr
+        before = self._files(run_dir)
+        backend = _Recording(ReplayBackend.from_file(run_dir / "transcripts.jsonl").responses)
+        with pytest.raises(ConfigError) as raised:
+            engine.run(self._config(interpreter=interpreter), run_dir, backend=backend)
+        assert interpreter[0] in str(raised.value) and error in str(raised.value)
+        assert self._files(run_dir) == before
+        assert backend.sent == {}
+
+    @pytest.mark.parametrize("broken", ["removed", "exits_before_ready"])
+    def test_a_resume_whose_launcher_cannot_start_writes_nothing_and_calls_no_model(self, tmp_path, broken):
+        from conftest import packing_program
+        from llmevolve.config import ConfigError
+
+        wrapper = tmp_path / "python"
+        wrapper.write_text(f'#!/bin/sh\nexec "{sys.executable}" -S "$@"\n')
+        wrapper.chmod(0o755)
+        run_dir = tmp_path / "run"
+        self._transcript(run_dir, [packing_program(26, 1e-3)] * 4)
+        engine.run(self._config(interpreter=[str(wrapper)]), run_dir, stop_after_epoch=1)
+        with open(run_dir / "solutions.jsonl", "a") as fh:  # as a killed run leaves past its checkpoint
+            fh.write(json.dumps({"solution": "i0-s00009", "code": "print(9)\n"}) + "\n")
+        if broken == "removed":
+            wrapper.unlink()
+        else:
+            wrapper.write_text("#!/bin/sh\necho 'no launcher here' >&2\nexit 3\n")
+        before = self._files(run_dir)
+        backend = _Recording(ReplayBackend.from_file(run_dir / "transcripts.jsonl").responses)
+        with pytest.raises(ConfigError) as raised:
+            engine.resume(run_dir, backend=backend)
+        assert str(wrapper) in str(raised.value)
+        assert broken == "removed" or "code 3 before it was ready: no launcher here" in str(raised.value)
+        assert self._files(run_dir) == before
+        assert backend.sent == {}
 
     def test_resuming_a_finished_run_starts_no_launcher(self, tmp_path, monkeypatch):
         from llmevolve import sandbox
 
         run_dir, _, summary = small_run(tmp_path)
 
-        def no_start(launcher, timeout):
+        def no_start(launcher):
             raise AssertionError("a launcher was started")
 
-        monkeypatch.setattr(sandbox.Launcher, "_start", no_start)
+        monkeypatch.setattr(sandbox.Launcher, "spawn", no_start)
         assert engine.resume(run_dir) == summary
+
+    def test_candidates_do_not_see_the_api_key(self, tmp_path, monkeypatch):
+        from conftest import packing_program
+
+        secret = "sk-not-for-candidates"
+        monkeypatch.setenv("LLMEVOLVE_API_KEY", secret)
+        printer = packing_program(26, 1e-2) + "print(os.environ)\nprint('key:', os.environ.get('LLMEVOLVE_API_KEY'))\n"
+        run_dir = tmp_path / "run"
+        self._transcript(run_dir, [printer] + [packing_program(26, 1e-3)] * 3)
+        backend = _Recording(ReplayBackend.from_file(run_dir / "transcripts.jsonl").responses)
+        engine.run(self._config(), run_dir, backend=backend)
+        [record] = [r for r in solution_records(run_dir).values() if "print(os.environ)" in r["code"]]
+        assert record["stdout"].endswith("key: None\n")
+        assert "LLMEVOLVE_API_KEY" not in record["stdout"] and secret not in record["stdout"]
+        prompts = [json.dumps(messages) for messages in backend.sent.values()]
+        assert any("key: None" in prompt for prompt in prompts)  # the printer was a parent
+        assert not any(secret in prompt for prompt in prompts)

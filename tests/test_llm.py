@@ -369,12 +369,13 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404])
     def test_a_rejected_request_is_not_retried(self, stub, status):
-        from llmevolve.llm import RejectedError
+        from llmevolve.llm import KeyRefusedError, RejectedError
 
         stub.replies.append((status, {"error": "rejected"}))
         cfg = EnsembleConfig.default()
         start = time.monotonic()
-        with pytest.raises(RejectedError, match=str(status)):  # under the default retry policy
+        error = KeyRefusedError if status in (401, 403) else RejectedError  # a bad key fails no step
+        with pytest.raises(error, match=str(status)):  # under the default retry policy
             generate(cfg, MESSAGES, HttpBackend(stub.url), cfg.members[0], 0, 0)
         assert time.monotonic() - start < 0.4  # the first back-off is 0.5 s
         assert len(stub.requests) == 1
@@ -391,6 +392,34 @@ class TestHttpBackend:
         assert [sol.code for sol in pending] == [get_problem(config.problem_id).trivial_code]
         assert [sol.status for sol in failures] == [STATUS_GENERATION_FAILED]
         assert len(stub.requests) == 2  # retried, as a 500 is
+
+    def test_a_refused_key_ends_the_run_and_a_good_key_resumes_it(self, stub, tmp_path, monkeypatch):
+        from conftest import fenced, packing_program, write_transcript
+        from llmevolve import engine
+        from llmevolve.llm import KeyRefusedError
+
+        config = standard_config(
+            num_islands=1, epochs=4, migration_every=2, init_population=1, p_explore=0.0,
+            backend="http", base_url=stub.url,
+        )
+        run_dir = tmp_path / "run"
+        write_transcript(run_dir, num_islands=1, calls_per_island=10)
+        engine.run(config, run_dir, backend=ReplayBackend.from_file(run_dir / "transcripts.jsonl"), stop_after_epoch=2)
+        checkpointed = (run_dir / "events.jsonl").read_bytes()
+        stub.replies.append((401, {"error": "invalid key"}))
+        with pytest.raises(KeyRefusedError, match="401"):
+            engine.resume(run_dir)
+        assert len(stub.requests) == 1  # not retried
+        assert (run_dir / "events.jsonl").read_bytes() == checkpointed
+        monkeypatch.setenv("LLMEVOLVE_API_KEY", "good-key")
+        stub.replies += [(200, _chat_reply(fenced(packing_program(26, 2e-3))))] * 2
+        summary = engine.resume(run_dir)
+        assert (summary.finished, summary.epochs_run) == (True, 4)
+        assert [headers["Authorization"] for _, headers, _ in stub.requests[1:]] == ["Bearer good-key"] * 2
+        events = (run_dir / "events.jsonl").read_bytes()
+        assert events.startswith(checkpointed)
+        resumed = [json.loads(line) for line in events[len(checkpointed):].splitlines()]
+        assert [(e["epoch"], e["status"]) for e in resumed if e["type"] == "step"] == [(3, "valid"), (4, "valid")]
 
     def test_concurrent_calls_each_get_their_own_reply(self, stub):
         n = 8

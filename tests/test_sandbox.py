@@ -324,6 +324,44 @@ def test_close_reaps_the_launcher(run, launcher):
     assert launcher.proc.returncode == 0
 
 
+def test_a_launcher_removes_what_its_directory_holds_when_the_engine_hangs_up(launcher, tmp_path):
+    # Run through ``Launcher.run``, which leaves the directory as the
+    # candidate left it; the launcher empties and removes it on its way out.
+    launcher.prepare(b"import os\nos.makedirs('sub/deeper')\nopen('sub/deeper/f', 'w').close()\n")
+    workdir = launcher.workdir
+    request = {"script": launcher.script_path, "memory_bytes": LIMITS.memory_bytes, "cpu_seconds": 60}
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        assert launcher.run(request, out, err, LIMITS.wall_seconds) == (0, False)
+    assert sorted(os.listdir(workdir)) == ["candidate.py", "sub"]
+    launcher.hang_up()
+    assert launcher.proc.wait(5) == 0
+    assert not os.path.exists(workdir)
+
+
+def test_starting_launchers_together_reaps_them_all_when_one_cannot_start():
+    good = Launcher(FAST_INTERPRETER)
+    bad = Launcher(["/nonexistent/python"])
+    with pytest.raises(sandbox.LauncherError, match="/nonexistent/python"):
+        sandbox.start_all([good, bad])
+    assert good.proc.returncode == 0
+    assert (good.workdir, bad.workdir, bad.proc) == (None, None, None)
+
+
+def test_closing_launchers_together_hangs_up_on_all_before_reaping_any(monkeypatch):
+    launchers = [Launcher(FAST_INTERPRETER) for _ in range(2)]
+    sandbox.start_all(launchers)
+    events = []
+    for i, launcher in enumerate(launchers):
+        hang_up, close = launcher.hang_up, launcher.close
+        monkeypatch.setattr(launcher, "hang_up", lambda i=i, f=hang_up: (events.append(("hang_up", i)), f()))
+        monkeypatch.setattr(launcher, "close", lambda i=i, f=close: (events.append(("close", i)), f()))
+    workdirs = [launcher.workdir for launcher in launchers]
+    sandbox.close_all(launchers)
+    assert events[:2] == [("hang_up", 0), ("hang_up", 1)]
+    assert [launcher.proc.returncode for launcher in launchers] == [0, 0]
+    assert not any(os.path.exists(workdir) for workdir in workdirs)
+
+
 def _bounded(call, seconds):
     """``call()``'s result, or a failed test if it has not returned within ``seconds``."""
     result = {}
