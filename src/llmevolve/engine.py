@@ -29,10 +29,12 @@ its own thread up to the next barrier: a migration epoch, a requested stop,
 or the end of the run; its first job sets it up before its first step, and
 sends the set-up's ``init_population`` model calls at once. Every model call
 carries the key ``(island, index)`` that the island assigned it, so replay
-does not depend on the order in which calls arrive. Jobs queue candidates,
-one at a time per island, on one FIFO pool of ``sandbox_workers`` threads
-(at most one per island), each of which only runs them on an idle warm
-launcher (see ``sandbox.Launcher``); the island's own thread then writes
+does not depend on the order in which calls arrive. An island runs each of
+its candidates, one at a time, on its own thread, on one of the run's
+``sandbox_workers`` warm launchers (at most one per island; see
+``sandbox.Launcher``). A busy island waits for a launcher in arrival order:
+a launcher that comes free goes straight to the island that has waited
+longest, so no later arrival overtakes it. The same thread then writes
 ``.`` for the launcher's work directory in the candidate's logs, parses and
 scores the artifact and appends the candidate's record to the solutions
 log, under a lock. A launcher that dies mid-run restarts on its next use.
@@ -51,11 +53,10 @@ import hashlib
 import json
 import os
 import pickle
-import queue
 import random
 import shlex
 import threading
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -173,18 +174,16 @@ def read_events(run_dir: str | Path) -> Iterator[dict]:
             yield record
 
 
-def _sandbox_workers(config: RunConfig) -> int:
-    """How many candidates run at once: each island has at most one in flight."""
-    return min(config.sandbox_workers or config.num_islands, config.num_islands)
-
-
 def start_launchers(config: RunConfig) -> list[sandbox.Launcher]:
     """One launcher per sandbox worker, started at once and each ready.
 
-    A launcher that cannot start is a ``ConfigError`` that names the
+    As many candidates run at once as there are launchers: ``sandbox_workers``,
+    but no more than islands, since each island has at most one in flight. A
+    launcher that cannot start is a ``ConfigError`` that names the
     interpreter and quotes the launcher's error, with every one reaped.
     """
-    launchers = [sandbox.Launcher(config.interpreter) for _ in range(_sandbox_workers(config))]
+    workers = min(config.sandbox_workers or config.num_islands, config.num_islands)
+    launchers = [sandbox.Launcher(config.interpreter) for _ in range(workers)]
     try:
         sandbox.start_all(launchers)
     except sandbox.LauncherError as exc:
@@ -229,13 +228,13 @@ class _Run:
         self._solutions_fh.truncate(state.solutions_log_pos)
         self._solutions_lock = threading.Lock()
         self._island_pool = ThreadPoolExecutor(max_workers=config.num_islands)
-        # Candidates wait in this pool's FIFO queue, so no island overtakes another.
-        self._sandbox_pool = ThreadPoolExecutor(max_workers=_sandbox_workers(config))
         # One warm launcher per sandbox worker; none when no epoch is left.
+        # ``_lending`` guards the idle launchers and the islands that wait for
+        # one, each blocked on its own held lock, in arrival order.
         self._launchers = launchers
-        self._idle_launchers: queue.SimpleQueue = queue.SimpleQueue()
-        for launcher in self._launchers:
-            self._idle_launchers.put(launcher)
+        self._lending = threading.Lock()
+        self._idle_launchers = deque(launchers)
+        self._waiting: deque[tuple[threading.Lock, list]] = deque()
         self._abort = threading.Event()
 
     def _emit(self, record: dict) -> None:
@@ -245,21 +244,44 @@ class _Run:
     # -- evaluation --
 
     def _execute(self, code: str) -> sandbox.ExecutionOutcome:
-        """Run ``code`` on an idle launcher: the sandbox pool's whole job."""
-        launcher = self._idle_launchers.get()
+        """Run ``code`` on the caller's thread, on a launcher lent in arrival order.
+
+        A caller takes an idle launcher or queues behind the earlier callers.
+        A launcher that comes free goes straight to the oldest waiter, whose
+        lock is released so that exactly it wakes: no later caller can take
+        the launcher first.
+        """
+        with self._lending:
+            if self._idle_launchers:
+                launcher = self._idle_launchers.popleft()
+            else:
+                turn, handed = threading.Lock(), []
+                turn.acquire()
+                self._waiting.append((turn, handed))
+                launcher = None
+        if launcher is None:
+            turn.acquire()  # released once ``handed`` holds a launcher
+            [launcher] = handed
         try:
             return sandbox.run_candidate(code, self.config.limits, launcher, self.problem.max_artifact_bytes)
         finally:
-            self._idle_launchers.put(launcher)
+            with self._lending:
+                if self._waiting:
+                    next_turn, next_handed = self._waiting.popleft()
+                    next_handed.append(launcher)
+                    next_turn.release()
+                else:
+                    self._idle_launchers.append(launcher)
 
     def evaluate(self, sol: Solution) -> Solution:
-        """Execute, parse and score one pending candidate, finalizing it in place.
+        """Execute, parse and score one pending candidate on the caller's
+        thread, finalizing it in place.
 
-        Only the execution waits for a sandbox worker; the rest runs on the
-        caller's thread. The launcher's work directory reads ``.`` in the
-        logs, so they do not depend on its random name.
+        Only the execution waits, for a launcher. The launcher's work
+        directory reads ``.`` in the logs, so they do not depend on its
+        random name.
         """
-        outcome = self._sandbox_pool.submit(self._execute, sol.code).result()
+        outcome = self._execute(sol.code)
         if outcome.workdir is not None:
             outcome.stdout = outcome.stdout.replace(outcome.workdir, ".")
             outcome.stderr = outcome.stderr.replace(outcome.workdir, ".")
@@ -269,7 +291,7 @@ class _Run:
 
     def _log(self, sol: Solution, stdout: str = "", stderr: str = "", artifact: Optional[str] = None) -> None:
         """Append ``sol``'s record: its code, and its feedback, logs and artifact if not empty."""
-        record = {"solution": sol.id, "code": sol.code}
+        record = {"solution": sol.id, "code": sol.code}  # the id first: ``_record`` matches the line's start
         for key, text in (("feedback", sol.feedback), ("stdout", stdout), ("stderr", stderr), ("artifact", artifact)):
             if text:
                 record[key] = text
@@ -523,12 +545,15 @@ class _Run:
         )
 
     def _record(self, solution_id: str) -> dict:
-        """The solutions-log record of ``solution_id``; empty if it has none."""
+        """The solutions-log record of ``solution_id``; empty if it has none.
+
+        ``_log`` writes the id first, so only the line that starts with it is parsed.
+        """
+        prefix = ('{"solution": ' + json.dumps(solution_id) + ",").encode("utf-8")
         with open(self.run_dir / SOLUTIONS_LOG_NAME, "rb") as fh:
             for line in fh:
-                record = json.loads(line)
-                if record["solution"] == solution_id:
-                    return record
+                if line.startswith(prefix):
+                    return json.loads(line)
         return {}
 
     def summary(self, finished: bool) -> RunSummary:
@@ -550,7 +575,6 @@ class _Run:
 
     def close(self) -> None:
         self._island_pool.shutdown()
-        self._sandbox_pool.shutdown()
         # Reaped, so their CPU time is counted; hung up on together, so they exit together.
         sandbox.close_all(self._launchers)
         self._event_fh.close()

@@ -27,7 +27,14 @@ from typing import Optional
 
 
 class TransportError(RuntimeError):
-    """All transport attempts for a generation call failed."""
+    """A transport attempt for a generation call failed, or all of them did.
+
+    ``retry_after`` is the wait in seconds that the server asked for, if any.
+    """
+
+    def __init__(self, message: str, retry_after: Optional[float] = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class RejectedError(TransportError):
@@ -142,6 +149,15 @@ _HTTP_REJECTED = frozenset({400, 404})
 _HTTP_KEY_REFUSED = frozenset({401, 403})
 
 
+def _retry_after(exc) -> Optional[float]:
+    """The seconds that a 429 or 5xx ``HTTPError`` asks the client to wait;
+    None without a ``Retry-After`` header, or for one that holds an HTTP date."""
+    if exc.code != 429 and exc.code < 500:
+        return None
+    value = exc.headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 class HttpBackend:
     """OpenAI-compatible chat-completions client on ``urllib.request``.
 
@@ -190,8 +206,9 @@ class HttpBackend:
             exc.close()
             if exc.code in _HTTP_KEY_REFUSED:
                 raise KeyRefusedError(f"{exc.code} {exc.reason} for {url}: check {API_KEY_ENV}") from None
-            error = RejectedError if exc.code in _HTTP_REJECTED else TransportError
-            raise error(f"{exc.code} {exc.reason} for {url}") from None
+            if exc.code in _HTTP_REJECTED:
+                raise RejectedError(f"{exc.code} {exc.reason} for {url}") from None
+            raise TransportError(f"{exc.code} {exc.reason} for {url}", _retry_after(exc)) from None
         except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
             raise TransportError(str(exc)) from exc
         if not isinstance(content, str):
@@ -286,6 +303,12 @@ def request_digest(messages: list[dict[str, str]]) -> str:
 
 
 def _call_with_retries(policy: RetryPolicy, fn) -> str:
+    """Call ``fn`` up to ``policy.max_attempts`` times while it raises a ``TransportError``.
+
+    Before a retry it sleeps the policy's back-off, or the server's
+    ``retry_after`` if that is longer (but no longer than
+    ``HTTP_TIMEOUT_SECONDS``).
+    """
     last: Exception | None = None
     for attempt in range(policy.max_attempts):
         try:
@@ -297,6 +320,8 @@ def _call_with_retries(policy: RetryPolicy, fn) -> str:
             if attempt + 1 < policy.max_attempts:
                 idx = min(attempt, len(policy.backoff_seconds) - 1)
                 delay = policy.backoff_seconds[idx] if policy.backoff_seconds else 0
+                if exc.retry_after is not None:
+                    delay = max(delay, min(exc.retry_after, HTTP_TIMEOUT_SECONDS))
                 if delay:
                     time.sleep(delay)
     raise TransportError(f"all {policy.max_attempts} attempts failed: {last}")

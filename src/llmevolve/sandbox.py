@@ -1,8 +1,9 @@
 """Resource-limited execution of candidate programs.
 
-Each sandbox worker owns one warm launcher: a long-lived interpreter,
+A run has one warm launcher per sandbox worker: a long-lived interpreter,
 started from ``interpreter``, that forks a child per candidate (see
-``_launcher.py``). ``start_all`` starts a run's launchers at once and waits
+``_launcher.py``) and serves one caller at a time; ``run_candidate`` runs on
+the caller's thread. ``start_all`` starts a run's launchers at once and waits
 until each is ready; ``close_all`` hangs up on all of them before it reaps
 any, so they exit together. Each launcher start makes one temporary work
 directory, the working directory of the launcher and of every child it

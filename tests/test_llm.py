@@ -292,20 +292,23 @@ class ChatStub:
 
     def __init__(self):
         self.requests: list[tuple[str, dict, dict]] = []  # (path, headers, JSON body)
-        self.replies: list[tuple[int, object]] = []  # (status, JSON body or body -> JSON body), in order
+        # (status, JSON body or body -> JSON body[, extra headers]), in order
+        self.replies: list[tuple] = []
         stub = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_POST(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 stub.requests.append((self.path, dict(self.headers), body))
-                status, reply = stub.replies.pop(0)
+                status, reply, *headers = stub.replies.pop(0)
                 if callable(reply):  # a reply made from the request body
                     reply = reply(body)
                 data = json.dumps(reply).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (headers[0] if headers else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -365,6 +368,35 @@ class TestHttpBackend:
             retry=RetryPolicy(max_attempts=2, backoff_seconds=(0.0,)),
         )
         assert generate(cfg, MESSAGES, HttpBackend(stub.url), cfg.members[0], 0, 0) == "recovered"
+        assert len(stub.requests) == 2
+
+    @pytest.mark.parametrize(
+        "status, retry_after, slept",
+        [
+            (429, "3", 3.0),
+            (503, " 2 ", 2.0),
+            (500, "0", 0.5),  # shorter than the back-off
+            (429, "100000", 120.0),  # capped at HTTP_TIMEOUT_SECONDS
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),  # an HTTP date is ignored
+            (503, "1.5", 0.5),  # not a whole number of seconds
+            (408, "3", 0.5),  # only 429 and 5xx are honoured
+            (502, None, 0.5),
+        ],
+    )
+    def test_a_retry_waits_as_long_as_the_server_asks(self, stub, monkeypatch, status, retry_after, slept):
+        from llmevolve import llm
+
+        sleeps = []
+        monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        stub.replies += [(status, {"error": "slow down"}, headers), (200, _chat_reply("ok"))]
+        cfg = EnsembleConfig(
+            members=[EnsembleMember(name="only", weight=1.0)],
+            meta_model=MetaModel(name="only"),
+            retry=RetryPolicy(max_attempts=2, backoff_seconds=(0.5,)),
+        )
+        assert generate(cfg, MESSAGES, HttpBackend(stub.url), cfg.members[0], 0, 0) == "ok"
+        assert sleeps == [slept]
         assert len(stub.requests) == 2
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404])
