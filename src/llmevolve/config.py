@@ -35,6 +35,10 @@ class AblationToggles:
     inspirations: bool = True
     evolution: bool = True
 
+    def __post_init__(self) -> None:
+        if not all(type(toggle) is bool for toggle in vars(self).values()):
+            raise ConfigError("each ablation toggle must be true or false")
+
     @classmethod
     def from_name(cls, name: str) -> "AblationToggles":
         try:
@@ -84,10 +88,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer >= {least}")
         if type(self.master_seed) is not int:
             raise ConfigError("master_seed must be an integer")
-        if not (0 < self.migration_rate <= 1):
-            raise ConfigError("migration_rate must be in (0, 1]")
-        if not (0 <= self.p_explore <= 1):
-            raise ConfigError("p_explore must be in [0, 1]")
+        if isinstance(self.migration_rate, bool) or not (0 < self.migration_rate <= 1):
+            raise ConfigError("migration_rate must be a number in (0, 1]")
+        if isinstance(self.p_explore, bool) or not (0 <= self.p_explore <= 1):
+            raise ConfigError("p_explore must be a number in [0, 1]")
         if self.backend not in ("replay", "http"):
             raise ConfigError(f"unknown backend: {self.backend!r}")
         if self.backend == "http":

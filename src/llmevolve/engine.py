@@ -11,10 +11,10 @@ log holds the same records in an order that depends on thread timing.
 ``run`` builds a fresh ``RunState`` and ``resume`` loads the latest intact
 one; both build the backend first, so a missing or malformed replay
 transcript is a ``ConfigError`` before anything is written, and hand the
-state to ``_run_from``. That starts every launcher of the run at once and
-waits until each is ready, so an interpreter that cannot start one is a
-``ConfigError`` before anything is written or any model is called (a run
-with no epoch left starts none); then it writes a fresh run's config
+state to ``_run_from``. That starts the run's ``sandbox.LauncherPool``,
+every launcher at once and each ready, so an interpreter that cannot start
+one is a ``ConfigError`` before anything is written or any model is called
+(a run with no epoch left starts none); then it writes a fresh run's config
 snapshot, truncates the event and solutions logs to the state's positions
 and runs the remaining epochs. A log shorter than its position is refused
 with a ``CheckpointError``; an endpoint that refuses the API key
@@ -29,22 +29,19 @@ its own thread up to the next barrier: a migration epoch, a requested stop,
 or the end of the run; its first job sets it up before its first step, and
 sends the set-up's ``init_population`` model calls at once. Every model call
 carries the key ``(island, index)`` that the island assigned it, so replay
-does not depend on the order in which calls arrive. An island runs each of
-its candidates, one at a time, on its own thread, on one of the run's
-``sandbox_workers`` warm launchers (at most one per island; see
-``sandbox.Launcher``). A busy island waits for a launcher in arrival order:
-a launcher that comes free goes straight to the island that has waited
-longest, so no later arrival overtakes it. The same thread then writes
-``.`` for the launcher's work directory in the candidate's logs, parses and
-scores the artifact and appends the candidate's record to the solutions
-log, under a lock. A launcher that dies mid-run restarts on its next use.
-``close`` hangs up on every launcher before it reaps any, so they exit
-together. At the barrier the engine writes the jobs' buffered events in
-canonical order (init events by island, then step events by epoch and
-island), migrates if the epoch is a migration epoch, prunes each island and
-writes one checkpoint per barrier. At the end of the run it exports
-``best/``, taking the artifact from the best solution's record. A summary
-counts statuses from the event log's init and step events.
+does not depend on the order in which calls arrive. An island evaluates
+each of its candidates, one at a time, on its own thread, with one call:
+the pool runs it on one of the run's ``sandbox_workers`` warm launchers (at
+most one per island), lent in arrival order, and the same thread then
+parses and scores the artifact and appends the candidate's record to the
+solutions log, under a lock; a generation failure is only recorded. The
+pool's launchers stop together when the run returns. At the barrier the
+engine writes the jobs' buffered events in canonical order (init events by
+island, then step events by epoch and island), migrates if the epoch is a
+migration epoch, prunes each island and writes one checkpoint per barrier.
+At the end of the run it exports ``best/``, taking the artifact from the
+best solution's record. A summary counts statuses from the event log's
+init and step events.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ import pickle
 import random
 import shlex
 import threading
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -174,22 +171,22 @@ def read_events(run_dir: str | Path) -> Iterator[dict]:
             yield record
 
 
-def start_launchers(config: RunConfig) -> list[sandbox.Launcher]:
-    """One launcher per sandbox worker, started at once and each ready.
+def start_launchers(config: RunConfig, running: bool = True) -> sandbox.LauncherPool:
+    """The run's launcher pool: one launcher per sandbox worker, started at
+    once and each ready, or none if the run is not ``running``.
 
     As many candidates run at once as there are launchers: ``sandbox_workers``,
     but no more than islands, since each island has at most one in flight. A
     launcher that cannot start is a ``ConfigError`` that names the
     interpreter and quotes the launcher's error, with every one reaped.
     """
-    workers = min(config.sandbox_workers or config.num_islands, config.num_islands)
-    launchers = [sandbox.Launcher(config.interpreter) for _ in range(workers)]
+    workers = min(config.sandbox_workers or config.num_islands, config.num_islands) if running else 0
+    max_artifact_bytes = get_problem(config.problem_id).max_artifact_bytes
     try:
-        sandbox.start_all(launchers)
+        return sandbox.LauncherPool(config.interpreter, workers, config.limits, max_artifact_bytes)
     except sandbox.LauncherError as exc:
         interpreter = shlex.join(config.interpreter)
         raise ConfigError(f"cannot start a launcher on the interpreter {interpreter}: {exc}") from None
-    return launchers
 
 
 def make_backend(config: RunConfig, run_dir: Path):
@@ -205,9 +202,7 @@ def make_backend(config: RunConfig, run_dir: Path):
 class _Run:
     """One in-progress run bound to its directory, config and backend."""
 
-    def __init__(
-        self, config: RunConfig, run_dir: Path, backend, state: RunState, launchers: list[sandbox.Launcher]
-    ):
+    def __init__(self, config: RunConfig, run_dir: Path, backend, state: RunState, pool: sandbox.LauncherPool):
         self.config = config
         self.run_dir = run_dir
         self.backend = backend
@@ -228,13 +223,7 @@ class _Run:
         self._solutions_fh.truncate(state.solutions_log_pos)
         self._solutions_lock = threading.Lock()
         self._island_pool = ThreadPoolExecutor(max_workers=config.num_islands)
-        # One warm launcher per sandbox worker; none when no epoch is left.
-        # ``_lending`` guards the idle launchers and the islands that wait for
-        # one, each blocked on its own held lock, in arrival order.
-        self._launchers = launchers
-        self._lending = threading.Lock()
-        self._idle_launchers = deque(launchers)
-        self._waiting: deque[tuple[threading.Lock, list]] = deque()
+        self.pool = pool
         self._abort = threading.Event()
 
     def _emit(self, record: dict) -> None:
@@ -243,48 +232,13 @@ class _Run:
 
     # -- evaluation --
 
-    def _execute(self, code: str) -> sandbox.ExecutionOutcome:
-        """Run ``code`` on the caller's thread, on a launcher lent in arrival order.
-
-        A caller takes an idle launcher or queues behind the earlier callers.
-        A launcher that comes free goes straight to the oldest waiter, whose
-        lock is released so that exactly it wakes: no later caller can take
-        the launcher first.
-        """
-        with self._lending:
-            if self._idle_launchers:
-                launcher = self._idle_launchers.popleft()
-            else:
-                turn, handed = threading.Lock(), []
-                turn.acquire()
-                self._waiting.append((turn, handed))
-                launcher = None
-        if launcher is None:
-            turn.acquire()  # released once ``handed`` holds a launcher
-            [launcher] = handed
-        try:
-            return sandbox.run_candidate(code, self.config.limits, launcher, self.problem.max_artifact_bytes)
-        finally:
-            with self._lending:
-                if self._waiting:
-                    next_turn, next_handed = self._waiting.popleft()
-                    next_handed.append(launcher)
-                    next_turn.release()
-                else:
-                    self._idle_launchers.append(launcher)
-
     def evaluate(self, sol: Solution) -> Solution:
-        """Execute, parse and score one pending candidate on the caller's
-        thread, finalizing it in place.
-
-        Only the execution waits, for a launcher. The launcher's work
-        directory reads ``.`` in the logs, so they do not depend on its
-        random name.
-        """
-        outcome = self._execute(sol.code)
-        if outcome.workdir is not None:
-            outcome.stdout = outcome.stdout.replace(outcome.workdir, ".")
-            outcome.stderr = outcome.stderr.replace(outcome.workdir, ".")
+        """Finalize one candidate in place on the caller's thread and append its record:
+        a pending one is run on the pool, parsed and scored; a generation failure is only recorded."""
+        if sol.status != STATUS_PENDING:
+            self._log(sol)
+            return sol
+        outcome = self.pool.run(sol.code)
         artifact = self._finalize(sol, outcome)
         self._log(sol, outcome.stdout, outcome.stderr, artifact)
         return sol
@@ -368,15 +322,10 @@ class _Run:
     def _set_up(self, island: IslandState, rngs: IslandRngs) -> list[dict]:
         """Set up an empty island: generate and evaluate its roots; returns their events."""
         _, pending, failures = operators.initialize_island(island, self.config, self.backend, rngs)
-        for sol in pending:
-            self.evaluate(sol)
         events = []
         for sol in pending + failures:
-            if sol.status == STATUS_GENERATION_FAILED:
-                self._log(sol)
-                insert = "not_attempted"
-            else:
-                insert = island.try_insert(sol).outcome
+            self.evaluate(sol)
+            insert = "not_attempted" if sol.status == STATUS_GENERATION_FAILED else island.try_insert(sol).outcome
             events.append(_solution_event("init", sol, insert))
         return events
 
@@ -385,11 +334,7 @@ class _Run:
         cfg = self.config
         vary = operators.evolve_step if cfg.ablation.evolution else operators.no_evolution_step
         outcome = vary(island, cfg, self.backend, rngs, epoch)
-        sol = outcome.new_solution
-        if sol.status == STATUS_PENDING:
-            self.evaluate(sol)
-        else:
-            self._log(sol)
+        sol = self.evaluate(outcome.new_solution)
         return _solution_event(
             "step",
             sol,
@@ -575,8 +520,6 @@ class _Run:
 
     def close(self) -> None:
         self._island_pool.shutdown()
-        # Reaped, so their CPU time is counted; hung up on together, so they exit together.
-        sandbox.close_all(self._launchers)
         self._event_fh.close()
         self._solutions_fh.close()
 
@@ -634,19 +577,15 @@ def _run_from(
     ``ConfigError`` before anything is written: a ``fresh`` run's directory
     and config snapshot, the logs. A run with no epoch left starts none.
     """
-    launchers = start_launchers(config) if state.epoch < config.epochs else []
-    try:
+    with start_launchers(config, running=state.epoch < config.epochs) as pool:
         if fresh:
             run_dir.mkdir(parents=True, exist_ok=True)
             _write_config_snapshot(config, run_dir)
-        runner = _Run(config, run_dir, backend, state, launchers)
-    except BaseException:
-        sandbox.close_all(launchers)
-        raise
-    try:
-        return runner.run_epochs(stop_after_epoch=stop_after_epoch)
-    finally:
-        runner.close()
+        runner = _Run(config, run_dir, backend, state, pool)
+        try:
+            return runner.run_epochs(stop_after_epoch=stop_after_epoch)
+        finally:
+            runner.close()
 
 
 def load_latest_checkpoint(run_dir: Path) -> tuple[RunConfig, RunState]:

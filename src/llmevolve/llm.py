@@ -99,8 +99,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         # YAML reads a sequence back as a list.
         self.backoff_seconds = tuple(self.backoff_seconds)
-        if self.max_attempts < 1:
-            raise ValueError("retry max_attempts must be >= 1")
+        if not (type(self.max_attempts) is int and self.max_attempts >= 1):
+            raise ValueError("retry max_attempts must be an integer >= 1")
         if not all(math.isfinite(d) and d >= 0 for d in self.backoff_seconds):
             raise ValueError("retry backoff_seconds must be finite and >= 0")
 

@@ -2,23 +2,22 @@
 
 A run has one warm launcher per sandbox worker: a long-lived interpreter,
 started from ``interpreter``, that forks a child per candidate (see
-``_launcher.py``) and serves one caller at a time; ``run_candidate`` runs on
-the caller's thread. ``start_all`` starts a run's launchers at once and waits
-until each is ready; ``close_all`` hangs up on all of them before it reaps
-any, so they exit together. Each launcher start makes one temporary work
-directory, the working directory of the launcher and of every child it
-forks; the artifact output path in it is in the launcher's environment,
-which is this process's without the API key (``llm.API_KEY_ENV``), so the
-children inherit both and never the key. Before a candidate runs, its code
-overwrites the directory's ``candidate.py`` in place; after it, the
-directory is emptied but for that script, so every candidate of a launcher
-sees the same path and only its own script there, and the evaluation
-itself creates no file.
+``_launcher.py``) and serves one caller at a time; a run's ``LauncherPool``
+starts them together, lends them in arrival order to callers that each run
+a candidate on their own thread, and stops them together. Each launcher
+start makes one temporary work directory, the working directory of the
+launcher and of every child it forks; the artifact output path in it is in
+the launcher's environment, which is this process's without the API key
+(``llm.API_KEY_ENV``), so the children inherit both and never the key.
+Before a candidate runs, its code overwrites the directory's
+``candidate.py`` in place; after it, the directory is emptied but for that
+script, so every candidate of a launcher sees the same path and only its
+own script there, and the evaluation itself creates no file.
 A directory that cannot be emptied or prepared (the candidate removed or
 renamed it, swapped it for a symlink, or linked its script elsewhere)
 closes the launcher, which starts afresh in a new directory on next use,
 as does a launcher that died. A launcher removes its directory, wherever it
-now is, when the engine closes it or dies, and the engine removes what is
+now is, when it is closed or dies, and ``Launcher.close`` removes what is
 left at its path.
 
 The child runs the candidate as ``python candidate.py`` would, in its own
@@ -54,7 +53,9 @@ import socket
 import stat
 import subprocess
 import tempfile
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -89,8 +90,11 @@ class ResourceLimits:
     memory_bytes: int
 
     def __post_init__(self) -> None:
-        if self.wall_seconds <= 0 or self.memory_bytes <= 0:
-            raise ValueError("resource limits must be positive")
+        # A bool is an int; the chained comparison also refuses NaN and infinity.
+        if isinstance(self.wall_seconds, bool) or not 0 < self.wall_seconds < math.inf:
+            raise ValueError("wall_seconds must be a finite number > 0")
+        if not (type(self.memory_bytes) is int and self.memory_bytes > 0):
+            raise ValueError("memory_bytes must be an integer > 0")
 
 
 @dataclass
@@ -290,30 +294,6 @@ class Launcher:
             self.workdir = None
 
 
-def start_all(launchers: list[Launcher]) -> None:
-    """Start every launcher at once and wait until each is ready.
-
-    A ``LauncherError`` if any cannot start, with every launcher closed.
-    """
-    try:
-        for launcher in launchers:
-            launcher.spawn()
-        for launcher in launchers:
-            launcher.wait_ready()
-    except BaseException:
-        close_all(launchers)
-        raise
-
-
-def close_all(launchers: list[Launcher]) -> None:
-    """Close every launcher, hanging up on all of them before reaping any, so
-    that they exit together."""
-    for launcher in launchers:
-        launcher.hang_up()
-    for launcher in launchers:
-        launcher.close()
-
-
 def _recv_int(sock: socket.socket) -> int:
     reply = sock.recv(32)
     if not reply:
@@ -460,3 +440,79 @@ def run_candidate(
             artifact_size=size,
             workdir=workdir,
         )
+
+
+class LauncherPool:
+    """A run's launchers: started at once, each lent to one caller at a time,
+    and closed together by ``close`` or at the end of a ``with`` block.
+
+    The constructor waits until each launcher is ready; one that cannot start
+    is a ``LauncherError``, with every launcher closed.
+    """
+
+    def __init__(self, interpreter: list[str], count: int, limits: ResourceLimits,
+                 max_artifact_bytes: int = FILE_SIZE_LIMIT):
+        self.launchers = [Launcher(interpreter) for _ in range(count)]
+        self.limits = limits
+        self.max_artifact_bytes = max_artifact_bytes
+        # ``_lock`` guards the idle launchers and the callers that wait for
+        # one, each blocked on its own held lock, in arrival order.
+        self._lock = threading.Lock()
+        self._idle = deque(self.launchers)
+        self._waiting: deque[tuple[threading.Lock, list]] = deque()
+        try:
+            for launcher in self.launchers:
+                launcher.spawn()
+            for launcher in self.launchers:
+                launcher.wait_ready()
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "LauncherPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def run(self, code: str) -> ExecutionOutcome:
+        """``run_candidate`` on the caller's thread, on a launcher lent in arrival order.
+
+        A caller takes an idle launcher or queues behind the earlier callers.
+        A launcher that comes free goes straight to the oldest waiter, whose
+        lock is released so that exactly it wakes: no later caller can take
+        the launcher first. The launcher's work directory reads ``.`` in the
+        logs, so they do not depend on its random name.
+        """
+        with self._lock:
+            if self._idle:
+                launcher = self._idle.popleft()
+            else:
+                turn, handed = threading.Lock(), []
+                turn.acquire()
+                self._waiting.append((turn, handed))
+                launcher = None
+        if launcher is None:
+            turn.acquire()  # released once ``handed`` holds a launcher
+            [launcher] = handed
+        try:
+            outcome = run_candidate(code, self.limits, launcher, self.max_artifact_bytes)
+        finally:
+            with self._lock:
+                if self._waiting:
+                    next_turn, next_handed = self._waiting.popleft()
+                    next_handed.append(launcher)
+                    next_turn.release()
+                else:
+                    self._idle.append(launcher)
+        if outcome.workdir is not None:
+            outcome.stdout = outcome.stdout.replace(outcome.workdir, ".")
+            outcome.stderr = outcome.stderr.replace(outcome.workdir, ".")
+        return outcome
+
+    def close(self) -> None:
+        """Close every launcher, hanging up on all of them before reaping any."""
+        for launcher in self.launchers:
+            launcher.hang_up()
+        for launcher in self.launchers:
+            launcher.close()

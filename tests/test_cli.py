@@ -78,12 +78,31 @@ class TestCmdRun:
                 "problem_id": "p3.a",
                 "ensemble": {"members": [{"name": "a", "weight": 1.0, "max_output_tokens": -5}]},
             },
+            {"problem_id": "p3.a", "limits": {"wall_seconds": 20.0, "memory_bytes": 1.5e9}},
+            {"problem_id": "p3.a", "limits": {"wall_seconds": float("inf"), "memory_bytes": 1 << 30}},
+            {"problem_id": "p3.a", "limits": {"wall_seconds": True, "memory_bytes": 1 << 30}},
+            {"problem_id": "p3.a", "limits": {"wall_seconds": 20.0, "memory_bytes": True}},
+            {
+                "problem_id": "p3.a",
+                "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"max_attempts": 2.5}},
+            },
+            {
+                "problem_id": "p3.a",
+                "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"max_attempts": True}},
+            },
+            {"problem_id": "p3.a", "p_explore": True},
+            {"problem_id": "p3.a", "migration_rate": True},
+            {"problem_id": "p3.a", "ablation": {"evolution": "false"}},
+            {"problem_id": "p3.a", "ablation": {"meta_prompting": 0}},
         ],
         ids=[
             "missing_problem_id", "ensemble_weights", "negative_wall_seconds", "no_attempts",
             "ensemble_name", "limits_list", "ablation_number", "fractional_epochs",
             "negative_sandbox_workers", "zero_sandbox_workers", "interpreter_string",
             "no_interpreter", "meta_sampling", "negative_weight", "negative_max_output_tokens",
+            "fractional_memory_bytes", "infinite_wall_seconds", "boolean_wall_seconds",
+            "boolean_memory_bytes", "fractional_attempts", "boolean_attempts", "boolean_p_explore",
+            "boolean_migration_rate", "string_ablation_toggle", "integer_ablation_toggle",
         ],
     )
     def test_invalid_config_is_config_error(self, runner, tmp_path, doc):
@@ -92,8 +111,9 @@ class TestCmdRun:
         result = runner.invoke(
             main, ["run", "--config", str(path), "--run-dir", str(tmp_path / "r")]
         )
-        assert result.exit_code != 0
-        assert "invalid config" in result.output
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: invalid config: ")
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "base_url, valid",

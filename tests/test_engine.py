@@ -285,6 +285,7 @@ class TestMigration:
     def test_a_migrant_copy_keeps_every_field_it_does_not_reset(self, tmp_path):
         import dataclasses
 
+        from llmevolve import sandbox
         from llmevolve.core import STATUS_VALID, IslandState, Solution
         from llmevolve.engine import RunState, _Run
 
@@ -299,7 +300,9 @@ class TestMigration:
             log_ref="solutions/i0-s00000", feedback="tail", note="kept",
         )
         islands[0].try_insert(original)
-        runner = _Run(standard_config(num_islands=2), tmp_path, ReplayBackend({}), RunState(islands, []), [])
+        cfg = standard_config(num_islands=2)
+        no_launchers = sandbox.LauncherPool(cfg.interpreter, 0, cfg.limits)
+        runner = _Run(cfg, tmp_path, ReplayBackend({}), RunState(islands, []), no_launchers)
         try:
             runner.migrate(3)
         finally:
@@ -828,6 +831,7 @@ class TestEvaluateCandidate:
         yield
         for runner in self.runners:
             runner.close()
+            runner.pool.close()
 
     def _runner(self, tmp_path, solutions_log_pos=0, **overrides):
         cfg = standard_config(**{"num_islands": 1, **overrides})
@@ -995,16 +999,30 @@ class TestEvaluateCandidate:
         assert "RuntimeError: nope" in stored["stderr"]
         assert stored["feedback"] == sol.feedback
 
+    def test_a_generation_failure_is_recorded_without_running(self, tmp_path, monkeypatch):
+        from llmevolve import sandbox
+        from llmevolve.core import STATUS_GENERATION_FAILED
+
+        monkeypatch.setattr(sandbox, "run_candidate", lambda *args: pytest.fail("a generation failure ran"))
+        runner = self._runner(tmp_path)
+        sol = self._pending("print(1)\n")
+        sol.status, sol.feedback = STATUS_GENERATION_FAILED, "generation failed: timed out"
+        assert runner.evaluate(sol) is sol and sol.status == STATUS_GENERATION_FAILED
+        assert solution_records(runner.run_dir) == {
+            sol.id: {"solution": sol.id, "code": "print(1)\n", "feedback": "generation failed: timed out"}
+        }
+        assert sol.log_ref == sol.id
+
     def test_close_reaps_every_launcher(self, tmp_path):
         from conftest import packing_program
 
         runner = self._runner(tmp_path, sandbox_workers=2, num_islands=2)
         for _ in range(2):  # idle launchers are taken in turn, so both run one
             assert runner.evaluate(self._pending(packing_program(26, 0.01))).status == "valid"
-        workdirs = [launcher.workdir for launcher in runner._launchers]
+        workdirs = [launcher.workdir for launcher in runner.pool.launchers]
         assert len(workdirs) == 2 and all(os.path.isdir(workdir) for workdir in workdirs)
-        runner.close()
-        assert [launcher.proc.returncode for launcher in runner._launchers] == [0, 0]
+        runner.pool.close()
+        assert [launcher.proc.returncode for launcher in runner.pool.launchers] == [0, 0]
         assert not any(os.path.exists(workdir) for workdir in workdirs)
 
     def test_a_record_is_found_by_its_whole_id(self, tmp_path):
@@ -1019,7 +1037,7 @@ class TestEvaluateCandidate:
 
     def test_no_more_launchers_than_islands(self, tmp_path):
         runner = self._runner(tmp_path, sandbox_workers=4)
-        assert len(runner._launchers) == 1
+        assert len(runner.pool.launchers) == 1
 
     def test_evaluate_runs_the_candidate_on_the_calling_thread(self, tmp_path, monkeypatch):
         from conftest import packing_program
@@ -1036,124 +1054,6 @@ class TestEvaluateCandidate:
         runner = self._runner(tmp_path)
         assert runner.evaluate(self._pending(packing_program(26, 0.01))).status == "valid"
         assert threads == [threading.get_ident()]
-
-    def _hold_the_launcher(self, monkeypatch, first_raises=False):
-        """Make ``run_candidate`` a fake that keeps candidate ``first`` running until
-        the returned gate is set; returns the gate and the codes in the order they ran."""
-        from llmevolve import sandbox
-
-        gate, running, ran = threading.Event(), threading.Event(), []
-
-        def fake(code, limits, launcher, max_artifact_bytes):
-            ran.append(code)
-            if code == "first":
-                running.set()
-                assert gate.wait(10)
-                if first_raises:
-                    raise RuntimeError("the sandbox broke")
-            return sandbox.ExecutionOutcome(sandbox.STATUS_OK, "", "", 0.0)
-
-        monkeypatch.setattr(sandbox, "run_candidate", fake)
-        return gate, running, ran
-
-    def _queue(self, runner, code, results):
-        """Call ``_execute(code)`` on a new thread and wait until it is queued for a launcher."""
-        queued = len(runner._waiting) + 1
-
-        def call():
-            try:
-                results[code] = runner._execute(code).status
-            except Exception as exc:
-                results[code] = exc
-
-        thread = threading.Thread(target=call, daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 10
-        while len(runner._waiting) < queued:
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-        return thread
-
-    def test_a_launcher_is_lent_in_the_order_the_islands_asked(self, tmp_path, monkeypatch):
-        runner = self._runner(tmp_path, num_islands=4, sandbox_workers=1)
-        gate, running, ran = self._hold_the_launcher(monkeypatch)
-        results = {}
-        holder = threading.Thread(target=lambda: results.update(first=runner._execute("first").status), daemon=True)
-        holder.start()
-        assert running.wait(10)
-        waiters = [self._queue(runner, code, results) for code in ("second", "third", "fourth")]
-        gate.set()
-        for thread in [holder, *waiters]:
-            thread.join(10)
-        assert ran == ["first", "second", "third", "fourth"]
-        assert results == dict.fromkeys(ran, "ok")
-        assert list(runner._idle_launchers) == runner._launchers and not runner._waiting
-
-    def test_many_islands_share_few_launchers_one_candidate_each(self, tmp_path, monkeypatch):
-        from llmevolve import sandbox
-
-        runner = self._runner(tmp_path, num_islands=8, sandbox_workers=2)
-        lock, in_use, peak, ran = threading.Lock(), set(), [0], []
-
-        def fake(code, limits, launcher, max_artifact_bytes):
-            with lock:
-                if launcher in in_use:
-                    raise AssertionError("a launcher lent to two callers at once")
-                in_use.add(launcher)
-                peak[0] = max(peak[0], len(in_use))
-            time.sleep(0)
-            with lock:
-                in_use.discard(launcher)
-                ran.append(code)
-            return sandbox.ExecutionOutcome(sandbox.STATUS_OK, "", "", 0.0)
-
-        monkeypatch.setattr(sandbox, "run_candidate", fake)
-        errors = []
-
-        def island(i):
-            try:
-                for j in range(50):
-                    runner._execute(f"{i}-{j}")
-            except Exception as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=island, args=(i,), daemon=True) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads) and errors == []
-        assert len(ran) == 400 and peak[0] <= 2
-        assert sorted(map(id, runner._idle_launchers)) == sorted(map(id, runner._launchers))
-        assert not runner._waiting
-
-    def test_a_failed_run_still_passes_the_launcher_on(self, tmp_path, monkeypatch):
-        runner = self._runner(tmp_path, num_islands=2, sandbox_workers=1)
-        gate, running, ran = self._hold_the_launcher(monkeypatch, first_raises=True)
-        errors = []
-
-        def hold():
-            try:
-                runner._execute("first")
-            except RuntimeError as exc:
-                errors.append(str(exc))
-
-        holder = threading.Thread(target=hold, daemon=True)
-        holder.start()
-        assert running.wait(10)
-        results = {}
-        waiter = self._queue(runner, "second", results)
-        gate.set()
-        holder.join(10)
-        waiter.join(10)
-        assert errors == ["the sandbox broke"]
-        assert ran == ["first", "second"] and results == {"second": "ok"}
-        assert list(runner._idle_launchers) == runner._launchers and not runner._waiting
 
 
 class TestSandboxFailures:

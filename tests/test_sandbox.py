@@ -338,28 +338,160 @@ def test_a_launcher_removes_what_its_directory_holds_when_the_engine_hangs_up(la
     assert not os.path.exists(workdir)
 
 
-def test_starting_launchers_together_reaps_them_all_when_one_cannot_start():
-    good = Launcher(FAST_INTERPRETER)
-    bad = Launcher(["/nonexistent/python"])
-    with pytest.raises(sandbox.LauncherError, match="/nonexistent/python"):
-        sandbox.start_all([good, bad])
-    assert good.proc.returncode == 0
-    assert (good.workdir, bad.workdir, bad.proc) == (None, None, None)
+class TestLauncherPool:
+    def test_a_launcher_that_cannot_start_closes_them_all(self, monkeypatch):
+        interpreters, started = iter([FAST_INTERPRETER, ["/nonexistent/python"]]), []
 
+        def second_cannot_start(interpreter):
+            started.append(Launcher(next(interpreters)))
+            return started[-1]
 
-def test_closing_launchers_together_hangs_up_on_all_before_reaping_any(monkeypatch):
-    launchers = [Launcher(FAST_INTERPRETER) for _ in range(2)]
-    sandbox.start_all(launchers)
-    events = []
-    for i, launcher in enumerate(launchers):
-        hang_up, close = launcher.hang_up, launcher.close
-        monkeypatch.setattr(launcher, "hang_up", lambda i=i, f=hang_up: (events.append(("hang_up", i)), f()))
-        monkeypatch.setattr(launcher, "close", lambda i=i, f=close: (events.append(("close", i)), f()))
-    workdirs = [launcher.workdir for launcher in launchers]
-    sandbox.close_all(launchers)
-    assert events[:2] == [("hang_up", 0), ("hang_up", 1)]
-    assert [launcher.proc.returncode for launcher in launchers] == [0, 0]
-    assert not any(os.path.exists(workdir) for workdir in workdirs)
+        monkeypatch.setattr(sandbox, "Launcher", second_cannot_start)
+        with pytest.raises(sandbox.LauncherError, match="/nonexistent/python"):
+            sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS)
+        good, bad = started
+        assert good.proc.returncode == 0
+        assert (good.workdir, bad.workdir, bad.proc) == (None, None, None)
+
+    def test_closing_hangs_up_on_every_launcher_before_reaping_any(self, monkeypatch):
+        pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS)
+        events = []
+        for i, launcher in enumerate(pool.launchers):
+            hang_up, close = launcher.hang_up, launcher.close
+            monkeypatch.setattr(launcher, "hang_up", lambda i=i, f=hang_up: (events.append(("hang_up", i)), f()))
+            monkeypatch.setattr(launcher, "close", lambda i=i, f=close: (events.append(("close", i)), f()))
+        workdirs = [launcher.workdir for launcher in pool.launchers]
+        with pool:
+            pass
+        assert events[:2] == [("hang_up", 0), ("hang_up", 1)]
+        assert [launcher.proc.returncode for launcher in pool.launchers] == [0, 0]
+        assert not any(os.path.exists(workdir) for workdir in workdirs)
+
+    def test_the_logs_read_dot_for_the_work_directory(self):
+        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS) as pool:
+            outcome = pool.run("import os\nprint(os.getcwd())\nraise RuntimeError('nope')\n")
+        assert outcome.stdout == ".\n"
+        assert 'File "./candidate.py", line 3' in outcome.stderr
+        assert outcome.workdir not in outcome.stderr
+
+    def _hold_the_launcher(self, monkeypatch, first_raises=False):
+        """Make ``run_candidate`` a fake that keeps candidate ``first`` running until
+        the returned gate is set; returns the gate and the codes in the order they ran."""
+        gate, running, ran = threading.Event(), threading.Event(), []
+
+        def fake(code, limits, launcher, max_artifact_bytes):
+            ran.append(code)
+            if code == "first":
+                running.set()
+                assert gate.wait(10)
+                if first_raises:
+                    raise RuntimeError("the sandbox broke")
+            return ExecutionOutcome(STATUS_OK, "", "", 0.0)
+
+        monkeypatch.setattr(sandbox, "run_candidate", fake)
+        return gate, running, ran
+
+    def _queue(self, pool, code, results):
+        """Call ``pool.run(code)`` on a new thread and wait until it is queued for a launcher."""
+        queued = len(pool._waiting) + 1
+
+        def call():
+            try:
+                results[code] = pool.run(code).status
+            except Exception as exc:
+                results[code] = exc
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10
+        while len(pool._waiting) < queued:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        return thread
+
+    def test_a_launcher_is_lent_in_the_order_the_callers_asked(self, monkeypatch):
+        gate, running, ran = self._hold_the_launcher(monkeypatch)
+        results = {}
+        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS) as pool:
+
+            def hold():  # gives the launcher back, then asks again at once
+                for code in ("first", "last"):
+                    results[code] = pool.run(code).status
+
+            holder = threading.Thread(target=hold, daemon=True)
+            holder.start()
+            assert running.wait(10)
+            waiters = [self._queue(pool, code, results) for code in ("second", "third", "fourth")]
+            gate.set()
+            for thread in [holder, *waiters]:
+                thread.join(10)
+            assert not any(thread.is_alive() for thread in [holder, *waiters])
+            assert ran == ["first", "second", "third", "fourth", "last"]
+            assert results == dict.fromkeys(ran, "ok")
+            assert list(pool._idle) == pool.launchers and not pool._waiting
+
+    def test_a_failed_run_still_passes_the_launcher_on(self, monkeypatch):
+        gate, running, ran = self._hold_the_launcher(monkeypatch, first_raises=True)
+        errors, results = [], {}
+        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS) as pool:
+
+            def hold():
+                try:
+                    pool.run("first")
+                except RuntimeError as exc:
+                    errors.append(str(exc))
+
+            holder = threading.Thread(target=hold, daemon=True)
+            holder.start()
+            assert running.wait(10)
+            waiter = self._queue(pool, "second", results)
+            gate.set()
+            holder.join(10)
+            waiter.join(10)
+            assert errors == ["the sandbox broke"]
+            assert ran == ["first", "second"] and results == {"second": "ok"}
+            assert list(pool._idle) == pool.launchers and not pool._waiting
+
+    def test_many_callers_share_few_launchers_one_candidate_each(self, monkeypatch):
+        lock, in_use, peak, ran = threading.Lock(), set(), [0], []
+
+        def fake(code, limits, launcher, max_artifact_bytes):
+            with lock:
+                if launcher in in_use:
+                    raise AssertionError("a launcher lent to two callers at once")
+                in_use.add(launcher)
+                peak[0] = max(peak[0], len(in_use))
+            time.sleep(0)
+            with lock:
+                in_use.discard(launcher)
+                ran.append(code)
+            return ExecutionOutcome(STATUS_OK, "", "", 0.0)
+
+        monkeypatch.setattr(sandbox, "run_candidate", fake)
+        errors = []
+        with sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS) as pool:
+
+            def caller(i):
+                try:
+                    for j in range(50):
+                        pool.run(f"{i}-{j}")
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads) and errors == []
+            assert len(ran) == 400 and peak[0] <= 2
+            assert sorted(map(id, pool._idle)) == sorted(map(id, pool.launchers))
+            assert not pool._waiting
 
 
 def _bounded(call, seconds):
