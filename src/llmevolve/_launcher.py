@@ -1,14 +1,17 @@
 """Warm launcher: forks one child per candidate program.
 
-``sandbox.Launcher`` starts this file as ``<interpreter> _launcher.py <fd>``,
-where ``<fd>`` is this process's end of an ``AF_UNIX`` ``SOCK_SEQPACKET``
-socket pair, with the launcher's work directory as its working directory,
-the artifact path in its environment, stdout on ``/dev/null`` and stderr on
-a file the engine reads if the launcher is not ready. One message per packet:
+``sandbox.Launcher`` starts this file as
+``<interpreter> _launcher.py <fd> <script> <memory_bytes> <cpu_seconds>``:
+its end of an ``AF_UNIX`` ``SOCK_SEQPACKET`` socket pair, the script every
+child runs, and each child's address-space and CPU-time limits. Its working
+directory is the launcher's work directory, its environment holds the
+artifact path and ``PYTHONHASHSEED``, its stdout is ``/dev/null`` and its
+stderr a file the engine reads if the launcher is not ready. One message
+per packet:
 
 * the launcher sends ``ready`` once its imports are done;
-* a request is a JSON object ``{"script", "memory_bytes", "cpu_seconds"}``
-  sent with two file descriptors, the candidate's stdout and stderr;
+* a request is any non-empty packet, which is not parsed, with two file
+  descriptors: the candidate's stdout and stderr;
 * for each request the child sends its own pid before it runs any of the
   candidate's code, and the launcher sends the child's exit code (negative
   for a signal) once the child has exited, both in ASCII.
@@ -36,7 +39,7 @@ still holds are not finalised at exit.
 
 import atexit
 import gc
-import json  # also preloaded for candidates
+import json  # preloaded for candidates
 import os
 import resource
 import signal
@@ -49,14 +52,13 @@ import sys
 FILE_SIZE_LIMIT = 32 << 20
 
 
-def serve(sock: socket.socket) -> str | None:
-    """Fork a child per request: the child gets its script path, the launcher None at EOF."""
+def serve(sock: socket.socket, memory_bytes: int, cpu_seconds: int) -> bool:
+    """Fork a child per request: True in the child, False in the launcher at EOF."""
     sock.send(b"ready")
     while True:
-        msg, fds, _, _ = socket.recv_fds(sock, 1 << 16, 2)
+        msg, fds, _, _ = socket.recv_fds(sock, 16, 2)
         if not msg:
-            return None
-        request = json.loads(msg)
+            return False
         pid = os.fork()
         if pid == 0:
             # The pid leads its own group before it is reported, and is
@@ -66,8 +68,8 @@ def serve(sock: socket.socket) -> str | None:
             os.setsid()
             sock.send(b"%d" % os.getpid())
             sock.close()
-            enter_child(request, *fds)
-            return request["script"]
+            enter_child(*fds, memory_bytes, cpu_seconds)
+            return True
         for fd in fds:
             os.close(fd)
         _, status = os.waitpid(pid, 0)
@@ -78,16 +80,14 @@ def serve(sock: socket.socket) -> str | None:
         sock.send(b"%d" % os.waitstatus_to_exitcode(status))
 
 
-def enter_child(request: dict, stdout: int, stderr: int) -> None:
+def enter_child(stdout: int, stderr: int, memory_bytes: int, cpu_seconds: int) -> None:
     """Give the forked child the candidate's logs and limits."""
     os.dup2(stdout, 1)
     os.dup2(stderr, 2)
     os.close(stdout)
     os.close(stderr)
-    limit = request["memory_bytes"]
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    cpu = request["cpu_seconds"]
-    resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu))
+    resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
+    resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
     resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_SIZE_LIMIT, FILE_SIZE_LIMIT))
 
 
@@ -181,6 +181,7 @@ def remove_workdir() -> None:
 
 
 if __name__ == "__main__":
+    fd, script, memory_bytes, cpu_seconds = sys.argv[1:]
     # Each child inherits a parser and compiler that have already run once.
     with open(__file__, "rb") as fh:
         compile(fh.read(), __file__, "exec", dont_inherit=True)
@@ -189,10 +190,10 @@ if __name__ == "__main__":
     gc.freeze()
     signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
     try:
-        script = serve(socket.socket(fileno=int(sys.argv[1])))
+        child = serve(socket.socket(fileno=int(fd)), int(memory_bytes), int(cpu_seconds))
     except ConnectionError:  # the engine died while a child ran
-        script = None
-    if script is not None:
+        child = False
+    if child:
         finish(run_main(script))
     remove_workdir()
     # Stdout is /dev/null, stderr is the engine's and every child is reaped:

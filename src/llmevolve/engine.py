@@ -5,8 +5,9 @@ containing the config snapshot, a line-delimited JSON event log, a
 line-delimited solutions log (one record per generated candidate: its code,
 and its feedback, logs and artifact when they hold something), the newest
 two checkpoints, and the best artifact found. With the replay backend and a
-fixed master seed, two runs emit byte-identical event logs; the solutions
-log holds the same records in an order that depends on thread timing.
+fixed master seed, two runs emit byte-identical event logs, since every
+launcher's string-hash seed derives from it too; the solutions log holds
+the same records in an order that depends on thread timing.
 
 ``run`` builds a fresh ``RunState`` and ``resume`` loads the latest intact
 one; both build the backend first, so a missing or malformed replay
@@ -176,14 +177,17 @@ def start_launchers(config: RunConfig, running: bool = True) -> sandbox.Launcher
     once and each ready, or none if the run is not ``running``.
 
     As many candidates run at once as there are launchers: ``sandbox_workers``,
-    but no more than islands, since each island has at most one in flight. A
-    launcher that cannot start is a ``ConfigError`` that names the
+    but no more than islands, since each island has at most one in flight.
+    Every launcher gets one string-hash seed derived from ``master_seed``, so
+    a candidate hashes strings alike on any launcher, in a run and its
+    resume. A launcher that cannot start is a ``ConfigError`` that names the
     interpreter and quotes the launcher's error, with every one reaped.
     """
     workers = min(config.sandbox_workers or config.num_islands, config.num_islands) if running else 0
     max_artifact_bytes = get_problem(config.problem_id).max_artifact_bytes
+    hash_seed = _derive_rng(config.master_seed, 0, "hash").getrandbits(32)
     try:
-        return sandbox.LauncherPool(config.interpreter, workers, config.limits, max_artifact_bytes)
+        return sandbox.LauncherPool(config.interpreter, workers, config.limits, max_artifact_bytes, hash_seed)
     except sandbox.LauncherError as exc:
         interpreter = shlex.join(config.interpreter)
         raise ConfigError(f"cannot start a launcher on the interpreter {interpreter}: {exc}") from None

@@ -1,14 +1,15 @@
 """Resource-limited execution of candidate programs.
 
 A run has one warm launcher per sandbox worker: a long-lived interpreter,
-started from ``interpreter``, that forks a child per candidate (see
-``_launcher.py``) and serves one caller at a time; a run's ``LauncherPool``
-starts them together, lends them in arrival order to callers that each run
-a candidate on their own thread, and stops them together. Each launcher
-start makes one temporary work directory, the working directory of the
-launcher and of every child it forks; the artifact output path in it is in
-the launcher's environment, which is this process's without the API key
-(``llm.API_KEY_ENV``), so the children inherit both and never the key.
+started from ``interpreter`` with the run's limits, that forks a child per
+candidate (see ``_launcher.py``) and serves one caller at a time; a run's
+``LauncherPool`` starts them together, lends them in arrival order to
+callers that each run a candidate on their own thread, and stops them
+together. Each launcher start makes one temporary work directory, the
+working directory of the launcher and of every child it forks; the
+artifact output path in it is in the launcher's environment, which is this
+process's without the API key (``llm.API_KEY_ENV``), so the children
+inherit both and never the key.
 Before a candidate runs, its code overwrites the directory's
 ``candidate.py`` in place; after it, the directory is emptied but for that
 script, so every candidate of a launcher sees the same path and only its
@@ -30,21 +31,20 @@ still holds are not finalised. Its stdout and stderr are memfds where
 ``os`` has ``memfd_create`` and unnamed temporary files elsewhere, so on
 Linux its logs create no file on disk; a running candidate's logs hold at
 most 2 × ``FILE_SIZE_LIMIT`` bytes of memory, freed when ``run_candidate``
-returns. An artifact longer than the caller's limit is never read. The
+returns. An artifact longer than the launcher's cap is never read. The
 child reports its pid before any candidate code runs, and the engine keeps
 the wall-clock deadline and kills the candidate's whole process group when
 it passes. Should the engine die first, a CPU-time rlimit (``cpu_seconds``)
 ends a busy candidate; a sleeping one lives until its sleep ends.
-Candidates of one launcher see its preloaded modules (``atexit``, ``gc``,
-``json``, ``os``, ``resource``, ``signal``, ``socket``) and share its
-string-hash seed. This is a resource sandbox, not a security
-sandbox: network access is not blocked. POSIX only; the interpreter must be
-Python 3.10 or later.
+Candidates see the launcher's preloaded modules (``atexit``, ``gc``,
+``json``, ``os``, ``resource``, ``signal``, ``socket``) and its string-hash
+seed, ``hash_seed``, one per run. This is a resource sandbox, not a
+security sandbox: network access is not blocked. POSIX only; the
+interpreter must be Python 3.10 or later.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
@@ -81,6 +81,11 @@ STATUS_TIMEOUT = "timeout"
 STATUS_MEMORY_EXCEEDED = "memory_exceeded"
 STATUS_SPAWN_ERROR = "spawn_error"
 
+# Ceilings within what a launcher can apply: a socket timeout refuses about
+# 1e10 s, and Python 3.11's ``setrlimit`` refuses 2**63 bytes.
+MAX_WALL_SECONDS = 30 * 24 * 3600
+MAX_MEMORY_BYTES = (1 << 63) - 1
+
 LAUNCHER_SCRIPT = str(Path(__file__).with_name("_launcher.py"))
 
 
@@ -91,10 +96,10 @@ class ResourceLimits:
 
     def __post_init__(self) -> None:
         # A bool is an int; the chained comparison also refuses NaN and infinity.
-        if isinstance(self.wall_seconds, bool) or not 0 < self.wall_seconds < math.inf:
-            raise ValueError("wall_seconds must be a finite number > 0")
-        if not (type(self.memory_bytes) is int and self.memory_bytes > 0):
-            raise ValueError("memory_bytes must be an integer > 0")
+        if isinstance(self.wall_seconds, bool) or not 0 < self.wall_seconds <= MAX_WALL_SECONDS:
+            raise ValueError(f"wall_seconds must be a number > 0 and at most {MAX_WALL_SECONDS} (30 days)")
+        if not (type(self.memory_bytes) is int and 0 < self.memory_bytes <= MAX_MEMORY_BYTES):
+            raise ValueError("memory_bytes must be an integer > 0 and at most 2**63 - 1")
 
 
 @dataclass
@@ -115,19 +120,24 @@ class LauncherError(Exception):
 class Launcher:
     """One warm launcher process and its work directory; serves one candidate at a time.
 
-    ``spawn`` starts it and ``wait_ready`` waits for it. One that is not
-    running starts on next use: after it dies (under a candidate or while
-    idle), after it is discarded for not reporting a killed candidate's exit
-    in time, or after it is closed because its work directory could not be
-    prepared or emptied. Each start makes a fresh work directory, which the
-    launcher and its children use as their working directory and which holds
-    the script and the artifact (``artifact_path``).
+    It is bound to a run's ``limits``, artifact cap and ``hash_seed``. ``spawn``
+    starts it and ``wait_ready`` waits for it. ``prepare`` starts one that is
+    not running: after it dies (under a candidate or while idle), after it is
+    discarded for not reporting a killed candidate's exit in time, or after
+    it is closed because its work directory could not be prepared or emptied.
+    Each start makes a fresh work directory, which the launcher and its
+    children use as their working directory and which holds the script and
+    the artifact (``artifact_path``).
     ``close`` ends the launcher, reaps it, which adds its children's CPU time
     to this process's ``RUSAGE_CHILDREN``, and removes its work directory.
     """
 
-    def __init__(self, interpreter: list[str]):
+    def __init__(self, interpreter: list[str], limits: ResourceLimits,
+                 max_artifact_bytes: int = FILE_SIZE_LIMIT, hash_seed: int = 0):
         self.interpreter = list(interpreter)
+        self.limits = limits
+        self.max_artifact_bytes = max_artifact_bytes
+        self.hash_seed = hash_seed
         self.proc: Optional[subprocess.Popen] = None
         self.workdir: Optional[str] = None
         self._workdir_id: Optional[tuple[int, int]] = None
@@ -145,20 +155,24 @@ class Launcher:
     def spawn(self) -> None:
         """Start the launcher process in a fresh work directory, without waiting for it.
 
-        Its environment is this process's without the API key, plus the
-        artifact path. ``wait_ready`` waits for its ``ready``.
+        Its arguments are the script path and the candidate's limits; its
+        environment is this process's without the API key, plus the artifact
+        path and ``PYTHONHASHSEED`` (over any inherited value). ``wait_ready``
+        waits for its ``ready``.
         """
         self.workdir = tempfile.mkdtemp(prefix="candidate-")
         info = os.stat(self.workdir)
         self._workdir_id = (info.st_dev, info.st_ino)
         env = {name: value for name, value in os.environ.items() if name != API_KEY_ENV}
         env[ARTIFACT_PATH_ENV] = self.artifact_path
+        env["PYTHONHASHSEED"] = str(self.hash_seed)
+        limits = [str(self.limits.memory_bytes), str(cpu_seconds(self.limits))]
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         self._errors = _log_file("launcher-errors")
         try:
             with theirs:  # then the launcher holds the only other end
                 self.proc = subprocess.Popen(
-                    self.interpreter + [LAUNCHER_SCRIPT, str(theirs.fileno())],
+                    self.interpreter + [LAUNCHER_SCRIPT, str(theirs.fileno()), self.script_path, *limits],
                     stdin=subprocess.DEVNULL,
                     stdout=subprocess.DEVNULL,
                     stderr=self._errors,
@@ -190,10 +204,6 @@ class Launcher:
                     f"launcher exited with code {code} before it was ready" + (f": {text}" if text else "")
                 )
 
-    def _start(self) -> None:
-        self.spawn()
-        self.wait_ready()
-
     def prepare(self, code: bytes) -> None:
         """Start the launcher if it is not running, and put ``code`` in its script.
 
@@ -205,7 +215,8 @@ class Launcher:
             self.close()
         for _ in range(2):
             if self._sock is None:
-                self._start()
+                self.spawn()
+                self.wait_ready()
             try:
                 return _overwrite(self.script_path, code)
             except OSError as exc:
@@ -239,15 +250,13 @@ class Launcher:
         except OSError:
             self.close()
 
-    def run(self, request: dict, stdout, stderr, timeout: float) -> tuple[Optional[int], bool]:
-        """Run one candidate: its exit code (None if the launcher was lost) and whether it timed out."""
-        if self._sock is None:
-            self._start()
+    def run(self, stdout, stderr) -> tuple[Optional[int], bool]:
+        """Run the prepared script: its exit code (None if the launcher was lost) and whether it timed out."""
         sock = self._sock
-        sock.settimeout(timeout)
+        sock.settimeout(self.limits.wall_seconds)
         pid, timed_out = None, False
         try:
-            socket.send_fds(sock, [json.dumps(request).encode()], [stdout.fileno(), stderr.fileno()])
+            socket.send_fds(sock, [b"run"], [stdout.fileno(), stderr.fileno()])
             pid = _recv_int(sock)
             try:
                 return _recv_int(sock), False
@@ -381,16 +390,14 @@ def cpu_seconds(limits: ResourceLimits) -> int:
     return math.ceil(limits.wall_seconds * (os.cpu_count() or 1)) + 1
 
 
-def run_candidate(
-    code: str, limits: ResourceLimits, launcher: Launcher, max_artifact_bytes: int = FILE_SIZE_LIMIT
-) -> ExecutionOutcome:
-    """Execute one candidate on ``launcher`` and collect its logs and artifact.
+def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
+    """Execute one candidate on ``launcher`` under its limits and collect its logs and artifact.
 
     The candidate is written to the launcher's work directory and run there,
     with the artifact output path supplied via the environment; afterwards
     the directory is emptied but for the script. On timeout the whole
-    process group is killed, not only the candidate. An artifact over
-    ``max_artifact_bytes`` is not read, only its size taken.
+    process group is killed, not only the candidate. An artifact over the
+    launcher's ``max_artifact_bytes`` is not read, only its size taken.
     """
     if not code:
         raise ValueError("candidate code is empty")
@@ -398,13 +405,8 @@ def run_candidate(
         try:
             launcher.prepare(code.encode("utf-8"))
             workdir = launcher.workdir  # a launcher lost under the candidate forgets it
-            request = {
-                "script": launcher.script_path,
-                "memory_bytes": limits.memory_bytes,
-                "cpu_seconds": cpu_seconds(limits),
-            }
             start = time.monotonic()
-            returncode, timed_out = launcher.run(request, out, err, limits.wall_seconds)
+            returncode, timed_out = launcher.run(out, err)
         except LauncherError as exc:
             return ExecutionOutcome(
                 status=STATUS_SPAWN_ERROR,
@@ -429,7 +431,7 @@ def run_candidate(
 
         artifact, size = None, None
         if status == STATUS_OK:
-            artifact, size = _read_artifact(launcher.artifact_path, max_artifact_bytes)
+            artifact, size = _read_artifact(launcher.artifact_path, launcher.max_artifact_bytes)
         launcher.clear()
         return ExecutionOutcome(
             status=status,
@@ -451,10 +453,8 @@ class LauncherPool:
     """
 
     def __init__(self, interpreter: list[str], count: int, limits: ResourceLimits,
-                 max_artifact_bytes: int = FILE_SIZE_LIMIT):
-        self.launchers = [Launcher(interpreter) for _ in range(count)]
-        self.limits = limits
-        self.max_artifact_bytes = max_artifact_bytes
+                 max_artifact_bytes: int = FILE_SIZE_LIMIT, hash_seed: int = 0):
+        self.launchers = [Launcher(interpreter, limits, max_artifact_bytes, hash_seed) for _ in range(count)]
         # ``_lock`` guards the idle launchers and the callers that wait for
         # one, each blocked on its own held lock, in arrival order.
         self._lock = threading.Lock()
@@ -496,7 +496,7 @@ class LauncherPool:
             turn.acquire()  # released once ``handed`` holds a launcher
             [launcher] = handed
         try:
-            outcome = run_candidate(code, self.limits, launcher, self.max_artifact_bytes)
+            outcome = run_candidate(code, launcher)
         finally:
             with self._lock:
                 if self._waiting:

@@ -82,6 +82,8 @@ class TestCmdRun:
             {"problem_id": "p3.a", "limits": {"wall_seconds": float("inf"), "memory_bytes": 1 << 30}},
             {"problem_id": "p3.a", "limits": {"wall_seconds": True, "memory_bytes": 1 << 30}},
             {"problem_id": "p3.a", "limits": {"wall_seconds": 20.0, "memory_bytes": True}},
+            {"problem_id": "p3.a", "limits": {"wall_seconds": 1e300, "memory_bytes": 1 << 30}},
+            {"problem_id": "p3.a", "limits": {"wall_seconds": 20.0, "memory_bytes": 1 << 70}},
             {
                 "problem_id": "p3.a",
                 "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"max_attempts": 2.5}},
@@ -101,7 +103,7 @@ class TestCmdRun:
             "negative_sandbox_workers", "zero_sandbox_workers", "interpreter_string",
             "no_interpreter", "meta_sampling", "negative_weight", "negative_max_output_tokens",
             "fractional_memory_bytes", "infinite_wall_seconds", "boolean_wall_seconds",
-            "boolean_memory_bytes", "fractional_attempts", "boolean_attempts", "boolean_p_explore",
+            "boolean_memory_bytes", "huge_wall_seconds", "huge_memory_bytes", "fractional_attempts", "boolean_attempts", "boolean_p_explore",
             "boolean_migration_rate", "string_ablation_toggle", "integer_ablation_toggle",
         ],
     )

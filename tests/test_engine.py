@@ -614,6 +614,38 @@ class TestDeterminism:
             logs.append((run_dir / "events.jsonl").read_bytes())
         assert logs[0] == logs[1]
 
+    @staticmethod
+    def _hashing_program(radius: float) -> str:
+        """A packing whose radius grows with a name's position in a set of 20
+        strings, an order that follows the string-hash seed."""
+        return (
+            "import json, os\n"
+            "position = list(set(f'name-{i}' for i in range(20))).index('name-0')\n"
+            f"r = {radius!r} + position * 1e-5\n"
+            "circles = [[(i % 6) / 6 + 0.08, (i // 6) / 6 + 0.08, r] for i in range(26)]\n"
+            'with open(os.environ["ARTIFACT_PATH"], "w") as fh:\n'
+            '    json.dump({"circles": circles}, fh)\n'
+        )
+
+    def test_candidates_that_hash_strings_give_the_same_event_log(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONHASHSEED", "random")  # the run's seed is set over it
+        cfg = standard_config(num_islands=2, epochs=6, migration_every=3, init_population=2, sandbox_workers=2)
+        logs = []
+        for name, stop in (("a", None), ("b", None), ("resumed", 3)):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            with open(run_dir / "transcripts.jsonl", "w", encoding="utf-8") as fh:
+                for island in range(2):
+                    for index in range(40):
+                        program = self._hashing_program(5e-4 + (island * 40 + index) * 1e-7)
+                        fh.write(json.dumps({"island": island, "index": index, "response": fenced(program)}) + "\n")
+            engine.run(cfg, run_dir, stop_after_epoch=stop)
+            if stop is not None:
+                engine.resume(run_dir)
+            logs.append((run_dir / "events.jsonl").read_bytes())
+        assert {r["status"] for r in read_events(tmp_path / "a") if "status" in r} == {"valid"}
+        assert logs[0] == logs[1] == logs[2]
+
 
 class _FirstStepMeeting(ReplayBackend):
     """Replay whose islands each wait at a barrier on their first step call."""

@@ -33,15 +33,34 @@ from llmevolve.sandbox import (
 )
 
 LIMITS = ResourceLimits(wall_seconds=10.0, memory_bytes=1 << 30)
+# Prints 20 names in the order of a set, which follows the string-hash seed.
+_SET_ORDER = "print(list(set(f'name-{i}' for i in range(20))))\n"
 
 
 @pytest.fixture
-def launcher(request):
-    """A launcher on ``FAST_INTERPRETER``, or on the ``python3.X`` that a test names indirectly."""
+def interpreter(request):
+    """``FAST_INTERPRETER``, or the ``python3.X`` that a test names indirectly."""
     name = getattr(request, "param", None)
-    launcher = Launcher(FAST_INTERPRETER if name is None else _other_python(name))
-    yield launcher
-    launcher.close()
+    return FAST_INTERPRETER if name is None else _other_python(name)
+
+
+@pytest.fixture
+def make_launcher(interpreter):
+    """Builds launchers on ``interpreter``, by default with ``LIMITS``, and closes them after the test."""
+    made = []
+
+    def make(limits=LIMITS, **kwargs):
+        made.append(Launcher(interpreter, limits, **kwargs))
+        return made[-1]
+
+    yield make
+    for launcher in made:
+        launcher.close()
+
+
+@pytest.fixture
+def launcher(make_launcher):
+    return make_launcher()
 
 
 @pytest.fixture
@@ -51,8 +70,8 @@ def run(launcher, request, monkeypatch):
     if getattr(request, "param", None) == "without_memfd":
         monkeypatch.delattr(os, "memfd_create", raising=False)
 
-    def run(code, limits=LIMITS):
-        return run_candidate(code, limits, launcher)
+    def run(code):
+        return run_candidate(code, launcher)
 
     return run
 
@@ -68,14 +87,16 @@ def test_valid_artifact_collected(run):
     assert json.loads(outcome.artifact) == {"circles": [[0.5, 0.5, 0.1]]}
 
 
-def test_timeout_kills_within_grace(run):
+def test_timeout_kills_within_grace(make_launcher):
+    launcher = make_launcher(ResourceLimits(1.0, 1 << 30))
     start = time.monotonic()
-    outcome = run("while True:\n    pass\n", ResourceLimits(1.0, 1 << 30))
+    outcome = run_candidate("while True:\n    pass\n", launcher)
     assert outcome.status == STATUS_TIMEOUT
     assert time.monotonic() - start < 5.0
 
 
-def test_timeout_kills_whole_process_tree(launcher):
+def test_timeout_kills_whole_process_tree(make_launcher):
+    launcher = make_launcher(ResourceLimits(1.0, 1 << 30))
     code = (
         "import subprocess, sys, time\n"
         "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
@@ -83,7 +104,7 @@ def test_timeout_kills_whole_process_tree(launcher):
         "time.sleep(60)\n"
     )
     start = time.monotonic()
-    outcome = run_candidate(code, ResourceLimits(1.0, 1 << 30), launcher)
+    outcome = run_candidate(code, launcher)
     assert outcome.status == STATUS_TIMEOUT
     assert time.monotonic() - start < 10.0
     # The group kill also ended the grandchild.
@@ -97,8 +118,8 @@ def test_nonzero_exit_captured_with_logs(run):
     assert "boom" in outcome.stderr
 
 
-def test_memory_limit_flagged(run):
-    outcome = run("x = bytearray(1 << 31)\n", ResourceLimits(10.0, 256 << 20))
+def test_memory_limit_flagged(make_launcher):
+    outcome = run_candidate("x = bytearray(1 << 31)\n", make_launcher(ResourceLimits(10.0, 256 << 20)))
     assert outcome.status == STATUS_MEMORY_EXCEEDED
 
 
@@ -149,13 +170,14 @@ def test_writing_past_the_file_size_limit_fails_only_that_candidate(run, target)
     assert run("print('next')\n").status == STATUS_OK
 
 
-def test_an_artifact_over_its_limit_is_not_read(launcher):
+def test_an_artifact_over_its_limit_is_not_read(make_launcher):
     code = "import os\nwith open(os.environ['ARTIFACT_PATH'], 'wb') as fh:\n    fh.write(b'x' * 101)\n"
-    over = run_candidate(code, LIMITS, launcher, 100)
+    capped = make_launcher(max_artifact_bytes=100)
+    over = run_candidate(code, capped)
     assert (over.status, over.artifact, over.artifact_size) == (STATUS_OK, None, 101)
-    at = run_candidate(code, LIMITS, launcher, 101)
+    at = run_candidate(code, make_launcher(max_artifact_bytes=101))
     assert (at.status, at.artifact, at.artifact_size) == (STATUS_OK, b"x" * 101, 101)
-    none = run_candidate("print('no artifact')\n", LIMITS, launcher, 100)
+    none = run_candidate("print('no artifact')\n", capped)
     assert (none.status, none.artifact, none.artifact_size) == (STATUS_OK, None, None)
 
 
@@ -286,6 +308,12 @@ def test_each_candidate_seeds_its_own_random_state(run):
     assert run(code).stdout != run(code).stdout
 
 
+def test_launchers_with_one_hash_seed_order_a_set_alike(make_launcher, monkeypatch):
+    monkeypatch.setenv("PYTHONHASHSEED", "random")  # the launcher's seed is set over it
+    orders = [run_candidate(_SET_ORDER, make_launcher(hash_seed=seed)).stdout for seed in (1, 1, 2)]
+    assert orders[0] == orders[1] != orders[2]
+
+
 def test_preloaded_modules_are_the_ones_the_readme_lists(run):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     sentence = re.search(r"Candidates of one launcher see (.*?) already imported", readme, re.S)
@@ -308,10 +336,28 @@ def test_killing_the_launcher_fails_only_its_candidate(run, launcher):
     assert launcher.proc is not first
 
 
-def test_a_launcher_that_exits_at_start_is_a_spawn_error():
-    launcher = Launcher(FAST_INTERPRETER + ["-c", "import sys; sys.exit('no launcher here')"])
+@pytest.mark.parametrize("killed", ["while_idle", "by_its_candidate"])
+def test_a_restarted_launcher_keeps_its_limits(make_launcher, killed):
+    launcher = make_launcher(ResourceLimits(1.0, 256 << 20))
+    assert run_candidate("print('warm')\n", launcher).status == STATUS_OK
+    first = launcher.proc
+    if killed == "while_idle":
+        first.kill()
+        first.wait()
+    else:
+        killer = "import os, signal\nos.kill(os.getppid(), signal.SIGKILL)\n"
+        assert run_candidate(killer, launcher).status == STATUS_NONZERO_EXIT
     start = time.monotonic()
-    outcome = run_candidate("print(1)\n", LIMITS, launcher)
+    assert run_candidate("while True:\n    pass\n", launcher).status == STATUS_TIMEOUT
+    assert time.monotonic() - start < 5.0
+    assert launcher.proc is not first
+    assert run_candidate("x = bytearray(1 << 30)\n", launcher).status == STATUS_MEMORY_EXCEEDED
+
+
+def test_a_launcher_that_exits_at_start_is_a_spawn_error():
+    launcher = Launcher(FAST_INTERPRETER + ["-c", "import sys; sys.exit('no launcher here')"], LIMITS)
+    start = time.monotonic()
+    outcome = run_candidate("print(1)\n", launcher)
     assert outcome.status == STATUS_SPAWN_ERROR
     assert outcome.stderr == "launcher exited with code 1 before it was ready: no launcher here"
     assert time.monotonic() - start < LIMITS.wall_seconds / 2
@@ -329,9 +375,8 @@ def test_a_launcher_removes_what_its_directory_holds_when_the_engine_hangs_up(la
     # candidate left it; the launcher empties and removes it on its way out.
     launcher.prepare(b"import os\nos.makedirs('sub/deeper')\nopen('sub/deeper/f', 'w').close()\n")
     workdir = launcher.workdir
-    request = {"script": launcher.script_path, "memory_bytes": LIMITS.memory_bytes, "cpu_seconds": 60}
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        assert launcher.run(request, out, err, LIMITS.wall_seconds) == (0, False)
+        assert launcher.run(out, err) == (0, False)
     assert sorted(os.listdir(workdir)) == ["candidate.py", "sub"]
     launcher.hang_up()
     assert launcher.proc.wait(5) == 0
@@ -342,8 +387,8 @@ class TestLauncherPool:
     def test_a_launcher_that_cannot_start_closes_them_all(self, monkeypatch):
         interpreters, started = iter([FAST_INTERPRETER, ["/nonexistent/python"]]), []
 
-        def second_cannot_start(interpreter):
-            started.append(Launcher(next(interpreters)))
+        def second_cannot_start(interpreter, *args):
+            started.append(Launcher(next(interpreters), *args))
             return started[-1]
 
         monkeypatch.setattr(sandbox, "Launcher", second_cannot_start)
@@ -379,7 +424,7 @@ class TestLauncherPool:
         the returned gate is set; returns the gate and the codes in the order they ran."""
         gate, running, ran = threading.Event(), threading.Event(), []
 
-        def fake(code, limits, launcher, max_artifact_bytes):
+        def fake(code, launcher):
             ran.append(code)
             if code == "first":
                 running.set()
@@ -455,7 +500,7 @@ class TestLauncherPool:
     def test_many_callers_share_few_launchers_one_candidate_each(self, monkeypatch):
         lock, in_use, peak, ran = threading.Lock(), set(), [0], []
 
-        def fake(code, limits, launcher, max_artifact_bytes):
+        def fake(code, launcher):
             with lock:
                 if launcher in in_use:
                     raise AssertionError("a launcher lent to two callers at once")
@@ -505,14 +550,14 @@ def _bounded(call, seconds):
 
 
 def test_a_candidate_that_stops_its_launcher_times_out():
-    launcher = Launcher(FAST_INTERPRETER)
     limits = ResourceLimits(wall_seconds=1.0, memory_bytes=1 << 30)
+    launcher = Launcher(FAST_INTERPRETER, limits)
     code = "import os, signal\nos.kill(os.getppid(), signal.SIGSTOP)\n"
     bound = limits.wall_seconds + sandbox.KILL_GRACE_SECONDS + 3.0
     try:
-        outcome = _bounded(lambda: run_candidate(code, limits, launcher), bound)
+        outcome = _bounded(lambda: run_candidate(code, launcher), bound)
         assert outcome.status == STATUS_TIMEOUT
-        assert run_candidate("print('next')\n", limits, launcher).status == STATUS_OK
+        assert run_candidate("print('next')\n", launcher).status == STATUS_OK
     finally:
         launcher.proc.kill()  # SIGKILL ends even a stopped launcher
         launcher.close()
@@ -521,8 +566,8 @@ def test_a_candidate_that_stops_its_launcher_times_out():
 def test_a_candidate_that_stops_its_launcher_first_never_outlives_its_limit(tmp_path):
     # The candidate's first statement stops its launcher; its pid has
     # already reached the engine, so the group kill always ends it.
-    launcher = Launcher(FAST_INTERPRETER)
     limits = ResourceLimits(wall_seconds=0.2, memory_bytes=1 << 30)
+    launcher = Launcher(FAST_INTERPRETER, limits)
     bound = limits.wall_seconds + sandbox.KILL_GRACE_SECONDS + 3.0
     markers = [tmp_path / f"marker-{i}" for i in range(6)]
     try:
@@ -531,7 +576,7 @@ def test_a_candidate_that_stops_its_launcher_first_never_outlives_its_limit(tmp_
                 "import os, signal, time\nos.kill(os.getppid(), signal.SIGSTOP)\n"
                 f"time.sleep(1.0)\nopen({str(marker)!r}, 'w').close()\n"
             )
-            outcome = _bounded(lambda: run_candidate(code, limits, launcher), bound)
+            outcome = _bounded(lambda: run_candidate(code, launcher), bound)
             assert outcome.status == STATUS_TIMEOUT
     finally:
         if launcher.proc is not None:
@@ -545,9 +590,11 @@ def test_a_child_whose_limits_cannot_be_set_fails_at_once(monkeypatch):
     # Its exit code must not be taken for its pid, which would be killed.
     kills = []
     monkeypatch.setattr(sandbox, "_kill_group", kills.append)
-    launcher = Launcher(FAST_INTERPRETER)
+    limits = ResourceLimits(1.0, 1 << 30)
+    limits.memory_bytes = 1 << 70  # past what ResourceLimits accepts, so the child's setrlimit fails
+    launcher = Launcher(FAST_INTERPRETER, limits)
     try:
-        outcome = run_candidate("print('never')\n", ResourceLimits(1.0, 1 << 70), launcher)
+        outcome = run_candidate("print('never')\n", launcher)
     finally:
         launcher.close()
     assert (outcome.status, kills) == (STATUS_NONZERO_EXIT, [])
@@ -556,9 +603,9 @@ def test_a_child_whose_limits_cannot_be_set_fails_at_once(monkeypatch):
 
 def test_a_slow_launcher_start_does_not_count_against_the_wall_limit():
     sleepy = "import os, sys, time; time.sleep(1.0); os.execv(sys.executable, [sys.executable, '-S'] + sys.argv[1:])"
-    launcher = Launcher([sys.executable, "-S", "-c", sleepy])
+    launcher = Launcher([sys.executable, "-S", "-c", sleepy], ResourceLimits(0.5, 1 << 30))
     try:
-        outcome = run_candidate("print('started')\n", ResourceLimits(0.5, 1 << 30), launcher)
+        outcome = run_candidate("print('started')\n", launcher)
     finally:
         launcher.close()
     assert (outcome.status, outcome.stdout) == (STATUS_OK, "started\n")
@@ -574,13 +621,13 @@ def test_one_work_directory_per_launcher_start(launcher, monkeypatch):
 
     monkeypatch.setattr(tempfile, "mkdtemp", counted)
     code = "import os\nprint(os.getcwd(), os.environ['ARTIFACT_PATH'])\n"
-    seen = {run_candidate(code, LIMITS, launcher).stdout for _ in range(3)}
+    seen = {run_candidate(code, launcher).stdout for _ in range(3)}
     assert len(made) == 1
     assert seen == {f"{made[0]} {os.path.join(made[0], 'artifact.json')}\n"}
     launcher.proc.kill()  # the launcher dies while idle: the next candidate starts a new one
     launcher.proc.wait()
-    assert run_candidate(code, LIMITS, launcher).status == STATUS_OK
-    assert run_candidate(code, LIMITS, launcher).status == STATUS_OK
+    assert run_candidate(code, launcher).status == STATUS_OK
+    assert run_candidate(code, launcher).status == STATUS_OK
     assert len(made) == 2
     assert not os.path.exists(made[0])
     launcher.close()
@@ -591,10 +638,10 @@ def test_a_launcher_removes_its_directory_when_the_engine_dies(tmp_path):
     engine = (
         "import os, signal, sys\n"
         "from llmevolve.sandbox import Launcher, ResourceLimits, run_candidate\n"
-        "launcher = Launcher([sys.executable, '-S'])\n"
+        "launcher = Launcher([sys.executable, '-S'], ResourceLimits(10.0, 1 << 30))\n"
         "code = 'import os\\nprint(os.getcwd())\\nos.rename(os.getcwd(), os.getcwd() + \"-moved\")\\n'\n"
-        "moved = run_candidate(code, ResourceLimits(10.0, 1 << 30), launcher).stdout.strip() + '-moved'\n"
-        "run_candidate('print(1)\\n', ResourceLimits(10.0, 1 << 30), launcher)\n"
+        "moved = run_candidate(code, launcher).stdout.strip() + '-moved'\n"
+        "run_candidate('print(1)\\n', launcher)\n"
         "print(moved, launcher.workdir, flush=True)\n"
         "os.kill(os.getpid(), signal.SIGKILL)\n"
     )
@@ -632,9 +679,9 @@ def test_a_busy_candidate_does_not_outlive_a_dead_engine(tmp_path):
     engine = (
         "import os, signal, sys, threading, time\n"
         "from llmevolve.sandbox import Launcher, ResourceLimits, run_candidate\n"
-        "launcher = Launcher([sys.executable, '-S'])\n"
         f"limits = ResourceLimits({limits.wall_seconds!r}, {limits.memory_bytes!r})\n"
-        f"runner = threading.Thread(target=run_candidate, args=({candidate!r}, limits, launcher))\n"
+        "launcher = Launcher([sys.executable, '-S'], limits)\n"
+        f"runner = threading.Thread(target=run_candidate, args=({candidate!r}, launcher))\n"
         "runner.start()\n"
         f"while not os.path.exists({str(pid_file)!r}) or not open({str(pid_file)!r}).read():\n"
         "    time.sleep(0.01)\n"
@@ -690,14 +737,14 @@ def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(la
     outside = tmp_path / "outside" / "outside.py"
     outside.write_text("print('outside')\n")
     code = "import os\n" + mess.replace("OUTSIDE", repr(str(outside.parent)))
-    fresh = Launcher(FAST_INTERPRETER)
+    fresh = Launcher(FAST_INTERPRETER, LIMITS)
     try:
-        on_fresh = run_candidate(code, LIMITS, fresh).status
+        on_fresh = run_candidate(code, fresh).status
     finally:
         fresh.close()
     assert on_fresh == STATUS_OK
-    assert run_candidate(code, LIMITS, launcher).status == on_fresh
-    probe = run_candidate(_LISTING, LIMITS, launcher)
+    assert run_candidate(code, launcher).status == on_fresh
+    probe = run_candidate(_LISTING, launcher)
     assert probe.status == STATUS_OK
     assert json.loads(probe.artifact) == ["candidate.py"]
     assert outside.read_text() == "print('outside')\n"
@@ -706,9 +753,9 @@ def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(la
 
 
 def test_close_kills_a_launcher_that_does_not_exit():
-    launcher = Launcher(FAST_INTERPRETER)
+    launcher = Launcher(FAST_INTERPRETER, LIMITS)
     try:
-        run_candidate("print(1)\n", LIMITS, launcher)
+        run_candidate("print(1)\n", launcher)
         os.kill(launcher.proc.pid, signal.SIGSTOP)
         _bounded(launcher.close, sandbox.KILL_GRACE_SECONDS + 3.0)
         assert launcher.proc.returncode == -signal.SIGKILL
@@ -814,8 +861,11 @@ _FIDELITY = {
         "print('main done')\n",
         STATUS_OK,
     ),
+    # The order follows the string-hash seed.
+    "set_order": (_SET_ORDER + "print(hash('alpha'))\n", STATUS_OK),
 }
 _FIDELITY_LIMITS = ResourceLimits(wall_seconds=10.0, memory_bytes=256 << 20)
+_FIDELITY_HASH_SEED = 12345
 
 
 _PYTHONS = [f"python3.{minor}" for minor in range(10, 14)]  # every supported version
@@ -844,15 +894,16 @@ def _other_python(name):
 
 
 def _on_each_interpreter(cases):
-    """``(launcher, case)`` params: each case under its own id on the tests' interpreter,
-    then prefixed with each supported ``python3.X``, which the launcher fixture looks up."""
+    """``(interpreter, case)`` params: each case under its own id on the tests' interpreter,
+    then prefixed with each supported ``python3.X``, which the interpreter fixture looks up."""
     return [pytest.param(None, case, id=case) for case in cases] + [
         pytest.param(name, case, id=f"{name}-{case}") for name in _PYTHONS for case in cases
     ]
 
 
-def _oracle(code, limits, interpreter):
-    """``python candidate.py`` in a fresh directory: the behaviour launchers must keep."""
+def _oracle(code, limits, interpreter, hash_seed):
+    """``python candidate.py`` in a fresh directory, with ``PYTHONHASHSEED`` set
+    to ``hash_seed``: the behaviour launchers must keep."""
     workdir = Path(tempfile.mkdtemp(prefix="candidate-"))
     try:
         script = workdir / "candidate.py"
@@ -865,7 +916,7 @@ def _oracle(code, limits, interpreter):
         proc = subprocess.run(
             interpreter + [str(script)],
             cwd=workdir,
-            env={**os.environ, "ARTIFACT_PATH": str(artifact)},
+            env={**os.environ, "ARTIFACT_PATH": str(artifact), "PYTHONHASHSEED": str(hash_seed)},
             stdin=subprocess.DEVNULL,
             capture_output=True,
             timeout=limits.wall_seconds,
@@ -889,11 +940,11 @@ def _same_dir(text):
     return re.sub(r"0x[0-9a-f]+", "0xX", re.sub(r"candidate-[a-z0-9_]+", "candidate-X", text))
 
 
-@pytest.mark.parametrize("launcher, name", _on_each_interpreter(sorted(_FIDELITY)), indirect=["launcher"])
-def test_launcher_matches_a_fresh_interpreter(name, launcher, run):
+@pytest.mark.parametrize("interpreter, name", _on_each_interpreter(sorted(_FIDELITY)), indirect=["interpreter"])
+def test_launcher_matches_a_fresh_interpreter(name, interpreter, make_launcher):
     code, expected = _FIDELITY[name]
-    outcome = run(code, _FIDELITY_LIMITS)
-    status, stdout, stderr, artifact = _oracle(code, _FIDELITY_LIMITS, launcher.interpreter)
+    outcome = run_candidate(code, make_launcher(_FIDELITY_LIMITS, hash_seed=_FIDELITY_HASH_SEED))
+    status, stdout, stderr, artifact = _oracle(code, _FIDELITY_LIMITS, interpreter, _FIDELITY_HASH_SEED)
     assert (outcome.status, status) == (expected, expected)
     assert _same_dir(outcome.stdout) == _same_dir(stdout)
     assert _same_dir(outcome.stderr) == _same_dir(stderr)
@@ -901,7 +952,7 @@ def test_launcher_matches_a_fresh_interpreter(name, launcher, run):
 
 
 @pytest.mark.parametrize(
-    "launcher, code",
+    "interpreter, code",
     _on_each_interpreter(
         [
             "sys.exit()",
@@ -914,18 +965,13 @@ def test_launcher_matches_a_fresh_interpreter(name, launcher, run):
             "sys.stdout = type('Unflushable', (), {'write': len, 'flush': lambda self: 1 / 0})()",
         ]
     ),
-    indirect=["launcher"],
+    indirect=["interpreter"],
 )
 def test_exit_status_matches_a_fresh_interpreter(code, launcher, tmp_path):
     script = tmp_path / "candidate.py"
     script.write_text(f"import sys\n{code}\n", encoding="utf-8")
-    request = {
-        "script": str(script),
-        "env": {},
-        "memory_bytes": LIMITS.memory_bytes,
-        "cpu_seconds": sandbox.cpu_seconds(LIMITS),
-    }
+    launcher.prepare(script.read_bytes())
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        returncode, timed_out = launcher.run(request, out, err, LIMITS.wall_seconds)
+        returncode, timed_out = launcher.run(out, err)
     fresh = subprocess.run(launcher.interpreter + [str(script)], capture_output=True, timeout=LIMITS.wall_seconds)
     assert (returncode, timed_out) == (fresh.returncode, False)
