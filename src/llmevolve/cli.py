@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import click
 
 from . import engine, llm, report
 from .config import ABLATION_PRESETS, ConfigError, load_config
-from .problems import ArtifactError, parse_artifact, reference_best, score_artifact
+from .problems import ArtifactError, get_problem, reference_best
 
 
 @click.group()
@@ -82,16 +83,18 @@ def cmd_resume(run_dir) -> None:
 @click.argument("problem_id")
 @click.argument("artifact_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_score(problem_id, artifact_path) -> None:
-    """Score an artifact file; exit 0 iff the construction is valid."""
-    raw = Path(artifact_path).read_bytes()
+    """Score an artifact file; exit 0 iff it is within the problem's size cap and the construction is valid."""
     try:
-        artifact = parse_artifact(problem_id, raw)
+        spec = get_problem(problem_id)
     except KeyError as exc:
         raise click.ClickException(str(exc)) from exc
+    try:
+        spec.check_size(os.stat(artifact_path).st_size)
+        artifact = spec.parser(Path(artifact_path).read_bytes())
     except ArtifactError as exc:
         click.echo(json.dumps({"valid": False, "error": str(exc)}, sort_keys=True))
         sys.exit(1)
-    rep = score_artifact(problem_id, artifact)
+    rep = spec.scorer(artifact)
     click.echo(
         json.dumps(
             {

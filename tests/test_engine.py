@@ -1009,6 +1009,36 @@ class TestEvaluateCandidate:
         runner.export_best()
         assert (runner.run_dir / "best" / "artifact.json").read_bytes() == raw
 
+    _CIRCLES = [[(i % 6) / 6 + 0.08, (i // 6) / 6 + 0.08, 0.01] for i in range(26)]
+
+    @pytest.mark.parametrize(
+        "artifact, scorer_raises, feedback",
+        [
+            (None, False, "no artifact file was written"),
+            (" " * (64 * 1024 + 1), False, "invalid artifact: 65537 bytes, more than the 65536 allowed"),
+            ("[1]", False, "invalid artifact: artifact root must be a JSON object"),
+            (json.dumps({"circles": _CIRCLES}), True,
+             "invalid artifact: scorer raised ZeroDivisionError: division by zero"),
+            (json.dumps({"circles": [[0.08, 0.08, 0.09]] + _CIRCLES[1:]}), False,
+             "constraint violations: bottom_bound_0=0.01, left_bound_0=0.01"),
+        ],
+        ids=["no_file", "over_the_cap", "unparsable", "scorer_raised", "violations"],
+    )
+    def test_an_invalid_artifact_names_its_one_fault(self, tmp_path, monkeypatch, artifact, scorer_raises, feedback):
+        def broken_scorer(artifact):
+            raise ZeroDivisionError("division by zero")
+
+        runner = self._runner(tmp_path)
+        if scorer_raises:
+            monkeypatch.setattr(runner.problem, "scorer", broken_scorer)
+        code = "import os\n"
+        if artifact is not None:
+            code += f"with open(os.environ['ARTIFACT_PATH'], 'w') as fh:\n    fh.write({artifact!r})\n"
+        sol = runner.evaluate(self._pending(code))
+        assert (sol.status, sol.feedback, sol.fitness, sol.metrics) == ("invalid_artifact", feedback, 0.0, {})
+        [stored] = solution_records(runner.run_dir).values()
+        assert stored["feedback"] == feedback and "artifact" not in stored
+
     @pytest.mark.parametrize(
         "code, feedback",
         [
@@ -1124,8 +1154,12 @@ class TestSandboxFailures:
         [
             (["/nonexistent/python"], "No such file or directory"),
             ([sys.executable, "-S", "-c", "import sys; sys.exit('no launcher here')"], "no launcher here"),
+            # Each ignores PYTHONHASHSEED, so its candidates would hash strings unseeded.
+            ([sys.executable, "-I"], "PYTHONHASHSEED"),
+            ([sys.executable, "-E"], "PYTHONHASHSEED"),
+            ([sys.executable, "-SE"], "PYTHONHASHSEED"),
         ],
-        ids=["missing", "exits_before_ready"],
+        ids=["missing", "exits_before_ready", "isolated", "ignores_environment", "combined_flags"],
     )
     def test_a_run_whose_launcher_cannot_start_writes_nothing_and_calls_no_model(
         self, tmp_path, interpreter, error

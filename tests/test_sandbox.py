@@ -207,6 +207,12 @@ def test_writes_confined_to_workdir(run, tmp_path):
     assert not probe_target.exists()
 
 
+def test_the_logs_read_dot_for_the_work_directory(run, launcher):
+    outcome = run("import os, sys\nprint(os.getcwd())\nprint(os.getcwd(), file=sys.stderr)\n")
+    assert (outcome.stdout, outcome.stderr) == (".\n", ".\n")
+    assert os.path.isdir(launcher.workdir)
+
+
 def test_log_truncation_marked(run):
     outcome = run("import sys\nsys.stdout.write('x' * (2 << 20))\nprint('the last line')\n")
     assert outcome.status == STATUS_OK
@@ -415,9 +421,10 @@ class TestLauncherPool:
     def test_the_logs_read_dot_for_the_work_directory(self):
         with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS) as pool:
             outcome = pool.run("import os\nprint(os.getcwd())\nraise RuntimeError('nope')\n")
+            workdir = pool.launchers[0].workdir
         assert outcome.stdout == ".\n"
         assert 'File "./candidate.py", line 3' in outcome.stderr
-        assert outcome.workdir not in outcome.stderr
+        assert workdir not in outcome.stderr
 
     def _hold_the_launcher(self, monkeypatch, first_raises=False):
         """Make ``run_candidate`` a fake that keeps candidate ``first`` running until
@@ -622,8 +629,8 @@ def test_one_work_directory_per_launcher_start(launcher, monkeypatch):
     monkeypatch.setattr(tempfile, "mkdtemp", counted)
     code = "import os\nprint(os.getcwd(), os.environ['ARTIFACT_PATH'])\n"
     seen = {run_candidate(code, launcher).stdout for _ in range(3)}
-    assert len(made) == 1
-    assert seen == {f"{made[0]} {os.path.join(made[0], 'artifact.json')}\n"}
+    assert len(made) == 1 and launcher.workdir == made[0]
+    assert seen == {". ./artifact.json\n"}  # the launcher's work directory reads ``.``
     launcher.proc.kill()  # the launcher dies while idle: the next candidate starts a new one
     launcher.proc.wait()
     assert run_candidate(code, launcher).status == STATUS_OK
@@ -903,7 +910,8 @@ def _on_each_interpreter(cases):
 
 def _oracle(code, limits, interpreter, hash_seed):
     """``python candidate.py`` in a fresh directory, with ``PYTHONHASHSEED`` set
-    to ``hash_seed``: the behaviour launchers must keep."""
+    to ``hash_seed``: the behaviour launchers must keep. As in ``run_candidate``,
+    the directory reads ``.`` in the logs."""
     workdir = Path(tempfile.mkdtemp(prefix="candidate-"))
     try:
         script = workdir / "candidate.py"
@@ -930,7 +938,7 @@ def _oracle(code, limits, interpreter, hash_seed):
         else:
             status = STATUS_NONZERO_EXIT
         found = artifact.read_bytes() if status == STATUS_OK and artifact.exists() else None
-        return status, proc.stdout.decode(), stderr, found
+        return status, proc.stdout.decode().replace(str(workdir), "."), stderr.replace(str(workdir), "."), found
     finally:
         shutil.rmtree(workdir)
 
@@ -975,3 +983,17 @@ def test_exit_status_matches_a_fresh_interpreter(code, launcher, tmp_path):
         returncode, timed_out = launcher.run(out, err)
     fresh = subprocess.run(launcher.interpreter + [str(script)], capture_output=True, timeout=LIMITS.wall_seconds)
     assert (returncode, timed_out) == (fresh.returncode, False)
+
+
+def test_a_candidate_that_rebinds_its_names_leaves_the_next_fresh_ones(run):
+    # The launcher sets these up once for all its children.
+    rebind = (
+        "import sys\n"
+        "sys.argv.append('x')\n"
+        "sys.argv = ['x']\n"
+        "__loader__.name = 'x'\n"
+        "sys.path[0] = 'x'\n"
+    )
+    show = "import sys\nprint(sys.argv, __loader__.name, __file__, sys.path[0])\n"
+    assert run(rebind).status == STATUS_OK
+    assert run(show).stdout == _oracle(show, LIMITS, FAST_INTERPRETER, 0)[1]
