@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import sys
-from pathlib import Path
 
 import click
 
@@ -83,17 +83,22 @@ def cmd_resume(run_dir) -> None:
 @click.argument("problem_id")
 @click.argument("artifact_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_score(problem_id, artifact_path) -> None:
-    """Score an artifact file; exit 0 iff it is within the problem's size cap and the construction is valid."""
+    """Score an artifact file; exit 0 iff it is a regular file within the problem's size cap and the construction is valid."""
     try:
         spec = get_problem(problem_id)
     except KeyError as exc:
         raise click.ClickException(str(exc)) from exc
-    try:
-        spec.check_size(os.stat(artifact_path).st_size)
-        artifact = spec.parser(Path(artifact_path).read_bytes())
-    except ArtifactError as exc:
-        click.echo(json.dumps({"valid": False, "error": str(exc)}, sort_keys=True))
-        sys.exit(1)
+    # One descriptor for the check and the read; opening a FIFO this way does not wait for a writer.
+    with open(os.open(artifact_path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+        info = os.fstat(fh.fileno())
+        try:
+            if not stat.S_ISREG(info.st_mode):
+                raise ArtifactError("not a regular file")
+            spec.check_size(info.st_size)
+            artifact = spec.parser(fh.read())
+        except ArtifactError as exc:
+            click.echo(json.dumps({"valid": False, "error": str(exc)}, sort_keys=True))
+            sys.exit(1)
     rep = spec.scorer(artifact)
     click.echo(
         json.dumps(

@@ -9,15 +9,17 @@ The block grammar is part of the prompt contract (see templates): a block is
     >>>>>>> REPLACE
 
 Matching is exact, byte for byte; the first occurrence of the search text is
-replaced. Responses with no blocks but exactly one fenced code block fall
-back to full-file replacement.
+replaced.
+
+A reply is an edit or an error: ``parse_response`` returns its blocks; else,
+if it holds no block, the program in its one fenced code block, which
+replaces the whole file; else it raises a ``DiffParseError``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 SEARCH_MARKER = "<<<<<<< SEARCH"
 DIVIDER_MARKER = "======="
@@ -27,7 +29,8 @@ _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
 
 class DiffParseError(ValueError):
-    """A SEARCH/REPLACE block was started but not well terminated."""
+    """A reply holds no edit: a block is not well formed, or there is no block
+    and not exactly one fenced code block."""
 
 
 class DiffApplyError(ValueError):
@@ -44,24 +47,15 @@ class EditBlock:
             raise ValueError("search text must be non-empty")
 
 
-@dataclass
-class ParsedResponse:
-    """Outcome of parsing a raw model response."""
-
-    kind: str  # "blocks" | "full" | "empty"
-    blocks: list[EditBlock]
-    full_replacement: Optional[str] = None
-
-
-def parse_response(text: str) -> ParsedResponse:
-    """Extract edit blocks, or fall back to a single fenced code block."""
+def parse_response(text: str) -> list[EditBlock] | str:
+    """Return the reply's edit blocks, or else the program in its one fenced code block."""
     blocks = _parse_blocks(text)
     if blocks:
-        return ParsedResponse(kind="blocks", blocks=blocks)
+        return blocks
     fences = _FENCE_RE.findall(text)
-    if len(fences) == 1:
-        return ParsedResponse(kind="full", blocks=[], full_replacement=fences[0].rstrip("\n"))
-    return ParsedResponse(kind="empty", blocks=[])
+    if len(fences) != 1:
+        raise DiffParseError("response contains no edit blocks or code block")
+    return fences[0].rstrip("\n")
 
 
 def _parse_blocks(text: str) -> list[EditBlock]:
@@ -73,40 +67,26 @@ def _parse_blocks(text: str) -> list[EditBlock]:
             i += 1
             continue
         start = i
-        i += 1
-        search_lines: list[str] = []
-        while i < len(lines) and lines[i] != DIVIDER_MARKER:
-            if lines[i] == SEARCH_MARKER:
-                raise DiffParseError(
-                    f"block starting at line {start + 1} has no '{DIVIDER_MARKER}'"
-                )
-            search_lines.append(lines[i])
-            i += 1
-        if i >= len(lines):
-            raise DiffParseError(
-                f"block starting at line {start + 1} has no '{DIVIDER_MARKER}'"
-            )
-        i += 1
-        replace_lines: list[str] = []
-        while i < len(lines) and lines[i] != REPLACE_MARKER:
-            if lines[i] == SEARCH_MARKER:
-                raise DiffParseError(
-                    f"block starting at line {start + 1} has no '{REPLACE_MARKER}'"
-                )
-            replace_lines.append(lines[i])
-            i += 1
-        if i >= len(lines):
-            raise DiffParseError(
-                f"block starting at line {start + 1} has no '{REPLACE_MARKER}'"
-            )
-        i += 1
-        search = "\n".join(search_lines)
+        search, i = _read_half(lines, i + 1, DIVIDER_MARKER, start)
+        replace, i = _read_half(lines, i, REPLACE_MARKER, start)
         if not search:
-            raise DiffParseError(
-                f"block starting at line {start + 1} has empty search text"
-            )
-        blocks.append(EditBlock(search=search, replace="\n".join(replace_lines)))
+            raise DiffParseError(f"block starting at line {start + 1} has empty search text")
+        blocks.append(EditBlock(search=search, replace=replace))
     return blocks
+
+
+def _read_half(lines: list[str], i: int, end: str, start: int) -> tuple[str, int]:
+    """Read one half of the block at line ``start`` from line ``i`` to its ``end`` marker.
+
+    Returns the half's text and the index past the marker. A new SEARCH
+    marker before ``end``, or no ``end`` at all, is a ``DiffParseError``.
+    """
+    j = i
+    while j < len(lines) and lines[j] not in (end, SEARCH_MARKER):
+        j += 1
+    if j == len(lines) or lines[j] != end:
+        raise DiffParseError(f"block starting at line {start + 1} has no '{end}'")
+    return "\n".join(lines[i:j]), j + 1
 
 
 def apply_blocks(source: str, blocks: list[EditBlock]) -> str:

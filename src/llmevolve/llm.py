@@ -142,6 +142,8 @@ def sample_model(config: EnsembleConfig, rng: random.Random) -> EnsembleMember:
 
 API_KEY_ENV = "LLMEVOLVE_API_KEY"
 HTTP_TIMEOUT_SECONDS = 120.0
+# No chat reply comes near this; a larger body is not read any further.
+HTTP_REPLY_CAP_BYTES = 16 << 20
 
 # Statuses that a retry cannot change: a bad request, model or URL fails its
 # step, and a bad key the run.
@@ -158,6 +160,22 @@ def _retry_after(exc) -> Optional[float]:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
+def _read_reply(resp, deadline: float) -> bytearray:
+    """The body of ``resp``, read in chunks as they arrive.
+
+    Once ``deadline`` (a ``time.monotonic`` value) has passed, or the body
+    has grown past ``HTTP_REPLY_CAP_BYTES``, it is a ``TransportError``.
+    """
+    body = bytearray()
+    while chunk := resp.read1(1 << 16):
+        body += chunk
+        if len(body) > HTTP_REPLY_CAP_BYTES:
+            raise TransportError(f"reply is larger than {HTTP_REPLY_CAP_BYTES >> 20} MiB")
+        if time.monotonic() > deadline:
+            raise TransportError(f"reply is not complete after {HTTP_TIMEOUT_SECONDS:g} s")
+    return body
+
+
 class HttpBackend:
     """OpenAI-compatible chat-completions client on ``urllib.request``.
 
@@ -165,6 +183,12 @@ class HttpBackend:
     configuration. Each call builds its own request and opens its own
     connection, so calls share no state and may run on any thread. Proxies
     come from ``http_proxy``, ``https_proxy`` and ``no_proxy``.
+
+    A reply's body must arrive whole within ``HTTP_TIMEOUT_SECONDS`` of the
+    call's start and hold at most ``HTTP_REPLY_CAP_BYTES``; either limit is a
+    ``TransportError``. The deadline is checked as each chunk of the body
+    arrives; connecting, and each read of the status line and headers, waits
+    at most ``HTTP_TIMEOUT_SECONDS`` apiece.
     """
 
     def __init__(self, base_url: str):
@@ -197,11 +221,13 @@ class HttpBackend:
             payload["max_tokens"] = max_output_tokens
         headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
         url = f"{self.base_url}/chat/completions"
+        deadline = time.monotonic() + HTTP_TIMEOUT_SECONDS
         try:
             data = json.dumps(payload, allow_nan=False).encode("utf-8")
             request = urllib.request.Request(url, data=data, headers=headers)
             with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_SECONDS) as resp:
-                content = json.load(resp)["choices"][0]["message"]["content"]
+                body = _read_reply(resp, deadline)
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except urllib.error.HTTPError as exc:
             exc.close()
             if exc.code in _HTTP_KEY_REFUSED:
@@ -302,9 +328,19 @@ def request_digest(messages: list[dict[str, str]]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _call_with_retries(policy: RetryPolicy, fn) -> str:
-    """Call ``fn`` up to ``policy.max_attempts`` times while it raises a ``TransportError``.
+def _send(
+    policy: RetryPolicy,
+    backend,
+    model: EnsembleMember | MetaModel,
+    messages: list[dict[str, str]],
+    island_id: int,
+    index: int,
+    max_output_tokens: Optional[int] = None,
+) -> str:
+    """Send ``messages`` to ``model`` as call ``index``, under ``policy``.
 
+    A ``TransportError`` is retried up to ``policy.max_attempts`` times, and
+    surfaces when they are exhausted; a ``RejectedError`` is raised at once.
     Before a retry it sleeps the policy's back-off, or the server's
     ``retry_after`` if that is longer (but no longer than
     ``HTTP_TIMEOUT_SECONDS``).
@@ -312,7 +348,15 @@ def _call_with_retries(policy: RetryPolicy, fn) -> str:
     last: Exception | None = None
     for attempt in range(policy.max_attempts):
         try:
-            return fn()
+            return backend.complete(
+                model.name,
+                messages,
+                island_id,
+                index=index,
+                temperature=model.temperature,
+                top_p=model.top_p,
+                max_output_tokens=max_output_tokens,
+            )
         except RejectedError:
             raise
         except TransportError as exc:
@@ -335,24 +379,11 @@ def generate(
     island_id: int,
     index: int,
 ) -> str:
-    """Send ``messages`` to ``member`` (see ``sample_model``) as call ``index``.
+    """Send ``messages`` to ``member`` (see ``sample_model``) as call ``index``; return the reply verbatim.
 
-    Returns the raw response text. Transport errors are retried per the
-    retry policy and surface as TransportError when exhausted; a
-    RejectedError is raised at once.
+    The call is retried under the config's retry policy (see ``_send``).
     """
-    return _call_with_retries(
-        config.retry,
-        lambda: backend.complete(
-            member.name,
-            messages,
-            island_id,
-            index=index,
-            temperature=member.temperature,
-            top_p=member.top_p,
-            max_output_tokens=member.max_output_tokens,
-        ),
-    )
+    return _send(config.retry, backend, member, messages, island_id, index, member.max_output_tokens)
 
 
 def meta_prompt(
@@ -362,19 +393,12 @@ def meta_prompt(
     island_id: int,
     index: int,
 ) -> str:
-    """Send the meta model a prompt-rewriting request as call ``index``; return the new prompt."""
-    meta = config.meta_model
-    text = _call_with_retries(
-        config.retry,
-        lambda: backend.complete(
-            meta.name,
-            messages,
-            island_id,
-            index=index,
-            temperature=meta.temperature,
-            top_p=meta.top_p,
-        ),
-    )
+    """Send the meta model a prompt-rewriting request as call ``index``; return the new prompt.
+
+    The call is retried as ``generate``'s is and sends no output-token cap.
+    An empty or blank reply is an ``EmptyResponseError``.
+    """
+    text = _send(config.retry, backend, config.meta_model, messages, island_id, index)
     if not text.strip():
         raise EmptyResponseError("meta model returned an empty prompt")
     return text

@@ -200,13 +200,8 @@ def no_evolution_step(
 
 
 def _apply_response(parent_code: str, response: str) -> str:
-    parsed = diffengine.parse_response(response)
-    if parsed.kind == "blocks":
-        code = diffengine.apply_blocks(parent_code, parsed.blocks)
-    elif parsed.kind == "full":
-        code = parsed.full_replacement
-    else:
-        raise diffengine.DiffParseError("response contains no edit blocks or code block")
+    edit = diffengine.parse_response(response)
+    code = edit if isinstance(edit, str) else diffengine.apply_blocks(parent_code, edit)
     if not code:
         raise diffengine.DiffApplyError("the edit leaves an empty program")
     return code

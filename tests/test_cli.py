@@ -258,6 +258,23 @@ class TestCmdScore:
         assert isinstance(result.exception, SystemExit)
         assert "is a directory" in result.output
 
+    def test_a_fifo_is_refused_without_waiting_for_a_writer(self, tmp_path):
+        import os
+        import subprocess
+        from pathlib import Path
+
+        import llmevolve
+
+        fifo = tmp_path / "artifact.json"
+        os.mkfifo(fifo)
+        env = {**os.environ, "PYTHONPATH": str(Path(llmevolve.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-m", "llmevolve.cli", "score", "p3.a", str(fifo)],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert out.returncode == 1, out.stderr
+        assert json.loads(out.stdout) == {"valid": False, "error": "not a regular file"}
+
     def test_valid_circle_file(self, runner, tmp_path):
         path = tmp_path / "artifact.json"
         path.write_text(json.dumps({"circles": [[0.5, 0.5, 0.5]]}))

@@ -20,56 +20,59 @@ def block_text(search, replace):
 
 class TestParseResponse:
     def test_single_block(self):
-        parsed = parse_response(block_text("return 0", "return 1"))
-        assert parsed.kind == "blocks"
-        assert parsed.blocks == [EditBlock("return 0", "return 1")]
+        assert parse_response(block_text("return 0", "return 1")) == [EditBlock("return 0", "return 1")]
 
     def test_block_with_surrounding_prose(self):
         text = "I will change this:\n" + block_text("a", "b") + "\nDone."
-        parsed = parse_response(text)
-        assert parsed.blocks == [EditBlock("a", "b")]
+        assert parse_response(text) == [EditBlock("a", "b")]
 
     def test_multiple_blocks_in_order(self):
         text = block_text("one", "ONE") + "\n\n" + block_text("two", "TWO")
-        parsed = parse_response(text)
-        assert [b.search for b in parsed.blocks] == ["one", "two"]
+        assert [b.search for b in parse_response(text)] == ["one", "two"]
 
     def test_multiline_block(self):
-        parsed = parse_response(block_text("a\nb", "x\ny\nz"))
-        assert parsed.blocks == [EditBlock("a\nb", "x\ny\nz")]
+        assert parse_response(block_text("a\nb", "x\ny\nz")) == [EditBlock("a\nb", "x\ny\nz")]
 
     def test_empty_replace_is_deletion(self):
-        parsed = parse_response(block_text("gone", ""))
-        assert parsed.blocks == [EditBlock("gone", "")]
+        assert parse_response(block_text("gone", "")) == [EditBlock("gone", "")]
 
     def test_full_replacement_fallback(self):
-        parsed = parse_response("Here you go:\n```python\nprint('hi')\n```\n")
-        assert parsed.kind == "full"
-        assert parsed.full_replacement == "print('hi')"
-
-    def test_two_code_blocks_is_empty(self):
-        parsed = parse_response("```\na\n```\nand\n```\nb\n```")
-        assert parsed.kind == "empty"
-
-    def test_no_content_is_empty(self):
-        assert parse_response("I cannot help with that.").kind == "empty"
+        assert parse_response("Here you go:\n```python\nprint('hi')\n```\n") == "print('hi')"
 
     def test_blocks_win_over_fenced_code(self):
         text = "```python\nfull file\n```\n" + block_text("x", "y")
-        parsed = parse_response(text)
-        assert parsed.kind == "blocks"
+        assert parse_response(text) == [EditBlock("x", "y")]
 
-    def test_unterminated_search_raises(self):
-        with pytest.raises(DiffParseError):
-            parse_response("<<<<<<< SEARCH\nreturn 0\n")
-
-    def test_missing_replace_marker_raises(self):
-        with pytest.raises(DiffParseError):
-            parse_response("<<<<<<< SEARCH\na\n=======\nb\n")
-
-    def test_error_names_offending_region(self):
-        with pytest.raises(DiffParseError, match="line 2"):
-            parse_response("prose\n<<<<<<< SEARCH\nmissing\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("<<<<<<< SEARCH\nreturn 0\n", "block starting at line 1 has no '======='"),
+            ("prose\n<<<<<<< SEARCH\nmissing\n", "block starting at line 2 has no '======='"),
+            (
+                "<<<<<<< SEARCH\na\n<<<<<<< SEARCH\nb\n=======\nc\n>>>>>>> REPLACE",
+                "block starting at line 1 has no '======='",
+            ),
+            ("x\ny\n<<<<<<< SEARCH\na\n=======\nb\n", "block starting at line 3 has no '>>>>>>> REPLACE'"),
+            (
+                "<<<<<<< SEARCH\na\n=======\nb\n<<<<<<< SEARCH\nc\n=======\nd\n>>>>>>> REPLACE",
+                "block starting at line 1 has no '>>>>>>> REPLACE'",
+            ),
+            (
+                block_text("a", "b") + "\n<<<<<<< SEARCH\n=======\nx\n>>>>>>> REPLACE",
+                "block starting at line 6 has empty search text",
+            ),
+            ("I cannot help with that.", "response contains no edit blocks or code block"),
+            ("```\na\n```\nand\n```\nb\n```", "response contains no edit blocks or code block"),
+        ],
+        ids=[
+            "no_divider", "no_divider_after_prose", "search_before_divider", "no_replace", "search_before_replace",
+            "empty_search", "no_fence", "two_fences",
+        ],
+    )
+    def test_each_parse_error_names_its_cause_and_line(self, text, message):
+        with pytest.raises(DiffParseError) as exc:
+            parse_response(text)
+        assert str(exc.value) == message
 
 
 class TestApplyBlocks:
@@ -109,7 +112,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("blocks", CASES)
     def test_render_then_parse_is_identity(self, blocks):
-        assert parse_response(render_blocks(blocks)).blocks == blocks
+        assert parse_response(render_blocks(blocks)) == blocks
 
     @given(
         st.lists(
@@ -128,7 +131,7 @@ class TestRoundTrip:
     )
     def test_round_trip_property(self, pairs):
         blocks = [EditBlock(s, r) for s, r in pairs]
-        assert parse_response(render_blocks(blocks)).blocks == blocks
+        assert parse_response(render_blocks(blocks)) == blocks
 
     def test_apply_never_leaks_markers(self):
         blocks = [EditBlock("a", "b")]
@@ -156,13 +159,12 @@ def test_corpus(response, source, expected):
     """End-to-end parse + apply over a small fixture corpus."""
     if isinstance(expected, type):
         with pytest.raises(expected):
-            parsed = parse_response(response)
-            if parsed.kind == "empty":
-                raise DiffParseError("nothing to apply")
-            apply_blocks(source, parsed.blocks)
+            blocks = parse_response(response)
+            assert isinstance(blocks, list)  # only the blocks' application may fail after parsing
+            apply_blocks(source, blocks)
     else:
-        parsed = parse_response(response)
-        if parsed.kind == "full":
-            assert parsed.full_replacement == expected
+        edit = parse_response(response)
+        if isinstance(edit, str):
+            assert edit == expected
         else:
-            assert apply_blocks(source, parsed.blocks) == expected
+            assert apply_blocks(source, edit) == expected

@@ -19,6 +19,7 @@ from llmevolve.llm import (
     EnsembleMember,
     HttpBackend,
     MetaModel,
+    RejectedError,
     ReplayBackend,
     RetryPolicy,
     TransportError,
@@ -294,6 +295,7 @@ class ChatStub:
         self.requests: list[tuple[str, dict, dict]] = []  # (path, headers, JSON body)
         # (status, JSON body or body -> JSON body[, extra headers]), in order
         self.replies: list[tuple] = []
+        self.byte_delay = 0.0  # seconds to wait after each byte of a reply; 0 sends it at once
         stub = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
@@ -310,7 +312,15 @@ class ChatStub:
                 for name, value in (headers[0] if headers else {}).items():
                     self.send_header(name, value)
                 self.end_headers()
-                self.wfile.write(data)
+                try:
+                    if stub.byte_delay:
+                        for i in range(len(data)):
+                            self.wfile.write(data[i:i + 1])
+                            time.sleep(stub.byte_delay)
+                    else:
+                        self.wfile.write(data)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client stopped reading
 
             def log_message(self, *args):
                 pass
@@ -327,6 +337,13 @@ class ChatStub:
 
 def _chat_reply(content):
     return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+# A model call as call (0, 0) through each of the two functions that send one.
+SENDS = {
+    "generate": lambda cfg, backend: generate(cfg, MESSAGES, backend, cfg.members[0], 0, 0),
+    "meta_prompt": lambda cfg, backend: meta_prompt(cfg, META_MESSAGES, backend, 0, 0),
+}
 
 
 class TestHttpBackend:
@@ -360,15 +377,47 @@ class TestHttpBackend:
         with pytest.raises(TransportError):
             HttpBackend(stub.url).complete("m", MESSAGES, 0)
 
-    def test_generate_retries_a_500(self, stub):
+    @pytest.mark.parametrize("send", SENDS.values(), ids=SENDS.keys())
+    def test_a_500_is_retried(self, stub, send):
         stub.replies += [(500, {"error": "overloaded"}), (200, _chat_reply("recovered"))]
         cfg = EnsembleConfig(
             members=[EnsembleMember(name="only", weight=1.0)],
             meta_model=MetaModel(name="only"),
             retry=RetryPolicy(max_attempts=2, backoff_seconds=(0.0,)),
         )
-        assert generate(cfg, MESSAGES, HttpBackend(stub.url), cfg.members[0], 0, 0) == "recovered"
+        assert send(cfg, HttpBackend(stub.url)) == "recovered"
         assert len(stub.requests) == 2
+
+    def test_meta_prompt_sends_the_meta_model_without_a_token_cap(self, stub):
+        stub.replies.append((200, _chat_reply("richer prompt")))
+        cfg = EnsembleConfig(
+            members=[EnsembleMember(name="member", weight=1.0, max_output_tokens=64)],
+            meta_model=MetaModel(name="meta", temperature=0.3, top_p=0.8),
+        )
+        assert meta_prompt(cfg, META_MESSAGES, HttpBackend(stub.url), 0, 0) == "richer prompt"
+        [(_, _, body)] = stub.requests
+        assert body == {"model": "meta", "messages": META_MESSAGES, "temperature": 0.3, "top_p": 0.8}
+
+    def test_a_trickled_reply_fails_at_the_call_deadline(self, stub, monkeypatch):
+        from llmevolve import llm
+
+        monkeypatch.setattr(llm, "HTTP_TIMEOUT_SECONDS", 0.5)
+        stub.byte_delay = 0.05  # the reply would take about 3 s
+        stub.replies.append((200, _chat_reply("ok")))
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="not complete after 0.5 s"):
+            HttpBackend(stub.url).complete("m", MESSAGES, 0)
+        assert time.monotonic() - start < 1.5
+
+    def test_a_reply_over_16_mib_fails(self, stub):
+        stub.replies.append((200, _chat_reply("x" * (16 << 20))))
+        with pytest.raises(TransportError, match="larger than 16 MiB"):
+            HttpBackend(stub.url).complete("m", MESSAGES, 0)
+
+    def test_a_long_reply_arrives_whole(self, stub):
+        content = "".join(f"line {i}\n" for i in range(40_000))  # about 0.3 MB, many reads
+        stub.replies.append((200, _chat_reply(content)))
+        assert HttpBackend(stub.url).complete("m", MESSAGES, 0) == content
 
     @pytest.mark.parametrize(
         "status, retry_after, slept",
@@ -400,15 +449,16 @@ class TestHttpBackend:
         assert len(stub.requests) == 2
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404])
-    def test_a_rejected_request_is_not_retried(self, stub, status):
-        from llmevolve.llm import KeyRefusedError, RejectedError
+    @pytest.mark.parametrize("send", SENDS.values(), ids=SENDS.keys())
+    def test_a_rejected_request_is_not_retried(self, stub, send, status):
+        from llmevolve.llm import KeyRefusedError
 
         stub.replies.append((status, {"error": "rejected"}))
         cfg = EnsembleConfig.default()
         start = time.monotonic()
         error = KeyRefusedError if status in (401, 403) else RejectedError  # a bad key fails no step
         with pytest.raises(error, match=str(status)):  # under the default retry policy
-            generate(cfg, MESSAGES, HttpBackend(stub.url), cfg.members[0], 0, 0)
+            send(cfg, HttpBackend(stub.url))
         assert time.monotonic() - start < 0.4  # the first back-off is 0.5 s
         assert len(stub.requests) == 1
 
