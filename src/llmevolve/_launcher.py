@@ -18,7 +18,10 @@ per packet:
 
 An empty read (the engine closed its end, or died) ends the launcher, which
 then removes its working directory, wherever a candidate may have moved it,
-and exits through ``os._exit`` without interpreter teardown.
+and exits through ``os._exit`` without interpreter teardown. It removes
+through ``empty_dir``, as the engine does after each candidate and at
+close: that never recurses, so a tree of any depth that a candidate leaves
+goes.
 Before it serves, the launcher exits if the interpreter ignores the
 environment (``-E``, ``-I``), and with it ``PYTHONHASHSEED``. It then does
 once what every child would do alike: it sets ``sys.argv``, builds the
@@ -162,26 +165,56 @@ def finish(code: int) -> None:
     os._exit(code)
 
 
-def remove_workdir() -> None:
-    """Remove the working directory, wherever a candidate may have moved it.
+def empty_dir(fd: int, keep: str = "") -> None:
+    """Remove every entry of the directory open at ``fd`` but a regular file named ``keep``.
 
-    It holds at most the script once the engine has emptied it; anything
-    else a candidate left there takes ``shutil.rmtree``.
+    It follows no symlink, never recurses and holds at most three
+    descriptors of its own, reading entries as it goes. A subdirectory is
+    emptied by renaming its entries up into this directory under unused
+    names, then removed; passes repeat until one finds no subdirectory, so a
+    candidate's tree of any depth goes. An ``OSError`` leaves the rest in
+    place.
     """
+    lifted, found = 0, True
+    while found:
+        found = False
+        with os.scandir(fd) as entries:
+            for entry in entries:
+                if not entry.is_dir(follow_symlinks=False):
+                    if entry.name != keep or not entry.is_file(follow_symlinks=False):
+                        os.unlink(entry.name, dir_fd=fd)
+                    continue
+                found = True
+                sub = os.open(entry.name, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW, dir_fd=fd)
+                try:
+                    with os.scandir(sub) as inner:
+                        for child in inner:
+                            while os.access(f".{lifted}", os.F_OK, dir_fd=fd, follow_symlinks=False):
+                                lifted += 1
+                            os.rename(child.name, f".{lifted}", src_dir_fd=sub, dst_dir_fd=fd)
+                finally:
+                    os.close(sub)
+                os.rmdir(entry.name, dir_fd=fd)
+
+
+def remove_workdir(path: str) -> None:
+    """Remove the work directory at ``path`` and all it holds, or whatever
+    a candidate left in its place; errors are ignored."""
     try:
-        workdir = os.getcwd()
-    except FileNotFoundError:  # a candidate removed it
+        fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+    except OSError:  # gone, or not a directory, such as a symlink a candidate left in its place
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
         return
     try:
-        os.unlink("candidate.py")
-    except OSError:  # never written, or no longer a file
-        pass
-    try:
-        os.rmdir(workdir)
+        empty_dir(fd)
+        os.rmdir(path)
     except OSError:
-        import shutil  # only here, after the last fork, so no candidate sees it
-
-        shutil.rmtree(workdir, ignore_errors=True)
+        pass
+    finally:
+        os.close(fd)
 
 
 if __name__ == "__main__":
@@ -203,7 +236,10 @@ if __name__ == "__main__":
         child = False
     if child:
         finish(run_main(loader, directory))
-    remove_workdir()
+    try:
+        remove_workdir(os.getcwd())  # wherever a candidate may have moved it
+    except OSError:  # ``getcwd`` failed: a candidate removed it
+        pass
     # Stdout is /dev/null, stderr is the engine's and every child is reaped:
     # nothing is left for the interpreter's teardown to flush or wait for.
     os._exit(0)

@@ -53,6 +53,7 @@ import os
 import pickle
 import random
 import shlex
+import signal
 import threading
 from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -131,6 +132,14 @@ def _derive_rng(master_seed: int, island: int, stream: str) -> random.Random:
     blob = f"{master_seed}:{island}:{stream}".encode()
     seed = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
     return random.Random(seed)
+
+
+def _signal_name(number: int) -> str:
+    """``SIGSEGV`` for 11; a real-time signal has no name of its own."""
+    try:
+        return signal.Signals(number).name
+    except ValueError:
+        return f"signal {number}"
 
 
 def _solution_event(kind: str, sol: Solution, insert: str, **extra) -> dict:
@@ -269,7 +278,10 @@ class _Run:
         """
         tail = (outcome.stderr or outcome.stdout)[-FEEDBACK_TAIL_CHARS:]
         if outcome.status != sandbox.STATUS_OK:
-            sol.feedback = f"execution {outcome.status}:\n{tail}" if tail else f"execution {outcome.status}"
+            cause = f"execution {outcome.status}"
+            if outcome.status != sandbox.STATUS_TIMEOUT and (outcome.exit_code or 0) < 0:
+                cause += f": killed by {_signal_name(-outcome.exit_code)}"  # a signal the engine did not send
+            sol.feedback = f"{cause}:\n{tail}" if tail else cause
         elif tail:
             sol.feedback = tail
         sol.status = _EXECUTION_STATUS[outcome.status]

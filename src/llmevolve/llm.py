@@ -19,6 +19,7 @@ import json
 import math
 import os
 import random
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -160,20 +161,53 @@ def _retry_after(exc) -> Optional[float]:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
-def _read_reply(resp, deadline: float) -> bytearray:
-    """The body of ``resp``, read in chunks as they arrive.
-
-    Once ``deadline`` (a ``time.monotonic`` value) has passed, or the body
-    has grown past ``HTTP_REPLY_CAP_BYTES``, it is a ``TransportError``.
-    """
+def _read_reply(resp) -> bytearray:
+    """The body of ``resp``, read in chunks as they arrive; past
+    ``HTTP_REPLY_CAP_BYTES`` it is a ``TransportError``."""
     body = bytearray()
     while chunk := resp.read1(1 << 16):
         body += chunk
         if len(body) > HTTP_REPLY_CAP_BYTES:
             raise TransportError(f"reply is larger than {HTTP_REPLY_CAP_BYTES >> 20} MiB")
-        if time.monotonic() > deadline:
-            raise TransportError(f"reply is not complete after {HTTP_TIMEOUT_SECONDS:g} s")
     return body
+
+
+def _shut_down(sock) -> None:
+    try:  # the plain socket's shutdown: ssl's would also drop the TLS state a read is using
+        socket.socket.shutdown(sock, socket.SHUT_RDWR)
+    except OSError:  # already closed
+        pass
+
+
+def _deadline_opener(deadline: float, timers: list):
+    """A ``urllib`` opener that shuts each connection down at ``deadline``
+    (a ``time.monotonic`` value), so that a read still blocked on it
+    returns at once, whether for the status line, a header or the body.
+
+    Each connection's timer is appended to ``timers``, for the caller to
+    cancel. The default handlers stay, the proxy handler among them.
+    """
+    import urllib.request
+
+    class Deadline:
+        def do_open(self, http_class, req, **kwargs):
+            class Connection(http_class):
+                def connect(conn):
+                    super().connect()  # for https, ``conn.sock`` is then the TLS socket
+                    timer = threading.Timer(deadline - time.monotonic(), _shut_down, (conn.sock,))
+                    timer.daemon = True
+                    timers.append(timer)
+                    timer.start()
+
+            return super().do_open(Connection, req, **kwargs)
+
+    class HTTPHandler(Deadline, urllib.request.HTTPHandler):
+        pass
+
+    class HTTPSHandler(Deadline, urllib.request.HTTPSHandler):
+        pass
+
+    return urllib.request.build_opener(HTTPHandler, HTTPSHandler)
 
 
 class HttpBackend:
@@ -184,11 +218,11 @@ class HttpBackend:
     connection, so calls share no state and may run on any thread. Proxies
     come from ``http_proxy``, ``https_proxy`` and ``no_proxy``.
 
-    A reply's body must arrive whole within ``HTTP_TIMEOUT_SECONDS`` of the
-    call's start and hold at most ``HTTP_REPLY_CAP_BYTES``; either limit is a
-    ``TransportError``. The deadline is checked as each chunk of the body
-    arrives; connecting, and each read of the status line and headers, waits
-    at most ``HTTP_TIMEOUT_SECONDS`` apiece.
+    A reply, status line and headers included, must arrive whole within
+    ``HTTP_TIMEOUT_SECONDS`` of the call's start, and its body may hold at
+    most ``HTTP_REPLY_CAP_BYTES``; either limit is a ``TransportError``. At
+    the deadline the connection is shut down, however slowly its bytes
+    trickle in; connecting waits at most ``HTTP_TIMEOUT_SECONDS`` on its own.
     """
 
     def __init__(self, base_url: str):
@@ -221,12 +255,12 @@ class HttpBackend:
             payload["max_tokens"] = max_output_tokens
         headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
         url = f"{self.base_url}/chat/completions"
-        deadline = time.monotonic() + HTTP_TIMEOUT_SECONDS
+        deadline, timers = time.monotonic() + HTTP_TIMEOUT_SECONDS, []
         try:
             data = json.dumps(payload, allow_nan=False).encode("utf-8")
             request = urllib.request.Request(url, data=data, headers=headers)
-            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_SECONDS) as resp:
-                body = _read_reply(resp, deadline)
+            with _deadline_opener(deadline, timers).open(request, timeout=HTTP_TIMEOUT_SECONDS) as resp:
+                body = _read_reply(resp)
             content = json.loads(body)["choices"][0]["message"]["content"]
         except urllib.error.HTTPError as exc:
             exc.close()
@@ -236,7 +270,12 @@ class HttpBackend:
                 raise RejectedError(f"{exc.code} {exc.reason} for {url}") from None
             raise TransportError(f"{exc.code} {exc.reason} for {url}", _retry_after(exc)) from None
         except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
+            if time.monotonic() >= deadline:  # the reply was cut off at the deadline
+                raise TransportError(f"reply is not complete after {HTTP_TIMEOUT_SECONDS:g} s") from exc
             raise TransportError(str(exc)) from exc
+        finally:
+            for timer in timers:
+                timer.cancel()
         if not isinstance(content, str):
             raise TransportError(f"reply content is {type(content).__name__}, not text")
         return content

@@ -19,7 +19,9 @@ renamed it, swapped it for a symlink, or linked its script elsewhere)
 closes the launcher, which starts afresh in a new directory on next use,
 as does a launcher that died. A launcher removes its directory, wherever it
 now is, when it is closed or dies, and ``Launcher.close`` removes what is
-left at its path.
+left at its path. All three removals go through ``_launcher.empty_dir``,
+which follows no symlink and never recurses, so a tree of any depth that a
+candidate builds goes without exhausting the engine's stack.
 
 The child runs the candidate as ``python candidate.py`` would, in its own
 session, with stdin on ``/dev/null``, a best-effort memory ceiling
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import math
 import os
-import shutil
 import signal
 import socket
 import stat
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ._launcher import FILE_SIZE_LIMIT
+from ._launcher import FILE_SIZE_LIMIT, empty_dir, remove_workdir
 from .llm import API_KEY_ENV
 from .problems import ARTIFACT_PATH_ENV
 
@@ -114,6 +115,7 @@ class ExecutionOutcome:
     wall_time: float
     artifact: Optional[bytes] = None  # None if there is none, or it is over the limit
     artifact_size: Optional[int] = None  # None if the candidate left no regular file
+    exit_code: Optional[int] = None  # the launcher's report, negative for a signal; None if it was lost
 
 
 class LauncherError(Exception):
@@ -230,26 +232,23 @@ class Launcher:
     def clear(self) -> None:
         """Empty the work directory but for its script, or close the launcher.
 
-        The directory must still be the one the launcher started in (the
-        candidate may have removed it, renamed it or swapped it for a
-        symlink) and every entry must go; otherwise the launcher is closed,
-        which removes its directory wherever it now is, and starts afresh on
-        next use.
+        The directory is opened without following a symlink and must still
+        be the one the launcher started in (the candidate may have removed
+        it, renamed it or swapped it for a symlink), and every entry must go;
+        otherwise the launcher is closed, which removes its directory
+        wherever it now is, and starts afresh on next use.
         """
         if self._sock is None:  # lost under the candidate
             return
         try:
-            info = os.lstat(self.workdir)
-            if (info.st_dev, info.st_ino) != self._workdir_id:
-                raise FileNotFoundError(self.workdir)
-            with os.scandir(self.workdir) as entries:
-                for entry in entries:
-                    if entry.name == SCRIPT_NAME and entry.is_file(follow_symlinks=False):
-                        continue
-                    if entry.is_dir(follow_symlinks=False):
-                        shutil.rmtree(entry.path)
-                    else:
-                        os.unlink(entry.path)
+            fd = os.open(self.workdir, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+            try:
+                info = os.fstat(fd)
+                if (info.st_dev, info.st_ino) != self._workdir_id:
+                    raise FileNotFoundError(self.workdir)
+                empty_dir(fd, keep=SCRIPT_NAME)
+            finally:
+                os.close(fd)
         except OSError:
             self.close()
 
@@ -302,7 +301,7 @@ class Launcher:
             self._errors.close()
             self._errors = None
         if self.workdir is not None:
-            _remove(self.workdir)
+            remove_workdir(self.workdir)
             self.workdir = None
 
 
@@ -357,14 +356,6 @@ def _overwrite(path: str, data: bytes) -> None:
         os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
-
-
-def _remove(path: str) -> None:
-    """Remove a work directory, or the symlink a candidate left in its place."""
-    if os.path.islink(path):
-        os.unlink(path)
-    else:
-        shutil.rmtree(path, ignore_errors=True)
 
 
 def _read_artifact(path: str, max_bytes: int) -> tuple[Optional[bytes], Optional[int]]:
@@ -445,6 +436,7 @@ def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
             wall_time=wall,
             artifact=artifact,
             artifact_size=size,
+            exit_code=returncode,
         )
 
 

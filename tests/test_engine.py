@@ -6,6 +6,7 @@ import os
 import pickle
 import random
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -909,6 +910,7 @@ class TestEvaluateCandidate:
         )
         sol = runner.evaluate(self._pending("while True:\n    pass\n"))
         assert sol.status == "timeout"
+        assert sol.feedback == "execution timeout"  # the engine's own kill is not named
         assert sol.fitness == 0.0
 
     def test_invalid_construction_records_violations(self, tmp_path):
@@ -1061,6 +1063,18 @@ class TestEvaluateCandidate:
         assert "RuntimeError: nope" in stored["stderr"]
         assert stored["feedback"] == sol.feedback
 
+    @pytest.mark.parametrize("name", ["SIGSEGV", "SIGTERM"])
+    def test_a_candidate_ended_by_a_signal_names_it(self, tmp_path, name):
+        code = (
+            "import os, resource, signal\n"
+            "resource.setrlimit(resource.RLIMIT_CORE, (0, 0))\n"  # no core file
+            f"os.kill(os.getpid(), signal.{name})\n"
+        )
+        sol = self._runner(tmp_path).evaluate(self._pending(code))
+        assert sol.status == "runtime_error"
+        # Any stderr (a fault handler's traceback) follows the first line.
+        assert sol.feedback.partition(":\n")[0] == f"execution nonzero_exit: killed by {name}"
+
     def test_a_generation_failure_is_recorded_without_running(self, tmp_path, monkeypatch):
         from llmevolve import sandbox
         from llmevolve.core import STATUS_GENERATION_FAILED
@@ -1143,6 +1157,21 @@ class TestSandboxFailures:
         assert summary.finished
         steps = [r["status"] for r in read_events(run_dir) if r["type"] == "step"]
         assert steps == ["runtime_error", "valid", "valid"]
+
+    def test_a_root_that_builds_a_deep_tree_leaves_no_directory_behind(self, tmp_path, monkeypatch):
+        from conftest import packing_program
+
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        # Deeper than the recursion limit, and longer than PATH_MAX.
+        deep = packing_program(26, 1e-3) + "for _ in range(3000):\n    os.mkdir('d')\n    os.chdir('d')\n"
+        run_dir = tmp_path / "run"
+        self._transcript(run_dir, [deep] + [packing_program(26, 1e-3)] * 3)
+        assert engine.run(self._config(), run_dir).finished
+        _, deep_root = [r for r in read_events(run_dir) if r["type"] == "init"]
+        assert deep_root["status"] == "valid"
+        assert not list(temp.glob("candidate-*"))
 
     @staticmethod
     def _files(run_dir):

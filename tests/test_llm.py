@@ -296,6 +296,7 @@ class ChatStub:
         # (status, JSON body or body -> JSON body[, extra headers]), in order
         self.replies: list[tuple] = []
         self.byte_delay = 0.0  # seconds to wait after each byte of a reply; 0 sends it at once
+        self.header_delay = 0.0  # seconds to wait after each byte of a 100-byte head instead of the usual one
         stub = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
@@ -306,6 +307,17 @@ class ChatStub:
                 if callable(reply):  # a reply made from the request body
                     reply = reply(body)
                 data = json.dumps(reply).encode()
+                if stub.header_delay:
+                    head = f"HTTP/1.0 {status} OK\r\nContent-Length: {len(data)}\r\nX-Pad: ".encode()
+                    head += b"x" * (96 - len(head)) + b"\r\n\r\n"
+                    try:
+                        for i in range(len(head)):
+                            self.wfile.write(head[i:i + 1])
+                            time.sleep(stub.header_delay)
+                        self.wfile.write(data)
+                    except (BrokenPipeError, ConnectionResetError):
+                        pass  # the client stopped reading
+                    return
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -408,6 +420,17 @@ class TestHttpBackend:
         with pytest.raises(TransportError, match="not complete after 0.5 s"):
             HttpBackend(stub.url).complete("m", MESSAGES, 0)
         assert time.monotonic() - start < 1.5
+
+    def test_trickled_headers_fail_at_the_call_deadline(self, stub, monkeypatch):
+        from llmevolve import llm
+
+        monkeypatch.setattr(llm, "HTTP_TIMEOUT_SECONDS", 0.5)
+        stub.header_delay = 0.02  # the head alone would take about 2 s
+        stub.replies.append((200, _chat_reply("ok")))
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="not complete after 0.5 s"):
+            HttpBackend(stub.url).complete("m", MESSAGES, 0)
+        assert time.monotonic() - start < 1.0
 
     def test_a_reply_over_16_mib_fails(self, stub):
         stub.replies.append((200, _chat_reply("x" * (16 << 20))))

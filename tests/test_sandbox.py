@@ -730,6 +730,9 @@ _LISTING = (
         "os.unlink('candidate.py')\nos.symlink(os.path.join(OUTSIDE, 'outside.py'), 'candidate.py')\n",
         "here = os.getcwd()\nos.unlink('candidate.py')\nos.rmdir(here)\nos.symlink(OUTSIDE, here)\n",
         "os.link('candidate.py', os.path.join(OUTSIDE, str(os.getpid())))\n",
+        # Deeper than the recursion limit, and longer than PATH_MAX.
+        "for _ in range(3000):\n    os.mkdir('d')\n    os.chdir('d')\n",
+        "os.unlink('candidate.py')\nos.makedirs('candidate.py/inner')\nopen('candidate.py/f', 'w').write('x')\n",
     ],
     ids=[
         "files_and_subdirectory",
@@ -737,6 +740,8 @@ _LISTING = (
         "script_swapped_for_symlink",
         "directory_swapped_for_symlink",
         "script_linked_outside",
+        "deep_chain",
+        "script_swapped_for_directory",
     ],
 )
 def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(launcher, mess, tmp_path):
