@@ -28,7 +28,9 @@ the engine evaluates and inserts its offspring.
 Islands share nothing between migrations, so each island runs as one job on
 its own thread up to the next barrier: a migration epoch, a requested stop,
 or the end of the run; its first job sets it up before its first step, and
-sends the set-up's ``init_population`` model calls at once. Every model call
+sends the set-up's ``init_population`` model calls at once, the first on the
+island's thread and the others on a pool that the engine starts for that
+set-up. The engine starts every thread pool of a run. Every model call
 carries the key ``(island, index)`` that the island assigned it, so replay
 does not depend on the order in which calls arrive. An island evaluates
 each of its candidates, one at a time, on its own thread, with one call:
@@ -332,8 +334,10 @@ class _Run:
     # -- lifecycle --
 
     def _set_up(self, island: IslandState, rngs: IslandRngs) -> list[dict]:
-        """Set up an empty island: generate and evaluate its roots; returns their events."""
-        _, pending, failures = operators.initialize_island(island, self.config, self.backend, rngs)
+        """Set up an empty island: generate its roots, sending every call but the
+        first on a pool of its own, and evaluate them; returns their events."""
+        with ThreadPoolExecutor(max_workers=self.config.init_population) as pool:
+            _, pending, failures = operators.initialize_island(island, self.config, self.backend, rngs, pool.submit)
         events = []
         for sol in pending + failures:
             self.evaluate(sol)

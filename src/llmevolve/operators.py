@@ -1,8 +1,9 @@
 """Variation operators: island initialization, depth exploitation,
 meta-prompting exploration and the no-evolution baseline.
 
-Each operator takes ``(island, config, backend, rngs)``, and a step also its
-epoch. The rest follows from the config: the problem's brief and trivial
+Each operator takes ``(island, config, backend, rngs)``, a step also its
+epoch and set-up a thread pool's ``submit``: the engine starts every pool.
+The rest follows from the config: the problem's brief and trivial
 program, and whether inspirations join the prompt, which they do once the
 islands have exchanged migrants (``RunConfig.migrations_before``) unless the
 ablation turns them off.
@@ -19,7 +20,6 @@ indices is left to the engine.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -208,7 +208,7 @@ def _apply_response(parent_code: str, response: str) -> str:
 
 
 def initialize_island(
-    island: IslandState, config: RunConfig, backend, rngs: IslandRngs
+    island: IslandState, config: RunConfig, backend, rngs: IslandRngs, submit: Callable
 ) -> tuple[str, list[Solution], list[Solution]]:
     """Seed an empty island from its problem's brief and trivial program.
 
@@ -218,9 +218,10 @@ def initialize_island(
     are recorded but never become roots.
 
     The ``init_population`` generation calls are drawn and keyed in order,
-    sent at once (the first on this thread, the others on a pool of their
-    own), and applied in order, so the result is the same as if they had
-    been sent one after another.
+    sent at once (the first on this thread as it is applied, so one call
+    starts no thread; the others through ``submit``, a pool's that the engine
+    starts for this set-up), and applied in order, so the result is the same
+    as if they had been sent one after another.
     """
     if island.solutions:
         raise RuntimeError(f"island {island.id} is already initialized")
@@ -233,18 +234,11 @@ def initialize_island(
         _generation(island, config, backend, rngs, messages)
         for _ in range(config.init_population)
     ]
-    # Calls 1.. go to a pool of their own; call 0 goes out on this thread as
-    # it is applied, so a single call starts no thread.
-    pool = ThreadPoolExecutor(max_workers=len(calls) - 1) if len(calls) > 1 else None
-    try:
-        replies = [calls[0][1]] + [pool.submit(send).result for _, send in calls[1:]]
-        for (member, _), reply in zip(calls, replies):
-            sol, _ = _offspring(
-                island, 0, member, reply, problem.trivial_code, brief, None,
-                "initialization generation failed: ",
-            )
-            (pending if sol.status == STATUS_PENDING else failures).append(sol)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    replies = [calls[0][1]] + [submit(send).result for _, send in calls[1:]]
+    for (member, _), reply in zip(calls, replies):
+        sol, _ = _offspring(
+            island, 0, member, reply, problem.trivial_code, brief, None,
+            "initialization generation failed: ",
+        )
+        (pending if sol.status == STATUS_PENDING else failures).append(sol)
     return brief, pending, failures

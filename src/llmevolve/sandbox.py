@@ -9,19 +9,22 @@ together. Each launcher start makes one temporary work directory, the
 working directory of the launcher and of every child it forks; the
 artifact output path in it is in the launcher's environment, which is this
 process's without the API key (``llm.API_KEY_ENV``), so the children
-inherit both and never the key.
-Before a candidate runs, its code overwrites the directory's
-``candidate.py`` in place; after it, the directory is emptied but for that
-script, so every candidate of a launcher sees the same path and only its
-own script there, and the evaluation itself creates no file.
-A directory that cannot be emptied or prepared (the candidate removed or
-renamed it, swapped it for a symlink, or linked its script elsewhere)
-closes the launcher, which starts afresh in a new directory on next use,
-as does a launcher that died. A launcher removes its directory, wherever it
-now is, when it is closed or dies, and ``Launcher.close`` removes what is
-left at its path. All three removals go through ``_launcher.empty_dir``,
-which follows no symlink and never recurses, so a tree of any depth that a
-candidate builds goes without exhausting the engine's stack.
+inherit both and never the key. The engine holds one descriptor of the
+directory from the start to ``close`` and goes through it, never its path,
+to write the script, read the artifact and empty the directory: before a
+candidate runs, its code overwrites the directory's ``candidate.py`` in
+place; after it, the directory is emptied but for that script, so every
+candidate of a launcher sees the same path and only its own script there,
+and the evaluation itself creates no file. A path that no longer names the
+held directory, or a directory that cannot be emptied or prepared (the
+candidate removed or renamed it, swapped it for a symlink, or linked its
+script elsewhere), closes the launcher, which starts afresh in a new
+directory on next use, as does a launcher that died. A launcher removes its
+directory, wherever it now is, when it is closed or dies, and
+``Launcher.close`` removes what is left at its path. All three removals go
+through ``_launcher.empty_dir``, which follows no symlink and never
+recurses, so a tree of any depth that a candidate builds goes without
+exhausting the engine's stack.
 
 The child runs the candidate as ``python candidate.py`` would, in its own
 session, with stdin on ``/dev/null``, a best-effort memory ceiling
@@ -132,7 +135,7 @@ class Launcher:
     it is closed because its work directory could not be prepared or emptied.
     Each start makes a fresh work directory, which the launcher and its
     children use as their working directory and which holds the script and
-    the artifact (``artifact_path``).
+    the artifact; ``dir_fd`` holds it open until ``close``.
     ``close`` ends the launcher, reaps it, which adds its children's CPU time
     to this process's ``RUSAGE_CHILDREN``, and removes its work directory.
     """
@@ -145,17 +148,9 @@ class Launcher:
         self.hash_seed = hash_seed
         self.proc: Optional[subprocess.Popen] = None
         self.workdir: Optional[str] = None
-        self._workdir_id: Optional[tuple[int, int]] = None
+        self.dir_fd: Optional[int] = None  # the work directory, held from its start to ``close``
         self._sock: Optional[socket.socket] = None
         self._errors = None  # the launcher's stderr, until it is ready
-
-    @property
-    def script_path(self) -> str:
-        return os.path.join(self.workdir, SCRIPT_NAME)
-
-    @property
-    def artifact_path(self) -> str:
-        return os.path.join(self.workdir, ARTIFACT_NAME)
 
     def spawn(self) -> None:
         """Start the launcher process in a fresh work directory, without waiting for it.
@@ -166,18 +161,18 @@ class Launcher:
         waits for its ``ready``.
         """
         self.workdir = tempfile.mkdtemp(prefix="candidate-")
-        info = os.stat(self.workdir)
-        self._workdir_id = (info.st_dev, info.st_ino)
+        self.dir_fd = os.open(self.workdir, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
         env = {name: value for name, value in os.environ.items() if name != API_KEY_ENV}
-        env[ARTIFACT_PATH_ENV] = self.artifact_path
+        env[ARTIFACT_PATH_ENV] = os.path.join(self.workdir, ARTIFACT_NAME)
         env["PYTHONHASHSEED"] = str(self.hash_seed)
+        script = os.path.join(self.workdir, SCRIPT_NAME)
         limits = [str(self.limits.memory_bytes), str(cpu_seconds(self.limits))]
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         self._errors = _log_file("launcher-errors")
         try:
             with theirs:  # then the launcher holds the only other end
                 self.proc = subprocess.Popen(
-                    self.interpreter + [LAUNCHER_SCRIPT, str(theirs.fileno()), self.script_path, *limits],
+                    self.interpreter + [LAUNCHER_SCRIPT, str(theirs.fileno()), script, *limits],
                     stdin=subprocess.DEVNULL,
                     stdout=subprocess.DEVNULL,
                     stderr=self._errors,
@@ -223,7 +218,7 @@ class Launcher:
                 self.spawn()
                 self.wait_ready()
             try:
-                return _overwrite(self.script_path, code)
+                return _overwrite(self.dir_fd, SCRIPT_NAME, code)
             except OSError as exc:
                 self.close()
                 error = exc
@@ -232,23 +227,18 @@ class Launcher:
     def clear(self) -> None:
         """Empty the work directory but for its script, or close the launcher.
 
-        The directory is opened without following a symlink and must still
-        be the one the launcher started in (the candidate may have removed
-        it, renamed it or swapped it for a symlink), and every entry must go;
-        otherwise the launcher is closed, which removes its directory
-        wherever it now is, and starts afresh on next use.
+        The path must still name the held directory, not a symlink (the
+        candidate may have removed it, renamed it or swapped it for a
+        symlink), and every entry of the held directory must go; otherwise
+        the launcher is closed, which removes its directory wherever it now
+        is, and starts afresh on next use.
         """
         if self._sock is None:  # lost under the candidate
             return
         try:
-            fd = os.open(self.workdir, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
-            try:
-                info = os.fstat(fd)
-                if (info.st_dev, info.st_ino) != self._workdir_id:
-                    raise FileNotFoundError(self.workdir)
-                empty_dir(fd, keep=SCRIPT_NAME)
-            finally:
-                os.close(fd)
+            if not os.path.samestat(os.lstat(self.workdir), os.fstat(self.dir_fd)):
+                raise FileNotFoundError(self.workdir)
+            empty_dir(self.dir_fd, keep=SCRIPT_NAME)
         except OSError:
             self.close()
 
@@ -300,6 +290,9 @@ class Launcher:
         if self._errors is not None:
             self._errors.close()
             self._errors = None
+        if self.dir_fd is not None:
+            os.close(self.dir_fd)
+            self.dir_fd = None
         if self.workdir is not None:
             remove_workdir(self.workdir)
             self.workdir = None
@@ -338,35 +331,37 @@ def _read_log(fh) -> str:
     return TRUNCATION_MARK + text if size > LOG_CAP_BYTES else text
 
 
-def _overwrite(path: str, data: bytes) -> None:
-    """Write ``data`` over the file at ``path``, which must be absent or a
-    regular file with no other link; a symlink is not followed and a FIFO
-    is not waited on.
+def _overwrite(dir_fd: int, name: str, data: bytes) -> None:
+    """Write ``data`` over the file ``name`` in the directory open at ``dir_fd``,
+    which must be absent or a regular file with no other link; a symlink is
+    not followed and a FIFO is not waited on.
 
     The file keeps its inode and is cut to length after the write, not
     before: on ext4, truncating a file to zero makes its close flush it.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC, 0o644)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
+    fd = os.open(name, flags, 0o644, dir_fd=dir_fd)
     try:
         info = os.fstat(fd)
         if not stat.S_ISREG(info.st_mode) or info.st_nlink != 1:
-            raise OSError(f"{path} is not a regular file of its own")
+            raise OSError(f"{name} is not a regular file of its own")
         if os.pwrite(fd, data, 0) != len(data):
-            raise OSError(f"short write to {path}")
+            raise OSError(f"short write to {name}")
         os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
 
 
-def _read_artifact(path: str, max_bytes: int) -> tuple[Optional[bytes], Optional[int]]:
-    """The artifact and its size if the candidate left a regular file at ``path``.
+def _read_artifact(dir_fd: int, max_bytes: int) -> tuple[Optional[bytes], Optional[int]]:
+    """The artifact and its size if the candidate left a regular file as
+    ``ARTIFACT_NAME`` in the directory open at ``dir_fd``.
 
     The candidate decides what is there: a symlink is not followed, a FIFO
     is not waited on, and a file over ``max_bytes`` is not read (its bytes
     are None). Without a regular file, both are None.
     """
     try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
+        fd = os.open(ARTIFACT_NAME, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW, dir_fd=dir_fd)
     except OSError:  # missing, a symlink, or not ours to read
         return None, None
     info = os.fstat(fd)
@@ -427,7 +422,7 @@ def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
 
         artifact, size = None, None
         if status == STATUS_OK:
-            artifact, size = _read_artifact(launcher.artifact_path, launcher.max_artifact_bytes)
+            artifact, size = _read_artifact(launcher.dir_fd, launcher.max_artifact_bytes)
         launcher.clear()
         return ExecutionOutcome(
             status=status,

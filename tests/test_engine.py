@@ -747,6 +747,27 @@ class TestConcurrency:
         self._run(tmp_path / "meet", lambda r: _SetUpMeeting(r, barriers), init_population=4, epochs=2)
         assert not any(barrier.broken for barrier in barriers)
 
+    @pytest.mark.parametrize("calls", [1, 4])
+    def test_each_set_up_sends_on_a_pool_the_engine_starts(self, tmp_path, monkeypatch, calls):
+        # One pool for the island jobs, then one per island's set-up, given
+        # every set-up call but the first: a set-up of one call starts no thread.
+        pools = []
+
+        class CountingPool(engine.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                self.counts = [max_workers, 0]  # and the calls submitted
+                pools.append(self.counts)
+                super().__init__(max_workers)
+
+            def submit(self, *args, **kwargs):
+                self.counts[1] += 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
+        self._run(tmp_path / "run", init_population=calls, epochs=2)
+        islands = self.CONFIG["num_islands"]
+        assert pools == [[islands, islands]] + [[calls, calls - 1]] * islands
+
     def test_jittered_set_up_gives_the_same_event_log(self, tmp_path):
         setup = dict(init_population=6, epochs=2)
         plain = self._run(tmp_path / "plain", **setup)

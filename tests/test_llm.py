@@ -493,7 +493,8 @@ class TestHttpBackend:
         config = standard_config(init_population=1, ensemble=two_model_config(max_attempts=2))
         rngs = IslandRngs(*(random.Random(seed) for seed in range(3)))
         backend = HttpBackend(stub.url)
-        _, pending, failures = initialize_island(IslandState(0, capacity=40), config, backend, rngs)
+        with ThreadPoolExecutor(max_workers=1) as pool:  # its one call goes out on this thread
+            _, pending, failures = initialize_island(IslandState(0, capacity=40), config, backend, rngs, pool.submit)
         assert [sol.code for sol in pending] == [get_problem(config.problem_id).trivial_code]
         assert [sol.status for sol in failures] == [STATUS_GENERATION_FAILED]
         assert len(stub.requests) == 2  # retried, as a 500 is

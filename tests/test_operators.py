@@ -2,6 +2,7 @@
 
 import random
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -144,14 +145,21 @@ class TestEvolveStep:
         assert explored / trials == pytest.approx(0.3, abs=0.025)
 
 
+@pytest.fixture
+def submit():
+    """The ``submit`` of a set-up pool, as the engine passes it."""
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        yield pool.submit
+
+
 class TestInitializeIsland:
-    def test_six_scripted_programs_become_six_roots(self):
+    def test_six_scripted_programs_become_six_roots(self, submit):
         config = standard_config(init_population=6)
         island = IslandState(0, capacity=40)
         backend = scripted_backend(
             *[fenced(f"print({i})\n") for i in range(6)]
         )
-        prompt, pending, failures = initialize_island(island, config, backend, rngs())
+        prompt, pending, failures = initialize_island(island, config, backend, rngs(), submit)
         assert prompt == get_problem(config.problem_id).brief
         assert len(pending) == 7  # trivial + 6 generated
         assert failures == []
@@ -160,27 +168,21 @@ class TestInitializeIsland:
         codes = {p.code for p in pending}
         assert len(codes) == 7
 
-    def test_all_generations_failing_leaves_only_trivial(self):
+    def test_all_generations_failing_leaves_only_trivial(self, submit):
         config = standard_config(init_population=6)
         island = IslandState(0, capacity=40)
         backend = scripted_backend(*["no code here at all"] * 6)
-        _, pending, failures = initialize_island(island, config, backend, rngs())
+        _, pending, failures = initialize_island(island, config, backend, rngs(), submit)
         assert len(pending) == 1
         assert pending[0].code == get_problem(config.problem_id).trivial_code
         assert len(failures) == 6
         assert all(f.status == STATUS_GENERATION_FAILED for f in failures)
 
     @pytest.mark.parametrize("calls", [1, 4])
-    def test_the_first_set_up_call_goes_out_on_the_islands_thread(self, calls, monkeypatch):
-        from llmevolve import operators
-
-        pools = []
-
-        class CountingPool(operators.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
+    def test_the_first_set_up_call_goes_out_on_the_islands_thread(self, calls, submit):
+        # The engine counts the pools it starts for set-up:
+        # ``tests/test_engine.py::TestConcurrency::test_each_set_up_sends_on_a_pool_the_engine_starts``.
+        submitted = []
         threads = {}
 
         class ThreadRecording(ReplayBackend):
@@ -188,17 +190,20 @@ class TestInitializeIsland:
                 threads[kwargs["index"]] = threading.current_thread()
                 return super().complete(*args, **kwargs)
 
-        monkeypatch.setattr(operators, "ThreadPoolExecutor", CountingPool)
+        def counted(send):
+            submitted.append(send)
+            return submit(send)
+
         backend = ThreadRecording({(0, i): fenced(f"print({i})\n") for i in range(calls)})
         config = standard_config(init_population=calls)
-        _, pending, _ = initialize_island(IslandState(0, capacity=40), config, backend, rngs())
+        _, pending, _ = initialize_island(IslandState(0, capacity=40), config, backend, rngs(), counted)
         assert len(pending) == calls + 1
-        assert pools == ([calls - 1] if calls > 1 else [])
+        assert len(submitted) == calls - 1  # a pool given no call starts no thread
         assert threads[0] is threading.current_thread()
         assert all(threads[i] is not threading.current_thread() for i in range(1, calls))
 
-    def test_already_populated_island_rejected(self):
+    def test_already_populated_island_rejected(self, submit):
         config = standard_config()
         island = seeded_island()
         with pytest.raises(RuntimeError):
-            initialize_island(island, config, scripted_backend(), rngs())
+            initialize_island(island, config, scripted_backend(), rngs(), submit)

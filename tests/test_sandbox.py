@@ -4,6 +4,7 @@ import ast
 import functools
 import json
 import os
+import random
 import re
 import resource
 import shutil
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -425,6 +427,37 @@ class TestLauncherPool:
         assert outcome.stdout == ".\n"
         assert 'File "./candidate.py", line 3' in outcome.stderr
         assert workdir not in outcome.stderr
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="lists the open descriptors in /proc/self/fd, which only Linux has"
+    )
+    def test_serving_and_closing_leaks_no_descriptor(self, tmp_path):
+        # Each kind of candidate and the status it reaches; the last two
+        # restart their launcher.
+        kinds = {
+            "clean": ("print('clean')\n", STATUS_OK),
+            "crashing": ("raise RuntimeError('crash')\n", STATUS_NONZERO_EXIT),
+            "artifact": ("import os\nopen(os.environ['ARTIFACT_PATH'], 'w').write('[]')\n", STATUS_OK),
+            "over_the_cap": ("import os\nopen(os.environ['ARTIFACT_PATH'], 'w').write('x' * 101)\n", STATUS_OK),
+            "fifo": ("import os\nos.mkfifo(os.environ['ARTIFACT_PATH'])\n", STATUS_OK),
+            "directory_swapped_for_symlink": (
+                f"import os\nhere = os.getcwd()\nos.unlink('candidate.py')\nos.rmdir(here)\nos.symlink({str(tmp_path)!r}, here)\n",
+                STATUS_OK,
+            ),
+            "kills_its_launcher": ("import os, signal\nos.kill(os.getppid(), signal.SIGKILL)\n", STATUS_NONZERO_EXIT),
+        }
+        names = sorted(kinds) * 8 + ["timed_out"] * 2
+        kinds["timed_out"] = ("import time\ntime.sleep(30)\n", STATUS_TIMEOUT)
+        random.Random(0).shuffle(names)
+        before = set(os.listdir("/proc/self/fd"))
+        pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, ResourceLimits(0.5, 1 << 30), max_artifact_bytes=100)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as callers:
+                statuses = list(callers.map(lambda name: pool.run(kinds[name][0]).status, names))
+        finally:
+            pool.close()
+        assert statuses == [kinds[name][1] for name in names]
+        assert set(os.listdir("/proc/self/fd")) ^ before == set()
 
     def _hold_the_launcher(self, monkeypatch, first_raises=False):
         """Make ``run_candidate`` a fake that keeps candidate ``first`` running until
