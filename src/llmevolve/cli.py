@@ -26,16 +26,12 @@ def _print_summary(summary: engine.RunSummary) -> None:
     click.echo(f"best fitness: {summary.best_fitness:.12g}")
     if summary.best_objective is not None:
         click.echo(f"best objective: {summary.best_objective:.12g}")
-        try:
-            baseline, ours, direction = reference_best(summary.problem_id)
-        except KeyError:
-            pass
-        else:
-            delta = summary.best_objective - ours
-            click.echo(
-                f"reference objectives ({direction}): "
-                f"baseline={baseline} reference={ours} delta={delta:+.6g}"
-            )
+        baseline, ours, direction = reference_best(summary.problem_id)
+        delta = summary.best_objective - ours
+        click.echo(
+            f"reference objectives ({direction}): "
+            f"baseline={baseline} reference={ours} delta={delta:+.6g}"
+        )
     click.echo(f"migration events: {summary.migration_events}")
     click.echo(f"status counts: {json.dumps(summary.step_counts, sort_keys=True)}")
 

@@ -9,10 +9,11 @@ fixed master seed, two runs emit byte-identical event logs, since every
 launcher's string-hash seed derives from it too; the solutions log holds
 the same records in an order that depends on thread timing.
 
-``run`` builds a fresh ``RunState`` and ``resume`` loads the latest intact
-one; both build the backend first, so a missing or malformed replay
-transcript is a ``ConfigError`` before anything is written, and hand the
-state to ``_run_from``. That starts the run's ``sandbox.LauncherPool``,
+``run`` builds a fresh ``RunState``, in a directory that holds no
+checkpoint, and ``resume`` loads the latest intact one; both build the
+backend first, so a missing or malformed replay transcript is a
+``ConfigError`` before anything is written, and hand the state to
+``_run_from``. That starts the run's ``sandbox.LauncherPool``,
 every launcher at once and each ready, so an interpreter that cannot start
 one is a ``ConfigError`` before anything is written or any model is called
 (a run with no epoch left starts none); then it writes a fresh run's config
@@ -183,7 +184,7 @@ def read_events(run_dir: str | Path) -> Iterator[dict]:
             yield record
 
 
-def start_launchers(config: RunConfig, running: bool = True) -> sandbox.LauncherPool:
+def start_launchers(config: RunConfig, running: bool) -> sandbox.LauncherPool:
     """The run's launcher pool: one launcher per sandbox worker, started at
     once and each ready, or none if the run is not ``running``.
 
@@ -546,8 +547,17 @@ def run(
     backend=None,
     stop_after_epoch: Optional[int] = None,
 ) -> RunSummary:
-    """Execute a fresh run from epoch 1 to config.epochs in ``run_dir``."""
+    """Execute a fresh run from epoch 1 to config.epochs in ``run_dir``.
+
+    A run directory holds one run: one that holds a checkpoint is a
+    ``ConfigError`` before anything starts or is written. Logs without a
+    checkpoint are those of a run killed before its first barrier, and are
+    run over.
+    """
     run_dir = Path(run_dir)
+    held = sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"))
+    if held:
+        raise ConfigError(f"{run_dir} holds a run, checkpointed in {held[-1]}: resume it or use another directory")
     if backend is None:  # before the snapshot, so a bad transcript leaves no config behind
         backend = make_backend(config, run_dir)
     islands = [

@@ -2,7 +2,10 @@
 
 It sends chat messages that the operators assemble with the templates.
 
-Every call carries the key ``(island_id, index)`` that the caller assigned
+A backend answers ``complete(model, messages, island_id, index)``: ``model``
+is the ``EnsembleMember`` or ``MetaModel`` itself, whose name and sampling
+settings the backend reads, so each default is declared once. Every call
+carries the key ``(island_id, index)`` that the caller assigned
 (see ``core.IslandState.next_call_index``); a retry reuses its call's key.
 A backend's ``complete`` may be called concurrently, for one island as for
 several, under distinct keys.
@@ -87,6 +90,8 @@ class MetaModel:
     name: str
     temperature: float = 0.7
     top_p: float = 0.95
+    # Not a field, so the config has no such key: a meta call sends no cap.
+    max_output_tokens = None
 
     def __post_init__(self) -> None:
         _check_sampling(self.temperature, self.top_p)
@@ -230,29 +235,22 @@ class HttpBackend:
         self.api_key = os.environ.get(API_KEY_ENV, "")
 
     def complete(
-        self,
-        model: str,
-        messages: list[dict[str, str]],
-        island_id: int,
-        index: Optional[int] = None,
-        temperature: float = 0.7,
-        top_p: float = 0.95,
-        max_output_tokens: Optional[int] = None,
+        self, model: EnsembleMember | MetaModel, messages: list[dict[str, str]], island_id: int, index: int
     ) -> str:
-        """Send one chat-completions request; ``index`` is not needed over HTTP."""
+        """Send one chat-completions request; the key is not needed over HTTP."""
         # Not at module load: these load ssl, which adds ~3 MB to a replay run's peak RSS.
         import http.client
         import urllib.error
         import urllib.request
 
         payload: dict = {
-            "model": model,
+            "model": model.name,
             "messages": messages,
-            "temperature": temperature,
-            "top_p": top_p,
+            "temperature": model.temperature,
+            "top_p": model.top_p,
         }
-        if max_output_tokens is not None:
-            payload["max_tokens"] = max_output_tokens
+        if model.max_output_tokens is not None:
+            payload["max_tokens"] = model.max_output_tokens
         headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
         url = f"{self.base_url}/chat/completions"
         deadline, timers = time.monotonic() + HTTP_TIMEOUT_SECONDS, []
@@ -326,16 +324,8 @@ class ReplayBackend:
                     digests[key] = rec["digest"]
         return cls(responses, digests)
 
-    def complete(
-        self,
-        model: str,
-        messages: list[dict[str, str]],
-        island_id: int,
-        index: Optional[int] = None,
-        temperature: float = 0.7,
-        top_p: float = 0.95,
-        max_output_tokens: Optional[int] = None,
-    ) -> str:
+    def complete(self, model, messages: list[dict[str, str]], island_id: int, index: Optional[int] = None) -> str:
+        """The scripted response under the key; the model is not read."""
         with self._lock:
             after = self.counters.get(island_id, 0)
             if index is None:
@@ -374,7 +364,6 @@ def _send(
     messages: list[dict[str, str]],
     island_id: int,
     index: int,
-    max_output_tokens: Optional[int] = None,
 ) -> str:
     """Send ``messages`` to ``model`` as call ``index``, under ``policy``.
 
@@ -387,15 +376,7 @@ def _send(
     last: Exception | None = None
     for attempt in range(policy.max_attempts):
         try:
-            return backend.complete(
-                model.name,
-                messages,
-                island_id,
-                index=index,
-                temperature=model.temperature,
-                top_p=model.top_p,
-                max_output_tokens=max_output_tokens,
-            )
+            return backend.complete(model, messages, island_id, index=index)
         except RejectedError:
             raise
         except TransportError as exc:
@@ -422,7 +403,7 @@ def generate(
 
     The call is retried under the config's retry policy (see ``_send``).
     """
-    return _send(config.retry, backend, member, messages, island_id, index, member.max_output_tokens)
+    return _send(config.retry, backend, member, messages, island_id, index)
 
 
 def meta_prompt(

@@ -100,14 +100,8 @@ class ScoreReport:
         assert self.fitness >= 0.0
 
 
-def _invalid(reason: str, magnitude: float = 1.0, **metrics: float) -> ScoreReport:
-    return ScoreReport(
-        objective=0.0,
-        fitness=0.0,
-        valid=False,
-        violations={reason: magnitude},
-        metrics=dict(metrics),
-    )
+def _invalid(reason: str, magnitude: float = 1.0) -> ScoreReport:
+    return ScoreReport(objective=0.0, fitness=0.0, valid=False, violations={reason: magnitude})
 
 
 def minimization_fitness(objective: float) -> float:

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ._launcher import FILE_SIZE_LIMIT, empty_dir, remove_workdir
+from ._launcher import empty_dir, remove_workdir
 from .llm import API_KEY_ENV
 from .problems import ARTIFACT_PATH_ENV
 
@@ -140,8 +140,7 @@ class Launcher:
     to this process's ``RUSAGE_CHILDREN``, and removes its work directory.
     """
 
-    def __init__(self, interpreter: list[str], limits: ResourceLimits,
-                 max_artifact_bytes: int = FILE_SIZE_LIMIT, hash_seed: int = 0):
+    def __init__(self, interpreter: list[str], limits: ResourceLimits, max_artifact_bytes: int, hash_seed: int):
         self.interpreter = list(interpreter)
         self.limits = limits
         self.max_artifact_bytes = max_artifact_bytes
@@ -443,8 +442,9 @@ class LauncherPool:
     is a ``LauncherError``, with every launcher closed.
     """
 
-    def __init__(self, interpreter: list[str], count: int, limits: ResourceLimits,
-                 max_artifact_bytes: int = FILE_SIZE_LIMIT, hash_seed: int = 0):
+    def __init__(
+        self, interpreter: list[str], count: int, limits: ResourceLimits, max_artifact_bytes: int, hash_seed: int
+    ):
         self.launchers = [Launcher(interpreter, limits, max_artifact_bytes, hash_seed) for _ in range(count)]
         # ``_lock`` guards the idle launchers and the callers that wait for
         # one, each blocked on its own held lock, in arrival order.

@@ -58,6 +58,47 @@ def write_transcript(
     return path
 
 
+def climbing_program(radius: float) -> str:
+    """``packing_program(26, radius)`` with each radius times ``scale``, which
+    ``SCALE_EDIT`` multiplies by 1.5 each time it is applied."""
+    return "scale = 1.0\n" + packing_program(26, radius).replace(f"{radius!r}]", f"{radius!r} * scale]")
+
+
+# A reply that improves a program descended from ``climbing_program``, and
+# fails to apply to any other (the trivial program has no ``scale``).
+SCALE_EDIT = f"{SEARCH_MARKER}\nscale = 1.0\n{DIVIDER_MARKER}\nscale = 1.0\nscale *= 1.5\n{REPLACE_MARKER}\n"
+PROSE = "I would try a hexagonal lattice next."
+
+
+def write_climbing_transcript(run_dir: Path, num_islands: int, calls_per_island: int, init_population: int) -> Path:
+    """Scripted responses whose best improves on island 0 alone, and on the
+    other islands only once they have received its programs by migration.
+
+    Set-up replies are prose, so every island starts from the trivial
+    program alone. Island 0's first step reply is ``climbing_program(2e-3)``,
+    which beats the trivial program's radius of 1e-3; its next two replies
+    are ``SCALE_EDIT`` and the rest prose. Every step reply on the
+    other islands is ``SCALE_EDIT``. Every call is a generation under
+    ``p_explore=0``.
+    """
+    run_dir.mkdir(parents=True, exist_ok=True)
+    path = run_dir / "transcripts.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for island in range(num_islands):
+            for index in range(calls_per_island):
+                step = index - init_population  # the step's number on its island, from 0
+                if step < 0:
+                    response = PROSE
+                elif island > 0:
+                    response = SCALE_EDIT
+                elif step == 0:
+                    response = fenced(climbing_program(2e-3))
+                else:
+                    response = SCALE_EDIT if step <= 2 else PROSE
+                fh.write(json.dumps({"island": island, "index": index, "response": response}) + "\n")
+    return path
+
+
 def render_blocks(blocks: list[EditBlock]) -> str:
     """Serialize blocks back to the marker grammar (parse round-trips)."""
     return "\n\n".join(
@@ -116,3 +157,20 @@ def reference_run(tmp_path_factory) -> tuple[Path, object]:
     write_transcript(run_dir, num_islands=5, calls_per_island=210)
     summary = engine.run(standard_config(), run_dir)
     return run_dir, summary
+
+
+# Islands 1 and 2 receive island 0's programs at the migration after epoch
+# 3, and one another's at the one after epoch 6.
+CLIMBING_CONFIG = dict(num_islands=3, epochs=8, migration_every=3, init_population=2, p_explore=0.0)
+
+
+@pytest.fixture(scope="session")
+def climbing_run(tmp_path_factory) -> tuple[Path, object]:
+    """One completed replay run whose best improves through migration."""
+    from llmevolve import engine
+
+    run_dir = tmp_path_factory.mktemp("climbing-run")
+    config = standard_config(**CLIMBING_CONFIG)
+    calls = config.init_population + config.epochs  # one call per step under p_explore=0
+    write_climbing_transcript(run_dir, config.num_islands, calls, config.init_population)
+    return run_dir, engine.run(config, run_dir)

@@ -1,9 +1,11 @@
 """Crash-point runner: kill a small run at each of its durable writes in turn.
 
-    python tests/crash_runner.py ROOT
+    python tests/crash_runner.py ROOT [climbing]
 
 For N = 1, 2, ... it prepares ``ROOT/kill-N`` (transcript only) and forks a
-child that runs ``engine.run`` there with ``CONFIG``. The child counts its
+child that runs ``engine.run`` there with ``CONFIG``. The transcript is
+``write_transcript``'s, or with ``climbing`` ``write_climbing_transcript``'s,
+whose best improves through migration. The child counts its
 durable writes (an event-log flush, a solutions-log append, a checkpoint
 ``fsync`` or ``os.replace``, a file under ``best/``), prints ``N <kind>``
 after the N-th one and sends itself ``SIGKILL``. The first child that
@@ -22,15 +24,18 @@ import threading
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from conftest import standard_config, write_transcript  # noqa: E402
+from conftest import standard_config, write_climbing_transcript, write_transcript  # noqa: E402
 from llmevolve import engine  # noqa: E402
 
 CONFIG = dict(num_islands=2, epochs=4, migration_every=2, init_population=1)
 CALLS_PER_ISLAND = 40
 
 
-def prepare(run_dir: pathlib.Path):
+def prepare(run_dir: pathlib.Path, climbing: bool = False):
     """Write the transcript into ``run_dir``; return the run's config."""
+    if climbing:
+        write_climbing_transcript(run_dir, CONFIG["num_islands"], CALLS_PER_ISLAND, CONFIG["init_population"])
+        return standard_config(**CONFIG, p_explore=0.0)
     write_transcript(run_dir, num_islands=CONFIG["num_islands"], calls_per_island=CALLS_PER_ISLAND)
     return standard_config(**CONFIG)
 
@@ -67,12 +72,12 @@ def die_at_write(n: int) -> None:
     patch(pathlib.Path, "write_bytes", "best", in_best)
 
 
-def main(root: pathlib.Path) -> int:
+def main(root: pathlib.Path, climbing: bool) -> int:
     n = 0
     while True:
         n += 1
         run_dir = root / f"kill-{n}"
-        config = prepare(run_dir)
+        config = prepare(run_dir, climbing)
         sys.stdout.flush()
         pid = os.fork()
         if pid == 0:
@@ -88,4 +93,4 @@ def main(root: pathlib.Path) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(pathlib.Path(sys.argv[1])))
+    sys.exit(main(pathlib.Path(sys.argv[1]), sys.argv[2:] == ["climbing"]))

@@ -1,12 +1,16 @@
 """Command line behavior: run, resume, score, report."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import llmevolve
 from conftest import write_transcript
 from llmevolve.cli import main
 
@@ -96,6 +100,13 @@ class TestCmdRun:
             {"problem_id": "p3.a", "migration_rate": True},
             {"problem_id": "p3.a", "ablation": {"evolution": "false"}},
             {"problem_id": "p3.a", "ablation": {"meta_prompting": 0}},
+            {
+                "problem_id": "p3.a",
+                "ensemble": {
+                    "members": [{"name": "a", "weight": 1.0}],
+                    "meta_model": {"name": "m", "max_output_tokens": 64},
+                },
+            },
         ],
         ids=[
             "missing_problem_id", "ensemble_weights", "negative_wall_seconds", "no_attempts",
@@ -105,6 +116,7 @@ class TestCmdRun:
             "fractional_memory_bytes", "infinite_wall_seconds", "boolean_wall_seconds",
             "boolean_memory_bytes", "huge_wall_seconds", "huge_memory_bytes", "fractional_attempts", "boolean_attempts", "boolean_p_explore",
             "boolean_migration_rate", "string_ablation_toggle", "integer_ablation_toggle",
+            "meta_max_output_tokens",
         ],
     )
     def test_invalid_config_is_config_error(self, runner, tmp_path, doc):
@@ -211,6 +223,35 @@ class TestCmdRun:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("Error: 403 Forbidden for ")
         assert "LLMEVOLVE_API_KEY" in result.output
+
+    def test_a_run_into_a_directory_that_holds_a_run_is_an_error_message(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "config.yaml")
+        run_dir = tmp_path / "run"
+        write_transcript(run_dir, num_islands=2, calls_per_island=30)
+        args = ["run", "--config", str(cfg), "--run-dir", str(run_dir)]
+        assert runner.invoke(main, args).exit_code == 0
+        result = runner.invoke(main, args + ["--epochs", "9"])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {run_dir} holds a run, checkpointed in ")
+        assert "epoch_00004.ckpt" in result.output
+
+    def test_a_replay_run_loads_neither_ssl_nor_urllib_request(self, tmp_path):
+        # ``HttpBackend.complete`` imports them when it is called: they add
+        # about 3 MB to a replay run's peak RSS.
+        cfg = write_config(tmp_path / "config.yaml", num_islands=1)
+        run_dir = tmp_path / "run"
+        write_transcript(run_dir, num_islands=1, calls_per_island=30)
+        script = (
+            "import sys\n"
+            "from llmevolve.cli import main\n"
+            f"main(['run', '--config', {str(cfg)!r}, '--run-dir', {str(run_dir)!r}], standalone_mode=False)\n"
+            "print([name for name in ('ssl', 'urllib.request') if name in sys.modules])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(llmevolve.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert "epochs run: 4" in out.stdout
 
     def test_epochs_override(self, runner, tmp_path):
         cfg = write_config(tmp_path / "config.yaml")
@@ -343,6 +384,13 @@ class TestCmdScore:
         doc = json.loads(result.output)
         assert doc["objective"] == summary.best_objective
 
+    def test_the_best_of_a_run_that_improves_through_migration_rescores_to_its_objective(self, runner, climbing_run):
+        run_dir, _ = climbing_run
+        result = runner.invoke(main, ["score", "p3.a", str(run_dir / "best" / "artifact.json")])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((run_dir / "best" / "summary.json").read_text())
+        assert json.loads(result.output)["objective"] == summary["objective"] > 0.026  # the trivial program's
+
 
 class TestCmdReport:
     def _completed_run(self, tmp_path):
@@ -385,6 +433,15 @@ class TestCmdReport:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert result.output.startswith("Error: cannot read the event log")
         assert events is None or "events.jsonl line 1: " in result.output
+
+    def test_the_series_of_a_run_that_improves_through_migration_rises(self, runner, climbing_run):
+        run_dir, summary = climbing_run
+        result = runner.invoke(main, ["report", "--run-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        header, *rows = (line.split("\t") for line in result.output.splitlines())
+        series = [float(row[header.index("global")]) for row in rows]
+        assert sum(b > a for a, b in zip(series, series[1:])) >= 2
+        assert series[-1] == pytest.approx(summary.best_fitness, rel=1e-11)  # printed to 12 digits
 
     def test_finite_series_with_positive_epsilon(self, runner, tmp_path):
         run_dir = self._completed_run(tmp_path)

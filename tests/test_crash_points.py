@@ -6,7 +6,8 @@ points between writes rather than sampling them. Each killed directory is
 then resumed, or run afresh where no checkpoint was written yet, and must
 give the uninterrupted run's ``events.jsonl``, ``best/`` and summary, and
 its ``solutions.jsonl`` once the records are sorted by solution id (their
-order depends on thread timing).
+order depends on thread timing). This holds for a run on the scripted
+transcript and for one whose best improves through migration.
 """
 
 from __future__ import annotations
@@ -29,26 +30,22 @@ def sorted_records(run_dir: Path) -> list:
     return sorted((json.loads(line) for line in lines), key=lambda r: r["solution"])
 
 
-def test_a_run_killed_at_any_durable_write_resumes_to_the_uninterrupted_run(tmp_path):
+def resumes_to_the_uninterrupted_run(tmp_path, climbing: bool = False) -> list:
+    """Enumerate the crash points of ``crash_runner``'s run and check that each
+    killed run resumes to the uninterrupted one; return the ``[n, kind]`` kills."""
     root = tmp_path / "crashes"
     out = subprocess.run(
-        [sys.executable, str(RUNNER), str(root)],
+        [sys.executable, str(RUNNER), str(root)] + (["climbing"] if climbing else []),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
     kills = [line.split() for line in out.stdout.splitlines()]
-    # 2 islands: 4 init, 8 step and 4 migration events; 12 evaluated
-    # candidates; checkpoints at epochs 2 and 4; best/ holds solution.py,
-    # artifact.json and summary.json.
-    assert Counter(kind for _, kind in kills) == {
-        "event": 16, "solution": 12, "fsync": 2, "replace": 2, "best": 3
-    }
     assert [int(n) for n, _ in kills] == list(range(1, len(kills) + 1))
 
     straight_dir = tmp_path / "straight"
-    config = crash_runner.prepare(straight_dir)
+    config = crash_runner.prepare(straight_dir, climbing)
     straight = engine.run(config, straight_dir)
     best = {p.name: p.read_bytes() for p in (straight_dir / "best").iterdir()}
     events = (straight_dir / "events.jsonl").read_bytes()
@@ -64,3 +61,26 @@ def test_a_run_killed_at_any_durable_write_resumes_to_the_uninterrupted_run(tmp_
         assert (run_dir / "events.jsonl").read_bytes() == events, where
         assert sorted_records(run_dir) == records, where
         assert {p.name: p.read_bytes() for p in (run_dir / "best").iterdir()} == best, where
+    return kills
+
+
+def test_a_run_killed_at_any_durable_write_resumes_to_the_uninterrupted_run(tmp_path):
+    kills = resumes_to_the_uninterrupted_run(tmp_path)
+    # 2 islands: 4 init, 8 step and 4 migration events; 12 evaluated
+    # candidates; checkpoints at epochs 2 and 4; best/ holds solution.py,
+    # artifact.json and summary.json.
+    assert Counter(kind for _, kind in kills) == {
+        "event": 16, "solution": 12, "fsync": 2, "replace": 2, "best": 3
+    }
+
+
+def test_a_run_that_improves_through_migration_killed_at_any_durable_write_resumes_to_it(tmp_path):
+    kills = resumes_to_the_uninterrupted_run(tmp_path, climbing=True)
+    # Each island logs its trivial root and its failed set-up call.
+    assert Counter(kind for _, kind in kills) == {
+        "event": 16, "solution": 12, "fsync": 2, "replace": 2, "best": 3
+    }
+    # The run's best is island 1's, copied to island 0 by the last migration.
+    summary = json.loads((tmp_path / "straight" / "best" / "summary.json").read_text())
+    assert (summary["island"], summary["solution"]) == (0, "i0-s00007")
+    assert not any(e.get("solution") == "i0-s00007" for e in engine.read_events(tmp_path / "straight"))

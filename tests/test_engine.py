@@ -286,7 +286,6 @@ class TestMigration:
     def test_a_migrant_copy_keeps_every_field_it_does_not_reset(self, tmp_path):
         import dataclasses
 
-        from llmevolve import sandbox
         from llmevolve.core import STATUS_VALID, IslandState, Solution
         from llmevolve.engine import RunState, _Run
 
@@ -302,7 +301,7 @@ class TestMigration:
         )
         islands[0].try_insert(original)
         cfg = standard_config(num_islands=2)
-        no_launchers = sandbox.LauncherPool(cfg.interpreter, 0, cfg.limits)
+        no_launchers = engine.start_launchers(cfg, running=False)
         runner = _Run(cfg, tmp_path, ReplayBackend({}), RunState(islands, []), no_launchers)
         try:
             runner.migrate(3)
@@ -341,6 +340,27 @@ class TestMigration:
             num_islands=islands, migration_every=every, ablation=AblationToggles(evolution=evolution)
         )
         assert {epoch: cfg.migrations_before(epoch) for epoch in counts} == counts
+
+
+class TestImprovementThroughMigration:
+    def test_the_best_changes_twice_and_the_final_best_descends_from_a_migrant_copy(self, climbing_run):
+        run_dir, summary = climbing_run
+        events = read_events(run_dir)
+        made = {e["solution"]: e for e in events if e["type"] in ("init", "step")}
+        best, changes = max(e["fitness"] for e in events if e["type"] == "init"), 0
+        for e in events:
+            if e["type"] == "step" and e["fitness"] > best:
+                best, changes = e["fitness"], changes + 1
+        assert changes >= 2
+        assert summary.best_fitness == best
+        # A migrant copy is no init or step event's solution; the lineage
+        # ends at the first solution that is not made on its island.
+        lineage = [summary.best_solution_id]
+        while lineage[-1] in made:
+            lineage.append(made[lineage[-1]].get("parent"))  # init events have none
+        assert lineage[-1] is not None
+        assert lineage[-1].startswith(f"i{summary.best_island}-")
+        assert summary.best_island != 0  # so it received island 0's program, the only one that improves
 
 
 class TestResume:
@@ -597,6 +617,30 @@ class TestResume:
         assert [p.name for p in (run_dir / "checkpoints").iterdir()] == ["epoch_00003.ckpt"]
         _, state = load_latest_checkpoint(run_dir)
         assert state.epoch == 3
+
+    @pytest.mark.parametrize("islands", [(2, 2), (1, 3)], ids=["same_islands", "more_islands"])
+    def test_a_fresh_run_into_a_directory_that_holds_a_run_is_refused(self, tmp_path, monkeypatch, islands):
+        # Left to run, the second run would leave its epoch 3 checkpoint
+        # beside the first run's epoch 4 one, which a resume would then load.
+        from llmevolve import sandbox
+        from llmevolve.config import ConfigError
+
+        first, second = islands
+        run_dir = tmp_path / "run"
+        write_transcript(run_dir, num_islands=max(islands), calls_per_island=40)
+        done = engine.run(standard_config(num_islands=first, epochs=4, migration_every=2, init_population=2), run_dir)
+        files = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+        def no_start(*args):
+            raise AssertionError("a launcher started")
+
+        monkeypatch.setattr(sandbox, "LauncherPool", no_start)
+        again = standard_config(num_islands=second, epochs=9, migration_every=3, init_population=2)
+        with pytest.raises(ConfigError, match="holds a run, checkpointed in .*epoch_00004.ckpt"):
+            engine.run(again, run_dir, stop_after_epoch=3)
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == files
+        monkeypatch.undo()
+        assert engine.resume(run_dir) == done
 
     def test_missing_checkpoint_raises(self, tmp_path):
         (tmp_path / "empty" / "checkpoints").mkdir(parents=True)
@@ -902,7 +946,7 @@ class TestEvaluateCandidate:
             rngs=[IslandRngs(random.Random(0), random.Random(1), random.Random(2))] * cfg.num_islands,
             solutions_log_pos=solutions_log_pos,
         )
-        runner = _Run(cfg, run_dir, ReplayBackend({}), state, engine.start_launchers(cfg))
+        runner = _Run(cfg, run_dir, ReplayBackend({}), state, engine.start_launchers(cfg, running=True))
         self.runners.append(runner)
         return runner
 

@@ -78,7 +78,7 @@ class RecordingReplay(llm.ReplayBackend):
             {
                 "island": island_id,
                 "index": kwargs["index"],
-                "model": model,
+                "model": model.name,
                 "digest": llm.request_digest(messages),
             }
         )

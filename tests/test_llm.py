@@ -113,6 +113,7 @@ class FlakyBackend:
 
 
 MESSAGES = templates.build_generation_messages("task", "improve it", "print(1)")
+MODEL = EnsembleMember(name="m", weight=1.0)
 
 
 class TestGenerate:
@@ -371,8 +372,10 @@ class TestHttpBackend:
     def test_request_carries_the_sampling_settings_and_the_key(self, stub):
         stub.replies += [(200, _chat_reply("first")), (200, _chat_reply("second"))]
         backend = HttpBackend(stub.url + "/")
-        assert backend.complete("m1", MESSAGES, 0, temperature=0.3, top_p=0.9) == "first"
-        assert backend.complete("m2", MESSAGES, 1, max_output_tokens=64) == "second"
+        m1 = EnsembleMember(name="m1", weight=0.5, temperature=0.3, top_p=0.9)
+        m2 = EnsembleMember(name="m2", weight=0.5, max_output_tokens=64)
+        assert backend.complete(m1, MESSAGES, 0, 0) == "first"
+        assert backend.complete(m2, MESSAGES, 1, 0) == "second"
         (path, headers, body), (_, _, capped) = stub.requests
         assert path == "/v1/chat/completions"
         assert headers["Authorization"] == "Bearer test-key"
@@ -387,7 +390,7 @@ class TestHttpBackend:
     def test_a_failed_reply_is_a_transport_error(self, stub, reply):
         stub.replies.append(reply)
         with pytest.raises(TransportError):
-            HttpBackend(stub.url).complete("m", MESSAGES, 0)
+            HttpBackend(stub.url).complete(MODEL, MESSAGES, 0, 0)
 
     @pytest.mark.parametrize("send", SENDS.values(), ids=SENDS.keys())
     def test_a_500_is_retried(self, stub, send):
@@ -418,7 +421,7 @@ class TestHttpBackend:
         stub.replies.append((200, _chat_reply("ok")))
         start = time.monotonic()
         with pytest.raises(TransportError, match="not complete after 0.5 s"):
-            HttpBackend(stub.url).complete("m", MESSAGES, 0)
+            HttpBackend(stub.url).complete(MODEL, MESSAGES, 0, 0)
         assert time.monotonic() - start < 1.5
 
     def test_trickled_headers_fail_at_the_call_deadline(self, stub, monkeypatch):
@@ -429,18 +432,18 @@ class TestHttpBackend:
         stub.replies.append((200, _chat_reply("ok")))
         start = time.monotonic()
         with pytest.raises(TransportError, match="not complete after 0.5 s"):
-            HttpBackend(stub.url).complete("m", MESSAGES, 0)
+            HttpBackend(stub.url).complete(MODEL, MESSAGES, 0, 0)
         assert time.monotonic() - start < 1.0
 
     def test_a_reply_over_16_mib_fails(self, stub):
         stub.replies.append((200, _chat_reply("x" * (16 << 20))))
         with pytest.raises(TransportError, match="larger than 16 MiB"):
-            HttpBackend(stub.url).complete("m", MESSAGES, 0)
+            HttpBackend(stub.url).complete(MODEL, MESSAGES, 0, 0)
 
     def test_a_long_reply_arrives_whole(self, stub):
         content = "".join(f"line {i}\n" for i in range(40_000))  # about 0.3 MB, many reads
         stub.replies.append((200, _chat_reply(content)))
-        assert HttpBackend(stub.url).complete("m", MESSAGES, 0) == content
+        assert HttpBackend(stub.url).complete(MODEL, MESSAGES, 0, 0) == content
 
     @pytest.mark.parametrize(
         "status, retry_after, slept",
@@ -538,5 +541,5 @@ class TestHttpBackend:
         stub.replies += [(200, echo_model)] * n
         backend = HttpBackend(stub.url)
         with ThreadPoolExecutor(max_workers=n) as pool:
-            replies = list(pool.map(lambda i: backend.complete(f"m{i}", MESSAGES, i, index=0), range(n)))
+            replies = list(pool.map(lambda i: backend.complete(MetaModel(name=f"m{i}"), MESSAGES, i, 0), range(n)))
         assert replies == [f"m{i}" for i in range(n)]

@@ -420,6 +420,11 @@ class TestReferenceBest:
         with pytest.raises(KeyError):
             reference_best("p99")
 
+    def test_every_registered_problem_has_one_and_no_other_id_does(self):
+        from llmevolve import problems
+
+        assert set(problems._REFERENCE_BEST) == set(REGISTRY)
+
 
 class TestProblemRegistry:
     @pytest.mark.parametrize("pid", ["p1", "p2.a", "p2.b", "p3.a", "p3.b", "p4"])

@@ -48,11 +48,13 @@ def interpreter(request):
 
 @pytest.fixture
 def make_launcher(interpreter):
-    """Builds launchers on ``interpreter``, by default with ``LIMITS``, and closes them after the test."""
+    """Builds launchers on ``interpreter``, by default with ``LIMITS``, the
+    launcher's file-size limit as the artifact cap and hash seed 0, and
+    closes them after the test."""
     made = []
 
-    def make(limits=LIMITS, **kwargs):
-        made.append(Launcher(interpreter, limits, **kwargs))
+    def make(limits=LIMITS, max_artifact_bytes=FILE_SIZE_LIMIT, hash_seed=0):
+        made.append(Launcher(interpreter, limits, max_artifact_bytes, hash_seed))
         return made[-1]
 
     yield make
@@ -363,7 +365,8 @@ def test_a_restarted_launcher_keeps_its_limits(make_launcher, killed):
 
 
 def test_a_launcher_that_exits_at_start_is_a_spawn_error():
-    launcher = Launcher(FAST_INTERPRETER + ["-c", "import sys; sys.exit('no launcher here')"], LIMITS)
+    exits = FAST_INTERPRETER + ["-c", "import sys; sys.exit('no launcher here')"]
+    launcher = Launcher(exits, LIMITS, FILE_SIZE_LIMIT, 0)
     start = time.monotonic()
     outcome = run_candidate("print(1)\n", launcher)
     assert outcome.status == STATUS_SPAWN_ERROR
@@ -401,13 +404,13 @@ class TestLauncherPool:
 
         monkeypatch.setattr(sandbox, "Launcher", second_cannot_start)
         with pytest.raises(sandbox.LauncherError, match="/nonexistent/python"):
-            sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS)
+            sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS, FILE_SIZE_LIMIT, 0)
         good, bad = started
         assert good.proc.returncode == 0
         assert (good.workdir, bad.workdir, bad.proc) == (None, None, None)
 
     def test_closing_hangs_up_on_every_launcher_before_reaping_any(self, monkeypatch):
-        pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS)
+        pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS, FILE_SIZE_LIMIT, 0)
         events = []
         for i, launcher in enumerate(pool.launchers):
             hang_up, close = launcher.hang_up, launcher.close
@@ -421,7 +424,7 @@ class TestLauncherPool:
         assert not any(os.path.exists(workdir) for workdir in workdirs)
 
     def test_the_logs_read_dot_for_the_work_directory(self):
-        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS) as pool:
+        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS, FILE_SIZE_LIMIT, 0) as pool:
             outcome = pool.run("import os\nprint(os.getcwd())\nraise RuntimeError('nope')\n")
             workdir = pool.launchers[0].workdir
         assert outcome.stdout == ".\n"
@@ -450,7 +453,7 @@ class TestLauncherPool:
         kinds["timed_out"] = ("import time\ntime.sleep(30)\n", STATUS_TIMEOUT)
         random.Random(0).shuffle(names)
         before = set(os.listdir("/proc/self/fd"))
-        pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, ResourceLimits(0.5, 1 << 30), max_artifact_bytes=100)
+        pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, ResourceLimits(0.5, 1 << 30), 100, 0)
         try:
             with ThreadPoolExecutor(max_workers=3) as callers:
                 statuses = list(callers.map(lambda name: pool.run(kinds[name][0]).status, names))
@@ -497,7 +500,7 @@ class TestLauncherPool:
     def test_a_launcher_is_lent_in_the_order_the_callers_asked(self, monkeypatch):
         gate, running, ran = self._hold_the_launcher(monkeypatch)
         results = {}
-        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS) as pool:
+        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS, FILE_SIZE_LIMIT, 0) as pool:
 
             def hold():  # gives the launcher back, then asks again at once
                 for code in ("first", "last"):
@@ -518,7 +521,7 @@ class TestLauncherPool:
     def test_a_failed_run_still_passes_the_launcher_on(self, monkeypatch):
         gate, running, ran = self._hold_the_launcher(monkeypatch, first_raises=True)
         errors, results = [], {}
-        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS) as pool:
+        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS, FILE_SIZE_LIMIT, 0) as pool:
 
             def hold():
                 try:
@@ -554,7 +557,7 @@ class TestLauncherPool:
 
         monkeypatch.setattr(sandbox, "run_candidate", fake)
         errors = []
-        with sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS) as pool:
+        with sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS, FILE_SIZE_LIMIT, 0) as pool:
 
             def caller(i):
                 try:
@@ -591,7 +594,7 @@ def _bounded(call, seconds):
 
 def test_a_candidate_that_stops_its_launcher_times_out():
     limits = ResourceLimits(wall_seconds=1.0, memory_bytes=1 << 30)
-    launcher = Launcher(FAST_INTERPRETER, limits)
+    launcher = Launcher(FAST_INTERPRETER, limits, FILE_SIZE_LIMIT, 0)
     code = "import os, signal\nos.kill(os.getppid(), signal.SIGSTOP)\n"
     bound = limits.wall_seconds + sandbox.KILL_GRACE_SECONDS + 3.0
     try:
@@ -607,7 +610,7 @@ def test_a_candidate_that_stops_its_launcher_first_never_outlives_its_limit(tmp_
     # The candidate's first statement stops its launcher; its pid has
     # already reached the engine, so the group kill always ends it.
     limits = ResourceLimits(wall_seconds=0.2, memory_bytes=1 << 30)
-    launcher = Launcher(FAST_INTERPRETER, limits)
+    launcher = Launcher(FAST_INTERPRETER, limits, FILE_SIZE_LIMIT, 0)
     bound = limits.wall_seconds + sandbox.KILL_GRACE_SECONDS + 3.0
     markers = [tmp_path / f"marker-{i}" for i in range(6)]
     try:
@@ -632,7 +635,7 @@ def test_a_child_whose_limits_cannot_be_set_fails_at_once(monkeypatch):
     monkeypatch.setattr(sandbox, "_kill_group", kills.append)
     limits = ResourceLimits(1.0, 1 << 30)
     limits.memory_bytes = 1 << 70  # past what ResourceLimits accepts, so the child's setrlimit fails
-    launcher = Launcher(FAST_INTERPRETER, limits)
+    launcher = Launcher(FAST_INTERPRETER, limits, FILE_SIZE_LIMIT, 0)
     try:
         outcome = run_candidate("print('never')\n", launcher)
     finally:
@@ -643,7 +646,7 @@ def test_a_child_whose_limits_cannot_be_set_fails_at_once(monkeypatch):
 
 def test_a_slow_launcher_start_does_not_count_against_the_wall_limit():
     sleepy = "import os, sys, time; time.sleep(1.0); os.execv(sys.executable, [sys.executable, '-S'] + sys.argv[1:])"
-    launcher = Launcher([sys.executable, "-S", "-c", sleepy], ResourceLimits(0.5, 1 << 30))
+    launcher = Launcher([sys.executable, "-S", "-c", sleepy], ResourceLimits(0.5, 1 << 30), FILE_SIZE_LIMIT, 0)
     try:
         outcome = run_candidate("print('started')\n", launcher)
     finally:
@@ -678,7 +681,7 @@ def test_a_launcher_removes_its_directory_when_the_engine_dies(tmp_path):
     engine = (
         "import os, signal, sys\n"
         "from llmevolve.sandbox import Launcher, ResourceLimits, run_candidate\n"
-        "launcher = Launcher([sys.executable, '-S'], ResourceLimits(10.0, 1 << 30))\n"
+        f"launcher = Launcher([sys.executable, '-S'], ResourceLimits(10.0, 1 << 30), {FILE_SIZE_LIMIT}, 0)\n"
         "code = 'import os\\nprint(os.getcwd())\\nos.rename(os.getcwd(), os.getcwd() + \"-moved\")\\n'\n"
         "moved = run_candidate(code, launcher).stdout.strip() + '-moved'\n"
         "run_candidate('print(1)\\n', launcher)\n"
@@ -720,7 +723,7 @@ def test_a_busy_candidate_does_not_outlive_a_dead_engine(tmp_path):
         "import os, signal, sys, threading, time\n"
         "from llmevolve.sandbox import Launcher, ResourceLimits, run_candidate\n"
         f"limits = ResourceLimits({limits.wall_seconds!r}, {limits.memory_bytes!r})\n"
-        "launcher = Launcher([sys.executable, '-S'], limits)\n"
+        f"launcher = Launcher([sys.executable, '-S'], limits, {FILE_SIZE_LIMIT}, 0)\n"
         f"runner = threading.Thread(target=run_candidate, args=({candidate!r}, launcher))\n"
         "runner.start()\n"
         f"while not os.path.exists({str(pid_file)!r}) or not open({str(pid_file)!r}).read():\n"
@@ -782,7 +785,7 @@ def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(la
     outside = tmp_path / "outside" / "outside.py"
     outside.write_text("print('outside')\n")
     code = "import os\n" + mess.replace("OUTSIDE", repr(str(outside.parent)))
-    fresh = Launcher(FAST_INTERPRETER, LIMITS)
+    fresh = Launcher(FAST_INTERPRETER, LIMITS, FILE_SIZE_LIMIT, 0)
     try:
         on_fresh = run_candidate(code, fresh).status
     finally:
@@ -798,7 +801,7 @@ def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(la
 
 
 def test_close_kills_a_launcher_that_does_not_exit():
-    launcher = Launcher(FAST_INTERPRETER, LIMITS)
+    launcher = Launcher(FAST_INTERPRETER, LIMITS, FILE_SIZE_LIMIT, 0)
     try:
         run_candidate("print(1)\n", launcher)
         os.kill(launcher.proc.pid, signal.SIGSTOP)
