@@ -11,7 +11,7 @@ import click
 
 from . import engine, llm, report
 from .config import ABLATION_PRESETS, ConfigError, load_config
-from .problems import ArtifactError, get_problem, reference_best
+from .problems import ArtifactError, get_problem
 
 
 @click.group()
@@ -26,7 +26,7 @@ def _print_summary(summary: engine.RunSummary) -> None:
     click.echo(f"best fitness: {summary.best_fitness:.12g}")
     if summary.best_objective is not None:
         click.echo(f"best objective: {summary.best_objective:.12g}")
-        baseline, ours, direction = reference_best(summary.problem_id)
+        baseline, ours, direction = get_problem(summary.problem_id).reference
         delta = summary.best_objective - ours
         click.echo(
             f"reference objectives ({direction}): "

@@ -116,9 +116,12 @@ class RunConfig:
                 adj[i] = {j for j in range(self.num_islands) if j != i}
         elif isinstance(self.topology, (list, tuple)):
             for edge in self.topology:
+                if not (isinstance(edge, (list, tuple)) and len(edge) == 2
+                        and all(type(i) is int and 0 <= i < self.num_islands for i in edge)):
+                    raise ConfigError(
+                        f"topology edge {edge!r} must join two integer island indices in range({self.num_islands})"
+                    )
                 a, b = edge
-                if not (0 <= a < self.num_islands and 0 <= b < self.num_islands):
-                    raise ConfigError(f"topology edge {edge} out of range")
                 if a != b:
                     adj[a].add(b)
                     adj[b].add(a)

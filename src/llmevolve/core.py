@@ -5,6 +5,11 @@ ones, pruned to the live solutions' ancestors so that lineage queries outlive
 eviction. A rejected candidate is not kept: it is never a parent, an
 inspiration or a migrant. A solution carries the instruction it was
 generated from. The run's counts by status come from its event log.
+
+Solutions rank by ``ranked``: fittest first; on equal fitness the older
+(smaller ``epoch_created``) first, then the smaller id. Rank sampling,
+the inspiration top-up and migration read this order. Eviction breaks ties
+the other way: the oldest of the least fit goes first.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ class Solution:
     feedback: Optional[str] = None
     # Free-form record keeping (e.g. migration provenance).
     provenance: dict = field(default_factory=dict)
+
+
+def ranked(solutions: Iterable[Solution]) -> list[Solution]:
+    """The solutions in rank order, fittest first (see the module docstring)."""
+    return sorted(solutions, key=lambda s: (-s.fitness, s.epoch_created, s.id))
 
 
 @dataclass

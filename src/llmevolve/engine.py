@@ -78,6 +78,7 @@ from .core import (
     STATUS_VALID,
     IslandState,
     Solution,
+    ranked,
 )
 from .operators import IslandRngs
 from .problems import ArtifactError, ProblemSpec, get_problem
@@ -411,9 +412,7 @@ class _Run:
         for island in state.islands:
             pop = island.live()
             count = cfg.migrants_per_island(len(pop))
-            eligible = [s for s in pop if not s.has_migrated]
-            eligible.sort(key=lambda s: (-s.fitness, s.epoch_created, s.id))
-            plans.append((island.id, eligible[:count]))
+            plans.append((island.id, ranked(s for s in pop if not s.has_migrated)[:count]))
         events: list[dict] = []
         for source_id, migrants in plans:
             dests = neighbors[source_id]

@@ -301,7 +301,8 @@ class ReplayBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayBackend":
-        """Load a transcript; a malformed record is a ``ValueError`` that names its line."""
+        """Load a transcript; a malformed record, or a second under one key, is a
+        ``ValueError`` that names its line."""
         responses: dict[tuple[int, int], str] = {}
         digests: dict[tuple[int, int], str] = {}
         with open(path, encoding="utf-8") as fh:
@@ -315,6 +316,8 @@ class ReplayBackend:
                     key = (rec.get("island", 0), rec.get("index"))
                     if not all(type(i) is int for i in key):
                         raise ValueError("the island and index are not both integers")
+                    if key in responses:
+                        raise ValueError(f"a record for island {key[0]} index {key[1]} came earlier")
                     if not isinstance(rec.get("response"), str):
                         raise ValueError("the response is missing or not text")
                 except ValueError as exc:  # a JSONDecodeError too

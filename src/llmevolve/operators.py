@@ -139,13 +139,13 @@ def evolve_step(
     p = rngs.coin.random()
     explore = p >= 1.0 - config.p_explore and config.ablation.meta_prompting
 
+    sample = selection.uniform_sample if explore else selection.rank_sample
+    parent = island.lookup(sample(population, rngs.select))
     if not explore:
-        parent = island.lookup(selection.rank_sample(population, rngs.select))
         prompt = parent.prompt
         ancestors = island.ancestors(parent.id, config.max_ancestor_depth)
         operator = OP_EXPLOIT
     else:
-        parent = island.lookup(selection.uniform_sample(population, rngs.select))
         messages = templates.build_meta_messages(brief, parent.prompt, parent.code)
         try:
             prompt = llm.meta_prompt(
@@ -161,11 +161,7 @@ def evolve_step(
         operator = OP_EXPLORE
     inspiration_ids = (
         selection.sample_inspirations(
-            population,
-            parent.id,
-            config.num_inspirations,
-            "uniform" if explore else "rank",
-            rngs.select,
+            population, parent.id, config.num_inspirations, sample, rngs.select
         )
         if config.ablation.inspirations and config.migrations_before(epoch) > 0
         else []

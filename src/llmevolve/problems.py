@@ -286,6 +286,9 @@ class ProblemSpec:
     # ``scorer`` takes what ``parser`` returns.
     scorer: Callable[[Any], ScoreReport]
     parser: Callable[[bytes], object]
+    # Published best objectives, for reporting deltas: (AlphaEvolve, this
+    # framework's reference, objective direction).
+    reference: tuple[float, float, str]
     # A longer artifact is invalid; the engine checks before ``parser`` decodes it.
     max_artifact_bytes: int = 64 * 1024
 
@@ -404,10 +407,14 @@ def _make_registry() -> dict[str, ProblemSpec]:
         trivial_code=_TRIVIAL_P1,
         scorer=score_p1,
         parser=_parse_p1,
+        reference=(0.89627, 0.93768, "maximize"),
         max_artifact_bytes=4 * 1024**2,  # room for P1_MAX_HEIGHTS heights at full precision
     )
 
-    for pid, n, d in (("p2.a", 16, 2), ("p2.b", 14, 3)):
+    for pid, n, d, reference in (
+        ("p2.a", 16, 2, (12.88926, 12.88923, "minimize")),
+        ("p2.b", 14, 3, (4.16585, 4.16578, "minimize")),
+    ):
         specs[pid] = ProblemSpec(
             id=pid,
             brief=(
@@ -421,9 +428,13 @@ def _make_registry() -> dict[str, ProblemSpec]:
             trivial_code=_trivial_p2(n, d),
             scorer=lambda art, n=n, d=d: score_p2(art, expected_count=n, expected_dim=d),
             parser=lambda raw, n=n, d=d: _parse_p2(raw, n, d),
+            reference=reference,
         )
 
-    for pid, n in (("p3.a", 26), ("p3.b", 32)):
+    for pid, n, reference in (
+        ("p3.a", 26, (2.63586, 2.63596, "maximize")),
+        ("p3.b", 32, (2.93794, 2.93957, "maximize")),
+    ):
         specs[pid] = ProblemSpec(
             id=pid,
             brief=(
@@ -437,6 +448,7 @@ def _make_registry() -> dict[str, ProblemSpec]:
             trivial_code=_trivial_packing(n, include_width=False),
             scorer=lambda art, n=n: score_p3(art, expected_count=n),
             parser=lambda raw, n=n: _parse_packing(raw, n, with_width=False),
+            reference=reference,
         )
 
     specs["p4"] = ProblemSpec(
@@ -453,6 +465,7 @@ def _make_registry() -> dict[str, ProblemSpec]:
         trivial_code=_trivial_packing(21, include_width=True),
         scorer=lambda art: score_p4(art, expected_count=21),
         parser=lambda raw: _parse_packing(raw, 21, with_width=True),
+        reference=(2.36583, 2.36583, "maximize"),
     )
     return specs
 
@@ -474,23 +487,3 @@ def parse_artifact(problem_id: str, raw: bytes):
 
 def score_artifact(problem_id: str, artifact) -> ScoreReport:
     return get_problem(problem_id).scorer(artifact)
-
-
-# Published best objectives used for reporting deltas:
-# (alphaevolve, ours-reference, objective direction).
-_REFERENCE_BEST = {
-    "p1": (0.89627, 0.93768, "maximize"),
-    "p2.a": (12.88926, 12.88923, "minimize"),
-    "p2.b": (4.16585, 4.16578, "minimize"),
-    "p3.a": (2.63586, 2.63596, "maximize"),
-    "p3.b": (2.93794, 2.93957, "maximize"),
-    "p4": (2.36583, 2.36583, "maximize"),
-}
-
-
-def reference_best(problem_id: str) -> tuple[float, float, str]:
-    """Published reference objectives (comparison baseline, this framework)."""
-    try:
-        return _REFERENCE_BEST[problem_id]
-    except KeyError:
-        raise KeyError(f"unknown problem id: {problem_id!r}") from None

@@ -21,7 +21,7 @@ from llmevolve.problems import (
     CirclePackingArtifact,
     PointSetArtifact,
     StepFunctionArtifact,
-    reference_best,
+    get_problem,
     score_p1,
     score_p2,
     score_p3,
@@ -263,12 +263,12 @@ def test_criterion_8_diff_corpus():
 def test_criterion_9_reference_constants():
     # Published best objectives are stored verbatim; full-scale result
     # reproduction needs live model calls and is out of reach offline.
-    assert reference_best("p1") == (0.89627, 0.93768, "maximize")
-    assert reference_best("p2.a") == (12.88926, 12.88923, "minimize")
-    assert reference_best("p2.b") == (4.16585, 4.16578, "minimize")
-    assert reference_best("p3.a") == (2.63586, 2.63596, "maximize")
-    assert reference_best("p3.b") == (2.93794, 2.93957, "maximize")
-    assert reference_best("p4") == (2.36583, 2.36583, "maximize")
+    assert get_problem("p1").reference == (0.89627, 0.93768, "maximize")
+    assert get_problem("p2.a").reference == (12.88926, 12.88923, "minimize")
+    assert get_problem("p2.b").reference == (4.16585, 4.16578, "minimize")
+    assert get_problem("p3.a").reference == (2.63586, 2.63596, "maximize")
+    assert get_problem("p3.b").reference == (2.93794, 2.93957, "maximize")
+    assert get_problem("p4").reference == (2.36583, 2.36583, "maximize")
     verdict(9, "reference objective constants stored verbatim")
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,8 @@ class TestCmdRun:
                     "meta_model": {"name": "m", "max_output_tokens": 64},
                 },
             },
+            {"problem_id": "p3.a", "num_islands": 2, "topology": [[0.0, 1.0]]},
+            {"problem_id": "p3.a", "num_islands": 2, "topology": [[0, 1.5]]},
         ],
         ids=[
             "missing_problem_id", "ensemble_weights", "negative_wall_seconds", "no_attempts",
@@ -116,7 +119,7 @@ class TestCmdRun:
             "fractional_memory_bytes", "infinite_wall_seconds", "boolean_wall_seconds",
             "boolean_memory_bytes", "huge_wall_seconds", "huge_memory_bytes", "fractional_attempts", "boolean_attempts", "boolean_p_explore",
             "boolean_migration_rate", "string_ablation_toggle", "integer_ablation_toggle",
-            "meta_max_output_tokens",
+            "meta_max_output_tokens", "float_topology_edge", "fractional_topology_edge",
         ],
     )
     def test_invalid_config_is_config_error(self, runner, tmp_path, doc):
@@ -128,6 +131,16 @@ class TestCmdRun:
         assert result.exit_code == 1
         assert result.output.startswith("Error: invalid config: ")
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "edge", [[0.0, 1.0], [0, 1.5], [True, 0], [0, 1, 1]], ids=["float", "fractional", "boolean", "three_ends"]
+    )
+    def test_a_topology_edge_joins_two_integer_island_indices(self, edge):
+        from llmevolve.config import ConfigError, config_from_dict
+
+        doc = {"problem_id": "p3.a", "num_islands": 2, "topology": [edge]}
+        with pytest.raises(ConfigError, match=re.escape(f"topology edge {tuple(edge)}")):
+            config_from_dict(doc)
 
     @pytest.mark.parametrize(
         "base_url, valid",

@@ -11,11 +11,24 @@ from llmevolve.core import (
     IslandState,
     Solution,
     UnknownIdError,
+    ranked,
 )
 
 
 def make_island(capacity=40):
     return IslandState(0, capacity=capacity)
+
+
+def test_ranked_orders_by_fitness_then_age_then_id():
+    sols = [
+        make_solution("b", 0.5, epoch=3),
+        make_solution("c", 0.9, epoch=7),
+        make_solution("a", 0.5, epoch=3),
+        make_solution("d", 0.5, epoch=1),
+        make_solution("e", 0.1, epoch=0),
+    ]
+    assert [s.id for s in ranked(sols)] == ["c", "d", "a", "b", "e"]
+    assert [s.id for s in ranked(reversed(sols))] == ["c", "d", "a", "b", "e"]
 
 
 class TestAncestors:

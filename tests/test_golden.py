@@ -1,25 +1,29 @@
-"""Golden event logs: small replay runs of every ablation preset, byte for byte.
+"""Golden runs: small replay runs of every ablation preset, byte for byte.
 
 Each preset runs 2 islands for 8 epochs with a migration every 3 epochs on a
 scripted transcript that mixes valid programs, edit blocks that apply and
 ones that do not, prose with no edit, crashing programs, programs that write
 no artifact, malformed and constraint-violating artifacts, blank replies and
-(on island 1) an exhausted transcript. The test compares two files with the
+(on island 1) an exhausted transcript. The test compares four files with the
 ones stored under ``tests/golden/``:
 
 - ``<preset>.events.jsonl``: the run's ``events.jsonl``;
 - ``<preset>.calls.jsonl``: one line per backend call with the sha256 of its
   chat messages, which pins every prompt byte, execution feedback included.
   Calls arrive concurrently, so both sides are compared sorted by the key
-  ``(island, index)`` that the engine gave each call.
+  ``(island, index)`` that the engine gave each call;
+- ``<preset>.best.json``: the run's ``best/summary.json``;
+- ``<preset>.solutions.sha256``: the sha256 of the run's ``solutions.jsonl``
+  with its lines sorted, since islands append to it concurrently.
 
-A change that is meant to alter either file regenerates the fixtures with
+A change that is meant to alter any of them regenerates the fixtures with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and says why in its
 description.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -85,8 +89,8 @@ class RecordingReplay(llm.ReplayBackend):
         return super().complete(model, messages, island_id, **kwargs)
 
 
-def golden_run(preset: str, run_dir: Path) -> tuple[bytes, bytes]:
-    """Run one preset; return its event log and its call digests."""
+def golden_run(preset: str, run_dir: Path) -> dict[str, bytes]:
+    """Run one preset; return the content of each of its golden files, by suffix."""
     cfg = standard_config(
         num_islands=2,
         epochs=8,
@@ -115,7 +119,13 @@ def golden_run(preset: str, run_dir: Path) -> tuple[bytes, bytes]:
     )
     engine.run(cfg, run_dir, backend=backend)
     calls = "".join(json.dumps(c, sort_keys=True) + "\n" for c in backend.calls)
-    return (run_dir / engine.EVENT_LOG_NAME).read_bytes(), by_key(calls.encode("utf-8"))
+    solutions = sorted((run_dir / engine.SOLUTIONS_LOG_NAME).read_bytes().splitlines(keepends=True))
+    return {
+        "events.jsonl": (run_dir / engine.EVENT_LOG_NAME).read_bytes(),
+        "calls.jsonl": by_key(calls.encode("utf-8")),
+        "best.json": (run_dir / "best" / "summary.json").read_bytes(),
+        "solutions.sha256": hashlib.sha256(b"".join(solutions)).hexdigest().encode("ascii") + b"\n",
+    }
 
 
 def by_key(calls: bytes) -> bytes:
@@ -127,11 +137,23 @@ def by_key(calls: bytes) -> bytes:
     return b"".join(sorted(calls.splitlines(keepends=True), key=key))
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_event_log_and_prompts_match_golden(preset, tmp_path):
-    events, calls = golden_run(preset, tmp_path / preset)
-    assert events == (GOLDEN_DIR / f"{preset}.events.jsonl").read_bytes()
-    assert calls == by_key((GOLDEN_DIR / f"{preset}.calls.jsonl").read_bytes())
+@pytest.fixture(scope="module", params=PRESETS)
+def golden(request, tmp_path_factory):
+    """One preset's run: its name and the content of its golden files."""
+    preset = request.param
+    return preset, golden_run(preset, tmp_path_factory.mktemp("golden") / preset)
+
+
+def test_event_log_and_prompts_match_golden(golden):
+    preset, got = golden
+    assert got["events.jsonl"] == (GOLDEN_DIR / f"{preset}.events.jsonl").read_bytes()
+    assert got["calls.jsonl"] == by_key((GOLDEN_DIR / f"{preset}.calls.jsonl").read_bytes())
+
+
+def test_best_and_solutions_match_golden(golden):
+    preset, got = golden
+    assert got["best.json"] == (GOLDEN_DIR / f"{preset}.best.json").read_bytes()
+    assert got["solutions.sha256"] == (GOLDEN_DIR / f"{preset}.solutions.sha256").read_bytes()
 
 
 if __name__ == "__main__":
@@ -140,7 +162,11 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for preset in PRESETS:
-            events, calls = golden_run(preset, Path(tmp) / preset)
-            (GOLDEN_DIR / f"{preset}.events.jsonl").write_bytes(events)
-            (GOLDEN_DIR / f"{preset}.calls.jsonl").write_bytes(calls)
-            print(f"{preset}: {len(events.splitlines())} events, {len(calls.splitlines())} calls", file=sys.stderr)
+            files = golden_run(preset, Path(tmp) / preset)
+            for suffix, content in files.items():
+                (GOLDEN_DIR / f"{preset}.{suffix}").write_bytes(content)
+            print(
+                f"{preset}: {len(files['events.jsonl'].splitlines())} events, "
+                f"{len(files['calls.jsonl'].splitlines())} calls",
+                file=sys.stderr,
+            )

@@ -238,10 +238,11 @@ class TestReplayBackend:
             '{"index": null, "response": "ok"}',
             '{"island": true, "index": 1, "response": "ok"}',
             '{"index": 1}',
+            '{"island": 0, "index": 0, "response": "again"}',
         ],
         ids=[
             "not_json", "not_an_object", "no_index", "string_index", "fractional_index",
-            "null_index", "boolean_island", "no_response",
+            "null_index", "boolean_island", "no_response", "second_record_under_a_key",
         ],
     )
     def test_from_file_names_the_line_of_a_malformed_record(self, tmp_path, line):

@@ -18,7 +18,6 @@ from llmevolve.problems import (
     StepFunctionArtifact,
     get_problem,
     parse_artifact,
-    reference_best,
     score_p1,
     score_p2,
     score_p3,
@@ -412,21 +411,16 @@ def test_parser_and_scorer_hold_on_arbitrary_json(pid, raw):
 
 class TestReferenceBest:
     def test_table_values(self):
-        assert reference_best("p1") == (0.89627, 0.93768, "maximize")
-        assert reference_best("p2.a") == (12.88926, 12.88923, "minimize")
-        assert reference_best("p3.b") == (2.93794, 2.93957, "maximize")
-
-    def test_unknown_id_raises(self):
-        with pytest.raises(KeyError):
-            reference_best("p99")
-
-    def test_every_registered_problem_has_one_and_no_other_id_does(self):
-        from llmevolve import problems
-
-        assert set(problems._REFERENCE_BEST) == set(REGISTRY)
+        assert get_problem("p1").reference == (0.89627, 0.93768, "maximize")
+        assert get_problem("p2.a").reference == (12.88926, 12.88923, "minimize")
+        assert get_problem("p3.b").reference == (2.93794, 2.93957, "maximize")
 
 
 class TestProblemRegistry:
+    def test_unknown_id_raises(self):
+        with pytest.raises(KeyError, match="unknown problem id: 'p99'"):
+            get_problem("p99")
+
     @pytest.mark.parametrize("pid", ["p1", "p2.a", "p2.b", "p3.a", "p3.b", "p4"])
     def test_trivial_program_scores_valid(self, pid, tmp_path):
         """Every trivial program emits an artifact its own scorer accepts."""

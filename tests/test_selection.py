@@ -103,23 +103,32 @@ class TestUniformSample:
 class TestSampleInspirations:
     def test_clamped_to_available(self):
         pop = population([0.2, 0.8])
-        got = sample_inspirations(pop, "s0", 3, "rank", random.Random(0))
+        got = sample_inspirations(pop, "s0", 3, rank_sample, random.Random(0))
         assert got == ["s1"]
 
     def test_count_zero_is_empty(self):
         pop = population([0.2, 0.8, 0.5])
-        assert sample_inspirations(pop, "s0", 0, "rank", random.Random(0)) == []
+        assert sample_inspirations(pop, "s0", 0, rank_sample, random.Random(0)) == []
 
-    @pytest.mark.parametrize("mode", ["rank", "uniform"])
-    def test_distinct_and_never_excluded(self, mode):
+    @pytest.mark.parametrize("sample", [rank_sample, uniform_sample], ids=["rank", "uniform"])
+    def test_distinct_and_never_excluded(self, sample):
         pop = population([i / 10 for i in range(10)])
         rng = random.Random(99)
         for _ in range(1000):
-            got = sample_inspirations(pop, "s4", 3, mode, rng)
+            got = sample_inspirations(pop, "s4", 3, sample, rng)
             assert len(got) == 3
             assert len(set(got)) == 3
             assert "s4" not in got
 
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            sample_inspirations(population([0.1, 0.2]), "s0", 1, "roulette", random.Random(0))
+    def test_tops_up_in_rank_order_after_100_draws_per_inspiration(self):
+        # s0 is excluded, so the constant sampler draws s1 every time.
+        pop = population([0.9, 0.1, 0.5, 0.7, 0.5])
+        draws = []
+
+        def first(eligible, rng):
+            draws.append(eligible[0].id)
+            return eligible[0].id
+
+        got = sample_inspirations(pop, "s0", 3, first, random.Random(0))
+        assert draws == ["s1"] * 300
+        assert got == ["s1", "s3", "s2"]
