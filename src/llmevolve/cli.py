@@ -43,7 +43,8 @@ def _print_summary(summary: engine.RunSummary) -> None:
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
 @click.option("--backend", type=click.Choice(["http", "replay"]), default=None)
 @click.option("--problem", "problem_id", default=None, help="Override the problem id.")
-@click.option("--ablation", type=click.Choice(list(ABLATION_PRESETS)), default=None)
+@click.option("--ablation", type=click.Choice(list(ABLATION_PRESETS)), default=None,
+              help="Override the fields that an ablation preset sets.")
 def cmd_run(config_path, run_dir, epochs, seed, backend, problem_id, ablation) -> None:
     """Launch a fresh run from a config file."""
     try:
@@ -53,7 +54,7 @@ def cmd_run(config_path, run_dir, epochs, seed, backend, problem_id, ablation) -
             master_seed=seed,
             backend=backend,
             problem_id=problem_id,
-            ablation=ablation,
+            **ABLATION_PRESETS.get(ablation, {}),
         )
     except (ConfigError, KeyError, OSError) as exc:
         raise click.ClickException(f"invalid config: {exc}") from exc

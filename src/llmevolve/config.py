@@ -1,4 +1,4 @@
-"""Run configuration: hyperparameters, topology, ablation toggles."""
+"""Run configuration: hyperparameters, topology, the ablation presets."""
 
 from __future__ import annotations
 
@@ -19,32 +19,16 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-# Ablation presets by name: (meta_prompting, inspirations, evolution).
+# The paper's ablations by name, each as the field values it sets. A step
+# explores only when ``p_explore`` > 0 and sends inspirations only when
+# ``num_inspirations`` > 0; under ``evolution: false`` neither matters.
 ABLATION_PRESETS = {
-    "full": (True, True, True),
-    "mp": (True, False, True),
-    "insp": (False, True, True),
-    "none": (False, False, True),
-    "no-evolution": (False, False, False),
+    "full": {},
+    "mp": {"num_inspirations": 0},
+    "insp": {"p_explore": 0.0},
+    "none": {"num_inspirations": 0, "p_explore": 0.0},
+    "no-evolution": {"evolution": False},
 }
-
-
-@dataclass
-class AblationToggles:
-    meta_prompting: bool = True
-    inspirations: bool = True
-    evolution: bool = True
-
-    def __post_init__(self) -> None:
-        if not all(type(toggle) is bool for toggle in vars(self).values()):
-            raise ConfigError("each ablation toggle must be true or false")
-
-    @classmethod
-    def from_name(cls, name: str) -> "AblationToggles":
-        try:
-            return cls(*ABLATION_PRESETS[name])
-        except KeyError:
-            raise ConfigError(f"unknown ablation preset: {name!r}") from None
 
 
 @dataclass
@@ -63,7 +47,7 @@ class RunConfig:
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig.default)
     limits: Optional[ResourceLimits] = None
     master_seed: int = 0
-    ablation: AblationToggles = field(default_factory=AblationToggles)
+    evolution: bool = True  # False: each step starts from the trivial program; no migration
     backend: str = "replay"  # "replay" | "http"
     base_url: str = ""
     interpreter: list[str] = field(default_factory=lambda: ["python3"])  # runs the sandbox launchers
@@ -73,9 +57,7 @@ class RunConfig:
         problem = get_problem(self.problem_id)  # raises on unknown id
         if self.limits is None:
             self.limits = ResourceLimits(problem.wall_seconds, problem.memory_bytes)
-        for name, cls in (
-            ("ensemble", EnsembleConfig), ("limits", ResourceLimits), ("ablation", AblationToggles)
-        ):
+        for name, cls in (("ensemble", EnsembleConfig), ("limits", ResourceLimits)):
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"{name} must be a mapping")
         # Each count's least value; None leaves an optional count unset.
@@ -86,6 +68,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (type(value) is int and value >= least or value is None and name in optional):
                 raise ConfigError(f"{name} must be an integer >= {least}")
+        if type(self.evolution) is not bool:
+            raise ConfigError("evolution must be true or false")
         if type(self.master_seed) is not int:
             raise ConfigError("master_seed must be an integer")
         if isinstance(self.migration_rate, bool) or not (0 < self.migration_rate <= 1):
@@ -130,7 +114,7 @@ class RunConfig:
         return {i: sorted(v) for i, v in adj.items()}
 
     def migrates(self) -> bool:
-        return self.ablation.evolution and self.num_islands > 1
+        return self.evolution and self.num_islands > 1
 
     def migrations_before(self, epoch: int) -> int:
         """Migrations done before ``epoch``; each ends an epoch that ``migration_every`` divides."""
@@ -154,19 +138,16 @@ def config_from_dict(doc: dict) -> RunConfig:
     if "problem_id" not in doc:
         raise ConfigError("config must name a problem_id")
     try:
-        if "ablation" in doc and isinstance(doc["ablation"], str):
-            doc["ablation"] = AblationToggles.from_name(doc["ablation"])
-        elif isinstance(doc.get("ablation"), dict):
-            doc["ablation"] = AblationToggles(**doc["ablation"])
         if isinstance(doc.get("limits"), dict):
             doc["limits"] = ResourceLimits(**doc["limits"])
         if isinstance(doc.get("ensemble"), dict):
-            ens = doc["ensemble"]
-            doc["ensemble"] = EnsembleConfig(
-                members=[EnsembleMember(**m) for m in ens.get("members", [])],
-                meta_model=MetaModel(**ens.get("meta_model", {"name": "flash"})),
-                retry=RetryPolicy(**ens.get("retry", {})),
-            )
+            ens = doc["ensemble"]  # every key goes to EnsembleConfig, so a misspelt one is refused
+            doc["ensemble"] = EnsembleConfig(**{
+                **ens,
+                "members": [EnsembleMember(**m) for m in ens.get("members", [])],
+                "meta_model": MetaModel(**ens.get("meta_model", {"name": "flash"})),
+                "retry": RetryPolicy(**ens.get("retry", {})),
+            })
         if isinstance(doc.get("topology"), list):
             doc["topology"] = [tuple(e) for e in doc["topology"]]
         return RunConfig(**doc)

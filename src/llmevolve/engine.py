@@ -22,7 +22,7 @@ and runs the remaining epochs. A log shorter than its position is refused
 with a ``CheckpointError``; an endpoint that refuses the API key
 (``llm.KeyRefusedError``) ends the run, which resumes from its last
 checkpoint. Each island step is one operator call, to
-``operators.evolve_step`` or, under the no-evolution ablation,
+``operators.evolve_step`` or, under ``evolution: false``,
 ``operators.no_evolution_step``; the operator decides the variation, and
 the engine evaluates and inserts its offspring.
 
@@ -88,7 +88,7 @@ SOLUTIONS_LOG_NAME = "solutions.jsonl"
 TRANSCRIPT_NAME = "transcripts.jsonl"
 CONFIG_SNAPSHOT_NAME = "config.yaml"
 FEEDBACK_TAIL_CHARS = 2000
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 KEPT_CHECKPOINTS = 2
 
 # Solution status after each sandbox outcome; a clean exit stays valid only
@@ -104,8 +104,8 @@ _EXECUTION_STATUS = {
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is missing, truncated, fails its digest, cannot be
-    unpickled, or predates version 2; or a log is shorter than its checkpoint
-    records."""
+    unpickled, or predates ``CHECKPOINT_VERSION``; or a log is shorter than
+    its checkpoint records."""
 
 
 @dataclass
@@ -350,7 +350,7 @@ class _Run:
     def _step(self, island: IslandState, rngs: IslandRngs, epoch: int) -> dict:
         """One epoch on one island: vary, evaluate, insert; returns its event."""
         cfg = self.config
-        vary = operators.evolve_step if cfg.ablation.evolution else operators.no_evolution_step
+        vary = operators.evolve_step if cfg.evolution else operators.no_evolution_step
         outcome = vary(island, cfg, self.backend, rngs, epoch)
         sol = self.evaluate(outcome.new_solution)
         return _solution_event(

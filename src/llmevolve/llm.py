@@ -61,11 +61,14 @@ class EmptyResponseError(RuntimeError):
     """The backend returned an empty payload where text was required."""
 
 
-def _check_sampling(temperature: float, top_p: float) -> None:
-    if not temperature >= 0:
-        raise ValueError("temperature must be >= 0")
-    if not (0 < top_p <= 1):
-        raise ValueError("top_p must be in (0, 1]")
+def _check_model(name: str, temperature: float, top_p: float) -> None:
+    # A bool is a number to Python but not to the endpoint's JSON.
+    if not (isinstance(name, str) and name):
+        raise ValueError(f"model name {name!r} must be a non-empty string")
+    if isinstance(temperature, bool) or not temperature >= 0:
+        raise ValueError("temperature must be a number >= 0")
+    if isinstance(top_p, bool) or not (0 < top_p <= 1):
+        raise ValueError("top_p must be a number in (0, 1]")
 
 
 @dataclass
@@ -77,9 +80,9 @@ class EnsembleMember:
     max_output_tokens: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _check_sampling(self.temperature, self.top_p)
-        if not self.weight >= 0:
-            raise ValueError(f"member {self.name!r} has a negative weight")
+        _check_model(self.name, self.temperature, self.top_p)
+        if isinstance(self.weight, bool) or not self.weight >= 0:
+            raise ValueError(f"member {self.name!r} needs a number >= 0 as its weight")
         tokens = self.max_output_tokens
         if tokens is not None and not (type(tokens) is int and tokens >= 1):
             raise ValueError("max_output_tokens must be a positive integer or unset")
@@ -94,21 +97,21 @@ class MetaModel:
     max_output_tokens = None
 
     def __post_init__(self) -> None:
-        _check_sampling(self.temperature, self.top_p)
+        _check_model(self.name, self.temperature, self.top_p)
 
 
 @dataclass
 class RetryPolicy:
-    max_attempts: int = 3
-    backoff_seconds: tuple[float, ...] = (0.5, 1.0, 2.0)
+    """A call makes one attempt more than there are back-offs, and sleeps
+    ``backoff_seconds[i]`` before retry ``i + 1``."""
+
+    backoff_seconds: tuple[float, ...] = (0.5, 1.0)
 
     def __post_init__(self) -> None:
         # YAML reads a sequence back as a list.
         self.backoff_seconds = tuple(self.backoff_seconds)
-        if not (type(self.max_attempts) is int and self.max_attempts >= 1):
-            raise ValueError("retry max_attempts must be an integer >= 1")
-        if not all(math.isfinite(d) and d >= 0 for d in self.backoff_seconds):
-            raise ValueError("retry backoff_seconds must be finite and >= 0")
+        if any(isinstance(d, bool) or not (math.isfinite(d) and d >= 0) for d in self.backoff_seconds):
+            raise ValueError("retry backoff_seconds must be finite numbers >= 0")
 
 
 @dataclass
@@ -370,28 +373,27 @@ def _send(
 ) -> str:
     """Send ``messages`` to ``model`` as call ``index``, under ``policy``.
 
-    A ``TransportError`` is retried up to ``policy.max_attempts`` times, and
-    surfaces when they are exhausted; a ``RejectedError`` is raised at once.
-    Before a retry it sleeps the policy's back-off, or the server's
+    A ``TransportError`` is retried once for each of the policy's back-offs,
+    and surfaces when they are exhausted; a ``RejectedError`` is raised at
+    once. Before a retry it sleeps its back-off, or the server's
     ``retry_after`` if that is longer (but no longer than
     ``HTTP_TIMEOUT_SECONDS``).
     """
     last: Exception | None = None
-    for attempt in range(policy.max_attempts):
+    for delay in (*policy.backoff_seconds, None):  # None: the last attempt
         try:
             return backend.complete(model, messages, island_id, index=index)
         except RejectedError:
             raise
         except TransportError as exc:
             last = exc
-            if attempt + 1 < policy.max_attempts:
-                idx = min(attempt, len(policy.backoff_seconds) - 1)
-                delay = policy.backoff_seconds[idx] if policy.backoff_seconds else 0
-                if exc.retry_after is not None:
-                    delay = max(delay, min(exc.retry_after, HTTP_TIMEOUT_SECONDS))
-                if delay:
-                    time.sleep(delay)
-    raise TransportError(f"all {policy.max_attempts} attempts failed: {last}")
+            if delay is None:
+                break
+            if exc.retry_after is not None:
+                delay = max(delay, min(exc.retry_after, HTTP_TIMEOUT_SECONDS))
+            if delay:
+                time.sleep(delay)
+    raise TransportError(f"all {len(policy.backoff_seconds) + 1} attempts failed: {last}")
 
 
 def generate(

@@ -5,8 +5,8 @@ Each operator takes ``(island, config, backend, rngs)``, a step also its
 epoch and set-up a thread pool's ``submit``: the engine starts every pool.
 The rest follows from the config: the problem's brief and trivial
 program, and whether inspirations join the prompt, which they do once the
-islands have exchanged migrants (``RunConfig.migrations_before``) unless the
-ablation turns them off.
+islands have exchanged migrants (``RunConfig.migrations_before``), up to
+``num_inspirations`` of them.
 
 A step first flips the explore coin, then samples a parent, optional
 inspirations and the ancestor chain, builds the chat messages from them with
@@ -137,7 +137,7 @@ def evolve_step(
         raise RuntimeError(f"island {island.id} has an empty population")
 
     p = rngs.coin.random()
-    explore = p >= 1.0 - config.p_explore and config.ablation.meta_prompting
+    explore = p >= 1.0 - config.p_explore
 
     sample = selection.uniform_sample if explore else selection.rank_sample
     parent = island.lookup(sample(population, rngs.select))
@@ -163,7 +163,7 @@ def evolve_step(
         selection.sample_inspirations(
             population, parent.id, config.num_inspirations, sample, rngs.select
         )
-        if config.ablation.inspirations and config.migrations_before(epoch) > 0
+        if config.migrations_before(epoch) > 0
         else []
     )
 

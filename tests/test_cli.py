@@ -58,11 +58,11 @@ class TestCmdRun:
             {"problem_id": "p3.a", "limits": {"wall_seconds": -1, "memory_bytes": 1 << 30}},
             {
                 "problem_id": "p3.a",
-                "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"max_attempts": 0}},
+                "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"max_attempts": 3}},
             },
             {"problem_id": "p3.a", "ensemble": "flash"},
             {"problem_id": "p3.a", "limits": [20, 1 << 30]},
-            {"problem_id": "p3.a", "ablation": 3},
+            {"problem_id": "p3.a", "ablation": "mp"},
             {"problem_id": "p3.a", "epochs": 2.5},
             {"problem_id": "p3.a", "sandbox_workers": -2},
             {"problem_id": "p3.a", "sandbox_workers": 0},
@@ -89,18 +89,10 @@ class TestCmdRun:
             {"problem_id": "p3.a", "limits": {"wall_seconds": 20.0, "memory_bytes": True}},
             {"problem_id": "p3.a", "limits": {"wall_seconds": 1e300, "memory_bytes": 1 << 30}},
             {"problem_id": "p3.a", "limits": {"wall_seconds": 20.0, "memory_bytes": 1 << 70}},
-            {
-                "problem_id": "p3.a",
-                "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"max_attempts": 2.5}},
-            },
-            {
-                "problem_id": "p3.a",
-                "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"max_attempts": True}},
-            },
             {"problem_id": "p3.a", "p_explore": True},
             {"problem_id": "p3.a", "migration_rate": True},
-            {"problem_id": "p3.a", "ablation": {"evolution": "false"}},
-            {"problem_id": "p3.a", "ablation": {"meta_prompting": 0}},
+            {"problem_id": "p3.a", "evolution": "false"},
+            {"problem_id": "p3.a", "evolution": 0},
             {
                 "problem_id": "p3.a",
                 "ensemble": {
@@ -110,16 +102,42 @@ class TestCmdRun:
             },
             {"problem_id": "p3.a", "num_islands": 2, "topology": [[0.0, 1.0]]},
             {"problem_id": "p3.a", "num_islands": 2, "topology": [[0, 1.5]]},
+            {"problem_id": "p3.a", "ensemble": {"members": [{"name": "a", "weight": 1.0, "temperature": True}]}},
+            {
+                "problem_id": "p3.a",
+                "ensemble": {"members": [{"name": "a", "weight": 1.0}], "meta_model": {"name": "m", "top_p": True}},
+            },
+            {"problem_id": "p3.a", "ensemble": {"members": [{"name": "a", "weight": True}]}},
+            {
+                "problem_id": "p3.a",
+                "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"backoff_seconds": [True]}},
+            },
+            {"problem_id": "p3.a", "ensemble": {"members": [{"name": 2024, "weight": 1.0}]}},
+            {"problem_id": "p3.a", "ensemble": {"members": [{"name": "", "weight": 1.0}]}},
+            {
+                "problem_id": "p3.a",
+                "ensemble": {"members": [{"name": "a", "weight": 1.0}], "meta_model": {"name": 2024}},
+            },
+            {
+                "problem_id": "p3.a",
+                "ensemble": {
+                    "members": [{"name": "a", "weight": 1.0}],
+                    "metamodel": {"name": "big"},
+                    "retyr": {"backoff_seconds": [0.0]},
+                },
+            },
         ],
         ids=[
-            "missing_problem_id", "ensemble_weights", "negative_wall_seconds", "no_attempts",
-            "ensemble_name", "limits_list", "ablation_number", "fractional_epochs",
+            "missing_problem_id", "ensemble_weights", "negative_wall_seconds", "retry_max_attempts",
+            "ensemble_name", "limits_list", "ablation_key", "fractional_epochs",
             "negative_sandbox_workers", "zero_sandbox_workers", "interpreter_string",
             "no_interpreter", "meta_sampling", "negative_weight", "negative_max_output_tokens",
             "fractional_memory_bytes", "infinite_wall_seconds", "boolean_wall_seconds",
-            "boolean_memory_bytes", "huge_wall_seconds", "huge_memory_bytes", "fractional_attempts", "boolean_attempts", "boolean_p_explore",
-            "boolean_migration_rate", "string_ablation_toggle", "integer_ablation_toggle",
+            "boolean_memory_bytes", "huge_wall_seconds", "huge_memory_bytes", "boolean_p_explore",
+            "boolean_migration_rate", "string_evolution", "integer_evolution",
             "meta_max_output_tokens", "float_topology_edge", "fractional_topology_edge",
+            "boolean_temperature", "boolean_top_p", "boolean_weight", "boolean_back_off",
+            "integer_model_name", "empty_model_name", "integer_meta_model_name", "unknown_ensemble_keys",
         ],
     )
     def test_invalid_config_is_config_error(self, runner, tmp_path, doc):
@@ -166,19 +184,24 @@ class TestCmdRun:
         assert result.output.startswith("Error: invalid config")
         assert not run_dir.exists()
 
-    def test_an_ablation_preset_sets_the_snapshotted_toggles(self, runner, tmp_path):
-        cfg = write_config(tmp_path / "config.yaml")
-        run_dir = tmp_path / "run"
-        write_transcript(run_dir, num_islands=2, calls_per_island=30)
+    @pytest.mark.parametrize(
+        "preset, key, value", [("insp", "p_explore", 0.0), ("no-evolution", "evolution", False)]
+    )
+    def test_an_ablation_preset_snapshots_its_field_values(self, runner, tmp_path, preset, key, value):
+        cfg = write_config(tmp_path / "config.yaml", p_explore=0.5)
+        run_dirs = tmp_path / "preset", tmp_path / "snapshot"
+        for run_dir in run_dirs:
+            write_transcript(run_dir, num_islands=2, calls_per_island=30)
         result = runner.invoke(
-            main,
-            ["run", "--config", str(cfg), "--run-dir", str(run_dir), "--ablation", "no-evolution"],
+            main, ["run", "--config", str(cfg), "--run-dir", str(run_dirs[0]), "--ablation", preset]
         )
         assert result.exit_code == 0, result.output
-        snapshot = yaml.safe_load((run_dir / "config.yaml").read_text())
-        assert snapshot["ablation"] == {
-            "meta_prompting": False, "inspirations": False, "evolution": False,
-        }
+        snapshot = run_dirs[0] / "config.yaml"
+        assert yaml.safe_load(snapshot.read_text())[key] == value
+        # The snapshot alone, without the flag, runs the same.
+        result = runner.invoke(main, ["run", "--config", str(snapshot), "--run-dir", str(run_dirs[1])])
+        assert result.exit_code == 0, result.output
+        assert (run_dirs[1] / "events.jsonl").read_bytes() == (run_dirs[0] / "events.jsonl").read_bytes()
 
     @pytest.mark.parametrize(
         "transcript", [None, '{"index": 0}\n'], ids=["missing", "record_without_response"]

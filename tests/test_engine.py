@@ -81,14 +81,14 @@ class TestRun:
         ids=["straight", "resumed", "no-evolution", "one-island"],
     )
     def test_summary_counts_the_logged_migrations(self, tmp_path, preset, num_islands, stop, migrations):
-        from llmevolve.config import AblationToggles
+        from llmevolve.config import ABLATION_PRESETS
 
         cfg = standard_config(
             num_islands=num_islands,
             epochs=7,
             migration_every=2,
             init_population=1,
-            ablation=AblationToggles.from_name(preset),
+            **ABLATION_PRESETS[preset],
         )
         run_dir = tmp_path / "run"
         write_transcript(run_dir, num_islands=num_islands, calls_per_island=40)
@@ -211,7 +211,7 @@ class TestRun:
         assert (run_dir / "best" / "artifact.json").read_bytes() == raw
 
     def test_config_snapshot_reloads_equal(self, tmp_path):
-        from llmevolve.config import AblationToggles, load_config
+        from llmevolve.config import load_config
         from llmevolve.llm import EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy
 
         cfg = standard_config(
@@ -220,11 +220,12 @@ class TestRun:
             epochs=1,
             init_population=1,
             max_ancestor_depth=2,
-            ablation=AblationToggles.from_name("mp"),
+            num_inspirations=0,
+            evolution=False,
             ensemble=EnsembleConfig(
                 members=[EnsembleMember(name="solo", weight=1.0, max_output_tokens=512)],
                 meta_model=MetaModel(name="meta", temperature=0.2),
-                retry=RetryPolicy(max_attempts=2, backoff_seconds=(0.0, 0.25)),
+                retry=RetryPolicy(backoff_seconds=(0.0, 0.25)),
             ),
             base_url="http://localhost:8000/v1",
             sandbox_workers=2,
@@ -334,11 +335,7 @@ class TestMigration:
         ids=["evolution", "one_island", "no_evolution", "no_evolution_one_island", "every_epoch"],
     )
     def test_migrations_before(self, evolution, islands, every, counts):
-        from llmevolve.config import AblationToggles
-
-        cfg = standard_config(
-            num_islands=islands, migration_every=every, ablation=AblationToggles(evolution=evolution)
-        )
+        cfg = standard_config(num_islands=islands, migration_every=every, evolution=evolution)
         assert {epoch: cfg.migrations_before(epoch) for epoch in counts} == counts
 
 
@@ -424,7 +421,8 @@ class TestResume:
         assert written == ["epoch_00002.ckpt", "epoch_00004.ckpt"]
         assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) == written
 
-    def test_a_checkpoint_without_a_version_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("version", [None, 2], ids=["no_version", "version_2"])
+    def test_a_checkpoint_of_an_earlier_version_is_refused(self, tmp_path, version):
         from click.testing import CliRunner
 
         from llmevolve.cli import main
@@ -432,13 +430,18 @@ class TestResume:
         run_dir, _, _ = small_run(tmp_path)
         for ckpt in (run_dir / "checkpoints").glob("epoch_*.ckpt"):
             config, state = engine.load_checkpoint(ckpt)
-            payload = pickle.dumps({"config": config, "state": state})
+            doc = {"config": config, "state": state}
+            if version is not None:
+                doc["version"] = version
+            payload = pickle.dumps(doc)
             ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
-        with pytest.raises(CheckpointError, match="predates version 2"):
+        files = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        with pytest.raises(CheckpointError, match="predates version 3"):
             engine.resume(run_dir)
         result = CliRunner().invoke(main, ["resume", "--run-dir", str(run_dir)])
         assert result.exit_code == 1
-        assert "Error:" in result.output and "predates version 2" in result.output
+        assert "Error:" in result.output and "predates version 3" in result.output
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == files
 
     def test_a_checkpoint_naming_a_class_core_lacks_is_refused(self, tmp_path, monkeypatch):
         from click.testing import CliRunner
@@ -879,8 +882,6 @@ class TestConcurrency:
 
 class TestAblations:
     def test_no_evolution_has_no_parents_and_no_migration(self, tmp_path):
-        from llmevolve.config import AblationToggles
-
         run_dir = tmp_path / "no-evo"
         cfg = standard_config(
             num_islands=2,
@@ -888,7 +889,7 @@ class TestAblations:
             migration_every=3,
             init_population=2,
             max_population=4,
-            ablation=AblationToggles.from_name("no-evolution"),
+            evolution=False,
         )
         write_transcript(run_dir, num_islands=2, calls_per_island=40)
         engine.run(cfg, run_dir)
@@ -905,15 +906,13 @@ class TestAblations:
                 assert sol.parent_id is None
 
     def test_inspirations_off_never_gates_on(self, tmp_path):
-        from llmevolve.config import AblationToggles
-
         run_dir = tmp_path / "no-insp"
         cfg = standard_config(
             num_islands=2,
             epochs=6,
             migration_every=2,
             init_population=2,
-            ablation=AblationToggles.from_name("mp"),
+            num_inspirations=0,
         )
         write_transcript(run_dir, num_islands=2, calls_per_island=40)
         engine.run(cfg, run_dir)

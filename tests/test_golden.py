@@ -32,10 +32,10 @@ import pytest
 
 from conftest import fenced, packing_program, standard_config
 from llmevolve import engine, llm
-from llmevolve.config import AblationToggles
+from llmevolve.config import ABLATION_PRESETS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-PRESETS = ("full", "mp", "insp", "none", "no-evolution")
+PRESETS = tuple(ABLATION_PRESETS)
 # Island 1 runs out of responses part-way through every preset.
 RESPONSES_PER_ISLAND = {0: 40, 1: 9}
 
@@ -90,8 +90,11 @@ class RecordingReplay(llm.ReplayBackend):
 
 
 def golden_run(preset: str, run_dir: Path) -> dict[str, bytes]:
-    """Run one preset; return the content of each of its golden files, by suffix."""
-    cfg = standard_config(
+    """Run one preset; return the content of each of its golden files, by suffix.
+
+    The preset's field values override the base values below.
+    """
+    base = dict(
         num_islands=2,
         epochs=8,
         migration_every=3,
@@ -100,16 +103,16 @@ def golden_run(preset: str, run_dir: Path) -> dict[str, bytes]:
         init_population=3,
         num_inspirations=2,
         p_explore=0.4,
-        ablation=AblationToggles.from_name(preset),
         ensemble=llm.EnsembleConfig(
             members=[
                 llm.EnsembleMember(name="flash", weight=0.8),
                 llm.EnsembleMember(name="pro", weight=0.2),
             ],
             meta_model=llm.MetaModel(name="flash"),
-            retry=llm.RetryPolicy(backoff_seconds=(0.0,)),
+            retry=llm.RetryPolicy(backoff_seconds=(0.0, 0.0)),
         ),
     )
+    cfg = standard_config(**{**base, **ABLATION_PRESETS[preset]})
     backend = RecordingReplay(
         {
             (island, index): _response(island, index)

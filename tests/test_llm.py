@@ -31,14 +31,14 @@ from llmevolve.operators import IslandRngs, initialize_island
 from llmevolve.problems import get_problem
 
 
-def two_model_config(**retry):
+def two_model_config(attempts=3):
     return EnsembleConfig(
         members=[
             EnsembleMember(name="flash", weight=0.8),
             EnsembleMember(name="pro", weight=0.2),
         ],
         meta_model=MetaModel(name="flash"),
-        retry=RetryPolicy(backoff_seconds=(), **retry),
+        retry=RetryPolicy(backoff_seconds=(0.0,) * (attempts - 1)),
     )
 
 
@@ -66,11 +66,23 @@ class TestEnsembleConfig:
 
 
 class TestRetryPolicy:
-    def test_at_least_one_attempt(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
+    @pytest.mark.parametrize(
+        "policy, sleeps", [(RetryPolicy(backoff_seconds=()), []), (RetryPolicy(), [0.5, 1.0])],
+        ids=["no_back_off", "default"],
+    )
+    def test_one_attempt_more_than_back_offs(self, monkeypatch, policy, sleeps):
+        from llmevolve import llm
 
-    @pytest.mark.parametrize("backoff", [(0.5, -1.0), (float("nan"),), (float("inf"),)])
+        slept = []
+        monkeypatch.setattr(llm.time, "sleep", slept.append)
+        backend = FlakyBackend(failures=5)
+        cfg = EnsembleConfig(members=[MODEL], meta_model=MetaModel(name="m"), retry=policy)
+        with pytest.raises(TransportError, match=f"all {len(sleeps) + 1} attempts failed"):
+            generate(cfg, MESSAGES, backend, MODEL, 0, 0)
+        assert backend.calls == len(sleeps) + 1
+        assert slept == sleeps
+
+    @pytest.mark.parametrize("backoff", [(0.5, -1.0), (float("nan"),), (float("inf"),), (True,)])
     def test_back_off_is_finite_and_nonnegative(self, backoff):
         with pytest.raises(ValueError, match="backoff_seconds"):
             RetryPolicy(backoff_seconds=backoff)
@@ -125,13 +137,13 @@ class TestGenerate:
 
     def test_retries_then_succeeds(self):
         backend = FlakyBackend(failures=2)
-        cfg = two_model_config(max_attempts=3)
+        cfg = two_model_config(attempts=3)
         assert generate(cfg, MESSAGES, backend, cfg.members[0], 0, 0) == "ok"
         assert backend.calls == 3
 
     def test_exhausted_retries_raise_transport_error(self):
         backend = FlakyBackend(failures=5)
-        cfg = two_model_config(max_attempts=3)
+        cfg = two_model_config(attempts=3)
         with pytest.raises(TransportError):
             generate(cfg, MESSAGES, backend, cfg.members[0], 0, 0)
 
@@ -399,7 +411,7 @@ class TestHttpBackend:
         cfg = EnsembleConfig(
             members=[EnsembleMember(name="only", weight=1.0)],
             meta_model=MetaModel(name="only"),
-            retry=RetryPolicy(max_attempts=2, backoff_seconds=(0.0,)),
+            retry=RetryPolicy(backoff_seconds=(0.0,)),
         )
         assert send(cfg, HttpBackend(stub.url)) == "recovered"
         assert len(stub.requests) == 2
@@ -469,7 +481,7 @@ class TestHttpBackend:
         cfg = EnsembleConfig(
             members=[EnsembleMember(name="only", weight=1.0)],
             meta_model=MetaModel(name="only"),
-            retry=RetryPolicy(max_attempts=2, backoff_seconds=(0.5,)),
+            retry=RetryPolicy(backoff_seconds=(0.5,)),
         )
         assert generate(cfg, MESSAGES, HttpBackend(stub.url), cfg.members[0], 0, 0) == "ok"
         assert sleeps == [slept]
@@ -494,7 +506,7 @@ class TestHttpBackend:
     )
     def test_a_reply_without_text_fails_its_step(self, stub, body):
         stub.replies += [(200, body)] * 2
-        config = standard_config(init_population=1, ensemble=two_model_config(max_attempts=2))
+        config = standard_config(init_population=1, ensemble=two_model_config(attempts=2))
         rngs = IslandRngs(*(random.Random(seed) for seed in range(3)))
         backend = HttpBackend(stub.url)
         with ThreadPoolExecutor(max_workers=1) as pool:  # its one call goes out on this thread

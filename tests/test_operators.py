@@ -7,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import fenced, make_solution, standard_config
-from llmevolve.config import AblationToggles
 from llmevolve.core import (
     STATUS_GENERATION_FAILED,
     STATUS_PENDING,
@@ -101,24 +100,15 @@ class TestEvolveStep:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"num_islands": 1}, {"ablation": AblationToggles(inspirations=False)}],
+        [{"num_islands": 1}, {"num_inspirations": 0}],
         ids=["one_island", "inspirations_off"],
     )
     def test_no_inspirations_where_the_config_rules_them_out(self, overrides):
-        config = standard_config(p_explore=0.0, num_inspirations=3, **overrides)
+        config = standard_config(**{"p_explore": 0.0, "num_inspirations": 3, **overrides})
         island = seeded_island(fitnesses=(0.1, 0.3, 0.5, 0.7, 0.9))
         backend = scripted_backend(fenced("print('x')\n"))
         outcome = evolve_step(island, config, backend, rngs(), config.migration_every + 1)
         assert outcome.inspiration_ids == []
-
-    def test_meta_prompting_off_never_explores(self):
-        config = standard_config(
-            p_explore=1.0, ablation=AblationToggles(meta_prompting=False)
-        )
-        island = seeded_island()
-        backend = scripted_backend(fenced("print('x')\n"))
-        outcome = evolve_step(island, config, backend, rngs(), 1)
-        assert outcome.operator == OP_EXPLOIT
 
     def test_explore_fraction_matches_p_explore(self):
         """Coin statistics over many simulated steps."""
