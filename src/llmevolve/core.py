@@ -44,8 +44,8 @@ class Solution:
     metrics: dict[str, float] = field(default_factory=dict)
     fitness: float = 0.0
     status: str = STATUS_PENDING
-    # Id of the solutions-log record that holds its code, logs and artifact.
-    log_ref: Optional[str] = None
+    # Byte offset of the solutions-log record that holds its code, logs and artifact.
+    log_ref: Optional[int] = None
     has_migrated: bool = False
     # Truncated stdout/stderr tail carried along for prompt feedback.
     feedback: Optional[str] = None

@@ -44,8 +44,8 @@ engine writes the jobs' buffered events in canonical order (init events by
 island, then step events by epoch and island), migrates if the epoch is a
 migration epoch, prunes each island and writes one checkpoint per barrier.
 At the end of the run it exports ``best/``, taking the artifact from the
-best solution's record. A summary counts statuses from the event log's
-init and step events.
+best solution's record, which starts at its ``log_ref`` byte offset. A
+summary counts statuses from the event log's init and step events.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ SOLUTIONS_LOG_NAME = "solutions.jsonl"
 TRANSCRIPT_NAME = "transcripts.jsonl"
 CONFIG_SNAPSHOT_NAME = "config.yaml"
 FEEDBACK_TAIL_CHARS = 2000
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 KEPT_CHECKPOINTS = 2
 
 # Solution status after each sandbox outcome; a clean exit stays valid only
@@ -171,16 +171,16 @@ def read_events(run_dir: str | Path) -> Iterator[dict]:
     ``ValueError`` that names the line.
     """
     path = Path(run_dir) / EVENT_LOG_NAME
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
-                record = json.loads(line)
+                record = json.loads(line)  # a UnicodeDecodeError is a ValueError too
                 if not (isinstance(record, dict) and isinstance(record.get("type"), str)):
                     raise ValueError("not a JSON object with a string type")
                 missing = [key for key in _EVENT_KEYS.get(record["type"], ()) if key not in record]
                 if missing:
                     raise ValueError(f"a {record['type']} event without {', '.join(missing)}")
-            except ValueError as exc:  # a JSONDecodeError too
+            except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
             yield record
 
@@ -261,16 +261,18 @@ class _Run:
         return sol
 
     def _log(self, sol: Solution, stdout: str = "", stderr: str = "", artifact: Optional[str] = None) -> None:
-        """Append ``sol``'s record: its code, and its feedback, logs and artifact if not empty."""
-        record = {"solution": sol.id, "code": sol.code}  # the id first: ``_record`` matches the line's start
+        """Append ``sol``'s record: its code, and its feedback, logs and artifact if not empty;
+        ``sol.log_ref`` becomes the byte offset at which it starts."""
+        record = {"solution": sol.id, "code": sol.code}
         for key, text in (("feedback", sol.feedback), ("stdout", stdout), ("stderr", stderr), ("artifact", artifact)):
             if text:
                 record[key] = text
         line = (json.dumps(record) + "\n").encode("utf-8")
         with self._solutions_lock:
+            # Not ``tell()``: after ``truncate`` it can still report the old end.
+            sol.log_ref = self._solutions_fh.seek(0, os.SEEK_END)
             self._solutions_fh.write(line)
             self._solutions_fh.flush()
-        sol.log_ref = sol.id
 
     def _finalize(self, sol: Solution, outcome: sandbox.ExecutionOutcome) -> Optional[str]:
         """Set ``sol``'s status, feedback and score from ``outcome``; returns the
@@ -467,7 +469,7 @@ class _Run:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        for old in sorted(checkpoints.glob("epoch_*.ckpt"))[:-KEPT_CHECKPOINTS]:
+        for old in checkpoints_of(self.run_dir)[:-KEPT_CHECKPOINTS]:
             old.unlink()
         return path
 
@@ -505,17 +507,12 @@ class _Run:
             encoding="utf-8",
         )
 
-    def _record(self, solution_id: str) -> dict:
-        """The solutions-log record of ``solution_id``; empty if it has none.
-
-        ``_log`` writes the id first, so only the line that starts with it is parsed.
-        """
-        prefix = ('{"solution": ' + json.dumps(solution_id) + ",").encode("utf-8")
+    def _record(self, offset: int) -> dict:
+        """The solutions-log record at byte ``offset``; the log is only truncated
+        to a checkpointed position, past every checkpointed solution's record."""
         with open(self.run_dir / SOLUTIONS_LOG_NAME, "rb") as fh:
-            for line in fh:
-                if line.startswith(prefix):
-                    return json.loads(line)
-        return {}
+            fh.seek(offset)
+            return json.loads(fh.readline())
 
     def summary(self, finished: bool) -> RunSummary:
         best = self.best_solution()
@@ -554,7 +551,7 @@ def run(
     run over.
     """
     run_dir = Path(run_dir)
-    held = sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"))
+    held = checkpoints_of(run_dir)
     if held:
         raise ConfigError(f"{run_dir} holds a run, checkpointed in {held[-1]}: resume it or use another directory")
     if backend is None:  # before the snapshot, so a bad transcript leaves no config behind
@@ -613,10 +610,17 @@ def _run_from(
             runner.close()
 
 
+def checkpoints_of(run_dir: Path) -> list[Path]:
+    """The run's checkpoint files, oldest epoch first: by number, since the
+    names sort as strings only up to epoch 99,999."""
+    epochs = {p: p.stem.removeprefix("epoch_") for p in (run_dir / "checkpoints").glob("epoch_*.ckpt")}
+    return sorted((p for p, epoch in epochs.items() if epoch.isdecimal()), key=lambda p: int(epochs[p]))
+
+
 def load_latest_checkpoint(run_dir: Path) -> tuple[RunConfig, RunState]:
     """Load the newest checkpoint that passes its integrity check."""
     error = CheckpointError(f"no checkpoints in {run_dir}")
-    for path in sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"), reverse=True):
+    for path in reversed(checkpoints_of(run_dir)):
         try:
             return load_checkpoint(path)
         except CheckpointError as exc:

@@ -200,6 +200,10 @@ def _apply_response(parent_code: str, response: str) -> str:
     code = edit if isinstance(edit, str) else diffengine.apply_blocks(parent_code, edit)
     if not code:
         raise diffengine.DiffApplyError("the edit leaves an empty program")
+    try:
+        code.encode("utf-8")  # a JSON reply can carry a lone surrogate
+    except UnicodeEncodeError as exc:
+        raise diffengine.DiffApplyError(f"the edit leaves a program that is not UTF-8 text: {exc}") from None
     return code
 
 

@@ -456,14 +456,15 @@ class TestCmdReport:
         assert "undefined" in result.output
 
     @pytest.mark.parametrize(
-        "events", [None, "not json\n", "{}\n", "[1]\n", '{"type": "step", "island": 0}\n'],
-        ids=["missing", "malformed", "no_type", "not_an_object", "step_without_keys"],
+        "events",
+        [None, b"not json\n", b"{}\n", b"[1]\n", b'{"type": "step", "island": 0}\n', b'{"type": "\xff"}\n'],
+        ids=["missing", "malformed", "no_type", "not_an_object", "step_without_keys", "undecodable"],
     )
     def test_a_run_dir_without_a_readable_event_log_is_an_error_message(
         self, runner, tmp_path, events
     ):
         if events is not None:
-            (tmp_path / "events.jsonl").write_text(events)
+            (tmp_path / "events.jsonl").write_bytes(events)
         result = runner.invoke(main, ["report", "--run-dir", str(tmp_path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback

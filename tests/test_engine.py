@@ -33,6 +33,13 @@ def solution_records(run_dir: Path) -> dict:
     return by_id
 
 
+def record_at(run_dir: Path, offset: int) -> dict:
+    """The solutions-log record that starts at byte ``offset``."""
+    with open(run_dir / "solutions.jsonl", "rb") as fh:
+        fh.seek(offset)
+        return json.loads(fh.readline())
+
+
 def small_run(tmp_path, name="run", **overrides):
     run_dir = tmp_path / name
     cfg = standard_config(
@@ -162,6 +169,36 @@ class TestRun:
         assert "empty program" in failed.feedback
         assert failed.code == trivial
 
+    @pytest.mark.parametrize("phase", ["set_up", "step"])
+    def test_a_program_that_is_not_utf8_text_fails_its_generation_not_the_run(self, tmp_path, phase):
+        from llmevolve.problems import get_problem
+
+        run_dir = tmp_path / "surrogate"
+        run_dir.mkdir()
+        # JSON carries a lone surrogate, which no program file can hold.
+        trivial = get_problem("p3.a").trivial_code
+        if phase == "set_up":
+            responses = [fenced("print('\ud800')\n"), fenced(trivial)]
+            statuses = {"init": ["valid", "generation_failed"], "step": ["valid"]}
+        else:
+            edit = "<<<<<<< SEARCH\nimport json, os\n=======\nimport json, os\nprint('\ud800')\n>>>>>>> REPLACE\n"
+            responses = [fenced(trivial), edit]
+            statuses = {"init": ["valid", "valid"], "step": ["generation_failed"]}
+        with open(run_dir / "transcripts.jsonl", "w", encoding="utf-8") as fh:
+            for index, response in enumerate(responses):
+                fh.write(json.dumps({"island": 0, "index": index, "response": response}) + "\n")
+        cfg = standard_config(num_islands=1, epochs=1, init_population=1, p_explore=0.0)
+        summary = engine.run(cfg, run_dir)
+        assert summary.finished
+        events = read_events(run_dir)
+        for kind, expected in statuses.items():
+            assert [r["status"] for r in events if r["type"] == kind] == expected
+        [failed] = [r for r in events if r["status"] == "generation_failed"]
+        assert (failed["insert"] == "not_attempted") == (phase == "set_up")  # a failed step enters below capacity
+        record = solution_records(run_dir)[failed["solution"]]
+        assert "leaves a program that is not UTF-8 text" in record["feedback"]
+        assert (run_dir / "best" / "solution.py").read_text(encoding="utf-8") == trivial
+
     def test_a_run_logs_each_evaluated_candidate_once_and_makes_no_solutions_directory(self, tmp_path):
         run_dir, _, _ = small_run(tmp_path)
         assert not (run_dir / "solutions").exists()
@@ -171,7 +208,8 @@ class TestRun:
         _, state = load_latest_checkpoint(run_dir)
         for island in state.islands:
             for sol in island.all_solutions():  # migrant copies share their original's record
-                assert records[sol.log_ref]["code"] == sol.code
+                record = record_at(run_dir, sol.log_ref)
+                assert record == records[record["solution"]] and record["code"] == sol.code
 
     def test_step_counts_are_the_statuses_of_the_init_and_step_events(self, reference_run):
         from collections import Counter
@@ -260,23 +298,26 @@ class TestMigration:
         for source, ids in per_source.items():
             assert len(ids) == len(set(ids)), "a solution migrated twice from its origin"
 
-    def test_best_migrant_copy_exports_original_artifact(self, tmp_path):
+    @pytest.mark.parametrize("resumed", [False, True], ids=["straight", "resumed"])
+    def test_best_migrant_copy_exports_original_artifact(self, tmp_path, resumed):
         # Island 1 writes the better programs, so after the migration at the
         # last epoch the best solution found first is island 0's copy.
         from conftest import fenced, packing_program
         from llmevolve.llm import ReplayBackend
 
         radius = {0: 5e-4, 1: 0.01}
-        backend = ReplayBackend(
-            {
-                (i, n): fenced(packing_program(26, radius[i]))
-                for i in (0, 1)
-                for n in range(20)
-            }
-        )
+        responses = {
+            (i, n): fenced(packing_program(26, radius[i]))
+            for i in (0, 1)
+            for n in range(20)
+        }
         cfg = standard_config(num_islands=2, epochs=3, migration_every=3, init_population=2)
         run_dir = tmp_path / "run"
-        summary = engine.run(cfg, run_dir, backend=backend)
+        summary = engine.run(cfg, run_dir, backend=ReplayBackend(responses), stop_after_epoch=2 if resumed else None)
+        if resumed:  # past its checkpoint, as a killed run leaves it: a torn record
+            with open(run_dir / "solutions.jsonl", "ab") as fh:
+                fh.write(b'{"solution": "i1-s00099", "code": "lost')
+            summary = engine.resume(run_dir, backend=ReplayBackend(responses))
         _, state = load_latest_checkpoint(run_dir)
         best = state.islands[0].lookup(summary.best_solution_id)
         original = best.provenance["original_id"]
@@ -298,7 +339,7 @@ class TestMigration:
         original = NotedSolution(
             "i0-s00000", 0, "print(1)\n", "explored", parent_id="i0-s00009",
             epoch_created=2, metrics={"objective": 1.5}, fitness=1.5, status=STATUS_VALID,
-            log_ref="solutions/i0-s00000", feedback="tail", note="kept",
+            log_ref=1234, feedback="tail", note="kept",
         )
         islands[0].try_insert(original)
         cfg = standard_config(num_islands=2)
@@ -313,7 +354,7 @@ class TestMigration:
         assert copy == NotedSolution(
             "i1-s00000", 1, "print(1)\n", "explored", epoch_created=3,
             metrics={"objective": 1.5}, fitness=1.5, status=STATUS_VALID,
-            log_ref="solutions/i0-s00000", feedback="tail", note="kept",
+            log_ref=1234, feedback="tail", note="kept",
             provenance={"migrated_from": 0, "original_id": "i0-s00000"},
         )
         assert copy.metrics is not original.metrics
@@ -421,7 +462,27 @@ class TestResume:
         assert written == ["epoch_00002.ckpt", "epoch_00004.ckpt"]
         assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) == written
 
-    @pytest.mark.parametrize("version", [None, 2], ids=["no_version", "version_2"])
+    def test_checkpoints_are_kept_and_loaded_by_epoch_number(self, tmp_path):
+        from llmevolve.config import ConfigError
+        from llmevolve.core import IslandState
+        from llmevolve.engine import RunState, _Run
+
+        cfg = standard_config(num_islands=1)
+        state = RunState([IslandState(0, capacity=40)], [])
+        runner = _Run(cfg, tmp_path, ReplayBackend({}), state, engine.start_launchers(cfg, running=False))
+        try:
+            for epoch in (99_960, 100_000, 100_040):
+                state.epoch = epoch
+                runner.checkpoint()
+        finally:
+            runner.close()
+        kept = sorted(p.name for p in (tmp_path / "checkpoints").iterdir())
+        assert kept == ["epoch_100000.ckpt", "epoch_100040.ckpt"]
+        assert load_latest_checkpoint(tmp_path)[1].epoch == 100_040
+        with pytest.raises(ConfigError, match="checkpointed in .*epoch_100040.ckpt"):
+            engine.run(cfg, tmp_path)
+
+    @pytest.mark.parametrize("version", [None, 2, 3], ids=["no_version", "version_2", "version_3"])
     def test_a_checkpoint_of_an_earlier_version_is_refused(self, tmp_path, version):
         from click.testing import CliRunner
 
@@ -436,11 +497,11 @@ class TestResume:
             payload = pickle.dumps(doc)
             ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
         files = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
-        with pytest.raises(CheckpointError, match="predates version 3"):
+        with pytest.raises(CheckpointError, match="predates version 4"):
             engine.resume(run_dir)
         result = CliRunner().invoke(main, ["resume", "--run-dir", str(run_dir)])
         assert result.exit_code == 1
-        assert "Error:" in result.output and "predates version 3" in result.output
+        assert "Error:" in result.output and "predates version 4" in result.output
         assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == files
 
     def test_a_checkpoint_naming_a_class_core_lacks_is_refused(self, tmp_path, monkeypatch):
@@ -964,7 +1025,7 @@ class TestEvaluateCandidate:
         assert sol.status == "valid"
         assert sol.fitness == pytest.approx(26 * 0.01)
         assert sol.metrics["objective"] == pytest.approx(0.26)
-        assert sol.log_ref is not None
+        assert sol.log_ref == 0
 
     def test_timeout_yields_zero_fitness(self, tmp_path):
         from llmevolve.sandbox import ResourceLimits
@@ -1047,6 +1108,8 @@ class TestEvaluateCandidate:
         runner = self._runner(tmp_path, solutions_log_pos=len(checkpointed))
         sol = runner.evaluate(self._pending("import sys\nsys.exit(0)\n"))
         assert sol.status == "invalid_artifact"
+        assert sol.log_ref == len(checkpointed)
+        assert runner._record(sol.log_ref)["code"] == "import sys\nsys.exit(0)\n"
         assert solution_records(runner.run_dir) == {
             "i0-s00009": kept,
             "i0-s00000": {
@@ -1151,7 +1214,7 @@ class TestEvaluateCandidate:
         assert solution_records(runner.run_dir) == {
             sol.id: {"solution": sol.id, "code": "print(1)\n", "feedback": "generation failed: timed out"}
         }
-        assert sol.log_ref == sol.id
+        assert sol.log_ref == 0
 
     def test_close_reaps_every_launcher(self, tmp_path):
         from conftest import packing_program
@@ -1164,16 +1227,6 @@ class TestEvaluateCandidate:
         runner.pool.close()
         assert [launcher.proc.returncode for launcher in runner.pool.launchers] == [0, 0]
         assert not any(os.path.exists(workdir) for workdir in workdirs)
-
-    def test_a_record_is_found_by_its_whole_id(self, tmp_path):
-        runner = self._runner(tmp_path)
-        for sol_id in ("i0-s00010", "i0-s0001"):
-            sol = self._pending(f'print({{"solution": "{sol_id}"}})\n')
-            sol.id = sol_id
-            runner._log(sol)
-        assert runner._record("i0-s0001")["code"] == 'print({"solution": "i0-s0001"})\n'
-        assert runner._record("i0-s00010")["solution"] == "i0-s00010"
-        assert runner._record("i0-s000") == {}
 
     def test_no_more_launchers_than_islands(self, tmp_path):
         runner = self._runner(tmp_path, sandbox_workers=4)
