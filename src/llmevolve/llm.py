@@ -109,8 +109,10 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         # YAML reads a sequence back as a list.
+        if not isinstance(self.backoff_seconds, (list, tuple)):
+            raise ValueError("retry backoff_seconds must be a list")
         self.backoff_seconds = tuple(self.backoff_seconds)
-        if any(isinstance(d, bool) or not (math.isfinite(d) and d >= 0) for d in self.backoff_seconds):
+        if not all(type(d) in (int, float) and math.isfinite(d) and d >= 0 for d in self.backoff_seconds):
             raise ValueError("retry backoff_seconds must be finite numbers >= 0")
 
 
@@ -323,6 +325,8 @@ class ReplayBackend:
                         raise ValueError(f"a record for island {key[0]} index {key[1]} came earlier")
                     if not isinstance(rec.get("response"), str):
                         raise ValueError("the response is missing or not text")
+                    if "digest" in rec and not _is_digest(rec["digest"]):
+                        raise ValueError("the digest is not 64 lowercase hex digits")
                 except ValueError as exc:  # a JSONDecodeError too
                     raise ValueError(f"{path} line {lineno}: {exc}") from None
                 responses[key] = rec["response"]
@@ -361,6 +365,11 @@ def request_digest(messages: list[dict[str, str]]) -> str:
 
     blob = json.dumps(messages, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def _is_digest(value) -> bool:
+    """Whether ``value`` has the form of what ``request_digest`` returns."""
+    return type(value) is str and len(value) == 64 and set(value) <= set("0123456789abcdef")
 
 
 def _send(

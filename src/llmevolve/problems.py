@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -44,9 +45,9 @@ class StepFunctionArtifact:
     def __post_init__(self) -> None:
         if len(self.heights) < 1:
             raise ArtifactError("step function needs at least one height")
-        if any(not math.isfinite(h) or h < 0 for h in self.heights):
+        if not all(map(math.isfinite, self.heights)) or min(self.heights) < 0:
             raise ArtifactError("heights must be finite and nonnegative")
-        if all(h == 0 for h in self.heights):
+        if max(self.heights) == 0:
             raise ArtifactError("at least one height must be positive")
 
 
@@ -60,9 +61,8 @@ class PointSetArtifact:
         dims = {len(p) for p in self.points}
         if len(dims) != 1:
             raise ArtifactError("points must share one dimensionality")
-        for p in self.points:
-            if any(not math.isfinite(x) for x in p):
-                raise ArtifactError("coordinates must be finite")
+        if not all(map(math.isfinite, chain.from_iterable(self.points))):
+            raise ArtifactError("coordinates must be finite")
 
 
 @dataclass
@@ -73,15 +73,11 @@ class CirclePackingArtifact:
     def __post_init__(self) -> None:
         if not (0 < self.rect_width < 2):
             raise ArtifactError("rect_width must lie in (0, 2)")
-        clean = []
-        for c in self.circles:
-            if len(c) != 3:
-                raise ArtifactError("each circle is an (x, y, r) triple")
-            x, y, r = (float(v) for v in c)
-            if not all(math.isfinite(v) for v in (x, y, r)):
-                raise ArtifactError("circle values must be finite")
-            clean.append((x, y, r))
-        self.circles = clean
+        if not all(len(c) == 3 for c in self.circles):
+            raise ArtifactError("each circle is an (x, y, r) triple")
+        self.circles = [(float(x), float(y), float(r)) for x, y, r in self.circles]
+        if not all(map(math.isfinite, chain.from_iterable(self.circles))):
+            raise ArtifactError("circle values must be finite")
 
 
 @dataclass
@@ -298,48 +294,50 @@ class ProblemSpec:
             raise ArtifactError(f"{size} bytes, more than the {self.max_artifact_bytes} allowed")
 
 
-def _at_most(items, limit: int, what: str) -> list:
-    """``items`` as a list, if it holds at most ``limit`` of them.
+# The types ``json`` decodes a number to; a bool is neither.
+_NUMBER_TYPES = frozenset((int, float))
 
-    The registered parsers check each list with it before converting any
-    element, so an over-long list costs no more than its JSON decoding.
+
+def _array(value, limit: int, what: str) -> list:
+    """``value``, if it is a JSON array of at most ``limit`` items.
+
+    The length is checked before any item, so an over-long array costs no
+    more than its JSON decoding.
     """
-    if not isinstance(items, list):  # JSON's lists are not copied
-        items = list(items)
-    if len(items) > limit:
-        raise ArtifactError(f"{len(items)} {what}, more than the {limit} allowed")
-    return items
+    if type(value) is not list:
+        raise ArtifactError(f"{what} must be a JSON array")
+    if len(value) > limit:
+        raise ArtifactError(f"{len(value)} {what}, more than the {limit} allowed")
+    return value
+
+
+def _numbers(value, limit: int, what: str) -> list[float]:
+    """The floats of ``value``, a JSON array of at most ``limit`` JSON numbers."""
+    items = _array(value, limit, what)
+    if not _NUMBER_TYPES.issuperset(map(type, items)):
+        raise ArtifactError(f"{what} must be JSON numbers")
+    try:
+        return list(map(float, items))
+    except OverflowError:  # an integer beyond float range
+        raise ArtifactError(f"{what} must lie within float range") from None
 
 
 def _parse_p1(raw: bytes) -> StepFunctionArtifact:
     doc = _load_json(raw)
-    try:
-        heights = [float(x) for x in _at_most(doc["heights"], P1_MAX_HEIGHTS, "heights")]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ArtifactError(f"bad step-function payload: {exc}") from exc
-    return StepFunctionArtifact(heights=heights)
+    return StepFunctionArtifact(heights=_numbers(doc.get("heights"), P1_MAX_HEIGHTS, "heights"))
 
 
 def _parse_p2(raw: bytes, count: int, dim: int) -> PointSetArtifact:
     doc = _load_json(raw)
-    try:
-        points = [
-            [float(x) for x in _at_most(row, dim, "coordinates")]
-            for row in _at_most(doc["points"], count, "points")
-        ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ArtifactError(f"bad point-set payload: {exc}") from exc
-    return PointSetArtifact(points=points)
+    rows = _array(doc.get("points"), count, "points")
+    return PointSetArtifact(points=[_numbers(row, dim, "coordinates") for row in rows])
 
 
 def _parse_packing(raw: bytes, count: int, with_width: bool) -> CirclePackingArtifact:
     """Circles in the unit square (p3), or in a rectangle whose width the artifact names (p4)."""
     doc = _load_json(raw)
-    try:
-        circles = [tuple(float(v) for v in c) for c in _at_most(doc["circles"], count, "circles")]
-        width = float(doc["rect_width"]) if with_width else 1.0
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ArtifactError(f"bad circle payload: {exc}") from exc
+    circles = [_numbers(c, 3, "circle values") for c in _array(doc.get("circles"), count, "circles")]
+    width = _numbers([doc.get("rect_width")], 1, "rect_width")[0] if with_width else 1.0
     return CirclePackingArtifact(circles=circles, rect_width=width)
 
 

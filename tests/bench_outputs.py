@@ -1,6 +1,7 @@
 """Digests of what the benchmark's workloads write, at seed 7.
 
     python3 tests/bench_outputs.py [CHECKOUT]
+    python3 tests/bench_outputs.py --against REV
 
 Runs ``replay``, undelayed ``latency``, segmented ``mixed`` (its segments
 through ``engine.resume``) and straight ``mixed`` from this repository's
@@ -12,11 +13,18 @@ lines sorted, since islands append to it concurrently. A change that must
 not alter what a run writes prints the same lines as its parent checkout.
 
 Exits 1 if segmented and straight ``mixed`` differ in any of the three.
+
+With ``--against REV``, it checks the git revision ``REV`` out into a
+temporary worktree, prints the digests of REV's package and then of this
+checkout's, each run in its own process, removes the worktree, and exits 1
+if any digest differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -49,8 +57,41 @@ def run_workload(engine, workload, run_dir: Path) -> dict[str, str]:
     return digests(run_dir)
 
 
+def side_digests(checkout: Path, title: str) -> list[str]:
+    """The digest lines that a run of this script on ``checkout`` prints, echoed under ``title``."""
+    print(f"== {title}", flush=True)
+    proc = subprocess.run([sys.executable, __file__, str(checkout)], stdout=subprocess.PIPE, text=True)
+    print(proc.stdout, end="", flush=True)
+    if proc.returncode:
+        raise SystemExit(proc.returncode)
+    return proc.stdout.splitlines()
+
+
+def against(rev: str) -> int:
+    worktree = ["git", "-C", str(ROOT), "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        checkout = Path(tmp) / "rev"
+        subprocess.run([*worktree, "add", "--detach", "--quiet", str(checkout), rev], check=True)
+        try:
+            theirs = side_digests(checkout, rev)
+        finally:
+            subprocess.run([*worktree, "remove", "--force", str(checkout)], check=True)
+    ours = side_digests(ROOT, "this checkout")
+    differing = sorted({" ".join(line.split()[:2]) for line in set(ours) ^ set(theirs)})
+    if differing:
+        print(f"{rev} and this checkout differ in: {', '.join(differing)}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv: list[str]) -> int:
-    src = (Path(argv[0]) if argv else ROOT).resolve() / "src"
+    parser = argparse.ArgumentParser(description="Print digests of what the benchmark's workloads write.")
+    parser.add_argument("checkout", nargs="?", type=Path, default=ROOT, help="checkout whose src/ to run")
+    parser.add_argument("--against", metavar="REV", help="compare REV's digests with this checkout's")
+    args = parser.parse_args(argv)
+    if args.against:
+        return against(args.against)
+    src = args.checkout.resolve() / "src"
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import llmevolve
     import workloads

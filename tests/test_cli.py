@@ -112,6 +112,13 @@ class TestCmdRun:
                 "problem_id": "p3.a",
                 "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"backoff_seconds": [True]}},
             },
+            *(
+                {
+                    "problem_id": "p3.a",
+                    "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"backoff_seconds": backoff}},
+                }
+                for backoff in ("", "12", {0.5: 1})
+            ),
             {"problem_id": "p3.a", "ensemble": {"members": [{"name": 2024, "weight": 1.0}]}},
             {"problem_id": "p3.a", "ensemble": {"members": [{"name": "", "weight": 1.0}]}},
             {
@@ -137,6 +144,7 @@ class TestCmdRun:
             "boolean_migration_rate", "string_evolution", "integer_evolution",
             "meta_max_output_tokens", "float_topology_edge", "fractional_topology_edge",
             "boolean_temperature", "boolean_top_p", "boolean_weight", "boolean_back_off",
+            "empty_string_back_off", "string_back_off", "mapping_back_off",
             "integer_model_name", "empty_model_name", "integer_meta_model_name", "unknown_ensemble_keys",
         ],
     )
@@ -368,6 +376,13 @@ class TestCmdScore:
         assert result.exit_code == 0, result.output
         doc = json.loads(result.output)
         assert doc["objective"] == pytest.approx(2 / 3, abs=1e-12)
+
+    def test_a_string_of_digits_is_not_an_array_of_heights(self, runner, tmp_path):
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps({"heights": "1111"}))
+        result = runner.invoke(main, ["score", "p1", str(path)])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {"valid": False, "error": "heights must be a JSON array"}
 
     def test_overlapping_circles_nonzero_exit(self, runner, tmp_path):
         path = tmp_path / "artifact.json"

@@ -82,7 +82,9 @@ class TestRetryPolicy:
         assert backend.calls == len(sleeps) + 1
         assert slept == sleeps
 
-    @pytest.mark.parametrize("backoff", [(0.5, -1.0), (float("nan"),), (float("inf"),), (True,)])
+    @pytest.mark.parametrize(
+        "backoff", [(0.5, -1.0), (float("nan"),), (float("inf"),), (True,), ("0.5",), "", "12", {0.5: 1}]
+    )
     def test_back_off_is_finite_and_nonnegative(self, backoff):
         with pytest.raises(ValueError, match="backoff_seconds"):
             RetryPolicy(backoff_seconds=backoff)
@@ -251,10 +253,14 @@ class TestReplayBackend:
             '{"island": true, "index": 1, "response": "ok"}',
             '{"index": 1}',
             '{"island": 0, "index": 0, "response": "again"}',
+            '{"index": 1, "response": "ok", "digest": 5}',
+            '{"index": 1, "response": "ok", "digest": "%s"}' % ("ab" * 31),
+            '{"index": 1, "response": "ok", "digest": "%s"}' % ("AB" * 32),
         ],
         ids=[
             "not_json", "not_an_object", "no_index", "string_index", "fractional_index",
             "null_index", "boolean_island", "no_response", "second_record_under_a_key",
+            "non_text_digest", "short_digest", "upper_case_digest",
         ],
     )
     def test_from_file_names_the_line_of_a_malformed_record(self, tmp_path, line):

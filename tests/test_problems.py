@@ -1,12 +1,15 @@
 """Exact scorers: closed-form values, invariances, validity rules."""
 
+import copy
 import json
 import math
 import time
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llmevolve.problems import (
@@ -258,6 +261,21 @@ class TestScoreP4:
             assert p3.objective == p4.objective
 
 
+# A document each registered parser reads, and the places in it where a
+# number or an array belongs, each as a path of keys and indices.
+_WELL_FORMED = {
+    "p1": ({"heights": [1.0, 2.0]}, [("heights",), ("heights", 0)]),
+    "p2.a": ({"points": [[0.0, 0.0], [1.0, 0.0]]}, [("points",), ("points", 0), ("points", 0, 0)]),
+    "p2.b": ({"points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}, [("points",), ("points", 0), ("points", 0, 0)]),
+    "p3.a": ({"circles": [[0.5, 0.5, 0.1]]}, [("circles",), ("circles", 0), ("circles", 0, 2)]),
+    "p3.b": ({"circles": [[0.5, 0.5, 0.1]]}, [("circles",), ("circles", 0), ("circles", 0, 2)]),
+    "p4": (
+        {"rect_width": 1.0, "circles": [[0.5, 0.5, 0.1]]},
+        [("circles",), ("circles", 0), ("circles", 0, 2), ("rect_width",)],
+    ),
+}
+
+
 class TestParseArtifact:
     def test_p3_payload(self):
         raw = json.dumps({"circles": [[0.1, 0.2, 0.05]] * 26}).encode()
@@ -293,6 +311,24 @@ class TestParseArtifact:
         ).encode()
         with pytest.raises(ArtifactError):
             parse_artifact(pid, raw)
+
+    @pytest.mark.parametrize("pid", sorted(REGISTRY))
+    def test_only_json_numbers_in_json_arrays_are_read(self, pid):
+        doc, places = _WELL_FORMED[pid]
+        parser = get_problem(pid).parser
+        parser(json.dumps(doc).encode())
+        accepted = []
+        for *parents, last in places:
+            here = reduce(getitem, parents, doc)[last]
+            for bad in ("1", True, None, {"1": 1.0}, [here]):
+                broken = copy.deepcopy(doc)
+                reduce(getitem, parents, broken)[last] = bad
+                try:
+                    parser(json.dumps(broken).encode())
+                except ArtifactError:
+                    continue
+                accepted.append(((*parents, last), bad))
+        assert accepted == []
 
     def test_deep_nesting_is_an_artifact_error(self):
         with pytest.raises(ArtifactError):
@@ -365,12 +401,15 @@ _REGISTERED_SHAPE = {
 }
 
 # Integers beyond float range, non-finite floats (written as NaN/Infinity,
-# which json reads back) and strings where numbers belong.
+# which json reads back), and booleans and strings (of digits too) where
+# numbers belong.
 _numbers = st.one_of(
     st.integers(min_value=-(10**400), max_value=10**400),
     st.integers(min_value=-3, max_value=3),
     st.floats(),
+    st.booleans(),
     st.text(max_size=3),
+    st.text("0123456789", min_size=1, max_size=3),
 )
 _json = st.recursive(
     st.none() | st.booleans() | _numbers,
@@ -407,6 +446,42 @@ def test_parser_and_scorer_hold_on_arbitrary_json(pid, raw):
     assert math.isfinite(report.fitness) and report.fitness >= 0
     if report.valid:
         assert _REGISTERED_SHAPE[pid](artifact)
+
+
+def _floats(value):
+    """``value`` with each number in it, at any depth of arrays, cast to float."""
+    if type(value) in (int, float):
+        return float(value)
+    if type(value) is list:
+        return [_floats(v) for v in value]
+    return value
+
+
+# Each registered artifact written back as the document fields it was read from.
+_AS_FIELDS = {
+    "p1": lambda a: {"heights": a.heights},
+    "p2.a": lambda a: {"points": a.points},
+    "p2.b": lambda a: {"points": a.points},
+    "p3.a": lambda a: {"circles": [list(c) for c in a.circles]},
+    "p3.b": lambda a: {"circles": [list(c) for c in a.circles]},
+    "p4": lambda a: {"circles": [list(c) for c in a.circles], "rect_width": a.rect_width},
+}
+
+
+@pytest.mark.parametrize("pid", sorted(REGISTRY))
+@settings(max_examples=150, deadline=None)
+@given(raw=_raw_artifacts)
+@example(raw=b'{"heights": [true, "2"], "points": [[true, "0"], [1, 0]], "circles": [[true, "0.5", 0.1]]}')
+@example(raw=b'{"heights": "12", "points": "12", "circles": {"123": 0}, "rect_width": "1"}')
+def test_an_accepted_artifact_is_its_document_with_each_number_cast_to_float(pid, raw):
+    try:
+        artifact = get_problem(pid).parser(raw)
+    except ArtifactError:
+        return
+    fields = _AS_FIELDS[pid](artifact)
+    doc = json.loads(raw)
+    # repr tells 1.0 from True and from "1", which == does not.
+    assert repr(fields) == repr({key: _floats(doc[key]) for key in fields})
 
 
 class TestReferenceBest:
