@@ -56,7 +56,7 @@ def cmd_run(config_path, run_dir, epochs, seed, backend, problem_id, ablation) -
             problem_id=problem_id,
             **ABLATION_PRESETS.get(ablation, {}),
         )
-    except (ConfigError, KeyError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         raise click.ClickException(f"invalid config: {exc}") from exc
     try:
         summary = engine.run(cfg, run_dir)

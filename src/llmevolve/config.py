@@ -11,7 +11,7 @@ from urllib.parse import urlsplit
 import yaml
 
 from .llm import EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy
-from .problems import get_problem
+from .problems import REGISTRY, get_problem
 from .sandbox import ResourceLimits
 
 
@@ -54,7 +54,10 @@ class RunConfig:
     sandbox_workers: Optional[int] = None  # default and maximum: num_islands
 
     def __post_init__(self) -> None:
-        problem = get_problem(self.problem_id)  # raises on unknown id
+        try:
+            problem = get_problem(self.problem_id)
+        except KeyError:
+            raise ConfigError(f"unknown problem_id {self.problem_id!r}; known: {', '.join(REGISTRY)}") from None
         if self.limits is None:
             self.limits = ResourceLimits(problem.wall_seconds, problem.memory_bytes)
         for name, cls in (("ensemble", EnsembleConfig), ("limits", ResourceLimits)):

@@ -42,7 +42,10 @@ solutions log, under a lock; a generation failure is only recorded. The
 pool's launchers stop together when the run returns. At the barrier the
 engine writes the jobs' buffered events in canonical order (init events by
 island, then step events by epoch and island), migrates if the epoch is a
-migration epoch, prunes each island and writes one checkpoint per barrier.
+migration epoch, prunes each island and writes one checkpoint per barrier:
+a digest line and a pickle, which is streamed into the file and hashed from
+it in chunks, so no second copy of it is held in memory. A load checks the
+digest over the whole payload before it unpickles any byte of it.
 At the end of the run it exports ``best/``, taking the artifact from the
 best solution's record, which starts at its ``log_ref`` byte offset. A
 summary counts statuses from the event log's init and step events.
@@ -90,6 +93,8 @@ CONFIG_SNAPSHOT_NAME = "config.yaml"
 FEEDBACK_TAIL_CHARS = 2000
 CHECKPOINT_VERSION = 4
 KEPT_CHECKPOINTS = 2
+_DIGEST_LINE_BYTES = 65  # a checkpoint's first line: 64 hex digits and a newline
+_CHUNK_BYTES = 1 << 16
 
 # Solution status after each sandbox outcome; a clean exit stays valid only
 # if its artifact parses and scores as valid.
@@ -448,22 +453,28 @@ class _Run:
     # -- checkpointing --
 
     def checkpoint(self) -> Path:
-        """Write the pruned state, a digest line and a pickle; keep the newest ``KEPT_CHECKPOINTS``."""
+        """Write the pruned state, a digest line and a pickle; keep the newest ``KEPT_CHECKPOINTS``.
+
+        The pickle is streamed into the file and then hashed from it in
+        chunks, so no copy of the whole payload is held in memory.
+        """
         for island in self.state.islands:
             island.prune()
         self._event_fh.flush()
         self.state.event_log_pos = (self.run_dir / EVENT_LOG_NAME).stat().st_size
         self.state.solutions_log_pos = (self.run_dir / SOLUTIONS_LOG_NAME).stat().st_size
-        payload = pickle.dumps({"version": CHECKPOINT_VERSION, "config": self.config, "state": self.state})
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         checkpoints = self.run_dir / "checkpoints"
         path = checkpoints / f"epoch_{self.state.epoch:05d}.ckpt"
         # Written whole under a name outside the ``epoch_*.ckpt`` glob, then
         # renamed, so a crash never leaves a partial newest checkpoint.
         tmp = path.with_suffix(".tmp")
         try:
-            with open(tmp, "wb") as fh:
-                fh.write(digest + b"\n" + payload)
+            with open(tmp, "w+b") as fh:
+                fh.write(bytes(_DIGEST_LINE_BYTES))  # a placeholder until the payload's digest is known
+                pickle.dump({"version": CHECKPOINT_VERSION, "config": self.config, "state": self.state}, fh)
+                digest = _payload_digest(fh)
+                fh.seek(0)
+                fh.write(digest + b"\n")
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -628,18 +639,30 @@ def load_latest_checkpoint(run_dir: Path) -> tuple[RunConfig, RunState]:
     raise error
 
 
+def _payload_digest(fh) -> bytes:
+    """The SHA-256 hex digest, in ASCII, of a checkpoint's payload: the bytes
+    of the open file ``fh`` past its digest line, read in chunks."""
+    fh.seek(_DIGEST_LINE_BYTES)
+    sha = hashlib.sha256()
+    while chunk := fh.read(_CHUNK_BYTES):
+        sha.update(chunk)
+    return sha.hexdigest().encode("ascii")
+
+
 def load_checkpoint(path: Path) -> tuple[RunConfig, RunState]:
-    blob = path.read_bytes()
-    sep = blob.find(b"\n")
-    if sep != 64:
-        raise CheckpointError(f"checkpoint {path} is malformed")
-    digest, payload = blob[:sep], blob[sep + 1:]
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-        raise CheckpointError(f"checkpoint {path} failed its integrity check")
-    try:
-        doc = pickle.loads(payload)
-    except (AttributeError, ImportError, pickle.UnpicklingError) as exc:
-        raise CheckpointError(f"checkpoint {path} cannot be unpickled; another version wrote it: {exc}") from None
+    """The config and state of the checkpoint at ``path``. The whole payload
+    passes its digest before any byte of it is unpickled."""
+    with open(path, "rb") as fh:
+        head = fh.read(_DIGEST_LINE_BYTES)
+        if head.find(b"\n") != _DIGEST_LINE_BYTES - 1:
+            raise CheckpointError(f"checkpoint {path} is malformed")
+        if _payload_digest(fh) != head[:-1]:
+            raise CheckpointError(f"checkpoint {path} failed its integrity check")
+        fh.seek(_DIGEST_LINE_BYTES)
+        try:
+            doc = pickle.load(fh)
+        except (AttributeError, EOFError, ImportError, pickle.UnpicklingError) as exc:
+            raise CheckpointError(f"checkpoint {path} cannot be unpickled; another version wrote it: {exc}") from None
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint {path} predates version {CHECKPOINT_VERSION} and cannot be resumed")
     return doc["config"], doc["state"]

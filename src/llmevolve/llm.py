@@ -19,7 +19,6 @@ returns text: a reply or transcript record without text is an error.
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import socket
@@ -103,7 +102,8 @@ class MetaModel:
 @dataclass
 class RetryPolicy:
     """A call makes one attempt more than there are back-offs, and sleeps
-    ``backoff_seconds[i]`` before retry ``i + 1``."""
+    ``backoff_seconds[i]`` before retry ``i + 1``. Each back-off is from 0
+    to ``HTTP_TIMEOUT_SECONDS``, the cap on a server's ``Retry-After``."""
 
     backoff_seconds: tuple[float, ...] = (0.5, 1.0)
 
@@ -112,8 +112,9 @@ class RetryPolicy:
         if not isinstance(self.backoff_seconds, (list, tuple)):
             raise ValueError("retry backoff_seconds must be a list")
         self.backoff_seconds = tuple(self.backoff_seconds)
-        if not all(type(d) in (int, float) and math.isfinite(d) and d >= 0 for d in self.backoff_seconds):
-            raise ValueError("retry backoff_seconds must be finite numbers >= 0")
+        # The type first: an int compares with a float exactly, however large.
+        if not all(type(d) in (int, float) and 0 <= d <= HTTP_TIMEOUT_SECONDS for d in self.backoff_seconds):
+            raise ValueError(f"retry backoff_seconds must be numbers from 0 to {HTTP_TIMEOUT_SECONDS:g}")
 
 
 @dataclass

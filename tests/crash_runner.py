@@ -6,8 +6,9 @@ For N = 1, 2, ... it prepares ``ROOT/kill-N`` (transcript only) and forks a
 child that runs ``engine.run`` there with ``CONFIG``. The transcript is
 ``write_transcript``'s, or with ``climbing`` ``write_climbing_transcript``'s,
 whose best improves through migration. The child counts its
-durable writes (an event-log flush, a solutions-log append, a checkpoint
-``fsync`` or ``os.replace``, a file under ``best/``), prints ``N <kind>``
+durable writes (an event-log flush, a solutions-log append, the first half
+of a checkpoint's pickle reaching its ``.tmp`` file, a checkpoint ``fsync``
+or ``os.replace``, a file under ``best/``), prints ``N <kind>``
 after the N-th one and sends itself ``SIGKILL``. The first child that
 finishes without reaching its N-th write ends the loop; its directory is an
 uninterrupted run. The patches are applied only inside the children; nothing
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import pickle
 import signal
 import sys
 import threading
@@ -45,18 +47,21 @@ def die_at_write(n: int) -> None:
     lock = threading.Lock()
     done = 0
 
+    def wrote(kind: str) -> None:
+        nonlocal done
+        with lock:
+            done += 1
+            if done == n:
+                os.write(1, f"{n} {kind}\n".encode())
+                os.kill(os.getpid(), signal.SIGKILL)
+
     def patch(owner, name: str, kind: str, counts=lambda *args: True) -> None:
         write = getattr(owner, name)
 
         def durable(*args, **kwargs):
-            nonlocal done
             result = write(*args, **kwargs)
             if counts(*args):
-                with lock:
-                    done += 1
-                    if done == n:
-                        os.write(1, f"{n} {kind}\n".encode())
-                        os.kill(os.getpid(), signal.SIGKILL)
+                wrote(kind)
             return result
 
         setattr(owner, name, durable)
@@ -64,6 +69,16 @@ def die_at_write(n: int) -> None:
     def in_best(path, *args) -> bool:
         return path.parent.name == "best"
 
+    def dump_in_halves(obj, fh, *args, **kwargs) -> None:
+        """``pickle.dump``, with the first half of the payload in the file
+        before the second is written: a kill there leaves a partial ``.tmp``."""
+        payload = pickle.dumps(obj, *args, **kwargs)
+        fh.write(payload[: len(payload) // 2])
+        fh.flush()
+        wrote("payload")
+        fh.write(payload[len(payload) // 2 :])
+
+    pickle.dump = dump_in_halves
     patch(engine._Run, "_emit", "event")
     patch(engine._Run, "_log", "solution")  # it returns once its record is appended
     patch(os, "fsync", "fsync")

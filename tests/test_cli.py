@@ -117,7 +117,7 @@ class TestCmdRun:
                     "problem_id": "p3.a",
                     "ensemble": {"members": [{"name": "a", "weight": 1.0}], "retry": {"backoff_seconds": backoff}},
                 }
-                for backoff in ("", "12", {0.5: 1})
+                for backoff in ("", "12", {0.5: 1}, [10**400], [1e300], [121])
             ),
             {"problem_id": "p3.a", "ensemble": {"members": [{"name": 2024, "weight": 1.0}]}},
             {"problem_id": "p3.a", "ensemble": {"members": [{"name": "", "weight": 1.0}]}},
@@ -133,6 +133,7 @@ class TestCmdRun:
                     "retyr": {"backoff_seconds": [0.0]},
                 },
             },
+            {"problem_id": "zz"},
         ],
         ids=[
             "missing_problem_id", "ensemble_weights", "negative_wall_seconds", "retry_max_attempts",
@@ -145,7 +146,9 @@ class TestCmdRun:
             "meta_max_output_tokens", "float_topology_edge", "fractional_topology_edge",
             "boolean_temperature", "boolean_top_p", "boolean_weight", "boolean_back_off",
             "empty_string_back_off", "string_back_off", "mapping_back_off",
+            "huge_integer_back_off", "huge_back_off", "back_off_over_the_http_timeout",
             "integer_model_name", "empty_model_name", "integer_meta_model_name", "unknown_ensemble_keys",
+            "unknown_problem_id",
         ],
     )
     def test_invalid_config_is_config_error(self, runner, tmp_path, doc):
@@ -167,6 +170,12 @@ class TestCmdRun:
         doc = {"problem_id": "p3.a", "num_islands": 2, "topology": [edge]}
         with pytest.raises(ConfigError, match=re.escape(f"topology edge {tuple(edge)}")):
             config_from_dict(doc)
+
+    def test_an_unknown_problem_id_is_a_config_error_naming_the_known_ones(self):
+        from llmevolve.config import ConfigError, config_from_dict
+
+        with pytest.raises(ConfigError, match=re.escape("unknown problem_id 'zz'; known: p1, p2.a, p2.b, p3.a, p3.b, p4")):
+            config_from_dict({"problem_id": "zz"})
 
     @pytest.mark.parametrize(
         "base_url, valid",

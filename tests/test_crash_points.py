@@ -6,8 +6,10 @@ points between writes rather than sampling them. Each killed directory is
 then resumed, or run afresh where no checkpoint was written yet, and must
 give the uninterrupted run's ``events.jsonl``, ``best/`` and summary, and
 its ``solutions.jsonl`` once the records are sorted by solution id (their
-order depends on thread timing). This holds for a run on the scripted
-transcript and for one whose best improves through migration.
+order depends on thread timing). A kill between the two halves of a
+checkpoint's pickle leaves a partial ``.tmp`` file, which the resumed run
+writes again. This holds for a run on the scripted transcript and for one
+whose best improves through migration.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import crash_runner
 from llmevolve import engine
@@ -52,15 +56,23 @@ def resumes_to_the_uninterrupted_run(tmp_path, climbing: bool = False) -> list:
     records = sorted_records(straight_dir)
     for n, kind in kills:
         run_dir = root / f"kill-{n}"
+        where = f"killed after write {n} ({kind})"
+        partial = list((run_dir / "checkpoints").glob("*.tmp"))
+        if kind == "payload":  # killed mid-pickle: the .tmp holds no checkpoint
+            assert len(partial) == 1, where
+            with pytest.raises(engine.CheckpointError):
+                engine.load_checkpoint(partial[0])
         if any((run_dir / "checkpoints").glob("epoch_*.ckpt")):
             summary = engine.resume(run_dir)
         else:
             summary = engine.run(config, run_dir)
-        where = f"killed after write {n} ({kind})"
         assert summary == straight, where
         assert (run_dir / "events.jsonl").read_bytes() == events, where
         assert sorted_records(run_dir) == records, where
         assert {p.name: p.read_bytes() for p in (run_dir / "best").iterdir()} == best, where
+        # The resumed run wrote that epoch's checkpoint again, over its .tmp.
+        assert not any(p.exists() for p in partial), where
+        assert all(p.with_suffix(".ckpt").exists() for p in partial), where
     return kills
 
 
@@ -70,7 +82,7 @@ def test_a_run_killed_at_any_durable_write_resumes_to_the_uninterrupted_run(tmp_
     # candidates; checkpoints at epochs 2 and 4; best/ holds solution.py,
     # artifact.json and summary.json.
     assert Counter(kind for _, kind in kills) == {
-        "event": 16, "solution": 12, "fsync": 2, "replace": 2, "best": 3
+        "event": 16, "solution": 12, "payload": 2, "fsync": 2, "replace": 2, "best": 3
     }
 
 
@@ -78,7 +90,7 @@ def test_a_run_that_improves_through_migration_killed_at_any_durable_write_resum
     kills = resumes_to_the_uninterrupted_run(tmp_path, climbing=True)
     # Each island logs its trivial root and its failed set-up call.
     assert Counter(kind for _, kind in kills) == {
-        "event": 16, "solution": 12, "fsync": 2, "replace": 2, "best": 3
+        "event": 16, "solution": 12, "payload": 2, "fsync": 2, "replace": 2, "best": 3
     }
     # The run's best is island 1's, copied to island 0 by the last migration.
     summary = json.loads((tmp_path / "straight" / "best" / "summary.json").read_text())

@@ -626,6 +626,68 @@ class TestResume:
         with pytest.raises(CheckpointError, match="integrity"):
             engine.resume(run_dir)
 
+    def test_a_checkpoint_is_a_digest_line_and_the_pickle_it_digests(self, tmp_path):
+        run_dir, _, _ = small_run(tmp_path)
+        for ckpt in (run_dir / "checkpoints").glob("epoch_*.ckpt"):
+            blob = ckpt.read_bytes()
+            digest, newline, payload = blob[:64], blob[64:65], blob[65:]
+            assert newline == b"\n"
+            assert hashlib.sha256(payload).hexdigest().encode("ascii") == digest
+            doc = pickle.loads(payload)
+            assert doc["version"] == engine.CHECKPOINT_VERSION
+            # Written whole from the pickle's bytes, as earlier releases did, it loads the same.
+            config, state = engine.load_checkpoint(ckpt)
+            whole = pickle.dumps({"version": engine.CHECKPOINT_VERSION, "config": config, "state": state})
+            ckpt.write_bytes(hashlib.sha256(whole).hexdigest().encode("ascii") + b"\n" + whole)
+            reloaded = engine.load_checkpoint(ckpt)
+            assert pickle.dumps(reloaded) == pickle.dumps((doc["config"], doc["state"]))
+
+    @pytest.mark.parametrize("keep", [0, 1, 0.5, -1], ids=["empty", "one_byte", "half", "all_but_the_last_byte"])
+    def test_a_pickle_cut_short_under_a_matching_digest_is_refused(self, tmp_path, keep):
+        run_dir, _, _ = small_run(tmp_path)
+        ckpts = list((run_dir / "checkpoints").glob("epoch_*.ckpt"))
+        for ckpt in ckpts:
+            payload = ckpt.read_bytes()[65:]
+            payload = payload[: int(len(payload) * keep) if isinstance(keep, float) else keep]
+            ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
+            with pytest.raises(CheckpointError, match=f"{ckpt.name} cannot be unpickled"):
+                engine.load_checkpoint(ckpt)
+        with pytest.raises(CheckpointError, match="cannot be unpickled"):
+            engine.resume(run_dir)
+
+    def test_a_checkpoint_is_written_and_loaded_without_a_copy_of_its_payload(self, tmp_path):
+        import tracemalloc
+
+        from llmevolve.core import STATUS_VALID, IslandState, Solution
+        from llmevolve.engine import RunState, _Run
+
+        cfg = standard_config(num_islands=1)
+        island = IslandState(0, capacity=48)
+        for n in range(48):  # 48 distinct programs of 102 KB each
+            sid = island.next_solution_id()
+            code = f"# {sid}\n" + "x = 1\n" * 17_000
+            island.solutions[sid] = Solution(sid, 0, code, "brief", status=STATUS_VALID, fitness=n)
+        state = RunState([island], [], epoch=3)
+        runner = _Run(cfg, tmp_path, ReplayBackend({}), state, engine.start_launchers(cfg, running=False))
+        mib = 1 << 20
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            path = runner.checkpoint()
+            write_peak = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, loaded = engine.load_checkpoint(path)
+            held, load_peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+            runner.close()
+        assert path.stat().st_size >= 4 * mib
+        assert write_peak < mib
+        assert held >= 4 * mib and load_peak < held + mib
+        assert [s.code for s in loaded.islands[0].live()] == [s.code for s in island.live()]
+
     def test_resume_falls_back_past_a_truncated_checkpoint(self, tmp_path):
         straight, _, summary = small_run(tmp_path, "straight")
         run_dir, _, _ = small_run(tmp_path, "truncated")
@@ -662,20 +724,32 @@ class TestResume:
         for path in (straight / "best").iterdir():
             assert (run_dir / "best" / path.name).read_bytes() == path.read_bytes()
 
-    def test_failed_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("failing", ["replace", "payload"])
+    def test_failed_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch, failing):
         run_dir = tmp_path / "ckpt"
         cfg = standard_config(num_islands=2, epochs=6, migration_every=3, init_population=2)
         write_transcript(run_dir, num_islands=2, calls_per_island=40)
-        replace = os.replace
-        renames = []
+        replace, dump = os.replace, pickle.dump
+        calls = []
 
         def replace_failing_second(src, dst):
-            renames.append(dst)
-            if len(renames) == 2:
+            calls.append(dst)
+            if len(calls) == 2:
                 raise OSError("disk full")
             replace(src, dst)
 
-        monkeypatch.setattr(os, "replace", replace_failing_second)
+        def dump_failing_second(obj, fh, *args, **kwargs):
+            calls.append(fh)
+            if len(calls) == 2:  # the disk fills after part of the payload reached the file
+                fh.write(pickle.dumps(obj)[:1000])
+                fh.flush()
+                raise OSError("disk full")
+            dump(obj, fh, *args, **kwargs)
+
+        if failing == "replace":
+            monkeypatch.setattr(os, "replace", replace_failing_second)
+        else:
+            monkeypatch.setattr(pickle, "dump", dump_failing_second)
         with pytest.raises(OSError, match="disk full"):
             engine.run(cfg, run_dir)
         assert [p.name for p in (run_dir / "checkpoints").iterdir()] == ["epoch_00003.ckpt"]

@@ -83,11 +83,18 @@ class TestRetryPolicy:
         assert slept == sleeps
 
     @pytest.mark.parametrize(
-        "backoff", [(0.5, -1.0), (float("nan"),), (float("inf"),), (True,), ("0.5",), "", "12", {0.5: 1}]
+        "backoff",
+        [(0.5, -1.0), (float("nan"),), (float("inf"),), (True,), ("0.5",), "", "12", {0.5: 1},
+         (10**400,), (1e300,), (121,)],
     )
     def test_back_off_is_finite_and_nonnegative(self, backoff):
         with pytest.raises(ValueError, match="backoff_seconds"):
             RetryPolicy(backoff_seconds=backoff)
+
+    def test_a_back_off_may_be_as_long_as_the_http_timeout(self):
+        from llmevolve.llm import HTTP_TIMEOUT_SECONDS
+
+        assert RetryPolicy(backoff_seconds=[0, HTTP_TIMEOUT_SECONDS, 120]).backoff_seconds == (0, 120.0, 120)
 
 
 class TestSampleModel:
