@@ -10,14 +10,19 @@ from urllib.parse import urlsplit
 
 import yaml
 
-from .llm import EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy
-from .problems import REGISTRY, get_problem
+from .llm import EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy, check_field
+from .problems import REGISTRY
 from .sandbox import ResourceLimits
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
+
+# Each island runs on a thread and a launcher of its own, and its set-up
+# sends all but the first of its init_population calls on threads of its own.
+MAX_ISLANDS = 64
+MAX_INIT_POPULATION = 64
 
 # The paper's ablations by name, each as the field values it sets. A step
 # explores only when ``p_explore`` > 0 and sends inspirations only when
@@ -53,36 +58,33 @@ class RunConfig:
     interpreter: list[str] = field(default_factory=lambda: ["python3"])  # runs the sandbox launchers
     sandbox_workers: Optional[int] = None  # default and maximum: num_islands
 
+    RANGES = (
+        ("num_islands", "integer", 1, MAX_ISLANDS), ("init_population", "integer", 1, MAX_INIT_POPULATION),
+        ("migration_every", "integer", 1, None), ("max_population", "integer", 1, None), ("epochs", "integer", 1, None),
+        ("num_inspirations", "integer", 0, None), ("master_seed", "integer", None, None),
+        ("max_ancestor_depth", "integer or null", 0, None), ("sandbox_workers", "integer or null", 1, None),
+        ("migration_rate", "positive number", 0, 1), ("p_explore", "number", 0, 1),
+        ("evolution", "boolean", None, None), ("base_url", "string", None, None),
+    )
+
     def __post_init__(self) -> None:
-        try:
-            problem = get_problem(self.problem_id)
-        except KeyError:
-            raise ConfigError(f"unknown problem_id {self.problem_id!r}; known: {', '.join(REGISTRY)}") from None
+        known = ", ".join(REGISTRY)
+        if not isinstance(self.problem_id, str):
+            raise ConfigError(f"problem_id must be a string naming a known problem; known: {known}")
+        if self.problem_id not in REGISTRY:
+            raise ConfigError(f"unknown problem_id {self.problem_id!r}; known: {known}")
         if self.limits is None:
+            problem = REGISTRY[self.problem_id]
             self.limits = ResourceLimits(problem.wall_seconds, problem.memory_bytes)
         for name, cls in (("ensemble", EnsembleConfig), ("limits", ResourceLimits)):
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"{name} must be a mapping")
-        # Each count's least value; None leaves an optional count unset.
-        optional = {"max_ancestor_depth": 0, "sandbox_workers": 1}
-        for name, least in {"num_islands": 1, "migration_every": 1, "max_population": 1,
-                            "init_population": 1, "epochs": 1, "num_inspirations": 0,
-                            **optional}.items():
-            value = getattr(self, name)
-            if not (type(value) is int and value >= least or value is None and name in optional):
-                raise ConfigError(f"{name} must be an integer >= {least}")
-        if type(self.evolution) is not bool:
-            raise ConfigError("evolution must be true or false")
-        if type(self.master_seed) is not int:
-            raise ConfigError("master_seed must be an integer")
-        if isinstance(self.migration_rate, bool) or not (0 < self.migration_rate <= 1):
-            raise ConfigError("migration_rate must be a number in (0, 1]")
-        if isinstance(self.p_explore, bool) or not (0 <= self.p_explore <= 1):
-            raise ConfigError("p_explore must be a number in [0, 1]")
+        for name, *rule in self.RANGES:
+            check_field(name, getattr(self, name), *rule)
         if self.backend not in ("replay", "http"):
             raise ConfigError(f"unknown backend: {self.backend!r}")
         if self.backend == "http":
-            url = urlsplit(str(self.base_url))
+            url = urlsplit(self.base_url)
             if url.scheme not in ("http", "https") or not url.hostname:
                 raise ConfigError(f"backend http needs an http(s) base_url with a host, not {self.base_url!r}")
         if not (isinstance(self.interpreter, list) and self.interpreter
@@ -129,17 +131,18 @@ class RunConfig:
 
 def load_config(path: str | Path, **overrides) -> RunConfig:
     """Load a RunConfig from a YAML (or JSON) document plus overrides."""
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh) or {}
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: bytes not UTF-8, or an integer too long to read
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
     return config_from_dict({**doc, **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    doc = dict(doc)
-    if "problem_id" not in doc:
-        raise ConfigError("config must name a problem_id")
+    doc = {"problem_id": None, **doc}
     try:
         if isinstance(doc.get("limits"), dict):
             doc["limits"] = ResourceLimits(**doc["limits"])

@@ -71,8 +71,6 @@ class IslandState:
     """
 
     def __init__(self, island_id: int, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
         self.id = island_id
         self.capacity = capacity
         self.solutions: dict[str, Solution] = {}

@@ -663,6 +663,9 @@ def load_checkpoint(path: Path) -> tuple[RunConfig, RunState]:
             doc = pickle.load(fh)
         except (AttributeError, EOFError, ImportError, pickle.UnpicklingError) as exc:
             raise CheckpointError(f"checkpoint {path} cannot be unpickled; another version wrote it: {exc}") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("config"), RunConfig)
+            and isinstance(doc.get("state"), RunState)):
+        raise CheckpointError(f"checkpoint {path} holds no mapping of a config and a state")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint {path} predates version {CHECKPOINT_VERSION} and cannot be resumed")
     return doc["config"], doc["state"]

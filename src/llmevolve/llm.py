@@ -22,6 +22,7 @@ import json
 import os
 import random
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -60,43 +61,53 @@ class EmptyResponseError(RuntimeError):
     """The backend returned an empty payload where text was required."""
 
 
-def _check_model(name: str, temperature: float, top_p: float) -> None:
-    # A bool is a number to Python but not to the endpoint's JSON.
-    if not (isinstance(name, str) and name):
-        raise ValueError(f"model name {name!r} must be a non-empty string")
-    if isinstance(temperature, bool) or not temperature >= 0:
-        raise ValueError("temperature must be a number >= 0")
-    if isinstance(top_p, bool) or not (0 < top_p <= 1):
-        raise ValueError("top_p must be a number in (0, 1]")
+def check_field(name: str, value, kind: str, low=None, high=None) -> None:
+    """Raise ``ValueError`` unless ``value`` is of ``kind`` and from ``low`` to
+    ``high`` (``None``: no bound; a positive number's ``low`` is open). A bool
+    is a boolean, not a number: YAML reads one from ``yes``. The type comes
+    first, so an int is never made a float, and NaN, ±inf or an int past
+    floats fails a finite bound. A class's ``RANGES`` rows hold these arguments."""
+    types = {"integer": (int,), "integer or null": (int, type(None)), "number": (int, float),
+             "positive number": (int, float), "boolean": (bool,), "string": (str,), "list": (list, tuple)}[kind]
+    if type(value) not in types or value is not None and not (
+            (low is None or (value > low if kind == "positive number" else value >= low))
+            and (high is None or value <= high)):
+        interval = f"{'(' if kind == 'positive number' else '['}{low}, {high}]"
+        bounds = "" if low is None else f" >= {low}" if high is None else f" in {interval}"
+        raise ValueError(f"{name} must be {'an' if kind[0] == 'i' else 'a'} {kind}{bounds}")
+
+
+class _Model:
+    """A model's checks: a name, and the sampling values that every request sends."""
+
+    RANGES = (("temperature", "number", 0, sys.float_info.max), ("top_p", "positive number", 0, 1))
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"model name {self.name!r} must be a non-empty string")
+        for name, *rule in self.RANGES:
+            check_field(f"model {self.name!r} {name}", getattr(self, name), *rule)
 
 
 @dataclass
-class EnsembleMember:
+class EnsembleMember(_Model):
     name: str
     weight: float
     temperature: float = 0.7
     top_p: float = 0.95
     max_output_tokens: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        _check_model(self.name, self.temperature, self.top_p)
-        if isinstance(self.weight, bool) or not self.weight >= 0:
-            raise ValueError(f"member {self.name!r} needs a number >= 0 as its weight")
-        tokens = self.max_output_tokens
-        if tokens is not None and not (type(tokens) is int and tokens >= 1):
-            raise ValueError("max_output_tokens must be a positive integer or unset")
+    # The weights sum to 1, so none is above it.
+    RANGES = (("weight", "number", 0, 1), *_Model.RANGES, ("max_output_tokens", "integer or null", 1, None))
 
 
 @dataclass
-class MetaModel:
+class MetaModel(_Model):
     name: str
     temperature: float = 0.7
     top_p: float = 0.95
     # Not a field, so the config has no such key: a meta call sends no cap.
     max_output_tokens = None
-
-    def __post_init__(self) -> None:
-        _check_model(self.name, self.temperature, self.top_p)
 
 
 @dataclass
@@ -108,13 +119,10 @@ class RetryPolicy:
     backoff_seconds: tuple[float, ...] = (0.5, 1.0)
 
     def __post_init__(self) -> None:
-        # YAML reads a sequence back as a list.
-        if not isinstance(self.backoff_seconds, (list, tuple)):
-            raise ValueError("retry backoff_seconds must be a list")
+        check_field("retry backoff_seconds", self.backoff_seconds, "list")  # YAML reads a sequence back as a list
         self.backoff_seconds = tuple(self.backoff_seconds)
-        # The type first: an int compares with a float exactly, however large.
-        if not all(type(d) in (int, float) and 0 <= d <= HTTP_TIMEOUT_SECONDS for d in self.backoff_seconds):
-            raise ValueError(f"retry backoff_seconds must be numbers from 0 to {HTTP_TIMEOUT_SECONDS:g}")
+        for i, seconds in enumerate(self.backoff_seconds):
+            check_field(f"retry backoff_seconds[{i}]", seconds, "number", 0, HTTP_TIMEOUT_SECONDS)
 
 
 @dataclass
@@ -124,8 +132,6 @@ class EnsembleConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("ensemble needs at least one member")
         total = sum(m.weight for m in self.members)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"ensemble weights sum to {total}, expected 1")

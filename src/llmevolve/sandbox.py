@@ -69,7 +69,7 @@ from pathlib import Path
 from typing import Optional
 
 from ._launcher import empty_dir, remove_workdir
-from .llm import API_KEY_ENV
+from .llm import API_KEY_ENV, check_field
 from .problems import ARTIFACT_PATH_ENV
 
 LOG_CAP_BYTES = 1 << 20  # per stream; the tail is kept and truncation marked in front
@@ -102,12 +102,11 @@ class ResourceLimits:
     wall_seconds: float
     memory_bytes: int
 
+    RANGES = (("wall_seconds", "positive number", 0, MAX_WALL_SECONDS), ("memory_bytes", "integer", 1, MAX_MEMORY_BYTES))
+
     def __post_init__(self) -> None:
-        # A bool is an int; the chained comparison also refuses NaN and infinity.
-        if isinstance(self.wall_seconds, bool) or not 0 < self.wall_seconds <= MAX_WALL_SECONDS:
-            raise ValueError(f"wall_seconds must be a number > 0 and at most {MAX_WALL_SECONDS} (30 days)")
-        if not (type(self.memory_bytes) is int and 0 < self.memory_bytes <= MAX_MEMORY_BYTES):
-            raise ValueError("memory_bytes must be an integer > 0 and at most 2**63 - 1")
+        for name, *rule in self.RANGES:
+            check_field(f"limits {name}", getattr(self, name), *rule)
 
 
 @dataclass

@@ -48,8 +48,6 @@ def sample_inspirations(
     ``uniform_sample`` on exploration. A repeated draw is discarded; after
     100*count draws the set is topped up in rank order.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     eligible = [s for s in population if s.id != exclude]
     target = min(count, len(eligible))
     chosen: list[str] = []

@@ -1,15 +1,20 @@
 """Command line behavior: run, resume, score, report."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import llmevolve
 from conftest import write_transcript
@@ -134,6 +139,21 @@ class TestCmdRun:
                 },
             },
             {"problem_id": "zz"},
+            {"problem_id": "p3.a", "ensemble": {"members": [{"name": "a", "weight": 10**400}]}},
+            {
+                "problem_id": "p3.a",
+                "ensemble": {"members": [{"name": "a", "weight": 1.0, "temperature": float("inf")}]},
+            },
+            {
+                "problem_id": "p3.a",
+                "ensemble": {
+                    "members": [{"name": "a", "weight": 1.0}],
+                    "meta_model": {"name": "m", "temperature": float("inf")},
+                },
+            },
+            {"problem_id": "p3.a", "num_islands": 65},
+            {"problem_id": "p3.a", "init_population": 65},
+            {"problem_id": "p3.a", "base_url": 8000},
         ],
         ids=[
             "missing_problem_id", "ensemble_weights", "negative_wall_seconds", "retry_max_attempts",
@@ -148,7 +168,8 @@ class TestCmdRun:
             "empty_string_back_off", "string_back_off", "mapping_back_off",
             "huge_integer_back_off", "huge_back_off", "back_off_over_the_http_timeout",
             "integer_model_name", "empty_model_name", "integer_meta_model_name", "unknown_ensemble_keys",
-            "unknown_problem_id",
+            "unknown_problem_id", "huge_weight", "infinite_temperature",
+            "infinite_meta_temperature", "too_many_islands", "too_large_init_population", "integer_base_url",
         ],
     )
     def test_invalid_config_is_config_error(self, runner, tmp_path, doc):
@@ -160,6 +181,33 @@ class TestCmdRun:
         assert result.exit_code == 1
         assert result.output.startswith("Error: invalid config: ")
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"problem_id: [p3.a\n",
+            b"problem_id: !!python/object/apply:os.getcwd []\n",
+            b"problem_id: p3.a\nbase_url: caf\xe9\n",
+            b"problem_id: p3.a\nmaster_seed: " + b"7" * 4301 + b"\n",
+        ],
+        ids=["yaml_syntax_error", "python_tag", "not_utf8", "integer_of_4301_digits"],
+    )
+    def test_an_unreadable_config_file_is_a_config_error_naming_it(self, runner, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text)
+        result = runner.invoke(main, ["run", "--config", str(path), "--run-dir", str(tmp_path / "r")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.startswith(f"Error: invalid config: {path}: ")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("doc", [{"problem_id": ["p1"]}, {"problem_id": 3}, {}], ids=["list", "integer", "missing"])
+    def test_a_problem_id_that_is_not_a_string_is_a_config_error_naming_the_known_ones(self, doc):
+        from llmevolve.config import ConfigError, config_from_dict
+
+        known = "known: p1, p2.a, p2.b, p3.a, p3.b, p4"
+        with pytest.raises(ConfigError, match=re.escape(f"problem_id must be a string naming a known problem; {known}")):
+            config_from_dict(doc)
 
     @pytest.mark.parametrize(
         "edge", [[0.0, 1.0], [0, 1.5], [True, 0], [0, 1, 1]], ids=["float", "fractional", "boolean", "three_ends"]
@@ -343,6 +391,134 @@ class TestCmdRun:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "line 61: the response is missing or not text" in result.output
+
+
+# Any value a YAML or JSON config can hold: integers far past the float
+# range, the float specials, text, booleans, null, lists and mappings.
+_ANY = st.recursive(
+    st.one_of(
+        st.integers(-10**400, 10**400), st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.text(max_size=6), st.booleans(), st.none(),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# Numbers on and past the edges of the ranges.
+_EDGE = st.sampled_from([
+    0, -1, 0.0, 1.5, 64, 65, 120, 121, 2_592_000, 2_592_001, 2**63 - 1, 2**63, 10**400, -10**400,
+    1e308, math.inf, -math.inf, math.nan, True, False,
+])
+_ODD = _EDGE | _ANY
+_COUNT = st.integers(1, 6)
+_FRACTION = st.floats(0.01, 1.0)
+
+
+def _mostly(plausible, odd=_ODD):
+    """A value like the schema's, and now and then an edge or any value at all."""
+    return st.integers(0, 9).flatmap(lambda n: odd if n == 5 else plausible)
+
+
+def _model(required):
+    sampling = {"temperature": _mostly(_FRACTION), "top_p": _mostly(_FRACTION), "max_output_tokens": _mostly(_COUNT)}
+    return st.fixed_dictionaries({"name": _mostly(st.sampled_from(["a", "b"])), **required}, optional=sampling)
+
+
+_ENSEMBLE = st.fixed_dictionaries({
+    "members": _mostly(st.lists(_model({"weight": _mostly(st.just(1.0))}), min_size=1, max_size=1)),
+}, optional={
+    "meta_model": _mostly(_model({})),
+    "retry": _mostly(st.fixed_dictionaries({}, optional={
+        "backoff_seconds": _mostly(st.lists(_mostly(_FRACTION), max_size=3)),
+    })),
+})
+_LIMITS = st.fixed_dictionaries({"wall_seconds": _mostly(_FRACTION), "memory_bytes": _mostly(st.just(1 << 30))})
+_INTEGER_KEYS = ("num_islands", "migration_every", "max_population", "init_population", "num_inspirations",
+           "max_ancestor_depth", "epochs", "master_seed", "sandbox_workers")
+_PROBLEM_ID = _mostly(st.sampled_from(["p1", "p3.a"]), st.just("zz") | _ANY)
+_CONFIGS = st.fixed_dictionaries({"problem_id": _PROBLEM_ID}, optional={
+    **{key: _mostly(_COUNT) for key in _INTEGER_KEYS},
+    "migration_rate": _mostly(_FRACTION),
+    "p_explore": _mostly(_FRACTION),
+    "topology": _mostly(st.sampled_from(["ring", "complete"]) | st.lists(st.lists(_COUNT, min_size=2, max_size=2))),
+    "evolution": _mostly(st.booleans()),
+    "backend": _mostly(st.sampled_from(["replay", "http"])),
+    "base_url": _mostly(st.sampled_from(["http://localhost:8000/v1", "localhost:8000", ""])),
+    "interpreter": _mostly(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=2)),
+    "ensemble": _mostly(_ENSEMBLE),
+    "limits": _mostly(_LIMITS),
+})
+
+
+def _floats(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in _floats(item)]
+    return [value] if isinstance(value, float) else []
+
+
+class TestConfigContract:
+    def test_the_generated_mappings_cover_every_config_key(self):
+        from llmevolve.config import RunConfig
+
+        keys = {"problem_id", *_INTEGER_KEYS, "migration_rate", "p_explore", "topology", "evolution", "backend",
+                "base_url", "interpreter", "ensemble", "limits"}
+        assert keys == {f.name for f in fields(RunConfig)}
+
+    # No run, launcher or thread starts here: a config is only loaded,
+    # checked and written back.
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_CONFIGS)
+    def test_a_config_mapping_loads_as_a_config_that_can_run_or_is_a_config_error(self, doc):
+        from llmevolve import engine
+        from llmevolve.config import MAX_INIT_POPULATION, MAX_ISLANDS, ConfigError, config_from_dict, load_config
+        from llmevolve.llm import HTTP_TIMEOUT_SECONDS
+        from llmevolve.sandbox import MAX_MEMORY_BYTES, MAX_WALL_SECONDS
+
+        try:
+            cfg = config_from_dict(doc)
+        except ConfigError:
+            return
+        assert 1 <= cfg.num_islands <= MAX_ISLANDS and 1 <= cfg.init_population <= MAX_INIT_POPULATION
+        assert cfg.sandbox_workers is None or cfg.sandbox_workers >= 1
+        assert 0 < cfg.limits.wall_seconds <= MAX_WALL_SECONDS and 0 < cfg.limits.memory_bytes <= MAX_MEMORY_BYTES
+        assert all(0 <= seconds <= HTTP_TIMEOUT_SECONDS for seconds in cfg.ensemble.retry.backoff_seconds)
+        assert all(math.isfinite(x) for x in _floats(asdict(cfg)))
+        for model in (*cfg.ensemble.members, cfg.ensemble.meta_model):
+            request = {"model": model.name, "temperature": model.temperature, "top_p": model.top_p}
+            json.dumps({**request, "max_tokens": model.max_output_tokens}, allow_nan=False)
+        with tempfile.TemporaryDirectory() as run_dir:
+            engine._write_config_snapshot(cfg, Path(run_dir))
+            assert load_config(Path(run_dir) / engine.CONFIG_SNAPSHOT_NAME) == cfg
+
+    def test_the_readme_table_states_what_each_checked_field_must_be(self):
+        from llmevolve.config import MAX_INIT_POPULATION, MAX_ISLANDS, RunConfig
+        from llmevolve.llm import EnsembleMember, MetaModel, RetryPolicy
+        from llmevolve.sandbox import ResourceLimits
+
+        def must_be(build):
+            with pytest.raises(ValueError) as info:
+                build()
+            return str(info.value).split(" must be ", 1)[1]
+
+        bad = object()  # of no kind, so the error states the field's kind and range
+        expected = {
+            "ensemble.retry.backoff_seconds": must_be(lambda: RetryPolicy(bad)),
+            "ensemble.retry.backoff_seconds[]": must_be(lambda: RetryPolicy([bad])),
+        }
+        for prefix, cls, valid in [
+            ("", RunConfig, {"problem_id": "p1"}),
+            ("limits.", ResourceLimits, {"wall_seconds": 1, "memory_bytes": 1}),
+            ("ensemble.members[].", EnsembleMember, {"name": "a", "weight": 1}),
+            ("ensemble.meta_model.", MetaModel, {"name": "m"}),
+        ]:
+            for name, *_ in cls.RANGES:
+                expected[prefix + name] = must_be(lambda: cls(**{**valid, name: bad}))
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| Config field | Must be |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        assert dict(re.findall(r"^\| `(\S+)` \| (.+) \|$", table, re.M)) == expected
+        caps = f"{MAX_ISLANDS} launchers, {MAX_ISLANDS} island threads and {MAX_ISLANDS} × {MAX_INIT_POPULATION - 1}"
+        assert caps in " ".join(readme.split())
 
 
 class TestCmdScore:

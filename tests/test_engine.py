@@ -655,6 +655,24 @@ class TestResume:
         with pytest.raises(CheckpointError, match="cannot be unpickled"):
             engine.resume(run_dir)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[1, 2], {"version": 4}, {"version": 4, "config": None, "state": None}],
+        ids=["list", "mapping_without_config_or_state", "config_and_state_of_other_types"],
+    )
+    def test_a_checkpoint_that_holds_no_config_and_state_is_refused(self, tmp_path, doc):
+        straight, _, summary = small_run(tmp_path, "straight")
+        run_dir, _, _ = small_run(tmp_path, "damaged")
+        newest = engine.checkpoints_of(run_dir)[-1]
+        payload = pickle.dumps(doc)
+        newest.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
+        with pytest.raises(CheckpointError, match=f"checkpoint {newest} holds no mapping of a config and a state"):
+            engine.load_checkpoint(newest)
+        assert load_latest_checkpoint(run_dir)[1].epoch == 3
+        assert engine.resume(run_dir) == summary
+        for name in ("events.jsonl", "best/summary.json", "best/artifact.json"):
+            assert (run_dir / name).read_bytes() == (straight / name).read_bytes()
+
     def test_a_checkpoint_is_written_and_loaded_without_a_copy_of_its_payload(self, tmp_path):
         import tracemalloc
 

@@ -57,6 +57,19 @@ class TestEnsembleConfig:
                 meta_model=MetaModel(name="a"),
             )
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: EnsembleMember(name="a", weight=10**400), "weight"),
+            (lambda: EnsembleMember(name="a", weight=1.0, temperature=float("inf")), "temperature"),
+            (lambda: MetaModel(name="m", temperature=float("inf")), "temperature"),
+        ],
+        ids=["huge_weight", "infinite_member_temperature", "infinite_meta_temperature"],
+    )
+    def test_a_model_refuses_a_number_out_of_range_when_built(self, build, field):
+        with pytest.raises(ValueError, match=f"model '[am]' {field} must be a number in "):
+            build()
+
     def test_default_matches_reference_settings(self):
         cfg = EnsembleConfig.default()
         assert [(m.weight, m.temperature, m.top_p) for m in cfg.members] == [
