@@ -10,7 +10,7 @@ from urllib.parse import urlsplit
 
 import yaml
 
-from .llm import EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy, check_field
+from .llm import MAX_INTEGER, EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy, check_field
 from .problems import REGISTRY
 from .sandbox import ResourceLimits
 
@@ -60,9 +60,10 @@ class RunConfig:
 
     RANGES = (
         ("num_islands", "integer", 1, MAX_ISLANDS), ("init_population", "integer", 1, MAX_INIT_POPULATION),
-        ("migration_every", "integer", 1, None), ("max_population", "integer", 1, None), ("epochs", "integer", 1, None),
-        ("num_inspirations", "integer", 0, None), ("master_seed", "integer", None, None),
-        ("max_ancestor_depth", "integer or null", 0, None), ("sandbox_workers", "integer or null", 1, None),
+        ("migration_every", "integer", 1, MAX_INTEGER), ("max_population", "integer", 1, MAX_INTEGER),
+        ("epochs", "integer", 1, MAX_INTEGER), ("num_inspirations", "integer", 0, MAX_INTEGER),
+        ("master_seed", "integer", -MAX_INTEGER - 1, MAX_INTEGER),
+        ("max_ancestor_depth", "integer or null", 0, MAX_INTEGER), ("sandbox_workers", "integer or null", 1, MAX_INTEGER),
         ("migration_rate", "positive number", 0, 1), ("p_explore", "number", 0, 1),
         ("evolution", "boolean", None, None), ("base_url", "string", None, None),
     )

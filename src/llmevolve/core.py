@@ -6,6 +6,12 @@ eviction. A rejected candidate is not kept: it is never a parent, an
 inspiration or a migrant. A solution carries the instruction it was
 generated from. The run's counts by status come from its event log.
 
+An island also owns all of its deterministic state: its solution ids, its
+model-call keys and three random streams, each derived from the master
+seed, the island and the stream's name (``derive_rng``). ``coin_rng`` flips
+a step's explore coin, ``select_rng`` samples its parent and inspirations,
+and ``model_rng`` draws the ensemble member of each generation call.
+
 Solutions rank by ``ranked``: fittest first; on equal fitness the older
 (smaller ``epoch_created``) first, then the smaller id. Rank sampling,
 the inspiration top-up and migration read this order. Eviction breaks ties
@@ -14,6 +20,8 @@ the other way: the oldest of the least fit goes first.
 
 from __future__ import annotations
 
+import hashlib
+import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -63,20 +71,30 @@ class InsertResult:
     outcome: str  # "inserted" | "rejected" | "inserted_with_eviction"
 
 
+def derive_rng(master_seed: int, island: int, stream: str) -> random.Random:
+    """The random stream named ``stream`` of ``island`` under ``master_seed``."""
+    blob = f"{master_seed}:{island}:{stream}".encode()
+    seed = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+    return random.Random(seed)
+
+
 class IslandState:
-    """Live population and solution forest for one island.
+    """Live population, solution forest and random streams for one island.
 
     The live population never exceeds ``capacity``; displaced individuals
     move to the archive, which ``ancestors`` still sees.
     """
 
-    def __init__(self, island_id: int, capacity: int):
+    def __init__(self, island_id: int, capacity: int, master_seed: int):
         self.id = island_id
         self.capacity = capacity
         self.solutions: dict[str, Solution] = {}
         self.archive: dict[str, Solution] = {}
         self._solution_counter = 0
         self._call_counter = 0
+        self.coin_rng = derive_rng(master_seed, island_id, "coin")
+        self.select_rng = derive_rng(master_seed, island_id, "select")
+        self.model_rng = derive_rng(master_seed, island_id, "model")
 
     # -- id allocation (deterministic, human readable) --
 

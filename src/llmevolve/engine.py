@@ -26,9 +26,11 @@ checkpoint. Each island step is one operator call, to
 ``operators.no_evolution_step``; the operator decides the variation, and
 the engine evaluates and inserts its offspring.
 
-Islands share nothing between migrations, so each island runs as one job on
-its own thread up to the next barrier: a migration epoch, a requested stop,
-or the end of the run; its first job sets it up before its first step, and
+Islands share nothing between migrations, not even random state: each
+``IslandState`` holds its own streams, which a checkpoint of the islands
+holds too. So each island runs as one job on its own thread up to the next
+barrier: a migration epoch, a requested stop, or the end of the run; its
+first job sets it up before its first step, and
 sends the set-up's ``init_population`` model calls at once, the first on the
 island's thread and the others on a pool that the engine starts for that
 set-up. The engine starts every thread pool of a run. Every model call
@@ -57,7 +59,6 @@ import hashlib
 import json
 import os
 import pickle
-import random
 import shlex
 import signal
 import threading
@@ -81,9 +82,9 @@ from .core import (
     STATUS_VALID,
     IslandState,
     Solution,
+    derive_rng,
     ranked,
 )
-from .operators import IslandRngs
 from .problems import ArtifactError, ProblemSpec, get_problem
 
 EVENT_LOG_NAME = "events.jsonl"
@@ -91,7 +92,7 @@ SOLUTIONS_LOG_NAME = "solutions.jsonl"
 TRANSCRIPT_NAME = "transcripts.jsonl"
 CONFIG_SNAPSHOT_NAME = "config.yaml"
 FEEDBACK_TAIL_CHARS = 2000
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 KEPT_CHECKPOINTS = 2
 _DIGEST_LINE_BYTES = 65  # a checkpoint's first line: 64 hex digits and a newline
 _CHUNK_BYTES = 1 << 16
@@ -118,7 +119,6 @@ class RunState:
     """What a checkpoint holds: only what a run cannot recompute."""
 
     islands: list[IslandState]
-    rngs: list[IslandRngs]
     epoch: int = 0
     event_log_pos: int = 0
     solutions_log_pos: int = 0
@@ -135,12 +135,6 @@ class RunSummary:
     migration_events: int
     step_counts: dict[str, int]
     finished: bool
-
-
-def _derive_rng(master_seed: int, island: int, stream: str) -> random.Random:
-    blob = f"{master_seed}:{island}:{stream}".encode()
-    seed = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-    return random.Random(seed)
 
 
 def _signal_name(number: int) -> str:
@@ -199,15 +193,16 @@ def start_launchers(config: RunConfig, running: bool) -> sandbox.LauncherPool:
     Every launcher gets one string-hash seed derived from ``master_seed``, so
     a candidate hashes strings alike on any launcher, in a run and its
     resume. A launcher that cannot start is a ``ConfigError`` that names the
-    interpreter and quotes the launcher's error, with every one reaped.
+    interpreter, with any unprintable character escaped, and quotes the
+    launcher's error, with every one reaped.
     """
     workers = min(config.sandbox_workers or config.num_islands, config.num_islands) if running else 0
     max_artifact_bytes = get_problem(config.problem_id).max_artifact_bytes
-    hash_seed = _derive_rng(config.master_seed, 0, "hash").getrandbits(32)
+    hash_seed = derive_rng(config.master_seed, 0, "hash").getrandbits(32)
     try:
         return sandbox.LauncherPool(config.interpreter, workers, config.limits, max_artifact_bytes, hash_seed)
     except sandbox.LauncherError as exc:
-        interpreter = shlex.join(config.interpreter)
+        interpreter = "".join(c if c.isprintable() else repr(c)[1:-1] for c in shlex.join(config.interpreter))
         raise ConfigError(f"cannot start a launcher on the interpreter {interpreter}: {exc}") from None
 
 
@@ -321,15 +316,12 @@ class _Run:
         return outcome.artifact.decode("utf-8", "surrogateescape")
 
     def _island_jobs(self, job) -> list:
-        """Run ``job(island, rngs)`` for every island at once; results in island order.
+        """Run ``job(island)`` for every island at once; results in island order.
 
         The first failure, or an interrupt, is raised as soon as it happens,
         and the other islands' step loops stop before their next step.
         """
-        futures = [
-            self._island_pool.submit(job, island, rngs)
-            for island, rngs in zip(self.state.islands, self.state.rngs)
-        ]
+        futures = [self._island_pool.submit(job, island) for island in self.state.islands]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)
             for f in futures:
@@ -342,11 +334,11 @@ class _Run:
 
     # -- lifecycle --
 
-    def _set_up(self, island: IslandState, rngs: IslandRngs) -> list[dict]:
+    def _set_up(self, island: IslandState) -> list[dict]:
         """Set up an empty island: generate its roots, sending every call but the
         first on a pool of its own, and evaluate them; returns their events."""
         with ThreadPoolExecutor(max_workers=self.config.init_population) as pool:
-            _, pending, failures = operators.initialize_island(island, self.config, self.backend, rngs, pool.submit)
+            _, pending, failures = operators.initialize_island(island, self.config, self.backend, pool.submit)
         events = []
         for sol in pending + failures:
             self.evaluate(sol)
@@ -354,11 +346,11 @@ class _Run:
             events.append(_solution_event("init", sol, insert))
         return events
 
-    def _step(self, island: IslandState, rngs: IslandRngs, epoch: int) -> dict:
+    def _step(self, island: IslandState, epoch: int) -> dict:
         """One epoch on one island: vary, evaluate, insert; returns its event."""
         cfg = self.config
         vary = operators.evolve_step if cfg.evolution else operators.no_evolution_step
-        outcome = vary(island, cfg, self.backend, rngs, epoch)
+        outcome = vary(island, cfg, self.backend, epoch)
         sol = self.evaluate(outcome.new_solution)
         return _solution_event(
             "step",
@@ -382,12 +374,12 @@ class _Run:
             if stop_after_epoch is not None:
                 last = min(last, max(first, stop_after_epoch))
 
-            def job(island: IslandState, rngs: IslandRngs) -> list[list[dict]]:
-                rows = [self._set_up(island, rngs) if first == 1 else []]
+            def job(island: IslandState) -> list[list[dict]]:
+                rows = [self._set_up(island) if first == 1 else []]
                 for epoch in range(first, last + 1):
                     if self._abort.is_set():  # the run failed elsewhere
                         break
-                    rows.append([self._step(island, rngs, epoch)])
+                    rows.append([self._step(island, epoch)])
                 return rows
 
             # Init events by island, then step events by epoch and island.
@@ -567,18 +559,7 @@ def run(
         raise ConfigError(f"{run_dir} holds a run, checkpointed in {held[-1]}: resume it or use another directory")
     if backend is None:  # before the snapshot, so a bad transcript leaves no config behind
         backend = make_backend(config, run_dir)
-    islands = [
-        IslandState(i, capacity=config.max_population) for i in range(config.num_islands)
-    ]
-    rngs = [
-        IslandRngs(
-            coin=_derive_rng(config.master_seed, i, "coin"),
-            select=_derive_rng(config.master_seed, i, "select"),
-            model=_derive_rng(config.master_seed, i, "model"),
-        )
-        for i in range(config.num_islands)
-    ]
-    state = RunState(islands=islands, rngs=rngs)
+    state = RunState([IslandState(i, config.max_population, config.master_seed) for i in range(config.num_islands)])
     return _run_from(config, run_dir, state, backend, stop_after_epoch, fresh=True)
 
 
@@ -608,12 +589,16 @@ def _run_from(
 
     The launchers start first, so an interpreter that cannot start one is a
     ``ConfigError`` before anything is written: a ``fresh`` run's directory
-    and config snapshot, the logs. A run with no epoch left starts none.
+    and config snapshot, the logs. A run with no epoch left starts none. A
+    directory or snapshot that cannot be written is a ``ConfigError`` too.
     """
     with start_launchers(config, running=state.epoch < config.epochs) as pool:
         if fresh:
-            run_dir.mkdir(parents=True, exist_ok=True)
-            _write_config_snapshot(config, run_dir)
+            try:
+                run_dir.mkdir(parents=True, exist_ok=True)
+                _write_config_snapshot(config, run_dir)
+            except OSError as exc:
+                raise ConfigError(f"cannot create the run directory {run_dir}: {exc}") from None
         runner = _Run(config, run_dir, backend, state, pool)
         try:
             return runner.run_epochs(stop_after_epoch=stop_after_epoch)

@@ -61,6 +61,12 @@ class EmptyResponseError(RuntimeError):
     """The backend returned an empty payload where text was required."""
 
 
+# The largest integer a config field takes, the signed 64-bit maximum: far
+# past any count a run needs, and short enough to write in decimal. YAML
+# reads a hex, octal or binary integer of any length.
+MAX_INTEGER = (1 << 63) - 1
+
+
 def check_field(name: str, value, kind: str, low=None, high=None) -> None:
     """Raise ``ValueError`` unless ``value`` is of ``kind`` and from ``low`` to
     ``high`` (``None``: no bound; a positive number's ``low`` is open). A bool
@@ -98,7 +104,7 @@ class EnsembleMember(_Model):
     max_output_tokens: Optional[int] = None
 
     # The weights sum to 1, so none is above it.
-    RANGES = (("weight", "number", 0, 1), *_Model.RANGES, ("max_output_tokens", "integer or null", 1, None))
+    RANGES = (("weight", "number", 0, 1), *_Model.RANGES, ("max_output_tokens", "integer or null", 1, MAX_INTEGER))
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Variation operators: island initialization, depth exploitation,
 meta-prompting exploration and the no-evolution baseline.
 
-Each operator takes ``(island, config, backend, rngs)``, a step also its
-epoch and set-up a thread pool's ``submit``: the engine starts every pool.
+Each operator takes ``(island, config, backend)``, a step also its epoch
+and set-up a thread pool's ``submit``: the engine starts every pool. Every
+draw comes from one of the island's own streams (``core.IslandState``).
 The rest follows from the config: the problem's brief and trivial
 program, and whether inspirations join the prompt, which they do once the
 islands have exchanged migrants (``RunConfig.migrations_before``), up to
@@ -14,12 +15,11 @@ the templates, sends them through the model layer and applies the reply with
 the diff engine. Each offspring carries the instruction text it was
 generated from: its parent's, or the meta model's rewrite of it on
 exploration. All state mutation other than allocating ids and model-call
-indices is left to the engine.
+indices and drawing from the island's streams is left to the engine.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -39,15 +39,6 @@ OP_NO_EVOLUTION = "no_evolution"
 
 # What a failed generation call or edit raises.
 GENERATION_ERRORS = (llm.TransportError, diffengine.DiffParseError, diffengine.DiffApplyError)
-
-
-@dataclass
-class IslandRngs:
-    """Independent random substreams for one island."""
-
-    coin: random.Random
-    select: random.Random
-    model: random.Random
 
 
 @dataclass
@@ -83,7 +74,6 @@ def _generation(
     island: IslandState,
     config: RunConfig,
     backend,
-    rngs: IslandRngs,
     messages: list[dict[str, str]],
 ) -> tuple[llm.EnsembleMember, Callable[[], str]]:
     """Draw the member of the island's next generation call and take its index.
@@ -91,7 +81,7 @@ def _generation(
     Returns the member and a function that sends the call, so that a caller
     may draw several calls in order and then send them at once.
     """
-    member = llm.sample_model(config.ensemble, rngs.model)
+    member = llm.sample_model(config.ensemble, island.model_rng)
     index = island.next_call_index()
     return member, lambda: llm.generate(
         config.ensemble, messages, backend, member, island.id, index
@@ -124,9 +114,7 @@ def _offspring(
     return _new_solution(island, epoch, code, prompt, parent_id), member.name
 
 
-def evolve_step(
-    island: IslandState, config: RunConfig, backend, rngs: IslandRngs, epoch: int
-) -> OperatorOutcome:
+def evolve_step(island: IslandState, config: RunConfig, backend, epoch: int) -> OperatorOutcome:
     """Run one exploitation or exploration step on one island.
 
     Inspirations join the prompt once the islands have exchanged migrants.
@@ -136,11 +124,11 @@ def evolve_step(
     if not population:
         raise RuntimeError(f"island {island.id} has an empty population")
 
-    p = rngs.coin.random()
+    p = island.coin_rng.random()
     explore = p >= 1.0 - config.p_explore
 
     sample = selection.uniform_sample if explore else selection.rank_sample
-    parent = island.lookup(sample(population, rngs.select))
+    parent = island.lookup(sample(population, island.select_rng))
     if not explore:
         prompt = parent.prompt
         ancestors = island.ancestors(parent.id, config.max_ancestor_depth)
@@ -161,7 +149,7 @@ def evolve_step(
         operator = OP_EXPLORE
     inspiration_ids = (
         selection.sample_inspirations(
-            population, parent.id, config.num_inspirations, sample, rngs.select
+            population, parent.id, config.num_inspirations, sample, island.select_rng
         )
         if config.migrations_before(epoch) > 0
         else []
@@ -176,20 +164,18 @@ def evolve_step(
         parent.feedback,
     )
     sol, model = _offspring(
-        island, epoch, *_generation(island, config, backend, rngs, messages),
+        island, epoch, *_generation(island, config, backend, messages),
         parent.code, prompt, parent.id,
     )
     return OperatorOutcome(sol, operator, model, inspiration_ids)
 
 
-def no_evolution_step(
-    island: IslandState, config: RunConfig, backend, rngs: IslandRngs, epoch: int
-) -> OperatorOutcome:
+def no_evolution_step(island: IslandState, config: RunConfig, backend, epoch: int) -> OperatorOutcome:
     """Table-style baseline: regenerate from the problem's brief and trivial program."""
     problem = get_problem(config.problem_id)
     messages = templates.build_generation_messages(problem.brief, problem.brief, problem.trivial_code)
     sol, model = _offspring(
-        island, epoch, *_generation(island, config, backend, rngs, messages),
+        island, epoch, *_generation(island, config, backend, messages),
         problem.trivial_code, problem.brief, None,
     )
     return OperatorOutcome(sol, OP_NO_EVOLUTION, model)
@@ -208,7 +194,7 @@ def _apply_response(parent_code: str, response: str) -> str:
 
 
 def initialize_island(
-    island: IslandState, config: RunConfig, backend, rngs: IslandRngs, submit: Callable
+    island: IslandState, config: RunConfig, backend, submit: Callable
 ) -> tuple[str, list[Solution], list[Solution]]:
     """Seed an empty island from its problem's brief and trivial program.
 
@@ -231,7 +217,7 @@ def initialize_island(
     failures: list[Solution] = []
     messages = templates.build_generation_messages(brief, brief, problem.trivial_code)
     calls = [
-        _generation(island, config, backend, rngs, messages)
+        _generation(island, config, backend, messages)
         for _ in range(config.init_population)
     ]
     replies = [calls[0][1]] + [submit(send).result for _, send in calls[1:]]

@@ -156,7 +156,9 @@ class Launcher:
         Its arguments are the script path and the candidate's limits; its
         environment is this process's without the API key, plus the artifact
         path and ``PYTHONHASHSEED`` (over any inherited value). ``wait_ready``
-        waits for its ``ready``.
+        waits for its ``ready``. An interpreter that cannot be started,
+        or whose arguments hold a NUL byte, is a ``LauncherError``, with
+        everything this opened closed.
         """
         self.workdir = tempfile.mkdtemp(prefix="candidate-")
         self.dir_fd = os.open(self.workdir, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
@@ -178,7 +180,7 @@ class Launcher:
                     cwd=self.workdir,
                     env=env,
                 )
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: an embedded NUL byte
             ours.close()
             self.close()
             raise LauncherError(str(exc)) from exc

@@ -137,7 +137,7 @@ def test_criterion_3_sampling_statistics():
 
 def test_criterion_4_population_control():
     rng = random.Random(99)
-    island = IslandState(0, capacity=7)
+    island = IslandState(0, 7, master_seed=0)
     reference: list[tuple[str, float, int]] = []
     for n in range(10_000):
         fitness = round(rng.random(), 2)  # coarse values force fitness ties

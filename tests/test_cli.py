@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import llmevolve
@@ -308,6 +308,33 @@ class TestCmdRun:
         assert "(-E or -I)" in result.output and "PYTHONHASHSEED" in result.output
         assert not run_dir.exists()
 
+    def test_an_interpreter_with_a_nul_byte_is_an_error_message(self, runner, tmp_path):
+        cfg = write_config(
+            tmp_path / "config.yaml", interpreter=[sys.executable + "\0"], backend="http", base_url="http://127.0.0.1:9"
+        )
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        interpreter = f"'{sys.executable}\\x00'"  # the NUL byte escaped
+        assert result.output == f"Error: cannot start a launcher on the interpreter {interpreter}: embedded null byte\n"
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize(
+        "under, error", [(False, "File exists"), (True, "Not a directory")], ids=["a_file", "a_path_under_a_file"]
+    )
+    def test_a_run_directory_that_cannot_be_created_is_an_error_message(self, runner, tmp_path, under, error):
+        cfg = write_config(tmp_path / "config.yaml", backend="http", base_url="http://127.0.0.1:9")
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        run_dir = taken / "run" if under else taken
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.startswith(f"Error: cannot create the run directory {run_dir}: ")
+        assert error in result.output
+        assert taken.read_text() == "a file\n"
+
     def test_a_refused_key_is_an_error_message(self, runner, tmp_path, monkeypatch):
         from test_llm import ChatStub
 
@@ -394,10 +421,12 @@ class TestCmdRun:
 
 
 # Any value a YAML or JSON config can hold: integers far past the float
-# range, the float specials, text, booleans, null, lists and mappings.
+# range and past the 4,300 digits that ``str`` writes (YAML reads a hex
+# integer of any length), the float specials, text, booleans, null, lists
+# and mappings.
 _ANY = st.recursive(
     st.one_of(
-        st.integers(-10**400, 10**400), st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.integers(-2**16000, 2**16000), st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]),
         st.text(max_size=6), st.booleans(), st.none(),
     ),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -405,7 +434,8 @@ _ANY = st.recursive(
 )
 # Numbers on and past the edges of the ranges.
 _EDGE = st.sampled_from([
-    0, -1, 0.0, 1.5, 64, 65, 120, 121, 2_592_000, 2_592_001, 2**63 - 1, 2**63, 10**400, -10**400,
+    0, -1, 0.0, 1.5, 64, 65, 120, 121, 2_592_000, 2_592_001, 2**63 - 1, 2**63, -2**63, -2**63 - 1,
+    10**400, -10**400, 2**16000, -2**16000,
     1e308, math.inf, -math.inf, math.nan, True, False,
 ])
 _ODD = _EDGE | _ANY
@@ -469,6 +499,10 @@ class TestConfigContract:
     # checked and written back.
     @settings(max_examples=300, deadline=None)
     @given(doc=_CONFIGS)
+    # Integers that YAML reads from 0x followed by 4,000 f's and that ``str`` cannot write.
+    @example(doc={"problem_id": "p1", "master_seed": -2**16000})
+    @example(doc={"problem_id": "p1", "epochs": 2**16000, "max_ancestor_depth": 2**16000})
+    @example(doc={"problem_id": "p1", "ensemble": {"members": [{"name": "a", "weight": 1, "max_output_tokens": 2**16000}]}})
     def test_a_config_mapping_loads_as_a_config_that_can_run_or_is_a_config_error(self, doc):
         from llmevolve import engine
         from llmevolve.config import MAX_INIT_POPULATION, MAX_ISLANDS, ConfigError, config_from_dict, load_config

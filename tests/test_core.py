@@ -1,4 +1,4 @@
-"""Island state: lineage queries, population control."""
+"""Island state: lineage queries, population control, random streams."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +11,36 @@ from llmevolve.core import (
     IslandState,
     Solution,
     UnknownIdError,
+    derive_rng,
     ranked,
 )
 
 
 def make_island(capacity=40):
-    return IslandState(0, capacity=capacity)
+    return IslandState(0, capacity, master_seed=0)
+
+
+STREAMS = ("coin", "select", "model")
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**63 - 1])
+def test_an_islands_streams_draw_what_their_derivation_draws(seed):
+    for island_id in (0, 4):
+        island = IslandState(island_id, 40, seed)
+        for name in STREAMS:
+            expected = derive_rng(seed, island_id, name)
+            stream = getattr(island, f"{name}_rng")
+            assert [stream.random() for _ in range(5)] == [expected.random() for _ in range(5)]
+
+
+def test_two_islands_and_three_streams_all_differ():
+    islands = [IslandState(i, 40, master_seed=7) for i in range(2)]
+    draws = {
+        (island.id, name): tuple(getattr(island, f"{name}_rng").random() for _ in range(3))
+        for island in islands
+        for name in STREAMS
+    }
+    assert len(set(draws.values())) == len(draws)
 
 
 def test_ranked_orders_by_fitness_then_age_then_id():
@@ -125,7 +149,7 @@ class TestTryInsert:
 )
 def test_insert_sequences_match_brute_force(entries, capacity):
     """Live set always within capacity and equal to an independent replay."""
-    island = IslandState(0, capacity=capacity)
+    island = IslandState(0, capacity, master_seed=0)
     reference: list[tuple[str, float, int]] = []
     for n, (fitness, epoch) in enumerate(entries):
         sid = f"s{n:03d}"

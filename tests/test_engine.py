@@ -335,7 +335,7 @@ class TestMigration:
         class NotedSolution(Solution):  # a field that ``migrate`` does not name
             note: str = ""
 
-        islands = [IslandState(i, capacity=40) for i in range(2)]
+        islands = [IslandState(i, 40, master_seed=0) for i in range(2)]
         original = NotedSolution(
             "i0-s00000", 0, "print(1)\n", "explored", parent_id="i0-s00009",
             epoch_created=2, metrics={"objective": 1.5}, fitness=1.5, status=STATUS_VALID,
@@ -344,7 +344,7 @@ class TestMigration:
         islands[0].try_insert(original)
         cfg = standard_config(num_islands=2)
         no_launchers = engine.start_launchers(cfg, running=False)
-        runner = _Run(cfg, tmp_path, ReplayBackend({}), RunState(islands, []), no_launchers)
+        runner = _Run(cfg, tmp_path, ReplayBackend({}), RunState(islands), no_launchers)
         try:
             runner.migrate(3)
         finally:
@@ -468,7 +468,7 @@ class TestResume:
         from llmevolve.engine import RunState, _Run
 
         cfg = standard_config(num_islands=1)
-        state = RunState([IslandState(0, capacity=40)], [])
+        state = RunState([IslandState(0, 40, master_seed=0)])
         runner = _Run(cfg, tmp_path, ReplayBackend({}), state, engine.start_launchers(cfg, running=False))
         try:
             for epoch in (99_960, 100_000, 100_040):
@@ -482,7 +482,7 @@ class TestResume:
         with pytest.raises(ConfigError, match="checkpointed in .*epoch_100040.ckpt"):
             engine.run(cfg, tmp_path)
 
-    @pytest.mark.parametrize("version", [None, 2, 3], ids=["no_version", "version_2", "version_3"])
+    @pytest.mark.parametrize("version", [None, 2, 3, 4], ids=["no_version", "version_2", "version_3", "version_4"])
     def test_a_checkpoint_of_an_earlier_version_is_refused(self, tmp_path, version):
         from click.testing import CliRunner
 
@@ -497,11 +497,11 @@ class TestResume:
             payload = pickle.dumps(doc)
             ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
         files = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
-        with pytest.raises(CheckpointError, match="predates version 4"):
+        with pytest.raises(CheckpointError, match="predates version 5"):
             engine.resume(run_dir)
         result = CliRunner().invoke(main, ["resume", "--run-dir", str(run_dir)])
         assert result.exit_code == 1
-        assert "Error:" in result.output and "predates version 4" in result.output
+        assert "Error:" in result.output and "predates version 5" in result.output
         assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == files
 
     def test_a_checkpoint_naming_a_class_core_lacks_is_refused(self, tmp_path, monkeypatch):
@@ -680,12 +680,12 @@ class TestResume:
         from llmevolve.engine import RunState, _Run
 
         cfg = standard_config(num_islands=1)
-        island = IslandState(0, capacity=48)
+        island = IslandState(0, 48, master_seed=0)
         for n in range(48):  # 48 distinct programs of 102 KB each
             sid = island.next_solution_id()
             code = f"# {sid}\n" + "x = 1\n" * 17_000
             island.solutions[sid] = Solution(sid, 0, code, "brief", status=STATUS_VALID, fitness=n)
-        state = RunState([island], [], epoch=3)
+        state = RunState([island], epoch=3)
         runner = _Run(cfg, tmp_path, ReplayBackend({}), state, engine.start_launchers(cfg, running=False))
         mib = 1 << 20
         tracemalloc.start()
@@ -1090,12 +1090,9 @@ class TestEvaluateCandidate:
         from llmevolve.core import IslandState
         from llmevolve.llm import ReplayBackend
         from llmevolve.engine import _Run, RunState
-        from llmevolve.operators import IslandRngs
-        import random
 
         state = RunState(
-            islands=[IslandState(i, capacity=cfg.max_population) for i in range(cfg.num_islands)],
-            rngs=[IslandRngs(random.Random(0), random.Random(1), random.Random(2))] * cfg.num_islands,
+            islands=[IslandState(i, cfg.max_population, cfg.master_seed) for i in range(cfg.num_islands)],
             solutions_log_pos=solutions_log_pos,
         )
         runner = _Run(cfg, run_dir, ReplayBackend({}), state, engine.start_launchers(cfg, running=True))

@@ -27,7 +27,7 @@ from llmevolve.llm import (
     meta_prompt,
     sample_model,
 )
-from llmevolve.operators import IslandRngs, initialize_island
+from llmevolve.operators import initialize_island
 from llmevolve.problems import get_problem
 
 
@@ -533,10 +533,9 @@ class TestHttpBackend:
     def test_a_reply_without_text_fails_its_step(self, stub, body):
         stub.replies += [(200, body)] * 2
         config = standard_config(init_population=1, ensemble=two_model_config(attempts=2))
-        rngs = IslandRngs(*(random.Random(seed) for seed in range(3)))
         backend = HttpBackend(stub.url)
         with ThreadPoolExecutor(max_workers=1) as pool:  # its one call goes out on this thread
-            _, pending, failures = initialize_island(IslandState(0, capacity=40), config, backend, rngs, pool.submit)
+            _, pending, failures = initialize_island(IslandState(0, 40, master_seed=0), config, backend, pool.submit)
         assert [sol.code for sol in pending] == [get_problem(config.problem_id).trivial_code]
         assert [sol.status for sol in failures] == [STATUS_GENERATION_FAILED]
         assert len(stub.requests) == 2  # retried, as a 500 is

@@ -16,23 +16,21 @@ from llmevolve.llm import ReplayBackend
 from llmevolve.operators import (
     OP_EXPLOIT,
     OP_EXPLORE,
-    IslandRngs,
     evolve_step,
     initialize_island,
 )
 from llmevolve.problems import get_problem
 
 
-def rngs(seed=0):
-    return IslandRngs(
-        coin=random.Random(seed),
-        select=random.Random(seed + 1),
-        model=random.Random(seed + 2),
-    )
+def seed_streams(island, seed=0):
+    """Seed ``island``'s coin, select and model streams with ``seed``, ``seed + 1`` and ``seed + 2``."""
+    for offset, rng in enumerate((island.coin_rng, island.select_rng, island.model_rng)):
+        rng.seed(seed + offset)
+    return island
 
 
-def seeded_island(fitnesses=(0.1, 0.5, 0.9), capacity=40):
-    island = IslandState(0, capacity=capacity)
+def seeded_island(fitnesses=(0.1, 0.5, 0.9), capacity=40, seed=0):
+    island = seed_streams(IslandState(0, capacity, master_seed=0), seed)
     for i, f in enumerate(fitnesses):
         sol = make_solution(f"i0-s{i:05d}", f, epoch=0)
         sol.code = f"print({i})\n"
@@ -49,18 +47,18 @@ class TestEvolveStep:
     def test_p_explore_zero_always_exploits(self):
         config = standard_config(p_explore=0.0)
         for seed in range(10):
-            island = seeded_island()
+            island = seeded_island(seed=seed)
             backend = scripted_backend(fenced("print('new')\n"))
-            outcome = evolve_step(island, config, backend, rngs(seed), 1)
+            outcome = evolve_step(island, config, backend, 1)
             assert outcome.operator == OP_EXPLOIT
             assert outcome.new_solution.prompt == "initial prompt"
 
     def test_p_explore_one_always_explores_with_prompt(self):
         config = standard_config(p_explore=1.0)
         for seed in range(10):
-            island = seeded_island()
+            island = seeded_island(seed=seed)
             backend = scripted_backend("enriched prompt", fenced("print('new')\n"))
-            outcome = evolve_step(island, config, backend, rngs(seed), 1)
+            outcome = evolve_step(island, config, backend, 1)
             assert outcome.operator == OP_EXPLORE
             assert outcome.new_solution.prompt == "enriched prompt"
 
@@ -69,7 +67,7 @@ class TestEvolveStep:
         island = seeded_island(fitnesses=(0.9,))
         response = "<<<<<<< SEARCH\nprint(0)\n=======\nprint(42)\n>>>>>>> REPLACE"
         backend = scripted_backend(response)
-        outcome = evolve_step(island, config, backend, rngs(), 1)
+        outcome = evolve_step(island, config, backend, 1)
         assert outcome.new_solution.code == "print(42)\n"
         assert outcome.new_solution.status == STATUS_PENDING
         assert outcome.new_solution.parent_id == "i0-s00000"
@@ -79,7 +77,7 @@ class TestEvolveStep:
         island = seeded_island(fitnesses=(0.9,))
         response = "<<<<<<< SEARCH\nnot in the code\n=======\nx\n>>>>>>> REPLACE"
         backend = scripted_backend(response)
-        outcome = evolve_step(island, config, backend, rngs(), 1)
+        outcome = evolve_step(island, config, backend, 1)
         assert outcome.new_solution.status == STATUS_GENERATION_FAILED
         assert "generation failed" in outcome.new_solution.feedback
 
@@ -87,14 +85,14 @@ class TestEvolveStep:
         config = standard_config(p_explore=0.0)
         island = seeded_island()
         backend = scripted_backend(fenced("print('x')\n"))
-        outcome = evolve_step(island, config, backend, rngs(), config.migration_every)
+        outcome = evolve_step(island, config, backend, config.migration_every)
         assert outcome.inspiration_ids == []
 
     def test_inspirations_present_when_gated_on(self):
         config = standard_config(p_explore=0.0, num_inspirations=3)
         island = seeded_island(fitnesses=(0.1, 0.3, 0.5, 0.7, 0.9))
         backend = scripted_backend(fenced("print('x')\n"))
-        outcome = evolve_step(island, config, backend, rngs(), config.migration_every + 1)
+        outcome = evolve_step(island, config, backend, config.migration_every + 1)
         assert len(outcome.inspiration_ids) == 3
         assert outcome.new_solution.parent_id not in outcome.inspiration_ids
 
@@ -107,7 +105,7 @@ class TestEvolveStep:
         config = standard_config(**{"p_explore": 0.0, "num_inspirations": 3, **overrides})
         island = seeded_island(fitnesses=(0.1, 0.3, 0.5, 0.7, 0.9))
         backend = scripted_backend(fenced("print('x')\n"))
-        outcome = evolve_step(island, config, backend, rngs(), config.migration_every + 1)
+        outcome = evolve_step(island, config, backend, config.migration_every + 1)
         assert outcome.inspiration_ids == []
 
     def test_explore_fraction_matches_p_explore(self):
@@ -121,15 +119,14 @@ class TestEvolveStep:
 
     def test_explore_fraction_through_evolve_step(self):
         config = standard_config(p_explore=0.3)
-        r = rngs(2024)
         explored = 0
         trials = 2000
-        island = seeded_island()
+        island = seeded_island(seed=2024)
         for i in range(trials):
             backend = ReplayBackend(
                 {(0, 0): "a prompt", (0, 1): fenced("print('x')\n")}
             )
-            outcome = evolve_step(island, config, backend, r, 1)
+            outcome = evolve_step(island, config, backend, 1)
             if outcome.operator == OP_EXPLORE:
                 explored += 1
         assert explored / trials == pytest.approx(0.3, abs=0.025)
@@ -145,11 +142,11 @@ def submit():
 class TestInitializeIsland:
     def test_six_scripted_programs_become_six_roots(self, submit):
         config = standard_config(init_population=6)
-        island = IslandState(0, capacity=40)
+        island = seed_streams(IslandState(0, 40, master_seed=0))
         backend = scripted_backend(
             *[fenced(f"print({i})\n") for i in range(6)]
         )
-        prompt, pending, failures = initialize_island(island, config, backend, rngs(), submit)
+        prompt, pending, failures = initialize_island(island, config, backend, submit)
         assert prompt == get_problem(config.problem_id).brief
         assert len(pending) == 7  # trivial + 6 generated
         assert failures == []
@@ -160,9 +157,9 @@ class TestInitializeIsland:
 
     def test_all_generations_failing_leaves_only_trivial(self, submit):
         config = standard_config(init_population=6)
-        island = IslandState(0, capacity=40)
+        island = seed_streams(IslandState(0, 40, master_seed=0))
         backend = scripted_backend(*["no code here at all"] * 6)
-        _, pending, failures = initialize_island(island, config, backend, rngs(), submit)
+        _, pending, failures = initialize_island(island, config, backend, submit)
         assert len(pending) == 1
         assert pending[0].code == get_problem(config.problem_id).trivial_code
         assert len(failures) == 6
@@ -186,7 +183,7 @@ class TestInitializeIsland:
 
         backend = ThreadRecording({(0, i): fenced(f"print({i})\n") for i in range(calls)})
         config = standard_config(init_population=calls)
-        _, pending, _ = initialize_island(IslandState(0, capacity=40), config, backend, rngs(), counted)
+        _, pending, _ = initialize_island(seed_streams(IslandState(0, 40, master_seed=0)), config, backend, counted)
         assert len(pending) == calls + 1
         assert len(submitted) == calls - 1  # a pool given no call starts no thread
         assert threads[0] is threading.current_thread()
@@ -196,4 +193,4 @@ class TestInitializeIsland:
         config = standard_config()
         island = seeded_island()
         with pytest.raises(RuntimeError):
-            initialize_island(island, config, scripted_backend(), rngs(), submit)
+            initialize_island(island, config, scripted_backend(), submit)

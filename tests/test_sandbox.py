@@ -409,6 +409,17 @@ class TestLauncherPool:
         assert good.proc.returncode == 0
         assert (good.workdir, bad.workdir, bad.proc) == (None, None, None)
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="lists the open descriptors in /proc/self/fd, which only Linux has"
+    )
+    def test_an_interpreter_with_a_nul_byte_is_a_launcher_error_that_leaks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where the work directories are made
+        before = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(sandbox.LauncherError, match="embedded null byte"):
+            sandbox.LauncherPool([sys.executable + "\0"], 2, LIMITS, FILE_SIZE_LIMIT, 0)
+        assert set(os.listdir("/proc/self/fd")) ^ before == set()
+        assert list(tmp_path.iterdir()) == []
+
     def test_closing_hangs_up_on_every_launcher_before_reaping_any(self, monkeypatch):
         pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS, FILE_SIZE_LIMIT, 0)
         events = []
