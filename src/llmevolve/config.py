@@ -10,7 +10,7 @@ from urllib.parse import urlsplit
 
 import yaml
 
-from .llm import MAX_INTEGER, EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy, check_field
+from .llm import MAX_INTEGER, EnsembleConfig, EnsembleMember, MetaModel, RetryPolicy, check_field, quote
 from .problems import REGISTRY
 from .sandbox import ResourceLimits
 
@@ -83,7 +83,7 @@ class RunConfig:
         for name, *rule in self.RANGES:
             check_field(name, getattr(self, name), *rule)
         if self.backend not in ("replay", "http"):
-            raise ConfigError(f"unknown backend: {self.backend!r}")
+            raise ConfigError(f"unknown backend: {quote(self.backend)}")
         if self.backend == "http":
             url = urlsplit(self.base_url)
             if url.scheme not in ("http", "https") or not url.hostname:
@@ -109,14 +109,14 @@ class RunConfig:
                 if not (isinstance(edge, (list, tuple)) and len(edge) == 2
                         and all(type(i) is int and 0 <= i < self.num_islands for i in edge)):
                     raise ConfigError(
-                        f"topology edge {edge!r} must join two integer island indices in range({self.num_islands})"
+                        f"topology edge {quote(edge)} must join two integer island indices in range({self.num_islands})"
                     )
                 a, b = edge
                 if a != b:
                     adj[a].add(b)
                     adj[b].add(a)
         else:
-            raise ConfigError(f"unknown topology: {self.topology!r}")
+            raise ConfigError(f"unknown topology: {quote(self.topology)}")
         return {i: sorted(v) for i, v in adj.items()}
 
     def migrates(self) -> bool:

@@ -35,10 +35,6 @@ STATUS_GENERATION_FAILED = "generation_failed"
 STATUS_PENDING = "pending"
 
 
-class UnknownIdError(KeyError):
-    """Raised when a solution id cannot be resolved."""
-
-
 @dataclass
 class Solution:
     """A candidate program together with its lineage and evaluation result."""
@@ -112,9 +108,10 @@ class IslandState:
     # -- lookups --
 
     def lookup(self, solution_id: str) -> Solution:
+        """The live or archived solution ``solution_id``; a ``KeyError`` if there is none."""
         sol = self.solutions.get(solution_id) or self.archive.get(solution_id)
         if sol is None:
-            raise UnknownIdError(solution_id)
+            raise KeyError(solution_id)
         return sol
 
     def live(self) -> list[Solution]:

@@ -13,7 +13,8 @@ replaced.
 
 A reply is an edit or an error: ``parse_response`` returns its blocks; else,
 if it holds no block, the program in its one fenced code block, which
-replaces the whole file; else it raises a ``DiffParseError``.
+replaces the whole file; else it raises an ``EditError``. A block whose search
+text is not found is an ``EditError`` too.
 """
 
 from __future__ import annotations
@@ -28,13 +29,9 @@ REPLACE_MARKER = ">>>>>>> REPLACE"
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
 
-class DiffParseError(ValueError):
-    """A reply holds no edit: a block is not well formed, or there is no block
-    and not exactly one fenced code block."""
-
-
-class DiffApplyError(ValueError):
-    """A block's search text was not found in the working source."""
+class EditError(ValueError):
+    """A reply makes no edit: it holds no well-formed block and not exactly one
+    fenced code block, or a block's search text is not in the working source."""
 
 
 @dataclass
@@ -54,7 +51,7 @@ def parse_response(text: str) -> list[EditBlock] | str:
         return blocks
     fences = _FENCE_RE.findall(text)
     if len(fences) != 1:
-        raise DiffParseError("response contains no edit blocks or code block")
+        raise EditError("response contains no edit blocks or code block")
     return fences[0].rstrip("\n")
 
 
@@ -70,7 +67,7 @@ def _parse_blocks(text: str) -> list[EditBlock]:
         search, i = _read_half(lines, i + 1, DIVIDER_MARKER, start)
         replace, i = _read_half(lines, i, REPLACE_MARKER, start)
         if not search:
-            raise DiffParseError(f"block starting at line {start + 1} has empty search text")
+            raise EditError(f"block starting at line {start + 1} has empty search text")
         blocks.append(EditBlock(search=search, replace=replace))
     return blocks
 
@@ -79,13 +76,13 @@ def _read_half(lines: list[str], i: int, end: str, start: int) -> tuple[str, int
     """Read one half of the block at line ``start`` from line ``i`` to its ``end`` marker.
 
     Returns the half's text and the index past the marker. A new SEARCH
-    marker before ``end``, or no ``end`` at all, is a ``DiffParseError``.
+    marker before ``end``, or no ``end`` at all, is an ``EditError``.
     """
     j = i
     while j < len(lines) and lines[j] not in (end, SEARCH_MARKER):
         j += 1
     if j == len(lines) or lines[j] != end:
-        raise DiffParseError(f"block starting at line {start + 1} has no '{end}'")
+        raise EditError(f"block starting at line {start + 1} has no '{end}'")
     return "\n".join(lines[i:j]), j + 1
 
 
@@ -95,7 +92,7 @@ def apply_blocks(source: str, blocks: list[EditBlock]) -> str:
     for idx, block in enumerate(blocks):
         pos = text.find(block.search)
         if pos < 0:
-            raise DiffApplyError(f"search text of block {idx} not found")
+            raise EditError(f"search text of block {idx} not found")
         text = text[:pos] + block.replace + text[pos + len(block.search):]
     return text
 

@@ -158,16 +158,18 @@ def _solution_event(kind: str, sol: Solution, insert: str, **extra) -> dict:
     }
 
 
-# The keys of each event type that the summary and ``report`` read.
-_EVENT_KEYS = {"init": ("island", "status", "fitness"), "step": ("island", "status", "fitness", "epoch")}
+# The keys of each event type that the summary and ``report`` read, each with
+# its kind (see ``llm.check_field``, which refuses a bool for each).
+_EVENT_KEYS = {"init": {"island": "integer", "status": "string", "fitness": "number"}}
+_EVENT_KEYS["step"] = {**_EVENT_KEYS["init"], "epoch": "integer"}
 
 
 def read_events(run_dir: str | Path) -> Iterator[dict]:
     """The records of ``run_dir``'s event log, in order.
 
     A line that is not a JSON object with a string ``type``, or an ``init``
-    or ``step`` record without a key that its readers need, is a
-    ``ValueError`` that names the line.
+    or ``step`` record without a key that its readers need or with one of
+    another type, is a ``ValueError`` that names the line.
     """
     path = Path(run_dir) / EVENT_LOG_NAME
     with open(path, "rb") as fh:
@@ -176,9 +178,12 @@ def read_events(run_dir: str | Path) -> Iterator[dict]:
                 record = json.loads(line)  # a UnicodeDecodeError is a ValueError too
                 if not (isinstance(record, dict) and isinstance(record.get("type"), str)):
                     raise ValueError("not a JSON object with a string type")
-                missing = [key for key in _EVENT_KEYS.get(record["type"], ()) if key not in record]
+                kinds = _EVENT_KEYS.get(record["type"], {})
+                missing = [key for key in kinds if key not in record]
                 if missing:
                     raise ValueError(f"a {record['type']} event without {', '.join(missing)}")
+                for key, kind in kinds.items():
+                    llm.check_field(f"a {record['type']} event's {key}", record[key], kind)
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
             yield record

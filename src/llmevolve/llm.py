@@ -14,6 +14,12 @@ Two backends ship with the package: an OpenAI-compatible chat-completions
 client on ``urllib.request``, and a replay backend that serves the scripted
 response under each key, for fully deterministic offline runs. Either one
 returns text: a reply or transcript record without text is an error.
+
+A call fails in one of three ways. A ``TransportError`` is retried under the
+config's ``RetryPolicy``. A ``RejectedError`` fails its step at once: a
+refused request, a replay miss or digest mismatch, or a blank meta reply. A
+``KeyRefusedError`` ends the run. ``generate`` is the one function here that
+sends a call.
 """
 
 from __future__ import annotations
@@ -42,11 +48,9 @@ class TransportError(RuntimeError):
 
 
 class RejectedError(TransportError):
-    """The backend refused the call; retrying cannot change that, so it is raised at once."""
-
-
-class ReplayError(RejectedError):
-    """A replay transcript has no response, or a different digest, for a call."""
+    """Retrying cannot change this call's outcome, so it is raised at once and
+    fails its step: the backend refused the request, a replay transcript has no
+    response or a different digest for the call, or the meta model's reply is blank."""
 
 
 class KeyRefusedError(RuntimeError):
@@ -55,10 +59,6 @@ class KeyRefusedError(RuntimeError):
     No later call can succeed, so it is not retried and fails no step: it
     ends the run, which can resume from its last checkpoint with a good key.
     """
-
-
-class EmptyResponseError(RuntimeError):
-    """The backend returned an empty payload where text was required."""
 
 
 # The largest integer a config field takes, the signed 64-bit maximum: far
@@ -83,6 +83,17 @@ def check_field(name: str, value, kind: str, low=None, high=None) -> None:
         raise ValueError(f"{name} must be {'an' if kind[0] == 'i' else 'a'} {kind}{bounds}")
 
 
+def quote(value) -> str:
+    """``repr(value)``, for a message that names a refused value. Python writes
+    no integer of more than 4,300 decimal digits, which YAML reads from a long
+    hex literal; a value that holds one is described instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        what = "an integer" if type(value) is int else f"a {type(value).__name__} holding an integer"
+        return f"<{what} too long to write in decimal>"
+
+
 class _Model:
     """A model's checks: a name, and the sampling values that every request sends."""
 
@@ -90,7 +101,7 @@ class _Model:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.name, str) and self.name):
-            raise ValueError(f"model name {self.name!r} must be a non-empty string")
+            raise ValueError(f"model name {quote(self.name)} must be a non-empty string")
         for name, *rule in self.RANGES:
             check_field(f"model {self.name!r} {name}", getattr(self, name), *rule)
 
@@ -356,14 +367,12 @@ class ReplayBackend:
             self.counters[island_id] = max(after, index + 1)
         key = (island_id, index)
         if key not in self.responses:
-            raise ReplayError(f"replay transcript exhausted at island {island_id} call {index}")
+            raise RejectedError(f"replay transcript exhausted at island {island_id} call {index}")
         expected = self.strict_digests.get(key)
         if expected is not None:
             actual = request_digest(messages)
             if actual != expected:
-                raise ReplayError(
-                    f"replay digest mismatch at island {island_id} call {index}"
-                )
+                raise RejectedError(f"replay digest mismatch at island {island_id} call {index}")
         return self.responses[key]
 
     def get_state(self) -> dict[int, int]:
@@ -385,24 +394,25 @@ def _is_digest(value) -> bool:
     return type(value) is str and len(value) == 64 and set(value) <= set("0123456789abcdef")
 
 
-def _send(
-    policy: RetryPolicy,
+def generate(
+    config: EnsembleConfig,
+    messages: list[dict[str, str]],
     backend,
     model: EnsembleMember | MetaModel,
-    messages: list[dict[str, str]],
     island_id: int,
     index: int,
 ) -> str:
-    """Send ``messages`` to ``model`` as call ``index``, under ``policy``.
+    """Send ``messages`` to ``model``, an ensemble member (see ``sample_model``) or
+    the meta model, as call ``index``; return the reply verbatim.
 
-    A ``TransportError`` is retried once for each of the policy's back-offs,
+    A ``TransportError`` is retried once for each of the config's back-offs,
     and surfaces when they are exhausted; a ``RejectedError`` is raised at
     once. Before a retry it sleeps its back-off, or the server's
     ``retry_after`` if that is longer (but no longer than
     ``HTTP_TIMEOUT_SECONDS``).
     """
     last: Exception | None = None
-    for delay in (*policy.backoff_seconds, None):  # None: the last attempt
+    for delay in (*config.retry.backoff_seconds, None):  # None: the last attempt
         try:
             return backend.complete(model, messages, island_id, index=index)
         except RejectedError:
@@ -415,22 +425,7 @@ def _send(
                 delay = max(delay, min(exc.retry_after, HTTP_TIMEOUT_SECONDS))
             if delay:
                 time.sleep(delay)
-    raise TransportError(f"all {len(policy.backoff_seconds) + 1} attempts failed: {last}")
-
-
-def generate(
-    config: EnsembleConfig,
-    messages: list[dict[str, str]],
-    backend,
-    member: EnsembleMember,
-    island_id: int,
-    index: int,
-) -> str:
-    """Send ``messages`` to ``member`` (see ``sample_model``) as call ``index``; return the reply verbatim.
-
-    The call is retried under the config's retry policy (see ``_send``).
-    """
-    return _send(config.retry, backend, member, messages, island_id, index)
+    raise TransportError(f"all {len(config.retry.backoff_seconds) + 1} attempts failed: {last}")
 
 
 def meta_prompt(
@@ -442,10 +437,10 @@ def meta_prompt(
 ) -> str:
     """Send the meta model a prompt-rewriting request as call ``index``; return the new prompt.
 
-    The call is retried as ``generate``'s is and sends no output-token cap.
-    An empty or blank reply is an ``EmptyResponseError``.
+    The call goes through ``generate``, so it is retried alike, and sends no
+    output-token cap. A blank reply is a ``RejectedError``: it is not retried.
     """
-    text = _send(config.retry, backend, config.meta_model, messages, island_id, index)
+    text = generate(config, messages, backend, config.meta_model, island_id, index)
     if not text.strip():
-        raise EmptyResponseError("meta model returned an empty prompt")
+        raise RejectedError("meta model returned an empty prompt")
     return text

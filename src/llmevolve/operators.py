@@ -12,9 +12,12 @@ islands have exchanged migrants (``RunConfig.migrations_before``), up to
 A step first flips the explore coin, then samples a parent, optional
 inspirations and the ancestor chain, builds the chat messages from them with
 the templates, sends them through the model layer and applies the reply with
-the diff engine. Each offspring carries the instruction text it was
-generated from: its parent's, or the meta model's rewrite of it on
-exploration. All state mutation other than allocating ids and model-call
+the diff engine. A call that fails (``llm.TransportError``, which a
+``RejectedError`` is too) or an edit that fails (``diffengine.EditError``)
+fails the step: the child is a failed solution whose feedback is the
+error's message. A ``KeyRefusedError`` is not caught, so it ends the run.
+Each offspring carries the instruction text it was generated from: its
+parent's, or the meta model's rewrite of it on exploration. All state mutation other than allocating ids and model-call
 indices and drawing from the island's streams is left to the engine.
 """
 
@@ -38,7 +41,7 @@ OP_EXPLORE = "explore"
 OP_NO_EVOLUTION = "no_evolution"
 
 # What a failed generation call or edit raises.
-GENERATION_ERRORS = (llm.TransportError, diffengine.DiffParseError, diffengine.DiffApplyError)
+GENERATION_ERRORS = (llm.TransportError, diffengine.EditError)
 
 
 @dataclass
@@ -139,7 +142,7 @@ def evolve_step(island: IslandState, config: RunConfig, backend, epoch: int) -> 
             prompt = llm.meta_prompt(
                 config.ensemble, messages, backend, island.id, island.next_call_index()
             )
-        except (llm.TransportError, llm.EmptyResponseError) as exc:
+        except llm.TransportError as exc:
             failed = _new_solution(
                 island, epoch, parent.code, parent.prompt, parent.id,
                 f"meta-prompting failed: {exc}",
@@ -185,11 +188,11 @@ def _apply_response(parent_code: str, response: str) -> str:
     edit = diffengine.parse_response(response)
     code = edit if isinstance(edit, str) else diffengine.apply_blocks(parent_code, edit)
     if not code:
-        raise diffengine.DiffApplyError("the edit leaves an empty program")
+        raise diffengine.EditError("the edit leaves an empty program")
     try:
         code.encode("utf-8")  # a JSON reply can carry a lone surrogate
     except UnicodeEncodeError as exc:
-        raise diffengine.DiffApplyError(f"the edit leaves a program that is not UTF-8 text: {exc}") from None
+        raise diffengine.EditError(f"the edit leaves a program that is not UTF-8 text: {exc}") from None
     return code
 
 

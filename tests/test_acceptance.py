@@ -207,9 +207,8 @@ def test_criterion_7_determinism(reference_run, tmp_path):
 
 def test_criterion_8_diff_corpus():
     from llmevolve.diffengine import (
-        DiffApplyError,
-        DiffParseError,
         EditBlock,
+        EditError,
         apply_blocks,
         parse_response,
     )
@@ -232,12 +231,12 @@ def test_criterion_8_diff_corpus():
         ("```python\nimport os\n```", "anything", "import os"),
         ("lead-in text\n```text\npayload\n```\ntrailing", "anything", "payload"),
         (blk("whole source", "rewritten"), "whole source", "rewritten"),
-        ("no markers, no fences", "src", DiffParseError),
-        ("```\none\n```\n```\ntwo\n```", "src", DiffParseError),
-        ("<<<<<<< SEARCH\ndangling", "src", DiffParseError),
-        ("<<<<<<< SEARCH\na\n=======\nb", "src", DiffParseError),
-        (blk("missing text", "x"), "src", DiffApplyError),
-        (blk("also missing", "x") , "completely different", DiffApplyError),
+        ("no markers, no fences", "src", EditError),
+        ("```\none\n```\n```\ntwo\n```", "src", EditError),
+        ("<<<<<<< SEARCH\ndangling", "src", EditError),
+        ("<<<<<<< SEARCH\na\n=======\nb", "src", EditError),
+        (blk("missing text", "x"), "src", EditError),
+        (blk("also missing", "x") , "completely different", EditError),
         (blk("tab\there", "spaces here"), "tab\there", "spaces here"),
         (blk("a", "b"), "prefix a suffix", "prefix b suffix"),
     ]

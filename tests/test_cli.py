@@ -201,6 +201,27 @@ class TestCmdRun:
         assert result.output.startswith(f"Error: invalid config: {path}: ")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("backend: {}\n", "unknown backend: <an integer too long to write in decimal>"),
+            ("num_islands: 2\ntopology: [[0, {}]]\n", "topology edge <a tuple holding an integer too long to write"),
+            ("topology: {}\n", "unknown topology: <an integer too long to write in decimal>"),
+            ("ensemble:\n  members: [{{name: {}, weight: 1.0}}]\n", "model name <an integer too long to write"),
+        ],
+        ids=["backend", "topology_edge", "topology", "member_name"],
+    )
+    def test_a_refused_integer_too_long_to_write_is_described_in_a_message_naming_its_field(
+        self, runner, tmp_path, text, message
+    ):
+        path = tmp_path / "bad.yaml"
+        path.write_text("problem_id: p3.a\n" + text.format("0x" + "f" * 4000))
+        result = runner.invoke(main, ["run", "--config", str(path), "--run-dir", str(tmp_path / "r")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.startswith(f"Error: invalid config: {message}")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("doc", [{"problem_id": ["p1"]}, {"problem_id": 3}, {}], ids=["list", "integer", "missing"])
     def test_a_problem_id_that_is_not_a_string_is_a_config_error_naming_the_known_ones(self, doc):
         from llmevolve.config import ConfigError, config_from_dict
@@ -503,6 +524,10 @@ class TestConfigContract:
     @example(doc={"problem_id": "p1", "master_seed": -2**16000})
     @example(doc={"problem_id": "p1", "epochs": 2**16000, "max_ancestor_depth": 2**16000})
     @example(doc={"problem_id": "p1", "ensemble": {"members": [{"name": "a", "weight": 1, "max_output_tokens": 2**16000}]}})
+    @example(doc={"problem_id": "p1", "backend": 2**16000})
+    @example(doc={"problem_id": "p1", "topology": [[0, 2**16000]]})
+    @example(doc={"problem_id": "p1", "topology": 2**16000})
+    @example(doc={"problem_id": "p1", "ensemble": {"members": [{"name": 2**16000, "weight": 1}]}})
     def test_a_config_mapping_loads_as_a_config_that_can_run_or_is_a_config_error(self, doc):
         from llmevolve import engine
         from llmevolve.config import MAX_INIT_POPULATION, MAX_ISLANDS, ConfigError, config_from_dict, load_config
@@ -511,7 +536,8 @@ class TestConfigContract:
 
         try:
             cfg = config_from_dict(doc)
-        except ConfigError:
+        except ConfigError as exc:
+            assert not str(exc).startswith("Exceeds the limit")  # the message names its field
             return
         assert 1 <= cfg.num_islands <= MAX_ISLANDS and 1 <= cfg.init_population <= MAX_INIT_POPULATION
         assert cfg.sandbox_workers is None or cfg.sandbox_workers >= 1
@@ -691,8 +717,21 @@ class TestCmdReport:
 
     @pytest.mark.parametrize(
         "events",
-        [None, b"not json\n", b"{}\n", b"[1]\n", b'{"type": "step", "island": 0}\n', b'{"type": "\xff"}\n'],
-        ids=["missing", "malformed", "no_type", "not_an_object", "step_without_keys", "undecodable"],
+        [
+            None, b"not json\n", b"{}\n", b"[1]\n", b'{"type": "step", "island": 0}\n', b'{"type": "\xff"}\n',
+            *(
+                json.dumps({"type": "step", "island": 0, "status": "valid", "fitness": 0.5, "epoch": 1, **odd}).encode()
+                for odd in [
+                    {"fitness": "x"}, {"fitness": True}, {"island": [0]}, {"island": True}, {"island": 0.0},
+                    {"epoch": "a"}, {"epoch": True}, {"status": 1},
+                ]
+            ),
+        ],
+        ids=[
+            "missing", "malformed", "no_type", "not_an_object", "step_without_keys", "undecodable",
+            "string_fitness", "boolean_fitness", "list_island", "boolean_island", "float_island",
+            "string_epoch", "boolean_epoch", "integer_status",
+        ],
     )
     def test_a_run_dir_without_a_readable_event_log_is_an_error_message(
         self, runner, tmp_path, events

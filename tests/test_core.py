@@ -10,7 +10,6 @@ from llmevolve.core import (
     STATUS_VALID,
     IslandState,
     Solution,
-    UnknownIdError,
     derive_rng,
     ranked,
 )
@@ -81,7 +80,7 @@ class TestAncestors:
 
     def test_unknown_id_raises(self):
         island = make_island()
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(KeyError):
             island.ancestors("nope", None)
 
     def test_evicted_ancestors_stay_resolvable(self):
@@ -121,7 +120,7 @@ class TestTryInsert:
         assert result.outcome == "rejected"
         # A rejected candidate is not kept: the archive is unchanged.
         assert island.archive == archive == {"s0": island.lookup("s0")}
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(KeyError):
             island.lookup("new")
 
     def test_eviction_tie_breaks_to_oldest(self):

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import render_blocks
 from llmevolve.diffengine import (
-    DiffApplyError,
-    DiffParseError,
     EditBlock,
+    EditError,
     apply_blocks,
     parse_response,
 )
@@ -70,7 +69,7 @@ class TestParseResponse:
         ],
     )
     def test_each_parse_error_names_its_cause_and_line(self, text, message):
-        with pytest.raises(DiffParseError) as exc:
+        with pytest.raises(EditError) as exc:
             parse_response(text)
         assert str(exc.value) == message
 
@@ -94,7 +93,7 @@ class TestApplyBlocks:
         assert apply_blocks("unchanged", []) == "unchanged"
 
     def test_missing_search_raises_with_index(self):
-        with pytest.raises(DiffApplyError) as exc:
+        with pytest.raises(EditError) as exc:
             apply_blocks("abc", [EditBlock("a", "A"), EditBlock("zzz", "B")])
         assert "block 1 " in str(exc.value)
 
@@ -147,9 +146,9 @@ CORPUS = [
     ("```python\nimport os\nprint(os.name)\n```", "old", "import os\nprint(os.name)"),
     (block_text("b", ""), "abc", "ac"),
     (block_text("a", "aa"), "a a", "aa a"),
-    ("no edits here", "src", DiffParseError),
-    ("<<<<<<< SEARCH\nbroken", "src", DiffParseError),
-    (block_text("absent", "x"), "src", DiffApplyError),
+    ("no edits here", "src", EditError),
+    ("<<<<<<< SEARCH\nbroken", "src", EditError),
+    (block_text("absent", "x"), "src", EditError),
     (block_text("multi\nline", "joined"), "pre\nmulti\nline\npost", "pre\njoined\npost"),
 ]
 

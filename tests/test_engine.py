@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import random
+import signal
 import sys
 import tempfile
 import threading
@@ -58,6 +59,17 @@ class TestRun:
         assert summary.best_fitness > 0
         assert (run_dir / "best" / "artifact.json").exists()
         assert (run_dir / "best" / "solution.py").exists()
+
+    def test_a_run_without_a_valid_candidate_writes_no_best(self, tmp_path, monkeypatch):
+        from llmevolve.problems import ScoreReport, get_problem
+
+        invalid = ScoreReport(objective=0.0, fitness=0.0, valid=False, violations={"every construction": 1.0})
+        monkeypatch.setattr(get_problem("p3.a"), "scorer", lambda artifact: invalid)
+        run_dir, _, summary = small_run(tmp_path)
+        assert summary.finished and set(summary.step_counts) == {"invalid_artifact"}
+        assert (summary.best_solution_id, summary.best_island, summary.best_fitness) == (None, -1, 0.0)
+        assert summary.best_objective is None
+        assert not (run_dir / "best").exists()
 
     def test_best_fitness_monotone_per_island(self, tmp_path):
         run_dir, _, _ = small_run(tmp_path)
@@ -1279,12 +1291,20 @@ class TestEvaluateCandidate:
         assert "RuntimeError: nope" in stored["stderr"]
         assert stored["feedback"] == sol.feedback
 
-    @pytest.mark.parametrize("name", ["SIGSEGV", "SIGTERM"])
-    def test_a_candidate_ended_by_a_signal_names_it(self, tmp_path, name):
+    @pytest.mark.parametrize(
+        "sent, name",
+        [
+            ("signal.SIGSEGV", "SIGSEGV"),
+            ("signal.SIGTERM", "SIGTERM"),
+            ("signal.SIGRTMIN + 1", f"signal {signal.SIGRTMIN + 1}"),  # a real-time signal has no name of its own
+        ],
+        ids=["SIGSEGV", "SIGTERM", "SIGRTMIN+1"],
+    )
+    def test_a_candidate_ended_by_a_signal_names_it(self, tmp_path, sent, name):
         code = (
             "import os, resource, signal\n"
             "resource.setrlimit(resource.RLIMIT_CORE, (0, 0))\n"  # no core file
-            f"os.kill(os.getpid(), signal.{name})\n"
+            f"os.kill(os.getpid(), {sent})\n"
         )
         sol = self._runner(tmp_path).evaluate(self._pending(code))
         assert sol.status == "runtime_error"

@@ -178,8 +178,6 @@ class TestGenerate:
         ids=["missing_key", "digest_mismatch"],
     )
     def test_a_replay_miss_is_not_retried(self, backend):
-        from llmevolve import llm
-
         backend = backend()
         indices = []
         complete = backend.complete
@@ -189,7 +187,7 @@ class TestGenerate:
         with pytest.raises(TransportError) as exc:  # under the default retry policy
             generate(cfg, MESSAGES, backend, cfg.members[0], 0, 0)
         assert time.monotonic() - start < 0.1
-        assert isinstance(exc.value, llm.ReplayError)
+        assert isinstance(exc.value, RejectedError)
         assert indices == [0]
 
 
@@ -204,9 +202,7 @@ class TestMetaPrompt:
 
     def test_empty_response_is_an_error(self):
         backend = ReplayBackend({(0, 0): "   "})
-        from llmevolve.llm import EmptyResponseError
-
-        with pytest.raises(EmptyResponseError):
+        with pytest.raises(RejectedError, match="^meta model returned an empty prompt$"):
             meta_prompt(two_model_config(), META_MESSAGES, backend, 0, 0)
 
 
@@ -252,6 +248,25 @@ class TestReplayBackend:
         )
         backend = ReplayBackend.from_file(path)
         assert backend.complete("m", [], 2) == "hello"
+
+    def test_from_file_pins_each_call_to_its_digest(self, tmp_path):
+        from llmevolve.llm import request_digest
+
+        path = tmp_path / "t.jsonl"
+        records = [
+            {"index": 0, "response": "pinned", "digest": request_digest(MESSAGES)},
+            {"index": 1, "response": "other", "digest": "0" * 64},  # well formed, but not MESSAGES's
+        ]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        backend = ReplayBackend.from_file(path)
+        indices = []
+        complete = backend.complete
+        backend.complete = lambda *args, **kwargs: indices.append(kwargs["index"]) or complete(*args, **kwargs)
+        cfg = EnsembleConfig.default()  # the default retry policy
+        assert generate(cfg, MESSAGES, backend, cfg.members[0], 0, 0) == "pinned"
+        with pytest.raises(RejectedError, match="^replay digest mismatch at island 0 call 1$"):
+            generate(cfg, MESSAGES, backend, cfg.members[0], 0, 1)
+        assert indices == [0, 1]  # one attempt each
 
     @pytest.mark.parametrize("response", [None, 42, ["text"]])
     def test_from_file_rejects_a_response_that_is_not_text(self, tmp_path, response):

@@ -330,6 +330,20 @@ class TestParseArtifact:
                 accepted.append(((*parents, last), bad))
         assert accepted == []
 
+    @pytest.mark.parametrize(
+        "pid, raw, message",
+        [
+            ("p2.a", b'{"points": [[NaN, 0], [1, 1]]}', "coordinates must be finite"),
+            ("p3.a", b'{"circles": [[0.5, 0.5]]}', "each circle is an (x, y, r) triple"),
+            ("p4", b'{"rect_width": 1.0, "circles": [[0.5, 0.5, Infinity]]}', "circle values must be finite"),
+        ],
+        ids=["nan_coordinate", "circle_of_two_numbers", "infinite_radius"],
+    )
+    def test_a_malformed_construction_names_its_fault(self, pid, raw, message):
+        with pytest.raises(ArtifactError) as exc:
+            parse_artifact(pid, raw)
+        assert str(exc.value) == message
+
     def test_deep_nesting_is_an_artifact_error(self):
         with pytest.raises(ArtifactError):
             parse_artifact("p1", b'{"heights": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
