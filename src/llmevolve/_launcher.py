@@ -30,6 +30,10 @@ file-size limit on itself and ``SIGXFSZ`` back to its default, and
 compiles an empty source, which warms the parser and compiler: without it
 a child took about 475 minor faults instead of 365, and about 2 ms more
 CPU (375 after a compile of this whole file, which costs 4.0 ms, not 1.9).
+Last, it exits if ``memory_bytes`` is not above its own address space
+(``/proc/self/statm``): a child inherits that space and the address-space
+limit counts it, so such a limit would stop nothing the child does not
+map anew. Without ``/proc`` it makes no such check.
 Each child inherits all of that, the work directory and the environment,
 and runs the script as ``python <script>`` would, in a session of its own,
 under the address-space and CPU-time limits, which it sets itself so that
@@ -97,6 +101,16 @@ def enter_child(stdout: int, stderr: int, memory_bytes: int, cpu_seconds: int) -
     os.close(stderr)
     resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
     resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+
+
+def address_space():
+    """This process's address space in bytes, from ``/proc/self/statm``; None without ``/proc``."""
+    try:
+        with open("/proc/self/statm", "rb") as fh:
+            pages = int(fh.read().split()[0])
+    except OSError:
+        return None
+    return pages * resource.getpagesize()
 
 
 def run_main(loader, directory: str) -> int:
@@ -230,6 +244,12 @@ if __name__ == "__main__":
     # at exit, which would otherwise copy most of the inherited heap.
     gc.freeze()
     signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
+    size = address_space()
+    if size is not None and int(memory_bytes) <= size:
+        sys.exit(
+            f"memory_bytes {memory_bytes} is not above the launcher's address space"
+            f" of {size} bytes, which every candidate inherits"
+        )
     try:
         child = serve(socket.socket(fileno=int(fd)), int(memory_bytes), int(cpu_seconds))
     except ConnectionError:  # the engine died while a child ran

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -67,11 +68,37 @@ class InsertResult:
     outcome: str  # "inserted" | "rejected" | "inserted_with_eviction"
 
 
-def derive_rng(master_seed: int, island: int, stream: str) -> random.Random:
-    """The random stream named ``stream`` of ``island`` under ``master_seed``."""
+class RandomStream(random.Random):
+    """A ``random.Random`` that pickles its state as 2,500 bytes.
+
+    It overrides neither ``random`` nor ``getrandbits``, so it draws exactly
+    as ``random.Random`` does. Its pickle holds the Mersenne Twister state
+    (624 words and an index) packed little-endian, the same on every
+    platform, and the pending ``gauss`` value, where ``random.Random``'s
+    holds a tuple of 625 ints that the pickler's and unpickler's memos keep
+    until the whole dump or load ends.
+    """
+
+    def __reduce__(self):
+        _, internal, gauss_next = self.getstate()
+        return _unpack_stream, (struct.pack("<625I", *internal), gauss_next)
+
+
+def _unpack_stream(internal: bytes, gauss_next: Optional[float]) -> RandomStream:
+    stream = RandomStream(0)
+    stream.setstate((RandomStream.VERSION, struct.unpack("<625I", internal), gauss_next))
+    return stream
+
+
+def derive_rng(master_seed: int, island: int, stream: str) -> RandomStream:
+    """The random stream named ``stream`` of ``island`` under ``master_seed``.
+
+    A ``RandomStream``, which draws as ``random.Random`` and pickles small;
+    a checkpoint that holds plain ``random.Random`` streams resumes alike.
+    """
     blob = f"{master_seed}:{island}:{stream}".encode()
     seed = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-    return random.Random(seed)
+    return RandomStream(seed)
 
 
 class IslandState:

@@ -38,10 +38,14 @@ a module other than ``__main__`` still holds are not finalised. Its stdout
 and stderr are memfds where ``os`` has ``memfd_create`` and unnamed
 temporary files elsewhere, so on Linux its logs create no file on disk; a running candidate's logs hold at
 most 2 × ``FILE_SIZE_LIMIT`` bytes of memory, freed when ``run_candidate``
-returns. An artifact longer than the launcher's cap is never read. The
-child reports its pid before any candidate code runs, and the engine keeps
-the wall-clock deadline and kills the candidate's whole process group when
-it passes. Should the engine die first, a CPU-time rlimit (``cpu_seconds``)
+returns, and the engine reads only the bytes each holds, at most the last
+``LOG_CAP_BYTES``. An artifact longer than the launcher's cap is never read.
+The child reports its pid before any candidate code runs, and the engine
+keeps one wall-clock deadline per candidate, counted from its request, and
+kills the candidate's whole process group when it passes. The memory
+ceiling counts the address space a child inherits from its launcher, which
+refuses a ``memory_bytes`` at or below its own size where ``/proc`` shows
+it. Should the engine die first, a CPU-time rlimit (``cpu_seconds``)
 ends a busy candidate; a sleeping one lives until its sleep ends.
 Candidates see the launcher's preloaded modules (``atexit``, ``gc``,
 ``json``, ``os``, ``resource``, ``signal``, ``socket``) and its string-hash
@@ -75,7 +79,8 @@ from .problems import ARTIFACT_PATH_ENV
 LOG_CAP_BYTES = 1 << 20  # per stream; the tail is kept and truncation marked in front
 TRUNCATION_MARK = "...[truncated]\n"
 # How long a launcher may take to report a killed candidate's exit, and to
-# exit when closed, before it is killed: a stopped launcher does neither.
+# exit when closed, before it is killed: a stopped launcher does neither. A
+# child gets as long to report its pid, whatever the candidate's wall limit.
 KILL_GRACE_SECONDS = 1.0
 # How long a launcher may take to start, whatever the candidate's wall limit:
 # a start slowed by a loaded host does not fail the candidate that waits on it.
@@ -242,26 +247,41 @@ class Launcher:
         except OSError:
             self.close()
 
-    def run(self, stdout, stderr) -> tuple[Optional[int], bool]:
-        """Run the prepared script: its exit code (None if the launcher was lost) and whether it timed out."""
+    def run(self, stdout, stderr) -> tuple[Optional[int], bool, float]:
+        """Run the prepared script: its exit code (None if the launcher was
+        lost), whether it timed out, and its wall time.
+
+        The candidate has one deadline, ``wall_seconds`` after the request is
+        sent, and its wall time counts from there on the same clock. The
+        child's pid may take up to ``KILL_GRACE_SECONDS`` whatever the limit:
+        the child sends it before any candidate code runs. Past the deadline
+        the group is killed and its exit code waited for under the same grace.
+        """
         sock = self._sock
-        sock.settimeout(self.limits.wall_seconds)
+        sock.settimeout(KILL_GRACE_SECONDS)
         pid, timed_out = None, False
+        start = time.monotonic()
+        deadline = start + self.limits.wall_seconds
         try:
             socket.send_fds(sock, [b"run"], [stdout.fileno(), stderr.fileno()])
             pid = _recv_int(sock)
             try:
-                return _recv_int(sock), False
+                left = deadline - time.monotonic()
+                if left <= 0:  # a zero timeout makes recv raise BlockingIOError, not TimeoutError
+                    raise TimeoutError
+                sock.settimeout(left)
+                code = _recv_int(sock)
             except TimeoutError:
                 timed_out = True
                 _kill_group(pid)
-            sock.settimeout(KILL_GRACE_SECONDS)
-            return _recv_int(sock), True
+                sock.settimeout(KILL_GRACE_SECONDS)
+                code = _recv_int(sock)
         except OSError:  # the launcher died or stopped answering; nobody else will end its child
             if pid is not None:
                 _kill_group(pid)
             self._discard()
-            return None, timed_out
+            code = None
+        return code, timed_out, time.monotonic() - start
 
     def _discard(self) -> int:
         """Kill and reap the launcher; it restarts on next use. Returns its exit code."""
@@ -324,10 +344,15 @@ def _log_file(name: str):
 
 
 def _read_log(fh) -> str:
-    """The log's text, or its last ``LOG_CAP_BYTES`` after ``TRUNCATION_MARK``."""
+    """The log's text, or its last ``LOG_CAP_BYTES`` after ``TRUNCATION_MARK``.
+
+    It reads only the bytes the log holds: a buffered ``read(n)`` allocates
+    all ``n`` bytes before it shrinks the result.
+    """
     size = fh.seek(0, os.SEEK_END)
-    fh.seek(max(0, size - LOG_CAP_BYTES))
-    text = fh.read(LOG_CAP_BYTES).decode("utf-8", errors="replace")
+    kept = min(size, LOG_CAP_BYTES)
+    fh.seek(size - kept)
+    text = fh.read(kept).decode("utf-8", errors="replace")
     return TRUNCATION_MARK + text if size > LOG_CAP_BYTES else text
 
 
@@ -396,8 +421,7 @@ def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
         try:
             launcher.prepare(code.encode("utf-8"))
             workdir = launcher.workdir  # a launcher lost under the candidate forgets it
-            start = time.monotonic()
-            returncode, timed_out = launcher.run(out, err)
+            returncode, timed_out, wall = launcher.run(out, err)
         except LauncherError as exc:
             return ExecutionOutcome(
                 status=STATUS_SPAWN_ERROR,
@@ -405,7 +429,6 @@ def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
                 stderr=str(exc),
                 wall_time=0.0,
             )
-        wall = time.monotonic() - start
 
         stdout, stderr = _read_log(out).replace(workdir, "."), _read_log(err).replace(workdir, ".")
         if timed_out:

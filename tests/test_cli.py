@@ -329,6 +329,22 @@ class TestCmdRun:
         assert "(-E or -I)" in result.output and "PYTHONHASHSEED" in result.output
         assert not run_dir.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="the launcher reads its size from /proc")
+    def test_a_memory_limit_within_the_launchers_own_size_is_an_error_message(self, runner, tmp_path):
+        cfg = write_config(
+            tmp_path / "config.yaml",
+            limits={"wall_seconds": 20.0, "memory_bytes": 4096},
+            backend="http",
+            base_url="http://127.0.0.1:9",
+        )
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.startswith(f"Error: cannot start a launcher on the interpreter {sys.executable} -S")
+        assert re.search(r"memory_bytes 4096 is not above the launcher's address space of \d+ bytes", result.output)
+        assert not run_dir.exists()
+
     def test_an_interpreter_with_a_nul_byte_is_an_error_message(self, runner, tmp_path):
         cfg = write_config(
             tmp_path / "config.yaml", interpreter=[sys.executable + "\0"], backend="http", base_url="http://127.0.0.1:9"

@@ -439,6 +439,28 @@ class TestResume:
         engine.resume(dir_b)
         assert (dir_a / "events.jsonl").read_bytes() == (dir_b / "events.jsonl").read_bytes()
 
+    def test_a_checkpoint_of_plain_random_streams_resumes_to_the_straight_run(self, tmp_path):
+        # As an earlier release wrote it: each stream a ``random.Random``.
+        cfg = standard_config(num_islands=2, epochs=6, migration_every=3, init_population=2)
+        dir_a = tmp_path / "straight"
+        write_transcript(dir_a, num_islands=2, calls_per_island=40)
+        engine.run(cfg, dir_a)
+        dir_b = tmp_path / "interrupted"
+        write_transcript(dir_b, num_islands=2, calls_per_island=40)
+        engine.run(cfg, dir_b, stop_after_epoch=4)
+        for ckpt in (dir_b / "checkpoints").glob("epoch_*.ckpt"):
+            config, state = engine.load_checkpoint(ckpt)
+            for island in state.islands:
+                for name in ("coin_rng", "select_rng", "model_rng"):
+                    plain = random.Random()
+                    plain.setstate(getattr(island, name).getstate())
+                    setattr(island, name, plain)
+            payload = pickle.dumps({"version": engine.CHECKPOINT_VERSION, "config": config, "state": state})
+            assert b"RandomStream" not in payload and b"_unpack_stream" not in payload
+            ckpt.write_bytes(hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload)
+        engine.resume(dir_b)
+        assert (dir_a / "events.jsonl").read_bytes() == (dir_b / "events.jsonl").read_bytes()
+
     @pytest.mark.parametrize("epochs", [5, 6])
     def test_stop_at_the_last_epoch_finishes_the_run(self, tmp_path, epochs):
         cfg = standard_config(num_islands=2, epochs=epochs, migration_every=3, init_population=2)
@@ -1431,6 +1453,25 @@ class TestSandboxFailures:
         assert interpreter[0] in str(raised.value) and error in str(raised.value)
         assert self._files(run_dir) == before
         assert backend.sent == {}
+
+    def test_a_wall_limit_below_the_pid_handshake_times_out_every_candidate_on_the_same_launchers(
+        self, tmp_path, monkeypatch
+    ):
+        from llmevolve.sandbox import ResourceLimits
+
+        started = []
+        start_launchers = engine.start_launchers
+
+        def recording(config, running):
+            pool = start_launchers(config, running)
+            started.extend((launcher, launcher.proc) for launcher in pool.launchers)
+            return pool
+
+        monkeypatch.setattr(engine, "start_launchers", recording)
+        run_dir, _, summary = small_run(tmp_path, limits=ResourceLimits(wall_seconds=1e-6, memory_bytes=1 << 30))
+        assert summary.finished and set(summary.step_counts) == {"timeout"}
+        assert {r["status"] for r in read_events(run_dir) if r["type"] in ("init", "step")} == {"timeout"}
+        assert started and all(launcher.proc is proc for launcher, proc in started)
 
     @pytest.mark.parametrize("broken", ["removed", "exits_before_ready"])
     def test_a_resume_whose_launcher_cannot_start_writes_nothing_and_calls_no_model(self, tmp_path, broken):

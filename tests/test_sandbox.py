@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -240,6 +241,20 @@ def test_a_long_log_keeps_its_traceback(run):
     assert tail.endswith("ValueError: the real failure\n")
 
 
+def test_reading_a_short_log_allocates_only_what_it_holds():
+    # A buffered ``read(n)`` allocates all ``n`` bytes before it shrinks its result.
+    with sandbox._log_file("stdout") as fh:
+        fh.write(b"1\n")
+        tracemalloc.start()
+        try:
+            text = sandbox._read_log(fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert text == "1\n"
+    assert peak < 64 << 10
+
+
 @pytest.mark.skipif(
     sys.platform != "linux" or not hasattr(os, "memfd_create"), reason="needs os.memfd_create and /proc"
 )
@@ -387,7 +402,7 @@ def test_a_launcher_removes_what_its_directory_holds_when_the_engine_hangs_up(la
     launcher.prepare(b"import os\nos.makedirs('sub/deeper')\nopen('sub/deeper/f', 'w').close()\n")
     workdir = launcher.workdir
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        assert launcher.run(out, err) == (0, False)
+        assert launcher.run(out, err)[:2] == (0, False)
     assert sorted(os.listdir(workdir)) == ["candidate.py", "sub"]
     launcher.hang_up()
     assert launcher.proc.wait(5) == 0
@@ -1032,7 +1047,7 @@ def test_exit_status_matches_a_fresh_interpreter(code, launcher, tmp_path):
     script.write_text(f"import sys\n{code}\n", encoding="utf-8")
     launcher.prepare(script.read_bytes())
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        returncode, timed_out = launcher.run(out, err)
+        returncode, timed_out, _ = launcher.run(out, err)
     fresh = subprocess.run(launcher.interpreter + [str(script)], capture_output=True, timeout=LIMITS.wall_seconds)
     assert (returncode, timed_out) == (fresh.returncode, False)
 
