@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import stat
 import sys
 
 import click
@@ -85,14 +84,10 @@ def cmd_score(problem_id, artifact_path) -> None:
         spec = get_problem(problem_id)
     except KeyError as exc:
         raise click.ClickException(str(exc)) from exc
-    # One descriptor for the check and the read; opening a FIFO this way does not wait for a writer.
+    # Opening a FIFO this way does not wait for a writer.
     with open(os.open(artifact_path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
-        info = os.fstat(fh.fileno())
         try:
-            if not stat.S_ISREG(info.st_mode):
-                raise ArtifactError("not a regular file")
-            spec.check_size(info.st_size)
-            artifact = spec.parser(fh.read())
+            artifact = spec.parser(spec.read_artifact(fh))
         except ArtifactError as exc:
             click.echo(json.dumps({"valid": False, "error": str(exc)}, sort_keys=True))
             sys.exit(1)

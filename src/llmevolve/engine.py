@@ -39,18 +39,19 @@ does not depend on the order in which calls arrive. An island evaluates
 each of its candidates, one at a time, on its own thread, with one call:
 the pool runs it on one of the run's ``sandbox_workers`` warm launchers (at
 most one per island), lent in arrival order, and the same thread then
-parses and scores the artifact and appends the candidate's record to the
-solutions log, under a lock; a generation failure is only recorded. The
-pool's launchers stop together when the run returns. At the barrier the
-engine writes the jobs' buffered events in canonical order (init events by
-island, then step events by epoch and island), migrates if the epoch is a
-migration epoch, prunes each island and writes one checkpoint per barrier:
-a digest line and a pickle, which is streamed into the file and hashed from
-it in chunks, so no second copy of it is held in memory. A load checks the
-digest over the whole payload before it unpickles any byte of it.
-At the end of the run it exports ``best/``, taking the artifact from the
-best solution's record, which starts at its ``log_ref`` byte offset. A
-summary counts statuses from the event log's init and step events.
+reads the artifact through ``ProblemSpec.read_artifact``, closes it,
+parses and scores it, and appends the candidate's record to the solutions
+log, under a lock; a generation failure is only recorded. The pool's
+launchers stop together when the run returns. At the barrier the engine
+writes the jobs' buffered events in canonical order (init events by island,
+then step events by epoch and island), migrates if the epoch is a migration
+epoch, prunes each island and writes one checkpoint per barrier: a digest
+line and a pickle, which is streamed into the file and hashed from it in
+chunks, so no second copy of it is held in memory. A load checks the digest
+over the whole payload before it unpickles any byte of it. At the end of
+the run it exports ``best/``, taking the artifact from the best solution's
+record, which starts at its ``log_ref`` byte offset. A summary counts
+statuses from the event log's init and step events.
 """
 
 from __future__ import annotations
@@ -202,10 +203,9 @@ def start_launchers(config: RunConfig, running: bool) -> sandbox.LauncherPool:
     launcher's error, with every one reaped.
     """
     workers = min(config.sandbox_workers or config.num_islands, config.num_islands) if running else 0
-    max_artifact_bytes = get_problem(config.problem_id).max_artifact_bytes
     hash_seed = derive_rng(config.master_seed, 0, "hash").getrandbits(32)
     try:
-        return sandbox.LauncherPool(config.interpreter, workers, config.limits, max_artifact_bytes, hash_seed)
+        return sandbox.LauncherPool(config.interpreter, workers, config.limits, hash_seed)
     except sandbox.LauncherError as exc:
         interpreter = "".join(c if c.isprintable() else repr(c)[1:-1] for c in shlex.join(config.interpreter))
         raise ConfigError(f"cannot start a launcher on the interpreter {interpreter}: {exc}") from None
@@ -281,8 +281,9 @@ class _Run:
 
     def _finalize(self, sol: Solution, outcome: sandbox.ExecutionOutcome) -> Optional[str]:
         """Set ``sol``'s status, feedback and score from ``outcome``; returns the
-        artifact as text if it is valid. An invalid artifact's feedback names
-        one fault: no file, over the cap, unparsable, a scorer error, or violations.
+        artifact as text if it is valid, and closes the artifact file. An invalid
+        artifact's feedback names one fault: no file, not a regular file, over
+        the cap, unparsable, a scorer error, or violations.
 
         A valid artifact parses, so it is UTF-8; ``surrogateescape`` keeps
         any other parser's bytes too, so the text round-trips byte for byte.
@@ -298,12 +299,13 @@ class _Run:
         sol.status = _EXECUTION_STATUS[outcome.status]
         if sol.status != STATUS_VALID:
             return None
-        if outcome.artifact_size is None:
+        if outcome.artifact is None:
             error = "\n".join(filter(None, [sol.feedback, "no artifact file was written"]))
         else:
             try:
-                self.problem.check_size(outcome.artifact_size)  # one over the cap was not read
-                report = self.problem.scorer(self.problem.parser(outcome.artifact))
+                with outcome.artifact as fh:
+                    raw = self.problem.read_artifact(fh)
+                report = self.problem.scorer(self.problem.parser(raw))
             except ArtifactError as exc:
                 error = f"invalid artifact: {exc}"
             except Exception as exc:  # a scorer fault fails this candidate, not the run
@@ -318,7 +320,7 @@ class _Run:
             return None
         sol.metrics = dict(report.metrics)
         sol.fitness = report.fitness
-        return outcome.artifact.decode("utf-8", "surrogateescape")
+        return raw.decode("utf-8", "surrogateescape")
 
     def _island_jobs(self, job) -> list:
         """Run ``job(island)`` for every island at once; results in island order.

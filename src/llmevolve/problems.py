@@ -10,7 +10,8 @@ Four problem families are supported:
 * circle packing in a perimeter-4 rectangle ("p4": 21 circles).
 
 Artifacts are JSON files; every construction is re-verified here rather than
-trusting any score printed by the candidate itself. Minimization objectives
+trusting any score printed by the candidate itself, and only
+``ProblemSpec.read_artifact`` reads an artifact file. Minimization objectives
 map to nonnegative fitness through 1/(1+objective), which is strictly
 decreasing, so maximizing fitness minimizes the objective.
 """
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Optional
-
-import numpy as np
+from typing import Any, BinaryIO, Callable, Optional
 
 DEFAULT_TOL = 1e-9
 
@@ -122,6 +123,7 @@ def score_p1(artifact: StepFunctionArtifact) -> ScoreReport:
     the piecewise-linear form. More than ``P1_MAX_HEIGHTS`` heights is
     invalid, and is rejected before the quadratic work.
     """
+    import numpy as np  # here, so that a run of p3 or p4 never loads it
     n = len(artifact.heights)
     if n > P1_MAX_HEIGHTS:
         return _invalid("too_many_heights", magnitude=n - P1_MAX_HEIGHTS)
@@ -168,6 +170,7 @@ def score_p2(
 
     The reported benchmark numbers correspond to this squared-distance ratio.
     """
+    import numpy as np
     count, dim = len(artifact.points), len(artifact.points[0])
     if expected_count is not None and count != expected_count:
         return _invalid("wrong_point_count", magnitude=abs(count - expected_count))
@@ -285,13 +288,18 @@ class ProblemSpec:
     # Published best objectives, for reporting deltas: (AlphaEvolve, this
     # framework's reference, objective direction).
     reference: tuple[float, float, str]
-    # A longer artifact is invalid; the engine checks before ``parser`` decodes it.
+    # A longer artifact is invalid, and ``read_artifact`` reads none of it.
     max_artifact_bytes: int = 64 * 1024
 
-    def check_size(self, size: int) -> None:
-        """Refuse an artifact of ``size`` bytes, over ``max_artifact_bytes``, with an ``ArtifactError``."""
-        if size > self.max_artifact_bytes:
-            raise ArtifactError(f"{size} bytes, more than the {self.max_artifact_bytes} allowed")
+    def read_artifact(self, fh: BinaryIO) -> bytes:
+        """The bytes of the artifact file ``fh``, the size its ``fstat`` gives should it still grow;
+        one that is not regular or is over the cap is an ``ArtifactError``, unread. The caller closes ``fh``."""
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ArtifactError("not a regular file")
+        if info.st_size > self.max_artifact_bytes:
+            raise ArtifactError(f"{info.st_size} bytes, more than the {self.max_artifact_bytes} allowed")
+        return fh.read(info.st_size)
 
 
 # The types ``json`` decodes a number to; a bool is neither.

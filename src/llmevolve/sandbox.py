@@ -8,12 +8,13 @@ callers that each run a candidate on their own thread, and stops them
 together. Each launcher start makes one temporary work directory, the
 working directory of the launcher and of every child it forks; the
 artifact output path in it is in the launcher's environment, which is this
-process's without the API key (``llm.API_KEY_ENV``), so the children
-inherit both and never the key. The engine holds one descriptor of the
-directory from the start to ``close`` and goes through it, never its path,
-to write the script, read the artifact and empty the directory: before a
-candidate runs, its code overwrites the directory's ``candidate.py`` in
-place; after it, the directory is emptied but for that script, so every
+process's without the API key (``llm.API_KEY_ENV``) and with one thread
+for each of ``ONE_THREAD_ENV``, so the children inherit both and never the
+key. The engine holds one descriptor of the directory from the start to
+``close`` and goes through it, never its path, to write the script, open
+the artifact and empty the directory: before a candidate runs, its code
+overwrites the directory's ``candidate.py`` in place; after it, the
+directory is emptied but for that script, so every
 candidate of a launcher sees the same path and only its own script there,
 and the evaluation itself creates no file. A path that no longer names the
 held directory, or a directory that cannot be emptied or prepared (the
@@ -36,24 +37,25 @@ page faults and 2 ms of CPU. It exits without interpreter teardown, after
 the steps of CPython's shutdown that a candidate can observe; objects that
 a module other than ``__main__`` still holds are not finalised. Its stdout
 and stderr are memfds where ``os`` has ``memfd_create`` and unnamed
-temporary files elsewhere, so on Linux its logs create no file on disk; a running candidate's logs hold at
-most 2 × ``FILE_SIZE_LIMIT`` bytes of memory, freed when ``run_candidate``
-returns, and the engine reads only the bytes each holds, at most the last
-``LOG_CAP_BYTES``. An artifact longer than the launcher's cap is never read.
-The child reports its pid before any candidate code runs, and the engine
-keeps one wall-clock deadline per candidate, counted from its request, and
-kills the candidate's whole process group when it passes. The memory
-ceiling counts the address space a child inherits from its launcher, which
-refuses a ``memory_bytes`` at or below its own size where ``/proc`` shows
-it. Should the engine die first, a CPU-time rlimit (``cpu_seconds``)
-ends a busy candidate; a sleeping one lives until its sleep ends.
-Candidates see the launcher's preloaded modules (``atexit``, ``gc``,
-``json``, ``os``, ``resource``, ``signal``, ``socket``) and its string-hash
-seed, ``hash_seed``, one per run. This is a resource sandbox, not a
-security sandbox: network access is not blocked. POSIX only; the
-interpreter must be Python 3.10 or later and must not ignore the
-environment (``-E``, ``-I``), where a launcher refuses to start, since its
-candidates would not hash strings by ``hash_seed``.
+temporary files elsewhere, so on Linux its logs create no file on disk; a
+running candidate's logs hold at most 2 × ``FILE_SIZE_LIMIT`` bytes of
+memory, freed when ``run_candidate`` returns, and the engine reads only the
+bytes each holds, at most the last ``LOG_CAP_BYTES``. The artifact file is
+handed over unread, for the caller to read through
+``ProblemSpec.read_artifact`` and to close. The child reports its pid
+before any candidate code runs, and the engine keeps one wall-clock
+deadline per candidate, counted from its request, and kills the candidate's
+whole process group when it passes. The memory ceiling counts the address
+space a child inherits from its launcher, which refuses a ``memory_bytes``
+at or below its own size where ``/proc`` shows it. Should the engine die
+first, a CPU-time rlimit (``cpu_seconds``) ends a busy candidate; a
+sleeping one lives until its sleep ends. Candidates see the launcher's
+preloaded modules (``atexit``, ``gc``, ``json``, ``os``, ``resource``,
+``signal``, ``socket``) and its string-hash seed, ``hash_seed``, one per
+run. This is a resource sandbox, not a security sandbox: network access is
+not blocked. POSIX only; the interpreter must be Python 3.10 or later and
+must not ignore the environment (``-E``, ``-I``), where a launcher refuses
+to start, since its candidates would not hash strings by ``hash_seed``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import BinaryIO, Optional
 
 from ._launcher import empty_dir, remove_workdir
 from .llm import API_KEY_ENV, check_field
@@ -87,6 +89,9 @@ KILL_GRACE_SECONDS = 1.0
 START_TIMEOUT_SECONDS = 10.0
 SCRIPT_NAME = "candidate.py"
 ARTIFACT_NAME = "artifact.json"
+# Each is 1 for a candidate, over the engine's value: OpenBLAS's result depends on its thread count.
+ONE_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                  "NUMEXPR_NUM_THREADS")
 
 STATUS_OK = "ok"
 STATUS_NONZERO_EXIT = "nonzero_exit"
@@ -120,8 +125,7 @@ class ExecutionOutcome:
     stdout: str
     stderr: str
     wall_time: float
-    artifact: Optional[bytes] = None  # None if there is none, or it is over the limit
-    artifact_size: Optional[int] = None  # None if the candidate left no regular file
+    artifact: Optional[BinaryIO] = None  # after a clean exit, open and unread; the caller closes it
     exit_code: Optional[int] = None  # the launcher's report, negative for a signal; None if it was lost
 
 
@@ -132,7 +136,7 @@ class LauncherError(Exception):
 class Launcher:
     """One warm launcher process and its work directory; serves one candidate at a time.
 
-    It is bound to a run's ``limits``, artifact cap and ``hash_seed``. ``spawn``
+    It is bound to a run's ``limits`` and ``hash_seed``. ``spawn``
     starts it and ``wait_ready`` waits for it. ``prepare`` starts one that is
     not running: after it dies (under a candidate or while idle), after it is
     discarded for not reporting a killed candidate's exit in time, or after
@@ -144,10 +148,9 @@ class Launcher:
     to this process's ``RUSAGE_CHILDREN``, and removes its work directory.
     """
 
-    def __init__(self, interpreter: list[str], limits: ResourceLimits, max_artifact_bytes: int, hash_seed: int):
+    def __init__(self, interpreter: list[str], limits: ResourceLimits, hash_seed: int):
         self.interpreter = list(interpreter)
         self.limits = limits
-        self.max_artifact_bytes = max_artifact_bytes
         self.hash_seed = hash_seed
         self.proc: Optional[subprocess.Popen] = None
         self.workdir: Optional[str] = None
@@ -160,16 +163,17 @@ class Launcher:
 
         Its arguments are the script path and the candidate's limits; its
         environment is this process's without the API key, plus the artifact
-        path and ``PYTHONHASHSEED`` (over any inherited value). ``wait_ready``
-        waits for its ``ready``. An interpreter that cannot be started,
-        or whose arguments hold a NUL byte, is a ``LauncherError``, with
-        everything this opened closed.
+        path, ``PYTHONHASHSEED`` and ``ONE_THREAD_ENV`` (over any inherited
+        values). ``wait_ready`` waits for its ``ready``. An interpreter that
+        cannot be started, or whose arguments hold a NUL byte, is a
+        ``LauncherError``, with everything this opened closed.
         """
         self.workdir = tempfile.mkdtemp(prefix="candidate-")
         self.dir_fd = os.open(self.workdir, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
         env = {name: value for name, value in os.environ.items() if name != API_KEY_ENV}
         env[ARTIFACT_PATH_ENV] = os.path.join(self.workdir, ARTIFACT_NAME)
         env["PYTHONHASHSEED"] = str(self.hash_seed)
+        env.update(dict.fromkeys(ONE_THREAD_ENV, "1"))
         script = os.path.join(self.workdir, SCRIPT_NAME)
         limits = [str(self.limits.memory_bytes), str(cpu_seconds(self.limits))]
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
@@ -377,25 +381,18 @@ def _overwrite(dir_fd: int, name: str, data: bytes) -> None:
         os.close(fd)
 
 
-def _read_artifact(dir_fd: int, max_bytes: int) -> tuple[Optional[bytes], Optional[int]]:
-    """The artifact and its size if the candidate left a regular file as
-    ``ARTIFACT_NAME`` in the directory open at ``dir_fd``.
-
-    The candidate decides what is there: a symlink is not followed, a FIFO
-    is not waited on, and a file over ``max_bytes`` is not read (its bytes
-    are None). Without a regular file, both are None.
-    """
+def _open_artifact(dir_fd: int) -> Optional[BinaryIO]:
+    """What the candidate left as ``ARTIFACT_NAME`` in the directory open at ``dir_fd``,
+    unread, or None: a symlink is not followed, and a FIFO is not waited on."""
     try:
         fd = os.open(ARTIFACT_NAME, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW, dir_fd=dir_fd)
     except OSError:  # missing, a symlink, or not ours to read
-        return None, None
-    info = os.fstat(fd)
-    size = info.st_size if stat.S_ISREG(info.st_mode) else None
-    if size is None or size > max_bytes:
+        return None
+    try:
+        return open(fd, "rb")
+    except OSError:  # a directory, which ``open`` refuses without closing ``fd``
         os.close(fd)
-        return None, size
-    with open(fd, "rb") as fh:  # what it held at the fstat, should it still grow
-        return fh.read(size), size
+        return None
 
 
 def cpu_seconds(limits: ResourceLimits) -> int:
@@ -410,10 +407,8 @@ def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
     The candidate is written to the launcher's work directory and run there,
     with the artifact output path supplied via the environment; afterwards
     the directory is emptied but for the script. On timeout the whole
-    process group is killed, not only the candidate. An artifact over the
-    launcher's ``max_artifact_bytes`` is not read, only its size taken. The
-    work directory reads ``.`` in both logs, so they do not depend on its
-    random name.
+    process group is killed, not only the candidate. The work directory
+    reads ``.`` in both logs, so they do not depend on its random name.
     """
     if not code:
         raise ValueError("candidate code is empty")
@@ -443,9 +438,7 @@ def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
         else:
             status = STATUS_OK
 
-        artifact, size = None, None
-        if status == STATUS_OK:
-            artifact, size = _read_artifact(launcher.dir_fd, launcher.max_artifact_bytes)
+        artifact = _open_artifact(launcher.dir_fd) if status == STATUS_OK else None
         launcher.clear()
         return ExecutionOutcome(
             status=status,
@@ -453,7 +446,6 @@ def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:
             stderr=stderr,
             wall_time=wall,
             artifact=artifact,
-            artifact_size=size,
             exit_code=returncode,
         )
 
@@ -466,10 +458,8 @@ class LauncherPool:
     is a ``LauncherError``, with every launcher closed.
     """
 
-    def __init__(
-        self, interpreter: list[str], count: int, limits: ResourceLimits, max_artifact_bytes: int, hash_seed: int
-    ):
-        self.launchers = [Launcher(interpreter, limits, max_artifact_bytes, hash_seed) for _ in range(count)]
+    def __init__(self, interpreter: list[str], count: int, limits: ResourceLimits, hash_seed: int):
+        self.launchers = [Launcher(interpreter, limits, hash_seed) for _ in range(count)]
         # ``_lock`` guards the idle launchers and the callers that wait for
         # one, each blocked on its own held lock, in arrival order.
         self._lock = threading.Lock()

@@ -402,7 +402,8 @@ class TestCmdRun:
 
     def test_a_replay_run_loads_neither_ssl_nor_urllib_request(self, tmp_path):
         # ``HttpBackend.complete`` imports them when it is called: they add
-        # about 3 MB to a replay run's peak RSS.
+        # about 3 MB to a replay run's peak RSS. Only the p1 and p2 scorers
+        # import numpy, which adds about 12 MB.
         cfg = write_config(tmp_path / "config.yaml", num_islands=1)
         run_dir = tmp_path / "run"
         write_transcript(run_dir, num_islands=1, calls_per_island=30)
@@ -410,7 +411,7 @@ class TestCmdRun:
             "import sys\n"
             "from llmevolve.cli import main\n"
             f"main(['run', '--config', {str(cfg)!r}, '--run-dir', {str(run_dir)!r}], standalone_mode=False)\n"
-            "print([name for name in ('ssl', 'urllib.request') if name in sys.modules])\n"
+            "print([name for name in ('ssl', 'urllib.request', 'numpy') if name in sys.modules])\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(llmevolve.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
@@ -539,6 +540,12 @@ class TestConfigContract:
     # Integers that YAML reads from 0x followed by 4,000 f's and that ``str`` cannot write.
     @example(doc={"problem_id": "p1", "master_seed": -2**16000})
     @example(doc={"problem_id": "p1", "epochs": 2**16000, "max_ancestor_depth": 2**16000})
+    @example(doc={"problem_id": "p1", "num_islands": 2**16000})
+    @example(doc={"problem_id": "p1", "migration_every": -2**16000})
+    @example(doc={"problem_id": "p1", "max_population": 2**16000})
+    @example(doc={"problem_id": "p1", "init_population": -2**16000})
+    @example(doc={"problem_id": "p1", "num_inspirations": 2**16000})
+    @example(doc={"problem_id": "p1", "sandbox_workers": -2**16000})
     @example(doc={"problem_id": "p1", "ensemble": {"members": [{"name": "a", "weight": 1, "max_output_tokens": 2**16000}]}})
     @example(doc={"problem_id": "p1", "backend": 2**16000})
     @example(doc={"problem_id": "p1", "topology": [[0, 2**16000]]})

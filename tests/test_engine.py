@@ -1291,6 +1291,59 @@ class TestEvaluateCandidate:
         [stored] = solution_records(runner.run_dir).values()
         assert stored["feedback"] == feedback and "artifact" not in stored
 
+    # What a candidate leaves as its artifact, and what the same file (the
+    # target of the symlink) gives through ``llmevolve score``: its exit code
+    # and JSON line (None for a usage error). A run follows no symlink; the
+    # command follows the path it is given, and click refuses a directory.
+    @pytest.mark.parametrize(
+        "left, feedback, exit_code, line",
+        [
+            ("fifo", "invalid artifact: not a regular file", 1, {"valid": False, "error": "not a regular file"}),
+            ("symlink", "no artifact file was written", 0, {"valid": True}),
+            ("directory", "no artifact file was written", 2, None),
+            ("over_the_cap", "invalid artifact: 65537 bytes, more than the 65536 allowed", 1,
+             {"valid": False, "error": "65537 bytes, more than the 65536 allowed"}),
+            ("at_the_cap", None, 0, {"valid": True}),
+        ],
+    )
+    def test_a_run_and_the_score_command_give_one_verdict_and_read_no_special_file(
+        self, tmp_path, left, feedback, exit_code, line
+    ):
+        from click.testing import CliRunner
+
+        from llmevolve.cli import main
+
+        doc = json.dumps({"circles": self._CIRCLES}).encode()
+        (tmp_path / "at_the_cap").write_bytes(doc.ljust(64 * 1024))
+        (tmp_path / "over_the_cap").write_bytes(doc.ljust(64 * 1024 + 1))
+        (tmp_path / "symlink").symlink_to(tmp_path / "at_the_cap")
+        (tmp_path / "directory").mkdir()
+        os.mkfifo(tmp_path / "fifo")
+        # Holds the FIFO open with bytes in it, which a read would take.
+        held = os.open(tmp_path / "fifo", os.O_RDWR | os.O_NONBLOCK)
+        try:
+            os.write(held, b"unread")
+            source = str(tmp_path / left)
+            make = {
+                "fifo": f"os.link({source!r}, path)",
+                "symlink": f"os.symlink({str(tmp_path / 'at_the_cap')!r}, path)",
+                "directory": "os.mkdir(path)",
+            }.get(left, f"shutil.copyfile({source!r}, path)")
+            sol = self._runner(tmp_path).evaluate(
+                self._pending(f"import os, shutil\npath = os.environ['ARTIFACT_PATH']\n{make}\n")
+            )
+            result = CliRunner().invoke(main, ["score", "p3.a", source])
+            assert os.read(held, 64) == b"unread"
+        finally:
+            os.close(held)
+        assert sol.feedback == feedback
+        assert sol.status == ("valid" if feedback is None else "invalid_artifact")
+        assert result.exit_code == exit_code, result.output
+        if line is None:
+            assert "is a directory" in result.output
+        else:
+            assert line.items() <= json.loads(result.output).items()
+
     @pytest.mark.parametrize(
         "code, feedback",
         [

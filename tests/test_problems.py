@@ -378,6 +378,25 @@ class TestParseArtifact:
     def test_the_byte_limit_admits_the_largest_artifact_at_full_precision(self, pid, doc):
         assert len(json.dumps(doc, indent=4)) <= get_problem(pid).max_artifact_bytes
 
+    def test_an_artifact_that_grows_after_its_fstat_is_read_to_the_size_it_had(self, tmp_path, monkeypatch):
+        import os
+
+        from llmevolve import problems
+
+        path = tmp_path / "artifact.json"
+        path.write_bytes(b"x" * 100)
+        fstat = os.fstat
+
+        def then_grow(fd):
+            info = fstat(fd)
+            with open(path, "ab") as fh:
+                fh.write(b"y" * 64 * 1024)
+            return info
+
+        monkeypatch.setattr(problems.os, "fstat", then_grow)
+        with open(path, "rb") as fh:
+            assert get_problem("p3.a").read_artifact(fh) == b"x" * 100
+
     def test_short_list_still_gets_the_scorers_count_violation(self):
         problem = get_problem("p3.a")
         report = problem.scorer(problem.parser(json.dumps({"circles": [[0.5, 0.5, 0.01]] * 25}).encode()))

@@ -1,7 +1,9 @@
 """Candidate execution under wall-clock and memory limits."""
 
 import ast
+import contextlib
 import functools
+import importlib.util
 import json
 import os
 import random
@@ -23,6 +25,7 @@ import pytest
 from conftest import FAST_INTERPRETER
 from llmevolve import sandbox
 from llmevolve._launcher import FILE_SIZE_LIMIT
+from llmevolve.problems import ArtifactError, get_problem
 from llmevolve.sandbox import (
     STATUS_MEMORY_EXCEEDED,
     STATUS_NONZERO_EXIT,
@@ -32,12 +35,20 @@ from llmevolve.sandbox import (
     ExecutionOutcome,
     Launcher,
     ResourceLimits,
-    run_candidate,
 )
 
 LIMITS = ResourceLimits(wall_seconds=10.0, memory_bytes=1 << 30)
 # Prints 20 names in the order of a set, which follows the string-hash seed.
 _SET_ORDER = "print(list(set(f'name-{i}' for i in range(20))))\n"
+
+
+def run_candidate(code, launcher):
+    """``sandbox.run_candidate``, with the artifact file it hands over read whole and closed."""
+    outcome = sandbox.run_candidate(code, launcher)
+    if outcome.artifact is not None:
+        with outcome.artifact as fh:
+            outcome.artifact = fh.read()
+    return outcome
 
 
 @pytest.fixture
@@ -49,13 +60,12 @@ def interpreter(request):
 
 @pytest.fixture
 def make_launcher(interpreter):
-    """Builds launchers on ``interpreter``, by default with ``LIMITS``, the
-    launcher's file-size limit as the artifact cap and hash seed 0, and
-    closes them after the test."""
+    """Builds launchers on ``interpreter``, by default with ``LIMITS`` and
+    hash seed 0, and closes them after the test."""
     made = []
 
-    def make(limits=LIMITS, max_artifact_bytes=FILE_SIZE_LIMIT, hash_seed=0):
-        made.append(Launcher(interpreter, limits, max_artifact_bytes, hash_seed))
+    def make(limits=LIMITS, hash_seed=0):
+        made.append(Launcher(interpreter, limits, hash_seed))
         return made[-1]
 
     yield make
@@ -135,15 +145,16 @@ def test_no_artifact_means_none(run):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, handed_over",
     [
-        "os.mkdir(path)",
-        "os.mkfifo(path)",
-        "os.symlink({outside!r}, path)",
+        ("os.mkdir(path)", False),
+        ("os.mkfifo(path)", True),
+        ("os.symlink({outside!r}, path)", False),
     ],
     ids=["directory", "fifo", "symlink_outside"],
 )
-def test_only_a_regular_artifact_file_is_read(run, make, tmp_path):
+def test_only_a_regular_artifact_file_is_read(launcher, make, handed_over, tmp_path):
+    # The sandbox opens a FIFO without waiting on it, and the problem reads none of it.
     outside = tmp_path / "outside.json"
     outside.write_text('{"circles": [[0.5, 0.5, 0.1]]}')
     code = f"import os\npath = os.environ['ARTIFACT_PATH']\n{make.format(outside=str(outside))}\n"
@@ -154,12 +165,15 @@ def test_only_a_regular_artifact_file_is_read(run, make, tmp_path):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
-        outcome = run(code)
+        outcome = sandbox.run_candidate(code, launcher)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert outcome.status == STATUS_OK
-    assert outcome.artifact is None
+    assert (outcome.artifact is not None) == handed_over
+    if handed_over:
+        with outcome.artifact as fh, pytest.raises(ArtifactError, match="^not a regular file$"):
+            get_problem("p3.a").read_artifact(fh)
 
 
 @pytest.mark.parametrize("target", ['open(os.environ["ARTIFACT_PATH"], "wb")', "sys.stdout.buffer"])
@@ -173,17 +187,6 @@ def test_writing_past_the_file_size_limit_fails_only_that_candidate(run, target)
     assert outcome.status == STATUS_NONZERO_EXIT
     assert outcome.artifact is None
     assert run("print('next')\n").status == STATUS_OK
-
-
-def test_an_artifact_over_its_limit_is_not_read(make_launcher):
-    code = "import os\nwith open(os.environ['ARTIFACT_PATH'], 'wb') as fh:\n    fh.write(b'x' * 101)\n"
-    capped = make_launcher(max_artifact_bytes=100)
-    over = run_candidate(code, capped)
-    assert (over.status, over.artifact, over.artifact_size) == (STATUS_OK, None, 101)
-    at = run_candidate(code, make_launcher(max_artifact_bytes=101))
-    assert (at.status, at.artifact, at.artifact_size) == (STATUS_OK, b"x" * 101, 101)
-    none = run_candidate("print('no artifact')\n", capped)
-    assert (none.status, none.artifact, none.artifact_size) == (STATUS_OK, None, None)
 
 
 def test_fresh_directory_per_candidate(run):
@@ -381,7 +384,7 @@ def test_a_restarted_launcher_keeps_its_limits(make_launcher, killed):
 
 def test_a_launcher_that_exits_at_start_is_a_spawn_error():
     exits = FAST_INTERPRETER + ["-c", "import sys; sys.exit('no launcher here')"]
-    launcher = Launcher(exits, LIMITS, FILE_SIZE_LIMIT, 0)
+    launcher = Launcher(exits, LIMITS, 0)
     start = time.monotonic()
     outcome = run_candidate("print(1)\n", launcher)
     assert outcome.status == STATUS_SPAWN_ERROR
@@ -419,7 +422,7 @@ class TestLauncherPool:
 
         monkeypatch.setattr(sandbox, "Launcher", second_cannot_start)
         with pytest.raises(sandbox.LauncherError, match="/nonexistent/python"):
-            sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS, FILE_SIZE_LIMIT, 0)
+            sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS, 0)
         good, bad = started
         assert good.proc.returncode == 0
         assert (good.workdir, bad.workdir, bad.proc) == (None, None, None)
@@ -431,12 +434,12 @@ class TestLauncherPool:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where the work directories are made
         before = set(os.listdir("/proc/self/fd"))
         with pytest.raises(sandbox.LauncherError, match="embedded null byte"):
-            sandbox.LauncherPool([sys.executable + "\0"], 2, LIMITS, FILE_SIZE_LIMIT, 0)
+            sandbox.LauncherPool([sys.executable + "\0"], 2, LIMITS, 0)
         assert set(os.listdir("/proc/self/fd")) ^ before == set()
         assert list(tmp_path.iterdir()) == []
 
     def test_closing_hangs_up_on_every_launcher_before_reaping_any(self, monkeypatch):
-        pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS, FILE_SIZE_LIMIT, 0)
+        pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS, 0)
         events = []
         for i, launcher in enumerate(pool.launchers):
             hang_up, close = launcher.hang_up, launcher.close
@@ -450,7 +453,7 @@ class TestLauncherPool:
         assert not any(os.path.exists(workdir) for workdir in workdirs)
 
     def test_the_logs_read_dot_for_the_work_directory(self):
-        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS, FILE_SIZE_LIMIT, 0) as pool:
+        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS, 0) as pool:
             outcome = pool.run("import os\nprint(os.getcwd())\nraise RuntimeError('nope')\n")
             workdir = pool.launchers[0].workdir
         assert outcome.stdout == ".\n"
@@ -462,13 +465,19 @@ class TestLauncherPool:
     )
     def test_serving_and_closing_leaks_no_descriptor(self, tmp_path):
         # Each kind of candidate and the status it reaches; the last two
-        # restart their launcher.
+        # restart their launcher. The caller reads and closes each artifact
+        # file as the engine does.
+        problem = get_problem("p3.a")
         kinds = {
             "clean": ("print('clean')\n", STATUS_OK),
             "crashing": ("raise RuntimeError('crash')\n", STATUS_NONZERO_EXIT),
             "artifact": ("import os\nopen(os.environ['ARTIFACT_PATH'], 'w').write('[]')\n", STATUS_OK),
-            "over_the_cap": ("import os\nopen(os.environ['ARTIFACT_PATH'], 'w').write('x' * 101)\n", STATUS_OK),
+            "over_the_cap": (
+                f"import os\nopen(os.environ['ARTIFACT_PATH'], 'w').write('x' * {problem.max_artifact_bytes + 1})\n",
+                STATUS_OK,
+            ),
             "fifo": ("import os\nos.mkfifo(os.environ['ARTIFACT_PATH'])\n", STATUS_OK),
+            "directory": ("import os\nos.mkdir(os.environ['ARTIFACT_PATH'])\n", STATUS_OK),
             "directory_swapped_for_symlink": (
                 f"import os\nhere = os.getcwd()\nos.unlink('candidate.py')\nos.rmdir(here)\nos.symlink({str(tmp_path)!r}, here)\n",
                 STATUS_OK,
@@ -478,11 +487,19 @@ class TestLauncherPool:
         names = sorted(kinds) * 8 + ["timed_out"] * 2
         kinds["timed_out"] = ("import time\ntime.sleep(30)\n", STATUS_TIMEOUT)
         random.Random(0).shuffle(names)
+
+        def status(name):
+            outcome = pool.run(kinds[name][0])
+            if outcome.artifact is not None:
+                with outcome.artifact as fh, contextlib.suppress(ArtifactError):
+                    problem.read_artifact(fh)
+            return outcome.status
+
         before = set(os.listdir("/proc/self/fd"))
-        pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, ResourceLimits(0.5, 1 << 30), 100, 0)
+        pool = sandbox.LauncherPool(FAST_INTERPRETER, 2, ResourceLimits(0.5, 1 << 30), 0)
         try:
             with ThreadPoolExecutor(max_workers=3) as callers:
-                statuses = list(callers.map(lambda name: pool.run(kinds[name][0]).status, names))
+                statuses = list(callers.map(status, names))
         finally:
             pool.close()
         assert statuses == [kinds[name][1] for name in names]
@@ -526,7 +543,7 @@ class TestLauncherPool:
     def test_a_launcher_is_lent_in_the_order_the_callers_asked(self, monkeypatch):
         gate, running, ran = self._hold_the_launcher(monkeypatch)
         results = {}
-        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS, FILE_SIZE_LIMIT, 0) as pool:
+        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS, 0) as pool:
 
             def hold():  # gives the launcher back, then asks again at once
                 for code in ("first", "last"):
@@ -547,7 +564,7 @@ class TestLauncherPool:
     def test_a_failed_run_still_passes_the_launcher_on(self, monkeypatch):
         gate, running, ran = self._hold_the_launcher(monkeypatch, first_raises=True)
         errors, results = [], {}
-        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS, FILE_SIZE_LIMIT, 0) as pool:
+        with sandbox.LauncherPool(FAST_INTERPRETER, 1, LIMITS, 0) as pool:
 
             def hold():
                 try:
@@ -583,7 +600,7 @@ class TestLauncherPool:
 
         monkeypatch.setattr(sandbox, "run_candidate", fake)
         errors = []
-        with sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS, FILE_SIZE_LIMIT, 0) as pool:
+        with sandbox.LauncherPool(FAST_INTERPRETER, 2, LIMITS, 0) as pool:
 
             def caller(i):
                 try:
@@ -620,7 +637,7 @@ def _bounded(call, seconds):
 
 def test_a_candidate_that_stops_its_launcher_times_out():
     limits = ResourceLimits(wall_seconds=1.0, memory_bytes=1 << 30)
-    launcher = Launcher(FAST_INTERPRETER, limits, FILE_SIZE_LIMIT, 0)
+    launcher = Launcher(FAST_INTERPRETER, limits, 0)
     code = "import os, signal\nos.kill(os.getppid(), signal.SIGSTOP)\n"
     bound = limits.wall_seconds + sandbox.KILL_GRACE_SECONDS + 3.0
     try:
@@ -636,7 +653,7 @@ def test_a_candidate_that_stops_its_launcher_first_never_outlives_its_limit(tmp_
     # The candidate's first statement stops its launcher; its pid has
     # already reached the engine, so the group kill always ends it.
     limits = ResourceLimits(wall_seconds=0.2, memory_bytes=1 << 30)
-    launcher = Launcher(FAST_INTERPRETER, limits, FILE_SIZE_LIMIT, 0)
+    launcher = Launcher(FAST_INTERPRETER, limits, 0)
     bound = limits.wall_seconds + sandbox.KILL_GRACE_SECONDS + 3.0
     markers = [tmp_path / f"marker-{i}" for i in range(6)]
     try:
@@ -661,7 +678,7 @@ def test_a_child_whose_limits_cannot_be_set_fails_at_once(monkeypatch):
     monkeypatch.setattr(sandbox, "_kill_group", kills.append)
     limits = ResourceLimits(1.0, 1 << 30)
     limits.memory_bytes = 1 << 70  # past what ResourceLimits accepts, so the child's setrlimit fails
-    launcher = Launcher(FAST_INTERPRETER, limits, FILE_SIZE_LIMIT, 0)
+    launcher = Launcher(FAST_INTERPRETER, limits, 0)
     try:
         outcome = run_candidate("print('never')\n", launcher)
     finally:
@@ -672,7 +689,7 @@ def test_a_child_whose_limits_cannot_be_set_fails_at_once(monkeypatch):
 
 def test_a_slow_launcher_start_does_not_count_against_the_wall_limit():
     sleepy = "import os, sys, time; time.sleep(1.0); os.execv(sys.executable, [sys.executable, '-S'] + sys.argv[1:])"
-    launcher = Launcher([sys.executable, "-S", "-c", sleepy], ResourceLimits(0.5, 1 << 30), FILE_SIZE_LIMIT, 0)
+    launcher = Launcher([sys.executable, "-S", "-c", sleepy], ResourceLimits(0.5, 1 << 30), 0)
     try:
         outcome = run_candidate("print('started')\n", launcher)
     finally:
@@ -707,7 +724,7 @@ def test_a_launcher_removes_its_directory_when_the_engine_dies(tmp_path):
     engine = (
         "import os, signal, sys\n"
         "from llmevolve.sandbox import Launcher, ResourceLimits, run_candidate\n"
-        f"launcher = Launcher([sys.executable, '-S'], ResourceLimits(10.0, 1 << 30), {FILE_SIZE_LIMIT}, 0)\n"
+        f"launcher = Launcher([sys.executable, '-S'], ResourceLimits(10.0, 1 << 30), 0)\n"
         "code = 'import os\\nprint(os.getcwd())\\nos.rename(os.getcwd(), os.getcwd() + \"-moved\")\\n'\n"
         "moved = run_candidate(code, launcher).stdout.strip() + '-moved'\n"
         "run_candidate('print(1)\\n', launcher)\n"
@@ -749,7 +766,7 @@ def test_a_busy_candidate_does_not_outlive_a_dead_engine(tmp_path):
         "import os, signal, sys, threading, time\n"
         "from llmevolve.sandbox import Launcher, ResourceLimits, run_candidate\n"
         f"limits = ResourceLimits({limits.wall_seconds!r}, {limits.memory_bytes!r})\n"
-        f"launcher = Launcher([sys.executable, '-S'], limits, {FILE_SIZE_LIMIT}, 0)\n"
+        f"launcher = Launcher([sys.executable, '-S'], limits, 0)\n"
         f"runner = threading.Thread(target=run_candidate, args=({candidate!r}, launcher))\n"
         "runner.start()\n"
         f"while not os.path.exists({str(pid_file)!r}) or not open({str(pid_file)!r}).read():\n"
@@ -811,7 +828,7 @@ def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(la
     outside = tmp_path / "outside" / "outside.py"
     outside.write_text("print('outside')\n")
     code = "import os\n" + mess.replace("OUTSIDE", repr(str(outside.parent)))
-    fresh = Launcher(FAST_INTERPRETER, LIMITS, FILE_SIZE_LIMIT, 0)
+    fresh = Launcher(FAST_INTERPRETER, LIMITS, 0)
     try:
         on_fresh = run_candidate(code, fresh).status
     finally:
@@ -827,7 +844,7 @@ def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(la
 
 
 def test_close_kills_a_launcher_that_does_not_exit():
-    launcher = Launcher(FAST_INTERPRETER, LIMITS, FILE_SIZE_LIMIT, 0)
+    launcher = Launcher(FAST_INTERPRETER, LIMITS, 0)
     try:
         run_candidate("print(1)\n", launcher)
         os.kill(launcher.proc.pid, signal.SIGSTOP)
@@ -838,6 +855,10 @@ def test_close_kills_a_launcher_that_does_not_exit():
 
 
 # -- fidelity: a forked candidate behaves as ``python candidate.py`` --
+
+# The BLAS and OpenMP thread counts that every candidate sees as 1.
+_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
 
 _FIDELITY = {
     "artifact": (
@@ -937,6 +958,8 @@ _FIDELITY = {
     ),
     # The order follows the string-hash seed.
     "set_order": (_SET_ORDER + "print(hash('alpha'))\n", STATUS_OK),
+    # The engine sets each to 2 here; a candidate sees 1.
+    "one_blas_thread": (f"import os\nprint([os.environ[name] for name in {_ONE_THREAD!r}])\n", STATUS_OK),
 }
 _FIDELITY_LIMITS = ResourceLimits(wall_seconds=10.0, memory_bytes=256 << 20)
 _FIDELITY_HASH_SEED = 12345
@@ -977,8 +1000,8 @@ def _on_each_interpreter(cases):
 
 def _oracle(code, limits, interpreter, hash_seed):
     """``python candidate.py`` in a fresh directory, with ``PYTHONHASHSEED`` set
-    to ``hash_seed``: the behaviour launchers must keep. As in ``run_candidate``,
-    the directory reads ``.`` in the logs."""
+    to ``hash_seed`` and one BLAS and OpenMP thread: the behaviour launchers
+    must keep. As in ``run_candidate``, the directory reads ``.`` in the logs."""
     workdir = Path(tempfile.mkdtemp(prefix="candidate-"))
     try:
         script = workdir / "candidate.py"
@@ -991,7 +1014,8 @@ def _oracle(code, limits, interpreter, hash_seed):
         proc = subprocess.run(
             interpreter + [str(script)],
             cwd=workdir,
-            env={**os.environ, "ARTIFACT_PATH": str(artifact), "PYTHONHASHSEED": str(hash_seed)},
+            env={**os.environ, "ARTIFACT_PATH": str(artifact), "PYTHONHASHSEED": str(hash_seed),
+                 **dict.fromkeys(_ONE_THREAD, "1")},
             stdin=subprocess.DEVNULL,
             capture_output=True,
             timeout=limits.wall_seconds,
@@ -1016,14 +1040,61 @@ def _same_dir(text):
 
 
 @pytest.mark.parametrize("interpreter, name", _on_each_interpreter(sorted(_FIDELITY)), indirect=["interpreter"])
-def test_launcher_matches_a_fresh_interpreter(name, interpreter, make_launcher):
+def test_launcher_matches_a_fresh_interpreter(name, interpreter, make_launcher, monkeypatch):
     code, expected = _FIDELITY[name]
+    for thread_count in _ONE_THREAD:
+        monkeypatch.setenv(thread_count, "2")
     outcome = run_candidate(code, make_launcher(_FIDELITY_LIMITS, hash_seed=_FIDELITY_HASH_SEED))
     status, stdout, stderr, artifact = _oracle(code, _FIDELITY_LIMITS, interpreter, _FIDELITY_HASH_SEED)
     assert (outcome.status, status) == (expected, expected)
     assert _same_dir(outcome.stdout) == _same_dir(stdout)
     assert _same_dir(outcome.stderr) == _same_dir(stderr)
     assert outcome.artifact == artifact
+
+
+# One SLSQP start on 8 circles: OpenBLAS 0.3.31 (numpy 2.4.6's wheel) rounds it
+# differently with one thread and with two. It costs about 1.5 s on 2 vCPUs,
+# mostly for importing scipy.
+_SLSQP = """import json, os
+import numpy as np
+from scipy.optimize import minimize
+
+n = 8
+iu = np.triu_indices(n, 1)
+
+def apart(z):
+    x, y, r = z[:n], z[n:2 * n], z[2 * n:]
+    gaps = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :]) - (r[:, None] + r[None, :])
+    return np.concatenate([gaps[iu], x - r, 1 - x - r, y - r, 1 - y - r])
+
+start = np.concatenate([np.random.default_rng(0).uniform(0.1, 0.9, 2 * n), np.full(n, 0.02)])
+result = minimize(lambda z: -z[2 * n:].sum(), start, method="SLSQP", constraints=[{"type": "ineq", "fun": apart}],
+                  bounds=[(0, 1)] * (2 * n) + [(0, 0.5)] * n, options={"maxiter": 200})
+with open(os.environ["ARTIFACT_PATH"], "w") as fh:
+    json.dump(result.x.tolist(), fh)
+"""
+
+
+@pytest.mark.skipif(
+    not all(importlib.util.find_spec(name) for name in ("numpy", "scipy")),
+    reason="the candidate imports numpy and scipy, which the tests' interpreter lacks",
+)
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1) < 2,
+    reason="with one CPU, OpenBLAS runs one thread whatever the engine asks for",
+)
+def test_a_numpy_candidate_writes_the_same_artifact_whatever_the_engines_blas_thread_count(monkeypatch):
+    artifacts = []
+    for thread_count in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", thread_count)
+        launcher = Launcher([sys.executable], LIMITS, 0)  # with site-packages, where numpy is
+        try:
+            outcome = run_candidate(_SLSQP, launcher)
+        finally:
+            launcher.close()
+        assert outcome.status == STATUS_OK, outcome.stderr
+        artifacts.append(outcome.artifact)
+    assert artifacts[0] == artifacts[1]
 
 
 @pytest.mark.parametrize(
