@@ -1,13 +1,13 @@
 """Warm launcher: forks one child per candidate program.
 
 ``sandbox.Launcher`` starts this file as
-``<interpreter> _launcher.py <fd> <script> <memory_bytes> <cpu_seconds>``:
+``<interpreter> _launcher.py <fd> <script> <memory_bytes> <backstop>``:
 its end of an ``AF_UNIX`` ``SOCK_SEQPACKET`` socket pair, the script every
-child runs, and each child's address-space and CPU-time limits. Its working
-directory is the launcher's work directory, its environment holds the
-artifact path and ``PYTHONHASHSEED``, its stdout is ``/dev/null`` and its
-stderr a file the engine reads if the launcher is not ready. One message
-per packet:
+child runs, and each child's address-space limit in bytes and backstop in
+seconds. Its working directory is the launcher's work directory, its
+environment holds the artifact path and ``PYTHONHASHSEED``, its stdout is
+``/dev/null`` and its stderr a file the engine reads if the launcher is not
+ready. One message per packet:
 
 * the launcher sends ``ready`` once its imports are done;
 * a request is any non-empty packet, which is not parsed, with two file
@@ -36,10 +36,11 @@ limit counts it, so such a limit would stop nothing the child does not
 map anew. Without ``/proc`` it makes no such check.
 Each child inherits all of that, the work directory and the environment,
 and runs the script as ``python <script>`` would, in a session of its own,
-under the address-space and CPU-time limits, which it sets itself so that
-its CPU time counts from the fork, and inherits the modules imported here.
-The CPU-time limit is the engine's backstop: only a candidate that outlives
-the engine's wall-clock deadline, because the engine died, can reach it.
+under the address-space limit and with ``SIGALRM`` at its default, both set
+by the child itself, and inherits the modules imported here. The backstop
+is a timer armed at each fork and disarmed at the reaping: its ``SIGALRM``
+kills the child's group. The engine's deadline comes first, so only the
+candidate of a dead or stalled engine meets it.
 None of the imported modules holds random state (``random`` is not
 imported), so every child seeds its own generators. Stdlib only, and
 single-threaded (``threading`` is not imported either), since it forks.
@@ -65,7 +66,7 @@ import sys
 FILE_SIZE_LIMIT = 32 << 20
 
 
-def serve(sock: socket.socket, memory_bytes: int, cpu_seconds: int) -> bool:
+def serve(sock: socket.socket, memory_bytes: int, backstop: float) -> bool:
     """Fork a child per request: True in the child, False in the launcher at EOF."""
     sock.send(b"ready")
     while True:
@@ -81,26 +82,34 @@ def serve(sock: socket.socket, memory_bytes: int, cpu_seconds: int) -> bool:
             os.setsid()
             sock.send(b"%d" % os.getpid())
             sock.close()
-            enter_child(*fds, memory_bytes, cpu_seconds)
+            enter_child(*fds, memory_bytes)
             return True
         for fd in fds:
             os.close(fd)
+        signal.signal(signal.SIGALRM, lambda signum, frame: kill_group(pid))
+        signal.setitimer(signal.ITIMER_REAL, backstop)
         _, status = os.waitpid(pid, 0)
-        try:  # whatever the candidate left running in its group
-            os.killpg(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        kill_group(pid)  # whatever the candidate left running in its group
         sock.send(b"%d" % os.waitstatus_to_exitcode(status))
 
 
-def enter_child(stdout: int, stderr: int, memory_bytes: int, cpu_seconds: int) -> None:
-    """Give the forked child the candidate's logs and limits."""
+def kill_group(pid: int) -> None:
+    """Kill the process group that the candidate ``pid`` leads, if any of it is left."""
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        pass
+
+
+def enter_child(stdout: int, stderr: int, memory_bytes: int) -> None:
+    """Give the forked child the candidate's logs and memory limit, and ``SIGALRM``'s default."""
+    signal.signal(signal.SIGALRM, signal.SIG_DFL)
     os.dup2(stdout, 1)
     os.dup2(stderr, 2)
     os.close(stdout)
     os.close(stderr)
     resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
-    resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
 
 
 def address_space():
@@ -232,7 +241,7 @@ def remove_workdir(path: str) -> None:
 
 
 if __name__ == "__main__":
-    fd, script, memory_bytes, cpu_seconds = sys.argv[1:]
+    fd, script, memory_bytes, backstop = sys.argv[1:]
     if sys.flags.ignore_environment:
         sys.exit("the interpreter ignores the environment (-E or -I), so PYTHONHASHSEED cannot seed the candidates")
     sys.argv = [script]
@@ -251,7 +260,7 @@ if __name__ == "__main__":
             f" of {size} bytes, which every candidate inherits"
         )
     try:
-        child = serve(socket.socket(fileno=int(fd)), int(memory_bytes), int(cpu_seconds))
+        child = serve(socket.socket(fileno=int(fd)), int(memory_bytes), float(backstop))
     except ConnectionError:  # the engine died while a child ran
         child = False
     if child:

@@ -84,13 +84,14 @@ def cmd_score(problem_id, artifact_path) -> None:
         spec = get_problem(problem_id)
     except KeyError as exc:
         raise click.ClickException(str(exc)) from exc
-    # Opening a FIFO this way does not wait for a writer.
-    with open(os.open(artifact_path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
-        try:
+    try:
+        # Opening a FIFO this way does not wait for a writer.
+        with open(os.open(artifact_path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
             artifact = spec.parser(spec.read_artifact(fh))
-        except ArtifactError as exc:
-            click.echo(json.dumps({"valid": False, "error": str(exc)}, sort_keys=True))
-            sys.exit(1)
+    except (OSError, ArtifactError) as exc:  # OSError: a socket, say, or a file not ours to read
+        error = exc.strerror if isinstance(exc, OSError) else str(exc)
+        click.echo(json.dumps({"valid": False, "error": error}, sort_keys=True))
+        sys.exit(1)
     rep = spec.scorer(artifact)
     click.echo(
         json.dumps(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
@@ -74,9 +74,8 @@ class RunConfig:
             raise ConfigError(f"problem_id must be a string naming a known problem; known: {known}")
         if self.problem_id not in REGISTRY:
             raise ConfigError(f"unknown problem_id {self.problem_id!r}; known: {known}")
-        if self.limits is None:
-            problem = REGISTRY[self.problem_id]
-            self.limits = ResourceLimits(problem.wall_seconds, problem.memory_bytes)
+        if self.limits is None:  # a copy, so that no run changes the problem's own
+            self.limits = replace(REGISTRY[self.problem_id].limits)
         for name, cls in (("ensemble", EnsembleConfig), ("limits", ResourceLimits)):
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"{name} must be a mapping")

@@ -26,11 +26,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, BinaryIO, Callable, Optional
 
-DEFAULT_TOL = 1e-9
+from .sandbox import ARTIFACT_PATH_ENV, ResourceLimits
 
-# Name of the environment variable through which the sandbox tells a
-# candidate where to write its artifact file.
-ARTIFACT_PATH_ENV = "ARTIFACT_PATH"
+DEFAULT_TOL = 1e-9
 
 
 class ArtifactError(ValueError):
@@ -277,10 +275,8 @@ def score_p4(
 class ProblemSpec:
     """Everything the engine needs to run one benchmark instance."""
 
-    id: str
     brief: str
-    wall_seconds: float
-    memory_bytes: int
+    limits: ResourceLimits  # each candidate's, unless a run's config sets its own
     trivial_code: str
     # ``scorer`` takes what ``parser`` returns.
     scorer: Callable[[Any], ScoreReport]
@@ -400,7 +396,6 @@ def _make_registry() -> dict[str, ProblemSpec]:
     specs: dict[str, ProblemSpec] = {}
 
     specs["p1"] = ProblemSpec(
-        id="p1",
         brief=(
             "Write a program that outputs a nonnegative step function on [0,1] "
             "maximizing the ratio of the squared 2-norm of its autoconvolution "
@@ -408,8 +403,7 @@ def _make_registry() -> dict[str, ProblemSpec]:
             f'Write JSON {{"heights": [a0, a1, ...]}} with at most {P1_MAX_HEIGHTS} '
             f"heights to the file named by the {ARTIFACT_PATH_ENV} environment variable."
         ),
-        wall_seconds=360.0,
-        memory_bytes=5 * GB,
+        limits=ResourceLimits(360.0, 5 * GB),
         trivial_code=_TRIVIAL_P1,
         scorer=score_p1,
         parser=_parse_p1,
@@ -422,15 +416,13 @@ def _make_registry() -> dict[str, ProblemSpec]:
         ("p2.b", 14, 3, (4.16585, 4.16578, "minimize")),
     ):
         specs[pid] = ProblemSpec(
-            id=pid,
             brief=(
                 f"Write a program that places {n} distinct {d}-dimensional points "
                 "minimizing the ratio of their maximum to minimum pairwise "
                 f'distance. Write JSON {{"points": [[x, ...], ...]}} to the file '
                 f"named by the {ARTIFACT_PATH_ENV} environment variable."
             ),
-            wall_seconds=360.0,
-            memory_bytes=5 * GB,
+            limits=ResourceLimits(360.0, 5 * GB),
             trivial_code=_trivial_p2(n, d),
             scorer=lambda art, n=n, d=d: score_p2(art, expected_count=n, expected_dim=d),
             parser=lambda raw, n=n, d=d: _parse_p2(raw, n, d),
@@ -442,15 +434,13 @@ def _make_registry() -> dict[str, ProblemSpec]:
         ("p3.b", 32, (2.93794, 2.93957, "maximize")),
     ):
         specs[pid] = ProblemSpec(
-            id=pid,
             brief=(
                 f"Write a program that packs exactly {n} non-overlapping circles "
                 "inside the unit square maximizing the sum of their radii. "
                 f'Write JSON {{"circles": [[x, y, r], ...]}} to the file named by '
                 f"the {ARTIFACT_PATH_ENV} environment variable."
             ),
-            wall_seconds=180.0,
-            memory_bytes=1 * GB,
+            limits=ResourceLimits(180.0, 1 * GB),
             trivial_code=_trivial_packing(n, include_width=False),
             scorer=lambda art, n=n: score_p3(art, expected_count=n),
             parser=lambda raw, n=n: _parse_packing(raw, n, with_width=False),
@@ -458,7 +448,6 @@ def _make_registry() -> dict[str, ProblemSpec]:
         )
 
     specs["p4"] = ProblemSpec(
-        id="p4",
         brief=(
             "Write a program that chooses a rectangle of perimeter 4 (width w, "
             "height 2-w) and packs exactly 21 non-overlapping circles inside it "
@@ -466,8 +455,7 @@ def _make_registry() -> dict[str, ProblemSpec]:
             '"circles": [[x, y, r], ...]} to the file named by the '
             f"{ARTIFACT_PATH_ENV} environment variable."
         ),
-        wall_seconds=360.0,
-        memory_bytes=1 * GB,
+        limits=ResourceLimits(360.0, 1 * GB),
         trivial_code=_trivial_packing(21, include_width=True),
         scorer=lambda art: score_p4(art, expected_count=21),
         parser=lambda raw: _parse_packing(raw, 21, with_width=True),

@@ -47,20 +47,21 @@ before any candidate code runs, and the engine keeps one wall-clock
 deadline per candidate, counted from its request, and kills the candidate's
 whole process group when it passes. The memory ceiling counts the address
 space a child inherits from its launcher, which refuses a ``memory_bytes``
-at or below its own size where ``/proc`` shows it. Should the engine die
-first, a CPU-time rlimit (``cpu_seconds``) ends a busy candidate; a
-sleeping one lives until its sleep ends. Candidates see the launcher's
-preloaded modules (``atexit``, ``gc``, ``json``, ``os``, ``resource``,
-``signal``, ``socket``) and its string-hash seed, ``hash_seed``, one per
-run. This is a resource sandbox, not a security sandbox: network access is
-not blocked. POSIX only; the interpreter must be Python 3.10 or later and
-must not ignore the environment (``-E``, ``-I``), where a launcher refuses
-to start, since its candidates would not hash strings by ``hash_seed``.
+at or below its own size where ``/proc`` shows it. Should the engine die,
+or stall for 2 × ``KILL_GRACE_SECONDS``, the launcher's backstop kills the
+group that long past ``wall_seconds`` from the fork, busy or asleep; a
+stalled engine reads that SIGKILL as ``memory_exceeded``. Candidates see
+the launcher's preloaded modules (``atexit``, ``gc``, ``json``, ``os``,
+``resource``, ``signal``, ``socket``) and its string-hash seed,
+``hash_seed``, one per run. This is a resource sandbox, not a security
+sandbox: network access is not blocked. POSIX only; the interpreter must be
+Python 3.10 or later and must not ignore the environment (``-E``, ``-I``),
+where a launcher refuses to start, since its candidates would not hash
+strings by ``hash_seed``.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import signal
 import socket
@@ -74,10 +75,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Optional
 
-from ._launcher import empty_dir, remove_workdir
+from ._launcher import empty_dir, kill_group, remove_workdir
 from .llm import API_KEY_ENV, check_field
-from .problems import ARTIFACT_PATH_ENV
 
+ARTIFACT_PATH_ENV = "ARTIFACT_PATH"  # names, in a candidate's environment, its artifact file
 LOG_CAP_BYTES = 1 << 20  # per stream; the tail is kept and truncation marked in front
 TRUNCATION_MARK = "...[truncated]\n"
 # How long a launcher may take to report a killed candidate's exit, and to
@@ -99,8 +100,8 @@ STATUS_TIMEOUT = "timeout"
 STATUS_MEMORY_EXCEEDED = "memory_exceeded"
 STATUS_SPAWN_ERROR = "spawn_error"
 
-# Ceilings within what a launcher can apply: a socket timeout refuses about
-# 1e10 s, and Python 3.11's ``setrlimit`` refuses 2**63 bytes.
+# Ceilings within what a launcher can apply: a socket timeout and
+# ``setitimer`` refuse about 1e10 s, Python 3.11's ``setrlimit`` 2**63 bytes.
 MAX_WALL_SECONDS = 30 * 24 * 3600
 MAX_MEMORY_BYTES = (1 << 63) - 1
 
@@ -161,7 +162,7 @@ class Launcher:
     def spawn(self) -> None:
         """Start the launcher process in a fresh work directory, without waiting for it.
 
-        Its arguments are the script path and the candidate's limits; its
+        Its arguments are the script path, the memory limit and the backstop; its
         environment is this process's without the API key, plus the artifact
         path, ``PYTHONHASHSEED`` and ``ONE_THREAD_ENV`` (over any inherited
         values). ``wait_ready`` waits for its ``ready``. An interpreter that
@@ -175,7 +176,7 @@ class Launcher:
         env["PYTHONHASHSEED"] = str(self.hash_seed)
         env.update(dict.fromkeys(ONE_THREAD_ENV, "1"))
         script = os.path.join(self.workdir, SCRIPT_NAME)
-        limits = [str(self.limits.memory_bytes), str(cpu_seconds(self.limits))]
+        limits = [str(self.limits.memory_bytes), str(self.limits.wall_seconds + 2 * KILL_GRACE_SECONDS)]
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         self._errors = _log_file("launcher-errors")
         try:
@@ -277,12 +278,12 @@ class Launcher:
                 code = _recv_int(sock)
             except TimeoutError:
                 timed_out = True
-                _kill_group(pid)
+                kill_group(pid)
                 sock.settimeout(KILL_GRACE_SECONDS)
                 code = _recv_int(sock)
         except OSError:  # the launcher died or stopped answering; nobody else will end its child
             if pid is not None:
-                _kill_group(pid)
+                kill_group(pid)
             self._discard()
             code = None
         return code, timed_out, time.monotonic() - start
@@ -327,14 +328,6 @@ def _recv_int(sock: socket.socket) -> int:
     if not reply:
         raise ConnectionResetError("the launcher exited")
     return int(reply)
-
-
-def _kill_group(pid: int) -> None:
-    """Kill the candidate's whole process group; it leads its own session."""
-    try:
-        os.killpg(pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
 
 
 def _log_file(name: str):
@@ -393,12 +386,6 @@ def _open_artifact(dir_fd: int) -> Optional[BinaryIO]:
     except OSError:  # a directory, which ``open`` refuses without closing ``fd``
         os.close(fd)
         return None
-
-
-def cpu_seconds(limits: ResourceLimits) -> int:
-    """The candidate's CPU-time ceiling: more than all cores can use before
-    its wall deadline, so it only ends a candidate that outlives the engine."""
-    return math.ceil(limits.wall_seconds * (os.cpu_count() or 1)) + 1
 
 
 def run_candidate(code: str, launcher: Launcher) -> ExecutionOutcome:

@@ -628,6 +628,30 @@ class TestCmdScore:
         assert out.returncode == 1, out.stderr
         assert json.loads(out.stdout) == {"valid": False, "error": "not a regular file"}
 
+    def test_a_socket_is_refused_with_the_error_that_opening_it_gives(self, runner, tmp_path):
+        import socket
+
+        path = tmp_path / "s"
+        with socket.socket(socket.AF_UNIX) as bound:
+            bound.bind(str(path))
+            with pytest.raises(OSError) as refused:  # ENXIO on Linux
+                os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+            result = runner.invoke(main, ["score", "p3.a", str(path)])
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert json.loads(result.output) == {"valid": False, "error": refused.value.strerror}
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may read a file whatever its mode")
+    def test_an_unreadable_file_is_refused_with_the_error_that_opening_it_gives(self, runner, tmp_path):
+        import errno
+
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps({"circles": []}))
+        path.chmod(0)
+        result = runner.invoke(main, ["score", "p3.a", str(path)])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {"valid": False, "error": os.strerror(errno.EACCES)}
+
     def test_valid_circle_file(self, runner, tmp_path):
         path = tmp_path / "artifact.json"
         path.write_text(json.dumps({"circles": [[0.5, 0.5, 0.5]]}))

@@ -529,6 +529,15 @@ class TestProblemRegistry:
         with pytest.raises(KeyError, match="unknown problem id: 'p99'"):
             get_problem("p99")
 
+    def test_a_run_copies_its_problems_limits(self):
+        from llmevolve.config import RunConfig
+        from llmevolve.sandbox import ResourceLimits
+
+        config = RunConfig(problem_id="p3.a")
+        assert config.limits == get_problem("p3.a").limits == ResourceLimits(180.0, 1 << 30)
+        config.limits.wall_seconds = 1.0
+        assert get_problem("p3.a").limits.wall_seconds == 180.0
+
     @pytest.mark.parametrize("pid", ["p1", "p2.a", "p2.b", "p3.a", "p3.b", "p4"])
     def test_trivial_program_scores_valid(self, pid, tmp_path):
         """Every trivial program emits an artifact its own scorer accepts."""

@@ -675,7 +675,7 @@ def test_a_candidate_that_stops_its_launcher_first_never_outlives_its_limit(tmp_
 def test_a_child_whose_limits_cannot_be_set_fails_at_once(monkeypatch):
     # Its exit code must not be taken for its pid, which would be killed.
     kills = []
-    monkeypatch.setattr(sandbox, "_kill_group", kills.append)
+    monkeypatch.setattr(sandbox, "kill_group", kills.append)
     limits = ResourceLimits(1.0, 1 << 30)
     limits.memory_bytes = 1 << 70  # past what ResourceLimits accepts, so the child's setrlimit fails
     launcher = Launcher(FAST_INTERPRETER, limits, 0)
@@ -756,12 +756,13 @@ def _running(pid: int) -> bool:
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-def test_a_busy_candidate_does_not_outlive_a_dead_engine(tmp_path):
-    # The engine dies while the candidate spins, so nothing keeps its wall
-    # deadline; the CPU-time limit ends it.
+@pytest.mark.parametrize("loop", ["pass", "time.sleep(1)"], ids=["spinning", "sleeping"])
+def test_a_candidate_does_not_outlive_a_dead_engine(tmp_path, loop):
+    # The engine dies while the candidate runs, so nothing keeps its wall
+    # deadline; the launcher's backstop ends it.
     limits = ResourceLimits(wall_seconds=1.0, memory_bytes=1 << 30)
     pid_file = tmp_path / "pid"
-    candidate = f"import os\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\nwhile True:\n    pass\n"
+    candidate = f"import os, time\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\nwhile True:\n    {loop}\n"
     engine = (
         "import os, signal, sys, threading, time\n"
         "from llmevolve.sandbox import Launcher, ResourceLimits, run_candidate\n"
@@ -782,8 +783,7 @@ def test_a_busy_candidate_does_not_outlive_a_dead_engine(tmp_path):
     pid = int(pid_file.read_text())
     try:
         assert out.stdout == "early\n"  # the engine died before the wall deadline
-        # CPU time accrues no faster than wall time on one core.
-        deadline = time.monotonic() + 3 * sandbox.cpu_seconds(limits) + 5.0
+        deadline = time.monotonic() + limits.wall_seconds + 2 * sandbox.KILL_GRACE_SECONDS + 5.0
         while _running(pid) and time.monotonic() < deadline:
             time.sleep(0.1)
         assert not _running(pid)
@@ -960,6 +960,11 @@ _FIDELITY = {
     "set_order": (_SET_ORDER + "print(hash('alpha'))\n", STATUS_OK),
     # The engine sets each to 2 here; a candidate sees 1.
     "one_blas_thread": (f"import os\nprint([os.environ[name] for name in {_ONE_THREAD!r}])\n", STATUS_OK),
+    # The launcher's backstop leaves a candidate no CPU-time limit and no alarm handler.
+    "cpu_limit_and_alarm": (
+        "import resource, signal\nprint(resource.getrlimit(resource.RLIMIT_CPU), signal.getsignal(signal.SIGALRM))\n",
+        STATUS_OK,
+    ),
 }
 _FIDELITY_LIMITS = ResourceLimits(wall_seconds=10.0, memory_bytes=256 << 20)
 _FIDELITY_HASH_SEED = 12345
