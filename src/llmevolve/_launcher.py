@@ -58,6 +58,7 @@ import os
 import resource
 import signal
 import socket
+import stat  # imported by ``os`` already
 import sys
 
 # Largest file a candidate may write, in bytes: its artifact and both logs.
@@ -189,7 +190,8 @@ def finish(code: int) -> None:
 
 
 def empty_dir(fd: int, keep: str = "") -> None:
-    """Remove every entry of the directory open at ``fd`` but a regular file named ``keep``.
+    """Remove every entry of the directory open at ``fd`` but ``keep``, if that
+    is a regular file with one link that its owner may write.
 
     It follows no symlink, never recurses and holds at most three
     descriptors of its own, reading entries as it goes. A subdirectory is
@@ -204,8 +206,11 @@ def empty_dir(fd: int, keep: str = "") -> None:
         with os.scandir(fd) as entries:
             for entry in entries:
                 if not entry.is_dir(follow_symlinks=False):
-                    if entry.name != keep or not entry.is_file(follow_symlinks=False):
-                        os.unlink(entry.name, dir_fd=fd)
+                    if entry.name == keep:
+                        info = entry.stat(follow_symlinks=False)
+                        if stat.S_ISREG(info.st_mode) and info.st_nlink == 1 and info.st_mode & stat.S_IWUSR:
+                            continue
+                    os.unlink(entry.name, dir_fd=fd)
                     continue
                 found = True
                 sub = os.open(entry.name, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW, dir_fd=fd)

@@ -10,7 +10,7 @@ import click
 
 from . import engine, llm, report
 from .config import ABLATION_PRESETS, ConfigError, load_config
-from .problems import ArtifactError, get_problem
+from .problems import REGISTRY, ArtifactError, get_problem
 
 
 @click.group()
@@ -76,14 +76,11 @@ def cmd_resume(run_dir) -> None:
 
 
 @main.command("score")
-@click.argument("problem_id")
+@click.argument("problem_id", type=click.Choice(list(REGISTRY)))
 @click.argument("artifact_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_score(problem_id, artifact_path) -> None:
     """Score an artifact file; exit 0 iff it is a regular file within the problem's size cap and the construction is valid."""
-    try:
-        spec = get_problem(problem_id)
-    except KeyError as exc:
-        raise click.ClickException(str(exc)) from exc
+    spec = get_problem(problem_id)
     try:
         # Opening a FIFO this way does not wait for a writer.
         with open(os.open(artifact_path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:

@@ -137,7 +137,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: bytes not UTF-8, or an integer too long to read
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a mapping")
+        raise ConfigError(f"{path}: config root must be a mapping")
     return config_from_dict({**doc, **{k: v for k, v in overrides.items() if v is not None}})
 
 

@@ -14,8 +14,8 @@ and ``model_rng`` draws the ensemble member of each generation call.
 
 Solutions rank by ``ranked``: fittest first; on equal fitness the older
 (smaller ``epoch_created``) first, then the smaller id. Rank sampling,
-the inspiration top-up and migration read this order. Eviction breaks ties
-the other way: the oldest of the least fit goes first.
+the inspiration top-up, migration and the exported best read this order.
+Eviction breaks ties the other way: the oldest of the least fit goes first.
 """
 
 from __future__ import annotations

@@ -486,10 +486,11 @@ class _Run:
     # -- reporting --
 
     def best_solution(self) -> Optional[Solution]:
-        """The fittest valid live solution (none archived is fitter); the first found on a tie."""
+        """The first valid live solution in ``ranked`` order (none archived is
+        fitter): on a tie, an original over its copies from later epochs."""
         islands = self.state.islands
         valid = (s for i in islands for s in i.solutions.values() if s.status == STATUS_VALID)
-        return max(valid, key=lambda s: s.fitness, default=None)
+        return next(iter(ranked(valid)), None)
 
     def export_best(self) -> None:
         best = self.best_solution()

@@ -209,8 +209,8 @@ def _score_packing(
     width: float,
     height: float,
     expected_count: Optional[int],
-    tol: float,
 ) -> ScoreReport:
+    """Sum of radii in a ``width`` x ``height`` rectangle; each constraint may miss by ``DEFAULT_TOL``."""
     circles = artifact.circles
     if expected_count is not None and len(circles) != expected_count:
         return _invalid("wrong_circle_count", magnitude=abs(len(circles) - expected_count))
@@ -219,26 +219,26 @@ def _score_packing(
         if r < 0:
             violations[f"negative_radius_{i}"] = -r
             continue
-        if x - r < -tol:
+        if x - r < -DEFAULT_TOL:
             violations[f"left_bound_{i}"] = -(x - r)
-        if x + r > width + tol:
+        if x + r > width + DEFAULT_TOL:
             violations[f"right_bound_{i}"] = (x + r) - width
-        if y - r < -tol:
+        if y - r < -DEFAULT_TOL:
             violations[f"bottom_bound_{i}"] = -(y - r)
-        if y + r > height + tol:
+        if y + r > height + DEFAULT_TOL:
             violations[f"top_bound_{i}"] = (y + r) - height
     for i in range(len(circles)):
         xi, yi, ri = circles[i]
         for j in range(i + 1, len(circles)):
             xj, yj, rj = circles[j]
             dist = math.hypot(xi - xj, yi - yj)
-            if dist < ri + rj - tol:
+            if dist < ri + rj - DEFAULT_TOL:
                 violations[f"overlap_{i}_{j}"] = (ri + rj) - dist
     total = sum(c[2] for c in circles)
     metrics = {
         "objective": total,
         "num_circles": float(len(circles)),
-        "tolerance": tol,
+        "tolerance": DEFAULT_TOL,
     }
     if violations:
         return ScoreReport(
@@ -247,25 +247,17 @@ def _score_packing(
     return ScoreReport(objective=total, fitness=total, valid=True, metrics=metrics)
 
 
-def score_p3(
-    artifact: CirclePackingArtifact,
-    expected_count: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
-) -> ScoreReport:
+def score_p3(artifact: CirclePackingArtifact, expected_count: Optional[int] = None) -> ScoreReport:
     """Sum of radii of non-overlapping circles inside the unit square."""
     if artifact.rect_width != 1.0:
         return _invalid("rect_width_not_one", magnitude=abs(artifact.rect_width - 1.0))
-    return _score_packing(artifact, 1.0, 1.0, expected_count, tol)
+    return _score_packing(artifact, 1.0, 1.0, expected_count)
 
 
-def score_p4(
-    artifact: CirclePackingArtifact,
-    expected_count: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
-) -> ScoreReport:
+def score_p4(artifact: CirclePackingArtifact, expected_count: Optional[int] = None) -> ScoreReport:
     """Sum of radii of non-overlapping circles inside a w x (2-w) rectangle."""
     w = artifact.rect_width
-    return _score_packing(artifact, w, 2.0 - w, expected_count, tol)
+    return _score_packing(artifact, w, 2.0 - w, expected_count)
 
 
 # -- problem registry --

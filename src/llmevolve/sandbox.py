@@ -14,13 +14,13 @@ key. The engine holds one descriptor of the directory from the start to
 ``close`` and goes through it, never its path, to write the script, open
 the artifact and empty the directory: before a candidate runs, its code
 overwrites the directory's ``candidate.py`` in place; after it, the
-directory is emptied but for that script, so every
-candidate of a launcher sees the same path and only its own script there,
-and the evaluation itself creates no file. A path that no longer names the
-held directory, or a directory that cannot be emptied or prepared (the
-candidate removed or renamed it, swapped it for a symlink, or linked its
-script elsewhere), closes the launcher, which starts afresh in a new
-directory on next use, as does a launcher that died. A launcher removes its
+directory is emptied but for that script while it is a file of its own
+(``empty_dir``), so every candidate of a launcher sees the same path and
+only its own script there, and the evaluation itself creates no file. A
+path that no longer names the held directory, or a directory that cannot
+be emptied or prepared (the candidate removed or renamed it, or swapped it
+for a symlink), closes the launcher, which starts afresh in a new directory
+on next use, as does a launcher that died. A launcher removes its
 directory, wherever it now is, when it is closed or dies, and
 ``Launcher.close`` removes what is left at its path. All three removals go
 through ``_launcher.empty_dir``, which follows no symlink and never
@@ -217,25 +217,23 @@ class Launcher:
     def prepare(self, code: bytes) -> None:
         """Start the launcher if it is not running, and put ``code`` in its script.
 
-        The script is overwritten in place, never truncated to zero first,
-        and only while it is a regular file with no other link: a launcher
-        whose directory cannot take it is closed and tried once afresh.
+        The script is overwritten in place, never truncated to zero first;
+        ``clear`` left it absent or the launcher's own. A failed write closes
+        the launcher and is a ``LauncherError``.
         """
         if self.proc is not None and self.proc.poll() is not None:  # died while idle
             self.close()
-        for _ in range(2):
-            if self._sock is None:
-                self.spawn()
-                self.wait_ready()
-            try:
-                return _overwrite(self.dir_fd, SCRIPT_NAME, code)
-            except OSError as exc:
-                self.close()
-                error = exc
-        raise LauncherError(f"cannot write the candidate's script: {error}") from error
+        if self._sock is None:
+            self.spawn()
+            self.wait_ready()
+        try:
+            _overwrite(self.dir_fd, SCRIPT_NAME, code)
+        except OSError as exc:
+            self.close()
+            raise LauncherError(f"cannot write the candidate's script: {exc}") from exc
 
     def clear(self) -> None:
-        """Empty the work directory but for its script, or close the launcher.
+        """Empty the work directory but for its own script (``empty_dir``), or close the launcher.
 
         The path must still name the held directory, not a symlink (the
         candidate may have removed it, renamed it or swapped it for a

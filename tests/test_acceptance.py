@@ -112,7 +112,7 @@ def test_criterion_2_two_circle_oracle():
     assert abs(attained - target) <= 1e-6
 
     r = math.sqrt(2) / (2 * (1 + math.sqrt(2)))
-    report = score_p3(CirclePackingArtifact([(r, r, r), (1 - r, 1 - r, r)]), tol=1e-9)
+    report = score_p3(CirclePackingArtifact([(r, r, r), (1 - r, 1 - r, r)]))
     assert report.valid
     assert report.objective == pytest.approx(target, abs=1e-12)
     verdict(2, "two-circle numeric oracle attains 2 - sqrt(2)")

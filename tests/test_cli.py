@@ -189,8 +189,10 @@ class TestCmdRun:
             b"problem_id: !!python/object/apply:os.getcwd []\n",
             b"problem_id: p3.a\nbase_url: caf\xe9\n",
             b"problem_id: p3.a\nmaster_seed: " + b"7" * 4301 + b"\n",
+            b"- problem_id: p3.a\n",
+            b"p3.a\n",
         ],
-        ids=["yaml_syntax_error", "python_tag", "not_utf8", "integer_of_4301_digits"],
+        ids=["yaml_syntax_error", "python_tag", "not_utf8", "integer_of_4301_digits", "list_root", "string_root"],
     )
     def test_an_unreadable_config_file_is_a_config_error_naming_it(self, runner, tmp_path, text):
         path = tmp_path / "bad.yaml"
@@ -611,6 +613,18 @@ class TestCmdScore:
         assert isinstance(result.exception, SystemExit)
         assert "is a directory" in result.output
 
+    def test_an_unknown_problem_is_a_usage_error_naming_the_known_ones(self, runner, tmp_path):
+        from llmevolve.problems import REGISTRY
+
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps({"heights": [1.0]}))
+        result = runner.invoke(main, ["score", "p9", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "'p9' is not one of" in result.output
+        assert len(REGISTRY) == 6
+        assert all(repr(problem_id) in result.output for problem_id in REGISTRY)
+
     def test_a_fifo_is_refused_without_waiting_for_a_writer(self, tmp_path):
         import os
         import subprocess
@@ -790,6 +804,16 @@ class TestCmdReport:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert result.output.startswith("Error: cannot read the event log")
         assert events is None or "events.jsonl line 1: " in result.output
+
+    @pytest.mark.parametrize(
+        "events", [b"", b'{"type": "init", "island": 0, "status": "valid", "fitness": 0.5}\n'], ids=["empty", "init_only"]
+    )
+    def test_an_event_log_without_a_step_is_an_error_message(self, runner, tmp_path, events):
+        (tmp_path / "events.jsonl").write_bytes(events)
+        result = runner.invoke(main, ["report", "--run-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output == "Error: event log contains no epochs\n"
 
     def test_the_series_of_a_run_that_improves_through_migration_rises(self, runner, climbing_run):
         run_dir, summary = climbing_run

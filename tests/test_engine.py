@@ -311,9 +311,10 @@ class TestMigration:
             assert len(ids) == len(set(ids)), "a solution migrated twice from its origin"
 
     @pytest.mark.parametrize("resumed", [False, True], ids=["straight", "resumed"])
-    def test_best_migrant_copy_exports_original_artifact(self, tmp_path, resumed):
+    def test_the_best_is_an_original_not_its_migrant_copy(self, tmp_path, resumed):
         # Island 1 writes the better programs, so after the migration at the
-        # last epoch the best solution found first is island 0's copy.
+        # last epoch island 0 holds a copy as fit as the best; the older
+        # original ranks first.
         from conftest import fenced, packing_program
         from llmevolve.llm import ReplayBackend
 
@@ -331,11 +332,14 @@ class TestMigration:
                 fh.write(b'{"solution": "i1-s00099", "code": "lost')
             summary = engine.resume(run_dir, backend=ReplayBackend(responses))
         _, state = load_latest_checkpoint(run_dir)
-        best = state.islands[0].lookup(summary.best_solution_id)
-        original = best.provenance["original_id"]
-        assert original.startswith("i1-")
+        best = state.islands[1].lookup(summary.best_solution_id)
+        assert "original_id" not in best.provenance
+        copies = [s for s in state.islands[0].live() if s.provenance.get("original_id") == best.id]
+        assert [copy.fitness for copy in copies] == [best.fitness]
+        assert best.id in {event.get("solution") for event in read_events(run_dir)}
+        assert json.loads((run_dir / "best" / "summary.json").read_text())["solution"] == best.id
         exported = (run_dir / "best" / "artifact.json").read_bytes()
-        assert exported == solution_records(run_dir)[original]["artifact"].encode("utf-8")
+        assert exported == solution_records(run_dir)[best.id]["artifact"].encode("utf-8")
 
     def test_a_migrant_copy_keeps_every_field_it_does_not_reset(self, tmp_path):
         import dataclasses

@@ -105,6 +105,12 @@ class TestScoreP1:
         assert not report.valid
         assert report.violations == {"non_finite_objective": 1.0}
 
+    def test_heights_whose_squares_underflow_are_invalid(self):
+        problem = get_problem("p1")
+        report = problem.scorer(problem.parser(b'{"heights": [5e-324]}'))
+        assert not report.valid
+        assert report.violations == {"zero_denominator": 1.0}
+
     def test_heights_over_the_ceiling_are_rejected_before_scoring(self):
         scorer = get_problem("p1").scorer
         over = StepFunctionArtifact([1.0] * (P1_MAX_HEIGHTS + 1))
@@ -334,10 +340,11 @@ class TestParseArtifact:
         "pid, raw, message",
         [
             ("p2.a", b'{"points": [[NaN, 0], [1, 1]]}', "coordinates must be finite"),
+            ("p2.a", b'{"points": [[0, 0], [1]]}', "points must share one dimensionality"),
             ("p3.a", b'{"circles": [[0.5, 0.5]]}', "each circle is an (x, y, r) triple"),
             ("p4", b'{"rect_width": 1.0, "circles": [[0.5, 0.5, Infinity]]}', "circle values must be finite"),
         ],
-        ids=["nan_coordinate", "circle_of_two_numbers", "infinite_radius"],
+        ids=["nan_coordinate", "points_of_unequal_lengths", "circle_of_two_numbers", "infinite_radius"],
     )
     def test_a_malformed_construction_names_its_fault(self, pid, raw, message):
         with pytest.raises(ArtifactError) as exc:

@@ -697,6 +697,41 @@ def test_a_slow_launcher_start_does_not_count_against_the_wall_limit():
     assert (outcome.status, outcome.stdout) == (STATUS_OK, "started\n")
 
 
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="lists the open descriptors in /proc/self/fd, which only Linux has"
+)
+def test_a_launcher_that_never_says_ready_is_killed_and_a_spawn_error(monkeypatch):
+    monkeypatch.setattr(sandbox, "START_TIMEOUT_SECONDS", 0.5)
+    launcher = Launcher([sys.executable, "-S", "-c", "import time; time.sleep(30)"], LIMITS, 0)
+    before = set(os.listdir("/proc/self/fd"))
+    start = time.monotonic()
+    try:
+        outcome = run_candidate("print('never')\n", launcher)
+    finally:
+        launcher.close()
+    assert time.monotonic() - start < 5.0
+    assert (outcome.status, outcome.stderr) == (STATUS_SPAWN_ERROR, "launcher exited with code -9 before it was ready")
+    assert launcher.proc.returncode == -signal.SIGKILL
+    assert (launcher.workdir, launcher.dir_fd) == (None, None)
+    assert set(os.listdir("/proc/self/fd")) ^ before == set()
+
+
+def test_a_script_that_cannot_be_written_is_a_spawn_error_that_closes_the_launcher(launcher, monkeypatch):
+    def cannot_write(dir_fd, name, data):
+        raise OSError("no space left")
+
+    assert run_candidate("print(1)\n", launcher).status == STATUS_OK
+    first, workdir = launcher.proc, launcher.workdir
+    monkeypatch.setattr(sandbox, "_overwrite", cannot_write)
+    outcome = run_candidate("print(2)\n", launcher)
+    assert outcome.status == STATUS_SPAWN_ERROR
+    assert outcome.stderr == "cannot write the candidate's script: no space left"
+    assert launcher.proc is first  # no fresh launcher is started to try again
+    assert first.returncode == 0  # hung up on and reaped
+    assert (launcher.workdir, launcher.dir_fd) == (None, None)
+    assert not os.path.exists(workdir)
+
+
 def test_one_work_directory_per_launcher_start(launcher, monkeypatch):
     made = []
     mkdtemp = tempfile.mkdtemp
@@ -800,18 +835,22 @@ _LISTING = (
 )
 
 
+# Each mess, and whether it costs its launcher: only a directory that is
+# gone from its path does; a script that is no longer the launcher's own is
+# dropped by the tidy.
 @pytest.mark.parametrize(
-    "mess",
+    "mess, restarts",
     [
-        "open('left.txt', 'w').write('x')\nos.makedirs('sub/deeper')\nopen('sub/deeper/f', 'w').write('y')\n"
-        "os.symlink('sub', 'link')\nopen(os.environ['ARTIFACT_PATH'], 'w').write('{}')\n",
-        "os.unlink('candidate.py')\nos.rmdir(os.getcwd())\n",
-        "os.unlink('candidate.py')\nos.symlink(os.path.join(OUTSIDE, 'outside.py'), 'candidate.py')\n",
-        "here = os.getcwd()\nos.unlink('candidate.py')\nos.rmdir(here)\nos.symlink(OUTSIDE, here)\n",
-        "os.link('candidate.py', os.path.join(OUTSIDE, str(os.getpid())))\n",
+        ("open('left.txt', 'w').write('x')\nos.makedirs('sub/deeper')\nopen('sub/deeper/f', 'w').write('y')\n"
+         "os.symlink('sub', 'link')\nopen(os.environ['ARTIFACT_PATH'], 'w').write('{}')\n", False),
+        ("os.unlink('candidate.py')\nos.rmdir(os.getcwd())\n", True),
+        ("os.unlink('candidate.py')\nos.symlink(os.path.join(OUTSIDE, 'outside.py'), 'candidate.py')\n", False),
+        ("here = os.getcwd()\nos.unlink('candidate.py')\nos.rmdir(here)\nos.symlink(OUTSIDE, here)\n", True),
+        ("os.link('candidate.py', os.path.join(OUTSIDE, str(os.getpid())))\n", False),
+        ("os.chmod('candidate.py', 0o444)\n", False),
         # Deeper than the recursion limit, and longer than PATH_MAX.
-        "for _ in range(3000):\n    os.mkdir('d')\n    os.chdir('d')\n",
-        "os.unlink('candidate.py')\nos.makedirs('candidate.py/inner')\nopen('candidate.py/f', 'w').write('x')\n",
+        ("for _ in range(3000):\n    os.mkdir('d')\n    os.chdir('d')\n", False),
+        ("os.unlink('candidate.py')\nos.makedirs('candidate.py/inner')\nopen('candidate.py/f', 'w').write('x')\n", False),
     ],
     ids=[
         "files_and_subdirectory",
@@ -819,11 +858,12 @@ _LISTING = (
         "script_swapped_for_symlink",
         "directory_swapped_for_symlink",
         "script_linked_outside",
+        "script_made_read_only",
         "deep_chain",
         "script_swapped_for_directory",
     ],
 )
-def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(launcher, mess, tmp_path):
+def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(launcher, mess, restarts, tmp_path):
     (tmp_path / "outside").mkdir()
     outside = tmp_path / "outside" / "outside.py"
     outside.write_text("print('outside')\n")
@@ -835,9 +875,11 @@ def test_a_candidate_that_messes_up_its_directory_leaves_the_next_a_clean_one(la
         fresh.close()
     assert on_fresh == STATUS_OK
     assert run_candidate(code, launcher).status == on_fresh
+    first = launcher.proc
     probe = run_candidate(_LISTING, launcher)
     assert probe.status == STATUS_OK
     assert json.loads(probe.artifact) == ["candidate.py"]
+    assert (launcher.proc is not first) == restarts
     assert outside.read_text() == "print('outside')\n"
     for linked in set(outside.parent.iterdir()) - {outside}:
         assert linked.read_text() == code
