@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 
 import click
 
-from . import engine, llm, report
-from .config import ABLATION_PRESETS, ConfigError, load_config
+from . import engine, llm
+from .config import ABLATION_PRESETS, BACKENDS, ConfigError, load_config
 from .problems import REGISTRY, ArtifactError, get_problem
 
 
@@ -40,7 +42,7 @@ def _print_summary(summary: engine.RunSummary) -> None:
 @click.option("--run-dir", required=True, type=click.Path())
 @click.option("--epochs", type=int, default=None, help="Override total epochs.")
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
-@click.option("--backend", type=click.Choice(["http", "replay"]), default=None)
+@click.option("--backend", type=click.Choice(BACKENDS), default=None)
 @click.option("--problem", "problem_id", default=None, help="Override the problem id.")
 @click.option("--ablation", type=click.Choice(list(ABLATION_PRESETS)), default=None,
               help="Override the fields that an ablation preset sets.")
@@ -90,19 +92,7 @@ def cmd_score(problem_id, artifact_path) -> None:
         click.echo(json.dumps({"valid": False, "error": error}, sort_keys=True))
         sys.exit(1)
     rep = spec.scorer(artifact)
-    click.echo(
-        json.dumps(
-            {
-                "problem": problem_id,
-                "objective": rep.objective,
-                "fitness": rep.fitness,
-                "valid": rep.valid,
-                "violations": rep.violations,
-                "metrics": rep.metrics,
-            },
-            sort_keys=True,
-        )
-    )
+    click.echo(json.dumps({"problem": problem_id, **asdict(rep)}, sort_keys=True))
     if not rep.valid:
         sys.exit(1)
 
@@ -114,15 +104,30 @@ def cmd_score(problem_id, artifact_path) -> None:
 @click.option("--epsilon", type=float, default=1e-4)
 def cmd_report(run_dir, ceiling, epsilon) -> None:
     """Emit per-epoch best-fitness tables as tab-delimited text."""
+    # Each island's best-so-far, and its value at each epoch's last step; an
+    # island reads 0.0, the floor of a best-so-far, until its first record.
+    best: dict[int, float] = {}
+    rows: dict[int, dict[int, float]] = {}
     try:
-        series = report.load_series(run_dir)
+        for rec in engine.read_events(run_dir):
+            if rec["type"] in ("init", "step"):
+                best[rec["island"]] = max(best.get(rec["island"], 0.0), rec["fitness"])
+            if rec["type"] == "step":
+                rows[rec["epoch"]] = dict(best)
     except (OSError, ValueError) as exc:
         raise click.ClickException(f"cannot read the event log of {run_dir}: {exc}") from exc
-    if not series.epochs:
+    if not rows:
         raise click.ClickException("event log contains no epochs")
+    islands = sorted(best)
     if ceiling is None:
-        ceiling = max(series.global_best)
-    click.echo(report.render_table(series, ceiling, epsilon), nl=False)
+        ceiling = max(max(row.values()) for row in rows.values())
+    click.echo("\t".join(["epoch", *(f"island_{i}" for i in islands), "global", "transformed"]))
+    for epoch, row in rows.items():
+        top = max(row.values())
+        gap = ceiling + epsilon - top
+        cells = [str(epoch), *(f"{row.get(i, 0.0):.12g}" for i in islands), f"{top:.12g}"]
+        cells.append(f"{-math.log(gap):.12g}" if gap > 0 else "undefined")
+        click.echo("\t".join(cells))
 
 
 if __name__ == "__main__":

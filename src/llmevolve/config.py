@@ -24,6 +24,8 @@ class ConfigError(ValueError):
 MAX_ISLANDS = 64
 MAX_INIT_POPULATION = 64
 
+BACKENDS = ("http", "replay")
+
 # The paper's ablations by name, each as the field values it sets. A step
 # explores only when ``p_explore`` > 0 and sends inspirations only when
 # ``num_inspirations`` > 0; under ``evolution: false`` neither matters.
@@ -53,7 +55,7 @@ class RunConfig:
     limits: Optional[ResourceLimits] = None
     master_seed: int = 0
     evolution: bool = True  # False: each step starts from the trivial program; no migration
-    backend: str = "replay"  # "replay" | "http"
+    backend: str = "replay"  # one of BACKENDS
     base_url: str = ""
     interpreter: list[str] = field(default_factory=lambda: ["python3"])  # runs the sandbox launchers
     sandbox_workers: Optional[int] = None  # default and maximum: num_islands
@@ -81,7 +83,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a mapping")
         for name, *rule in self.RANGES:
             check_field(name, getattr(self, name), *rule)
-        if self.backend not in ("replay", "http"):
+        if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend: {quote(self.backend)}")
         if self.backend == "http":
             url = urlsplit(self.base_url)
@@ -147,13 +149,16 @@ def config_from_dict(doc: dict) -> RunConfig:
         if isinstance(doc.get("limits"), dict):
             doc["limits"] = ResourceLimits(**doc["limits"])
         if isinstance(doc.get("ensemble"), dict):
-            ens = doc["ensemble"]  # every key goes to EnsembleConfig, so a misspelt one is refused
-            doc["ensemble"] = EnsembleConfig(**{
-                **ens,
-                "members": [EnsembleMember(**m) for m in ens.get("members", [])],
-                "meta_model": MetaModel(**ens.get("meta_model", {"name": "flash"})),
-                "retry": RetryPolicy(**ens.get("retry", {})),
-            })
+            # Every key goes to EnsembleConfig, so a misspelt one is refused;
+            # an omitted one keeps its default.
+            ens = dict(doc["ensemble"])
+            if "members" in ens:
+                ens["members"] = [EnsembleMember(**m) for m in ens["members"]]
+            if "meta_model" in ens:
+                ens["meta_model"] = MetaModel(**ens["meta_model"])
+            if "retry" in ens:
+                ens["retry"] = RetryPolicy(**ens["retry"])
+            doc["ensemble"] = replace(EnsembleConfig.default(), **ens)
         if isinstance(doc.get("topology"), list):
             doc["topology"] = [tuple(e) for e in doc["topology"]]
         return RunConfig(**doc)

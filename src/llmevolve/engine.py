@@ -129,7 +129,6 @@ class RunState:
 class RunSummary:
     problem_id: str
     epochs_run: int
-    best_island: int
     best_solution_id: Optional[str]
     best_fitness: float
     best_objective: Optional[float]
@@ -533,7 +532,6 @@ class _Run:
         return RunSummary(
             problem_id=self.config.problem_id,
             epochs_run=self.state.epoch,
-            best_island=best.island_id if best else -1,
             best_solution_id=best.id if best else None,
             best_fitness=best.fitness if best else 0.0,
             best_objective=best.metrics.get("objective") if best else None,

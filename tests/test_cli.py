@@ -242,6 +242,17 @@ class TestCmdRun:
         with pytest.raises(ConfigError, match=re.escape(f"topology edge {tuple(edge)}")):
             config_from_dict(doc)
 
+    def test_an_ensemble_that_omits_members_and_meta_model_keeps_their_defaults(self, tmp_path):
+        from llmevolve.config import load_config
+        from llmevolve.llm import EnsembleConfig, RetryPolicy
+
+        path = tmp_path / "config.yaml"
+        path.write_text("problem_id: p3.a\nensemble: {retry: {backoff_seconds: [0.1]}}\n")
+        ensemble = load_config(path).ensemble
+        default = EnsembleConfig.default()
+        assert (ensemble.members, ensemble.meta_model) == (default.members, default.meta_model)
+        assert ensemble.retry == RetryPolicy(backoff_seconds=[0.1])
+
     def test_an_unknown_problem_id_is_a_config_error_naming_the_known_ones(self):
         from llmevolve.config import ConfigError, config_from_dict
 
@@ -814,6 +825,22 @@ class TestCmdReport:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert result.output == "Error: event log contains no epochs\n"
+
+    def test_an_island_without_a_record_yet_reads_zero(self, runner, tmp_path):
+        records = [
+            {"type": "init", "island": 0, "status": "valid", "fitness": 0.5},
+            {"type": "step", "island": 0, "status": "valid", "fitness": 0.6, "epoch": 1},
+            {"type": "step", "island": 0, "status": "valid", "fitness": 0.7, "epoch": 2},
+            {"type": "step", "island": 1, "status": "valid", "fitness": 0.9, "epoch": 2},
+        ]
+        (tmp_path / "events.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        result = runner.invoke(main, ["report", "--run-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert result.output == (
+            "epoch\tisland_0\tisland_1\tglobal\ttransformed\n"
+            "1\t0.6\t0\t0.6\t1.20363952654\n"
+            "2\t0.7\t0.9\t0.9\t9.21034037198\n"
+        )
 
     def test_the_series_of_a_run_that_improves_through_migration_rises(self, runner, climbing_run):
         run_dir, summary = climbing_run

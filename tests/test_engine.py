@@ -67,7 +67,7 @@ class TestRun:
         monkeypatch.setattr(get_problem("p3.a"), "scorer", lambda artifact: invalid)
         run_dir, _, summary = small_run(tmp_path)
         assert summary.finished and set(summary.step_counts) == {"invalid_artifact"}
-        assert (summary.best_solution_id, summary.best_island, summary.best_fitness) == (None, -1, 0.0)
+        assert (summary.best_solution_id, summary.best_fitness) == (None, 0.0)
         assert summary.best_objective is None
         assert not (run_dir / "best").exists()
 
@@ -413,8 +413,9 @@ class TestImprovementThroughMigration:
         while lineage[-1] in made:
             lineage.append(made[lineage[-1]].get("parent"))  # init events have none
         assert lineage[-1] is not None
-        assert lineage[-1].startswith(f"i{summary.best_island}-")
-        assert summary.best_island != 0  # so it received island 0's program, the only one that improves
+        best_island = summary.best_solution_id.split("-")[0]  # "i<n>", the island that made or received it
+        assert lineage[-1].startswith(f"{best_island}-")
+        assert best_island != "i0"  # so it received island 0's program, the only one that improves
 
 
 class TestResume:

@@ -4,7 +4,7 @@ Each preset runs 2 islands for 8 epochs with a migration every 3 epochs on a
 scripted transcript that mixes valid programs, edit blocks that apply and
 ones that do not, prose with no edit, crashing programs, programs that write
 no artifact, malformed and constraint-violating artifacts, blank replies and
-(on island 1) an exhausted transcript. The test compares four files with the
+(on island 1) an exhausted transcript. The test compares five files with the
 ones stored under ``tests/golden/``:
 
 - ``<preset>.events.jsonl``: the run's ``events.jsonl``;
@@ -14,7 +14,9 @@ ones stored under ``tests/golden/``:
   ``(island, index)`` that the engine gave each call;
 - ``<preset>.best.json``: the run's ``best/summary.json``;
 - ``<preset>.solutions.sha256``: the sha256 of the run's ``solutions.jsonl``
-  with its lines sorted, since islands append to it concurrently.
+  with its lines sorted, since islands append to it concurrently;
+- ``<preset>.report.tsv``: what ``llmevolve report`` prints for the run with
+  its default options.
 
 A change that is meant to alter any of them regenerates the fixtures with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and says why in its
@@ -29,9 +31,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from conftest import fenced, packing_program, standard_config
 from llmevolve import engine, llm
+from llmevolve.cli import main
 from llmevolve.config import ABLATION_PRESETS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -123,11 +127,14 @@ def golden_run(preset: str, run_dir: Path) -> dict[str, bytes]:
     engine.run(cfg, run_dir, backend=backend)
     calls = "".join(json.dumps(c, sort_keys=True) + "\n" for c in backend.calls)
     solutions = sorted((run_dir / engine.SOLUTIONS_LOG_NAME).read_bytes().splitlines(keepends=True))
+    report = CliRunner().invoke(main, ["report", "--run-dir", str(run_dir)])
+    assert report.exit_code == 0, report.output
     return {
         "events.jsonl": (run_dir / engine.EVENT_LOG_NAME).read_bytes(),
         "calls.jsonl": by_key(calls.encode("utf-8")),
         "best.json": (run_dir / "best" / "summary.json").read_bytes(),
         "solutions.sha256": hashlib.sha256(b"".join(solutions)).hexdigest().encode("ascii") + b"\n",
+        "report.tsv": report.stdout_bytes,
     }
 
 
@@ -157,6 +164,11 @@ def test_best_and_solutions_match_golden(golden):
     preset, got = golden
     assert got["best.json"] == (GOLDEN_DIR / f"{preset}.best.json").read_bytes()
     assert got["solutions.sha256"] == (GOLDEN_DIR / f"{preset}.solutions.sha256").read_bytes()
+
+
+def test_report_matches_golden(golden):
+    preset, got = golden
+    assert got["report.tsv"] == (GOLDEN_DIR / f"{preset}.report.tsv").read_bytes()
 
 
 if __name__ == "__main__":
