@@ -19,8 +19,8 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-# Each island runs on a thread and a launcher of its own, and its set-up
-# sends all but the first of its init_population calls on threads of its own.
+# Each island runs on a thread and uses at most one launcher at a time, and its
+# set-up sends all but the first of its init_population calls on threads of its own.
 MAX_ISLANDS = 64
 MAX_INIT_POPULATION = 64
 
@@ -58,7 +58,7 @@ class RunConfig:
     backend: str = "replay"  # one of BACKENDS
     base_url: str = ""
     interpreter: list[str] = field(default_factory=lambda: ["python3"])  # runs the sandbox launchers
-    sandbox_workers: Optional[int] = None  # default and maximum: num_islands
+    sandbox_workers: Optional[int] = None  # default: usable CPUs; maximum: num_islands
 
     RANGES = (
         ("num_islands", "integer", 1, MAX_ISLANDS), ("init_population", "integer", 1, MAX_INIT_POPULATION),

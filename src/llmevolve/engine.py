@@ -30,28 +30,28 @@ Islands share nothing between migrations, not even random state: each
 ``IslandState`` holds its own streams, which a checkpoint of the islands
 holds too. So each island runs as one job on its own thread up to the next
 barrier: a migration epoch, a requested stop, or the end of the run; its
-first job sets it up before its first step, and
-sends the set-up's ``init_population`` model calls at once, the first on the
-island's thread and the others on a pool that the engine starts for that
-set-up. The engine starts every thread pool of a run. Every model call
-carries the key ``(island, index)`` that the island assigned it, so replay
-does not depend on the order in which calls arrive. An island evaluates
-each of its candidates, one at a time, on its own thread, with one call:
-the pool runs it on one of the run's ``sandbox_workers`` warm launchers (at
-most one per island), lent in arrival order, and the same thread then
-reads the artifact through ``ProblemSpec.read_artifact``, closes it,
-parses and scores it, and appends the candidate's record to the solutions
-log, under a lock; a generation failure is only recorded. The pool's
-launchers stop together when the run returns. At the barrier the engine
-writes the jobs' buffered events in canonical order (init events by island,
-then step events by epoch and island), migrates if the epoch is a migration
-epoch, prunes each island and writes one checkpoint per barrier: a digest
-line and a pickle, which is streamed into the file and hashed from it in
-chunks, so no second copy of it is held in memory. A load checks the digest
-over the whole payload before it unpickles any byte of it. At the end of
-the run it exports ``best/``, taking the artifact from the best solution's
-record, which starts at its ``log_ref`` byte offset. A summary counts
-statuses from the event log's init and step events.
+first job sets it up before its first step, and sends the set-up's
+``init_population`` model calls at once, the first on the island's thread
+and the others on a pool that the engine starts for that set-up. The engine
+starts every thread pool of a run. Every model call carries the key
+``(island, index)`` that the island assigned it, so replay does not depend
+on the order in which calls arrive. An island evaluates each of its
+candidates, one at a time, on its own thread, with one call: the pool runs
+it on one of the run's ``sandbox_workers`` warm launchers (by default one
+per usable CPU, at most one per island), lent in arrival order, and the same
+thread then reads the artifact through ``ProblemSpec.read_artifact``, closes
+it, parses and scores it, and appends the candidate's record to the
+solutions log, under a lock; a generation failure is only recorded. The
+pool's launchers stop together when the run returns. At the barrier the
+engine writes the jobs' buffered events in canonical order (init events by
+island, then step events by epoch and island), migrates if the epoch is a
+migration epoch, prunes each island and writes one checkpoint per barrier: a
+digest line and a pickle, which is streamed into the file and hashed from it
+in chunks, so no second copy of it is held in memory. A load checks the
+digest over the whole payload before it unpickles any byte of it. At the end
+of the run it exports ``best/``, taking the artifact from the best
+solution's record, which starts at its ``log_ref`` byte offset. A summary
+counts statuses from the event log's init and step events.
 """
 
 from __future__ import annotations
@@ -194,14 +194,17 @@ def start_launchers(config: RunConfig, running: bool) -> sandbox.LauncherPool:
     once and each ready, or none if the run is not ``running``.
 
     As many candidates run at once as there are launchers: ``sandbox_workers``,
-    but no more than islands, since each island has at most one in flight.
-    Every launcher gets one string-hash seed derived from ``master_seed``, so
-    a candidate hashes strings alike on any launcher, in a run and its
-    resume. A launcher that cannot start is a ``ConfigError`` that names the
-    interpreter, with any unprintable character escaped, and quotes the
-    launcher's error, with every one reaped.
+    by default the CPUs this thread may use, so that no candidate spends its
+    wall-time budget waiting for a core, but no more than islands, since each
+    island has at most one in flight. Every launcher gets one string-hash
+    seed derived from ``master_seed``, so a candidate hashes strings alike on
+    any launcher, in a run and its resume. A launcher that cannot start is a
+    ``ConfigError`` that names the interpreter, with any unprintable
+    character escaped, and quotes the launcher's error, with every one
+    reaped.
     """
-    workers = min(config.sandbox_workers or config.num_islands, config.num_islands) if running else 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(config.sandbox_workers or cpus, config.num_islands) if running else 0
     hash_seed = derive_rng(config.master_seed, 0, "hash").getrandbits(32)
     try:
         return sandbox.LauncherPool(config.interpreter, workers, config.limits, hash_seed)

@@ -1072,6 +1072,50 @@ class TestConcurrency:
         assert self._run(tmp_path / "serial", sandbox_workers=1) == plain
 
 
+class TestLauncherCount:
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="pins the test's thread to one CPU with sched_setaffinity"
+    )
+    def test_concurrent_candidates_on_one_cpu_keep_their_wall_time(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from llmevolve.config import RunConfig
+        from llmevolve.sandbox import STATUS_OK, ResourceLimits
+
+        # Each candidate needs 0.5 s of CPU under a 1 s wall limit. A launcher
+        # per island would run all three at a third of the one CPU, and each
+        # would time out; one launcher per CPU runs them in turn.
+        busy = "import time\nstart = time.process_time()\nwhile time.process_time() - start < 0.5:\n    pass\n"
+        limits = ResourceLimits(wall_seconds=1.0, memory_bytes=1 << 30)
+        cfg = RunConfig(problem_id="p3.a", num_islands=3, interpreter=[sys.executable, "-S"], limits=limits)
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})  # this thread's, which the launchers inherit
+        try:
+            with engine.start_launchers(cfg, running=True) as pool, ThreadPoolExecutor(3) as threads:
+                outcomes = list(threads.map(pool.run, [busy] * 3))
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert [(out.status, out.stderr, out.artifact) for out in outcomes] == [(STATUS_OK, "", None)] * 3
+
+    @pytest.mark.parametrize(
+        "islands, cpus, workers, started", [(5, 2, None, 2), (3, 8, None, 3), (5, 2, 4, 4), (5, 2, 9, 5)]
+    )
+    def test_a_run_starts_a_launcher_per_usable_cpu_unless_told(self, monkeypatch, islands, cpus, workers, started):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = standard_config(num_islands=islands, sandbox_workers=workers)
+        with engine.start_launchers(cfg, running=True) as pool:
+            assert len(pool.launchers) == started
+        with engine.start_launchers(cfg, running=False) as pool:  # a finished run
+            assert pool.launchers == []
+
+    @pytest.mark.parametrize("count, started", [(2, 2), (None, 1)])
+    def test_without_an_affinity_a_run_counts_the_cpus(self, monkeypatch, count, started):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        with engine.start_launchers(standard_config(num_islands=5), running=True) as pool:
+            assert len(pool.launchers) == started
+
+
 class TestAblations:
     def test_no_evolution_has_no_parents_and_no_migration(self, tmp_path):
         run_dir = tmp_path / "no-evo"
