@@ -214,7 +214,8 @@ def start_launchers(config: RunConfig, running: bool) -> sandbox.LauncherPool:
 
 
 def make_backend(config: RunConfig, run_dir: Path):
-    """The configured backend; a missing or malformed transcript is a ``ConfigError``."""
+    """The configured backend; a transcript that is missing, malformed or not a
+    regular file is a ``ConfigError``."""
     if config.backend != "replay":
         return llm.HttpBackend(config.base_url)
     try:

@@ -12,12 +12,16 @@ several, under distinct keys.
 
 Two backends ship with the package: an OpenAI-compatible chat-completions
 client on ``urllib.request``, and a replay backend that serves the scripted
-response under each key, for fully deterministic offline runs. Either one
-returns text: a reply or transcript record without text is an error.
+response under each key, for fully deterministic offline runs. A transcript
+file's records are all checked when it is loaded, but each reply is read from
+the file only when its call arrives, so a run holds no more of its model
+traffic than an index. Either backend returns text: a reply or transcript
+record without text is an error.
 
 A call fails in one of three ways. A ``TransportError`` is retried under the
 config's ``RetryPolicy``. A ``RejectedError`` fails its step at once: a
-refused request, a replay miss or digest mismatch, or a blank meta reply. A
+refused request, a replay miss, digest mismatch or record changed since
+loading, or a blank meta reply. A
 ``KeyRefusedError`` ends the run. ``generate`` is the one function here that
 sends a call.
 """
@@ -28,9 +32,14 @@ import json
 import os
 import random
 import socket
+import stat
 import sys
 import threading
 import time
+import weakref
+import zlib
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -50,7 +59,8 @@ class TransportError(RuntimeError):
 class RejectedError(TransportError):
     """Retrying cannot change this call's outcome, so it is raised at once and
     fails its step: the backend refused the request, a replay transcript has no
-    response or a different digest for the call, or the meta model's reply is blank."""
+    response or a different digest for the call, or a changed record, or the
+    meta model's reply is blank."""
 
 
 class KeyRefusedError(RuntimeError):
@@ -308,13 +318,81 @@ class HttpBackend:
         return content
 
 
+def _record(line: bytes) -> Optional[tuple[tuple[int, int], dict]]:
+    """The key and record of a transcript line, or None for a blank line; a
+    ``ValueError`` says what is wrong with any other."""
+    text = line.decode("utf-8")
+    if not text.strip():
+        return None
+    rec = json.loads(text)
+    if not isinstance(rec, dict):
+        raise ValueError("the record is not a JSON object")
+    key = (rec.get("island", 0), rec.get("index"))
+    if not all(type(i) is int for i in key):
+        raise ValueError("the island and index are not both integers")
+    if not isinstance(rec.get("response"), str):
+        raise ValueError("the response is missing or not text")
+    if "digest" in rec and not _is_digest(rec["digest"]):
+        raise ValueError("the digest is not 64 lowercase hex digits")
+    return key, rec
+
+
+class _Transcript(Mapping):
+    """A transcript file's replies by key, each read from the file when it is asked for.
+
+    It holds of each record only where it lies: its byte offset, length, line
+    number and CRC-32. A reply is read with ``os.pread``, which moves no shared
+    file position, so calls on any threads need no lock; a record whose bytes
+    changed since ``add`` is a ``RejectedError`` that names its line. The
+    mapping owns its descriptor, and closes it when it is collected.
+    """
+
+    def __init__(self, path: str | Path):
+        # O_NONBLOCK: opening a FIFO would otherwise wait for a writer.
+        self.fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        self.close = weakref.finalize(self, os.close, self.fd)
+        if not stat.S_ISREG(os.fstat(self.fd).st_mode):
+            self.close()
+            raise ValueError(f"{path}: not a regular file")
+        self.path = path
+        self._slots: dict[tuple[int, int], int] = {}
+        self._places = array("q")  # offset, length, line and CRC-32 of each slot's record
+
+    def add(self, key: tuple[int, int], offset: int, line: bytes, lineno: int) -> None:
+        """Serve ``key`` from ``line``, which lies at ``offset`` in the file."""
+        self._slots[key] = len(self._places) // 4
+        self._places.extend((offset, len(line), lineno, zlib.crc32(line)))
+
+    def __getitem__(self, key: tuple[int, int]) -> str:
+        at = 4 * self._slots[key]
+        offset, length, lineno, crc = self._places[at:at + 4]
+        line = os.pread(self.fd, length, offset)
+        try:
+            if zlib.crc32(line) != crc:
+                raise ValueError("the record changed after the transcript was loaded")
+            return _record(line)[1]["response"]
+        except ValueError as exc:
+            raise RejectedError(f"{self.path} line {lineno}: {exc}") from None
+
+    def __contains__(self, key) -> bool:
+        return key in self._slots
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+
 class ReplayBackend:
     """Deterministic stand-in serving scripted responses.
 
-    Responses are keyed by (island, call index), the key the caller passes.
-    Transcripts are line-delimited JSON records ``{"island": i, "index": j,
-    "response": text}`` (records without an island apply to island 0).
-    ``strict_digests`` optionally pins a call to a digest of its messages.
+    Responses are keyed by (island, call index), the key the caller passes,
+    in a dict or, from ``from_file``, in a transcript that reads each reply
+    from its file when its call arrives. Transcripts are line-delimited JSON
+    records ``{"island": i, "index": j, "response": text}`` (records without
+    an island apply to island 0). ``strict_digests`` optionally pins a call
+    to a digest of its messages.
 
     ``counters`` holds each island's next index: one past the highest served.
     A call without an index takes it. The counters and ``get_state`` /
@@ -322,7 +400,7 @@ class ReplayBackend:
     they go once the benchmark counts calls itself.
     """
 
-    def __init__(self, responses: dict[tuple[int, int], str], strict_digests: Optional[dict[tuple[int, int], str]] = None):
+    def __init__(self, responses: Mapping[tuple[int, int], str], strict_digests: Optional[dict[tuple[int, int], str]] = None):
         self.responses = responses
         self.strict_digests = strict_digests or {}
         self.counters: dict[int, int] = {}
@@ -330,32 +408,34 @@ class ReplayBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayBackend":
-        """Load a transcript; a malformed record, or a second under one key, is a
-        ``ValueError`` that names its line."""
-        responses: dict[tuple[int, int], str] = {}
+        """Check every record of a transcript, and keep where each lies.
+
+        A malformed record, or a second under one key, is a ``ValueError``
+        that names its line; a path that is not a regular file is one that
+        names the path. The file must stay in place and unchanged while the
+        backend serves it: a call whose record changed fails.
+        """
+        responses = _Transcript(path)
         digests: dict[tuple[int, int], str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    if not isinstance(rec, dict):
-                        raise ValueError("the record is not a JSON object")
-                    key = (rec.get("island", 0), rec.get("index"))
-                    if not all(type(i) is int for i in key):
-                        raise ValueError("the island and index are not both integers")
-                    if key in responses:
-                        raise ValueError(f"a record for island {key[0]} index {key[1]} came earlier")
-                    if not isinstance(rec.get("response"), str):
-                        raise ValueError("the response is missing or not text")
-                    if "digest" in rec and not _is_digest(rec["digest"]):
-                        raise ValueError("the digest is not 64 lowercase hex digits")
-                except ValueError as exc:  # a JSONDecodeError too
-                    raise ValueError(f"{path} line {lineno}: {exc}") from None
-                responses[key] = rec["response"]
-                if "digest" in rec:
-                    digests[key] = rec["digest"]
+        offset = 0
+        try:
+            with open(responses.fd, "rb", closefd=False) as fh:
+                for lineno, line in enumerate(fh, 1):
+                    try:
+                        record = _record(line)
+                        if record and record[0] in responses:
+                            raise ValueError(f"a record for island {record[0][0]} index {record[0][1]} came earlier")
+                    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError too
+                        raise ValueError(f"{path} line {lineno}: {exc}") from None
+                    if record:
+                        key, rec = record
+                        responses.add(key, offset, line, lineno)
+                        if "digest" in rec:
+                            digests[key] = rec["digest"]
+                    offset += len(line)
+        except BaseException:
+            responses.close()
+            raise
         return cls(responses, digests)
 
     def complete(self, model, messages: list[dict[str, str]], island_id: int, index: Optional[int] = None) -> str:

@@ -303,14 +303,16 @@ class TestCmdRun:
         assert (run_dirs[1] / "events.jsonl").read_bytes() == (run_dirs[0] / "events.jsonl").read_bytes()
 
     @pytest.mark.parametrize(
-        "transcript", [None, '{"index": 0}\n'], ids=["missing", "record_without_response"]
+        "transcript",
+        [None, b'{"index": 0}\n', b'{"index": 0, "response": "a"}\n{"index": 1, "response": "\xff"}\n'],
+        ids=["missing", "record_without_response", "not_utf8"],
     )
     def test_a_bad_transcript_is_an_error_message(self, runner, tmp_path, transcript):
         cfg = write_config(tmp_path / "config.yaml")
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         if transcript is not None:
-            (run_dir / "transcripts.jsonl").write_text(transcript)
+            (run_dir / "transcripts.jsonl").write_bytes(transcript)
         result = runner.invoke(main, ["run", "--config", str(cfg), "--run-dir", str(run_dir)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback

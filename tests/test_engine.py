@@ -211,6 +211,23 @@ class TestRun:
         assert "leaves a program that is not UTF-8 text" in record["feedback"]
         assert (run_dir / "best" / "solution.py").read_text(encoding="utf-8") == trivial
 
+    def test_a_reply_changed_after_loading_fails_its_step_not_the_run(self, tmp_path):
+        run_dir = tmp_path / "changed"
+        path = write_transcript(run_dir, num_islands=1, calls_per_island=3)
+        backend = ReplayBackend.from_file(path)
+        # Rewrites the first step's reply, on line 2, in place and to the same length.
+        data = path.read_bytes()
+        with open(path, "r+b") as fh:
+            fh.seek(data.index(b"Here is", data.index(b"\n")))
+            fh.write(b"here is")
+        cfg = standard_config(num_islands=1, epochs=2, init_population=1, p_explore=0.0)
+        summary = engine.run(cfg, run_dir, backend=backend)
+        assert summary.finished
+        steps = [r for r in read_events(run_dir) if r["type"] == "step"]
+        assert [r["status"] for r in steps] == ["generation_failed", "valid"]
+        feedback = solution_records(run_dir)[steps[0]["solution"]]["feedback"]
+        assert feedback.endswith(f"{path} line 2: the record changed after the transcript was loaded")
+
     def test_a_run_logs_each_evaluated_candidate_once_and_makes_no_solutions_directory(self, tmp_path):
         run_dir, _, _ = small_run(tmp_path)
         assert not (run_dir / "solutions").exists()
@@ -1024,6 +1041,7 @@ class TestConcurrency:
         # The transcript lacks set-up call 1 of island 0: that call's solution
         # is a generation failure, and every other id keeps its place.
         def missing(responses):
+            responses = dict(responses)
             del responses[(0, 1)]
             return ReplayBackend(responses)
 

@@ -2,10 +2,13 @@
 
 import http.server
 import json
+import os
 import random
+import signal
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -221,14 +224,18 @@ class TestReplayBackend:
         # Each island's counter is one past the highest index it served.
         assert backend.get_state() == {0: 2, 1: 1}
 
-    def test_concurrent_calls_leave_the_counter_past_the_highest_key(self):
+    @pytest.mark.parametrize("built", ["from_dict", "from_file"])
+    def test_concurrent_calls_leave_the_counter_past_the_highest_key(self, tmp_path, built):
         n = 64
         responses = {(0, i): str(i) for i in range(n)}
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps({"index": i, "response": str(i)}) + "\n" for i in range(n)))
+        make = {"from_dict": lambda: ReplayBackend(responses), "from_file": lambda: ReplayBackend.from_file(path)}[built]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to shake out a lost update
         try:
             for _ in range(20):
-                backend = ReplayBackend(responses)
+                backend = make()
                 with ThreadPoolExecutor(max_workers=16) as pool:
                     replies = list(pool.map(lambda i: backend.complete("m", [], 0, index=i), range(n)))
                 assert replies == [str(i) for i in range(n)]
@@ -248,6 +255,71 @@ class TestReplayBackend:
         )
         backend = ReplayBackend.from_file(path)
         assert backend.complete("m", [], 2) == "hello"
+
+    def test_from_file_holds_where_each_record_lies_not_its_reply(self, tmp_path):
+        # About 2,000 records of 2 KB, some of whose characters take two bytes.
+        replies = [f"{i}:" + "é" * (i % 7) + "x" * 2040 for i in range(2000)]
+        path = tmp_path / "t.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i, reply in enumerate(replies):
+                fh.write(json.dumps({"index": i, "response": reply}, ensure_ascii=False) + "\n")
+        tracemalloc.start()
+        try:
+            backend = ReplayBackend.from_file(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 500_000
+        assert backend.complete("m", [], 0, index=len(replies) - 1) == replies[-1]
+        assert backend.complete("m", [], 0, index=6) == replies[6]
+
+    @pytest.mark.parametrize(
+        "change",
+        [(55, b'"c"'), (40, b"7"), (33, b"")],
+        ids=["reply_rewritten", "key_rewritten", "truncated"],
+    )
+    def test_a_record_changed_after_loading_fails_its_call(self, tmp_path, change):
+        # Line 2 starts at byte 30: its index at byte 40, its response at byte 55.
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"index": 0, "response": "a"}\n{"index": 1, "response": "b"}\n{"index": 2, "response": "d"}\n')
+        backend = ReplayBackend.from_file(path)
+        offset, data = change
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(data)
+            if not data:
+                fh.truncate()
+        assert backend.complete("m", [], 0, index=0) == "a"
+        with pytest.raises(RejectedError, match=f"^{path} line 2: the record changed after the transcript was loaded$"):
+            backend.complete("m", [], 0, index=1)
+
+    @pytest.mark.parametrize("move", ["rename", "unlink"])
+    def test_moving_the_file_after_loading_changes_no_reply(self, tmp_path, move):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"index": 0, "response": "a"}\n{"index": 1, "response": "b"}\n')
+        backend = ReplayBackend.from_file(path)
+        if move == "rename":
+            path.rename(tmp_path / "moved.jsonl")
+        else:
+            path.unlink()
+        path.write_text('{"index": 0, "response": "x"}\n{"index": 1, "response": "y"}\n')
+        assert [backend.complete("m", [], 0) for _ in range(2)] == ["a", "b"]
+
+    def test_from_file_refuses_a_fifo_without_waiting_for_a_writer(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        os.mkfifo(path)
+
+        def hung(signum, frame):
+            raise TimeoutError("opening the transcript blocked")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(ValueError, match=f"^{path}: not a regular file$"):
+                ReplayBackend.from_file(path)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_from_file_pins_each_call_to_its_digest(self, tmp_path):
         from llmevolve.llm import request_digest
@@ -291,16 +363,18 @@ class TestReplayBackend:
             '{"index": 1, "response": "ok", "digest": 5}',
             '{"index": 1, "response": "ok", "digest": "%s"}' % ("ab" * 31),
             '{"index": 1, "response": "ok", "digest": "%s"}' % ("AB" * 32),
+            b'{"index": 1, "response": "\xff"}',
         ],
         ids=[
             "not_json", "not_an_object", "no_index", "string_index", "fractional_index",
             "null_index", "boolean_island", "no_response", "second_record_under_a_key",
-            "non_text_digest", "short_digest", "upper_case_digest",
+            "non_text_digest", "short_digest", "upper_case_digest", "not_utf8",
         ],
     )
     def test_from_file_names_the_line_of_a_malformed_record(self, tmp_path, line):
         path = tmp_path / "t.jsonl"
-        path.write_text(json.dumps({"index": 0, "response": "ok"}) + "\n\n" + line + "\n")
+        line = line if isinstance(line, bytes) else line.encode()
+        path.write_bytes(json.dumps({"index": 0, "response": "ok"}).encode() + b"\n\n" + line + b"\n")
         with pytest.raises(ValueError, match=f"^{path} line 3: "):
             ReplayBackend.from_file(path)
 
